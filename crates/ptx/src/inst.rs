@@ -518,49 +518,46 @@ impl Op {
         }
     }
 
-    /// All registers read by this instruction (excluding the guard predicate,
-    /// which lives on [`Instruction`]).
-    pub fn src_regs(&self) -> Vec<Reg> {
-        fn push_op(out: &mut Vec<Reg>, o: &Operand) {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
+    /// Visit every register this instruction reads, in operand order
+    /// (excluding the guard predicate, which lives on [`Instruction`]),
+    /// without allocating — the form per-cycle simulator code uses.
+    pub fn for_each_src_reg(&self, mut f: impl FnMut(Reg)) {
+        let mut reg = |r: Option<Reg>| {
+            if let Some(r) = r {
+                f(r);
             }
-        }
-        fn push_addr(out: &mut Vec<Reg>, a: &Address) {
-            if let Some(r) = a.base {
-                out.push(r);
-            }
-        }
-        let mut out = Vec::with_capacity(3);
+        };
         match self {
-            Op::Ld { addr, .. } => push_addr(&mut out, addr),
-            Op::St { addr, src, .. } => {
-                push_addr(&mut out, addr);
-                push_op(&mut out, src);
+            Op::Ld { addr, .. } => reg(addr.base),
+            Op::St { addr, src, .. } | Op::Atom { addr, src, .. } => {
+                reg(addr.base);
+                reg(src.reg());
             }
-            Op::Mov { src, .. } | Op::Cvt { src, .. } => push_op(&mut out, src),
-            Op::Unary { a, .. } => push_op(&mut out, a),
+            Op::Mov { src, .. } | Op::Cvt { src, .. } => reg(src.reg()),
+            Op::Unary { a, .. } | Op::Sfu { a, .. } => reg(a.reg()),
             Op::Alu { a, b, .. } | Op::Setp { a, b, .. } => {
-                push_op(&mut out, a);
-                push_op(&mut out, b);
+                reg(a.reg());
+                reg(b.reg());
             }
             Op::Mad { a, b, c, .. } => {
-                push_op(&mut out, a);
-                push_op(&mut out, b);
-                push_op(&mut out, c);
+                reg(a.reg());
+                reg(b.reg());
+                reg(c.reg());
             }
-            Op::Sfu { a, .. } => push_op(&mut out, a),
             Op::Selp { a, b, pred, .. } => {
-                push_op(&mut out, a);
-                push_op(&mut out, b);
-                out.push(*pred);
-            }
-            Op::Atom { addr, src, .. } => {
-                push_addr(&mut out, addr);
-                push_op(&mut out, src);
+                reg(a.reg());
+                reg(b.reg());
+                reg(Some(*pred));
             }
             Op::Bra { .. } | Op::Bar { .. } | Op::Exit => {}
         }
+    }
+
+    /// All registers read by this instruction (excluding the guard predicate,
+    /// which lives on [`Instruction`]).
+    pub fn src_regs(&self) -> Vec<Reg> {
+        let mut out = Vec::with_capacity(3);
+        self.for_each_src_reg(|r| out.push(r));
         out
     }
 
@@ -687,12 +684,19 @@ impl Instruction {
         }
     }
 
+    /// Visit every register this instruction reads, the guard predicate
+    /// last, without allocating.
+    pub fn for_each_src_reg(&self, mut f: impl FnMut(Reg)) {
+        self.op.for_each_src_reg(&mut f);
+        if let Some(g) = self.guard {
+            f(g.pred);
+        }
+    }
+
     /// All registers this instruction reads, including the guard predicate.
     pub fn src_regs(&self) -> Vec<Reg> {
-        let mut regs = self.op.src_regs();
-        if let Some(g) = self.guard {
-            regs.push(g.pred);
-        }
+        let mut regs = Vec::with_capacity(4);
+        self.for_each_src_reg(|r| regs.push(r));
         regs
     }
 

@@ -23,8 +23,21 @@
 /// assert_eq!(coalesce(&addrs, 4, 128).len(), 32);
 /// ```
 pub fn coalesce(lane_addrs: &[(u32, u64)], bytes: u32, line_bytes: u32) -> Vec<u64> {
+    let mut blocks = Vec::with_capacity(4);
+    coalesce_into(lane_addrs, bytes, line_bytes, &mut blocks);
+    blocks
+}
+
+/// [`coalesce`] into a caller-owned buffer (cleared first), so the LD/ST
+/// path reuses one allocation across memory instructions.
+pub(crate) fn coalesce_into(
+    lane_addrs: &[(u32, u64)],
+    bytes: u32,
+    line_bytes: u32,
+    blocks: &mut Vec<u64>,
+) {
+    blocks.clear();
     let mask = !u64::from(line_bytes - 1);
-    let mut blocks: Vec<u64> = Vec::with_capacity(4);
     let push = |b: u64, blocks: &mut Vec<u64>| {
         if !blocks.contains(&b) {
             blocks.push(b);
@@ -32,13 +45,12 @@ pub fn coalesce(lane_addrs: &[(u32, u64)], bytes: u32, line_bytes: u32) -> Vec<u
     };
     for &(_lane, addr) in lane_addrs {
         let first = addr & mask;
-        push(first, &mut blocks);
+        push(first, blocks);
         let last = (addr + u64::from(bytes) - 1) & mask;
         if last != first {
-            push(last, &mut blocks);
+            push(last, blocks);
         }
     }
-    blocks
 }
 
 #[cfg(test)]

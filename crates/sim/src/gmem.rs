@@ -143,19 +143,38 @@ impl GlobalMem {
     /// Read `n` bytes little-endian into a u64 (n ≤ 8).
     pub fn read_le(&self, addr: u64, n: u32) -> u64 {
         debug_assert!(n <= 8);
-        let mut v = 0u64;
-        for i in 0..u64::from(n) {
-            v |= u64::from(self.read_u8(addr + i)) << (8 * i);
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        let n = n as usize;
+        if off + n > PAGE_SIZE {
+            // Straddles a page boundary: byte by byte.
+            return (0..n as u64).fold(0, |v, i| {
+                v | u64::from(self.read_u8(addr.wrapping_add(i))) << (8 * i)
+            });
         }
-        v
+        let mut bytes = [0u8; 8];
+        if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+            bytes[..n].copy_from_slice(&p[off..off + n]);
+        }
+        u64::from_le_bytes(bytes)
     }
 
     /// Write the low `n` bytes of `v` little-endian (n ≤ 8).
     pub fn write_le(&mut self, addr: u64, n: u32, v: u64) {
         debug_assert!(n <= 8);
-        for i in 0..u64::from(n) {
-            self.write_u8(addr + i, (v >> (8 * i)) as u8);
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        let n = n as usize;
+        if n == 0 || off + n > PAGE_SIZE {
+            // Straddles a page boundary (or writes nothing): byte by byte.
+            for i in 0..n as u64 {
+                self.write_u8(addr.wrapping_add(i), (v >> (8 * i)) as u8);
+            }
+            return;
         }
+        let p = self
+            .pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+        p[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
     }
 
     /// Read a typed scalar as raw bits (sign/float interpretation is the

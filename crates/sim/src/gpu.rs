@@ -9,7 +9,8 @@ use crate::replay::{warps_per_cta, LaunchInfo, LaunchReplay, ReplayError, TraceS
 use crate::san::{SanRun, SanitizerReport, TickError};
 use crate::sm::TickCtx;
 use crate::{
-    BlockSummary, BlockTracker, CtaSchedPolicy, Dim3, GlobalMem, GpuConfig, LaunchStats, Sm,
+    BlockSummary, BlockTracker, CtaSchedPolicy, Dim3, GlobalMem, GpuConfig, HazardTable,
+    LaunchStats, Sm,
 };
 use gcl_core::{classify, Classification};
 use gcl_mem::{AddrMap, ConservationReport, Dec, Enc, Icnt, L2Partition, PartitionEvent, SanStage};
@@ -234,6 +235,7 @@ struct Derived {
     classification: Classification,
     reconv: HashMap<usize, usize>,
     addrmap: AddrMap,
+    hazards: HazardTable,
 }
 
 /// How one simulated cycle ended (collected inside the borrow region of
@@ -724,7 +726,7 @@ impl Gpu {
                 self.restore(&snap)?;
             }
         }
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         {
             let Some(active) = self.active.as_mut() else {
                 return Err(SimError::Checkpoint(CheckpointError::Malformed(
@@ -774,10 +776,18 @@ impl Gpu {
                 let classification = classify(kernel);
                 let cfg_ptx = gcl_ptx::Cfg::build(kernel);
                 let reconv = cfg_ptx.reconvergence_pcs(kernel);
+                // The schedulers' ready sets are derived state too: empty
+                // after launch_begin or a restore, rebuilt here by polling
+                // every warp slot once.
+                let hazards = HazardTable::new(kernel);
+                for sm in &mut active.sms {
+                    sm.rebuild_ready(&hazards);
+                }
                 active.derived = Some(Derived {
                     classification,
                     reconv,
                     addrmap: AddrMap::new(cfg.n_partitions, cfg.n_sms, cfg.l2_topology),
+                    hazards,
                 });
             }
         }
@@ -814,7 +824,7 @@ impl Gpu {
                 };
                 if let Some(cta) = next {
                     let (x, y, z) = grid.coords(cta);
-                    sm.dispatch_cta(cta, (x, y, z), block, &cfg, kernel, replay);
+                    sm.dispatch_cta(cta, (x, y, z), block, cfg, kernel, &derived.hazards, replay);
                     progress = true;
                 }
             }
@@ -832,7 +842,8 @@ impl Gpu {
                     icnt: &mut self.icnt,
                     addrmap: &derived.addrmap,
                     blocktrack: &mut self.blocktrack,
-                    cfg: &cfg,
+                    cfg,
+                    hazards: &derived.hazards,
                     ntid: block,
                     nctaid: grid,
                     trace,

@@ -111,7 +111,7 @@ pub use san::{
     check_digests, fnv_fold, fnv_fold_bytes, DeterminismReport, RaceAccess, RaceReport, SanInject,
     SanRun, SanitizerReport, TickError, FNV_OFFSET,
 };
-pub use scoreboard::Scoreboard;
+pub use scoreboard::{HazardTable, Scoreboard};
 pub use simt::{SimtEntry, SimtStack};
 pub use sm::{bank_conflict_degree, Sm, SmStats, TickCtx};
 pub use stats::{LaunchStats, PcKey};

@@ -426,8 +426,12 @@ impl<S: TraceSink> TraceSink for std::sync::Arc<std::sync::Mutex<S>> {
 }
 
 /// Rebuild a [`MemAccess`] from a recorded memory payload (replay's input
-/// to the LD/ST dispatch path).
-pub(crate) fn mem_access_of_record(pc: u32, kind: &ReplayKind) -> Option<MemAccess> {
+/// to the LD/ST dispatch path), copying the lane addresses into `buf`.
+pub(crate) fn mem_access_of_record(
+    pc: u32,
+    kind: &ReplayKind,
+    mut buf: Vec<(u32, u64)>,
+) -> Option<MemAccess> {
     match kind {
         ReplayKind::Mem {
             space,
@@ -435,14 +439,17 @@ pub(crate) fn mem_access_of_record(pc: u32, kind: &ReplayKind) -> Option<MemAcce
             dst,
             bytes,
             lane_addrs,
-        } => Some(MemAccess {
-            pc: pc as usize,
-            space: *space,
-            is_store: *is_store,
-            dst: *dst,
-            lane_addrs: lane_addrs.clone(),
-            bytes: *bytes,
-        }),
+        } => {
+            buf.extend_from_slice(lane_addrs);
+            Some(MemAccess {
+                pc: pc as usize,
+                space: *space,
+                is_store: *is_store,
+                dst: *dst,
+                lane_addrs: buf,
+                bytes: *bytes,
+            })
+        }
         _ => None,
     }
 }
@@ -563,8 +570,8 @@ mod tests {
             bytes: 4,
         };
         let kind = ReplayKind::of_step(&StepResult::Mem(m.clone()), None);
-        let back = mem_access_of_record(4, &kind).unwrap();
+        let back = mem_access_of_record(4, &kind, Vec::new()).unwrap();
         assert_eq!(back, m);
-        assert_eq!(mem_access_of_record(0, &ReplayKind::Exit), None);
+        assert_eq!(mem_access_of_record(0, &ReplayKind::Exit, Vec::new()), None);
     }
 }

@@ -2,13 +2,63 @@
 //! or destination registers have writes in flight.
 
 use gcl_mem::{Dec, Enc, WireError};
-use gcl_ptx::{Instruction, Reg};
+use gcl_ptx::{Instruction, Kernel, Reg, Unit};
+
+fn words_for(num_regs: u32) -> usize {
+    (num_regs as usize).div_ceil(64).max(1)
+}
+
+/// What the issue stage needs to know about each static instruction of one
+/// kernel: the registers it reads or writes as a bitmask in the scoreboard's
+/// layout, and its execution unit. A pure function of the kernel, built once
+/// per launch and never serialised.
+#[derive(Debug)]
+pub struct HazardTable {
+    words: usize,
+    masks: Vec<u64>,
+    units: Vec<Unit>,
+}
+
+impl HazardTable {
+    /// Precompute the table for `kernel`.
+    pub fn new(kernel: &Kernel) -> HazardTable {
+        let words = words_for(kernel.num_regs());
+        let mut masks = vec![0; words * kernel.insts().len()];
+        for (inst, row) in kernel.insts().iter().zip(masks.chunks_exact_mut(words)) {
+            fill_mask(inst, row);
+        }
+        HazardTable {
+            words,
+            masks,
+            units: kernel.insts().iter().map(|i| i.op.unit()).collect(),
+        }
+    }
+
+    /// Read|write register mask of the instruction at `pc`.
+    pub fn mask(&self, pc: usize) -> &[u64] {
+        &self.masks[pc * self.words..(pc + 1) * self.words]
+    }
+
+    /// Execution unit of the instruction at `pc`.
+    pub fn unit(&self, pc: usize) -> Unit {
+        self.units[pc]
+    }
+}
+
+/// Set the bit of every register `inst` reads (guard included) or writes.
+fn fill_mask(inst: &Instruction, row: &mut [u64]) {
+    let mut set = |r: Reg| row[r.index() / 64] |= 1 << (r.index() % 64);
+    inst.for_each_src_reg(&mut set);
+    if let Some(d) = inst.dst_reg() {
+        set(d);
+    }
+}
 
 /// Scoreboard for all warps of one SM running one kernel.
 #[derive(Debug)]
 pub struct Scoreboard {
-    /// One bitset per warp, one bit per register.
-    pending: Vec<Vec<u64>>,
+    /// One bit per register, `words` words per warp.
+    pending: Vec<u64>,
     words: usize,
 }
 
@@ -16,55 +66,52 @@ impl Scoreboard {
     /// Create a scoreboard for `n_warps` warps of a kernel with `num_regs`
     /// registers.
     pub fn new(n_warps: usize, num_regs: u32) -> Scoreboard {
-        let words = (num_regs as usize).div_ceil(64).max(1);
+        let words = words_for(num_regs);
         Scoreboard {
-            pending: vec![vec![0; words]; n_warps],
+            pending: vec![0; words * n_warps],
             words,
         }
     }
 
-    fn bit(&self, warp: usize, reg: Reg) -> bool {
-        let i = reg.index();
-        self.pending[warp][i / 64] >> (i % 64) & 1 == 1
+    fn row(&self, warp: usize) -> &[u64] {
+        &self.pending[warp * self.words..(warp + 1) * self.words]
     }
 
-    /// Whether `inst` can issue for `warp` (no RAW/WAW hazards pending).
-    pub fn can_issue(&self, warp: usize, inst: &Instruction) -> bool {
-        if let Some(d) = inst.dst_reg() {
-            if self.bit(warp, d) {
-                return false;
-            }
-        }
-        inst.src_regs().iter().all(|r| !self.bit(warp, *r))
+    /// Whether an instruction with read|write register `mask` (a
+    /// [`HazardTable::mask`] row) must wait for `warp`'s in-flight writes
+    /// (RAW or WAW hazard).
+    pub fn blocked(&self, warp: usize, mask: &[u64]) -> bool {
+        self.row(warp).iter().zip(mask).any(|(p, m)| p & m != 0)
     }
 
     /// Mark `reg` as having a write in flight for `warp`.
     pub fn reserve(&mut self, warp: usize, reg: Reg) {
         let i = reg.index();
-        self.pending[warp][i / 64] |= 1 << (i % 64);
+        self.pending[warp * self.words + i / 64] |= 1 << (i % 64);
     }
 
     /// Clear the in-flight write of `reg` for `warp` (writeback).
     pub fn release(&mut self, warp: usize, reg: Reg) {
         let i = reg.index();
-        self.pending[warp][i / 64] &= !(1 << (i % 64));
+        self.pending[warp * self.words + i / 64] &= !(1 << (i % 64));
     }
 
     /// Whether `warp` has any writes in flight.
     pub fn busy(&self, warp: usize) -> bool {
-        self.pending[warp][..self.words].iter().any(|w| *w != 0)
+        self.row(warp).iter().any(|w| *w != 0)
     }
 
     /// Drop all reservations of `warp` (when a warp slot is recycled).
     pub fn clear(&mut self, warp: usize) {
-        self.pending[warp].iter_mut().for_each(|w| *w = 0);
+        let words = self.words;
+        self.pending[warp * words..(warp + 1) * words].fill(0);
     }
 
     /// Checkpoint-encode the pending-write bitsets.
     pub fn ckpt_encode(&self, e: &mut Enc) {
         e.usize(self.words);
-        e.usize(self.pending.len());
-        for warp in &self.pending {
+        e.usize(self.pending.len() / self.words);
+        for warp in self.pending.chunks_exact(self.words) {
             e.seq(warp, |e, &w| e.u64(w));
         }
     }
@@ -73,14 +120,17 @@ impl Scoreboard {
     /// [`ckpt_encode`](Self::ckpt_encode).
     pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<Scoreboard, WireError> {
         let words = d.usize()?;
+        if words == 0 {
+            return Err(WireError::Malformed("scoreboard word count is zero"));
+        }
         let n = d.seq_len()?;
-        let mut pending = Vec::with_capacity(n);
+        let mut pending = Vec::new();
         for _ in 0..n {
             let warp = d.seq(|d| d.u64())?;
             if warp.len() != words {
                 return Err(WireError::Malformed("scoreboard word count mismatch"));
             }
-            pending.push(warp);
+            pending.extend(warp);
         }
         Ok(Scoreboard { pending, words })
     }
@@ -89,7 +139,7 @@ impl Scoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcl_ptx::{AluOp, Instruction, Op, Operand, Type};
+    use gcl_ptx::{AluOp, Guard, Op, Operand, Type};
 
     fn add(dst: u32, a: u32, b: u32) -> Instruction {
         Instruction::new(Op::Alu {
@@ -101,24 +151,40 @@ mod tests {
         })
     }
 
+    fn can_issue(sb: &Scoreboard, warp: usize, inst: &Instruction) -> bool {
+        let mut mask = vec![0; sb.words];
+        fill_mask(inst, &mut mask);
+        !sb.blocked(warp, &mask)
+    }
+
     #[test]
     fn raw_hazard_blocks_issue() {
         let mut sb = Scoreboard::new(2, 8);
         let inst = add(2, 0, 1);
-        assert!(sb.can_issue(0, &inst));
+        assert!(can_issue(&sb, 0, &inst));
         sb.reserve(0, Reg(1));
-        assert!(!sb.can_issue(0, &inst));
+        assert!(!can_issue(&sb, 0, &inst));
         // Other warps unaffected.
-        assert!(sb.can_issue(1, &inst));
+        assert!(can_issue(&sb, 1, &inst));
         sb.release(0, Reg(1));
-        assert!(sb.can_issue(0, &inst));
+        assert!(can_issue(&sb, 0, &inst));
     }
 
     #[test]
     fn waw_hazard_blocks_issue() {
         let mut sb = Scoreboard::new(1, 8);
         sb.reserve(0, Reg(2));
-        assert!(!sb.can_issue(0, &add(2, 0, 1)));
+        assert!(!can_issue(&sb, 0, &add(2, 0, 1)));
+    }
+
+    #[test]
+    fn guard_predicate_is_a_hazard() {
+        let mut sb = Scoreboard::new(1, 8);
+        sb.reserve(0, Reg(5));
+        let bra = Instruction::guarded(Guard::when(Reg(5)), Op::Bra { target: 0 });
+        assert!(!can_issue(&sb, 0, &bra));
+        sb.release(0, Reg(5));
+        assert!(can_issue(&sb, 0, &bra));
     }
 
     #[test]
@@ -129,6 +195,6 @@ mod tests {
         assert!(sb.busy(0));
         sb.clear(0);
         assert!(!sb.busy(0));
-        assert!(sb.can_issue(0, &add(129, 0, 1)));
+        assert!(can_issue(&sb, 0, &add(129, 0, 1)));
     }
 }

@@ -1,12 +1,13 @@
 //! The streaming multiprocessor: warp scheduling, issue, LD/ST unit with
 //! coalescing and L1 access retry, writeback, barriers and CTA retirement.
 
+use crate::coalesce::coalesce_into;
 use crate::fault::{MemFaultReport, SmSnapshot, WarpSnapshot};
 use crate::replay::{warps_per_cta, LaunchReplay, ReplayKind, TraceSink};
 use crate::san::{SanRun, SmSan, TickError};
 use crate::warp::{ExecCtx, MemAccess, ReplayCursor, StepResult, Warp};
 use crate::{
-    coalesce, BlockTracker, Dim3, GlobalMem, GpuConfig, LoadTracker, Scoreboard, Trace,
+    BlockTracker, Dim3, GlobalMem, GpuConfig, HazardTable, LoadTracker, Scoreboard, Trace,
     WarpScheduler,
 };
 use gcl_core::{Classification, LoadClass};
@@ -17,6 +18,7 @@ use gcl_mem::{
 use gcl_ptx::{Kernel, Reg, Space, Unit};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::mem;
 
 /// Sentinel `meta` value marking prefetch requests (no load-tracker entry).
 const PREFETCH_META: u64 = u64::MAX;
@@ -72,21 +74,14 @@ impl SmStats {
 /// mapped to one of the 32 four-byte-interleaved banks (broadcasts of the
 /// same word are conflict-free).
 pub fn bank_conflict_degree(lane_addrs: &[(u32, u64)]) -> u32 {
-    let mut per_bank: HashMap<u64, Vec<u64>> = HashMap::new();
-    for &(_, addr) in lane_addrs {
+    let mut per_bank = [0u32; 32];
+    for (i, &(_, addr)) in lane_addrs.iter().enumerate() {
         let word = addr / 4;
-        let bank = word % 32;
-        let words = per_bank.entry(bank).or_default();
-        if !words.contains(&word) {
-            words.push(word);
+        if !lane_addrs[..i].iter().any(|&(_, a)| a / 4 == word) {
+            per_bank[(word % 32) as usize] += 1;
         }
     }
-    per_bank
-        .values()
-        .map(|w| w.len() as u32)
-        .max()
-        .unwrap_or(1)
-        .max(1)
+    per_bank.into_iter().max().unwrap_or(1).max(1)
 }
 
 #[derive(Debug)]
@@ -172,6 +167,8 @@ pub struct TickCtx<'a> {
     pub blocktrack: &'a mut BlockTracker,
     /// GPU configuration.
     pub cfg: &'a GpuConfig,
+    /// Per-instruction hazard masks and units of the running kernel.
+    pub hazards: &'a HazardTable,
     /// CTA dimensions of the launch.
     pub ntid: Dim3,
     /// Grid dimensions of the launch.
@@ -210,6 +207,13 @@ pub struct Sm {
     /// Per-SM sanitizer state (digest + shared-memory shadow), present when
     /// [`GpuConfig::sanitize`] is on.
     san: Option<SmSan>,
+    /// Occupied CTA slots (derived from `cta_slots`).
+    live_ctas: usize,
+    /// Buffers recycled from one memory instruction to the next: per-lane
+    /// addresses, coalesced blocks, and emptied request queues.
+    lane_buf: Vec<(u32, u64)>,
+    block_buf: Vec<u64>,
+    spare_pending: Vec<VecDeque<MemRequest>>,
 }
 
 impl Sm {
@@ -229,7 +233,7 @@ impl Sm {
                 .collect(),
             scoreboard: Scoreboard::new(max_warps, kernel.num_regs()),
             schedulers: (0..cfg.n_schedulers)
-                .map(|_| WarpScheduler::new(cfg.warp_sched))
+                .map(|_| WarpScheduler::new(cfg.warp_sched, max_warps))
                 .collect(),
             ldst_queue: VecDeque::new(),
             local_done: BinaryHeap::new(),
@@ -242,17 +246,21 @@ impl Sm {
             san: cfg
                 .sanitize
                 .then(|| SmSan::new(n_cta_slots, kernel.shared_bytes() as usize)),
+            live_ctas: 0,
+            lane_buf: Vec::new(),
+            block_buf: Vec::new(),
+            spare_pending: Vec::new(),
         }
     }
 
     /// Whether a CTA slot is free.
     pub fn has_free_cta_slot(&self) -> bool {
-        self.cta_slots.iter().any(Option::is_none)
+        self.live_ctas < self.cta_slots.len()
     }
 
     /// Whether this SM has any resident work.
     pub fn is_idle(&self) -> bool {
-        self.cta_slots.iter().all(Option::is_none)
+        self.live_ctas == 0
             && self.ldst_queue.is_empty()
             && self.local_done.is_empty()
             && self.writebacks.is_empty()
@@ -333,6 +341,7 @@ impl Sm {
     ///
     /// Panics if no CTA slot or not enough warp slots are free (the GPU's
     /// occupancy computation should prevent this).
+    #[allow(clippy::too_many_arguments)]
     pub fn dispatch_cta(
         &mut self,
         linear_cta: u64,
@@ -340,6 +349,7 @@ impl Sm {
         ntid: Dim3,
         cfg: &GpuConfig,
         kernel: &Kernel,
+        hazards: &HazardTable,
         replay: Option<&LaunchReplay>,
     ) {
         let cta_slot = self
@@ -380,6 +390,7 @@ impl Sm {
             self.warp_age[slot] = self.next_age;
             self.next_age += 1;
             self.pending_ops[slot] = 0;
+            self.refresh_ready(slot, hazards);
         }
         self.smem[cta_slot].iter_mut().for_each(|b| *b = 0);
         if let Some(s) = &mut self.san {
@@ -388,6 +399,47 @@ impl Sm {
         self.cta_slots[cta_slot] = Some(CtaState {
             warp_slots: free_slots,
         });
+        self.live_ctas += 1;
+    }
+
+    /// Whether the warp in `slot` could issue its next instruction: `None`
+    /// when the slot is empty or the warp is finished, parked at a barrier
+    /// or blocked on the scoreboard; otherwise whether that instruction
+    /// needs the LD/ST unit. This full poll defines the schedulers' ready
+    /// sets, which cache it between the events that can change it.
+    fn poll_ready(&self, slot: usize, hazards: &HazardTable) -> Option<bool> {
+        let w = self.warps[slot].as_ref()?;
+        if w.is_finished() || w.at_barrier.is_some() {
+            return None;
+        }
+        let pc = w.pc();
+        (!self.scoreboard.blocked(slot, hazards.mask(pc))).then(|| hazards.unit(pc) == Unit::LdSt)
+    }
+
+    /// Re-poll `slot` after an event that can change its readiness: its own
+    /// issue, a scoreboard release, a barrier release, or its dispatch.
+    fn refresh_ready(&mut self, slot: usize, hazards: &HazardTable) {
+        let ready = self.poll_ready(slot, hazards);
+        let n_sched = self.schedulers.len();
+        self.schedulers[slot % n_sched].set_ready(slot, ready);
+    }
+
+    /// Rebuild every scheduler's ready set from scratch (first step after a
+    /// launch begins or a snapshot is restored; the sets are not serialised).
+    pub(crate) fn rebuild_ready(&mut self, hazards: &HazardTable) {
+        for slot in 0..self.warps.len() {
+            self.refresh_ready(slot, hazards);
+        }
+    }
+
+    /// A pending operation of `slot` finished: release its destination
+    /// register, which may unblock the warp.
+    fn complete_op(&mut self, slot: usize, dst: Option<Reg>, hazards: &HazardTable) {
+        self.pending_ops[slot] -= 1;
+        if let Some(d) = dst {
+            self.scoreboard.release(slot, d);
+            self.refresh_ready(slot, hazards);
+        }
     }
 
     fn class_tag(class: LoadClass) -> ClassTag {
@@ -412,17 +464,32 @@ impl Sm {
     /// out-of-bounds device access. Under [`GpuConfig::sanitize`], returns
     /// [`TickError::San`] when a sanitizer checker fires.
     pub fn tick(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
-        let cycle = ctx.cycle;
         self.stats.cycles += 1;
         self.issued_mem_this_cycle = false;
+        if self.live_ctas == 0 {
+            // No resident CTA, so no warp, pending op or LD/ST entry. Stores
+            // are fire-and-forget though: their acks (and prefetch fills)
+            // still arrive and their misses may still sit in the L1's queue.
+            debug_assert!(self.ldst_queue.is_empty() && self.writebacks.is_empty());
+            debug_assert!(self.local_done.is_empty());
+            let progress = self.process_responses(ctx)?;
+            self.drain_misses(ctx)?;
+            return Ok(progress);
+        }
+        // Every stage below costs O(1) when it has nothing to do (a heap or
+        // queue head not yet due, empty ready sets), so a resident but
+        // quiescent SM — all warps waiting on memory — falls straight through.
         let mut progress = false;
 
-        progress |= self.process_writebacks(cycle);
+        progress |= self.process_writebacks(ctx);
         progress |= self.process_responses(ctx)?;
         progress |= self.process_local_done(ctx)?;
         let (sp_issued, sfu_issued, any_issued) = self.issue(ctx)?;
         progress |= any_issued;
-        self.release_barriers();
+        if any_issued {
+            // Only an issue (a warp parking or exiting) can complete a barrier.
+            self.release_barriers(ctx.hazards);
+        }
         let ldst_active = !self.ldst_queue.is_empty();
         progress |= self.process_ldst(ctx)?;
         self.drain_misses(ctx)?;
@@ -437,19 +504,24 @@ impl Sm {
             self.stats.unit_busy[2] += 1;
         }
 
-        progress |= self.retire_ctas();
+        // A CTA retires when its last warp exits or its last pending op
+        // completes; every such event is an issue, a completion, or the
+        // LD/ST unit handing off a store.
+        if progress || ldst_active {
+            progress |= self.retire_ctas();
+        }
         Ok(progress)
     }
 
-    fn process_writebacks(&mut self, cycle: Cycle) -> bool {
+    fn process_writebacks(&mut self, ctx: &TickCtx<'_>) -> bool {
+        let cycle = ctx.cycle;
         let mut any = false;
         while let Some(&Reverse((at, slot, reg))) = self.writebacks.peek() {
             if at > cycle {
                 break;
             }
             self.writebacks.pop();
-            self.scoreboard.release(slot, reg);
-            self.pending_ops[slot] -= 1;
+            self.complete_op(slot, Some(reg), ctx.hazards);
             if let Some(s) = &mut self.san {
                 s.fold(at);
                 s.fold(((slot as u64) << 32) | u64::from(reg.0));
@@ -540,12 +612,12 @@ impl Sm {
                     sr.ledger.retire(w.san, cycle)?;
                 }
             }
-            self.finish_request(w, cycle);
+            self.finish_request(w, cycle, ctx.hazards);
         }
         Ok(())
     }
 
-    fn finish_request(&mut self, req: MemRequest, cycle: Cycle) {
+    fn finish_request(&mut self, req: MemRequest, cycle: Cycle, hazards: &HazardTable) {
         let meta = req.meta;
         if meta == PREFETCH_META {
             return; // prefetched data is now resident; nothing waits on it
@@ -555,8 +627,7 @@ impl Sm {
             // request's packed routing info.
             let warp_slot = (req.id >> 32) as usize;
             let dst = Reg((req.id & 0xFFFF_FFFF) as u32);
-            self.scoreboard.release(warp_slot, dst);
-            self.pending_ops[warp_slot] -= 1;
+            self.complete_op(warp_slot, Some(dst), hazards);
         }
     }
 
@@ -579,15 +650,10 @@ impl Sm {
                             sr.ledger.retire(req.san, cycle)?;
                         }
                     }
-                    self.finish_request(req, cycle);
+                    self.finish_request(req, cycle, ctx.hazards);
                 }
                 // Shared/const load completion.
-                _ => {
-                    if let Some(dst) = done.dst {
-                        self.scoreboard.release(done.warp_slot, dst);
-                    }
-                    self.pending_ops[done.warp_slot] -= 1;
-                }
+                _ => self.complete_op(done.warp_slot, done.dst, ctx.hazards),
             }
         }
         Ok(any)
@@ -598,69 +664,52 @@ impl Sm {
     /// watchdog.
     fn issue(&mut self, ctx: &mut TickCtx<'_>) -> Result<(bool, bool, bool), TickError> {
         let n_sched = self.schedulers.len();
+        if cfg!(debug_assertions) {
+            for slot in 0..self.warps.len() {
+                assert_eq!(
+                    self.schedulers[slot % n_sched].ready(slot),
+                    self.poll_ready(slot, ctx.hazards),
+                    "SM{}: ready set of warp slot {slot} diverged from a full poll",
+                    self.id
+                );
+            }
+        }
         let mut sp = false;
         let mut sfu = false;
         let mut any = false;
         for s in 0..n_sched {
-            let candidates: Vec<usize> = (0..self.warps.len())
-                .filter(|slot| slot % n_sched == s && self.warps[*slot].is_some())
-                .collect();
-            let ldst_space = self.ldst_queue.len() < ctx.cfg.ldst_queue_len;
-            let picked = {
-                let warps = &self.warps;
-                let sb = &self.scoreboard;
-                let kernel = ctx.kernel;
-                self.schedulers[s].pick(
-                    &candidates,
-                    |slot| {
-                        let Some(w) = warps[slot].as_ref() else {
-                            return false;
-                        };
-                        if w.is_finished() || w.at_barrier.is_some() {
-                            return false;
-                        }
-                        let Some(inst) = w.next_inst(kernel) else {
-                            return false;
-                        };
-                        if !sb.can_issue(slot, inst) {
-                            return false;
-                        }
-                        if inst.op.unit() == Unit::LdSt && !ldst_space {
-                            return false;
-                        }
-                        true
-                    },
-                    |slot| self.warp_age[slot],
-                )
-            };
+            let ldst_full = self.ldst_queue.len() >= ctx.cfg.ldst_queue_len;
+            let (warps, ages) = (&self.warps, &self.warp_age);
+            let picked = self.schedulers[s].pick(
+                ldst_full,
+                |l| l % n_sched == s && warps.get(l).is_some_and(Option::is_some),
+                |slot| ages[slot],
+            );
             let Some(slot) = picked else { continue };
-            let unit = {
-                let w = self.warps[slot].as_ref().unwrap();
-                w.next_inst(ctx.kernel).unwrap().op.unit()
-            };
-            match unit {
+            match self.issue_warp(slot, ctx)? {
                 Unit::Sp => sp = true,
                 Unit::Sfu => sfu = true,
                 _ => {}
             }
             any = true;
-            self.issue_warp(slot, ctx)?;
         }
         Ok((sp, sfu, any))
     }
 
-    fn issue_warp(&mut self, slot: usize, ctx: &mut TickCtx<'_>) -> Result<(), TickError> {
+    /// Issue the next instruction of the warp in `slot`; returns the unit it
+    /// occupies.
+    fn issue_warp(&mut self, slot: usize, ctx: &mut TickCtx<'_>) -> Result<Unit, TickError> {
         let cycle = ctx.cycle;
         let mut warp = self.warps[slot].take().expect("issuing empty warp slot");
         let active_mask = warp.active_mask();
         let active = active_mask.count_ones();
         let cta_slot = warp.cta_slot;
         let pc = warp.pc();
-        let inst_unit = warp.next_inst(ctx.kernel).unwrap().op.unit();
+        let inst_unit = ctx.hazards.unit(pc);
         let result = if warp.replay.is_some() {
             // Replay: re-inject the recorded step outcome; no functional
             // execution (a recorded stream cannot fault).
-            Ok(warp.step_replay())
+            Ok(warp.step_replay(&mut self.lane_buf))
         } else {
             let mut ectx = ExecCtx {
                 kernel: ctx.kernel,
@@ -671,6 +720,7 @@ impl Sm {
                 ntid: ctx.ntid,
                 nctaid: ctx.nctaid,
                 memcheck: ctx.cfg.memcheck,
+                lane_buf: &mut self.lane_buf,
             };
             warp.step(&mut ectx)
         };
@@ -748,7 +798,8 @@ impl Sm {
             StepResult::Predicated | StepResult::Exit => {}
             StepResult::Barrier => {}
         }
-        Ok(())
+        self.refresh_ready(slot, ctx.hazards);
+        Ok(inst_unit)
     }
 
     fn dispatch_mem(
@@ -804,7 +855,13 @@ impl Sm {
                 });
             }
             Space::Global | Space::Local | Space::Tex => {
-                let blocks = coalesce(&access.lane_addrs, access.bytes, ctx.cfg.l1.line_bytes);
+                let mut blocks = mem::take(&mut self.block_buf);
+                coalesce_into(
+                    &access.lane_addrs,
+                    access.bytes,
+                    ctx.cfg.l1.line_bytes,
+                    &mut blocks,
+                );
                 let n_requests = blocks.len() as u32;
                 let is_store = access.is_store;
                 let (class_tag, meta) = if is_store {
@@ -830,8 +887,8 @@ impl Sm {
                     self.scoreboard.reserve(slot, d);
                 }
                 self.pending_ops[slot] += 1;
-                let mut pending = VecDeque::with_capacity(blocks.len());
-                for b in blocks {
+                let mut pending = self.spare_pending.pop().unwrap_or_default();
+                for &b in &blocks {
                     let id = (slot as u64) << 32 | u64::from(dst.map_or(0, |d| d.0));
                     let mut req = if is_store {
                         MemRequest::write(id, b, self.id, cycle)
@@ -853,6 +910,7 @@ impl Sm {
                     }
                     pending.push_back(req);
                 }
+                self.block_buf = blocks;
                 let split = match (ctx.cfg.warp_split_nd, class_tag) {
                     (Some(k), ClassTag::NonDeterministic) => Some(k),
                     _ => None,
@@ -867,12 +925,13 @@ impl Sm {
                 });
             }
         }
+        self.lane_buf = access.lane_addrs;
         Ok(())
     }
 
-    fn release_barriers(&mut self) {
+    fn release_barriers(&mut self, hazards: &HazardTable) {
         for idx in 0..self.cta_slots.len() {
-            let Some(cta) = &self.cta_slots[idx] else {
+            let Some(cta) = self.cta_slots[idx].take() else {
                 continue;
             };
             // A barrier releases only when every live warp of the CTA waits
@@ -905,6 +964,7 @@ impl Sm {
                     if let Some(w) = self.warps[slot].as_mut() {
                         w.at_barrier = None;
                     }
+                    self.refresh_ready(slot, hazards);
                 }
                 // A barrier release opens a new race-detection epoch: accesses
                 // before the barrier can no longer conflict with accesses after.
@@ -912,6 +972,7 @@ impl Sm {
                     s.barrier_release(idx, barrier.unwrap_or(0));
                 }
             }
+            self.cta_slots[idx] = Some(cta);
         }
     }
 
@@ -976,7 +1037,6 @@ impl Sm {
         let mut rotate = false;
         let mut finished = false;
         let mut accepted = false;
-        let mut hits: Vec<(u64, MemRequest)> = Vec::new();
         {
             let Some(LdstEntry::Global {
                 meta,
@@ -1020,7 +1080,17 @@ impl Sm {
                 if outcome == AccessOutcome::Hit && !*is_store {
                     let mut r = req;
                     r.t_l1_accepted = cycle;
-                    hits.push((cycle + hit_latency, r));
+                    let key = self.next_seq;
+                    self.next_seq += 1;
+                    self.local_reqs.insert(key, r);
+                    self.local_done.push(Reverse(LocalDone {
+                        at: cycle + hit_latency,
+                        seq: key,
+                        meta: Some(r.meta),
+                        req: Some(MemRequestOrd(key)),
+                        warp_slot: 0,
+                        dst: None,
+                    }));
                 }
                 if outcome == AccessOutcome::MissIssued
                     && !*is_store
@@ -1091,21 +1161,10 @@ impl Sm {
                 }
             }
         }
-        for (at, req) in hits {
-            let key = self.next_seq;
-            self.next_seq += 1;
-            self.local_reqs.insert(key, req);
-            self.local_done.push(Reverse(LocalDone {
-                at,
-                seq: key,
-                meta: Some(req.meta),
-                req: Some(MemRequestOrd(key)),
-                warp_slot: 0,
-                dst: None,
-            }));
-        }
         if finished {
-            self.ldst_queue.pop_front();
+            if let Some(LdstEntry::Global { pending, .. }) = self.ldst_queue.pop_front() {
+                self.spare_pending.push(pending);
+            }
         } else if rotate {
             let entry = self.ldst_queue.pop_front().unwrap();
             self.ldst_queue.push_back(entry);
@@ -1160,6 +1219,7 @@ impl Sm {
                     self.scoreboard.clear(slot);
                 }
                 self.stats.ctas_retired += 1;
+                self.live_ctas -= 1;
                 any = true;
             }
         }
@@ -1365,7 +1425,7 @@ impl Sm {
             return Err(WireError::Malformed("shared-memory size mismatch"));
         }
         let scoreboard = Scoreboard::ckpt_decode(d)?;
-        let schedulers = d.seq(|d| WarpScheduler::ckpt_decode(d, cfg.warp_sched))?;
+        let schedulers = d.seq(|d| WarpScheduler::ckpt_decode(d, cfg.warp_sched, max_warps))?;
         if schedulers.len() != cfg.n_schedulers {
             return Err(WireError::Malformed("scheduler count mismatch"));
         }
@@ -1480,6 +1540,7 @@ impl Sm {
         let next_seq = d.u64()?;
         let issued_mem_this_cycle = d.bool()?;
         let n_cta_slots = cta_slots.len();
+        let live_ctas = cta_slots.iter().flatten().count();
         let san = d.opt(|d| SmSan::ckpt_decode(d, n_cta_slots, shared_bytes))?;
         if san.is_some() != cfg.sanitize {
             return Err(WireError::Malformed("sanitizer state presence mismatch"));
@@ -1504,6 +1565,10 @@ impl Sm {
             next_seq,
             issued_mem_this_cycle,
             san,
+            live_ctas,
+            lane_buf: Vec::new(),
+            block_buf: Vec::new(),
+            spare_pending: Vec::new(),
         })
     }
 }

@@ -36,6 +36,10 @@ pub struct ExecCtx<'a> {
     /// Validate global-backed accesses against the allocation table and
     /// fail with [`MemViolation`] on the first out-of-bounds lane.
     pub memcheck: bool,
+    /// Spare buffer a memory instruction's [`MemAccess::lane_addrs`] is
+    /// built in; hand a finished access's vector back here and its
+    /// allocation is reused.
+    pub lane_buf: &'a mut Vec<(u32, u64)>,
 }
 
 /// Whether memcheck polices `space`: the global-backed spaces whose
@@ -385,7 +389,8 @@ impl Warp {
     pub fn step(&mut self, ctx: &mut ExecCtx<'_>) -> Result<StepResult, MemViolation> {
         assert!(!self.is_finished(), "stepping a finished warp");
         let pc = self.pc();
-        let inst = &ctx.kernel.insts()[pc].clone();
+        let kernel = ctx.kernel;
+        let inst = &kernel.insts()[pc];
         let active = self.active_mask();
         debug_assert_ne!(active, 0, "active entry with no live lanes at pc {pc}");
         let exec = self.guard_mask(inst, active);
@@ -509,7 +514,7 @@ impl Warp {
                 dst,
                 addr,
             } => {
-                let mut lane_addrs = Vec::new();
+                let mut lane_addrs = take_cleared(ctx.lane_buf);
                 for lane in lanes(exec, self.warp_size) {
                     let ea = self.effective_addr(lane, *addr);
                     if ctx.memcheck && memchecked_space(*space) {
@@ -549,7 +554,7 @@ impl Warp {
                 addr,
                 src,
             } => {
-                let mut lane_addrs = Vec::new();
+                let mut lane_addrs = take_cleared(ctx.lane_buf);
                 for lane in lanes(exec, self.warp_size) {
                     let ea = self.effective_addr(lane, *addr);
                     if ctx.memcheck && memchecked_space(*space) {
@@ -589,7 +594,7 @@ impl Warp {
             } => {
                 // Lanes of a warp perform the RMW in lane order, which is a
                 // valid serialization.
-                let mut lane_addrs = Vec::new();
+                let mut lane_addrs = take_cleared(ctx.lane_buf);
                 for lane in lanes(exec, self.warp_size) {
                     let ea = self.effective_addr(lane, *addr);
                     if ctx.memcheck {
@@ -629,13 +634,15 @@ impl Warp {
     /// [`ReplayRecord`] and rebuild the [`StepResult`] the SM's issue path
     /// expects. No functional execution happens — registers and device
     /// memory are untouched; only the timing-relevant payload (destination
-    /// register, resolved lane addresses, barrier id) is re-injected.
+    /// register, resolved lane addresses, barrier id) is re-injected. A
+    /// memory record's lane addresses are copied into `lane_buf`'s
+    /// allocation (see [`ExecCtx::lane_buf`]).
     ///
     /// # Panics
     ///
     /// Panics if the warp has no replay cursor, the cursor has not been
     /// relinked after a restore, or the stream is exhausted.
-    pub fn step_replay(&mut self) -> StepResult {
+    pub fn step_replay(&mut self, lane_buf: &mut Vec<(u32, u64)>) -> StepResult {
         let c = self.replay.as_mut().expect("step_replay without a cursor");
         let recs = c.recs.as_deref().expect("replay cursor used before relink");
         let rec = &recs[c.pos];
@@ -643,7 +650,8 @@ impl Warp {
         match &rec.kind {
             ReplayKind::Alu { dst } => StepResult::Alu { dst: *dst },
             ReplayKind::Mem { .. } => StepResult::Mem(
-                mem_access_of_record(rec.pc, &rec.kind).expect("Mem record reconstructs"),
+                mem_access_of_record(rec.pc, &rec.kind, take_cleared(lane_buf))
+                    .expect("Mem record reconstructs"),
             ),
             ReplayKind::Branch { diverged } => StepResult::Branch {
                 diverged: *diverged,
@@ -682,6 +690,13 @@ fn check(
         bytes,
         nearest: gmem.nearest_allocation(addr),
     })
+}
+
+/// Take `buf`'s allocation, emptied.
+fn take_cleared(buf: &mut Vec<(u32, u64)>) -> Vec<(u32, u64)> {
+    let mut v = std::mem::take(buf);
+    v.clear();
+    v
 }
 
 /// Iterate over the set lanes of a mask.
@@ -754,8 +769,10 @@ mod tests {
         gmem: &'a mut GlobalMem,
         smem: &'a mut [u8],
         ntid: Dim3,
+        lane_buf: &'a mut Vec<(u32, u64)>,
     ) -> ExecCtx<'a> {
         ExecCtx {
+            lane_buf,
             kernel,
             reconv,
             params,
@@ -772,7 +789,16 @@ mod tests {
         let reconv = cfg.reconvergence_pcs(kernel);
         let mut smem = vec![0u8; kernel.shared_bytes() as usize];
         let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, kernel.num_regs());
-        let mut ctx = make_ctx(kernel, &reconv, params, gmem, &mut smem, ntid);
+        let mut lane_buf = Vec::new();
+        let mut ctx = make_ctx(
+            kernel,
+            &reconv,
+            params,
+            gmem,
+            &mut smem,
+            ntid,
+            &mut lane_buf,
+        );
         let mut steps = 0;
         while !warp.is_finished() {
             let r = warp.step(&mut ctx).expect("memcheck off");
@@ -1010,7 +1036,16 @@ mod tests {
         let mut smem = vec![];
         let ntid = Dim3::x(8);
         let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, k.num_regs());
-        let mut ctx = make_ctx(&k, &reconv, &params, &mut gmem, &mut smem, ntid);
+        let mut lane_buf = Vec::new();
+        let mut ctx = make_ctx(
+            &k,
+            &reconv,
+            &params,
+            &mut gmem,
+            &mut smem,
+            ntid,
+            &mut lane_buf,
+        );
         // Step to the global load.
         let mut access = None;
         while !warp.is_finished() {
