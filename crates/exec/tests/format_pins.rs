@@ -1,0 +1,174 @@
+//! Byte-level pins for the four on-disk containers: one checkpoint image,
+//! one result-cache entry, one journal, one trace container — each built
+//! from fixed inputs and compared by length and FNV of its bytes. A
+//! refactor of the framing code must leave every pin untouched; a change
+//! here is a format change and needs a version bump to go with it.
+
+use gcl_exec::fleet::{Journal, Record};
+use gcl_exec::{ResultCache, SpecFingerprint};
+use gcl_ptx::{Reg, Space};
+use gcl_sim::{
+    fnv_fold_bytes, Dim3, LaunchInfo, LaunchStats, ReplayKind, Snapshot, TraceEvent, TraceSink,
+    FNV_OFFSET, SNAPSHOT_VERSION,
+};
+use gcl_trace::{parse_trace, TraceWriter};
+use std::path::PathBuf;
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("gcl-format-pins-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// `(length, FNV-1a of the bytes)` — what each pin records.
+fn pin(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), fnv_fold_bytes(FNV_OFFSET, bytes))
+}
+
+#[test]
+fn snapshot_container_bytes_are_pinned() {
+    let snap = Snapshot {
+        version: SNAPSHOT_VERSION,
+        config_fp: 0x0123_4567_89ab_cdef,
+        payload: (0u8..64).collect(),
+    };
+    let bytes = snap.to_bytes();
+    // The envelope is small enough to pin whole: magic, version 3,
+    // fingerprint, length 64, payload, trailing FNV.
+    assert_eq!(&bytes[..8], b"GCLSNAP1");
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+    assert_eq!(bytes[12..20], 0x0123_4567_89ab_cdef_u64.to_le_bytes());
+    assert_eq!(bytes[20..28], 64u64.to_le_bytes());
+    assert_eq!(bytes[28..92], snap.payload[..]);
+    assert_eq!(
+        bytes[92..],
+        fnv_fold_bytes(FNV_OFFSET, &bytes[..92]).to_le_bytes()
+    );
+    assert_eq!(pin(&bytes), (100, 0x740f_71fa_8406_a8f4));
+    assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
+}
+
+#[test]
+fn cache_entry_bytes_are_pinned() {
+    let dir = scratch("cache");
+    let cache = ResultCache::new(&dir);
+    let fp = SpecFingerprint {
+        workload: "pin".to_string(),
+        tiny: true,
+        config_fp: 0x1111_2222_3333_4444,
+        kernels_fp: 0x5555_6666_7777_8888,
+    };
+    let stats = LaunchStats {
+        cycles: 1234,
+        launches: 2,
+        digest: Some(0xfeed_face),
+        ..LaunchStats::default()
+    };
+    cache.store(&fp, &stats, 12.5).unwrap();
+    let bytes = std::fs::read(cache.entry_path(fp.key())).unwrap();
+    assert_eq!(fp.key(), 0x6532_df76_eae5_f927);
+    assert_eq!(pin(&bytes), (1929, 0xe955_2291_c77f_9c82));
+    let back = cache.load_checked(&fp).unwrap();
+    assert_eq!((back.stats, back.wall_ms), (stats, 12.5));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journal_bytes_are_pinned() {
+    let dir = scratch("journal");
+    let path = dir.join("pins.journal");
+    {
+        let mut j = Journal::create(&path).unwrap();
+        j.append(&Record::Submit {
+            id: 7,
+            key: 0xfeed_beef,
+            workload: "bfs".to_string(),
+            tiny: true,
+            sanitize: false,
+            max_cycles: Some(20_000_001),
+            session: Some("s-1".to_string()),
+        })
+        .unwrap();
+        j.append(&Record::Done {
+            id: 7,
+            cached: false,
+            wall_ms: 1.5,
+            worker_wall_ms: 2.25,
+            worker: "w0".to_string(),
+            payload: vec![1, 2, 3, 4, 5],
+        })
+        .unwrap();
+        j.sync().unwrap();
+        assert_eq!(j.bytes(), 142);
+    }
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(pin(&bytes), (142, 0x26ac_cec3_fdde_1a39));
+    let (_, rec) = Journal::open_recover(&path).unwrap();
+    assert!(!rec.truncated);
+    assert_eq!(rec.records, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_container_bytes_are_pinned() {
+    let dir = scratch("trace");
+    let path = dir.join("pins.gcltrace");
+    let mut w = TraceWriter::create(&path, 0x0abc_def0_1234_5678, 1 << 20).unwrap();
+    let ev = |pc: u32, active: u32| TraceEvent {
+        cycle: 0,
+        sm: 0,
+        warp_slot: 0,
+        cta: 0,
+        pc,
+        active,
+    };
+    for (launch, name) in ["first", "second"].into_iter().enumerate() {
+        w.begin_launch(&LaunchInfo {
+            kernel_fp: 0x1000 + launch as u64,
+            kernel_name: name.to_string(),
+            grid: Dim3 { x: 2, y: 1, z: 1 },
+            block: Dim3 { x: 32, y: 1, z: 1 },
+            n_streams: 2,
+        });
+        for stream in 0..2u64 {
+            w.issue(
+                stream,
+                &ev(0, u32::MAX),
+                &ReplayKind::Alu { dst: Some(Reg(3)) },
+            );
+            w.issue(
+                stream,
+                &ev(1, 0x0000_ffff),
+                &ReplayKind::Mem {
+                    space: Space::Global,
+                    is_store: false,
+                    dst: Some(Reg(4)),
+                    bytes: 4,
+                    lane_addrs: (0..16)
+                        .map(|l| (l, 0x8000_0000 + 128 * stream + 4 * u64::from(l)))
+                        .collect(),
+                },
+            );
+            w.issue(
+                stream,
+                &ev(2, u32::MAX),
+                &ReplayKind::Branch { diverged: false },
+            );
+            w.issue(stream, &ev(3, u32::MAX), &ReplayKind::Barrier { id: 0 });
+            w.issue(stream, &ev(4, u32::MAX), &ReplayKind::Exit);
+        }
+        w.end_launch();
+    }
+    let summary = w.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(summary.bytes, bytes.len() as u64);
+    assert_eq!((summary.launches, summary.records), (2, 20));
+    assert_eq!(summary.file_fp, 0xc0e0_50d1_f133_1ea4);
+    assert_eq!(pin(&bytes), (615, 0x41c9_6bf6_6965_a35f));
+    let trace = parse_trace(&bytes).unwrap();
+    assert_eq!(trace.launches.len(), 2);
+    assert_eq!(trace.launches[1].kernel_name, "second");
+    assert_eq!(trace.n_records(), 20);
+    std::fs::remove_dir_all(&dir).ok();
+}
