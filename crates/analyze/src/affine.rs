@@ -6,7 +6,7 @@
 //! (kernel parameters, `%ctaid` products, loop-carried uniform values). When
 //! the coefficients are known, the per-lane addresses of one warp are known
 //! up to a uniform offset, which is enough to predict how many memory
-//! requests the coalescer emits (global loads, [`gcl_sim`]'s 128 B-line
+//! requests the coalescer emits (global loads, `gcl_sim`'s 128 B-line
 //! rule) or the bank-conflict degree (shared loads, 32 four-byte banks).
 //!
 //! Soundness caveats (also in DESIGN.md §11):

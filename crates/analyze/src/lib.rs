@@ -3,10 +3,10 @@
 //! Three analyses run over [`gcl_ptx`]'s CFG on a shared dataflow framework
 //! ([`dataflow`]):
 //!
-//! * a **verifier** ([`verify`]) with structural lints — use-before-def,
+//! * a **verifier** ([`verify()`]) with structural lints — use-before-def,
 //!   type/width mismatches, unreachable blocks, dead stores/loads, missing
 //!   `exit`;
-//! * a **divergence analysis** ([`divergence`]) that annotates each branch
+//! * a **divergence analysis** ([`divergence()`]) that annotates each branch
 //!   uniform/divergent and statically flags barriers reachable under
 //!   divergent control flow (which hang the simulator's watchdog at
 //!   runtime);

@@ -2,18 +2,16 @@
 //!
 //! Launches are deterministic (PR 2's digest audit proves it), so a
 //! simulation's complete statistics are a pure function of the
-//! [`SpecFingerprint`](crate::SpecFingerprint): configuration fingerprint,
+//! [`SpecFingerprint`]: configuration fingerprint,
 //! kernel fingerprint, workload parameters, and format version. Entries
-//! live under `results/cache/<key>.bin` in a self-validating container
-//! mirroring the checkpoint format (`ckpt.rs`):
+//! live under `results/cache/<key>.bin`, sealed in the same
+//! [`gcl_mem::wire`] envelope as checkpoints with:
 //!
 //! ```text
-//! magic "GCLEXEC1"  (8 bytes)
-//! version           (u32 LE)
-//! cache key         (u64 LE)
-//! payload length    (u64 LE)
-//! payload           (fingerprint fields + wall_ms + wire-encoded stats)
-//! checksum          (u64 LE, FNV-1a over all preceding bytes)
+//! magic    "GCLEXEC1"
+//! version  CACHE_VERSION
+//! tag      cache key
+//! payload  fingerprint fields + wall_ms + wire-encoded stats
 //! ```
 //!
 //! Every rejection — absent, truncated, corrupt checksum, version skew,
@@ -24,8 +22,8 @@
 //! for tests and diagnostics.
 
 use crate::job::SpecFingerprint;
-use gcl_mem::{Dec, Enc, WireError};
-use gcl_sim::{fnv_fold_bytes, LaunchStats, FNV_OFFSET};
+use gcl_mem::{open, seal, Dec, Enc, WireError};
+use gcl_sim::LaunchStats;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -90,6 +88,8 @@ impl From<WireError> for CacheMiss {
         match e {
             WireError::Truncated => CacheMiss::Truncated,
             WireError::Malformed(what) => CacheMiss::Malformed(what),
+            WireError::BadMagic => CacheMiss::BadMagic,
+            WireError::Checksum => CacheMiss::ChecksumMismatch,
         }
     }
 }
@@ -142,43 +142,14 @@ impl ResultCache {
     pub fn load_checked(&self, fp: &SpecFingerprint) -> Result<CachedResult, CacheMiss> {
         let key = fp.key();
         let bytes = std::fs::read(self.entry_path(key)).map_err(|_| CacheMiss::Absent)?;
-        const HEADER: usize = 8 + 4 + 8 + 8;
-        if bytes.len() < 8 {
-            return Err(CacheMiss::Truncated);
+        let env = open(&bytes, &CACHE_MAGIC)?;
+        if env.version != CACHE_VERSION {
+            return Err(CacheMiss::VersionSkew { found: env.version });
         }
-        if bytes[..8] != CACHE_MAGIC {
-            return Err(CacheMiss::BadMagic);
-        }
-        if bytes.len() < HEADER + 8 {
-            return Err(CacheMiss::Truncated);
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored_sum = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte split"));
-        if fnv_fold_bytes(FNV_OFFSET, body) != stored_sum {
-            // Distinguish clean truncation from in-place corruption by the
-            // declared payload length, as the checkpoint container does.
-            let declared =
-                u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-            if body.len() - HEADER < declared {
-                return Err(CacheMiss::Truncated);
-            }
-            return Err(CacheMiss::ChecksumMismatch);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("header slice"));
-        if version != CACHE_VERSION {
-            return Err(CacheMiss::VersionSkew { found: version });
-        }
-        let stored_key = u64::from_le_bytes(bytes[12..20].try_into().expect("header slice"));
-        if stored_key != key {
+        if env.tag != key {
             return Err(CacheMiss::KeyMismatch);
         }
-        let payload_len =
-            u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-        let payload = &body[HEADER..];
-        if payload.len() != payload_len {
-            return Err(CacheMiss::Malformed("payload length mismatch"));
-        }
-        let mut d = Dec::new(payload);
+        let mut d = Dec::new(env.payload?);
         let stored_fp = SpecFingerprint {
             workload: d.str()?,
             tiny: d.bool()?,
@@ -223,15 +194,7 @@ impl ResultCache {
         enc.u64(fp.kernels_fp);
         enc.f64(wall_ms);
         stats.ckpt_encode(&mut enc);
-        let payload = enc.into_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 36);
-        out.extend_from_slice(&CACHE_MAGIC);
-        out.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-        out.extend_from_slice(&key.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let sum = fnv_fold_bytes(FNV_OFFSET, &out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        let out = seal(&CACHE_MAGIC, CACHE_VERSION, key, &enc.into_bytes());
 
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;

@@ -16,11 +16,12 @@
 //! * **Deadlines everywhere.** Reads and writes carry timeouts, so a
 //!   stalled server produces a structured error instead of a hung client.
 
-use crate::proto::{write_frame, FrameError, FrameReader};
-use crate::serve::QUEUE_FULL;
+use crate::proto::{
+    error_text, result_frame, session_frame, submit_frame, Conn, FrameError, QUEUE_FULL,
+};
 use gcl_rng::{backoff::Backoff, Rng};
 use gcl_stats::Json;
-use std::net::TcpStream;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// How a [`ServeClient`] connects and retries.
@@ -54,27 +55,43 @@ impl Default for ClientOptions {
     }
 }
 
-struct Conn {
-    reader: FrameReader<TcpStream>,
-    writer: TcpStream,
+impl ClientOptions {
+    fn response_timeout(&self) -> Duration {
+        Duration::from_millis(self.response_timeout_ms.max(1))
+    }
+
+    /// Render a failed wait for `what`, naming the deadline on a timeout.
+    fn no_response(&self, what: &str, e: FrameError) -> String {
+        match e {
+            FrameError::Timeout => format!(
+                "no {what} from {} within {} ms",
+                self.addr, self.response_timeout_ms
+            ),
+            e => e.to_string(),
+        }
+    }
 }
 
-fn dial_conn(opts: &ClientOptions) -> Result<Conn, String> {
-    let stream = TcpStream::connect(&opts.addr)
-        .map_err(|e| format!("cannot connect to {}: {e}", opts.addr))?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .map_err(|e| format!("cannot set read deadline: {e}"))?;
-    stream
-        .set_write_timeout(Some(Duration::from_millis(5_000)))
-        .map_err(|e| format!("cannot set write deadline: {e}"))?;
-    let writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
-    Ok(Conn {
-        reader: FrameReader::new(stream, opts.max_frame),
-        writer,
-    })
+/// The session half of a client: identity, replay cursor, and the events
+/// received but not yet handed to the caller. Inert unless `attach` is set.
+#[derive(Default)]
+struct Stream {
+    /// Attach to a coordinator session after every (re)dial.
+    attach: bool,
+    id: Option<String>,
+    cursor: u64,
+    truncated: bool,
+    events: VecDeque<Json>,
+}
+
+impl Stream {
+    /// Record an inbound event frame, advancing the replay cursor.
+    fn buffer(&mut self, frame: Json) {
+        if let Some(seq) = frame.get("seq").and_then(Json::as_u64) {
+            self.cursor = self.cursor.max(seq + 1);
+        }
+        self.events.push_back(frame);
+    }
 }
 
 /// One logical session with a serve daemon or fleet coordinator; see the
@@ -83,6 +100,7 @@ pub struct ServeClient {
     opts: ClientOptions,
     conn: Option<Conn>,
     rng: Rng,
+    stream: Stream,
 }
 
 impl ServeClient {
@@ -92,61 +110,87 @@ impl ServeClient {
     ///
     /// A human-readable message once the attempt budget is exhausted.
     pub fn connect(opts: ClientOptions) -> Result<ServeClient, String> {
-        let rng = Rng::new(opts.seed);
+        ServeClient::link(opts, Stream::default())
+    }
+
+    fn link(opts: ClientOptions, stream: Stream) -> Result<ServeClient, String> {
         let mut client = ServeClient {
+            rng: Rng::new(opts.seed),
             opts,
             conn: None,
-            rng,
+            stream,
         };
         client.ensure_conn()?;
         Ok(client)
     }
 
-    /// The configured server address.
-    pub fn addr(&self) -> &str {
-        &self.opts.addr
+    /// Sleep the jittered backoff before retry number `attempt`.
+    fn back_off(&mut self, attempt: u64) {
+        if attempt > 0 {
+            let delay = self.opts.backoff.delay_ms(attempt, &mut self.rng);
+            std::thread::sleep(Duration::from_millis(delay));
+        }
     }
 
+    /// One dial, plus the session attach on a session client.
+    fn dial_once(&mut self) -> Result<(), String> {
+        let mut conn = Conn::dial(
+            &self.opts.addr,
+            Duration::from_millis(100),
+            Duration::from_millis(5_000),
+            self.opts.max_frame,
+        )
+        .map_err(|e| format!("cannot connect to {}: {e}", self.opts.addr))?;
+        if self.stream.attach {
+            let stream = &mut self.stream;
+            let attach = session_frame(stream.id.as_deref().map(|sid| (sid, stream.cursor)));
+            let deadline = Instant::now() + self.opts.response_timeout();
+            let ack = conn
+                .request(&attach, deadline)
+                .map_err(|e| self.opts.no_response("session ack", e))?;
+            if !matches!(ack.get("ok"), Some(Json::Bool(true))) {
+                return Err(error_text(&ack).to_string());
+            }
+            let sid = ack
+                .get("session")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("session ack has no id: {ack}"))?;
+            stream.id = Some(sid.to_string());
+            stream.truncated |= matches!(ack.get("truncated"), Some(Json::Bool(true)));
+        }
+        self.conn = Some(conn);
+        Ok(())
+    }
+
+    /// Connect-with-backoff. The coordinator disowning the session id is
+    /// final; every other failure spends the retry budget.
     fn ensure_conn(&mut self) -> Result<(), String> {
         if self.conn.is_some() {
             return Ok(());
         }
         let mut last = String::new();
         for attempt in 0..=self.opts.retries {
-            if attempt > 0 {
-                let delay = self.opts.backoff.delay_ms(attempt, &mut self.rng);
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            match dial_conn(&self.opts) {
-                Ok(conn) => {
-                    self.conn = Some(conn);
-                    return Ok(());
-                }
+            self.back_off(attempt);
+            match self.dial_once() {
+                Ok(()) => return Ok(()),
+                Err(e) if e.contains("unknown session") => return Err(e),
                 Err(e) => last = e,
             }
         }
         Err(format!("{last} (after {} attempts)", self.opts.retries + 1))
     }
 
-    /// One request/response round trip on the current connection.
+    /// One request/response round trip on the current connection; events
+    /// that arrive ahead of the response are buffered.
     fn roundtrip(&mut self, request: &Json) -> Result<Json, String> {
         let conn = self.conn.as_mut().expect("ensure_conn ran");
-        write_frame(&mut conn.writer, request).map_err(|e| e.to_string())?;
-        let deadline = Instant::now() + Duration::from_millis(self.opts.response_timeout_ms.max(1));
+        conn.send(request).map_err(|e| e.to_string())?;
+        let deadline = Instant::now() + self.opts.response_timeout();
         loop {
-            match conn.reader.next_frame() {
-                Ok(line) => {
-                    return Json::parse(&line).map_err(|e| format!("bad response frame: {e}"))
-                }
-                Err(FrameError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return Err(format!(
-                            "no response from {} within {} ms",
-                            self.opts.addr, self.opts.response_timeout_ms
-                        ));
-                    }
-                }
-                Err(e) => return Err(e.to_string()),
+            match conn.recv_by(deadline) {
+                Ok(frame) if frame.get("event").is_some() => self.stream.buffer(frame),
+                Ok(frame) => return Ok(frame),
+                Err(e) => return Err(self.opts.no_response("response", e)),
             }
         }
     }
@@ -160,15 +204,8 @@ impl ServeClient {
     pub fn call(&mut self, request: &Json) -> Result<Json, String> {
         let mut last = String::new();
         for attempt in 0..=self.opts.retries {
-            if attempt > 0 {
-                let delay = self.opts.backoff.delay_ms(attempt, &mut self.rng);
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            if let Err(e) = self.ensure_conn() {
-                last = e;
-                continue;
-            }
-            match self.roundtrip(request) {
+            self.back_off(attempt);
+            match self.ensure_conn().and_then(|()| self.roundtrip(request)) {
                 Ok(response) => return Ok(response),
                 Err(e) => {
                     // Anything that breaks the round trip invalidates the
@@ -181,6 +218,37 @@ impl ServeClient {
         Err(format!("{last} (after {} attempts)", self.opts.retries + 1))
     }
 
+    /// Submit-with-backpressure-retry, tagged with the session when there
+    /// is one.
+    fn submit_job(
+        &mut self,
+        workload: &str,
+        tiny: bool,
+        sanitize: bool,
+    ) -> Result<SessionSubmit, String> {
+        let session = self.stream.id.as_deref();
+        let request = submit_frame(workload, tiny, sanitize, None, session);
+        let mut last = String::new();
+        for attempt in 0..=self.opts.retries {
+            self.back_off(attempt);
+            let response = self.call(&request)?;
+            if matches!(response.get("ok"), Some(Json::Bool(true))) {
+                let id = response.get("id").and_then(Json::as_u64);
+                let id = id.ok_or_else(|| format!("submit response has no id: {response}"))?;
+                let deduped = matches!(response.get("deduped"), Some(Json::Bool(true)));
+                return Ok(SessionSubmit { id, deduped });
+            }
+            let error = error_text(&response).to_string();
+            let shed = matches!(response.get("shed"), Some(Json::Bool(true)));
+            if !shed && !error.starts_with(QUEUE_FULL) {
+                return Err(error);
+            }
+            last = error;
+        }
+        let retries = self.opts.retries;
+        Err(format!("{last} (after {retries} backpressure retries)"))
+    }
+
     /// Submit one job, honoring `queue full` backpressure with bounded
     /// jittered retries. Returns the job id.
     ///
@@ -189,39 +257,7 @@ impl ServeClient {
     /// The server's structured rejection, or the backpressure budget
     /// running out.
     pub fn submit(&mut self, workload: &str, tiny: bool, sanitize: bool) -> Result<u64, String> {
-        let request = Json::obj(vec![
-            ("op", Json::Str("submit".into())),
-            ("workload", Json::Str(workload.into())),
-            ("tiny", Json::Bool(tiny)),
-            ("sanitize", Json::Bool(sanitize)),
-        ]);
-        let mut last = String::new();
-        for attempt in 0..=self.opts.retries {
-            if attempt > 0 {
-                let delay = self.opts.backoff.delay_ms(attempt, &mut self.rng);
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            let response = self.call(&request)?;
-            if matches!(response.get("ok"), Some(Json::Bool(true))) {
-                return response
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("submit response has no id: {response}"));
-            }
-            let error = response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error")
-                .to_string();
-            if !error.starts_with(QUEUE_FULL) {
-                return Err(error);
-            }
-            last = error;
-        }
-        Err(format!(
-            "{last} (after {} backpressure retries)",
-            self.opts.retries
-        ))
+        Ok(self.submit_job(workload, tiny, sanitize)?.id)
     }
 
     /// Fetch the state of job `id` (`queued` / `running` / `done` /
@@ -231,19 +267,11 @@ impl ServeClient {
     ///
     /// The server's structured rejection or a transport failure.
     pub fn result(&mut self, id: u64) -> Result<Json, String> {
-        let response = self.call(&Json::obj(vec![
-            ("op", Json::Str("result".into())),
-            ("id", Json::UInt(id)),
-        ]))?;
-        if matches!(response.get("ok"), Some(Json::Bool(true))) {
-            Ok(response)
-        } else {
-            Err(response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error")
-                .to_string())
+        let response = self.call(&result_frame(id))?;
+        if !matches!(response.get("ok"), Some(Json::Bool(true))) {
+            return Err(error_text(&response).to_string());
         }
+        Ok(response)
     }
 
     /// Poll job `id` until it reaches `done` or `failed`, or `timeout`
@@ -256,15 +284,13 @@ impl ServeClient {
         let deadline = Instant::now() + timeout;
         loop {
             let response = self.result(id)?;
-            match response.get("state").and_then(Json::as_str) {
-                Some("done" | "failed") => return Ok(response),
-                _ => {
-                    if Instant::now() >= deadline {
-                        return Err(format!("job {id} did not finish within {timeout:?}"));
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
+            if let Some("done" | "failed") = response.get("state").and_then(Json::as_str) {
+                return Ok(response);
             }
+            if Instant::now() >= deadline {
+                return Err(format!("job {id} did not finish within {timeout:?}"));
+            }
+            std::thread::sleep(Duration::from_millis(25));
         }
     }
 
@@ -310,13 +336,7 @@ pub struct SessionSubmit {
 /// field, and any events that arrive while waiting are buffered for the
 /// next [`SessionClient::next_event`].
 pub struct SessionClient {
-    opts: ClientOptions,
-    conn: Option<Conn>,
-    rng: Rng,
-    session: Option<String>,
-    cursor: u64,
-    truncated: bool,
-    events: std::collections::VecDeque<Json>,
+    client: ServeClient,
 }
 
 impl SessionClient {
@@ -329,168 +349,35 @@ impl SessionClient {
     /// refuses the attach (e.g. an unknown resume id), or the retry
     /// budget runs out.
     pub fn open(opts: ClientOptions, resume: Option<&str>) -> Result<SessionClient, String> {
-        let rng = Rng::new(opts.seed);
-        let mut client = SessionClient {
-            opts,
-            conn: None,
-            rng,
-            session: resume.map(str::to_string),
-            cursor: 0,
-            truncated: false,
-            events: std::collections::VecDeque::new(),
+        let stream = Stream {
+            attach: true,
+            id: resume.map(str::to_string),
+            ..Stream::default()
         };
-        client.ensure_attached()?;
-        Ok(client)
+        let client = ServeClient::link(opts, stream)?;
+        Ok(SessionClient { client })
     }
 
     /// The coordinator-assigned session id (stable across re-attaches).
     pub fn id(&self) -> &str {
-        self.session.as_deref().unwrap_or("")
+        self.client.stream.id.as_deref().unwrap_or("")
     }
 
     /// Whether any replay skipped events the coordinator had already
     /// evicted from the session's bounded log.
     pub fn truncated(&self) -> bool {
-        self.truncated
+        self.client.stream.truncated
     }
 
-    fn attach_once(&mut self) -> Result<(), String> {
-        let mut conn = dial_conn(&self.opts)?;
-        let mut fields = vec![("op", Json::Str("session".into()))];
-        if let Some(sid) = &self.session {
-            fields.push(("id", Json::Str(sid.clone())));
-            fields.push(("from", Json::UInt(self.cursor)));
-        }
-        write_frame(&mut conn.writer, &Json::obj(fields)).map_err(|e| e.to_string())?;
-        let deadline = Instant::now() + Duration::from_millis(self.opts.response_timeout_ms.max(1));
-        let ack = loop {
-            match conn.reader.next_frame() {
-                Ok(line) => break Json::parse(&line).map_err(|e| format!("bad session ack: {e}")),
-                Err(FrameError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        break Err(format!(
-                            "no session ack from {} within {} ms",
-                            self.opts.addr, self.opts.response_timeout_ms
-                        ));
-                    }
-                }
-                Err(e) => break Err(e.to_string()),
-            }
-        }?;
-        if !matches!(ack.get("ok"), Some(Json::Bool(true))) {
-            return Err(ack
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("coordinator refused session")
-                .to_string());
-        }
-        let sid = ack
-            .get("session")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("session ack has no id: {ack}"))?;
-        self.session = Some(sid.to_string());
-        if matches!(ack.get("truncated"), Some(Json::Bool(true))) {
-            self.truncated = true;
-        }
-        self.conn = Some(conn);
-        Ok(())
-    }
-
-    fn ensure_attached(&mut self) -> Result<(), String> {
-        if self.conn.is_some() {
-            return Ok(());
-        }
-        let mut last = String::new();
-        for attempt in 0..=self.opts.retries {
-            if attempt > 0 {
-                let delay = self.opts.backoff.delay_ms(attempt, &mut self.rng);
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            match self.attach_once() {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    // An attach rejection is final (bad resume id), but a
-                    // transport failure deserves the retry budget.
-                    if e.contains("unknown session") {
-                        return Err(e);
-                    }
-                    last = e;
-                }
-            }
-        }
-        Err(format!("{last} (after {} attempts)", self.opts.retries + 1))
-    }
-
-    /// Record an inbound frame as an event, advancing the replay cursor.
-    fn buffer_event(&mut self, frame: Json) {
-        if let Some(seq) = frame.get("seq").and_then(Json::as_u64) {
-            self.cursor = self.cursor.max(seq + 1);
-        }
-        self.events.push_back(frame);
-    }
-
-    /// Send a request verb on the session connection and return its
-    /// response; events that arrive first are buffered for
-    /// [`SessionClient::next_event`]. Reconnects (re-attaching with the
-    /// cursor) and replays on transport failure.
+    /// [`ServeClient::call`] on the session connection: events that arrive
+    /// ahead of the response are buffered for [`SessionClient::next_event`],
+    /// and a reconnect re-attaches at the cursor before the replay.
     ///
     /// # Errors
     ///
     /// A human-readable message once the retry budget is exhausted.
     pub fn call(&mut self, request: &Json) -> Result<Json, String> {
-        let mut last = String::new();
-        for attempt in 0..=self.opts.retries {
-            if attempt > 0 {
-                let delay = self.opts.backoff.delay_ms(attempt, &mut self.rng);
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            if let Err(e) = self.ensure_attached() {
-                last = e;
-                continue;
-            }
-            match self.roundtrip(request) {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    self.conn = None;
-                    last = e;
-                }
-            }
-        }
-        Err(format!("{last} (after {} attempts)", self.opts.retries + 1))
-    }
-
-    fn roundtrip(&mut self, request: &Json) -> Result<Json, String> {
-        {
-            let conn = self.conn.as_mut().expect("ensure_attached ran");
-            write_frame(&mut conn.writer, request).map_err(|e| e.to_string())?;
-        }
-        let deadline = Instant::now() + Duration::from_millis(self.opts.response_timeout_ms.max(1));
-        loop {
-            let next = {
-                let conn = self.conn.as_mut().expect("ensure_attached ran");
-                conn.reader.next_frame()
-            };
-            match next {
-                Ok(line) => {
-                    let frame =
-                        Json::parse(&line).map_err(|e| format!("bad response frame: {e}"))?;
-                    if frame.get("event").is_some() {
-                        self.buffer_event(frame);
-                        continue;
-                    }
-                    return Ok(frame);
-                }
-                Err(FrameError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return Err(format!(
-                            "no response from {} within {} ms",
-                            self.opts.addr, self.opts.response_timeout_ms
-                        ));
-                    }
-                }
-                Err(e) => return Err(e.to_string()),
-            }
-        }
+        self.client.call(request)
     }
 
     /// Pop the next event, waiting up to `timeout` for one to arrive.
@@ -506,56 +393,37 @@ impl SessionClient {
     /// without recovering the session log); plain connect failures are
     /// retried until `timeout` instead.
     pub fn next_event(&mut self, timeout: Duration) -> Result<Option<Json>, String> {
+        let client = &mut self.client;
         let deadline = Instant::now() + timeout;
         let mut redial_attempt = 0u64;
         loop {
-            if let Some(event) = self.events.pop_front() {
+            if let Some(event) = client.stream.events.pop_front() {
                 return Ok(Some(event));
             }
-            if self.conn.is_none() {
-                match self.ensure_attached() {
-                    Ok(()) => redial_attempt = 0,
-                    // A coordinator that answers but disowns the session
-                    // can never deliver our events: that stays fatal.
-                    Err(e) if e.contains("unknown session") => return Err(e),
-                    Err(_) => {
-                        // Coordinator down or mid-restart: keep dialling
-                        // on the backoff schedule until the caller's
-                        // timeout, then report a quiet interval.
-                        if Instant::now() >= deadline {
-                            return Ok(None);
-                        }
-                        redial_attempt += 1;
-                        let delay = self.opts.backoff.delay_ms(redial_attempt, &mut self.rng);
-                        std::thread::sleep(Duration::from_millis(delay));
-                        continue;
-                    }
+            if let Err(e) = client.ensure_conn() {
+                // Disowned is fatal; down or mid-restart is redialled on
+                // the backoff schedule until the caller's timeout.
+                if e.contains("unknown session") {
+                    return Err(e);
                 }
+                if Instant::now() >= deadline {
+                    return Ok(None);
+                }
+                redial_attempt += 1;
+                client.back_off(redial_attempt);
+                continue;
             }
-            let next = {
-                let conn = self.conn.as_mut().expect("ensure_attached ran");
-                conn.reader.next_frame()
-            };
-            match next {
-                Ok(line) => {
-                    let Ok(frame) = Json::parse(&line) else {
-                        continue;
-                    };
-                    if frame.get("event").is_some() {
-                        self.buffer_event(frame);
-                    }
-                    // A response with no waiting request (stale reply from
-                    // before a reconnect) is dropped on the floor.
-                }
-                Err(FrameError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                }
+            redial_attempt = 0;
+            let conn = client.conn.as_mut().expect("ensure_conn ran");
+            match conn.recv_by(deadline) {
+                Ok(frame) if frame.get("event").is_some() => client.stream.buffer(frame),
+                // A response with no waiting request (stale reply from
+                // before a reconnect) or an unparseable line is dropped.
+                Ok(_) | Err(FrameError::BadJson(_)) => {}
+                Err(FrameError::Timeout) => return Ok(None),
                 Err(_) => {
-                    // Stream died: force a re-attach on the next spin,
-                    // which replays anything we missed from the log.
-                    self.conn = None;
+                    // Stream died: the next spin re-attaches at the cursor.
+                    client.conn = None;
                     if Instant::now() >= deadline {
                         return Ok(None);
                     }
@@ -578,44 +446,7 @@ impl SessionClient {
         tiny: bool,
         sanitize: bool,
     ) -> Result<SessionSubmit, String> {
-        let sid = self.id().to_string();
-        let request = Json::obj(vec![
-            ("op", Json::Str("submit".into())),
-            ("workload", Json::Str(workload.into())),
-            ("tiny", Json::Bool(tiny)),
-            ("sanitize", Json::Bool(sanitize)),
-            ("session", Json::Str(sid)),
-        ]);
-        let mut last = String::new();
-        for attempt in 0..=self.opts.retries {
-            if attempt > 0 {
-                let delay = self.opts.backoff.delay_ms(attempt, &mut self.rng);
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            let response = self.call(&request)?;
-            if matches!(response.get("ok"), Some(Json::Bool(true))) {
-                let id = response
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("submit response has no id: {response}"))?;
-                let deduped = matches!(response.get("deduped"), Some(Json::Bool(true)));
-                return Ok(SessionSubmit { id, deduped });
-            }
-            let error = response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error")
-                .to_string();
-            let shed = matches!(response.get("shed"), Some(Json::Bool(true)));
-            if !shed && !error.starts_with(QUEUE_FULL) {
-                return Err(error);
-            }
-            last = error;
-        }
-        Err(format!(
-            "{last} (after {} backpressure retries)",
-            self.opts.retries
-        ))
+        self.client.submit_job(workload, tiny, sanitize)
     }
 
     /// Fetch the state of job `id` on the session connection.
@@ -624,18 +455,6 @@ impl SessionClient {
     ///
     /// The coordinator's structured rejection or a transport failure.
     pub fn result(&mut self, id: u64) -> Result<Json, String> {
-        let response = self.call(&Json::obj(vec![
-            ("op", Json::Str("result".into())),
-            ("id", Json::UInt(id)),
-        ]))?;
-        if matches!(response.get("ok"), Some(Json::Bool(true))) {
-            Ok(response)
-        } else {
-            Err(response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error")
-                .to_string())
-        }
+        self.client.result(id)
     }
 }

@@ -30,12 +30,11 @@ use super::journal::{
 };
 use crate::job::JobSpec;
 use crate::proto::{
-    decode_key, encode_key, fetch_frame, hex_decode, store_frame, write_frame, FrameError,
-    FrameReader,
+    decode_key, encode_key, error_response, error_text, fetch_frame, hex_decode, parse_submit,
+    shed_response, store_frame, write_frame, Conn, FrameError, FrameReader, ServeError, QUEUE_FULL,
 };
-use crate::serve::{error_response, parse_submit, shed_response, ServeError, QUEUE_FULL};
-use gcl_mem::Dec;
-use gcl_sim::{fnv_fold, LaunchStats};
+use gcl_mem::{fnv_fold, Dec};
+use gcl_sim::LaunchStats;
 use gcl_stats::{Accumulator, Json};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -1342,18 +1341,19 @@ fn send_to_worker(worker: &mut WorkerEntry, frame: &Json) -> Result<(), FrameErr
 /// First frame decides the role: `join` starts a worker session, anything
 /// else is a client request.
 fn handle_session(stream: TcpStream, shared: &Arc<CoordShared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-        shared.opts.write_timeout_ms.max(1),
-    )));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("warning: connection clone failed: {e}");
-            return;
-        }
+    let conn = Conn::from_stream(
+        stream,
+        Duration::from_millis(50),
+        Duration::from_millis(shared.opts.write_timeout_ms.max(1)),
+        shared.opts.max_frame,
+    );
+    let Ok(Conn {
+        mut reader,
+        mut writer,
+    }) = conn.inspect_err(|e| eprintln!("warning: connection setup failed: {e}"))
+    else {
+        return;
     };
-    let mut reader = FrameReader::new(stream, shared.opts.max_frame);
     let first = loop {
         match reader.next_frame() {
             Ok(line) => break line,
@@ -1362,11 +1362,8 @@ fn handle_session(stream: TcpStream, shared: &Arc<CoordShared>) {
                     return;
                 }
             }
-            Err(FrameError::TooLarge { limit }) => {
-                let _ = write_frame(
-                    &mut writer,
-                    &error_response(format!("frame too large (cap {limit} bytes)")),
-                );
+            Err(e @ FrameError::TooLarge { .. }) => {
+                let _ = write_frame(&mut writer, &error_response(e.to_string()));
                 return;
             }
             Err(_) => return,
@@ -1956,11 +1953,7 @@ fn handle_fail(frame: &Json, idx: usize, shared: &Arc<CoordShared>) {
     let Some(id) = frame.get("job").and_then(Json::as_u64) else {
         return;
     };
-    let error = frame
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap_or("unknown error")
-        .to_string();
+    let error = error_text(frame).to_string();
     let mut jobs = shared.jobs.lock().expect("jobs poisoned");
     let mut workers = shared.workers.lock().expect("workers poisoned");
     let mut sessions = shared.sessions.lock().expect("sessions poisoned");
@@ -2055,11 +2048,8 @@ fn client_session(
                         return;
                     }
                 }
-                Err(FrameError::TooLarge { limit }) => {
-                    let _ = write_frame(
-                        &mut writer,
-                        &error_response(format!("frame too large (cap {limit} bytes)")),
-                    );
+                Err(e @ FrameError::TooLarge { .. }) => {
+                    let _ = write_frame(&mut writer, &error_response(e.to_string()));
                     return;
                 }
                 Err(_) => return,
@@ -2178,11 +2168,8 @@ fn session_stream(
                 }
             }
             Err(FrameError::Timeout) => {}
-            Err(FrameError::TooLarge { limit }) => {
-                let _ = write_frame(
-                    writer,
-                    &error_response(format!("frame too large (cap {limit} bytes)")),
-                );
+            Err(e @ FrameError::TooLarge { .. }) => {
+                let _ = write_frame(writer, &error_response(e.to_string()));
                 return;
             }
             Err(_) => return,

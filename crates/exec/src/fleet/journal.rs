@@ -7,11 +7,8 @@
 //! resume the sweep with zero lost acknowledged jobs. The format reuses
 //! the checkpoint wire codec ([`gcl_mem::Enc`]/[`gcl_mem::Dec`]): the file
 //! opens with an 8-byte magic and a little-endian `u16` version, then
-//! carries records framed as
-//!
-//! ```text
-//! u64 payload-length | payload bytes | u64 FNV checksum over the payload
-//! ```
+//! carries one [`gcl_mem::wire`] section (`length | payload | FNV`) per
+//! record.
 //!
 //! Appends are fsync-batched: the coordinator calls [`Journal::sync`] once
 //! per supervisor tick (and before acknowledging a submit), not per
@@ -23,8 +20,7 @@
 //! rewrites the journal as a single [`Record::Snapshot`] so it stays
 //! bounded no matter how long the fleet runs.
 
-use gcl_mem::{Dec, Enc, WireError};
-use gcl_sim::{fnv_fold_bytes, FNV_OFFSET};
+use gcl_mem::{write_section, Dec, Enc, WireError};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -869,16 +865,18 @@ impl Journal {
             });
         }
         let mut state = SnapState::default();
-        let mut pos = HEADER_LEN as usize;
-        let mut valid = pos;
+        let mut valid = HEADER_LEN as usize;
         let mut records = 0u64;
-        // A decode error (torn/corrupt tail) or clean EOF both end the
-        // valid prefix; the `while let` stops on either.
-        while let Some(Ok((rec, next))) = read_one(&bytes, pos) {
+        // A torn or corrupt record ends the valid prefix just as clean
+        // EOF does; everything past it is truncated below.
+        let mut tail = Dec::new(&bytes[valid..]);
+        while !tail.is_done() {
+            let Ok(rec) = tail.section().and_then(dec_record) else {
+                break;
+            };
             state.apply(rec);
             records += 1;
-            pos = next;
-            valid = next;
+            valid = bytes.len() - tail.remaining();
         }
         let truncated = valid as u64 != bytes.len() as u64;
         let mut file = OpenOptions::new()
@@ -917,12 +915,10 @@ impl Journal {
     ///
     /// [`JournalError::Io`] when the write fails.
     pub fn append(&mut self, rec: &Record) -> Result<(), JournalError> {
+        // Framed in memory so the record reaches the kernel in one write.
         let payload = enc_record(rec);
-        let sum = fnv_fold_bytes(FNV_OFFSET, &payload);
         let mut framed = Vec::with_capacity(payload.len() + 16);
-        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&sum.to_le_bytes());
+        write_section(&mut framed, &payload).expect("writing to a Vec cannot fail");
         self.file
             .write_all(&framed)
             .map_err(|e| Journal::io(&self.path, e))?;
@@ -983,41 +979,6 @@ impl Journal {
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-/// Decode the record starting at `pos`. `None` is clean EOF; `Err(())` is
-/// a torn or corrupt tail (caller truncates here).
-#[allow(clippy::type_complexity)]
-fn read_one(bytes: &[u8], pos: usize) -> Option<Result<(Record, usize), ()>> {
-    if pos == bytes.len() {
-        return None;
-    }
-    let header_end = pos.checked_add(8)?;
-    if header_end > bytes.len() {
-        return Some(Err(()));
-    }
-    let len = u64::from_le_bytes(bytes[pos..header_end].try_into().unwrap());
-    let Ok(len) = usize::try_from(len) else {
-        return Some(Err(()));
-    };
-    let Some(payload_end) = header_end.checked_add(len) else {
-        return Some(Err(()));
-    };
-    let Some(frame_end) = payload_end.checked_add(8) else {
-        return Some(Err(()));
-    };
-    if frame_end > bytes.len() {
-        return Some(Err(()));
-    }
-    let payload = &bytes[header_end..payload_end];
-    let sum = u64::from_le_bytes(bytes[payload_end..frame_end].try_into().unwrap());
-    if fnv_fold_bytes(FNV_OFFSET, payload) != sum {
-        return Some(Err(()));
-    }
-    match dec_record(payload) {
-        Ok(rec) => Some(Ok((rec, frame_end))),
-        Err(_) => Some(Err(())),
     }
 }
 

@@ -51,8 +51,8 @@ pub use journal::{
 pub use worker::{run_worker, WorkerOptions, WorkerReport};
 
 use crate::proto::{hex_decode, hex_encode};
-use gcl_mem::{Dec, Enc};
-use gcl_sim::{fnv_fold_bytes, LaunchStats, FNV_OFFSET};
+use gcl_mem::{fnv_fold_bytes, Dec, Enc, FNV_OFFSET};
+use gcl_sim::LaunchStats;
 
 /// Encode a result payload for the wire: the complete wire-format
 /// [`LaunchStats`] as hex, plus an FNV checksum over the bytes. The

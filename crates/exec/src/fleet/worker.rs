@@ -17,9 +17,9 @@ use super::inject::FleetInject;
 use crate::cache::ResultCache;
 use crate::job::run_job_from;
 use crate::proto::{
-    decode_key, fetched_frame, inventory_frame, write_frame, FrameError, FrameReader, MAX_FRAME,
+    decode_key, fetched_frame, inventory_frame, parse_submit, write_frame, Conn, FrameError,
+    FrameReader, MAX_FRAME,
 };
-use crate::serve::parse_submit;
 use crate::trace_store::TraceStore;
 use gcl_rng::{backoff::Backoff, Rng};
 use gcl_stats::Json;
@@ -161,14 +161,19 @@ struct WorkerState {
     sock: Mutex<TcpStream>,
 }
 
-fn dial(opts: &WorkerOptions, rng: &mut Rng) -> Result<TcpStream, String> {
+fn dial(opts: &WorkerOptions, rng: &mut Rng) -> Result<Conn, String> {
     let mut last = String::new();
     for attempt in 0..=opts.connect_retries {
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(opts.backoff.delay_ms(attempt, rng)));
         }
-        match TcpStream::connect(&opts.coord) {
-            Ok(s) => return Ok(s),
+        match Conn::dial(
+            &opts.coord,
+            Duration::from_millis(50),
+            Duration::from_millis(2_000),
+            MAX_FRAME,
+        ) {
+            Ok(conn) => return Ok(conn),
             Err(e) => last = format!("cannot reach coordinator {}: {e}", opts.coord),
         }
     }
@@ -178,57 +183,33 @@ fn dial(opts: &WorkerOptions, rng: &mut Rng) -> Result<TcpStream, String> {
     ))
 }
 
-/// Dial, set socket deadlines, and run the join handshake. Returns the
-/// frame reader plus two extra handles on the socket (writer, teardown).
+/// Dial and run the join handshake. Returns the frame reader plus two
+/// handles on the socket (writer, teardown).
 fn connect_handshake(
     opts: &WorkerOptions,
     rng: &mut Rng,
 ) -> Result<(FrameReader<TcpStream>, TcpStream, TcpStream), String> {
-    let stream = dial(opts, rng)?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .map_err(|e| format!("cannot set read deadline: {e}"))?;
-    stream
-        .set_write_timeout(Some(Duration::from_millis(2_000)))
-        .map_err(|e| format!("cannot set write deadline: {e}"))?;
-    let writer = stream
+    let mut conn = dial(opts, rng)?;
+    let sock = conn
+        .writer
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;
-    let sock = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
-    let mut reader = FrameReader::new(stream, MAX_FRAME);
-    {
-        let mut w = &writer;
-        write_frame(
-            &mut w,
-            &Json::obj(vec![
-                ("op", Json::Str("join".into())),
-                ("name", Json::Str(opts.name.clone())),
-                ("slots", Json::UInt(opts.slots.max(1) as u64)),
-            ]),
-        )
-        .map_err(|e| format!("join failed: {e}"))?;
+    let join = Json::obj(vec![
+        ("op", Json::Str("join".into())),
+        ("name", Json::Str(opts.name.clone())),
+        ("slots", Json::UInt(opts.slots.max(1) as u64)),
+    ]);
+    let ack = conn
+        .request(&join, Instant::now() + Duration::from_secs(10))
+        .map_err(|e| match e {
+            FrameError::Timeout => "coordinator never acknowledged join".to_string(),
+            FrameError::BadJson(e) => format!("bad join ack: {e}"),
+            e => format!("join failed: {e}"),
+        })?;
+    if !matches!(ack.get("ok"), Some(Json::Bool(true))) {
+        return Err(format!("coordinator refused join: {ack}"));
     }
-    let ack_deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match reader.next_frame() {
-            Ok(line) => {
-                let ack = Json::parse(&line).map_err(|e| format!("bad join ack: {e}"))?;
-                if !matches!(ack.get("ok"), Some(Json::Bool(true))) {
-                    return Err(format!("coordinator refused join: {ack}"));
-                }
-                break;
-            }
-            Err(FrameError::Timeout) => {
-                if Instant::now() >= ack_deadline {
-                    return Err("coordinator never acknowledged join".to_string());
-                }
-            }
-            Err(e) => return Err(format!("join failed: {e}")),
-        }
-    }
-    Ok((reader, writer, sock))
+    Ok((conn.reader, conn.writer, sock))
 }
 
 /// Re-announce held leases and replica inventory right after a join ack.
@@ -424,14 +405,7 @@ fn serve_connection(
                     }
                     Err(e) => {
                         let mut w = state.writer.lock().expect("writer poisoned");
-                        let _ = write_frame(
-                            &mut *w,
-                            &Json::obj(vec![
-                                ("op", Json::Str("fail".into())),
-                                ("job", Json::UInt(id)),
-                                ("error", Json::Str(e)),
-                            ]),
-                        );
+                        let _ = write_frame(&mut *w, &fail_frame(id, e));
                     }
                 }
             }
@@ -485,6 +459,14 @@ fn serve_connection(
             _ => {}
         }
     }
+}
+
+fn fail_frame(job: u64, error: String) -> Json {
+    Json::obj(vec![
+        ("op", Json::Str("fail".into())),
+        ("job", Json::UInt(job)),
+        ("error", Json::Str(error)),
+    ])
 }
 
 struct Assignment {
@@ -550,11 +532,7 @@ fn runner_loop(state: &WorkerState, rx: &Mutex<mpsc::Receiver<Assignment>>, kill
                     ("sum", Json::Str(sum)),
                 ])
             }
-            Err(e) => Json::obj(vec![
-                ("op", Json::Str("fail".into())),
-                ("job", Json::UInt(id)),
-                ("error", Json::Str(e.to_string())),
-            ]),
+            Err(e) => fail_frame(id, e.to_string()),
         };
         let mut reported = state.silent.load(Ordering::SeqCst);
         while !reported {

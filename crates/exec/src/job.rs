@@ -9,8 +9,8 @@
 
 use crate::cache::ResultCache;
 use crate::trace_store::TraceStore;
+use gcl_mem::{fnv_fold, fnv_fold_bytes, FNV_OFFSET};
 use gcl_sim::{config_fingerprint, kernel_fingerprint, Gpu, GpuConfig, LaunchStats, SimError};
-use gcl_sim::{fnv_fold, FNV_OFFSET};
 use gcl_workloads::{all_workloads, tiny_workloads, Workload};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -170,7 +170,7 @@ impl SpecFingerprint {
     /// format version (so a format bump invalidates every old entry by
     /// construction).
     pub fn key(&self) -> u64 {
-        let mut h = gcl_sim::fnv_fold_bytes(FNV_OFFSET, self.workload.as_bytes());
+        let mut h = fnv_fold_bytes(FNV_OFFSET, self.workload.as_bytes());
         h = fnv_fold(h, u64::from(self.tiny));
         h = fnv_fold(h, self.config_fp);
         h = fnv_fold(h, self.kernels_fp);

@@ -17,18 +17,18 @@
 //! errors so the distinction is visible in the series.
 
 use crate::job::ExecError;
-use crate::proto::{write_frame, FrameError, FrameReader};
+use crate::proto::{result_frame, submit_frame, Conn};
 use gcl_rng::Rng;
 use gcl_stats::{Histogram, Json};
 use std::io::Write as _;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Weyl-sequence increment used to derive per-submitter seeds.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Weyl-sequence increment used to derive per-submitter seeds (here and
+/// in the soak harness).
+pub(crate) const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// How a load generation run drives its target.
 #[derive(Debug, Clone)]
@@ -141,49 +141,23 @@ impl SampleRow {
 
 /// One submitter's private connection: raw frames, no retry magic — a
 /// failed round trip is counted and the connection redialed, because the
-/// generator's job is to *measure* failures, not to hide them.
-struct Line {
-    reader: FrameReader<TcpStream>,
-    writer: TcpStream,
+/// generator's job is to *measure* failures, not to hide them. Result
+/// payloads carry full wire-encoded stats, hence the frame headroom.
+pub(crate) fn dial(addr: &str) -> std::io::Result<Conn> {
+    Conn::dial(
+        addr,
+        Duration::from_millis(50),
+        Duration::from_millis(5_000),
+        4 * 1024 * 1024,
+    )
 }
 
-fn dial(addr: &str) -> Result<Line, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .map_err(|e| format!("cannot set read deadline: {e}"))?;
-    stream
-        .set_write_timeout(Some(Duration::from_millis(5_000)))
-        .map_err(|e| format!("cannot set write deadline: {e}"))?;
-    let writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
-    // Result payloads carry full wire-encoded stats; give them headroom.
-    Ok(Line {
-        reader: FrameReader::new(stream, 4 * 1024 * 1024),
-        writer,
-    })
-}
-
-fn roundtrip(line: &mut Line, request: &Json, deadline_ms: u64) -> Result<Json, String> {
-    write_frame(&mut line.writer, request).map_err(|e| e.to_string())?;
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms.max(1));
-    loop {
-        match line.reader.next_frame() {
-            Ok(text) => return Json::parse(&text).map_err(|e| format!("bad frame: {e}")),
-            Err(FrameError::Timeout) => {
-                if Instant::now() >= deadline {
-                    return Err("response deadline exceeded".to_string());
-                }
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-}
+/// How long a submitter waits for one submit or poll response.
+const REPLY: Duration = Duration::from_secs(10);
 
 fn submitter_loop(idx: usize, opts: &LoadgenOptions, agg: &Mutex<Agg>, stop: &AtomicBool) {
     let mut rng = Rng::new(opts.seed ^ (idx as u64).wrapping_mul(GOLDEN));
-    let mut line: Option<Line> = None;
+    let mut line: Option<Conn> = None;
     let base_cycles: u64 = if opts.tiny { 20_000_000 } else { 200_000_000 };
     while !stop.load(Ordering::SeqCst) {
         // Think first so a freshly started fleet of N submitters does not
@@ -205,20 +179,13 @@ fn submitter_loop(idx: usize, opts: &LoadgenOptions, agg: &Mutex<Agg>, stop: &At
         }
         let workload = &opts.workloads[rng.u32_below(opts.workloads.len() as u32) as usize];
         let variant = u64::from(rng.u32_below(opts.distinct.max(1) as u32));
-        let mut request = vec![
-            ("op", Json::Str("submit".into())),
-            ("workload", Json::Str(workload.clone())),
-            ("tiny", Json::Bool(opts.tiny)),
-            ("sanitize", Json::Bool(false)),
-        ];
-        if variant > 0 {
-            // Nudge max_cycles to mint a distinct cache key: same
-            // simulation, different fingerprint.
-            request.push(("max_cycles", Json::UInt(base_cycles + variant)));
-        }
-        let request = Json::obj(request);
+        // Nudge max_cycles to mint a distinct cache key: same simulation,
+        // different fingerprint.
+        let max_cycles = (variant > 0).then_some(base_cycles + variant);
+        let request = submit_frame(workload, opts.tiny, false, max_cycles, None);
+        let conn = line.as_mut().expect("dialed");
         let t0 = Instant::now();
-        let response = roundtrip(line.as_mut().expect("dialed"), &request, 10_000);
+        let response = conn.request(&request, Instant::now() + REPLY);
         let rtt_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let id = {
             let mut a = agg.lock().expect("agg poisoned");
@@ -248,13 +215,10 @@ fn submitter_loop(idx: usize, opts: &LoadgenOptions, agg: &Mutex<Agg>, stop: &At
         // next think. Terminal state is what closes the loop — a lost
         // connection mid-wait just abandons the wait (the job still runs).
         if let Some(id) = id {
-            let poll = Json::obj(vec![
-                ("op", Json::Str("result".into())),
-                ("id", Json::UInt(id)),
-            ]);
+            let poll = result_frame(id);
             while !stop.load(Ordering::SeqCst) {
                 let Some(l) = line.as_mut() else { break };
-                match roundtrip(l, &poll, 10_000) {
+                match l.request(&poll, Instant::now() + REPLY) {
                     Ok(r) => match r.get("state").and_then(Json::as_str) {
                         Some("done" | "failed") => {
                             agg.lock().expect("agg poisoned").finished += 1;
@@ -280,11 +244,8 @@ fn sample_status(addr: &str) -> (u64, f64) {
     let Ok(mut line) = dial(addr) else {
         return (0, 0.0);
     };
-    let Ok(status) = roundtrip(
-        &mut line,
-        &Json::obj(vec![("op", Json::Str("status".into()))]),
-        2_000,
-    ) else {
+    let status = Json::obj(vec![("op", Json::Str("status".into()))]);
+    let Ok(status) = line.request(&status, Instant::now() + Duration::from_secs(2)) else {
         return (0, 0.0);
     };
     let depth = status

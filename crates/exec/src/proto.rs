@@ -21,10 +21,21 @@
 //! [`FrameError::Timeout`] instead of a hung thread. A timed-out write may
 //! have landed partially, so the only safe continuation is dropping the
 //! connection — callers do.
+//!
+//! [`Conn`] is the one place a TCP stream is turned into that pair of
+//! deadline-carrying halves, for the dialling side ([`Conn::dial`]) and the
+//! accepting side ([`Conn::from_stream`]) alike, and the one
+//! request/response loop ([`Conn::request`]). The frame builders and the
+//! submit parser every daemon and client shares live here too, so no peer
+//! has to import another peer's module to speak the protocol.
 
+use crate::job::JobSpec;
+use gcl_sim::GpuConfig;
 use gcl_stats::Json;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Default cap on one frame's size in bytes, newline included. Far above
 /// any request or result the protocol produces, far below a memory hazard.
@@ -46,6 +57,8 @@ pub enum FrameError {
     },
     /// Any other socket error.
     Io(String),
+    /// The peer sent a complete line that is not JSON.
+    BadJson(String),
 }
 
 impl fmt::Display for FrameError {
@@ -57,6 +70,7 @@ impl fmt::Display for FrameError {
                 write!(f, "frame too large (cap {limit} bytes)")
             }
             FrameError::Io(e) => write!(f, "socket error: {e}"),
+            FrameError::BadJson(e) => write!(f, "bad frame: {e}"),
         }
     }
 }
@@ -142,6 +156,231 @@ pub fn write_frame(writer: &mut impl Write, frame: &Json) -> Result<(), FrameErr
     let mut line = frame.render_compact();
     line.push('\n');
     writer.write_all(line.as_bytes()).map_err(io_error)
+}
+
+/// One NDJSON connection: a [`FrameReader`] over the socket and a second
+/// handle on the same socket for writes, both carrying deadlines. The
+/// fields are public because server loops own their stop conditions and
+/// the fleet worker shares the write half between threads.
+#[derive(Debug)]
+pub struct Conn {
+    /// The read half; a blocked read wakes every `read_tick`.
+    pub reader: FrameReader<TcpStream>,
+    /// The write half; a write blocked past `write_timeout` fails.
+    pub writer: TcpStream,
+}
+
+impl Conn {
+    /// Connect to `addr` and set up both halves.
+    ///
+    /// # Errors
+    ///
+    /// The connect or socket-option error.
+    pub fn dial(
+        addr: &str,
+        read_tick: Duration,
+        write_timeout: Duration,
+        max_frame: usize,
+    ) -> std::io::Result<Conn> {
+        let stream = TcpStream::connect(addr)?;
+        Conn::from_stream(stream, read_tick, write_timeout, max_frame)
+    }
+
+    /// Set up both halves over an accepted (or freshly connected) stream.
+    ///
+    /// # Errors
+    ///
+    /// The socket-option or handle-clone error.
+    pub fn from_stream(
+        stream: TcpStream,
+        read_tick: Duration,
+        write_timeout: Duration,
+        max_frame: usize,
+    ) -> std::io::Result<Conn> {
+        stream.set_read_timeout(Some(read_tick))?;
+        stream.set_write_timeout(Some(write_timeout))?;
+        let writer = stream.try_clone()?;
+        Ok(Conn {
+            reader: FrameReader::new(stream, max_frame),
+            writer,
+        })
+    }
+
+    /// Write one frame; see [`write_frame`].
+    ///
+    /// # Errors
+    ///
+    /// As [`write_frame`]; drop the connection on any of them.
+    pub fn send(&mut self, frame: &Json) -> Result<(), FrameError> {
+        write_frame(&mut self.writer, frame)
+    }
+
+    /// Read and parse the next frame, waking every read tick to compare
+    /// the clock with `deadline`. At least one read is always attempted,
+    /// so a frame already buffered is returned even past the deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Timeout`] once `deadline` has passed with no complete
+    /// frame, [`FrameError::BadJson`] for a line that does not parse, or
+    /// the reader's own error.
+    pub fn recv_by(&mut self, deadline: Instant) -> Result<Json, FrameError> {
+        loop {
+            match self.reader.next_frame() {
+                Ok(line) => {
+                    return Json::parse(&line).map_err(|e| FrameError::BadJson(e.to_string()))
+                }
+                Err(FrameError::Timeout) if Instant::now() < deadline => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Send `request` and wait for one frame in reply.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::send`] and [`Conn::recv_by`].
+    pub fn request(&mut self, request: &Json, deadline: Instant) -> Result<Json, FrameError> {
+        self.send(request)?;
+        self.recv_by(deadline)
+    }
+}
+
+/// The error message prefix every bounded queue in the toolkit uses to
+/// signal backpressure; clients match on it to retry with backoff.
+pub const QUEUE_FULL: &str = "queue full";
+
+/// Why a daemon (serve or coordinator) failed to start or run, split so
+/// the CLI can exit with distinct codes: misconfiguration, a bind that
+/// lost its address, or a protocol/socket failure after startup.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServeError {
+    /// Invalid options (zero workers, zero queue capacity, bad deadline).
+    Config(String),
+    /// The listener could not bind (or report) its address.
+    Bind(String),
+    /// A socket or protocol failure after the listener was up.
+    Net(String),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::Config(m) | ServeError::Bind(m) | ServeError::Net(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+/// A structured rejection: `{"ok":false,"error":msg}`.
+pub fn error_response(msg: impl Into<String>) -> Json {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("error", Json::Str(msg.into())),
+    ])
+}
+
+/// A structured load-shedding rejection. `"shed":true` tells clients this
+/// is deliberate backpressure (retry later, count it) rather than a hard
+/// error; the message still carries the [`QUEUE_FULL`] prefix where the
+/// queue is the reason, for older clients that match on text.
+pub fn shed_response(msg: impl Into<String>) -> Json {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("shed", Json::Bool(true)),
+        ("error", Json::Str(msg.into())),
+    ])
+}
+
+/// The `error` text of a rejection or `fail` frame.
+pub fn error_text(response: &Json) -> &str {
+    response
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or("unknown error")
+}
+
+/// A `submit` frame. `max_cycles` overrides the scale's cycle budget
+/// (loadgen and soak use it to mint distinct cache keys); `session` tags
+/// the job's lifecycle events onto a coordinator session.
+pub fn submit_frame(
+    workload: &str,
+    tiny: bool,
+    sanitize: bool,
+    max_cycles: Option<u64>,
+    session: Option<&str>,
+) -> Json {
+    let mut fields = vec![
+        ("op", Json::Str("submit".into())),
+        ("workload", Json::Str(workload.into())),
+        ("tiny", Json::Bool(tiny)),
+        ("sanitize", Json::Bool(sanitize)),
+    ];
+    if let Some(max_cycles) = max_cycles {
+        fields.push(("max_cycles", Json::UInt(max_cycles)));
+    }
+    if let Some(session) = session {
+        fields.push(("session", Json::Str(session.into())));
+    }
+    Json::obj(fields)
+}
+
+/// A `session` frame: open a fresh coordinator session, or re-attach to
+/// `resume = (id, cursor)` and replay its events from `cursor`.
+pub fn session_frame(resume: Option<(&str, u64)>) -> Json {
+    let mut fields = vec![("op", Json::Str("session".into()))];
+    if let Some((id, cursor)) = resume {
+        fields.push(("id", Json::Str(id.into())));
+        fields.push(("from", Json::UInt(cursor)));
+    }
+    Json::obj(fields)
+}
+
+/// A `result` frame: poll job `id`.
+pub fn result_frame(id: u64) -> Json {
+    Json::obj(vec![
+        ("op", Json::Str("result".into())),
+        ("id", Json::UInt(id)),
+    ])
+}
+
+/// Build and validate the [`JobSpec`] a submit-style request names: the
+/// daemons' `submit` verb and the coordinator's `assign` frame share it.
+///
+/// # Errors
+///
+/// A human-readable message naming the missing or invalid field, or the
+/// unknown workload.
+pub fn parse_submit(request: &Json) -> Result<JobSpec, String> {
+    let Some(workload) = request.get("workload").and_then(Json::as_str) else {
+        return Err("submit needs a `workload` field".to_string());
+    };
+    let tiny = matches!(request.get("tiny"), Some(Json::Bool(true)));
+    let sanitize = matches!(request.get("sanitize"), Some(Json::Bool(true)));
+    let mut cfg = if tiny {
+        GpuConfig::small()
+    } else {
+        GpuConfig::fermi()
+    };
+    cfg.sanitize = sanitize;
+    // Optional cycle-budget override; loadgen uses distinct budgets as
+    // cache-busting workload variants with distinct fingerprints.
+    if let Some(max_cycles) = request.get("max_cycles") {
+        let Some(v) = max_cycles.as_u64() else {
+            return Err("`max_cycles` must be a positive integer".to_string());
+        };
+        if v == 0 {
+            return Err("`max_cycles` must be a positive integer".to_string());
+        }
+        cfg.max_cycles = v;
+    }
+    let spec = JobSpec::new(workload, tiny, cfg);
+    // Validate the name up front so a typo is a submit error, not a
+    // queued-then-failed job.
+    spec.find_workload().map_err(|e| e.to_string())?;
+    Ok(spec)
 }
 
 /// Wire form of a 64-bit cache key: `0x`-prefixed, zero-padded lower hex.

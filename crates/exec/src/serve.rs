@@ -39,45 +39,20 @@
 
 use crate::cache::ResultCache;
 use crate::job::{run_job, JobOutput, JobSpec};
-use crate::proto::{write_frame, FrameError, FrameReader, MAX_FRAME};
-use gcl_sim::GpuConfig;
+use crate::proto::{
+    error_response, parse_submit, shed_response, write_frame, Conn, FrameError, MAX_FRAME,
+};
 use gcl_stats::Json;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The error message prefix every bounded queue in the toolkit uses to
-/// signal backpressure; clients match on it to retry with backoff.
-pub const QUEUE_FULL: &str = "queue full";
-
-/// Why a daemon (serve or coordinator) failed to start or run, split so
-/// the CLI can exit with distinct codes: misconfiguration, a bind that
-/// lost its address, or a protocol/socket failure after startup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeError {
-    /// Invalid options (zero workers, zero queue capacity, bad deadline).
-    Config(String),
-    /// The listener could not bind (or report) its address.
-    Bind(String),
-    /// A socket or protocol failure after the listener was up.
-    Net(String),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Config(m) | ServeError::Bind(m) | ServeError::Net(m) => f.write_str(m),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
+pub use crate::proto::{ServeError, QUEUE_FULL};
 
 /// How often a blocked connection read wakes to check drain/idle deadlines.
-pub(crate) const READ_TICK_MS: u64 = 100;
+const READ_TICK_MS: u64 = 100;
 
 /// How the daemon runs.
 #[derive(Debug, Clone)]
@@ -286,18 +261,19 @@ fn set_state(shared: &Shared, id: u64, state: JobState) {
 /// answering each, until EOF, an idle deadline, an oversized frame, or a
 /// drain.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(READ_TICK_MS)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-        shared.opts.write_timeout_ms.max(1),
-    )));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("warning: connection clone failed: {e}");
-            return;
-        }
+    let conn = Conn::from_stream(
+        stream,
+        Duration::from_millis(READ_TICK_MS),
+        Duration::from_millis(shared.opts.write_timeout_ms.max(1)),
+        shared.opts.max_frame,
+    );
+    let Ok(Conn {
+        mut reader,
+        mut writer,
+    }) = conn.inspect_err(|e| eprintln!("warning: connection setup failed: {e}"))
+    else {
+        return;
     };
-    let mut reader = FrameReader::new(stream, shared.opts.max_frame);
     let mut last_activity = Instant::now();
     loop {
         let line = match reader.next_frame() {
@@ -314,13 +290,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 }
                 continue;
             }
-            Err(FrameError::TooLarge { limit }) => {
+            Err(e @ FrameError::TooLarge { .. }) => {
                 // The stream cannot be resynchronized after an unbounded
                 // line; answer with a structured error and hang up.
-                let _ = write_frame(
-                    &mut writer,
-                    &error_response(format!("frame too large (cap {limit} bytes)")),
-                );
+                let _ = write_frame(&mut writer, &error_response(e.to_string()));
                 break;
             }
             Err(_) => break,
@@ -331,57 +304,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             break;
         }
     }
-}
-
-pub(crate) fn error_response(msg: impl Into<String>) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(msg.into())),
-    ])
-}
-
-/// A structured load-shedding rejection. `"shed":true` tells clients this
-/// is deliberate backpressure (retry later, count it) rather than a hard
-/// error; the message still carries the [`QUEUE_FULL`] prefix where the
-/// queue is the reason, for older clients that match on text.
-pub(crate) fn shed_response(msg: impl Into<String>) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("shed", Json::Bool(true)),
-        ("error", Json::Str(msg.into())),
-    ])
-}
-
-/// Build and validate the [`JobSpec`] a submit-style request names; shared
-/// with the fleet coordinator, which speaks the same submit verb.
-pub(crate) fn parse_submit(request: &Json) -> Result<JobSpec, String> {
-    let Some(workload) = request.get("workload").and_then(Json::as_str) else {
-        return Err("submit needs a `workload` field".to_string());
-    };
-    let tiny = matches!(request.get("tiny"), Some(Json::Bool(true)));
-    let sanitize = matches!(request.get("sanitize"), Some(Json::Bool(true)));
-    let mut cfg = if tiny {
-        GpuConfig::small()
-    } else {
-        GpuConfig::fermi()
-    };
-    cfg.sanitize = sanitize;
-    // Optional cycle-budget override; loadgen uses distinct budgets as
-    // cache-busting workload variants with distinct fingerprints.
-    if let Some(max_cycles) = request.get("max_cycles") {
-        let Some(v) = max_cycles.as_u64() else {
-            return Err("`max_cycles` must be a positive integer".to_string());
-        };
-        if v == 0 {
-            return Err("`max_cycles` must be a positive integer".to_string());
-        }
-        cfg.max_cycles = v;
-    }
-    let spec = JobSpec::new(workload, tiny, cfg);
-    // Validate the name up front so a typo is a submit error, not a
-    // queued-then-failed job.
-    spec.find_workload().map_err(|e| e.to_string())?;
-    Ok(spec)
 }
 
 /// Dispatch one request line.

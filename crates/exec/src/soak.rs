@@ -23,7 +23,8 @@
 //!    without any read traffic forcing repairs.
 
 use crate::job::{run_job, JobSpec};
-use crate::proto::{write_frame, FrameError, FrameReader};
+use crate::loadgen::{dial, GOLDEN};
+use crate::proto::{error_text, result_frame, submit_frame, Conn};
 use gcl_rng::Rng;
 use gcl_sim::GpuConfig;
 use gcl_stats::Json;
@@ -35,9 +36,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Weyl-sequence increment used to derive per-submitter seeds.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// How a soak run is shaped.
 #[derive(Debug, Clone)]
@@ -146,16 +144,7 @@ impl Variant {
     }
 
     fn submit_request(&self) -> Json {
-        let mut fields = vec![
-            ("op", Json::Str("submit".into())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("tiny", Json::Bool(true)),
-            ("sanitize", Json::Bool(true)),
-        ];
-        if let Some(mc) = self.max_cycles {
-            fields.push(("max_cycles", Json::UInt(mc)));
-        }
-        Json::obj(fields)
+        submit_frame(&self.workload, true, true, self.max_cycles, None)
     }
 }
 
@@ -175,49 +164,11 @@ fn variants(opts: &SoakOptions) -> Vec<Variant> {
     out
 }
 
-struct Line {
-    reader: FrameReader<TcpStream>,
-    writer: TcpStream,
-}
-
-fn dial(addr: &str) -> Result<Line, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .map_err(|e| format!("cannot set read deadline: {e}"))?;
-    stream
-        .set_write_timeout(Some(Duration::from_millis(5_000)))
-        .map_err(|e| format!("cannot set write deadline: {e}"))?;
-    let writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
-    Ok(Line {
-        reader: FrameReader::new(stream, 4 * 1024 * 1024),
-        writer,
-    })
-}
-
-fn roundtrip(line: &mut Line, request: &Json, deadline_ms: u64) -> Result<Json, String> {
-    write_frame(&mut line.writer, request).map_err(|e| e.to_string())?;
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms.max(1));
-    loop {
-        match line.reader.next_frame() {
-            Ok(text) => return Json::parse(&text).map_err(|e| format!("bad frame: {e}")),
-            Err(FrameError::Timeout) => {
-                if Instant::now() >= deadline {
-                    return Err("response deadline exceeded".to_string());
-                }
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-}
-
 /// Round-trip with redial: the soak client's whole job is to outlive
 /// coordinator restarts, so a dead connection is redialed until
 /// `deadline`, not reported.
 fn call_resilient(
-    line: &mut Option<Line>,
+    line: &mut Option<Conn>,
     addr: &str,
     request: &Json,
     deadline: Instant,
@@ -231,16 +182,17 @@ fn call_resilient(
             match dial(addr) {
                 Ok(l) => *line = Some(l),
                 Err(e) => {
-                    last = e;
+                    last = format!("cannot connect to {addr}: {e}");
                     std::thread::sleep(Duration::from_millis(100));
                     continue;
                 }
             }
         }
-        match roundtrip(line.as_mut().expect("dialed"), request, 10_000) {
+        let reply_by = Instant::now() + Duration::from_secs(10);
+        match line.as_mut().expect("dialed").request(request, reply_by) {
             Ok(r) => return Ok(r),
             Err(e) => {
-                last = e;
+                last = e.to_string();
                 *line = None;
             }
         }
@@ -348,7 +300,7 @@ fn submitter_loop(
     stop: &AtomicBool,
 ) {
     let mut rng = Rng::new(opts.seed ^ (idx as u64).wrapping_mul(GOLDEN));
-    let mut line: Option<Line> = None;
+    let mut line: Option<Conn> = None;
     while !stop.load(Ordering::SeqCst) {
         let think = opts.think_ms / 2 + u64::from(rng.u32_below(opts.think_ms.max(1) as u32 + 1));
         std::thread::sleep(Duration::from_millis(think));
@@ -548,7 +500,7 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
             v
         };
         report.acked = ledger.len() as u64;
-        let mut line: Option<Line> = None;
+        let mut line: Option<Conn> = None;
         let audit_deadline = Instant::now() + Duration::from_secs(120);
 
         // Serial ground truth, one local run per distinct spec.
@@ -569,10 +521,7 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
 
         let mut matched: HashSet<usize> = HashSet::new();
         for &(id, which) in &ledger {
-            let poll = Json::obj(vec![
-                ("op", Json::Str("result".into())),
-                ("id", Json::UInt(id)),
-            ]);
+            let poll = result_frame(id);
             loop {
                 let r = call_resilient(&mut line, &addr, &poll, audit_deadline)?;
                 match r.get("state").and_then(Json::as_str) {
@@ -593,11 +542,11 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
                         break;
                     }
                     Some("failed") => {
-                        let err = r.get("error").and_then(Json::as_str).unwrap_or("?");
+                        let err = error_text(&r);
                         return Err(format!("acknowledged job {id} failed: {err}"));
                     }
                     None if matches!(r.get("ok"), Some(Json::Bool(false))) => {
-                        let err = r.get("error").and_then(Json::as_str).unwrap_or("?");
+                        let err = error_text(&r);
                         return Err(format!("acknowledged job {id} was lost: {err}"));
                     }
                     _ => {

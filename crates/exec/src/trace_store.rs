@@ -1,8 +1,9 @@
 //! Content-addressed trace store: captured `GCLTRACE1` containers filed
 //! under the same spec key the result cache uses.
 //!
-//! A trace is a pure function of the [`SpecFingerprint`](crate::job::
-//! SpecFingerprint) — configuration, kernels, workload parameters — exactly
+//! A trace is a pure function of the
+//! [`SpecFingerprint`](crate::SpecFingerprint) — configuration, kernels,
+//! workload parameters — exactly
 //! like a cached result, so the two stores share one addressing scheme:
 //! `results/traces/<key>.gcltrace` next to `results/cache/<key>.bin`. A
 //! suite run under `--replay` resolves each job to its trace by fingerprint

@@ -135,6 +135,22 @@ fn version_skew_orphans_the_entry() {
         "skewed entry must not be served"
     );
     assert!(cache.load_checked(&fp).is_ok());
+
+    // A sealed entry whose declared payload length disagrees with the
+    // file — up to the length no file can have — is malformed, not a
+    // slice out of range.
+    let rewritten = std::fs::read(&path).unwrap();
+    for declared in [0u64, (rewritten.len() - 36) as u64 + 1, u64::MAX] {
+        let mut bytes = rewritten.clone();
+        bytes[20..28].copy_from_slice(&declared.to_le_bytes());
+        refresh_checksum(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            cache.load_checked(&fp).unwrap_err(),
+            CacheMiss::Malformed("payload length mismatch"),
+            "declared length {declared:#x}"
+        );
+    }
 }
 
 #[test]

@@ -192,6 +192,20 @@ fn bit_flipped_record_truncates_to_last_valid_prefix() {
     let (_, again) = Journal::open_recover(&path).unwrap();
     assert!(!again.truncated, "second recovery sees a clean file");
     assert_eq!(again.records, 5);
+
+    // A tail record declaring a length no file can hold is one more torn
+    // tail: same prefix, same truncation, no arithmetic overflow.
+    let clean = std::fs::read(&path).unwrap();
+    for len in [u64::MAX, u64::MAX - 3, u64::MAX - 15] {
+        let mut crafted = clean.clone();
+        crafted.extend_from_slice(&len.to_le_bytes());
+        crafted.extend_from_slice(&[0u8; 32]);
+        std::fs::write(&path, &crafted).unwrap();
+        let (_, rec) = Journal::open_recover(&path).unwrap();
+        assert!(rec.truncated, "length {len:#x}");
+        assert_eq!(rec.records, 5);
+        assert_eq!(std::fs::read(&path).unwrap(), clean);
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -197,3 +197,59 @@ fn interleaved_oversized_streams_never_duplicate_across_readers() {
     assert_eq!(unique.len(), all_delivered.len(), "duplicated frame");
     assert_eq!(all_delivered.len(), 12, "lost a frame: {all_delivered:?}");
 }
+
+/// `Conn`'s deadline contract over a real socket: a reply arrives through
+/// `request`, a complete non-JSON line is `BadJson` (and the stream stays
+/// usable), a silent peer is `Timeout` only once the deadline has passed,
+/// and a frame that is already there is returned even past the deadline.
+#[test]
+fn conn_request_and_recv_by_honor_the_deadline_contract() {
+    use gcl_exec::proto::Conn;
+    use gcl_stats::Json;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut lines = BufReader::new(stream.try_clone().expect("clone")).lines();
+        let mut out = stream;
+        // One request in, then: a reply, a garbage line, two late frames.
+        let request = lines.next().expect("request").expect("read");
+        assert_eq!(request, "{\"op\":\"status\"}");
+        out.write_all(b"{\"ok\":true}\nnot json\n").expect("reply");
+        let go = lines.next().expect("go").expect("read");
+        assert_eq!(go, "{\"op\":\"go\"}");
+        out.write_all(b"{\"late\":1}\n{\"late\":2}\n")
+            .expect("late frames");
+        // Hold the socket open until the client hangs up.
+        assert!(lines.next().is_none());
+    });
+
+    let tick = Duration::from_millis(10);
+    let mut conn = Conn::dial(&addr, tick, Duration::from_secs(5), 1024).expect("dial");
+    let soon = || Instant::now() + Duration::from_secs(5);
+    let status = Json::obj(vec![("op", Json::Str("status".into()))]);
+    let reply = conn.request(&status, soon()).expect("reply");
+    assert!(matches!(reply.get("ok"), Some(Json::Bool(true))));
+    assert!(matches!(conn.recv_by(soon()), Err(FrameError::BadJson(_))));
+
+    // Nothing more is coming yet: Timeout, and not before the deadline.
+    let wait = Duration::from_millis(60);
+    let t0 = Instant::now();
+    assert_eq!(conn.recv_by(t0 + wait).unwrap_err(), FrameError::Timeout);
+    assert!(t0.elapsed() >= wait, "gave up after {:?}", t0.elapsed());
+
+    // Two frames written together arrive in one read; the second is then
+    // already buffered and is returned even by a deadline in the past.
+    let go = Json::obj(vec![("op", Json::Str("go".into()))]);
+    let first = conn.request(&go, soon()).expect("first late frame");
+    assert_eq!(first.get("late").and_then(Json::as_u64), Some(1));
+    let second = conn.recv_by(Instant::now() - tick).expect("buffered frame");
+    assert_eq!(second.get("late").and_then(Json::as_u64), Some(2));
+
+    drop(conn);
+    peer.join().expect("peer");
+}

@@ -45,4 +45,7 @@ pub use l2::{L2Partition, PartitionConfig, PartitionEvent};
 pub use mshr::Mshr;
 pub use request::{ClassTag, Cycle, MemRequest};
 pub use san::{ConservationKind, ConservationReport, ReqInfo, RequestLedger, SanStage};
-pub use wire::{unzigzag, zigzag, Dec, Enc, WireError};
+pub use wire::{
+    fnv_fold, fnv_fold_bytes, open, seal, unzigzag, write_section, zigzag, Dec, Enc, Envelope,
+    WireError, FNV_OFFSET,
+};

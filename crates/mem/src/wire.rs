@@ -1,4 +1,5 @@
-//! Minimal little-endian binary wire format for checkpoints.
+//! Minimal little-endian binary wire format for checkpoints, and the one
+//! place a checksummed binary record is framed for a file.
 //!
 //! The simulator is dependency-free, so checkpoint serialization is a
 //! hand-rolled encoder/decoder pair. The format is deliberately simple:
@@ -7,6 +8,16 @@
 //! compactness — two encodings of the same logical state must be identical
 //! so the checkpoint content checksum is meaningful, which is why callers
 //! serialize hash maps in sorted key order and heaps as sorted vectors.
+//!
+//! Two framings sit on top of the codec, both checksummed with FNV-1a:
+//! the **envelope** ([`seal`] / [`open`]), a whole file holding one
+//! payload (checkpoints, result-cache entries), and the **section**
+//! ([`write_section`] / [`Dec::section`]), one record among many in a
+//! stream (trace launch sections, journal records). Lengths come from the
+//! file, so every read is bounds-checked through the decoder before a byte
+//! is touched. DESIGN.md §19 has the rationale and the caller table.
+
+use std::io::Write;
 
 /// A decode failure. Encoding is infallible; decoding validates everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +26,10 @@ pub enum WireError {
     Truncated,
     /// A tag byte or structural invariant did not match any known value.
     Malformed(&'static str),
+    /// An envelope does not start with the expected magic.
+    BadMagic,
+    /// An envelope's or section's bytes do not fold to the stored checksum.
+    Checksum,
 }
 
 impl std::fmt::Display for WireError {
@@ -22,11 +37,130 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "truncated input"),
             WireError::Malformed(what) => write!(f, "malformed input: {what}"),
+            WireError::BadMagic => write!(f, "bad magic"),
+            WireError::Checksum => write!(f, "checksum mismatch"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+/// FNV-1a offset basis: the initial value of every digest and checksum.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Fold one 64-bit value into an FNV-1a digest (little-endian bytes).
+#[inline]
+pub fn fnv_fold(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Fold a byte slice into an FNV-1a digest (container checksums and
+/// config/kernel fingerprints).
+#[inline]
+pub fn fnv_fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Envelope bytes before the payload: magic, version, tag, length.
+const ENVELOPE_HEADER: usize = 8 + 4 + 8 + 8;
+
+/// Wrap `payload` in the envelope:
+///
+/// ```text
+/// magic[8] | version u32 | tag u64 | payload length u64 | payload
+/// | FNV-1a u64 over every preceding byte
+/// ```
+///
+/// `tag` is the caller's identity word: a configuration fingerprint for
+/// checkpoints, the cache key for cache entries.
+pub fn seal(magic: &[u8; 8], version: u32, tag: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(ENVELOPE_HEADER + payload.len() + 8);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    let sum = fnv_fold_bytes(FNV_OFFSET, &out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// An envelope whose magic and checksum have been verified by [`open`].
+#[derive(Debug, Clone, Copy)]
+pub struct Envelope<'a> {
+    /// Format version recorded in the header.
+    pub version: u32,
+    /// The identity word recorded in the header.
+    pub tag: u64,
+    /// The payload, or [`WireError::Malformed`] when the bytes between
+    /// header and checksum are not the declared length — left for the
+    /// caller to unwrap after its own version and tag checks.
+    pub payload: Result<&'a [u8], WireError>,
+}
+
+/// Verify an envelope written by [`seal`] and split it into its fields.
+///
+/// # Errors
+///
+/// In this order: [`WireError::Truncated`] for fewer than 8 bytes,
+/// [`WireError::BadMagic`], [`WireError::Truncated`] for less than a
+/// header plus checksum, then on a checksum mismatch
+/// [`WireError::Truncated`] when fewer payload bytes are present than the
+/// header declares (a clean cut) and [`WireError::Checksum`] otherwise
+/// (in-place corruption).
+pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<Envelope<'a>, WireError> {
+    if bytes.len() < 8 {
+        return Err(WireError::Truncated);
+    }
+    if bytes[..8] != magic[..] {
+        return Err(WireError::BadMagic);
+    }
+    if bytes.len() < ENVELOPE_HEADER + 8 {
+        return Err(WireError::Truncated);
+    }
+    let (body, sum) = bytes.split_at(bytes.len() - 8);
+    let mut header = Dec::new(&body[8..ENVELOPE_HEADER]);
+    let (version, tag, declared) = (header.u32()?, header.u64()?, header.u64()?);
+    let rest = &body[ENVELOPE_HEADER..];
+    let sum = Dec::new(sum).u64()?;
+    if fnv_fold_bytes(FNV_OFFSET, body) != sum {
+        return Err(if (rest.len() as u64) < declared {
+            WireError::Truncated
+        } else {
+            WireError::Checksum
+        });
+    }
+    let payload = if rest.len() as u64 == declared {
+        Ok(rest)
+    } else {
+        Err(WireError::Malformed("payload length mismatch"))
+    };
+    Ok(Envelope {
+        version,
+        tag,
+        payload,
+    })
+}
+
+/// Stream one section — `payload length u64 | payload | FNV-1a u64 over
+/// the payload` — into `w` without copying the payload.
+///
+/// # Errors
+///
+/// Whatever `w` reports.
+pub fn write_section(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    w.write_all(&(payload.len() as u64).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&fnv_fold_bytes(FNV_OFFSET, payload).to_le_bytes())
+}
 
 /// An append-only encoder writing the wire format into a byte vector.
 #[derive(Debug, Default)]
@@ -248,6 +382,23 @@ impl<'a> Dec<'a> {
         self.take(n)
     }
 
+    /// Read one section written by [`write_section`], borrowing its
+    /// verified payload.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] when the declared length or the checksum
+    /// word runs past the input, [`WireError::Checksum`] when the payload
+    /// does not fold to the stored sum.
+    pub fn section(&mut self) -> Result<&'a [u8], WireError> {
+        let payload = self.bytes()?;
+        let sum = self.u64()?;
+        if fnv_fold_bytes(FNV_OFFSET, payload) != sum {
+            return Err(WireError::Checksum);
+        }
+        Ok(payload)
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireError> {
         let b = self.bytes()?;
@@ -425,6 +576,16 @@ mod tests {
             }
             assert!(d.is_done());
         });
+    }
+
+    #[test]
+    fn fnv_fold_is_deterministic_and_order_sensitive() {
+        let a = fnv_fold(fnv_fold(FNV_OFFSET, 1), 2);
+        let b = fnv_fold(fnv_fold(FNV_OFFSET, 1), 2);
+        let c = fnv_fold(fnv_fold(FNV_OFFSET, 2), 1);
+        assert_eq!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(a, FNV_OFFSET);
     }
 
     #[test]

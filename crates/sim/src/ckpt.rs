@@ -2,15 +2,13 @@
 //! / [`Gpu::restore`](crate::Gpu::restore).
 //!
 //! A snapshot is a compact binary image of the complete simulator state —
-//! idle or mid-launch — wrapped in a self-validating container:
+//! idle or mid-launch — sealed in the [`gcl_mem::wire`] envelope with:
 //!
 //! ```text
-//! magic "GCLSNAP1"  (8 bytes)
-//! version           (u32 LE)
-//! config fingerprint(u64 LE, FNV-1a over the GpuConfig Debug form)
-//! payload length    (u64 LE)
-//! payload           (the wire-encoded simulator state)
-//! checksum          (u64 LE, FNV-1a over all preceding bytes)
+//! magic    "GCLSNAP1"
+//! version  SNAPSHOT_VERSION
+//! tag      config fingerprint (FNV-1a over the GpuConfig Debug form)
+//! payload  the wire-encoded simulator state
 //! ```
 //!
 //! [`Snapshot::from_bytes`] rejects truncated images, bad magic, checksum
@@ -22,8 +20,8 @@
 //! [`Gpu::snapshot`]: crate::Gpu::snapshot
 //! [`Gpu::restore`]: crate::Gpu::restore
 
-use crate::san::{fnv_fold_bytes, FNV_OFFSET};
 use crate::GpuConfig;
+use gcl_mem::{fnv_fold_bytes, open, seal, WireError, FNV_OFFSET};
 use gcl_ptx::Kernel;
 use std::fmt;
 use std::path::Path;
@@ -102,11 +100,13 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<gcl_mem::WireError> for CheckpointError {
-    fn from(e: gcl_mem::WireError) -> CheckpointError {
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> CheckpointError {
         match e {
-            gcl_mem::WireError::Truncated => CheckpointError::Truncated,
-            gcl_mem::WireError::Malformed(what) => CheckpointError::Malformed(what),
+            WireError::Truncated => CheckpointError::Truncated,
+            WireError::Malformed(what) => CheckpointError::Malformed(what),
+            WireError::BadMagic => CheckpointError::BadMagic,
+            WireError::Checksum => CheckpointError::ChecksumMismatch,
         }
     }
 }
@@ -141,15 +141,7 @@ impl Snapshot {
     /// Serialize to the on-disk container format (magic, version,
     /// fingerprint, length-prefixed payload, trailing checksum).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 36);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.config_fp.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let sum = fnv_fold_bytes(FNV_OFFSET, &out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        seal(&SNAPSHOT_MAGIC, self.version, self.config_fp, &self.payload)
     }
 
     /// Parse a container written by [`to_bytes`](Self::to_bytes).
@@ -160,46 +152,17 @@ impl Snapshot {
     /// [`CheckpointError::ChecksumMismatch`] (any corrupted byte), or
     /// [`CheckpointError::VersionMismatch`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
-        const HEADER: usize = 8 + 4 + 8 + 8;
-        if bytes.len() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[..8] != SNAPSHOT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < HEADER + 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored_sum = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte split"));
-        if fnv_fold_bytes(FNV_OFFSET, body) != stored_sum {
-            // Distinguish a clean truncation (payload shorter than declared)
-            // from in-place corruption: peek at the declared length first.
-            let declared =
-                u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-            if body.len() - HEADER < declared {
-                return Err(CheckpointError::Truncated);
-            }
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("header slice"));
-        if version != SNAPSHOT_VERSION {
+        let env = open(bytes, &SNAPSHOT_MAGIC)?;
+        if env.version != SNAPSHOT_VERSION {
             return Err(CheckpointError::VersionMismatch {
-                found: version,
+                found: env.version,
                 expected: SNAPSHOT_VERSION,
             });
         }
-        let config_fp = u64::from_le_bytes(bytes[12..20].try_into().expect("header slice"));
-        let payload_len =
-            u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-        let payload = &body[HEADER..];
-        if payload.len() != payload_len {
-            return Err(CheckpointError::Malformed("payload length mismatch"));
-        }
         Ok(Snapshot {
-            version,
-            config_fp,
-            payload: payload.to_vec(),
+            version: env.version,
+            config_fp: env.tag,
+            payload: env.payload?.to_vec(),
         })
     }
 

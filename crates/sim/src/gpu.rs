@@ -1047,19 +1047,16 @@ impl Gpu {
             // Determinism digest: per-SM event digests folded in SM order,
             // then the launch length. Any scheduling divergence between two
             // runs of the same workload lands here.
-            let mut d = crate::san::FNV_OFFSET;
+            let mut d = gcl_mem::FNV_OFFSET;
             for sm in &sms {
-                d = crate::san::fnv_fold(d, sm.san_digest().unwrap_or(0));
+                d = gcl_mem::fnv_fold(d, sm.san_digest().unwrap_or(0));
             }
-            d = crate::san::fnv_fold(d, cycle - start_cycle);
+            d = gcl_mem::fnv_fold(d, cycle - start_cycle);
             if sr.digest_noise() {
                 // DigestNoise injection: fold a process-global counter in so
                 // two otherwise-identical runs diverge.
                 static NOISE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                d = crate::san::fnv_fold(
-                    d,
-                    NOISE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                );
+                d = gcl_mem::fnv_fold(d, NOISE.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
             }
             digest = Some(d);
         }

@@ -108,8 +108,8 @@ pub use replay::{
     MemorySink, ReplayError, ReplayKind, ReplayRecord, TraceSink,
 };
 pub use san::{
-    check_digests, fnv_fold, fnv_fold_bytes, DeterminismReport, RaceAccess, RaceReport, SanInject,
-    SanRun, SanitizerReport, TickError, FNV_OFFSET,
+    check_digests, DeterminismReport, RaceAccess, RaceReport, SanInject, SanRun, SanitizerReport,
+    TickError,
 };
 pub use scoreboard::{HazardTable, Scoreboard};
 pub use simt::{SimtEntry, SimtStack};
@@ -120,4 +120,7 @@ pub use value::{canon, eval_alu, eval_atom, eval_cmp, eval_cvt, eval_mad, eval_s
 pub use warp::{lanes, ExecCtx, MemAccess, ReplayCursor, StepResult, Warp};
 pub use warp_sched::WarpScheduler;
 
-pub use gcl_mem::{ConservationKind, ConservationReport, RequestLedger, SanStage};
+pub use gcl_mem::{
+    fnv_fold, fnv_fold_bytes, ConservationKind, ConservationReport, RequestLedger, SanStage,
+    FNV_OFFSET,
+};

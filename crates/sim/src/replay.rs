@@ -19,9 +19,9 @@
 //! holds that warp's issued instructions in issue order, where
 //! `warps_per_cta = ceil(block.count() / warp_size)`.
 
-use crate::san::{fnv_fold, FNV_OFFSET};
 use crate::warp::{MemAccess, StepResult};
 use crate::{Dim3, TraceEvent};
+use gcl_mem::{fnv_fold, FNV_OFFSET};
 use gcl_ptx::{Reg, Space};
 use std::fmt;
 use std::sync::Arc;

@@ -28,30 +28,8 @@
 //! [`GpuConfig::sanitize`]: crate::GpuConfig::sanitize
 
 use crate::fault::MemFaultReport;
-use gcl_mem::{ConservationReport, Dec, Enc, RequestLedger, WireError};
+use gcl_mem::{fnv_fold, ConservationReport, Dec, Enc, RequestLedger, WireError, FNV_OFFSET};
 use std::fmt;
-
-/// FNV-1a offset basis: the initial value of every determinism digest.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold one 64-bit value into an FNV-1a digest (little-endian bytes).
-pub fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Fold a byte slice into an FNV-1a digest (checkpoint checksums and
-/// config/kernel fingerprints).
-pub fn fnv_fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// One side of a shared-memory race: who touched the bytes, from where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -531,16 +509,6 @@ impl SmSan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_fold_is_deterministic_and_order_sensitive() {
-        let a = fnv_fold(fnv_fold(FNV_OFFSET, 1), 2);
-        let b = fnv_fold(fnv_fold(FNV_OFFSET, 1), 2);
-        let c = fnv_fold(fnv_fold(FNV_OFFSET, 2), 1);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, FNV_OFFSET);
-    }
 
     #[test]
     fn digests_compare_clean_unless_both_present_and_different() {

@@ -316,7 +316,7 @@ impl LaunchStats {
         self.static_loads.0 += other.static_loads.0;
         self.static_loads.1 += other.static_loads.1;
         self.digest = match (self.digest, other.digest) {
-            (Some(a), Some(b)) => Some(crate::san::fnv_fold(a, b)),
+            (Some(a), Some(b)) => Some(gcl_mem::fnv_fold(a, b)),
             (a, b) => a.or(b),
         };
         self.trace_dropped = self.trace_dropped.max(other.trace_dropped);

@@ -16,17 +16,15 @@
 //! [8..12)   format version, u32 LE (currently 1)
 //! [12..20)  config fingerprint of the capturing GPU, u64 LE
 //! [20..28)  launch count, u64 LE
-//! then per launch (a *section*):
-//!   [8]     payload length, u64 LE
-//!   [..]    payload (wire-encoded, see below)
-//!   [8]     FNV-1a checksum of the payload, u64 LE
+//! then per launch one [`gcl_mem::wire`] *section* (length, payload,
+//! payload checksum) holding the launch payload described below
 //! trailing:
 //!   [8]     FNV-1a checksum of every preceding byte, u64 LE
 //! ```
 //!
-//! Every length is validated against the remaining input before use, both
-//! checksum layers must verify, and the format version is checked by exact
-//! equality — a truncated, bit-flipped, or version-skewed file fails with a
+//! Every length is validated against the remaining input before use (the
+//! section reader is the wire codec's), both checksum layers must verify,
+//! and the format version is checked by exact equality — a truncated, bit-flipped, or version-skewed file fails with a
 //! structured [`TraceError`], never silently.
 //!
 //! ## Launch payload
@@ -126,6 +124,13 @@ impl From<WireError> for TraceError {
         match e {
             WireError::Truncated => TraceError::Truncated,
             WireError::Malformed(what) => TraceError::Malformed(what),
+            WireError::BadMagic => TraceError::BadMagic,
+            // Sections are the only checksummed frame the wire codec
+            // verifies for this container; the file trailer is checked by
+            // the reader itself.
+            WireError::Checksum => TraceError::ChecksumMismatch {
+                what: "launch section",
+            },
         }
     }
 }

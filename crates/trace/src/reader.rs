@@ -4,8 +4,8 @@
 
 use crate::codec::decode_stream;
 use crate::{TraceError, TRACE_MAGIC, TRACE_VERSION};
-use gcl_mem::Dec;
-use gcl_sim::{fnv_fold_bytes, Dim3, LaunchReplay, FNV_OFFSET};
+use gcl_mem::{fnv_fold_bytes, Dec, FNV_OFFSET};
+use gcl_sim::{Dim3, LaunchReplay};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -86,29 +86,12 @@ pub fn parse_trace(bytes: &[u8]) -> Result<TraceFile, TraceError> {
     }
     let config_fp = u64::from_le_bytes(bytes[12..20].try_into().expect("header slice"));
     let n_launches = u64::from_le_bytes(bytes[20..28].try_into().expect("header slice"));
-    let mut rest = &body[HEADER..];
+    let mut sections = Dec::new(&body[HEADER..]);
     let mut launches = Vec::new();
     for _ in 0..n_launches {
-        if rest.len() < 8 {
-            return Err(TraceError::Truncated);
-        }
-        let len = u64::from_le_bytes(rest[..8].try_into().expect("section slice"));
-        let len = usize::try_from(len).map_err(|_| TraceError::Malformed("section length"))?;
-        rest = &rest[8..];
-        if rest.len() < len + 8 {
-            return Err(TraceError::Truncated);
-        }
-        let payload = &rest[..len];
-        let declared = u64::from_le_bytes(rest[len..len + 8].try_into().expect("section slice"));
-        if fnv_fold_bytes(FNV_OFFSET, payload) != declared {
-            return Err(TraceError::ChecksumMismatch {
-                what: "launch section",
-            });
-        }
-        rest = &rest[len + 8..];
-        launches.push(decode_launch(payload)?);
+        launches.push(decode_launch(sections.section()?)?);
     }
-    if !rest.is_empty() {
+    if !sections.is_done() {
         return Err(TraceError::Malformed("trailing bytes after last section"));
     }
     Ok(TraceFile {

@@ -6,8 +6,8 @@
 
 use crate::codec::{encode_record, ColBufs, ColState};
 use crate::{TraceError, TRACE_MAGIC, TRACE_VERSION};
-use gcl_mem::Enc;
-use gcl_sim::{fnv_fold_bytes, LaunchInfo, ReplayKind, TraceEvent, TraceSink, FNV_OFFSET};
+use gcl_mem::{fnv_fold_bytes, write_section, Enc, FNV_OFFSET};
+use gcl_sim::{LaunchInfo, ReplayKind, TraceEvent, TraceSink};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -220,12 +220,8 @@ impl TraceWriter {
                 }
             }
         }
-        let payload = e.into_bytes();
-        let fp = fnv_fold_bytes(FNV_OFFSET, &payload);
         let sections = self.sections.as_mut().expect("sections live until finish");
-        sections.write_all(&(payload.len() as u64).to_le_bytes())?;
-        sections.write_all(&payload)?;
-        sections.write_all(&fp.to_le_bytes())?;
+        write_section(sections, &e.into_bytes())?;
         self.launches += 1;
         self.records += cur.totals.iter().sum::<u64>();
         Ok(())

@@ -181,6 +181,22 @@ fn corruption_matrix_fails_structured() {
         other => panic!("version skew gave {other:?}"),
     }
 
+    // A section length no file can hold, in a file whose header and
+    // trailing checksum are otherwise perfect, is a truncation — in debug
+    // and release alike, never an overflowing add or an out-of-range slice.
+    for len in [u64::MAX - 3, u64::MAX, 1 << 40] {
+        let mut crafted = bytes[..20].to_vec();
+        crafted.extend_from_slice(&1u64.to_le_bytes());
+        crafted.extend_from_slice(&len.to_le_bytes());
+        crafted.extend_from_slice(&[0u8; 32]);
+        let fp = gcl_sim::fnv_fold_bytes(gcl_sim::FNV_OFFSET, &crafted);
+        crafted.extend_from_slice(&fp.to_le_bytes());
+        match parse_trace(&crafted) {
+            Err(TraceError::Truncated) => {}
+            other => panic!("section length {len:#x} gave {other:?}"),
+        }
+    }
+
     // Geometry mismatch: replaying against the wrong kernel set (a kernel
     // whose fingerprint matches nothing) or dropping a stream is rejected
     // by the replay driver, not silently absorbed.

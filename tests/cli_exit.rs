@@ -260,6 +260,29 @@ fn replay_trace_exit_codes() {
     let out = gcl(&["replay", "2mm", "--tiny", "--sanitize", "--in", dirs]);
     assert_eq!(code(&out), 3, "version skew is exit 3: {}", stderr(&out));
 
+    // A correctly sealed file whose one section declares a length no file
+    // can hold (the file checksum is not a MAC; anyone can seal one): a
+    // truncation report and exit 2, not an arithmetic panic (exit 101).
+    let mut crafted = good[..20].to_vec();
+    crafted.extend_from_slice(&1u64.to_le_bytes());
+    crafted.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
+    crafted.extend_from_slice(&[0u8; 32]);
+    let sum = fnv_fold_bytes(FNV_OFFSET, &crafted);
+    crafted.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(&container, &crafted).expect("write crafted container");
+    let out = gcl(&["replay", "2mm", "--tiny", "--sanitize", "--in", dirs]);
+    assert_eq!(
+        code(&out),
+        2,
+        "absurd section length is exit 2: {}",
+        stderr(&out)
+    );
+    assert!(
+        stderr(&out).contains("truncated"),
+        "says the file is cut short: {}",
+        stderr(&out)
+    );
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
