@@ -1,11 +1,12 @@
-//! The fleet coordinator: `gcl coordinate --addr HOST:PORT`.
+//! The fleet coordinator: `gcl coordinate --addr HOST:PORT`, and — with
+//! one in-process worker — `gcl serve` ([`crate::serve`]).
 //!
 //! One listener serves two populations. Workers dial in, send a `join`
 //! frame, and from then on hold a full-duplex connection over which the
 //! coordinator pushes `assign` frames and `ping` heartbeats and receives
-//! `done` / `fail` / `pong`. Clients speak the familiar single-node verbs
-//! (`submit` / `status` / `result` / `shutdown`); the first frame on a
-//! connection decides which role it plays.
+//! `done` / `fail` / `pong`. Clients speak `submit` / `status` / `result` /
+//! `shutdown`; the first frame on a connection decides which role it
+//! plays. A client connection silent for [`IDLE_TIMEOUT`] is closed.
 //!
 //! Supervision is two independent deadlines:
 //!
@@ -56,6 +57,9 @@ pub const DECOMMISSIONED: &str = "decommissioned";
 /// a late re-attach learns it missed some (`"truncated":true` in the ack).
 const EVENT_LOG_CAP: usize = 8192;
 
+/// A plain-request connection that sends nothing for this long is closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+
 /// How the coordinator runs.
 #[derive(Debug, Clone)]
 pub struct CoordinatorOptions {
@@ -70,8 +74,8 @@ pub struct CoordinatorOptions {
     pub heartbeat_ms: u64,
     /// A worker whose last pong is older than this is dead.
     pub heartbeat_timeout_ms: u64,
-    /// Largest frame accepted (result frames carry hex-encoded stats, so
-    /// this is larger than the single-node default).
+    /// Largest frame accepted, from clients and workers alike (result
+    /// frames carry several KiB of hex-encoded stats).
     pub max_frame: usize,
     /// Per-connection write deadline.
     pub write_timeout_ms: u64,
@@ -208,6 +212,14 @@ struct JobTable {
     next_id: u64,
 }
 
+impl JobTable {
+    fn all_terminal(&self) -> bool {
+        self.map
+            .values()
+            .all(|j| matches!(j.state, FleetJobState::Done(_) | FleetJobState::Failed(_)))
+    }
+}
+
 /// One registered worker, live or dead.
 struct WorkerEntry {
     name: String,
@@ -329,7 +341,9 @@ struct CoordShared {
     counters: Mutex<FleetCounters>,
     draining: AtomicBool,
     /// Set once the drain completes; accept and supervisor loops exit.
-    finished: AtomicBool,
+    /// Shared on its own so a [`Coordinator::stopper`] holds only the flag,
+    /// never the worker sockets it is waiting to see closed.
+    finished: Arc<AtomicBool>,
     /// Queue-depth samples, taken each supervisor tick.
     depth: Mutex<Accumulator>,
     /// Write-ahead journal, when `--journal` is set.
@@ -346,6 +360,12 @@ fn jlog(shared: &CoordShared, rec: &Record) {
             eprintln!("warning: {e}");
         }
     }
+}
+
+/// Journal one increment of a recovered-with-the-journal counter; the
+/// caller bumps the live [`FleetCounters`] field itself.
+fn jcount(shared: &CoordShared, counter: JCounter) {
+    jlog(shared, &Record::Counter { counter, delta: 1 });
 }
 
 /// Flush batched journal appends (fsync), once per supervisor tick and
@@ -424,7 +444,7 @@ impl Coordinator {
             sessions: Mutex::new(SessionTable::default()),
             counters: Mutex::new(FleetCounters::default()),
             draining: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
+            finished: Arc::new(AtomicBool::new(false)),
             depth: Mutex::new(Accumulator::default()),
             journal,
             opts,
@@ -452,7 +472,8 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Net`] on listener failure.
+    /// [`ServeError::Net`] on listener failure, or when a
+    /// [`Coordinator::stopper`] ended the run before the drain did.
     pub fn run(self) -> Result<(), ServeError> {
         self.listener
             .set_nonblocking(true)
@@ -481,7 +502,22 @@ impl Coordinator {
         if self.shared.opts.print_outcomes {
             print_outcome_table(&self.shared);
         }
-        Ok(())
+        let jobs = self.shared.jobs.lock().expect("jobs poisoned");
+        if self.shared.draining.load(Ordering::SeqCst) && jobs.all_terminal() {
+            Ok(())
+        } else {
+            Err(ServeError::Net(
+                "coordinator stopped before its jobs drained".to_string(),
+            ))
+        }
+    }
+
+    /// A handle that ends [`Coordinator::run`] without waiting for a
+    /// drain, for an owner whose in-process worker has exited and left
+    /// nothing to run the queue.
+    pub fn stopper(&self) -> impl Fn() + Send + 'static {
+        let finished = Arc::clone(&self.shared.finished);
+        move || finished.store(true, Ordering::SeqCst)
     }
 }
 
@@ -770,6 +806,18 @@ fn mark_dead(
     }
 }
 
+/// The spec's cycle budget when it is not its scale's default (loadgen's
+/// cache-busting variants). It must survive the trip to a worker and
+/// through the journal, or the digest would differ.
+fn cycle_override(spec: &JobSpec) -> Option<u64> {
+    let default = if spec.tiny {
+        gcl_sim::GpuConfig::small()
+    } else {
+        gcl_sim::GpuConfig::fermi()
+    };
+    (spec.cfg.max_cycles != default.max_cycles).then_some(spec.cfg.max_cycles)
+}
+
 /// Return a leased job to the front of the queue (if it has not already
 /// reached a terminal state through a late result).
 fn requeue_front(jobs: &mut JobTable, id: u64) {
@@ -1025,13 +1073,7 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
                     // lost; fall through and recompute it.
                     let job = jobs.map.get_mut(&id).expect("job exists");
                     job.probe_done = true;
-                    jlog(
-                        shared,
-                        &Record::Counter {
-                            counter: JCounter::Misses,
-                            delta: 1,
-                        },
-                    );
+                    jcount(shared, JCounter::Misses);
                     shared.counters.lock().expect("counters poisoned").misses += 1;
                 }
                 let free =
@@ -1063,15 +1105,8 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
                     ("tiny", Json::Bool(job.spec.tiny)),
                     ("sanitize", Json::Bool(job.spec.cfg.sanitize)),
                 ];
-                // Non-default cycle budgets (loadgen variants) must survive
-                // the trip to the worker or the digest would differ.
-                let default_cycles = if job.spec.tiny {
-                    gcl_sim::GpuConfig::small().max_cycles
-                } else {
-                    gcl_sim::GpuConfig::fermi().max_cycles
-                };
-                if job.spec.cfg.max_cycles != default_cycles {
-                    assign_fields.push(("max_cycles", Json::UInt(job.spec.cfg.max_cycles)));
+                if let Some(max_cycles) = cycle_override(&job.spec) {
+                    assign_fields.push(("max_cycles", Json::UInt(max_cycles)));
                 }
                 let assign = Json::obj(assign_fields);
                 if send_to_worker(&mut workers[widx], &assign).is_err() {
@@ -1133,23 +1168,17 @@ fn supervisor_loop(shared: &Arc<CoordShared>) {
                 .add(jobs.queue.len() as f64);
 
             // Drain: once every job is terminal, dismiss the fleet.
-            if shared.draining.load(Ordering::SeqCst) {
-                let all_terminal = jobs
-                    .map
-                    .values()
-                    .all(|j| matches!(j.state, FleetJobState::Done(_) | FleetJobState::Failed(_)));
-                if all_terminal {
-                    let close = Json::obj(vec![("op", Json::Str("close".into()))]);
-                    for w in workers.iter_mut() {
-                        if w.alive {
-                            let _ = send_to_worker(w, &close);
-                        }
-                        if let Some(writer) = w.writer.take() {
-                            let _ = writer.shutdown(Shutdown::Both);
-                        }
+            if shared.draining.load(Ordering::SeqCst) && jobs.all_terminal() {
+                let close = Json::obj(vec![("op", Json::Str("close".into()))]);
+                for w in workers.iter_mut() {
+                    if w.alive {
+                        let _ = send_to_worker(w, &close);
                     }
-                    shared.finished.store(true, Ordering::SeqCst);
+                    if let Some(writer) = w.writer.take() {
+                        let _ = writer.shutdown(Shutdown::Both);
+                    }
                 }
+                shared.finished.store(true, Ordering::SeqCst);
             }
 
             // Journal upkeep: one batched fsync per tick, and compaction
@@ -1222,13 +1251,7 @@ fn rebalance(
                 shared, jobs, workers, sessions, key, &hex, &sum, wall_ms, None,
             );
             if sent > 0 {
-                jlog(
-                    shared,
-                    &Record::Counter {
-                        counter: JCounter::Rebalances,
-                        delta: 1,
-                    },
-                );
+                jcount(shared, JCounter::Rebalances);
                 let mut c = shared.counters.lock().expect("counters poisoned");
                 c.rebalances += 1;
                 c.stores += sent;
@@ -1262,11 +1285,6 @@ fn snapshot_state(jobs: &JobTable, sessions: &SessionTable, counters: &FleetCoun
         .map
         .iter()
         .map(|(id, job)| {
-            let default_cycles = if job.spec.tiny {
-                gcl_sim::GpuConfig::small().max_cycles
-            } else {
-                gcl_sim::GpuConfig::fermi().max_cycles
-            };
             let state = match &job.state {
                 FleetJobState::Queued | FleetJobState::Probing { .. } => {
                     SnapJobState::Queued { was_leased: false }
@@ -1291,8 +1309,7 @@ fn snapshot_state(jobs: &JobTable, sessions: &SessionTable, counters: &FleetCoun
                 workload: job.spec.workload.clone(),
                 tiny: job.spec.tiny,
                 sanitize: job.spec.cfg.sanitize,
-                max_cycles: (job.spec.cfg.max_cycles != default_cycles)
-                    .then_some(job.spec.cfg.max_cycles),
+                max_cycles: cycle_override(&job.spec),
                 sessions: job.sessions.clone(),
                 state,
             }
@@ -1338,6 +1355,41 @@ fn send_to_worker(worker: &mut WorkerEntry, frame: &Json) -> Result<(), FrameErr
     write_frame(writer, frame)
 }
 
+/// Whether a plain-request connection silent since `since` has outlived
+/// [`IDLE_TIMEOUT`] at `now`.
+fn idle_expired(since: Instant, now: Instant) -> bool {
+    now.duration_since(since) >= IDLE_TIMEOUT
+}
+
+/// Wait for the next frame of a connection that is neither a joined worker
+/// nor a streaming session (heartbeats and depth events bound those).
+/// `None` ends the connection: EOF or a transport error, an oversized
+/// frame (answered with a structured error first), the coordinator
+/// finishing, or [`IDLE_TIMEOUT`] of silence — so a client that connects
+/// and never sends cannot park this handler thread for good.
+fn next_request(
+    reader: &mut FrameReader<TcpStream>,
+    writer: &mut TcpStream,
+    shared: &CoordShared,
+) -> Option<String> {
+    let since = Instant::now();
+    loop {
+        match reader.next_frame() {
+            Ok(line) => return Some(line),
+            Err(FrameError::Timeout) => {
+                if shared.finished.load(Ordering::SeqCst) || idle_expired(since, Instant::now()) {
+                    return None;
+                }
+            }
+            Err(e @ FrameError::TooLarge { .. }) => {
+                let _ = write_frame(writer, &error_response(e.to_string()));
+                return None;
+            }
+            Err(_) => return None,
+        }
+    }
+}
+
 /// First frame decides the role: `join` starts a worker session, anything
 /// else is a client request.
 fn handle_session(stream: TcpStream, shared: &Arc<CoordShared>) {
@@ -1354,20 +1406,8 @@ fn handle_session(stream: TcpStream, shared: &Arc<CoordShared>) {
     else {
         return;
     };
-    let first = loop {
-        match reader.next_frame() {
-            Ok(line) => break line,
-            Err(FrameError::Timeout) => {
-                if shared.finished.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e @ FrameError::TooLarge { .. }) => {
-                let _ = write_frame(&mut writer, &error_response(e.to_string()));
-                return;
-            }
-            Err(_) => return,
-        }
+    let Some(first) = next_request(&mut reader, &mut writer, shared) else {
+        return;
     };
     let request = match Json::parse(&first) {
         Ok(j) => j,
@@ -1396,8 +1436,18 @@ fn worker_session(
         .unwrap_or("worker")
         .to_string();
     let slots = join.get("slots").and_then(Json::as_u64).unwrap_or(1).max(1) as usize;
-    if shared.draining.load(Ordering::SeqCst) {
-        let _ = write_frame(&mut writer, &error_response("coordinator is draining"));
+    let entry_writer = match writer.try_clone() {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("warning: worker stream clone failed: {e}");
+            return;
+        }
+    };
+    // Joins are welcome during a drain: queued work needs someone to run
+    // it. The ack goes out before the worker is registered, so it is the
+    // first frame the worker reads — once registered, the supervisor may
+    // push an `assign` at any moment.
+    if write_frame(&mut writer, &Json::obj(vec![("ok", Json::Bool(true))])).is_err() {
         return;
     }
     let idx = {
@@ -1406,13 +1456,7 @@ fn worker_session(
         workers.push(WorkerEntry {
             name: name.clone(),
             slots,
-            writer: Some(match writer.try_clone() {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("warning: worker stream clone failed: {e}");
-                    return;
-                }
-            }),
+            writer: Some(entry_writer),
             alive: true,
             last_pong: now,
             last_ping: now,
@@ -1428,20 +1472,6 @@ fn worker_session(
         workers.len() - 1
     };
     eprintln!("fleet: worker `{name}` joined with {slots} slot(s)");
-    if write_frame(&mut writer, &Json::obj(vec![("ok", Json::Bool(true))])).is_err() {
-        let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-        let mut workers = shared.workers.lock().expect("workers poisoned");
-        let mut sessions = shared.sessions.lock().expect("sessions poisoned");
-        mark_dead(
-            shared,
-            &mut jobs,
-            &mut workers,
-            &mut sessions,
-            idx,
-            WORKER_DEAD,
-        );
-        return;
-    }
     loop {
         let line = match reader.next_frame() {
             Ok(line) => line,
@@ -1541,13 +1571,7 @@ fn handle_inventory(frame: &Json, idx: usize, shared: &Arc<CoordShared>) {
                 worker: name.clone(),
             },
         );
-        jlog(
-            shared,
-            &Record::Counter {
-                counter: JCounter::Resumed,
-                delta: 1,
-            },
-        );
+        jcount(shared, JCounter::Resumed);
         sessions.log_event(
             &subscribers,
             "leased",
@@ -1789,15 +1813,12 @@ fn handle_fetched(frame: &Json, idx: usize, shared: &Arc<CoordShared>) {
                         payload: hex_decode(&hex).unwrap_or_default(),
                     },
                 );
-                jlog(
+                jcount(
                     shared,
-                    &Record::Counter {
-                        counter: if rank == 0 {
-                            JCounter::PrimaryHits
-                        } else {
-                            JCounter::ReadThrough
-                        },
-                        delta: 1,
+                    if rank == 0 {
+                        JCounter::PrimaryHits
+                    } else {
+                        JCounter::ReadThrough
                     },
                 );
                 sessions.log_event(
@@ -1836,13 +1857,7 @@ fn handle_fetched(frame: &Json, idx: usize, shared: &Arc<CoordShared>) {
                         wall_ms,
                         Some(idx),
                     );
-                    jlog(
-                        shared,
-                        &Record::Counter {
-                            counter: JCounter::Repairs,
-                            delta: 1,
-                        },
-                    );
+                    jcount(shared, JCounter::Repairs);
                     let mut c = shared.counters.lock().expect("counters poisoned");
                     c.repairs += 1;
                     c.stores += sent;
@@ -1922,13 +1937,7 @@ fn handle_rebalance_fetched(
                 Some(idx),
             );
             if sent > 0 {
-                jlog(
-                    shared,
-                    &Record::Counter {
-                        counter: JCounter::Rebalances,
-                        delta: 1,
-                    },
-                );
+                jcount(shared, JCounter::Rebalances);
                 let mut c = shared.counters.lock().expect("counters poisoned");
                 c.rebalances += 1;
                 c.stores += sent;
@@ -2032,27 +2041,17 @@ fn client_session(
             }
         }
         request = loop {
-            match reader.next_frame() {
-                Ok(line) => match Json::parse(&line) {
-                    Ok(j) => break j,
-                    Err(e) => {
-                        if write_frame(&mut writer, &error_response(format!("bad request: {e}")))
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                },
-                Err(FrameError::Timeout) => {
-                    if shared.finished.load(Ordering::SeqCst) {
+            let Some(line) = next_request(&mut reader, &mut writer, shared) else {
+                return;
+            };
+            match Json::parse(&line) {
+                Ok(j) => break j,
+                Err(e) => {
+                    let bad = error_response(format!("bad request: {e}"));
+                    if write_frame(&mut writer, &bad).is_err() {
                         return;
                     }
                 }
-                Err(e @ FrameError::TooLarge { .. }) => {
-                    let _ = write_frame(&mut writer, &error_response(e.to_string()));
-                    return;
-                }
-                Err(_) => return,
             }
         };
     }
@@ -2244,11 +2243,7 @@ fn handle_decommission(request: &Json, shared: &Arc<CoordShared>) -> Json {
 /// replicated cache instead of the dedup index.
 fn handle_reset(shared: &Arc<CoordShared>) -> Json {
     let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-    let busy = jobs
-        .map
-        .values()
-        .any(|j| !matches!(j.state, FleetJobState::Done(_) | FleetJobState::Failed(_)));
-    if busy {
+    if !jobs.all_terminal() {
         return error_response("reset requires every job to be terminal");
     }
     let cleared = jobs.map.len() as u64;
@@ -2300,13 +2295,7 @@ fn handle_submit(request: &Json, shared: &Arc<CoordShared>) -> Json {
                     .lock()
                     .expect("counters poisoned")
                     .dedup_hits += 1;
-                jlog(
-                    shared,
-                    &Record::Counter {
-                        counter: JCounter::DedupHits,
-                        delta: 1,
-                    },
-                );
+                jcount(shared, JCounter::DedupHits);
                 if let Some(sid) = sid {
                     jlog(
                         shared,
@@ -2361,13 +2350,7 @@ fn handle_submit(request: &Json, shared: &Arc<CoordShared>) -> Json {
         let inflight = sessions.map.get(sid).map_or(0, |s| s.inflight);
         if cap > 0 && inflight >= cap {
             shared.counters.lock().expect("counters poisoned").sheds += 1;
-            jlog(
-                shared,
-                &Record::Counter {
-                    counter: JCounter::Sheds,
-                    delta: 1,
-                },
-            );
+            jcount(shared, JCounter::Sheds);
             return shed_response(format!(
                 "session inflight cap reached ({inflight} inflight, cap {cap})"
             ));
@@ -2375,13 +2358,7 @@ fn handle_submit(request: &Json, shared: &Arc<CoordShared>) -> Json {
     }
     if jobs.queue.len() >= shared.opts.queue_cap {
         shared.counters.lock().expect("counters poisoned").sheds += 1;
-        jlog(
-            shared,
-            &Record::Counter {
-                counter: JCounter::Sheds,
-                delta: 1,
-            },
-        );
+        jcount(shared, JCounter::Sheds);
         return shed_response(format!(
             "{QUEUE_FULL} ({} pending, cap {})",
             jobs.queue.len(),
@@ -2390,11 +2367,6 @@ fn handle_submit(request: &Json, shared: &Arc<CoordShared>) -> Json {
     }
     jobs.next_id += 1;
     let id = jobs.next_id;
-    let default_cycles = if spec.tiny {
-        gcl_sim::GpuConfig::small().max_cycles
-    } else {
-        gcl_sim::GpuConfig::fermi().max_cycles
-    };
     jlog(
         shared,
         &Record::Submit {
@@ -2403,7 +2375,7 @@ fn handle_submit(request: &Json, shared: &Arc<CoordShared>) -> Json {
             workload: workload.clone(),
             tiny: spec.tiny,
             sanitize: spec.cfg.sanitize,
-            max_cycles: (spec.cfg.max_cycles != default_cycles).then_some(spec.cfg.max_cycles),
+            max_cycles: cycle_override(&spec),
             session: sid.map(str::to_string),
         },
     );
@@ -2593,4 +2565,19 @@ fn handle_result(request: &Json, shared: &Arc<CoordShared>) -> Json {
         }
     }
     Json::obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn idle_deadline_expires_at_the_timeout_not_before() {
+        let since = Instant::now();
+        assert!(!idle_expired(since, since));
+        let just_short = IDLE_TIMEOUT - Duration::from_millis(1);
+        assert!(!idle_expired(since, since + just_short));
+        assert!(idle_expired(since, since + IDLE_TIMEOUT));
+        assert!(idle_expired(since, since + 2 * IDLE_TIMEOUT));
+    }
 }

@@ -1,8 +1,9 @@
-//! Fleet mode: a coordinator supervising N serve workers.
+//! The one daemon: a coordinator supervising N workers.
 //!
-//! `gcl coordinate` turns the single-node job engine into a fault-tolerant
-//! fleet. Workers dial in with `gcl serve --join COORD:PORT` and hold one
-//! full-duplex NDJSON connection each; clients speak the familiar
+//! `gcl coordinate` runs the job engine as a fault-tolerant fleet, and
+//! `gcl serve` is the same coordinator with a single in-process worker
+//! ([`crate::serve`]). Workers dial in with `gcl serve --join COORD:PORT`
+//! and hold one full-duplex NDJSON connection each; clients speak the
 //! `submit` / `status` / `result` / `shutdown` verbs to the same port. The
 //! coordinator shards queued jobs across workers by content-addressed
 //! cache key, supervises them with heartbeats (ping/pong with a pong

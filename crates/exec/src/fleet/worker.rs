@@ -17,8 +17,8 @@ use super::inject::FleetInject;
 use crate::cache::ResultCache;
 use crate::job::run_job_from;
 use crate::proto::{
-    decode_key, fetched_frame, inventory_frame, parse_submit, write_frame, Conn, FrameError,
-    FrameReader, MAX_FRAME,
+    decode_key, fetched_frame, hex_decode, hex_encode, inventory_frame, parse_submit, write_frame,
+    Conn, FrameError, FrameReader, MAX_FRAME,
 };
 use crate::trace_store::TraceStore;
 use gcl_rng::{backoff::Backoff, Rng};
@@ -82,9 +82,10 @@ impl Default for WorkerOptions {
 /// Bounded key → checksummed-payload store a worker keeps on behalf of the
 /// coordinator's replicated fleet cache. FIFO eviction: the coordinator
 /// re-fans hot keys on every recomputation, so recency tracking buys
-/// little over insertion order here.
+/// little over insertion order here. Payloads are held as bytes, half the
+/// size of the wire's hex, and re-encoded on `fetch`.
 struct ReplicaStore {
-    map: HashMap<u64, (String, String, f64)>,
+    map: HashMap<u64, (Vec<u8>, String, f64)>,
     order: VecDeque<u64>,
     cap: usize,
 }
@@ -98,8 +99,8 @@ impl ReplicaStore {
         }
     }
 
-    fn insert(&mut self, key: u64, stats_hex: String, sum: String, wall_ms: f64) {
-        if self.map.insert(key, (stats_hex, sum, wall_ms)).is_none() {
+    fn insert(&mut self, key: u64, stats: Vec<u8>, sum: String, wall_ms: f64) {
+        if self.map.insert(key, (stats, sum, wall_ms)).is_none() {
             self.order.push_back(key);
             while self.map.len() > self.cap {
                 let Some(evict) = self.order.pop_front() else {
@@ -110,7 +111,7 @@ impl ReplicaStore {
         }
     }
 
-    fn get(&self, key: u64) -> Option<&(String, String, f64)> {
+    fn get(&self, key: u64) -> Option<&(Vec<u8>, String, f64)> {
         self.map.get(&key)
     }
 
@@ -412,18 +413,22 @@ fn serve_connection(
             Some("store") => {
                 // The coordinator fans a finished job's checksummed
                 // payload to this worker as part of a replica set.
-                // Store it verbatim — verification happens on the
-                // coordinator when it reads the payload back.
+                // Store it unverified — the coordinator checks the sum
+                // when it reads the payload back. (A payload that is not
+                // even hex is dropped: a later `fetch` misses.)
                 let key = frame
                     .get("key")
                     .and_then(Json::as_str)
                     .and_then(|t| decode_key(t).ok());
-                let stats = frame.get("stats").and_then(Json::as_str);
+                let stats = frame
+                    .get("stats")
+                    .and_then(Json::as_str)
+                    .and_then(|hex| hex_decode(hex).ok());
                 let sum = frame.get("sum").and_then(Json::as_str);
                 let wall_ms = frame.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
                 if let (Some(key), Some(stats), Some(sum)) = (key, stats, sum) {
                     let mut store = state.replica.lock().expect("replica poisoned");
-                    store.insert(key, stats.to_string(), sum.to_string(), wall_ms);
+                    store.insert(key, stats, sum.to_string(), wall_ms);
                 }
             }
             Some("fetch") => {
@@ -442,12 +447,9 @@ fn serve_connection(
                 }
                 let reply = {
                     let store = state.replica.lock().expect("replica poisoned");
-                    let hit = store
-                        .get(key)
-                        .map(|(stats, sum, wall_ms)| (stats.as_str(), sum.as_str(), *wall_ms));
-                    match hit {
+                    match store.get(key) {
                         Some((stats, sum, wall_ms)) => {
-                            fetched_frame(job, key, Some((stats, sum, wall_ms)))
+                            fetched_frame(job, key, Some((&hex_encode(stats), sum, *wall_ms)))
                         }
                         None => fetched_frame(job, key, None),
                     }

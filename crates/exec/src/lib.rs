@@ -24,14 +24,15 @@
 //!   functional execution — same digests, same statistics, a fraction of
 //!   the wall-clock. An absent or mismatched container is a structured
 //!   job failure, never a silent fallback to execution.
-//! * **Serving** ([`serve`], [`proto`], [`client`]): `gcl serve` wraps the
-//!   pool in a TCP daemon speaking newline-delimited JSON (submit / status
-//!   / result / shutdown), with a bounded queue that rejects submits under
-//!   backpressure, read/write deadlines and a frame-size cap on every
-//!   connection, and a graceful drain on shutdown. [`ServeClient`] is the
-//!   matching resilient client: reconnect-and-replay on transport failure,
-//!   jittered-backoff retry on `queue full`.
-//! * **Fleet** ([`fleet`]): `gcl coordinate` turns the daemon into a
+//! * **Serving** ([`serve`], [`proto`], [`client`]): `gcl serve` is the
+//!   fleet coordinator below with one in-process worker — a TCP daemon
+//!   speaking newline-delimited JSON (submit / status / result /
+//!   shutdown), with a bounded queue that rejects submits under
+//!   backpressure, dedup by cache key, read/write deadlines and a
+//!   frame-size cap on every connection, and a graceful drain on shutdown.
+//!   [`ServeClient`] is the matching resilient client: reconnect-and-replay
+//!   on transport failure, jittered-backoff retry on `queue full`.
+//! * **Fleet** ([`fleet`]): `gcl coordinate` is the one daemon, run as a
 //!   fault-tolerant fleet — workers join with `gcl serve --join`, the
 //!   coordinator shards jobs by content-addressed cache key, supervises
 //!   with heartbeats and per-job leases, and reassigns work from dead or
@@ -77,7 +78,7 @@ pub use fleet::{
 pub use job::{run_job, run_job_from, ExecError, JobOutput, JobResult, JobSpec, SpecFingerprint};
 pub use loadgen::{read_series, run_loadgen, LoadgenOptions, LoadgenReport};
 pub use pool::{backoff_ms, parallel_map, run_pool, JobEvent, PoolConfig};
-pub use proto::{FrameError, FrameReader, MAX_FRAME};
-pub use serve::{ServeError, ServeOptions, Server, QUEUE_FULL};
+pub use proto::{FrameError, FrameReader, ServeError, MAX_FRAME, QUEUE_FULL};
+pub use serve::{ServeOptions, Server};
 pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use trace_store::{TraceStore, DEFAULT_CAPTURE_BUDGET};

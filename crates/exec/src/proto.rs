@@ -1,5 +1,5 @@
-//! Bounded, deadline-aware NDJSON framing shared by the serve daemon, the
-//! fleet coordinator/worker sockets, and the client.
+//! Bounded, deadline-aware NDJSON framing shared by the coordinator and
+//! worker sockets and the client.
 //!
 //! Every socket in the toolkit speaks the same wire form — one compact
 //! JSON object per line — but a raw `BufRead::lines()` loop has two
@@ -199,6 +199,9 @@ impl Conn {
     ) -> std::io::Result<Conn> {
         stream.set_read_timeout(Some(read_tick))?;
         stream.set_write_timeout(Some(write_timeout))?;
+        // Frames are small and each one waits on a reply: with Nagle on, a
+        // second frame written before the peer's delayed ACK stalls ~40 ms.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Conn {
             reader: FrameReader::new(stream, max_frame),

@@ -253,3 +253,22 @@ fn conn_request_and_recv_by_honor_the_deadline_contract() {
     drop(conn);
     peer.join().expect("peer");
 }
+
+/// Every `Conn` disables Nagle, whichever side built it: frames are small
+/// request/reply pairs, and a second frame queued behind the peer's
+/// delayed ACK would stall for tens of milliseconds.
+#[test]
+fn conn_sets_nodelay_on_dialled_and_accepted_streams() {
+    use gcl_exec::proto::Conn;
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let (tick, write) = (Duration::from_millis(10), Duration::from_secs(5));
+    let dialled = Conn::dial(&addr, tick, write, 1024).expect("dial");
+    let (stream, _) = listener.accept().expect("accept");
+    let accepted = Conn::from_stream(stream, tick, write, 1024).expect("from_stream");
+    assert!(dialled.writer.nodelay().expect("dialled nodelay"));
+    assert!(accepted.writer.nodelay().expect("accepted nodelay"));
+}

@@ -3,7 +3,9 @@
 //! backpressure when the bounded queue fills, and shuts the server down
 //! gracefully.
 
-use gcl_exec::{ClientOptions, ServeClient, ServeOptions, Server};
+use gcl_exec::fleet::decode_stats_payload;
+use gcl_exec::proto::parse_submit;
+use gcl_exec::{run_job, ClientOptions, ServeClient, ServeError, ServeOptions, Server};
 use gcl_rng::Backoff;
 use gcl_stats::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -119,12 +121,9 @@ fn submit_poll_result_shutdown_roundtrip() {
         Some(2)
     );
     let workers = s.get("workers").and_then(Json::as_arr).expect("workers");
-    assert_eq!(workers.len(), 2);
-    let total_run: u64 = workers
-        .iter()
-        .map(|w| w.get("jobs_run").and_then(Json::as_u64).unwrap())
-        .sum();
-    assert_eq!(total_run, 2);
+    assert_eq!(workers.len(), 1, "one local worker: {s}");
+    assert_eq!(workers[0].get("slots").and_then(Json::as_u64), Some(2));
+    assert_eq!(workers[0].get("done").and_then(Json::as_u64), Some(2));
 
     // Graceful shutdown: acknowledged, then the server thread exits once
     // we disconnect.
@@ -141,7 +140,8 @@ fn submit_poll_result_shutdown_roundtrip() {
 fn bounded_queue_rejects_submits_under_backpressure() {
     // One worker, queue of one: a burst of submits must overflow. srad is
     // the slowest tiny workload, so the first job pins the worker while
-    // the burst lands.
+    // the burst lands. The keys are distinct: a resubmit of one spec would
+    // be deduplicated onto the first job, never queued.
     let (addr, handle) = start(ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         jobs: 1,
@@ -152,8 +152,10 @@ fn bounded_queue_rejects_submits_under_backpressure() {
     let mut c = Client::connect(addr);
     let mut accepted = 0usize;
     let mut rejected = 0usize;
-    for _ in 0..10 {
-        let r = c.call(&submit("srad"));
+    for workload in [
+        "srad", "bfs", "2mm", "spmv", "gaus", "lu", "htw", "mriq", "dwt", "bpr",
+    ] {
+        let r = c.call(&submit(workload));
         if ok(&r) {
             accepted += 1;
         } else {
@@ -253,13 +255,14 @@ fn serve_client_rides_out_backpressure_with_retries() {
     })
     .expect("connect");
     // Drive the queue past capacity: with one slot and one worker, a
-    // burst of 4 must hit `queue full` at least once, and every submit
-    // must nonetheless be accepted eventually.
+    // burst of 4 distinct keys (one spec four times would dedup onto one
+    // job) must hit `queue full` at least once, and every submit must
+    // nonetheless be accepted eventually.
     let mut ids = Vec::new();
-    for _ in 0..4 {
+    for workload in ["srad", "bfs", "2mm", "spmv"] {
         ids.push(
             client
-                .submit("srad", true, false)
+                .submit(workload, true, false)
                 .expect("backpressure retried"),
         );
     }
@@ -273,4 +276,78 @@ fn serve_client_rides_out_backpressure_with_retries() {
     client.shutdown().expect("drain");
     drop(client);
     handle.join().expect("serve thread exits");
+}
+
+#[test]
+fn resubmit_of_an_identical_spec_joins_the_first_job() {
+    let (addr, handle) = start(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeOptions::default()
+    });
+    let mut c = Client::connect(addr);
+    let first = c.call(&submit("bfs"));
+    assert!(ok(&first), "{first}");
+    assert_eq!(first.get("deduped"), None, "a new key is not a dedup");
+    let again = c.call(&submit("bfs"));
+    assert!(ok(&again), "{again}");
+    assert_eq!(again.get("id"), first.get("id"), "same spec, same job");
+    assert_eq!(again.get("deduped"), Some(&Json::Bool(true)), "{again}");
+    let s = c.call(&Json::obj(vec![("op", Json::Str("status".into()))]));
+    assert_eq!(
+        s.get("cache")
+            .and_then(|c| c.get("dedup_hits"))
+            .and_then(Json::as_u64),
+        Some(1),
+        "{s}"
+    );
+    let r = c.call(&Json::obj(vec![("op", Json::Str("shutdown".into()))]));
+    assert!(ok(&r));
+    drop(c);
+    handle.join().expect("serve thread exits");
+}
+
+#[test]
+fn served_stats_equal_a_serial_run_of_the_same_spec() {
+    let (addr, handle) = start(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeOptions::default()
+    });
+    let mut client = ServeClient::connect(ClientOptions {
+        addr: addr.to_string(),
+        ..ClientOptions::default()
+    })
+    .expect("connect");
+    for workload in ["bfs", "2mm", "spmv"] {
+        let spec = parse_submit(&submit(workload)).expect("spec");
+        let serial = run_job(&spec, None).outcome.expect("serial run").stats;
+        let id = client.submit(workload, true, true).expect("submit");
+        let r = client.wait(id, Duration::from_secs(120)).expect("result");
+        assert_eq!(r.get("state").and_then(Json::as_str), Some("done"), "{r}");
+        let hex = r.get("stats").and_then(Json::as_str).expect("stats");
+        let sum = r.get("sum").and_then(Json::as_str).expect("sum");
+        let served = decode_stats_payload(hex, sum).expect("payload verifies");
+        assert_eq!(
+            served, serial,
+            "{workload}: served stats differ from serial"
+        );
+    }
+    client.shutdown().expect("drain");
+    drop(client);
+    handle.join().expect("serve thread exits");
+}
+
+#[test]
+fn a_local_worker_that_cannot_join_fails_the_run_instead_of_hanging() {
+    // A frame cap below the size of the worker's own `join` frame: the
+    // coordinator refuses it, so nothing could ever run a job.
+    let server = Server::bind(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        max_frame: 16,
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    match server.run() {
+        Err(ServeError::Net(msg)) => assert!(msg.contains("local worker"), "{msg}"),
+        other => panic!("expected a Net error, got {other:?}"),
+    }
 }

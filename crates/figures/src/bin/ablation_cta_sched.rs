@@ -1,8 +1,7 @@
-//! Ablation A3: warp splitting of non-deterministic loads (paper
-//! Section X-A).
+//! Ablation A1: clustered CTA scheduling (paper Section X-B).
 
-use gcl_bench::ablation::warp_split;
-use gcl_bench::harness::{save_json, BenchArgs};
+use gcl_figures::ablation::cta_sched;
+use gcl_figures::harness::{save_json, BenchArgs};
 
 fn main() -> std::process::ExitCode {
     let args = match BenchArgs::from_env(false) {
@@ -12,8 +11,8 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
     };
-    let t = warp_split(args.scale, 4, args.jobs);
+    let t = cta_sched(args.scale, args.jobs);
     println!("{t}");
-    save_json("ablation_warp_split", &t.to_json());
+    save_json("ablation_cta_sched", &t.to_json());
     std::process::ExitCode::SUCCESS
 }

@@ -1,7 +1,7 @@
-//! Ablation A1: clustered CTA scheduling (paper Section X-B).
+//! Ablation A4: class-selective next-line prefetching (paper Section X-A).
 
-use gcl_bench::ablation::cta_sched;
-use gcl_bench::harness::{save_json, BenchArgs};
+use gcl_figures::ablation::prefetch;
+use gcl_figures::harness::{save_json, BenchArgs};
 
 fn main() -> std::process::ExitCode {
     let args = match BenchArgs::from_env(false) {
@@ -11,8 +11,8 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
     };
-    let t = cta_sched(args.scale, args.jobs);
+    let t = prefetch(args.scale, args.jobs);
     println!("{t}");
-    save_json("ablation_cta_sched", &t.to_json());
+    save_json("ablation_prefetch", &t.to_json());
     std::process::ExitCode::SUCCESS
 }

@@ -1,7 +1,7 @@
-//! Ablation A4: class-selective next-line prefetching (paper Section X-A).
+//! Ablation A2: semi-global L2 topology (paper Section X-C).
 
-use gcl_bench::ablation::prefetch;
-use gcl_bench::harness::{save_json, BenchArgs};
+use gcl_figures::ablation::semiglobal_l2;
+use gcl_figures::harness::{save_json, BenchArgs};
 
 fn main() -> std::process::ExitCode {
     let args = match BenchArgs::from_env(false) {
@@ -11,8 +11,8 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
     };
-    let t = prefetch(args.scale, args.jobs);
+    let t = semiglobal_l2(args.scale, args.jobs);
     println!("{t}");
-    save_json("ablation_prefetch", &t.to_json());
+    save_json("ablation_semiglobal_l2", &t.to_json());
     std::process::ExitCode::SUCCESS
 }

@@ -1,7 +1,8 @@
-//! Ablation A2: semi-global L2 topology (paper Section X-C).
+//! Ablation A3: warp splitting of non-deterministic loads (paper
+//! Section X-A).
 
-use gcl_bench::ablation::semiglobal_l2;
-use gcl_bench::harness::{save_json, BenchArgs};
+use gcl_figures::ablation::warp_split;
+use gcl_figures::harness::{save_json, BenchArgs};
 
 fn main() -> std::process::ExitCode {
     let args = match BenchArgs::from_env(false) {
@@ -11,8 +12,8 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
     };
-    let t = semiglobal_l2(args.scale, args.jobs);
+    let t = warp_split(args.scale, 4, args.jobs);
     println!("{t}");
-    save_json("ablation_semiglobal_l2", &t.to_json());
+    save_json("ablation_warp_split", &t.to_json());
     std::process::ExitCode::SUCCESS
 }

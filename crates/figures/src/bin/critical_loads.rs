@@ -2,9 +2,9 @@
 //! its share of total load latency. Usage:
 //!
 //! ```text
-//! cargo run --release -p gcl-bench --bin critical_loads [workload] [--tiny]
+//! cargo run --release -p gcl-figures --bin critical_loads [workload] [--tiny]
 //! ```
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("critical_loads")
+    gcl_figures::driver::figure_main("critical_loads")
 }

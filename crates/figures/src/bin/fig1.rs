@@ -1,5 +1,5 @@
 //! Regenerates Figure 1 of the paper.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig1")
+    gcl_figures::driver::figure_main("fig1")
 }

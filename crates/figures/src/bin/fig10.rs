@@ -1,5 +1,5 @@
 //! Regenerates Figure 10 of the paper.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig10")
+    gcl_figures::driver::figure_main("fig10")
 }

@@ -2,5 +2,5 @@
 //! accesses, one panel per category.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig12")
+    gcl_figures::driver::figure_main("fig12")
 }

@@ -1,5 +1,5 @@
 //! Regenerates Figure 3 of the paper.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig3")
+    gcl_figures::driver::figure_main("fig3")
 }

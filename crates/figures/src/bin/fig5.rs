@@ -1,5 +1,5 @@
 //! Regenerates Figure 5: average turnaround-time breakdown per load class.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig5")
+    gcl_figures::driver::figure_main("fig5")
 }

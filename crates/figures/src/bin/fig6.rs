@@ -2,5 +2,5 @@
 //! loads of bfs, sssp and spmv.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig6")
+    gcl_figures::driver::figure_main("fig6")
 }

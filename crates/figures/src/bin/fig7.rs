@@ -2,5 +2,5 @@
 //! busiest non-deterministic load of bfs.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig7")
+    gcl_figures::driver::figure_main("fig7")
 }

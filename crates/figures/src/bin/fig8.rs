@@ -1,5 +1,5 @@
 //! Regenerates Figure 8 of the paper.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("fig8")
+    gcl_figures::driver::figure_main("fig8")
 }

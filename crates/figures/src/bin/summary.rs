@@ -1,5 +1,5 @@
 //! One-line-per-workload summary of a full harness run.
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("summary")
+    gcl_figures::driver::figure_main("summary")
 }

@@ -1,5 +1,5 @@
 //! Regenerates Table I of the paper (at our simulator input scales).
 
 fn main() -> std::process::ExitCode {
-    gcl_bench::driver::figure_main("table1")
+    gcl_figures::driver::figure_main("table1")
 }

@@ -2,9 +2,9 @@
 //! a tiny-scale end-to-end check that every builder produces well-formed
 //! output from a real run.
 
-use gcl_bench::figures;
-use gcl_bench::harness::{completed, run_all, BenchResult, Scale};
 use gcl_core::LoadClass;
+use gcl_figures::figures;
+use gcl_figures::harness::{completed, run_all, BenchResult, Scale};
 use gcl_sim::{BlockSummary, GpuConfig, LaunchStats, PcKey};
 use gcl_workloads::Category;
 

@@ -204,14 +204,17 @@ containers under results/traces (or --traces DIR) instead of functionally
 executing the workloads; a benchmark whose container is absent or
 mismatched fails structurally — replay never silently falls back to
 execution.
-`serve` runs the same job engine as a daemon: clients connect over TCP and
-speak newline-delimited JSON — {\"op\":\"submit\",\"workload\":\"bfs\",
+`serve` runs the same job engine as a daemon — a coordinator (below) with
+one in-process worker of --jobs slots: clients connect over TCP and speak
+newline-delimited JSON — {\"op\":\"submit\",\"workload\":\"bfs\",
 \"tiny\":true} to enqueue (rejected with an error when the bounded queue is
-full), {\"op\":\"status\"}, {\"op\":\"result\",\"id\":N}, and
+full; a resubmit of the same spec joins the first job and answers
+\"deduped\":true), {\"op\":\"status\"}, {\"op\":\"result\",\"id\":N}, and
 {\"op\":\"shutdown\"} to drain gracefully and exit. Every connection
-carries read/write deadlines and a frame-size cap, so a stalled or
-misbehaving client cannot wedge the daemon.
-`coordinate` runs a fleet coordinator: `gcl serve --join COORD:PORT` on any
+carries read/write deadlines and a frame-size cap, and a client silent for
+five minutes is dropped, so a stalled or misbehaving client cannot wedge
+the daemon.
+`coordinate` runs the daemon as a fleet: `gcl serve --join COORD:PORT` on any
 number of machines registers workers (named with --name, --jobs slots
 each), and clients speak the same submit/status/result/shutdown verbs to
 the coordinator, which shards jobs across workers by content-addressed

@@ -50,7 +50,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for larger programs and `crates/bench` for the harnesses
+//! See `examples/` for larger programs and `crates/figures` for the harnesses
 //! that regenerate every table and figure of the paper.
 
 #![warn(missing_docs)]

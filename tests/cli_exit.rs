@@ -47,6 +47,30 @@ fn usage_errors_exit_one() {
         "--connect-retries without --join is a usage error: {}",
         stderr(&out)
     );
+
+    // The standalone daemon is a coordinator now; its own config errors
+    // and the worker-only flags still exit 1, with the same messages.
+    for (args, says) in [
+        (&["serve", "--jobs", "0"][..], "--jobs"),
+        (&["serve", "--queue-cap", "0"][..], "queue capacity"),
+        (
+            &["serve", "--name", "w"][..],
+            "--name and --inject only apply",
+        ),
+        (
+            &["serve", "--inject", "stall=5"][..],
+            "--name and --inject only apply",
+        ),
+        (
+            &["serve", "--connect-retries", "3"][..],
+            "--connect-retries only applies",
+        ),
+        (&["serve", "--rejoin"][..], "--rejoin only applies"),
+    ] {
+        let out = gcl(args);
+        assert_eq!(code(&out), 1, "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
@@ -55,6 +79,19 @@ fn coordinator_bind_failure_exits_two() {
     let holder = TcpListener::bind("127.0.0.1:0").expect("reserve port");
     let addr = holder.local_addr().expect("addr").to_string();
     let out = gcl(&["coordinate", "--addr", &addr]);
+    assert_eq!(code(&out), 2, "bind conflict is exit 2: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bind"),
+        "says what failed: {}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn serve_bind_failure_exits_two() {
+    let holder = TcpListener::bind("127.0.0.1:0").expect("reserve port");
+    let addr = holder.local_addr().expect("addr").to_string();
+    let out = gcl(&["serve", "--addr", &addr]);
     assert_eq!(code(&out), 2, "bind conflict is exit 2: {}", stderr(&out));
     assert!(
         stderr(&out).contains("bind"),
