@@ -293,7 +293,7 @@ pub struct SnapCounters {
 }
 
 impl SnapCounters {
-    fn bump(&mut self, c: JCounter, delta: u64) {
+    pub(super) fn bump(&mut self, c: JCounter, delta: u64) {
         let slot = match c {
             JCounter::PrimaryHits => &mut self.primary_hits,
             JCounter::ReadThrough => &mut self.read_through,
@@ -381,7 +381,13 @@ impl SnapState {
                 // up is safe, see [`SnapSession`]).
                 self.bump_session(&session, 2);
                 if let Some(j) = self.job_mut(id) {
-                    if !j.sessions.contains(&session) {
+                    // An unfinished job lists a session once per join, as
+                    // the live table does: each later event reaches the
+                    // session that many times and the watermark must count
+                    // every one. A done job has nothing left to deliver, so
+                    // one listing (for the replay after recovery) is enough.
+                    let done = matches!(j.state, SnapJobState::Done { .. });
+                    if !done || !j.sessions.contains(&session) {
                         j.sessions.push(session);
                     }
                 }

@@ -35,10 +35,17 @@
 //! replica inventories over a new `inventory` frame, and a background
 //! rebalancer (`--rebalance-ms`) proactively re-fans under-replicated
 //! keys back to full strength on any membership change.
+//!
+//! Inside the coordinator the split is tables versus threads: `state`
+//! holds one `Fleet` (job table, workers, sessions, counters, journal)
+//! with one method per job-table edge, and `coordinator` holds the
+//! sockets, the supervisor and the verbs, which take the one mutex around
+//! the `Fleet` and call those edges.
 
 mod coordinator;
 mod inject;
 mod journal;
+mod state;
 mod worker;
 
 pub use coordinator::{
@@ -75,6 +82,13 @@ pub fn encode_stats_payload(stats: &LaunchStats) -> (String, String) {
 /// A human-readable message on a checksum mismatch, bad hex, or an
 /// undecodable stats body — all treated by callers as frame corruption.
 pub fn decode_stats_payload(hex: &str, sum_text: &str) -> Result<LaunchStats, String> {
+    decode_stats_bytes(hex, sum_text).map(|(stats, _)| stats)
+}
+
+/// [`decode_stats_payload`], also handing back the bytes the checksum was
+/// verified over, so a caller that must keep them (the journal) holds
+/// exactly what was checked and decodes the hex once.
+fn decode_stats_bytes(hex: &str, sum_text: &str) -> Result<(LaunchStats, Vec<u8>), String> {
     let sum = u64::from_str_radix(sum_text.trim_start_matches("0x"), 16)
         .map_err(|e| format!("bad checksum field: {e}"))?;
     let bytes = hex_decode(hex)?;
@@ -90,7 +104,7 @@ pub fn decode_stats_payload(hex: &str, sum_text: &str) -> Result<LaunchStats, St
     if !dec.is_done() {
         return Err("trailing bytes after stats payload".to_string());
     }
-    Ok(stats)
+    Ok((stats, bytes))
 }
 
 #[cfg(test)]

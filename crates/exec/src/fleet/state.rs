@@ -1,0 +1,1207 @@
+//! The coordinator's state: one [`Fleet`] holding every table, and one
+//! method per job-table edge.
+//!
+//! Each edge — [`Fleet::submit`], `subscribe`, [`Fleet::lease`],
+//! [`Fleet::probe`] / [`Fleet::probe_miss`], [`Fleet::reclaim`],
+//! [`Fleet::complete`], [`Fleet::fail`] — performs its state change, its
+//! journal record, its session event, its counters and its worker
+//! bookkeeping exactly once; handlers and the supervisor only decide
+//! *which* edge to take (DESIGN.md §13 has the table). Recovery rests on
+//! one ordering rule, kept inside every edge: the journal record precedes
+//! the session event, so the per-session watermark a replayed journal
+//! folds to never falls below what that session's client saw. The
+//! property test at the foot of this file replays the journal cut at
+//! every edge boundary against the live state.
+//!
+//! Nothing here takes a lock or sees [`super::coordinator`]'s shared
+//! handle: callers hold the one mutex and pass `&mut Fleet`, so a nested
+//! lock cannot be written and the journal is innermost by construction.
+
+use super::coordinator::{CoordinatorOptions, WORKER_DEAD};
+use super::journal::{
+    JCounter, Journal, Record, RecoveredState, SnapCounters, SnapJob, SnapJobState, SnapSession,
+    SnapState,
+};
+use crate::job::JobSpec;
+use crate::proto::{error_response, shed_response, store_frame, write_frame, QUEUE_FULL};
+use gcl_mem::{fnv_fold, Dec, Enc};
+use gcl_sim::{GpuConfig, LaunchStats};
+use gcl_stats::{Accumulator, Json};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::net::{Shutdown, TcpStream};
+use std::time::Instant;
+
+/// Events a session's replay log retains; older events are truncated and
+/// a late re-attach learns it missed some (`"truncated":true` in the ack).
+const EVENT_LOG_CAP: usize = 8192;
+
+/// A completed job's payload, as verified from a worker's `done` frame or
+/// decoded from a replica `fetched` hit.
+#[derive(Debug, Clone)]
+pub(super) struct FleetResult {
+    pub(super) stats: LaunchStats,
+    pub(super) wall_ms: f64,
+    /// Wall time measured on the worker that executed the job, including
+    /// any stall injection — the fleet-side counterpart of the local
+    /// manifest's wall column (0 for replica hits; nothing executed).
+    pub(super) worker_wall_ms: f64,
+    pub(super) cached: bool,
+    pub(super) worker: String,
+}
+
+/// Lifecycle of one fleet job.
+#[derive(Debug)]
+pub(super) enum FleetJobState {
+    Queued,
+    /// A replica `fetch` is in flight at `worker` for replica-set rank
+    /// `rank`; a miss, a timeout or the worker's death advances the rank.
+    Probing {
+        worker: usize,
+        rank: usize,
+        deadline: Instant,
+    },
+    Leased {
+        worker: usize,
+        deadline: Instant,
+    },
+    Done(Box<FleetResult>),
+    Failed(String),
+}
+
+pub(super) struct FleetJob {
+    pub(super) spec: JobSpec,
+    pub(super) key: u64,
+    pub(super) state: FleetJobState,
+    /// Times this job has been assigned (> 1 means it was reassigned).
+    pub(super) assigns: u64,
+    /// The worker that last held this job's lease. Rendezvous placement is
+    /// deterministic per (key, worker), so without anti-affinity a
+    /// reclaimed job would bounce back to the same straggler forever;
+    /// assignment avoids this worker whenever any other candidate exists.
+    pub(super) last_worker: Option<usize>,
+    /// Next replica rank to probe for this job's key.
+    pub(super) probe_rank: usize,
+    /// Every replica rank answered "miss" (or died): stop probing and
+    /// recompute.
+    pub(super) probe_done: bool,
+    /// Sessions subscribed to this job's lifecycle events.
+    pub(super) sessions: Vec<String>,
+    /// Recovery grace: dispatch skips this job until the deadline, giving
+    /// re-joining workers time to reclaim it via their `inventory` frame.
+    pub(super) hold_until: Option<Instant>,
+}
+
+/// All jobs ever submitted, plus the dispatch queue and the cache-key
+/// dedup index.
+#[derive(Default)]
+pub(super) struct JobTable {
+    pub(super) map: HashMap<u64, FleetJob>,
+    /// Dispatch order; reclaimed jobs go to the *front* so recovery work
+    /// is not starved by a deep queue.
+    pub(super) queue: VecDeque<u64>,
+    /// Cache key → job id: a resubmitted spec joins the existing job.
+    pub(super) by_key: HashMap<u64, u64>,
+    /// Keys whose payload was fanned out to a replica set at least once.
+    /// Only these are worth probing — a never-stored key can only miss.
+    pub(super) stored: HashSet<u64>,
+    /// Keys with a rebalance `fetch` probe in flight (value: its
+    /// deadline), so the rebalancer does not re-probe every tick.
+    pub(super) rebalance_inflight: HashMap<u64, Instant>,
+    pub(super) next_id: u64,
+}
+
+impl JobTable {
+    pub(super) fn all_terminal(&self) -> bool {
+        self.map
+            .values()
+            .all(|j| matches!(j.state, FleetJobState::Done(_) | FleetJobState::Failed(_)))
+    }
+
+    /// Jobs per state: `(queued, probing, running, done, failed)`.
+    pub(super) fn count_states(&self) -> (u64, u64, u64, u64, u64) {
+        let (mut queued, mut probing, mut running, mut done, mut failed) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        for job in self.map.values() {
+            match job.state {
+                FleetJobState::Queued => queued += 1,
+                FleetJobState::Probing { .. } => probing += 1,
+                FleetJobState::Leased { .. } => running += 1,
+                FleetJobState::Done(_) => done += 1,
+                FleetJobState::Failed(_) => failed += 1,
+            }
+        }
+        (queued, probing, running, done, failed)
+    }
+}
+
+/// One registered worker, live or dead.
+pub(super) struct WorkerEntry {
+    pub(super) name: String,
+    pub(super) slots: usize,
+    /// Write half of the worker's connection; `None` once dead.
+    pub(super) writer: Option<TcpStream>,
+    pub(super) alive: bool,
+    pub(super) last_pong: Instant,
+    pub(super) last_ping: Instant,
+    pub(super) ping_seq: u64,
+    /// Job ids currently leased to this worker.
+    pub(super) leased: HashSet<u64>,
+    /// Job ids with a replica probe in flight at this worker.
+    pub(super) probing: HashSet<u64>,
+    /// Cache keys the coordinator believes this worker's replica store
+    /// holds: seeded from successful `store` sends, corrected by the
+    /// worker's own `inventory` frame (ground truth on rejoin) and by
+    /// `fetched` misses. The rebalancer reads this to find
+    /// under-replicated keys.
+    pub(super) keys: HashSet<u64>,
+    // Outcome counters for the drain-time table.
+    pub(super) done: u64,
+    pub(super) failed: u64,
+    pub(super) corrupt: u64,
+    pub(super) reassigned: u64,
+}
+
+impl WorkerEntry {
+    pub(super) fn new(name: String, slots: usize, writer: TcpStream) -> WorkerEntry {
+        let now = Instant::now();
+        WorkerEntry {
+            name,
+            slots,
+            writer: Some(writer),
+            alive: true,
+            last_pong: now,
+            last_ping: now,
+            ping_seq: 0,
+            leased: HashSet::new(),
+            probing: HashSet::new(),
+            keys: HashSet::new(),
+            done: 0,
+            failed: 0,
+            corrupt: 0,
+            reassigned: 0,
+        }
+    }
+}
+
+/// One client session: a durable event log and an inflight count for
+/// admission control. Survives the connection that created it.
+#[derive(Debug, Default)]
+pub(super) struct Session {
+    /// Replay log; `front()` has sequence number `base_seq`.
+    pub(super) log: VecDeque<Json>,
+    pub(super) base_seq: u64,
+    pub(super) next_seq: u64,
+    /// Submitted-but-not-terminal jobs attributed to this session.
+    pub(super) inflight: u64,
+}
+
+#[derive(Default)]
+pub(super) struct SessionTable {
+    pub(super) map: HashMap<String, Session>,
+    pub(super) next: u64,
+}
+
+/// The fields of one session event, after `event` and `seq`.
+type Fields = Vec<(&'static str, Json)>;
+
+fn queued_fields(id: u64, workload: &str, deduped: bool) -> Fields {
+    vec![
+        ("job", Json::UInt(id)),
+        ("workload", Json::Str(workload.to_string())),
+        ("deduped", Json::Bool(deduped)),
+    ]
+}
+
+fn done_fields(id: u64, workload: &str, cached: bool, result: &FleetResult) -> Fields {
+    vec![
+        ("job", Json::UInt(id)),
+        ("workload", Json::Str(workload.to_string())),
+        ("cached", Json::Bool(cached)),
+        ("wall_ms", Json::Float(result.wall_ms)),
+        ("worker_wall_ms", Json::Float(result.worker_wall_ms)),
+        ("worker", Json::Str(result.worker.clone())),
+    ]
+}
+
+fn failed_fields(id: u64, error: &str) -> Fields {
+    vec![
+        ("job", Json::UInt(id)),
+        ("error", Json::Str(error.to_string())),
+    ]
+}
+
+impl SessionTable {
+    /// Append one event (with a per-session sequence number) to every
+    /// subscribed session's log, truncating from the front at the cap.
+    fn log_event(&mut self, subscribers: &[String], kind: &str, fields: &Fields) {
+        for sid in subscribers {
+            let Some(s) = self.map.get_mut(sid) else {
+                continue;
+            };
+            let seq = s.next_seq;
+            s.next_seq += 1;
+            let mut pairs = vec![
+                ("event", Json::Str(kind.to_string())),
+                ("seq", Json::UInt(seq)),
+            ];
+            pairs.extend(fields.iter().cloned());
+            s.log.push_back(Json::obj(pairs));
+            while s.log.len() > EVENT_LOG_CAP {
+                s.log.pop_front();
+                s.base_seq += 1;
+            }
+        }
+    }
+
+    /// Count one more unfinished job against every subscriber.
+    fn track(&mut self, subscribers: &[String]) {
+        for sid in subscribers {
+            if let Some(s) = self.map.get_mut(sid) {
+                s.inflight += 1;
+            }
+        }
+    }
+
+    /// Decrement the inflight count of every session subscribed to a job
+    /// that just reached a terminal state.
+    fn settle(&mut self, subscribers: &[String]) {
+        for sid in subscribers {
+            if let Some(s) = self.map.get_mut(sid) {
+                s.inflight = s.inflight.saturating_sub(1);
+            }
+        }
+    }
+}
+
+/// A checksum-verified stats payload in the three forms its consumers
+/// need: decoded for the job table, the verified bytes for the journal,
+/// and the frame's own hex and checksum text for the `store` fan-out.
+pub(super) struct Payload<'a> {
+    pub(super) stats: LaunchStats,
+    pub(super) bytes: Vec<u8>,
+    pub(super) hex: &'a str,
+    pub(super) sum: &'a str,
+    pub(super) wall_ms: f64,
+}
+
+/// Where a completing result came from.
+#[derive(Clone, Copy)]
+pub(super) enum Source {
+    /// The leased worker's `done` frame.
+    Worker { cached: bool, worker_wall_ms: f64 },
+    /// A replica holder's `fetched` hit; the rank is the probe's.
+    Replica,
+}
+
+/// The default configuration of a job's scale.
+fn scale_config(tiny: bool) -> GpuConfig {
+    if tiny {
+        GpuConfig::small()
+    } else {
+        GpuConfig::fermi()
+    }
+}
+
+/// The spec's cycle budget when it is not its scale's default (loadgen's
+/// cache-busting variants). It must survive the trip to a worker and
+/// through the journal, or the digest would differ.
+pub(super) fn cycle_override(spec: &JobSpec) -> Option<u64> {
+    let default = scale_config(spec.tiny).max_cycles;
+    (spec.cfg.max_cycles != default).then_some(spec.cfg.max_cycles)
+}
+
+/// Live workers ranked by rendezvous weight for `key`, highest first. The
+/// top [`CoordinatorOptions::replicas`] entries are the key's replica set
+/// for the current fleet; the ranking degrades gracefully as workers die
+/// (survivors keep their relative order).
+pub(super) fn ranked_live(workers: &[WorkerEntry], key: u64) -> Vec<usize> {
+    let mut live: Vec<usize> = workers
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| w.alive && w.writer.is_some())
+        .map(|(i, _)| i)
+        .collect();
+    live.sort_by_key(|&i| std::cmp::Reverse(fnv_fold(key, i as u64)));
+    live
+}
+
+/// Everything the coordinator knows. The accept loop, the session
+/// handlers and the supervisor share it behind one mutex.
+#[derive(Default)]
+pub(super) struct Fleet {
+    pub(super) jobs: JobTable,
+    pub(super) workers: Vec<WorkerEntry>,
+    pub(super) sessions: SessionTable,
+    /// Fleet-wide cache and admission counters, exposed by `status`,
+    /// asserted on by the chaos tests (recomputation accounting) and
+    /// carried across a restart by the journal.
+    pub(super) counters: SnapCounters,
+    /// Queue-depth samples, taken each supervisor tick.
+    pub(super) depth: Accumulator,
+    /// Write-ahead journal, when `--journal` is set.
+    pub(super) journal: Option<Journal>,
+}
+
+impl Fleet {
+    /// Append one record to the journal (no-op without `--journal`). Append
+    /// failures are warned about, never fatal: the fleet keeps serving and
+    /// the journal simply ends at its last good record.
+    pub(super) fn log(&mut self, rec: &Record) {
+        if let Some(journal) = &mut self.journal {
+            if let Err(e) = journal.append(rec) {
+                eprintln!("warning: {e}");
+            }
+        }
+    }
+
+    /// Flush batched journal appends (fsync), once per supervisor tick and
+    /// after accepting a submit.
+    pub(super) fn sync(&mut self) {
+        if let Some(journal) = &mut self.journal {
+            if let Err(e) = journal.sync() {
+                eprintln!("warning: {e}");
+            }
+        }
+    }
+
+    /// Advance a journaled counter: the record and the live total move
+    /// together, so they cannot drift.
+    pub(super) fn bump(&mut self, counter: JCounter) {
+        self.log(&Record::Counter { counter, delta: 1 });
+        self.counters.bump(counter, 1);
+    }
+
+    /// Create a fresh session, journaled so it outlives a restart.
+    pub(super) fn open_session(&mut self) -> String {
+        self.sessions.next += 1;
+        let sid = format!("s-{}", self.sessions.next);
+        self.sessions.map.insert(sid.clone(), Session::default());
+        self.log(&Record::SessionOpen {
+            session: sid.clone(),
+        });
+        sid
+    }
+
+    /// Edge `submit`: admit `spec` as a new queued job, or join the job
+    /// that already answers for `key`. Returns `(id, deduped)`, or the
+    /// refusal to send back.
+    pub(super) fn submit(
+        &mut self,
+        opts: &CoordinatorOptions,
+        spec: JobSpec,
+        key: u64,
+        sid: Option<&str>,
+    ) -> Result<(u64, bool), Json> {
+        if let Some(sid) = sid {
+            if !self.sessions.map.contains_key(sid) {
+                return Err(error_response(format!("unknown session `{sid}`")));
+            }
+        }
+        // Dedup by content-addressed key: a resubmit of the same spec joins
+        // the existing job (unless that job failed — a client retrying a
+        // failure deserves a fresh attempt).
+        if let Some(&existing) = self.jobs.by_key.get(&key) {
+            let joinable = |j: &FleetJob| !matches!(j.state, FleetJobState::Failed(_));
+            if self.jobs.map.get(&existing).is_some_and(joinable) {
+                self.bump(JCounter::DedupHits);
+                if let Some(sid) = sid {
+                    self.subscribe(existing, sid);
+                }
+                return Ok((existing, true));
+            }
+        }
+        // Admission control: per-session inflight bound, then the global
+        // queue bound. Both shed with a structured response so overloaded
+        // clients can tell deliberate backpressure from failure.
+        if let Some(sid) = sid {
+            let cap = opts.session_inflight_cap;
+            let inflight = self.sessions.map.get(sid).map_or(0, |s| s.inflight);
+            if cap > 0 && inflight >= cap {
+                self.bump(JCounter::Sheds);
+                return Err(shed_response(format!(
+                    "session inflight cap reached ({inflight} inflight, cap {cap})"
+                )));
+            }
+        }
+        if self.jobs.queue.len() >= opts.queue_cap {
+            self.bump(JCounter::Sheds);
+            return Err(shed_response(format!(
+                "{QUEUE_FULL} ({} pending, cap {})",
+                self.jobs.queue.len(),
+                opts.queue_cap
+            )));
+        }
+        self.jobs.next_id += 1;
+        let id = self.jobs.next_id;
+        self.log(&Record::Submit {
+            id,
+            key,
+            workload: spec.workload.clone(),
+            tiny: spec.tiny,
+            sanitize: spec.cfg.sanitize,
+            max_cycles: cycle_override(&spec),
+            session: sid.map(str::to_string),
+        });
+        let sessions: Vec<String> = sid.map(str::to_string).into_iter().collect();
+        let queued = queued_fields(id, &spec.workload, false);
+        self.sessions.log_event(&sessions, "queued", &queued);
+        self.sessions.track(&sessions);
+        self.jobs.map.insert(
+            id,
+            FleetJob {
+                spec,
+                key,
+                state: FleetJobState::Queued,
+                assigns: 0,
+                last_worker: None,
+                probe_rank: 0,
+                probe_done: false,
+                hold_until: None,
+                sessions,
+            },
+        );
+        self.jobs.queue.push_back(id);
+        self.jobs.by_key.insert(key, id);
+        // The ack promises durability: flush the Submit record before the
+        // client can observe the job id.
+        self.sync();
+        Ok((id, false))
+    }
+
+    /// Edge `subscribe`: session `sid` joins existing job `id`. It gets
+    /// the job's lifecycle events from here on; a job already done replays
+    /// its outcome as a synthetic event so the subscriber never waits on
+    /// silence.
+    fn subscribe(&mut self, id: u64, sid: &str) {
+        let subscriber = [sid.to_string()];
+        self.log(&Record::Subscribe {
+            id,
+            session: sid.to_string(),
+        });
+        let job = self.jobs.map.get_mut(&id).expect("job exists");
+        let workload = &job.spec.workload;
+        let queued = queued_fields(id, workload, true);
+        self.sessions.log_event(&subscriber, "queued", &queued);
+        if let FleetJobState::Done(result) = &job.state {
+            let done = done_fields(id, workload, true, result);
+            self.sessions.log_event(&subscriber, "done", &done);
+        } else {
+            self.sessions.track(&subscriber);
+            job.sessions.extend(subscriber);
+        }
+    }
+
+    /// Edge `lease`: queued job `id` is now running at `worker` until
+    /// `deadline`. `resumed` marks a lease a re-joining worker's inventory
+    /// re-announced after recovery — the job was assigned before the crash.
+    pub(super) fn lease(&mut self, id: u64, worker: usize, resumed: bool, deadline: Instant) {
+        let name = self.workers[worker].name.clone();
+        self.workers[worker].leased.insert(id);
+        self.log(&Record::Lease {
+            id,
+            worker: name.clone(),
+        });
+        let mut fields = vec![("job", Json::UInt(id)), ("worker", Json::Str(name))];
+        if resumed {
+            self.bump(JCounter::Resumed);
+            fields.push(("resumed", Json::Bool(true)));
+        }
+        let job = self.jobs.map.get_mut(&id).expect("job exists");
+        job.assigns = if resumed {
+            job.assigns.max(1)
+        } else {
+            job.assigns + 1
+        };
+        job.last_worker = Some(worker);
+        job.hold_until = None;
+        job.state = FleetJobState::Leased { worker, deadline };
+        self.sessions.log_event(&job.sessions, "leased", &fields);
+    }
+
+    /// Edge `probe`: a replica `fetch` for queued job `id` is in flight at
+    /// `worker`, the key's rank-`rank` holder. Not journaled: a recovered
+    /// coordinator simply probes again.
+    pub(super) fn probe(&mut self, id: u64, worker: usize, rank: usize, deadline: Instant) {
+        let job = self.jobs.map.get_mut(&id).expect("job exists");
+        job.state = FleetJobState::Probing {
+            worker,
+            rank,
+            deadline,
+        };
+        self.workers[worker].probing.insert(id);
+    }
+
+    /// Edge `probe_miss`: the probe at `worker` came to nothing (miss,
+    /// corrupt payload, timeout, dead worker). The job returns to the queue
+    /// front with its rank advanced, unless a newer probe superseded it.
+    pub(super) fn probe_miss(&mut self, id: u64, worker: usize) {
+        self.workers[worker].probing.remove(&id);
+        let Some(job) = self.jobs.map.get_mut(&id) else {
+            return;
+        };
+        match job.state {
+            FleetJobState::Probing {
+                worker: w, rank, ..
+            } if w == worker => {
+                job.probe_rank = rank + 1;
+                job.state = FleetJobState::Queued;
+                self.jobs.queue.push_front(id);
+            }
+            _ => {}
+        }
+    }
+
+    /// Edge `reclaim`: `worker` loses job `id` for `reason` (its death,
+    /// the lease deadline, a corrupt result). The job returns to the queue
+    /// front — unless a late result already made it terminal, in which
+    /// case only the audit record and the event remain.
+    pub(super) fn reclaim(&mut self, id: u64, worker: usize, reason: &str) {
+        self.workers[worker].leased.remove(&id);
+        self.workers[worker].reassigned += 1;
+        self.log(&Record::Reclaim {
+            id,
+            reason: reason.to_string(),
+        });
+        let Some(job) = self.jobs.map.get_mut(&id) else {
+            return;
+        };
+        let fields = vec![
+            ("job", Json::UInt(id)),
+            ("reason", Json::Str(reason.to_string())),
+        ];
+        self.sessions
+            .log_event(&job.sessions, "reassigned", &fields);
+        if matches!(job.state, FleetJobState::Leased { .. }) {
+            job.state = FleetJobState::Queued;
+            self.jobs.queue.push_front(id);
+        }
+    }
+
+    /// Edge `complete`: job `id` is done with the verified `payload` that
+    /// `worker` delivered. First result wins; a duplicate from a reassigned
+    /// job carries identical bytes (the run is a pure function of the
+    /// spec), so dropping it is sound. A job requeued by a pessimistic
+    /// deadline leaves a stale queue entry that dispatch skips lazily.
+    pub(super) fn complete(
+        &mut self,
+        opts: &CoordinatorOptions,
+        id: u64,
+        worker: usize,
+        payload: Payload<'_>,
+        source: Source,
+    ) {
+        let w = &mut self.workers[worker];
+        match source {
+            Source::Worker { .. } => w.leased.remove(&id),
+            Source::Replica => w.probing.remove(&id),
+        };
+        let Some(job) = self.jobs.map.get(&id) else {
+            return;
+        };
+        let key = job.key;
+        let (cached, worker_wall_ms, rank) = match (source, &job.state) {
+            (
+                Source::Worker {
+                    cached,
+                    worker_wall_ms,
+                },
+                FleetJobState::Leased { .. } | FleetJobState::Queued,
+            ) => (cached, worker_wall_ms, None),
+            // A stale answer (the probe timed out and moved on) is dropped.
+            (
+                Source::Replica,
+                FleetJobState::Probing {
+                    worker: w, rank, ..
+                },
+            ) if *w == worker => (true, 0.0, Some(*rank)),
+            _ => return,
+        };
+        match rank {
+            None => w.done += 1,
+            Some(_) => {
+                w.keys.insert(key);
+            }
+        }
+        let result = FleetResult {
+            stats: payload.stats,
+            wall_ms: payload.wall_ms,
+            worker_wall_ms,
+            cached,
+            worker: w.name.clone(),
+        };
+        self.log(&Record::Done {
+            id,
+            cached,
+            wall_ms: result.wall_ms,
+            worker_wall_ms,
+            worker: result.worker.clone(),
+            payload: payload.bytes,
+        });
+        match rank {
+            Some(0) => self.bump(JCounter::PrimaryHits),
+            Some(_) => self.bump(JCounter::ReadThrough),
+            None if !cached => self.counters.sims += 1,
+            None => {}
+        }
+        let job = self.jobs.map.get_mut(&id).expect("checked above");
+        let done = done_fields(id, &job.spec.workload, cached, &result);
+        self.sessions.log_event(&job.sessions, "done", &done);
+        self.sessions.settle(&job.sessions);
+        job.state = FleetJobState::Done(Box::new(result));
+        // Durability: fan the already-verified payload out to the key's
+        // replica set, so a later submit of this key can be served by any
+        // surviving replica. A primary hit leaves the set as it is; a hit
+        // further down means the primary is gone, so write-repair onto the
+        // current set and the key survives the next node loss too.
+        if rank != Some(0) {
+            let (hex, sum) = (payload.hex, payload.sum);
+            self.fan_out_store(opts, key, hex, sum, payload.wall_ms, rank.map(|_| worker));
+            if rank.is_some() {
+                self.bump(JCounter::Repairs);
+            }
+        }
+    }
+
+    /// Edge `fail`: the leased worker reported a structured failure.
+    /// Failures are deterministic (the simulation is a pure function of the
+    /// spec), so a failed job is terminal — rerunning it elsewhere would
+    /// fail identically.
+    pub(super) fn fail(&mut self, id: u64, worker: usize, error: &str) {
+        self.workers[worker].leased.remove(&id);
+        let live = |j: &FleetJob| {
+            matches!(
+                j.state,
+                FleetJobState::Leased { .. } | FleetJobState::Queued
+            )
+        };
+        if !self.jobs.map.get(&id).is_some_and(live) {
+            return;
+        }
+        self.workers[worker].failed += 1;
+        self.log(&Record::Failed {
+            id,
+            error: error.to_string(),
+        });
+        let job = self.jobs.map.get_mut(&id).expect("checked above");
+        job.state = FleetJobState::Failed(error.to_string());
+        let failed = failed_fields(id, error);
+        self.sessions.log_event(&job.sessions, "failed", &failed);
+        self.sessions.settle(&job.sessions);
+    }
+
+    /// Write one frame to worker `idx`; a worker that cannot be written to
+    /// is buried. Returns whether the frame went out.
+    pub(super) fn send(&mut self, idx: usize, frame: &Json) -> bool {
+        let sent = match self.workers[idx].writer.as_mut() {
+            Some(writer) => write_frame(writer, frame).is_ok(),
+            None => false,
+        };
+        if !sent {
+            self.mark_dead(idx, WORKER_DEAD);
+        }
+        sent
+    }
+
+    /// Declare worker `idx` dead for `reason`: tear down its socket,
+    /// reclaim every lease it held, advance every probe it owed past its
+    /// rank.
+    pub(super) fn mark_dead(&mut self, idx: usize, reason: &str) {
+        let w = &mut self.workers[idx];
+        if !w.alive {
+            return;
+        }
+        w.alive = false;
+        if let Some(writer) = w.writer.take() {
+            let _ = writer.shutdown(Shutdown::Both);
+        }
+        w.keys.clear();
+        let leases: Vec<u64> = w.leased.drain().collect();
+        let probes: Vec<u64> = w.probing.drain().collect();
+        if !leases.is_empty() {
+            eprintln!(
+                "fleet: {reason}: `{}` loses {} lease(s), reassigning",
+                w.name,
+                leases.len()
+            );
+        } else {
+            eprintln!("fleet: {reason}: `{}`", w.name);
+        }
+        for id in leases {
+            self.reclaim(id, idx, reason);
+        }
+        for id in probes {
+            self.probe_miss(id, idx);
+        }
+    }
+
+    /// Fan a verified payload out to `key`'s replica set (minus `exclude`,
+    /// which already holds it). Dead sends bury the worker; returns how many
+    /// stores landed.
+    pub(super) fn fan_out_store(
+        &mut self,
+        opts: &CoordinatorOptions,
+        key: u64,
+        hex: &str,
+        sum: &str,
+        wall_ms: f64,
+        exclude: Option<usize>,
+    ) -> u64 {
+        let frame = store_frame(key, hex, sum, wall_ms);
+        let mut sent = 0;
+        for widx in ranked_live(&self.workers, key)
+            .into_iter()
+            .take(opts.replicas)
+        {
+            if Some(widx) != exclude && self.send(widx, &frame) {
+                self.workers[widx].keys.insert(key);
+                sent += 1;
+            }
+        }
+        if let Some(holder) = exclude {
+            self.workers[holder].keys.insert(key);
+        }
+        if sent > 0 || exclude.is_some() {
+            self.jobs.stored.insert(key);
+            self.log(&Record::Stored { key, count: sent });
+            self.counters.stores += sent;
+        }
+        sent
+    }
+
+    /// One batched fsync per supervisor tick, and compaction into a
+    /// snapshot once the file outgrows `compact_bytes`.
+    pub(super) fn journal_upkeep(&mut self, compact_bytes: u64) {
+        if self
+            .journal
+            .as_ref()
+            .is_some_and(|j| j.bytes() > compact_bytes)
+        {
+            let snap = self.snapshot();
+            let j = self.journal.as_mut().expect("checked above");
+            let before = j.bytes();
+            match j.compact(&snap) {
+                Ok(()) => eprintln!("fleet: journal compacted ({before} -> {} bytes)", j.bytes()),
+                Err(e) => eprintln!("warning: journal compaction failed: {e}"),
+            }
+        }
+        self.sync();
+    }
+
+    /// Capture the complete durable state for a compaction snapshot.
+    pub(super) fn snapshot(&self) -> SnapState {
+        let mut jobs: Vec<SnapJob> = self
+            .jobs
+            .map
+            .iter()
+            .map(|(id, job)| {
+                let state = match &job.state {
+                    FleetJobState::Queued | FleetJobState::Probing { .. } => {
+                        SnapJobState::Queued { was_leased: false }
+                    }
+                    FleetJobState::Leased { .. } => SnapJobState::Queued { was_leased: true },
+                    FleetJobState::Done(result) => {
+                        let mut enc = Enc::new();
+                        result.stats.ckpt_encode(&mut enc);
+                        SnapJobState::Done {
+                            cached: result.cached,
+                            wall_ms: result.wall_ms,
+                            worker_wall_ms: result.worker_wall_ms,
+                            worker: result.worker.clone(),
+                            payload: enc.into_bytes(),
+                        }
+                    }
+                    FleetJobState::Failed(msg) => SnapJobState::Failed(msg.clone()),
+                };
+                SnapJob {
+                    id: *id,
+                    key: job.key,
+                    workload: job.spec.workload.clone(),
+                    tiny: job.spec.tiny,
+                    sanitize: job.spec.cfg.sanitize,
+                    max_cycles: cycle_override(&job.spec),
+                    sessions: job.sessions.clone(),
+                    state,
+                }
+            })
+            .collect();
+        jobs.sort_by_key(|j| j.id);
+        let mut stored: Vec<u64> = self.jobs.stored.iter().copied().collect();
+        stored.sort_unstable();
+        let mut sessions: Vec<SnapSession> = self
+            .sessions
+            .map
+            .iter()
+            .map(|(sid, s)| SnapSession {
+                id: sid.clone(),
+                events: s.next_seq,
+            })
+            .collect();
+        sessions.sort_by(|a, b| a.id.cmp(&b.id));
+        SnapState {
+            next_id: self.jobs.next_id,
+            jobs,
+            stored,
+            session_next: self.sessions.next,
+            sessions,
+            counters: self.counters,
+        }
+    }
+
+    /// Rebuild the tables from a replayed journal.
+    ///
+    /// Recovered sessions restart their event numbering at the journal's
+    /// per-session watermark (an upper bound on what was delivered
+    /// pre-crash), so any cursor a surviving client holds is ≤ `base_seq`
+    /// and a re-attach replays every post-recovery event. Each recovered job
+    /// replays its lifecycle as synthetic events ("queued" plus a terminal
+    /// event if it has one); non-terminal jobs are requeued on hold until
+    /// `hold_until`, so re-joining workers can resume still-running leases
+    /// via `inventory` instead of the coordinator re-running them.
+    pub(super) fn restore(&mut self, rec: RecoveredState, hold_until: Instant) {
+        self.sessions.next = rec.state.session_next;
+        for s in &rec.state.sessions {
+            let session = Session {
+                base_seq: s.events,
+                next_seq: s.events,
+                ..Session::default()
+            };
+            self.sessions.map.insert(s.id.clone(), session);
+        }
+        self.jobs.next_id = rec.state.next_id;
+        let mut snap_jobs = rec.state.jobs;
+        snap_jobs.sort_by_key(|j| j.id);
+        let mut resumable = 0u64;
+        for sj in snap_jobs {
+            let mut cfg = scale_config(sj.tiny);
+            cfg.sanitize = sj.sanitize;
+            if let Some(mc) = sj.max_cycles {
+                cfg.max_cycles = mc;
+            }
+            let (state, was_leased) = match sj.state {
+                SnapJobState::Queued { was_leased } => (FleetJobState::Queued, was_leased),
+                SnapJobState::Done {
+                    cached,
+                    wall_ms,
+                    worker_wall_ms,
+                    worker,
+                    payload,
+                } => match LaunchStats::ckpt_decode(&mut Dec::new(&payload)) {
+                    Ok(stats) => {
+                        let result = FleetResult {
+                            stats,
+                            wall_ms,
+                            worker_wall_ms,
+                            cached,
+                            worker,
+                        };
+                        (FleetJobState::Done(Box::new(result)), false)
+                    }
+                    // A payload the journal preserved but this build
+                    // cannot decode: recompute rather than refuse.
+                    Err(_) => (FleetJobState::Queued, false),
+                },
+                SnapJobState::Failed(msg) => (FleetJobState::Failed(msg), false),
+            };
+            resumable += u64::from(was_leased);
+            let mut queued = queued_fields(sj.id, &sj.workload, false);
+            queued.push(("recovered", Json::Bool(true)));
+            self.sessions.log_event(&sj.sessions, "queued", &queued);
+            let terminal = match &state {
+                FleetJobState::Done(result) => Some((
+                    "done",
+                    done_fields(sj.id, &sj.workload, result.cached, result),
+                )),
+                FleetJobState::Failed(msg) => Some(("failed", failed_fields(sj.id, msg))),
+                _ => None,
+            };
+            match &terminal {
+                Some((kind, fields)) => self.sessions.log_event(&sj.sessions, kind, fields),
+                None => {
+                    self.sessions.track(&sj.sessions);
+                    self.jobs.queue.push_back(sj.id);
+                }
+            }
+            self.jobs.by_key.insert(sj.key, sj.id);
+            self.jobs.map.insert(
+                sj.id,
+                FleetJob {
+                    spec: JobSpec::new(sj.workload, sj.tiny, cfg),
+                    key: sj.key,
+                    state,
+                    assigns: u64::from(terminal.is_some() || was_leased),
+                    last_worker: None,
+                    probe_rank: 0,
+                    probe_done: false,
+                    sessions: sj.sessions,
+                    hold_until: terminal.is_none().then_some(hold_until),
+                },
+            );
+        }
+        self.jobs.stored.extend(rec.state.stored);
+        self.counters = rec.state.counters;
+        eprintln!(
+            "fleet: recovered {} record(s): {} job(s) ({} pending, {} resumable), \
+             {} session(s), {} stored key(s){}",
+            rec.records,
+            self.jobs.map.len(),
+            self.jobs.queue.len(),
+            resumable,
+            self.sessions.map.len(),
+            self.jobs.stored.len(),
+            if rec.truncated {
+                " — torn tail truncated"
+            } else {
+                ""
+            }
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::{decode_stats_bytes, encode_stats_payload};
+    use gcl_rng::{cases, Rng};
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// Register a worker over a real loopback socket; the test keeps (and
+    /// drains) the peer end, so `store` fan-outs never block.
+    fn join(fleet: &mut Fleet, listener: &TcpListener, peers: &mut Vec<TcpStream>) {
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        peer.set_nonblocking(true).unwrap();
+        peers.push(peer);
+        let name = format!("w{}", fleet.workers.len());
+        fleet.workers.push(WorkerEntry::new(name, 2, writer));
+    }
+
+    fn drain(peers: &mut [TcpStream]) {
+        let mut buf = [0u8; 4096];
+        for peer in peers {
+            while matches!(peer.read(&mut buf), Ok(n) if n > 0) {}
+        }
+    }
+
+    /// Ids (ascending, so a seed replays) of the jobs satisfying `pred`.
+    fn jobs_where(fleet: &Fleet, pred: impl Fn(&FleetJob) -> bool) -> Vec<u64> {
+        let jobs = fleet.jobs.map.iter().filter(|(_, j)| pred(j));
+        let mut ids: Vec<u64> = jobs.map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn alive(fleet: &Fleet) -> Vec<usize> {
+        (0..fleet.workers.len())
+            .filter(|w| fleet.workers[*w].alive)
+            .collect()
+    }
+
+    /// One random legal edge; returns what it did, for the failure message.
+    fn step(
+        fleet: &mut Fleet,
+        opts: &CoordinatorOptions,
+        sessions: &[String],
+        rng: &mut Rng,
+        listener: &TcpListener,
+        peers: &mut Vec<TcpStream>,
+    ) -> String {
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let queued = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Queued));
+        let leased = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Leased { .. }));
+        let probing = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Probing { .. }));
+        let held = jobs_where(fleet, |j| j.last_worker.is_some());
+        let live = alive(fleet);
+        let (hex, sum) = {
+            let stats = LaunchStats {
+                cycles: rng.next_u64() % 1_000,
+                ..LaunchStats::default()
+            };
+            encode_stats_payload(&stats)
+        };
+        let (stats, bytes) = decode_stats_bytes(&hex, &sum).unwrap();
+        let payload = Payload {
+            stats,
+            bytes,
+            hex: &hex,
+            sum: &sum,
+            wall_ms: 1.5,
+        };
+        match rng.u32_below(12) {
+            0 | 1 if !queued.is_empty() && !live.is_empty() => {
+                let (id, w) = (*rng.pick(&queued), *rng.pick(&live));
+                // Off the dispatch queue, the way `dispatch` pops it.
+                fleet.jobs.queue.retain(|q| *q != id);
+                if rng.chance(0.3) {
+                    let rank = fleet.jobs.map[&id].probe_rank;
+                    fleet.probe(id, w, rank, far);
+                    format!("probe {id} at {w}")
+                } else {
+                    let resumed = rng.chance(0.2);
+                    fleet.lease(id, w, resumed, far);
+                    format!("lease {id} to {w} resumed {resumed}")
+                }
+            }
+            2 if !leased.is_empty() => {
+                let id = *rng.pick(&leased);
+                let FleetJobState::Leased { worker, .. } = fleet.jobs.map[&id].state else {
+                    unreachable!()
+                };
+                fleet.reclaim(id, worker, "lease expired");
+                format!("lease on {id} expires at {worker}")
+            }
+            // A frame from the lease holder — or a late one from whoever
+            // held the job before it was reclaimed or finished elsewhere.
+            3..=5 if !held.is_empty() => {
+                let id = *rng.pick(&held);
+                let worker = fleet.jobs.map[&id].last_worker.unwrap();
+                match rng.u32_below(6) {
+                    0 => {
+                        fleet.fail(id, worker, "boom");
+                        format!("fail {id} at {worker}")
+                    }
+                    1 => {
+                        fleet.workers[worker].corrupt += 1;
+                        fleet.reclaim(id, worker, "corrupt result");
+                        format!("corrupt done {id} from {worker}")
+                    }
+                    _ => {
+                        let source = Source::Worker {
+                            cached: rng.chance(0.2),
+                            worker_wall_ms: 2.5,
+                        };
+                        fleet.complete(opts, id, worker, payload, source);
+                        format!("done {id} from {worker}")
+                    }
+                }
+            }
+            6 | 7 if !probing.is_empty() => {
+                let id = *rng.pick(&probing);
+                let FleetJobState::Probing { worker, .. } = fleet.jobs.map[&id].state else {
+                    unreachable!()
+                };
+                if rng.chance(0.6) {
+                    fleet.complete(opts, id, worker, payload, Source::Replica);
+                    format!("replica hit {id} at {worker}")
+                } else {
+                    fleet.probe_miss(id, worker);
+                    format!("replica miss {id} at {worker}")
+                }
+            }
+            8 if live.len() > 1 => {
+                let w = *rng.pick(&live);
+                fleet.mark_dead(w, WORKER_DEAD);
+                format!("worker {w} dies")
+            }
+            9 if live.len() < 4 => {
+                join(fleet, listener, peers);
+                "worker joins".to_string()
+            }
+            // submit / dedup-subscribe / shed: six keys, with or without a
+            // session, so resubmits meet queued, running, done and failed
+            // jobs, from the session that submitted them and from the other.
+            _ => {
+                let key = u64::from(rng.u32_below(6));
+                let mut cfg = GpuConfig::small();
+                cfg.max_cycles += key;
+                let sid = rng.chance(0.7).then(|| rng.pick(sessions).as_str());
+                let r = fleet.submit(opts, JobSpec::new("bfs", true, cfg), key, sid);
+                format!(
+                    "submit key {key} sid {sid:?} -> {:?}",
+                    r.map_err(|e| e.to_string())
+                )
+            }
+        }
+    }
+
+    /// What recovery must reproduce from a journal cut where `live` was
+    /// noted: everything but the sessions' watermarks exactly, and those
+    /// never below what the live sessions had been shown.
+    fn assert_recovers(recovered: &SnapState, live: &SnapState, trace: &[String]) {
+        let ids = |s: &SnapState| s.jobs.iter().map(|j| j.id).collect::<Vec<_>>();
+        assert_eq!(ids(recovered), ids(live), "job ids after {trace:#?}");
+        for (r, l) in recovered.jobs.iter().zip(&live.jobs) {
+            // `Queued { was_leased }` exactly where the live job is leased;
+            // terminal states with the same result and payload bytes.
+            assert_eq!(r.state, l.state, "job {} after {trace:#?}", r.id);
+            assert_eq!(
+                (r.key, &r.workload, r.max_cycles),
+                (l.key, &l.workload, l.max_cycles)
+            );
+        }
+        let mut stored = recovered.stored.clone();
+        stored.sort_unstable();
+        assert_eq!(stored, live.stored, "stored keys after {trace:#?}");
+        assert_eq!(
+            recovered.counters, live.counters,
+            "counters after {trace:#?}"
+        );
+        assert_eq!(recovered.next_id, live.next_id);
+        assert_eq!(recovered.session_next, live.session_next);
+        assert_eq!(recovered.sessions.len(), live.sessions.len());
+        for l in &live.sessions {
+            let r = recovered
+                .sessions
+                .iter()
+                .find(|r| r.id == l.id)
+                .expect("session recovered");
+            assert!(
+                r.events >= l.events,
+                "session {}: watermark {} below the {} events its client saw, after {trace:#?}",
+                l.id,
+                r.events,
+                l.events
+            );
+        }
+    }
+
+    /// Random legal edge sequences on a journaling [`Fleet`]: whatever the
+    /// journal holds at any edge boundary — a crash between edges — replays
+    /// to the live state noted at that boundary.
+    #[test]
+    fn every_journal_prefix_recovers_the_live_state_of_its_edge_boundary() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("gcl-fleet-prop-{}.journal", std::process::id()));
+        let cut = dir.join(format!("gcl-fleet-prop-{}.cut.journal", std::process::id()));
+        let opts = CoordinatorOptions {
+            queue_cap: 4,
+            session_inflight_cap: 3,
+            ..CoordinatorOptions::default()
+        };
+        cases(0xF1EE7, 200, |rng| {
+            let mut fleet = Fleet {
+                journal: Some(Journal::create(&path).unwrap()),
+                ..Fleet::default()
+            };
+            let mut peers = Vec::new();
+            for _ in 0..3 {
+                join(&mut fleet, &listener, &mut peers);
+            }
+            let sessions = [fleet.open_session(), fleet.open_session()];
+            let mut trace = Vec::new();
+            let mut boundaries = Vec::new();
+            for _ in 0..rng.u32_range_inclusive(10, 40) {
+                trace.push(step(
+                    &mut fleet, &opts, &sessions, rng, &listener, &mut peers,
+                ));
+                drain(&mut peers);
+                let bytes = fleet.journal.as_ref().unwrap().bytes();
+                boundaries.push((bytes as usize, fleet.snapshot(), trace.len()));
+            }
+            drop(fleet);
+            let journal = std::fs::read(&path).unwrap();
+            for (len, live, steps) in &boundaries {
+                std::fs::write(&cut, &journal[..*len]).unwrap();
+                let (_, recovered) = Journal::open_recover(&cut).unwrap();
+                assert!(
+                    !recovered.truncated,
+                    "an edge boundary is a record boundary"
+                );
+                assert_recovers(&recovered.state, live, &trace[..*steps]);
+            }
+        });
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&cut).ok();
+    }
+}

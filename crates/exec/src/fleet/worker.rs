@@ -335,8 +335,9 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, String> {
             }
         };
         // Closing the channel lets idle runners exit; busy ones finish
-        // their current job first. `closing` stops rejoin-mode runners
-        // from retrying reports forever against a dead fleet.
+        // their current job first, then discard whatever is still
+        // buffered. `closing` also stops rejoin-mode runners from
+        // retrying reports forever against a dead fleet.
         state.closing.store(true, Ordering::SeqCst);
         drop(tx);
         result
@@ -486,6 +487,14 @@ fn runner_loop(state: &WorkerState, rx: &Mutex<mpsc::Receiver<Assignment>>, kill
         let Ok(Assignment { id, spec, fatal }) = assignment else {
             break;
         };
+        // A worker that is exiting has no socket left to report on: what
+        // is still buffered in the channel is dropped, not simulated.
+        let closing = || state.closing.load(Ordering::SeqCst);
+        let discard = || state.running.lock().expect("running poisoned").remove(&id);
+        if closing() {
+            discard();
+            continue;
+        }
         if fatal {
             // kill -9 mid-job: the lease is held, the job is "running",
             // and the worker vanishes without a goodbye.
@@ -500,9 +509,16 @@ fn runner_loop(state: &WorkerState, rx: &Mutex<mpsc::Receiver<Assignment>>, kill
             break;
         }
         let lease_start = Instant::now();
-        if state.inject.stall_ms > 0 {
-            // Straggle: hold the lease well past its deadline.
-            std::thread::sleep(Duration::from_millis(state.inject.stall_ms));
+        // Straggle: hold the lease well past its deadline — in slices, so
+        // a closed worker stops stalling (and drops the job) at once.
+        let stall = Duration::from_millis(state.inject.stall_ms);
+        while !closing() && lease_start.elapsed() < stall {
+            let left = stall.saturating_sub(lease_start.elapsed());
+            std::thread::sleep(left.min(Duration::from_millis(20)));
+        }
+        if closing() {
+            discard();
+            continue;
         }
         let result = run_job_from(&spec, state.cache.as_ref(), state.traces.as_ref());
         // Wall time the worker held the lease: the stall is deliberately
@@ -544,10 +560,10 @@ fn runner_loop(state: &WorkerState, rx: &Mutex<mpsc::Receiver<Assignment>>, kill
             };
             if sent {
                 reported = true;
-            } else if !state.rejoin || state.closing.load(Ordering::SeqCst) {
+            } else if !state.rejoin || closing() {
                 // Without rejoin the socket is gone for good: the old
                 // behaviour (give up, let the lease be reclaimed).
-                state.running.lock().expect("running poisoned").remove(&id);
+                discard();
                 return;
             } else {
                 // The reader loop is redialling; once it swaps the writer
@@ -556,6 +572,6 @@ fn runner_loop(state: &WorkerState, rx: &Mutex<mpsc::Receiver<Assignment>>, kill
                 std::thread::sleep(Duration::from_millis(100));
             }
         }
-        state.running.lock().expect("running poisoned").remove(&id);
+        discard();
     }
 }

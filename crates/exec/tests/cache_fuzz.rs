@@ -122,6 +122,11 @@ fn corrupted_entries_are_silent_misses_and_never_change_results() {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         });
+        // An all-hits sweep can finish inside the corruptor's first pass:
+        // start it only once an entry has actually been damaged.
+        while corruptions.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
         let warm = run_pool(
             &specs,
             &PoolConfig {

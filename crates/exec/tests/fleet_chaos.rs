@@ -280,6 +280,54 @@ fn stalled_lease_expires_and_is_reassigned_without_killing_the_worker() {
     let _ = slow.join().unwrap();
 }
 
+/// A closed worker stops at once: it neither sits out its injected stall
+/// nor runs the duplicate assignments buffered behind it. While the
+/// straggler is the only candidate every expired lease goes straight back
+/// to it, so it ends up stalling on one copy of the job with the later
+/// copies queued in its channel.
+#[test]
+fn closed_straggler_abandons_its_stall_and_its_queued_assignments() {
+    let (addr, coord) = start_coordinator(CoordinatorOptions {
+        lease_ms: 300,
+        heartbeat_ms: 200,
+        heartbeat_timeout_ms: 10_000,
+        ..CoordinatorOptions::default()
+    });
+    let slow = spawn_worker(addr, "slow", 1, FleetInject::parse("stall=60000").unwrap());
+    let mut c = client(addr);
+    let id = submit(&mut c, "bfs", false);
+    // Three reclaims mean at least three assignments were delivered: one
+    // is being stalled on, two or more wait behind it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let status = c.status().expect("status");
+        let reclaimed =
+            try_worker_row(&status, "slow").map_or(0, |row| row_u64(&row, "reassigned"));
+        if reclaimed >= 3 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "leases never expired: {status}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let quick = spawn_worker(addr, "quick", 1, FleetInject::none());
+    assert!(wait_stats(&mut c, id).cycles > 0);
+    c.shutdown().expect("drain");
+    drop(c);
+    coord.join().expect("coordinator exits");
+    let closed = Instant::now();
+    quick.join().unwrap().expect("quick exits cleanly");
+    let report = slow.join().unwrap().expect("slow exits cleanly");
+    assert!(
+        closed.elapsed() < Duration::from_secs(2),
+        "a closed worker must not serve out 60 s stalls: took {:?}",
+        closed.elapsed()
+    );
+    assert_eq!(
+        report.jobs_run, 0,
+        "nothing was simulated for a closed socket"
+    );
+}
+
 #[test]
 fn killed_worker_is_detected_by_eof_and_jobs_rerun_elsewhere() {
     let (addr, coord) = start_coordinator(CoordinatorOptions {

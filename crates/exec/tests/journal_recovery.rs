@@ -370,6 +370,69 @@ fn recovered_coordinator_serves_acked_results_without_resimulating() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The journal holds the bytes the coordinator checksummed, not a second
+/// decode of the frame: after one job finished by a worker's `done` and
+/// one by a replica hit, each recovered payload folds to exactly the `sum`
+/// the `result` verb serves for that id.
+#[test]
+fn journaled_payloads_fold_to_the_sums_the_result_verb_serves() {
+    let path = journal_path("payload");
+    let (addr, coord) = start_coordinator(CoordinatorOptions {
+        addr: "127.0.0.1:0".to_string(),
+        journal: Some(path.clone()),
+        chaos_verbs: true,
+        ..CoordinatorOptions::default()
+    });
+    let workers: Vec<_> = ["p0", "p1"].iter().map(|n| spawn_worker(addr, n)).collect();
+    let mut c = client(addr);
+    await_workers(&mut c, 2);
+    // Warm the replica stores with bfs, then forget the job table: the
+    // resubmit is a new job that a replica probe finishes.
+    let cold = c.submit("bfs", true, false).expect("submit");
+    wait_stats(&mut c, cold);
+    let reset = c
+        .call(&Json::obj(vec![("op", Json::Str("reset".into()))]))
+        .expect("reset");
+    assert_eq!(reset.get("ok"), Some(&Json::Bool(true)), "{reset}");
+    let from_replica = c.submit("bfs", true, false).expect("resubmit");
+    let from_worker = c.submit("spmv", true, false).expect("submit");
+    assert_ne!(from_replica, cold, "reset cleared the dedup index");
+    let mut served = Vec::new();
+    for id in [from_replica, from_worker] {
+        wait_stats(&mut c, id);
+        let r = c.result(id).expect("result");
+        let sum = r.get("sum").and_then(Json::as_str).expect("sum");
+        served.push((id, sum.to_string()));
+    }
+    assert_eq!(
+        cache_counter(&mut c, "primary_hits"),
+        1,
+        "bfs came back from a replica"
+    );
+    assert_eq!(cache_counter(&mut c, "sims"), 2, "bfs once, spmv once");
+    c.shutdown().expect("shutdown");
+    coord.join().expect("coordinator thread");
+    for w in workers {
+        w.join().expect("worker thread").expect("worker ran");
+    }
+
+    let (_, rec) = Journal::open_recover(&path).unwrap();
+    for (id, sum) in served {
+        let job = rec
+            .state
+            .jobs
+            .iter()
+            .find(|j| j.id == id)
+            .expect("job recovered");
+        let SnapJobState::Done { payload, .. } = &job.state else {
+            panic!("job {id} must recover done: {:?}", job.state);
+        };
+        let folded = gcl_sim::fnv_fold_bytes(gcl_sim::FNV_OFFSET, payload);
+        assert_eq!(format!("0x{folded:016x}"), sum, "job {id}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// A streaming session rides a coordinator restart: the recovered
 /// coordinator still knows the session id (it was journaled), so the
 /// client re-attaches and keeps submitting instead of surfacing a
