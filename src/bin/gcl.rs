@@ -1840,6 +1840,25 @@ fn parse_coordinate_args(args: &[String]) -> Result<CoordinatorOptions, String> 
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
+    let opts = parse_loadgen_args(args)?;
+    eprintln!(
+        "gcl loadgen: {} submitter(s) against {} for {} ms (think {} ms, {} key variant(s))",
+        opts.submitters, opts.addr, opts.duration_ms, opts.think_ms, opts.distinct
+    );
+    let report = run_loadgen(&opts)?;
+    println!(
+        "loadgen: {} submits ({} accepted, {} shed, {} errors), {} finished",
+        report.submits, report.accepted, report.sheds, report.errors, report.finished
+    );
+    println!(
+        "loadgen: submit latency p50 <= {} us, p99 <= {} us over {} sample(s)",
+        report.p50_us, report.p99_us, report.samples
+    );
+    println!("loadgen: time series written to {}", opts.out.display());
+    Ok(())
+}
+
+fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, String> {
     let mut opts = LoadgenOptions::default();
     let mut i = 0;
     while i < args.len() {
@@ -1892,24 +1911,45 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
-    eprintln!(
-        "gcl loadgen: {} submitter(s) against {} for {} ms (think {} ms, {} key variant(s))",
-        opts.submitters, opts.addr, opts.duration_ms, opts.think_ms, opts.distinct
-    );
-    let report = run_loadgen(&opts)?;
-    println!(
-        "loadgen: {} submits ({} accepted, {} shed, {} errors), {} finished",
-        report.submits, report.accepted, report.sheds, report.errors, report.finished
-    );
-    println!(
-        "loadgen: submit latency p50 <= {} us, p99 <= {} us over {} sample(s)",
-        report.p50_us, report.p99_us, report.samples
-    );
-    println!("loadgen: time series written to {}", opts.out.display());
-    Ok(())
+    Ok(opts)
 }
 
 fn cmd_soak(args: &[String]) -> Result<(), String> {
+    let opts = parse_soak_args(args)?;
+    eprintln!(
+        "gcl soak: {} worker(s) x {} slot(s) for {} ms{}",
+        opts.workers,
+        opts.slots.max(1),
+        opts.duration_ms,
+        if opts.chaos {
+            format!(
+                " under chaos (kill coordinator every {} ms, a worker every {} ms)",
+                opts.kill_coordinator_ms, opts.kill_worker_ms
+            )
+        } else {
+            String::new()
+        },
+    );
+    let report = run_soak(&opts)?;
+    println!(
+        "soak: {} submit(s), {} acked, {} audited done, {} spec(s) serial-identical",
+        report.submits, report.acked, report.audited, report.digest_matches
+    );
+    println!(
+        "soak: {} coordinator kill(s), {} worker kill(s) survived; \
+         {} lease(s) resumed, {} rebalance(s)",
+        report.coordinator_kills, report.worker_kills, report.resumed, report.rebalances
+    );
+    println!(
+        "soak: replica directory converged at {}/{} keys full; report written to {}",
+        report.replica_full,
+        report.replica_keys,
+        opts.out.display()
+    );
+    Ok(())
+}
+
+fn parse_soak_args(args: &[String]) -> Result<SoakOptions, String> {
     let mut opts = SoakOptions::default();
     let mut i = 0;
     while i < args.len() {
@@ -1989,47 +2029,75 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
-    eprintln!(
-        "gcl soak: {} worker(s) x {} slot(s) for {} ms{}",
-        opts.workers,
-        opts.slots.max(1),
-        opts.duration_ms,
-        if opts.chaos {
-            format!(
-                " under chaos (kill coordinator every {} ms, a worker every {} ms)",
-                opts.kill_coordinator_ms, opts.kill_worker_ms
-            )
-        } else {
-            String::new()
-        },
-    );
-    let report = run_soak(&opts)?;
-    println!(
-        "soak: {} submit(s), {} acked, {} audited done, {} spec(s) serial-identical",
-        report.submits, report.acked, report.audited, report.digest_matches
-    );
-    println!(
-        "soak: {} coordinator kill(s), {} worker kill(s) survived; \
-         {} lease(s) resumed, {} rebalance(s)",
-        report.coordinator_kills, report.worker_kills, report.resumed, report.rebalances
-    );
-    println!(
-        "soak: replica directory converged at {}/{} keys full; report written to {}",
-        report.replica_full,
-        report.replica_keys,
-        opts.out.display()
-    );
-    Ok(())
+    Ok(opts)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_u64;
+    use super::*;
 
     #[test]
     fn integers_parse_in_both_bases() {
         assert_eq!(parse_u64("42").unwrap(), 42);
         assert_eq!(parse_u64("0x2a").unwrap(), 42);
         assert!(parse_u64("nope").is_err());
+    }
+
+    fn argv(words: &str) -> Vec<String> {
+        words.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// Every `coordinate` flag set to a non-default value, then none: the
+    /// option struct the flags fill, pinned field by field.
+    #[test]
+    fn coordinate_flags_fill_the_pinned_options() {
+        let all = argv(
+            "--addr 10.0.0.1:9 --queue-cap 7 --lease-ms 0x10 --heartbeat-ms 11 \
+             --heartbeat-timeout-ms 12 --replicas 3 --probe-timeout-ms 13 \
+             --session-inflight-cap 14 --journal j.bin --recover --rebalance-ms 15 \
+             --journal-compact-bytes 16 --chaos-verbs",
+        );
+        assert_eq!(
+            format!("{:?}", parse_coordinate_args(&all).unwrap()),
+            r#"CoordinatorOptions { addr: "10.0.0.1:9", queue_cap: 7, lease_ms: 16, heartbeat_ms: 11, heartbeat_timeout_ms: 12, max_frame: 1048576, print_outcomes: true, replicas: 3, probe_timeout_ms: 13, session_inflight_cap: 14, journal: Some("j.bin"), recover: true, chaos_verbs: true, rebalance_ms: 15, journal_compact_bytes: 16 }"#
+        );
+        assert_eq!(
+            format!("{:?}", parse_coordinate_args(&[]).unwrap()),
+            r#"CoordinatorOptions { addr: "127.0.0.1:7177", queue_cap: 64, lease_ms: 60000, heartbeat_ms: 500, heartbeat_timeout_ms: 2000, max_frame: 1048576, print_outcomes: true, replicas: 2, probe_timeout_ms: 2000, session_inflight_cap: 1024, journal: None, recover: false, chaos_verbs: false, rebalance_ms: 0, journal_compact_bytes: 1048576 }"#
+        );
+    }
+
+    #[test]
+    fn loadgen_flags_fill_the_pinned_options() {
+        let all = argv(
+            "--addr 10.0.0.1:9 --submitters 7 --duration-ms 11 --think-ms 12 --distinct 3 \
+             --sample-ms 13 --seed 0x2a --workloads mst,,mis --full --out o.json",
+        );
+        assert_eq!(
+            format!("{:?}", parse_loadgen_args(&all).unwrap()),
+            r#"LoadgenOptions { addr: "10.0.0.1:9", submitters: 7, duration_ms: 11, think_ms: 12, seed: 42, tiny: false, distinct: 3, sample_ms: 13, workloads: ["mst", "mis"], out: "o.json" }"#
+        );
+        assert_eq!(
+            format!("{:?}", parse_loadgen_args(&[]).unwrap()),
+            r#"LoadgenOptions { addr: "127.0.0.1:7177", submitters: 100, duration_ms: 5000, think_ms: 10, seed: 465725121536, tiny: true, distinct: 8, sample_ms: 500, workloads: ["bfs", "spmv", "2mm", "dwt"], out: "results/load/loadgen.json" }"#
+        );
+    }
+
+    #[test]
+    fn soak_flags_fill_the_pinned_options() {
+        let all = argv(
+            "--addr 10.0.0.1:9 --workers 5 --slots 2 --duration-ms 11 --chaos \
+             --kill-coordinator-ms 12 --kill-worker-ms 13 --submitters 7 --think-ms 14 \
+             --distinct 6 --workloads mst,,mis --seed 0x2a --replicas 3 --rebalance-ms 15 \
+             --journal j.bin --out o.json",
+        );
+        assert_eq!(
+            format!("{:?}", parse_soak_args(&all).unwrap()),
+            r#"SoakOptions { addr: "10.0.0.1:9", gcl_bin: None, workers: 5, slots: 2, duration_ms: 11, chaos: true, kill_coordinator_ms: 12, kill_worker_ms: 13, submitters: 7, think_ms: 14, distinct: 6, workloads: ["mst", "mis"], seed: 42, replicas: 3, rebalance_ms: 15, journal: "j.bin", out: "o.json" }"#
+        );
+        assert_eq!(
+            format!("{:?}", parse_soak_args(&[]).unwrap()),
+            r#"SoakOptions { addr: "", gcl_bin: None, workers: 3, slots: 1, duration_ms: 20000, chaos: false, kill_coordinator_ms: 7000, kill_worker_ms: 3000, submitters: 4, think_ms: 25, distinct: 3, workloads: ["bfs", "spmv"], seed: 495789894400, replicas: 2, rebalance_ms: 250, journal: "results/soak/journal.bin", out: "results/soak/soak.json" }"#
+        );
     }
 }
