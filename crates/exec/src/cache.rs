@@ -172,9 +172,11 @@ impl ResultCache {
         self.load_checked(fp).ok()
     }
 
-    /// Store a fresh result under `fp`'s key, atomically (write-then-rename
-    /// in the cache directory, so a crash mid-store never leaves a torn
-    /// entry under the final name — it would be rejected anyway).
+    /// Store a fresh result under `fp`'s key, atomically
+    /// ([`gcl_mem::publish`], not fsynced): a crash mid-store never leaves
+    /// a torn entry under the final name — it would be rejected anyway —
+    /// and two workers storing one key concurrently each publish a
+    /// complete image, either of which is valid.
     ///
     /// # Errors
     ///
@@ -196,19 +198,8 @@ impl ResultCache {
         stats.ckpt_encode(&mut enc);
         let out = seal(&CACHE_MAGIC, CACHE_VERSION, key, &enc.into_bytes());
 
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;
         let path = self.entry_path(key);
-        // Unique temp name per writer: two workers storing the same key
-        // concurrently each rename a complete image, either of which is
-        // valid, instead of interleaving writes into one temp file.
-        static WRITER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "{key:016x}.tmp.{}.{}",
-            std::process::id(),
-            WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, &out).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))
+        gcl_mem::publish(&path, &out, false)
+            .map_err(|e| format!("cannot store {}: {e}", path.display()))
     }
 }

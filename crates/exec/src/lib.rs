@@ -47,6 +47,10 @@
 //!   workers reconcile leases and replica inventories, and [`soak`] is
 //!   the long-haul harness that `kill -9`s the whole fleet — coordinator
 //!   included — while proving no acknowledged job is ever lost.
+//! * **Arguments** ([`args`]): the one flag-table parser behind `gcl` and
+//!   the figure binaries. It lives here because this crate owns the option
+//!   structs the flags fill ([`ServeOptions`], [`CoordinatorOptions`],
+//!   [`WorkerOptions`], [`LoadgenOptions`], [`SoakOptions`], …).
 //!
 //! The invariant the whole crate is built around: **parallel execution
 //! never changes results**. Suite digests from `--jobs 8` are
@@ -58,6 +62,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod args;
 pub mod cache;
 pub mod client;
 pub mod fleet;

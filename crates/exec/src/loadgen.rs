@@ -20,7 +20,6 @@ use crate::job::ExecError;
 use crate::proto::{result_frame, submit_frame, Conn};
 use gcl_rng::Rng;
 use gcl_stats::{Histogram, Json};
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -265,12 +264,6 @@ fn write_series(
     rows: &[SampleRow],
     report: &LoadgenReport,
 ) -> Result<(), String> {
-    if let Some(dir) = opts.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
     let doc = Json::obj(vec![
         ("version", Json::UInt(1)),
         ("addr", Json::Str(opts.addr.clone())),
@@ -305,14 +298,8 @@ fn write_series(
             ]),
         ),
     ]);
-    let tmp = opts.out.with_extension("json.tmp");
-    let mut f =
-        std::fs::File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-    writeln!(f, "{doc}").map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    f.sync_all().ok();
-    drop(f);
-    std::fs::rename(&tmp, &opts.out).map_err(|e| format!("cannot move series into place: {e}"))?;
-    Ok(())
+    gcl_mem::publish(&opts.out, format!("{doc}\n").as_bytes(), true)
+        .map_err(|e| format!("cannot write {}: {e}", opts.out.display()))
 }
 
 /// Read back a series document produced by a loadgen (or soak) run.

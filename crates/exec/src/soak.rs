@@ -29,7 +29,6 @@ use gcl_rng::Rng;
 use gcl_sim::GpuConfig;
 use gcl_stats::Json;
 use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -344,12 +343,6 @@ impl Fleet {
 }
 
 fn write_report(opts: &SoakOptions, report: &SoakReport) -> Result<(), String> {
-    if let Some(dir) = opts.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
     let doc = Json::obj(vec![
         ("version", Json::UInt(1)),
         ("duration_ms", Json::UInt(opts.duration_ms)),
@@ -367,14 +360,8 @@ fn write_report(opts: &SoakOptions, report: &SoakReport) -> Result<(), String> {
         ("rebalances", Json::UInt(report.rebalances)),
         ("resumed", Json::UInt(report.resumed)),
     ]);
-    let tmp = opts.out.with_extension("json.tmp");
-    let mut f =
-        std::fs::File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-    writeln!(f, "{doc}").map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    f.sync_all().ok();
-    drop(f);
-    std::fs::rename(&tmp, &opts.out).map_err(|e| format!("cannot move report into place: {e}"))?;
-    Ok(())
+    gcl_mem::publish(&opts.out, format!("{doc}\n").as_bytes(), true)
+        .map_err(|e| format!("cannot write {}: {e}", opts.out.display()))
 }
 
 /// Run one soak session: spawn the fleet, drive traffic (optionally under

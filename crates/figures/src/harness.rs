@@ -1,6 +1,7 @@
 //! Shared harness: run every workload on a configured GPU and collect the
 //! per-workload results every figure draws from.
 
+use gcl_exec::args::{Command, Flag};
 use gcl_ptx::Kernel;
 use gcl_sim::{BlockSummary, Gpu, GpuConfig, LaunchStats, SimError};
 use gcl_workloads::{all_workloads, tiny_workloads, Category, Workload};
@@ -61,6 +62,10 @@ impl BenchArgs {
     }
 }
 
+/// What every figure binary accepts, as the workspace's one flag-table
+/// parser ([`gcl_exec::args`]) reads it.
+const FLAGS: &[Flag] = &[Flag::switch("--tiny"), Flag::taking("--jobs", "N")];
+
 /// Strictly parse a figure-binary command line: `--tiny`, `--jobs N`, plus
 /// — only when `allow_workload` — one optional positional workload name.
 /// Unknown flags and unexpected positionals are errors, never silently
@@ -73,42 +78,21 @@ pub fn parse_scale_args(
     args: impl Iterator<Item = String>,
     allow_workload: bool,
 ) -> Result<BenchArgs, String> {
-    let accepts = if allow_workload {
-        "--tiny, --jobs N, and one optional workload name"
-    } else {
-        "--tiny and --jobs N"
+    let cmd = Command {
+        name: "gcl-figures",
+        positional: allow_workload.then_some("[workload]"),
+        flags: FLAGS,
     };
-    let mut scale = Scale::Full;
-    let mut workload = None;
-    let mut jobs = 1usize;
-    let mut args = args;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tiny" => scale = Scale::Tiny,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))?;
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!(
-                    "unknown option `{flag}` (this binary accepts {accepts})"
-                ));
-            }
-            name if allow_workload && workload.is_none() => workload = Some(name.to_string()),
-            other => {
-                return Err(format!(
-                    "unexpected argument `{other}` (this binary accepts {accepts})"
-                ));
-            }
-        }
+    let argv: Vec<String> = args.collect();
+    let usage = |e| format!("{e} (usage: {})", cmd.synopsis());
+    let a = cmd.parse(&argv).map_err(usage)?;
+    let (tiny, jobs) = (a.has("--tiny"), a.int("--jobs")?.unwrap_or(1));
+    if jobs == 0 {
+        return Err("--jobs needs a positive integer, got `0`".to_string());
     }
     Ok(BenchArgs {
-        scale,
-        workload,
+        scale: if tiny { Scale::Tiny } else { Scale::Full },
+        workload: a.positional().map(str::to_string),
         jobs,
     })
 }

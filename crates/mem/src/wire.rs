@@ -16,8 +16,14 @@
 //! stream (trace launch sections, journal records). Lengths come from the
 //! file, so every read is bounds-checked through the decoder before a byte
 //! is touched. DESIGN.md §19 has the rationale and the caller table.
+//!
+//! [`publish`] is how a finished image becomes a file: written whole to a
+//! uniquely named sibling and renamed into place, so a reader sees the old
+//! file, the new file or no file — never a mix.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A decode failure. Encoding is infallible; decoding validates everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,6 +166,43 @@ pub fn write_section(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> 
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
     w.write_all(payload)?;
     w.write_all(&fnv_fold_bytes(FNV_OFFSET, payload).to_le_bytes())
+}
+
+/// Publish `bytes` as the file at `path`, atomically: create the parent
+/// directory, write a sibling temp file `<path>.tmp.<pid>.<n>` — unique per
+/// writer, so concurrent publishers of one path each rename a complete
+/// image instead of interleaving writes into a shared temp —, `sync_all`
+/// it when `fsync` is set, and rename it over `path`. A failed publish
+/// removes its temp file.
+///
+/// `fsync` decides only whether the *contents* are forced to disk before
+/// the rename; DESIGN.md §19 lists which artifact asks for it and why.
+///
+/// # Errors
+///
+/// The first i/o error of any step.
+pub fn publish(path: &Path, bytes: &[u8], fsync: bool) -> std::io::Result<()> {
+    static WRITER: AtomicU64 = AtomicU64::new(0);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    let writer = WRITER.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".tmp.{}.{writer}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let result = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            if fsync {
+                f.sync_all()?;
+            }
+            Ok(())
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// An append-only encoder writing the wire format into a byte vector.

@@ -1,9 +1,9 @@
 //! The two file framings of `gcl_mem::wire` — the sealed envelope and the
 //! checksummed section — judged from outside the crate: exact bytes for a
 //! fixed input, the envelope's rejection order, and lengths no file can
-//! hold.
+//! hold; and the one way a finished image becomes a file, `publish`.
 
-use gcl_mem::{fnv_fold_bytes, open, seal, write_section, Dec, WireError, FNV_OFFSET};
+use gcl_mem::{fnv_fold_bytes, open, publish, seal, write_section, Dec, WireError, FNV_OFFSET};
 
 /// The envelope's bytes, field by field, for a fixed input.
 #[test]
@@ -100,4 +100,53 @@ fn sections_round_trip_and_reject_damage() {
         huge.extend_from_slice(&[0u8; 32]);
         assert_eq!(Dec::new(&huge).section().unwrap_err(), WireError::Truncated);
     }
+}
+
+/// Two threads publish different images to one path 200 times each while a
+/// reader polls it: every read is one whole image, never a mix or a
+/// prefix, and no temp file outlives its publish. Under the old
+/// `path.with_extension("tmp")` scheme both writers shared one temp name.
+#[test]
+fn concurrent_publish_is_atomic_and_leaves_no_temp() {
+    let dir = std::env::temp_dir().join(format!("gcl-publish-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // `publish` creates the missing parent directories itself.
+    let path = dir.join("nested").join("image.bin");
+    let images = [vec![0xaau8; 64 * 1024], vec![0x55u8; 48 * 1024]];
+    let start = std::sync::Barrier::new(3);
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for (image, fsync) in images.iter().zip([false, true]) {
+            let (path, start, done) = (&path, &start, &done);
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..200 {
+                    publish(path, image, fsync).expect("publish");
+                }
+                done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            });
+        }
+        start.wait();
+        let mut reads = 0;
+        while done.load(std::sync::atomic::Ordering::SeqCst) < 2 || reads == 0 {
+            if let Ok(seen) = std::fs::read(&path) {
+                assert!(images.contains(&seen), "torn read of {} bytes", seen.len());
+                reads += 1;
+            }
+        }
+    });
+    let left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["image.bin"], "a temp file survived");
+
+    // A publish that cannot complete reports the error and removes its temp.
+    let blocked = dir.join("nested");
+    assert!(
+        publish(&blocked, b"x", false).is_err(),
+        "a directory is in the way"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -166,19 +166,17 @@ impl Snapshot {
         })
     }
 
-    /// Write the container to a file (atomically: a temp file in the same
-    /// directory is renamed over the target, so a crash mid-write never
-    /// leaves a half-written checkpoint under the final name).
+    /// Write the container to a file, atomically ([`gcl_mem::publish`]): a
+    /// crash mid-write never leaves a half-written checkpoint under the
+    /// final name. Not fsynced — a torn file fails its checksum on read.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] with the underlying error's message.
     pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let path = path.as_ref();
-        let io = |e: std::io::Error| CheckpointError::Io(format!("{}: {e}", path.display()));
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        gcl_mem::publish(path, &self.to_bytes(), false)
+            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
     }
 
     /// Read and parse a container from a file.

@@ -195,11 +195,9 @@ pub struct Gpu {
     /// restore, and continue — proving resume equivalence in-process.
     resume_selftest: Option<u64>,
     selftest_done: bool,
-    /// Trace-capture sink observing every launch's issue stream, if armed.
+    /// Trace sink observing every launch's issue stream, if attached: a
+    /// capture writer or the bounded debug [`Trace`](crate::Trace).
     sink: Option<Box<dyn TraceSink>>,
-    /// Bounded debug trace armed for the stepwise driver
-    /// ([`Gpu::launch_step`]); collected with [`Gpu::take_debug_trace`].
-    debug_trace: Option<crate::Trace>,
 }
 
 /// Everything belonging to one in-flight launch. Serialized wholesale into
@@ -278,14 +276,15 @@ impl Gpu {
             resume_selftest: None,
             selftest_done: false,
             sink: None,
-            debug_trace: None,
         })
     }
 
-    /// Attach (or detach, with `None`) a trace-capture sink. The sink
-    /// observes every subsequent launch: a `begin_launch`/`end_launch`
-    /// bracket per completed launch, `abort_launch` for abandoned ones, and
-    /// one `issue` call per issued warp instruction.
+    /// Attach (or detach, with `None`) a trace sink. The sink observes
+    /// every subsequent launch: a `begin_launch`/`end_launch` bracket per
+    /// completed launch, `abort_launch` for abandoned ones, and one `issue`
+    /// call per issued warp instruction; what it reports as
+    /// [`TraceSink::dropped`] when a launch ends becomes that launch's
+    /// [`LaunchStats::trace_dropped`].
     pub fn set_trace_sink(&mut self, sink: Option<Box<dyn TraceSink>>) {
         self.sink = sink;
     }
@@ -293,19 +292,6 @@ impl Gpu {
     /// Detach and return the trace-capture sink, if one was attached.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.sink.take()
-    }
-
-    /// Arm a bounded debug trace for launches driven stepwise through
-    /// [`Gpu::launch_step`] / [`Gpu::launch_resume`] (the whole-launch
-    /// equivalent of [`Gpu::launch_traced`]). Collect it with
-    /// [`Gpu::take_debug_trace`] after the launch.
-    pub fn arm_trace(&mut self, capacity: usize) {
-        self.debug_trace = Some(crate::Trace::new(capacity));
-    }
-
-    /// Detach and return the armed debug trace, if any.
-    pub fn take_debug_trace(&mut self) -> Option<crate::Trace> {
-        self.debug_trace.take()
     }
 
     /// The configuration.
@@ -420,47 +406,8 @@ impl Gpu {
         block: Dim3,
         params: &[u8],
     ) -> Result<LaunchStats, SimError> {
-        // An armed debug trace (see `Gpu::arm_trace`) records through this
-        // entry point too, so `Runner`-driven workloads can be traced
-        // without changing their launch plumbing.
-        let mut trace = self.debug_trace.take();
-        let r = self.launch_inner(kernel, grid, block, params, &mut trace);
-        self.debug_trace = trace;
-        r
-    }
-
-    /// Run one kernel, recording up to `capacity` issued instructions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Gpu::launch`].
-    pub fn launch_traced(
-        &mut self,
-        kernel: &Kernel,
-        grid: Dim3,
-        block: Dim3,
-        params: &[u8],
-        capacity: usize,
-    ) -> Result<(LaunchStats, crate::Trace), SimError> {
-        let mut trace = Some(crate::Trace::new(capacity));
-        let stats = self.launch_inner(kernel, grid, block, params, &mut trace)?;
-        Ok((stats, trace.expect("trace preserved across launch")))
-    }
-
-    fn launch_inner(
-        &mut self,
-        kernel: &Kernel,
-        grid: Dim3,
-        block: Dim3,
-        params: &[u8],
-        trace: &mut Option<crate::Trace>,
-    ) -> Result<LaunchStats, SimError> {
         self.launch_begin(kernel, grid, block, params)?;
-        loop {
-            if let Some(stats) = self.step_inner(kernel, trace, None)? {
-                return Ok(stats);
-            }
-        }
+        self.launch_resume(kernel)
     }
 
     /// Run one recorded launch of `trace` through the timing model, with no
@@ -537,7 +484,7 @@ impl Gpu {
         kernel: &Kernel,
         rep: &LaunchReplay,
     ) -> Result<Option<LaunchStats>, SimError> {
-        self.step_inner(kernel, &mut None, Some(rep))
+        self.step_inner(kernel, Some(rep))
     }
 
     /// Run the active replay launch — possibly one just restored from a
@@ -554,7 +501,7 @@ impl Gpu {
         rep: &LaunchReplay,
     ) -> Result<LaunchStats, SimError> {
         loop {
-            if let Some(stats) = self.step_inner(kernel, &mut None, Some(rep))? {
+            if let Some(stats) = self.step_inner(kernel, Some(rep))? {
                 return Ok(stats);
             }
         }
@@ -654,10 +601,7 @@ impl Gpu {
     /// active or `kernel` differs from the kernel the launch was started
     /// (or snapshotted) with.
     pub fn launch_step(&mut self, kernel: &Kernel) -> Result<Option<LaunchStats>, SimError> {
-        let mut t = self.debug_trace.take();
-        let r = self.step_inner(kernel, &mut t, None);
-        self.debug_trace = t;
-        r
+        self.step_inner(kernel, None)
     }
 
     /// Run the active launch — typically one just restored from a
@@ -667,16 +611,11 @@ impl Gpu {
     ///
     /// As [`Gpu::launch_step`].
     pub fn launch_resume(&mut self, kernel: &Kernel) -> Result<LaunchStats, SimError> {
-        let mut t = self.debug_trace.take();
-        let r = loop {
-            match self.step_inner(kernel, &mut t, None) {
-                Ok(Some(stats)) => break Ok(stats),
-                Ok(None) => {}
-                Err(e) => break Err(e),
+        loop {
+            if let Some(stats) = self.step_inner(kernel, None)? {
+                return Ok(stats);
             }
-        };
-        self.debug_trace = t;
-        r
+        }
     }
 
     /// Whether a launch is currently in flight.
@@ -712,7 +651,6 @@ impl Gpu {
     fn step_inner(
         &mut self,
         kernel: &Kernel,
-        trace: &mut Option<crate::Trace>,
         replay: Option<&LaunchReplay>,
     ) -> Result<Option<LaunchStats>, SimError> {
         // Resume self-test: prove interrupt-and-resume equivalence by
@@ -846,7 +784,6 @@ impl Gpu {
                     hazards: &derived.hazards,
                     ntid: block,
                     nctaid: grid,
-                    trace,
                     sink: &mut self.sink,
                     san: san_run.as_mut(),
                 };
@@ -963,8 +900,8 @@ impl Gpu {
             StepEnd::Continue => Ok(None),
             StepEnd::Done => {
                 let mut stats = self.finish_launch(kernel)?;
-                if let Some(t) = trace.as_ref() {
-                    stats.trace_dropped = t.dropped();
+                if let Some(sink) = &self.sink {
+                    stats.trace_dropped = sink.dropped();
                 }
                 Ok(Some(stats))
             }
@@ -1119,8 +1056,8 @@ impl Gpu {
     /// scoreboards, register values, shared memory, L1 tag/MSHR arrays,
     /// the interconnect and DRAM queues, the in-flight request ledger, and
     /// all accumulated statistics, so a restored launch continues
-    /// cycle-exactly with an identical event digest. The issue trace of
-    /// [`Gpu::launch_traced`] is diagnostic-only and not captured.
+    /// cycle-exactly with an identical event digest. An attached trace
+    /// sink is diagnostic-only and not captured.
     pub fn snapshot(&self) -> Snapshot {
         let mut e = Enc::new();
         self.gmem.ckpt_encode(&mut e);

@@ -194,6 +194,13 @@ pub trait TraceSink: fmt::Debug + Send {
     /// The launch was abandoned (fault/hang/timeout); discard its partial
     /// capture. May be called with no launch open (then a no-op).
     fn abort_launch(&mut self) {}
+    /// Issue events this sink received and did not keep, reported as
+    /// [`LaunchStats::trace_dropped`](crate::LaunchStats::trace_dropped)
+    /// when a launch ends. A capture sink keeps everything; only the
+    /// bounded [`Trace`](crate::Trace) drops.
+    fn dropped(&self) -> u64 {
+        0
+    }
 }
 
 /// Number of warps per CTA for a block geometry.
@@ -422,6 +429,10 @@ impl<S: TraceSink> TraceSink for std::sync::Arc<std::sync::Mutex<S>> {
         self.lock()
             .expect("trace sink lock poisoned")
             .abort_launch();
+    }
+
+    fn dropped(&self) -> u64 {
+        self.lock().expect("trace sink lock poisoned").dropped()
     }
 }
 

@@ -173,9 +173,7 @@ pub struct TickCtx<'a> {
     pub ntid: Dim3,
     /// Grid dimensions of the launch.
     pub nctaid: Dim3,
-    /// Optional bounded issue trace.
-    pub trace: &'a mut Option<Trace>,
-    /// Optional trace-capture sink observing every issued instruction.
+    /// Optional trace sink observing every issued instruction.
     pub sink: &'a mut Option<Box<dyn TraceSink>>,
     /// Per-launch sanitizer state (ledger + injection), present when
     /// [`GpuConfig::sanitize`] is on.
@@ -751,7 +749,7 @@ impl Sm {
             s.fold(((pc as u64) << 32) | u64::from(active_mask));
         }
         let linear_cta = warp.linear_cta;
-        if ctx.trace.is_some() || ctx.sink.is_some() {
+        if let Some(sink) = ctx.sink.as_deref_mut() {
             let ev = Trace::event(
                 cycle,
                 self.id,
@@ -760,15 +758,10 @@ impl Sm {
                 pc as u32,
                 active_mask,
             );
-            if let Some(trace) = ctx.trace.as_mut() {
-                trace.record_event(ev);
-            }
-            if let Some(sink) = ctx.sink.as_deref_mut() {
-                let stream = linear_cta * warps_per_cta(ctx.ntid, ctx.cfg.warp_size)
-                    + u64::from(warp.warp_in_cta);
-                let kind = ReplayKind::of_step(&result, warp.at_barrier);
-                sink.issue(stream, &ev, &kind);
-            }
+            let stream = linear_cta * warps_per_cta(ctx.ntid, ctx.cfg.warp_size)
+                + u64::from(warp.warp_in_cta);
+            let kind = ReplayKind::of_step(&result, warp.at_barrier);
+            sink.issue(stream, &ev, &kind);
         }
         self.warps[slot] = Some(warp);
 

@@ -1,6 +1,10 @@
 //! Bounded instruction-issue tracing, for debugging kernels and validating
-//! scheduler behavior.
+//! scheduler behavior. A [`Trace`] is a [`TraceSink`]: share one through
+//! `Arc<Mutex<Trace>>`, attach a clone with
+//! [`Gpu::set_trace_sink`](crate::Gpu::set_trace_sink), launch, and read
+//! the events back from the retained clone.
 
+use crate::replay::{LaunchInfo, ReplayKind, TraceSink};
 use gcl_mem::Cycle;
 
 /// One issued warp instruction.
@@ -101,6 +105,22 @@ impl Trace {
 
     /// Events that did not fit in `capacity`.
     pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+/// The debug trace keeps the issue event and ignores the replay payload;
+/// events of successive launches accumulate in one buffer.
+impl TraceSink for Trace {
+    fn begin_launch(&mut self, _info: &LaunchInfo) {}
+
+    fn issue(&mut self, _stream: u64, ev: &TraceEvent, _kind: &ReplayKind) {
+        self.record_event(*ev);
+    }
+
+    fn end_launch(&mut self) {}
+
+    fn dropped(&self) -> u64 {
         self.dropped
     }
 }

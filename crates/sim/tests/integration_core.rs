@@ -3,7 +3,8 @@
 //! scheduler equivalence.
 
 use gcl_ptx::{CmpOp, KernelBuilder, Special, Type};
-use gcl_sim::{pack_params, Dim3, Gpu, GpuConfig, PrefetchFilter};
+use gcl_sim::{pack_params, Dim3, Gpu, GpuConfig, PrefetchFilter, Trace};
+use std::sync::{Arc, Mutex};
 
 fn small_gpu() -> Gpu {
     Gpu::new(GpuConfig::small()).expect("small config is valid")
@@ -423,10 +424,17 @@ fn traced_launch_records_issues() {
     let _ = b.add(Type::U32, v, 4i64);
     b.exit();
     let k = b.build().unwrap();
-    let mut gpu = small_gpu();
-    let (stats, trace) = gpu
-        .launch_traced(&k, Dim3::x(2), Dim3::x(64), &[], 10_000)
-        .unwrap();
+    // A bounded debug trace is a trace sink like any other.
+    let launch_traced = |capacity: usize| {
+        let shared = Arc::new(Mutex::new(Trace::new(capacity)));
+        let mut gpu = small_gpu();
+        gpu.set_trace_sink(Some(Box::new(Arc::clone(&shared))));
+        let stats = gpu.launch(&k, Dim3::x(2), Dim3::x(64), &[]).unwrap();
+        drop(gpu);
+        let trace = Arc::into_inner(shared).unwrap().into_inner().unwrap();
+        (stats, trace)
+    };
+    let (stats, trace) = launch_traced(10_000);
     assert_eq!(trace.dropped(), 0);
     assert_eq!(trace.events().len() as u64, stats.sm.warp_insts);
     for w in trace.events().windows(2) {
@@ -441,10 +449,7 @@ fn traced_launch_records_issues() {
     assert!(trace.events().iter().all(|e| e.active != 0));
 
     // Capacity 2: the rest are counted as dropped.
-    let mut gpu = small_gpu();
-    let (stats2, trace2) = gpu
-        .launch_traced(&k, Dim3::x(2), Dim3::x(64), &[], 2)
-        .unwrap();
+    let (stats2, trace2) = launch_traced(2);
     assert_eq!(trace2.events().len(), 2);
     assert_eq!(trace2.dropped(), stats2.sm.warp_insts - 2);
 }

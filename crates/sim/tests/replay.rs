@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use gcl_ptx::{CmpOp, Kernel, KernelBuilder, Special, Type};
 use gcl_sim::{
     pack_params, Dim3, Gpu, GpuConfig, LaunchReplay, LaunchStats, MemorySink, ReplayError,
-    SimError, Snapshot,
+    SimError, Snapshot, Trace,
 };
 
 const N: u32 = 256;
@@ -343,11 +343,12 @@ fn armed_debug_trace_reports_drops_in_stats() {
     let kernel = gather_kernel();
     let mut gpu = Gpu::new(GpuConfig::small()).unwrap();
     let params = setup_gather(&mut gpu);
-    gpu.arm_trace(8);
+    let shared = Arc::new(Mutex::new(Trace::new(8)));
+    gpu.set_trace_sink(Some(Box::new(Arc::clone(&shared))));
     let stats = gpu
         .launch(&kernel, Dim3::x(4), Dim3::x(64), &params)
         .unwrap();
-    let trace = gpu.take_debug_trace().expect("armed trace preserved");
+    let trace = shared.lock().unwrap();
     assert!(stats.trace_dropped > 0, "8-slot trace must overflow");
     assert_eq!(stats.trace_dropped, trace.dropped());
     assert_eq!(trace.events().len(), 8);

@@ -1,46 +1,18 @@
 //! `gcl` — command-line front end for the toolkit.
 //!
-//! ```text
-//! gcl classify <kernel.ptx> [--json]       classify loads, print witnesses
-//! gcl analyze  <kernel.ptx|workload|all> [--csv] [--locality] [--critical]
-//!              [--grid X[,Y[,Z]]] [--block X[,Y[,Z]]]
-//!                                          static lints, divergence, coalescing,
-//!                                          inter-CTA locality, critical loads
-//! gcl disasm   <kernel.ptx>                parse and re-print (normalize)
-//! gcl run      <kernel.ptx> --grid G --block B [--alloc BYTES | --param V]...
-//!              [--memcheck] [--sanitize] [--max-cycles N] [--trace]
-//!              [--trace-cap N]
-//!              [--checkpoint-every N --checkpoint-file P] [--resume P]
-//!                                          simulate one launch, print stats
-//! gcl trace    <workload|all> [--tiny] [--sanitize] [--out DIR]
-//!                                          capture execution traces
-//! gcl replay   <workload|all> [--tiny] [--sanitize] [--in DIR] [--verify]
-//!                                          replay captured traces
-//! gcl suite    [--tiny] [--sanitize] [--analyze] [--force-fail NAME]
-//!              [--resume] [--retries N] [--jobs N] [--no-cache]
-//!              [--replay] [--traces DIR]
-//!              [--fleet HOST:PORT]         run the 15-benchmark suite
-//! gcl serve    [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--no-cache]
-//!              [--join HOST:PORT --name NAME --inject SPEC]
-//!                                          simulation daemon (NDJSON over TCP)
-//!                                          or fleet worker (--join)
-//! gcl coordinate [--addr HOST:PORT] [--queue-cap N] [--lease-ms N]
-//!              [--heartbeat-ms N] [--heartbeat-timeout-ms N]
-//!              [--replicas N] [--session-inflight-cap N]
-//!              [--journal PATH] [--recover] [--rebalance-ms N]
-//!              [--chaos-verbs]              fleet coordinator
-//! gcl loadgen  [--addr HOST:PORT] [--submitters N] [--duration-ms N]
-//!              [--think-ms N] [--distinct N] [--out PATH]
-//!                                          closed-loop load generator
-//! gcl soak     [--duration-ms N] [--chaos] [--workers N] [--seed N]
-//!                                          fleet soak + chaos harness
-//! ```
+//! Every subcommand's operand and flags are declared once, in [`COMMANDS`]:
+//! parsing, the argument error messages and the synopsis are all generated
+//! from that table by `gcl_exec::args`. `gcl --help` prints the command
+//! reference; README's "Command reference" block is the same text.
 
 use gcl::prelude::*;
+use gcl::sim::Trace;
 use gcl_core::{Classification, LoadClass};
+use gcl_exec::args::{parse_u64, Args, Command, Flag};
 use gcl_stats::Json;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::{Arc, Mutex};
 
 /// Exit code for an address that cannot be bound (or dialed): the
 /// operator should fix the address or free the port.
@@ -59,88 +31,241 @@ const EXIT_TRACE_UNREADABLE: u8 = 2;
 /// between two healthy parties broke".
 const EXIT_TRACE_MISMATCH: u8 = 3;
 
-/// A CLI failure: exit code plus message. Code 1 is the generic failure
-/// every legacy path maps to; `serve`/`coordinate` distinguish bind
+/// A CLI failure: exit code plus message. A plain `String` error — every
+/// usage error included — is code 1; `serve`/`coordinate` distinguish bind
 /// failures ([`EXIT_BIND`]) from protocol errors ([`EXIT_NET`]).
-type CliError = (u8, String);
+struct CliError {
+    code: u8,
+    msg: String,
+}
 
-fn fail(e: String) -> CliError {
-    (1, e)
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError { code: 1, msg }
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> CliError {
+        msg.to_string().into()
+    }
 }
 
 fn serve_exit(e: ServeError) -> CliError {
-    match e {
+    let (code, msg) = match e {
         ServeError::Config(m) => (1, m),
         ServeError::Bind(m) => (EXIT_BIND, m),
         ServeError::Net(m) => (EXIT_NET, m),
-    }
+    };
+    CliError { code, msg }
 }
 
+static CLASSIFY: Command = Command {
+    name: "classify",
+    positional: Some("<kernel.ptx>"),
+    flags: &[Flag::switch("--json")],
+};
+static ANALYZE: Command = Command {
+    name: "analyze",
+    positional: Some("<kernel.ptx|workload|all>"),
+    flags: &[
+        Flag::switch("--csv"),
+        Flag::switch("--locality"),
+        Flag::switch("--critical"),
+        Flag::taking("--grid", "X[,Y[,Z]]"),
+        Flag::taking("--block", "X[,Y[,Z]]"),
+    ],
+};
+static DISASM: Command = Command {
+    name: "disasm",
+    positional: Some("<kernel.ptx>"),
+    flags: &[],
+};
+static RUN: Command = Command {
+    name: "run",
+    positional: Some("<kernel.ptx>"),
+    flags: &[
+        Flag::taking("--grid", "G"),
+        Flag::taking("--block", "B"),
+        Flag::taking("--alloc", "BYTES"),
+        Flag::taking("--param", "VALUE"),
+        Flag::switch("--memcheck"),
+        Flag::switch("--sanitize"),
+        Flag::taking("--max-cycles", "N"),
+        Flag::switch("--trace"),
+        Flag::taking("--trace-cap", "N"),
+        Flag::taking("--checkpoint-every", "N"),
+        Flag::taking("--checkpoint-file", "PATH"),
+        Flag::taking("--resume", "PATH"),
+    ],
+};
+static TRACE: Command = Command {
+    name: "trace",
+    positional: Some("<workload|all>"),
+    flags: &[
+        Flag::switch("--tiny"),
+        Flag::switch("--sanitize"),
+        Flag::taking("--out", "DIR"),
+    ],
+};
+static REPLAY: Command = Command {
+    name: "replay",
+    positional: Some("<workload|all>"),
+    flags: &[
+        Flag::switch("--tiny"),
+        Flag::switch("--sanitize"),
+        Flag::taking("--in", "DIR"),
+        Flag::switch("--verify"),
+    ],
+};
+static SUITE: Command = Command {
+    name: "suite",
+    positional: None,
+    flags: &[
+        Flag::switch("--tiny"),
+        Flag::switch("--sanitize"),
+        Flag::switch("--analyze"),
+        Flag::taking("--force-fail", "NAME"),
+        Flag::switch("--resume"),
+        Flag::taking("--retries", "N"),
+        Flag::taking("--jobs", "N"),
+        Flag::switch("--no-cache"),
+        Flag::switch("--replay"),
+        Flag::taking("--traces", "DIR"),
+        Flag::taking("--fleet", "HOST:PORT"),
+    ],
+};
+static SERVE: Command = Command {
+    name: "serve",
+    positional: None,
+    flags: &[
+        Flag::taking("--addr", "HOST:PORT"),
+        Flag::taking("--jobs", "N"),
+        Flag::taking("--queue-cap", "N"),
+        Flag::switch("--no-cache"),
+        Flag::taking("--join", "HOST:PORT"),
+        Flag::taking("--name", "NAME"),
+        Flag::taking("--inject", "SPEC"),
+        Flag::taking("--connect-retries", "N"),
+        Flag::switch("--rejoin"),
+    ],
+};
+static COORDINATE: Command = Command {
+    name: "coordinate",
+    positional: None,
+    flags: &[
+        Flag::taking("--addr", "HOST:PORT"),
+        Flag::taking("--queue-cap", "N"),
+        Flag::taking("--lease-ms", "N"),
+        Flag::taking("--heartbeat-ms", "N"),
+        Flag::taking("--heartbeat-timeout-ms", "N"),
+        Flag::taking("--replicas", "N"),
+        Flag::taking("--probe-timeout-ms", "N"),
+        Flag::taking("--session-inflight-cap", "N"),
+        Flag::taking("--journal", "PATH"),
+        Flag::switch("--recover"),
+        Flag::taking("--rebalance-ms", "N"),
+        Flag::taking("--journal-compact-bytes", "N"),
+        Flag::switch("--chaos-verbs"),
+    ],
+};
+static LOADGEN: Command = Command {
+    name: "loadgen",
+    positional: None,
+    flags: &[
+        Flag::taking("--addr", "HOST:PORT"),
+        Flag::taking("--submitters", "N"),
+        Flag::taking("--duration-ms", "N"),
+        Flag::taking("--think-ms", "N"),
+        Flag::taking("--distinct", "N"),
+        Flag::taking("--sample-ms", "N"),
+        Flag::taking("--seed", "N"),
+        Flag::taking("--workloads", "A,B,..."),
+        Flag::switch("--full"),
+        Flag::taking("--out", "PATH"),
+    ],
+};
+static SOAK: Command = Command {
+    name: "soak",
+    positional: None,
+    flags: &[
+        Flag::taking("--addr", "HOST:PORT"),
+        Flag::taking("--workers", "N"),
+        Flag::taking("--slots", "N"),
+        Flag::taking("--duration-ms", "N"),
+        Flag::switch("--chaos"),
+        Flag::taking("--kill-coordinator-ms", "N"),
+        Flag::taking("--kill-worker-ms", "N"),
+        Flag::taking("--submitters", "N"),
+        Flag::taking("--think-ms", "N"),
+        Flag::taking("--distinct", "N"),
+        Flag::taking("--workloads", "A,B,..."),
+        Flag::taking("--seed", "N"),
+        Flag::taking("--replicas", "N"),
+        Flag::taking("--rebalance-ms", "N"),
+        Flag::taking("--journal", "PATH"),
+        Flag::taking("--out", "PATH"),
+    ],
+};
+
+/// Runs one subcommand on the words after its name.
+type Handler = fn(&[String]) -> Result<(), CliError>;
+
+/// Every subcommand: its argument table and the function that runs it.
+/// `main` dispatches through this list and [`usage`] prints it.
+const COMMANDS: &[(&Command, Handler)] = &[
+    (&CLASSIFY, cmd_classify),
+    (&ANALYZE, cmd_analyze),
+    (&DISASM, cmd_disasm),
+    (&RUN, cmd_run),
+    (&TRACE, cmd_trace),
+    (&REPLAY, cmd_replay),
+    (&SUITE, cmd_suite),
+    (&SERVE, cmd_serve),
+    (&COORDINATE, cmd_coordinate),
+    (&LOADGEN, cmd_loadgen),
+    (&SOAK, cmd_soak),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result: Result<(), CliError> = match args.first().map(String::as_str) {
-        Some("classify") => cmd_classify(&args[1..]).map_err(fail),
-        Some("analyze") => cmd_analyze(&args[1..]).map_err(fail),
-        Some("disasm") => cmd_disasm(&args[1..]).map_err(fail),
-        Some("run") => cmd_run(&args[1..]).map_err(fail),
-        Some("suite") => cmd_suite(&args[1..]).map_err(fail),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("coordinate") => cmd_coordinate(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]).map_err(fail),
-        Some("soak") => cmd_soak(&args[1..]).map_err(fail),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = match argv.first().map(String::as_str) {
         Some("--help" | "-h" | "help") | None => {
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(fail(format!("unknown command `{other}`\n{USAGE}"))),
+        Some(name) => match COMMANDS.iter().find(|(cmd, _)| cmd.name == name) {
+            Some((_, run)) => run(&argv[1..]),
+            None => Err(format!("unknown command `{name}`\n{}", usage()).into()),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err((code, e)) => {
-            eprintln!("error: {e}");
-            ExitCode::from(code)
+        Err(e) => {
+            eprintln!("error: {}", e.msg);
+            ExitCode::from(e.code)
         }
     }
 }
 
-const USAGE: &str = "\
-gcl — GPU critical-load classification and simulation
+/// The help text: one generated synopsis per [`COMMANDS`] entry, then
+/// [`USAGE_PROSE`].
+fn usage() -> String {
+    let mut text = "gcl — GPU critical-load classification and simulation\n\nUSAGE:\n".to_string();
+    for (cmd, _) in COMMANDS {
+        for (i, line) in cmd.synopsis().lines().enumerate() {
+            text += if i == 0 { "  gcl " } else { "      " };
+            text += line;
+            text.push('\n');
+        }
+    }
+    text + USAGE_PROSE
+}
 
-USAGE:
-  gcl classify <kernel.ptx> [--json]
-  gcl analyze  <kernel.ptx|workload|all> [--csv] [--locality] [--critical]
-               [--grid X[,Y[,Z]]] [--block X[,Y[,Z]]]
-  gcl disasm   <kernel.ptx>
-  gcl run      <kernel.ptx> --grid G --block B [--alloc BYTES | --param VALUE]...
-               [--memcheck] [--sanitize] [--max-cycles N]
-               [--trace] [--trace-cap N]
-               [--checkpoint-every N --checkpoint-file PATH] [--resume PATH]
-  gcl trace    <workload|all> [--tiny] [--sanitize] [--out DIR]
-  gcl replay   <workload|all> [--tiny] [--sanitize] [--in DIR] [--verify]
-  gcl suite    [--tiny] [--sanitize] [--analyze] [--force-fail NAME]
-               [--resume] [--retries N] [--jobs N] [--no-cache]
-               [--replay] [--traces DIR]
-               [--fleet HOST:PORT]
-  gcl serve    [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--no-cache]
-               [--join HOST:PORT] [--name NAME] [--inject SPEC]
-               [--connect-retries N] [--rejoin]
-  gcl coordinate [--addr HOST:PORT] [--queue-cap N] [--lease-ms N]
-               [--heartbeat-ms N] [--heartbeat-timeout-ms N]
-               [--replicas N] [--probe-timeout-ms N]
-               [--session-inflight-cap N]
-               [--journal PATH] [--recover] [--rebalance-ms N]
-               [--journal-compact-bytes N] [--chaos-verbs]
-  gcl loadgen  [--addr HOST:PORT] [--submitters N] [--duration-ms N]
-               [--think-ms N] [--distinct N] [--sample-ms N] [--seed N]
-               [--workloads A,B,...] [--full] [--out PATH]
-  gcl soak     [--addr HOST:PORT] [--workers N] [--slots N]
-               [--duration-ms N] [--chaos] [--kill-coordinator-ms N]
-               [--kill-worker-ms N] [--submitters N] [--think-ms N]
-               [--distinct N] [--workloads A,B,...] [--seed N]
-               [--replicas N] [--rebalance-ms N] [--journal PATH]
-               [--out PATH]
+const USAGE_PROSE: &str = "
+Flags and the operand may come in any order; integers are decimal or 0x
+hex; a repeated flag's last value wins, except `run`'s --alloc / --param,
+which fill the kernel's parameters left to right.
 
 `classify` runs the paper's backward-dataflow analysis and prints each
 global load's class and (for non-deterministic loads) the def-chain back to
@@ -280,10 +405,10 @@ fn load_module(path: &str) -> Result<Vec<Kernel>, String> {
     gcl::ptx::parse_module(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_classify(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("classify: missing <kernel.ptx>")?;
-    let json = args.iter().any(|a| a == "--json");
-    let kernels = load_module(path)?;
+fn cmd_classify(args: &[String]) -> Result<(), CliError> {
+    let a = CLASSIFY.parse(args)?;
+    let json = a.has("--json");
+    let kernels = load_module(a.required()?)?;
     for (i, kernel) in kernels.iter().enumerate() {
         let classes = classify(kernel);
         if json {
@@ -379,48 +504,26 @@ fn parse_dim3(s: &str) -> Result<[u32; 3], String> {
         return Err(format!("bad dimension `{s}` (expected X[,Y[,Z]])"));
     }
     for (i, p) in parts.iter().enumerate() {
-        out[i] = parse_u64(p)? as u32;
-        if out[i] == 0 {
-            return Err(format!("bad dimension `{s}` (components must be >= 1)"));
-        }
+        out[i] = u32::try_from(parse_u64(p)?)
+            .ok()
+            .filter(|&v| v >= 1)
+            .ok_or_else(|| format!("bad dimension `{s}` (components must be 1..=4294967295)"))?;
     }
     Ok(out)
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let target = args
-        .first()
-        .ok_or("analyze: missing <kernel.ptx|workload|all>")?;
-    let mut csv = false;
-    let mut locality = false;
-    let mut critical = false;
+fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
+    let a = ANALYZE.parse(args)?;
+    let csv = a.has("--csv");
     // The locality analysis needs a launch geometry; default to a small
     // multi-CTA launch so inter-CTA sharing is observable.
-    let mut block = [64u32, 1, 1];
-    let mut grid = [4u32, 1, 1];
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" => csv = true,
-            "--locality" => locality = true,
-            "--critical" => critical = true,
-            "--block" => {
-                i += 1;
-                block = parse_dim3(args.get(i).ok_or("--block needs X[,Y[,Z]]")?)?;
-            }
-            "--grid" => {
-                i += 1;
-                grid = parse_dim3(args.get(i).ok_or("--grid needs X[,Y[,Z]]")?)?;
-            }
-            other => return Err(format!("analyze: unknown option `{other}`")),
-        }
-        i += 1;
-    }
+    let block = a.value("--block").map_or(Ok([64, 1, 1]), parse_dim3)?;
+    let grid = a.value("--grid").map_or(Ok([4, 1, 1]), parse_dim3)?;
     let opts = AnalyzeOptions {
-        locality: locality.then(|| LaunchCtx::new(block, grid)),
-        critical,
+        locality: a.has("--locality").then(|| LaunchCtx::new(block, grid)),
+        critical: a.has("--critical"),
     };
-    let kernels = analyze_targets(target)?;
+    let kernels = analyze_targets(a.required()?)?;
     let mut errors = 0usize;
     let mut warnings = 0usize;
     if csv {
@@ -450,133 +553,67 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         Err(format!(
             "analyze: {errors} error(s), {warnings} warning(s) across {} kernel(s)",
             kernels.len()
-        ))
+        )
+        .into())
     } else {
         Ok(())
     }
 }
 
-fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("disasm: missing <kernel.ptx>")?;
-    for kernel in load_module(path)? {
+fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
+    let a = DISASM.parse(args)?;
+    for kernel in load_module(a.required()?)? {
         print!("{kernel}");
     }
     Ok(())
 }
 
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let v = if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    v.map_err(|e| format!("bad integer `{s}`: {e}"))
-}
-
-enum ParamSpec {
-    Alloc(u64),
-    Value(u64),
-}
-
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("run: missing <kernel.ptx>")?;
-    let kernel = load_kernel(path)?;
-    let mut grid = 1u32;
-    let mut block = 32u32;
+fn cmd_run(args: &[String]) -> Result<(), CliError> {
+    let a = RUN.parse(args)?;
+    let kernel = load_kernel(a.required()?)?;
+    let grid = a.int("--grid")?.unwrap_or(1);
+    let block = a.int("--block")?.unwrap_or(32);
     let mut cfg = GpuConfig::fermi();
-    let mut specs: Vec<ParamSpec> = Vec::new();
-    let mut launch_flags = false;
-    let mut ckpt_every = 0u64;
-    let mut ckpt_file: Option<String> = None;
-    let mut resume: Option<String> = None;
-    let mut trace = false;
-    let mut trace_cap = 65_536usize;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--grid" => {
-                i += 1;
-                grid = parse_u64(args.get(i).ok_or("--grid needs a value")?)? as u32;
-                launch_flags = true;
-            }
-            "--block" => {
-                i += 1;
-                block = parse_u64(args.get(i).ok_or("--block needs a value")?)? as u32;
-                launch_flags = true;
-            }
-            "--alloc" => {
-                i += 1;
-                let bytes = parse_u64(args.get(i).ok_or("--alloc needs a value")?)?;
-                specs.push(ParamSpec::Alloc(bytes));
-                launch_flags = true;
-            }
-            "--param" => {
-                i += 1;
-                specs.push(ParamSpec::Value(parse_u64(
-                    args.get(i).ok_or("--param needs a value")?,
-                )?));
-                launch_flags = true;
-            }
-            "--memcheck" => cfg.memcheck = true,
-            "--sanitize" => cfg.sanitize = true,
-            "--trace" => trace = true,
-            "--trace-cap" => {
-                i += 1;
-                trace_cap = parse_u64(args.get(i).ok_or("--trace-cap needs a value")?)? as usize;
-                if trace_cap == 0 {
-                    return Err("--trace-cap must be at least 1".to_string());
-                }
-                trace = true;
-            }
-            "--max-cycles" => {
-                i += 1;
-                cfg.max_cycles = parse_u64(args.get(i).ok_or("--max-cycles needs a value")?)?;
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                ckpt_every = parse_u64(args.get(i).ok_or("--checkpoint-every needs a value")?)?;
-                if ckpt_every == 0 {
-                    return Err("--checkpoint-every must be at least 1".to_string());
-                }
-            }
-            "--checkpoint-file" => {
-                i += 1;
-                ckpt_file = Some(
-                    args.get(i)
-                        .ok_or("--checkpoint-file needs a path")?
-                        .to_string(),
-                );
-            }
-            "--resume" => {
-                i += 1;
-                resume = Some(args.get(i).ok_or("--resume needs a path")?.to_string());
-            }
-            other => return Err(format!("run: unknown option `{other}`")),
-        }
-        i += 1;
+    cfg.memcheck = a.has("--memcheck");
+    cfg.sanitize = a.has("--sanitize");
+    a.set("--max-cycles", &mut cfg.max_cycles)?;
+    // --trace-cap implies --trace.
+    let trace_cap = match a.int::<usize>("--trace-cap")? {
+        Some(0) => return Err("--trace-cap must be at least 1".into()),
+        Some(cap) => Some(cap),
+        None => a.has("--trace").then_some(65_536),
+    };
+    let ckpt_every = a.int::<u64>("--checkpoint-every")?;
+    if ckpt_every == Some(0) {
+        return Err("--checkpoint-every must be at least 1".into());
     }
-    if ckpt_every > 0 && ckpt_file.is_none() {
-        return Err("--checkpoint-every requires --checkpoint-file".to_string());
+    let ckpt_file = a.value("--checkpoint-file");
+    let resume = a.value("--resume");
+    if ckpt_every.is_some() && ckpt_file.is_none() {
+        return Err("--checkpoint-every requires --checkpoint-file".into());
     }
-    if resume.is_some() && launch_flags {
+    let launch_flags = ["--grid", "--block", "--alloc", "--param"];
+    if resume.is_some() && launch_flags.iter().any(|f| a.has(f)) {
         return Err(
             "--resume restores the checkpoint's own grid, block, memory and parameters; \
              it cannot be combined with --grid/--block/--alloc/--param"
-                .to_string(),
+                .into(),
         );
     }
     let mut gpu = Gpu::new(cfg).map_err(|e| e.to_string())?;
-    if trace {
-        gpu.arm_trace(trace_cap);
+    let trace = trace_cap.map(|cap| (cap, Arc::new(Mutex::new(Trace::new(cap)))));
+    if let Some((_, t)) = &trace {
+        gpu.set_trace_sink(Some(Box::new(Arc::clone(t))));
     }
-    match resume.as_deref() {
+    match resume {
         Some(ckpt) => {
             let snap = Snapshot::read_file(ckpt).map_err(|e| e.to_string())?;
             gpu.restore(&snap).map_err(|e| e.to_string())?;
             if !gpu.launch_active() {
                 return Err(format!(
                     "`{ckpt}` is an idle snapshot: there is no interrupted launch to resume"
-                ));
+                )
+                .into());
             }
             eprintln!(
                 "(resuming `{}` at cycle {} from {ckpt})",
@@ -585,14 +622,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             );
         }
         None => {
+            // Each --alloc is a zeroed device buffer whose address is the
+            // next parameter, each --param a raw integer, left to right.
             let mut params: Vec<u64> = Vec::new();
-            for spec in specs {
-                match spec {
-                    ParamSpec::Alloc(bytes) => {
-                        params.push(gpu.mem().alloc(bytes, 128).map_err(|e| e.to_string())?);
-                    }
-                    ParamSpec::Value(v) => params.push(v),
-                }
+            for (flag, value) in a.in_order(&["--alloc", "--param"]) {
+                let value = parse_u64(value).map_err(|e| format!("{flag}: {e}"))?;
+                params.push(match flag {
+                    "--alloc" => gpu.mem().alloc(value, 128).map_err(|e| e.to_string())?,
+                    _ => value,
+                });
             }
             if params.len() != kernel.params().len() {
                 return Err(format!(
@@ -600,16 +638,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                     kernel.name(),
                     kernel.params().len(),
                     params.len()
-                ));
+                )
+                .into());
             }
             let packed = pack_params(&kernel, &params);
             gpu.launch_begin(&kernel, Dim3::x(grid), Dim3::x(block), &packed)
                 .map_err(|e| e.to_string())?;
         }
     }
-    let resumed = resume.is_some();
-    let stats = drive_launch(&mut gpu, &kernel, ckpt_every, ckpt_file.as_deref())?;
-    if resumed {
+    let stats = drive_launch(&mut gpu, &kernel, ckpt_every.unwrap_or(0), ckpt_file)?;
+    if resume.is_some() {
         println!("kernel `{}` (resumed)", kernel.name());
     } else {
         println!(
@@ -646,12 +684,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(d) = stats.digest {
         println!("event digest       0x{d:016x}");
     }
-    if trace {
-        let events = gpu.take_debug_trace().map_or(0, |t| t.events().len());
+    if let Some((cap, t)) = &trace {
+        let events = t.lock().expect("trace lock poisoned").events().len();
         println!("trace events       {events}");
         if stats.trace_dropped > 0 {
             eprintln!(
-                "warning: debug trace dropped {} event(s) past the {trace_cap}-event buffer \
+                "warning: debug trace dropped {} event(s) past the {cap}-event buffer \
                  (raise --trace-cap)",
                 stats.trace_dropped
             );
@@ -793,16 +831,10 @@ impl Manifest {
     }
 
     fn save(&self, path: &Path) -> Result<(), String> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
         // Write-then-rename: a suite killed mid-save never leaves a torn
         // manifest under the final name.
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json().render_pretty())
-            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))
+        gcl::mem::publish(path, self.to_json().render_pretty().as_bytes(), false)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
 
     fn load(path: &Path) -> Result<Manifest, String> {
@@ -871,84 +903,43 @@ impl Manifest {
     }
 }
 
-fn cmd_suite(args: &[String]) -> Result<(), String> {
-    let mut tiny = false;
-    let mut sanitize = false;
-    let mut analyze_first = false;
-    let mut force_fail: Option<String> = None;
-    let mut resume = false;
-    let mut retries = 0u64;
-    let mut retries_given = false;
-    let mut jobs = 1usize;
-    let mut jobs_given = false;
-    let mut no_cache = false;
-    let mut fleet: Option<String> = None;
-    let mut replay = false;
-    let mut traces_dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tiny" => tiny = true,
-            "--sanitize" => sanitize = true,
-            "--analyze" => analyze_first = true,
-            "--resume" => resume = true,
-            "--no-cache" => no_cache = true,
-            "--replay" => replay = true,
-            "--traces" => {
-                i += 1;
-                traces_dir = Some(args.get(i).ok_or("--traces needs a directory")?.to_string());
-            }
-            "--force-fail" => {
-                i += 1;
-                force_fail = Some(
-                    args.get(i)
-                        .ok_or("--force-fail needs a benchmark name")?
-                        .to_string(),
-                );
-            }
-            "--retries" => {
-                i += 1;
-                retries = parse_u64(args.get(i).ok_or("--retries needs a value")?)?;
-                retries_given = true;
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = parse_u64(args.get(i).ok_or("--jobs needs a value")?)? as usize;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                jobs_given = true;
-            }
-            "--fleet" => {
-                i += 1;
-                fleet = Some(args.get(i).ok_or("--fleet needs HOST:PORT")?.to_string());
-            }
-            other => return Err(format!("suite: unknown option `{other}`")),
-        }
-        i += 1;
+fn cmd_suite(args: &[String]) -> Result<(), CliError> {
+    let a = SUITE.parse(args)?;
+    let (tiny, sanitize) = (a.has("--tiny"), a.has("--sanitize"));
+    let (resume, replay) = (a.has("--resume"), a.has("--replay"));
+    let no_cache = a.has("--no-cache");
+    let force_fail = a.value("--force-fail");
+    let retries = a.int("--retries")?.unwrap_or(0);
+    let jobs = a.int("--jobs")?.unwrap_or(1);
+    if jobs == 0 {
+        return Err("--jobs must be at least 1".into());
     }
-    if fleet.is_some() && (jobs_given || retries_given || force_fail.is_some() || no_cache) {
+    let fleet = a.value("--fleet");
+    let traces_dir = a.value("--traces");
+    if fleet.is_some()
+        && (a.has("--jobs") || a.has("--retries") || force_fail.is_some() || no_cache)
+    {
         return Err(
             "--fleet sends the suite to a coordinator; --jobs, --retries, --force-fail and \
              --no-cache configure local execution and cannot be combined with it"
-                .to_string(),
+                .into(),
         );
     }
     if traces_dir.is_some() && !replay {
-        return Err("--traces only applies with --replay".to_string());
+        return Err("--traces only applies with --replay".into());
     }
     if replay && fleet.is_some() {
         return Err(
             "--replay sources results from local trace containers; a fleet worker's trace \
              store is its own configuration (cannot be combined with --fleet)"
-                .to_string(),
+                .into(),
         );
     }
     if replay && force_fail.is_some() {
         return Err(
             "--force-fail starves a benchmark's cycle budget, which changes its configuration \
              fingerprint — no captured trace can match it (cannot be combined with --replay)"
-                .to_string(),
+                .into(),
         );
     }
     let workloads = if tiny {
@@ -956,12 +947,12 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
     } else {
         gcl::workloads::all_workloads()
     };
-    if let Some(name) = force_fail.as_deref() {
+    if let Some(name) = force_fail {
         if !workloads.iter().any(|w| w.name() == name) {
-            return Err(format!("--force-fail: no benchmark named `{name}`"));
+            return Err(format!("--force-fail: no benchmark named `{name}`").into());
         }
     }
-    if analyze_first {
+    if a.has("--analyze") {
         // Fail-soft static pre-flight: surface lint/divergence findings for
         // every kernel the suite is about to launch, then run regardless.
         println!("static pre-flight (gcl-analyze):");
@@ -1006,7 +997,8 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
                 manifest_path.display(),
                 if m.scale == "tiny" { " --tiny" } else { "" },
                 if m.sanitize { " --sanitize" } else { "" },
-            ));
+            )
+            .into());
         }
         (m.entries, m.session)
     } else {
@@ -1062,7 +1054,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
         } else {
             GpuConfig::fermi()
         };
-        if force_fail.as_deref() == Some(w.name()) {
+        if force_fail == Some(w.name()) {
             // Starve the cycle budget so this benchmark times out: exercises
             // the fail-soft path without corrupting any input.
             cfg.max_cycles = 50;
@@ -1072,7 +1064,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
         specs.push(JobSpec::new(w.name(), tiny, cfg));
     }
 
-    let results = if let Some(addr) = fleet.as_deref() {
+    let results = if let Some(addr) = fleet {
         run_fleet_suite(
             addr,
             &specs,
@@ -1090,10 +1082,8 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
             } else {
                 Some(ResultCache::default_dir())
             },
-            traces: replay.then(|| match traces_dir.as_deref() {
-                Some(dir) => TraceStore::new(dir),
-                None => TraceStore::default_dir(),
-            }),
+            traces: replay
+                .then(|| traces_dir.map_or_else(TraceStore::default_dir, TraceStore::new)),
             ..PoolConfig::default()
         };
         // The pool delivers every event on this thread, so this closure is
@@ -1138,7 +1128,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
             }
         });
         if let Some(e) = save_err {
-            return Err(e);
+            return Err(e.into());
         }
         results
     };
@@ -1153,9 +1143,9 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
         "{:6} {:7} {:>9} {:>11} {:>9} {:>6} {:>9}  outcome",
         "name", "cat", "cycles", "warp insts", "gld", "N%", "L1 miss%"
     );
-    let mut ri = 0usize;
+    let mut ran = spec_wi.iter().zip(&results).peekable();
     for (wi, w) in workloads.iter().enumerate() {
-        if spec_wi.get(ri) != Some(&wi) {
+        let Some((_, result)) = ran.next_if(|(&i, _)| i == wi) else {
             let digest = match manifest.entries[wi].digest {
                 Some(d) => format!("  0x{d:016x}"),
                 None => String::new(),
@@ -1172,9 +1162,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
             );
             skipped += 1;
             continue;
-        }
-        let result = &results[ri];
-        ri += 1;
+        };
         match &result.outcome {
             Ok(out) => {
                 let p = out.stats.profiler();
@@ -1248,7 +1236,8 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
             failures.len(),
             if tiny { " --tiny" } else { "" },
             if sanitize { " --sanitize" } else { "" },
-        ))
+        )
+        .into())
     }
 }
 
@@ -1418,46 +1407,13 @@ fn run_fleet_suite(
         .collect())
 }
 
-/// Shared flag parse for `gcl trace` / `gcl replay`: target workload(s),
-/// scale, sanitize, the store directory, and command-specific extras.
-struct TraceCli {
-    specs: Vec<JobSpec>,
-    store: TraceStore,
-    verify: bool,
-}
-
-fn parse_trace_args(
-    cmd: &str,
-    args: &[String],
-    dir_flag: &str,
-    default_dir: &str,
-    allow_verify: bool,
-) -> Result<TraceCli, String> {
-    let target = args
-        .first()
-        .ok_or_else(|| format!("{cmd}: missing <workload|all>"))?;
-    let mut tiny = false;
-    let mut sanitize = false;
-    let mut dir: Option<String> = None;
-    let mut verify = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tiny" => tiny = true,
-            "--sanitize" => sanitize = true,
-            "--verify" if allow_verify => verify = true,
-            flag if flag == dir_flag => {
-                i += 1;
-                dir = Some(
-                    args.get(i)
-                        .ok_or_else(|| format!("{dir_flag} needs a directory"))?
-                        .to_string(),
-                );
-            }
-            other => return Err(format!("{cmd}: unknown option `{other}`")),
-        }
-        i += 1;
-    }
+/// Shared reads of `gcl trace` / `gcl replay`: the job specs of the target
+/// workload(s) at the chosen scale, and the trace store under `dir_flag`'s
+/// directory (default [`TraceStore::default_dir`]).
+fn parse_trace_args(a: &Args, dir_flag: &str) -> Result<(Vec<JobSpec>, TraceStore), String> {
+    let cmd = a.command();
+    let target = a.required()?;
+    let (tiny, sanitize) = (a.has("--tiny"), a.has("--sanitize"));
     let workloads = if tiny {
         gcl::workloads::tiny_workloads()
     } else {
@@ -1465,7 +1421,7 @@ fn parse_trace_args(
     };
     let selected: Vec<String> = if target == "all" {
         workloads.iter().map(|w| w.name().to_string()).collect()
-    } else if workloads.iter().any(|w| w.name() == target.as_str()) {
+    } else if workloads.iter().any(|w| w.name() == target) {
         vec![target.to_string()]
     } else {
         let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
@@ -1486,36 +1442,37 @@ fn parse_trace_args(
             JobSpec::new(name, tiny, cfg)
         })
         .collect();
-    Ok(TraceCli {
-        specs,
-        store: TraceStore::new(dir.as_deref().unwrap_or(default_dir)),
-        verify,
-    })
+    let dir = a.value(dir_flag);
+    let store = dir.map_or_else(TraceStore::default_dir, TraceStore::new);
+    Ok((specs, store))
 }
 
 /// Map a trace-layer job failure onto the exit-code contract: unreadable
 /// container → 2, version/fingerprint mismatch → 3 (including a replay the
 /// simulator itself rejects), anything else → 1.
 fn trace_exit(e: ExecError) -> CliError {
-    let msg = e.to_string();
-    match e {
-        ExecError::TraceUnreadable { .. } => (EXIT_TRACE_UNREADABLE, msg),
+    let code = match e {
+        ExecError::TraceUnreadable { .. } => EXIT_TRACE_UNREADABLE,
         ExecError::TraceMismatch { .. } | ExecError::Sim(SimError::Replay(_)) => {
-            (EXIT_TRACE_MISMATCH, msg)
+            EXIT_TRACE_MISMATCH
         }
-        _ => (1, msg),
+        _ => 1,
+    };
+    CliError {
+        code,
+        msg: e.to_string(),
     }
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    let cli = parse_trace_args("trace", args, "--out", "results/traces", false).map_err(fail)?;
+    let (specs, store) = parse_trace_args(&TRACE.parse(args)?, "--out")?;
     println!(
         "{:6} {:>9} {:>9} {:>11} {:>9}  container",
         "name", "launches", "records", "bytes", "wall ms"
     );
-    for spec in &cli.specs {
+    for spec in &specs {
         let t0 = std::time::Instant::now();
-        let (stats, summary) = cli.store.capture(spec).map_err(trace_exit)?;
+        let (stats, summary) = store.capture(spec).map_err(trace_exit)?;
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let digest = match stats.digest {
             Some(d) => format!("  digest 0x{d:016x}"),
@@ -1535,28 +1492,30 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), CliError> {
-    let cli = parse_trace_args("replay", args, "--in", "results/traces", true).map_err(fail)?;
+    let a = REPLAY.parse(args)?;
+    let (specs, store) = parse_trace_args(&a, "--in")?;
+    let verify = a.has("--verify");
     println!(
         "{:6} {:>9} {:>11} {:>9}  outcome",
         "name", "cycles", "warp insts", "wall ms"
     );
     let mut mismatches: Vec<String> = Vec::new();
-    for spec in &cli.specs {
+    for spec in &specs {
         let t0 = std::time::Instant::now();
-        let stats = cli.store.replay(spec).map_err(trace_exit)?;
+        let stats = store.replay(spec).map_err(trace_exit)?;
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let digest = match stats.digest {
             Some(d) => format!("  digest 0x{d:016x}"),
             None => String::new(),
         };
-        let verified = if cli.verify {
+        let verified = if verify {
             // Execution-driven reference: the workload simulated afresh
             // under the identical configuration must agree with the replay
             // in full — digest, cycles, every counter.
             let w = spec.find_workload().map_err(trace_exit)?;
             let run = Gpu::new(spec.cfg.clone())
                 .and_then(|mut gpu| w.run(&mut gpu))
-                .map_err(|e| fail(e.to_string()))?;
+                .map_err(|e| e.to_string())?;
             if run.stats == stats {
                 "  verified"
             } else {
@@ -1578,109 +1537,40 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
     if mismatches.is_empty() {
         Ok(())
     } else {
-        Err(fail(mismatches.join("\n")))
+        Err(mismatches.join("\n").into())
     }
-}
-
-/// Parsed `gcl serve` flags, before deciding daemon vs. fleet worker.
-struct ServeCli {
-    opts: ServeOptions,
-    no_cache: bool,
-    join: Option<String>,
-    name: Option<String>,
-    inject: FleetInject,
-    connect_retries: Option<u64>,
-    rejoin: bool,
-    addr_given: bool,
-    queue_cap_given: bool,
-}
-
-fn parse_serve_args(args: &[String]) -> Result<ServeCli, String> {
-    let mut cli = ServeCli {
-        opts: ServeOptions::default(),
-        no_cache: false,
-        join: None,
-        name: None,
-        inject: FleetInject::none(),
-        connect_retries: None,
-        rejoin: false,
-        addr_given: false,
-        queue_cap_given: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                cli.opts.addr = args.get(i).ok_or("--addr needs HOST:PORT")?.to_string();
-                cli.addr_given = true;
-            }
-            "--jobs" => {
-                i += 1;
-                cli.opts.jobs = parse_u64(args.get(i).ok_or("--jobs needs a value")?)? as usize;
-            }
-            "--queue-cap" => {
-                i += 1;
-                cli.opts.queue_cap =
-                    parse_u64(args.get(i).ok_or("--queue-cap needs a value")?)? as usize;
-                cli.queue_cap_given = true;
-            }
-            "--no-cache" => cli.no_cache = true,
-            "--join" => {
-                i += 1;
-                cli.join = Some(args.get(i).ok_or("--join needs HOST:PORT")?.to_string());
-            }
-            "--name" => {
-                i += 1;
-                cli.name = Some(args.get(i).ok_or("--name needs a value")?.to_string());
-            }
-            "--inject" => {
-                i += 1;
-                cli.inject = FleetInject::parse(args.get(i).ok_or("--inject needs a chaos spec")?)?;
-            }
-            "--connect-retries" => {
-                i += 1;
-                cli.connect_retries = Some(parse_u64(
-                    args.get(i).ok_or("--connect-retries needs a value")?,
-                )?);
-            }
-            "--rejoin" => cli.rejoin = true,
-            other => return Err(format!("serve: unknown option `{other}`")),
-        }
-        i += 1;
-    }
-    Ok(cli)
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let cli = parse_serve_args(args).map_err(fail)?;
-    if let Some(coord) = cli.join {
+    let a = SERVE.parse(args)?;
+    let mut opts = ServeOptions::default();
+    a.set_str("--addr", &mut opts.addr);
+    a.set("--jobs", &mut opts.jobs)?;
+    a.set("--queue-cap", &mut opts.queue_cap)?;
+    let cache = (!a.has("--no-cache")).then(ResultCache::default_dir);
+    let inject = FleetInject::parse(a.value("--inject").unwrap_or(""))?;
+    if let Some(coord) = a.value("--join") {
         // Fleet worker: dial the coordinator instead of binding a port.
-        if cli.addr_given || cli.queue_cap_given {
-            return Err(fail(
+        if a.has("--addr") || a.has("--queue-cap") {
+            return Err(
                 "--join makes this a fleet worker; --addr and --queue-cap belong to the \
                  coordinator"
-                    .to_string(),
-            ));
+                    .into(),
+            );
         }
         let mut worker_opts = WorkerOptions {
-            coord,
-            name: cli
-                .name
-                .unwrap_or_else(|| format!("worker-{}", std::process::id())),
-            slots: cli.opts.jobs.max(1),
-            cache: if cli.no_cache {
-                None
-            } else {
-                Some(ResultCache::default_dir())
+            coord: coord.to_string(),
+            name: match a.value("--name") {
+                Some(name) => name.to_string(),
+                None => format!("worker-{}", std::process::id()),
             },
-            inject: cli.inject,
-            rejoin: cli.rejoin,
+            slots: opts.jobs.max(1),
+            cache,
+            inject,
+            rejoin: a.has("--rejoin"),
             ..WorkerOptions::default()
         };
-        if let Some(retries) = cli.connect_retries {
-            worker_opts.connect_retries = retries;
-        }
+        a.set("--connect-retries", &mut worker_opts.connect_retries)?;
         let label = worker_opts.name.clone();
         eprintln!(
             "gcl serve: joining fleet at {} as `{label}` ({} slot(s))",
@@ -1689,12 +1579,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         // A worker that cannot reach its coordinator is the dial-side
         // analogue of a bind failure; everything after the handshake is a
         // protocol error.
-        let report = run_worker(worker_opts).map_err(|e| {
-            if e.contains("cannot reach coordinator") {
-                (EXIT_BIND, e)
-            } else {
-                (EXIT_NET, e)
-            }
+        let report = run_worker(worker_opts).map_err(|msg| {
+            let unreachable = msg.contains("cannot reach coordinator");
+            let code = if unreachable { EXIT_BIND } else { EXIT_NET };
+            CliError { code, msg }
         })?;
         eprintln!(
             "gcl serve: `{label}` done ({} job(s) run{}{}{})",
@@ -1713,25 +1601,16 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    if cli.name.is_some() || !cli.inject.is_clean() {
-        return Err(fail(
-            "--name and --inject only apply to fleet workers (--join)".to_string(),
-        ));
+    if a.has("--name") || !inject.is_clean() {
+        return Err("--name and --inject only apply to fleet workers (--join)".into());
     }
-    if cli.connect_retries.is_some() {
-        return Err(fail(
-            "--connect-retries only applies to fleet workers (--join)".to_string(),
-        ));
+    if a.has("--connect-retries") {
+        return Err("--connect-retries only applies to fleet workers (--join)".into());
     }
-    if cli.rejoin {
-        return Err(fail(
-            "--rejoin only applies to fleet workers (--join)".to_string(),
-        ));
+    if a.has("--rejoin") {
+        return Err("--rejoin only applies to fleet workers (--join)".into());
     }
-    let mut opts = cli.opts;
-    if !cli.no_cache {
-        opts.cache = Some(ResultCache::default_dir());
-    }
+    opts.cache = cache;
     let (jobs, queue_cap) = (opts.jobs, opts.queue_cap);
     let server = Server::bind(opts).map_err(serve_exit)?;
     eprintln!(
@@ -1742,7 +1621,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_coordinate(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_coordinate_args(args).map_err(fail)?;
+    let opts = parse_coordinate_args(args)?;
     let summary = format!(
         "queue cap {}, lease {} ms, heartbeat {} ms (timeout {} ms), replicas {}, \
          session inflight cap {}{}{}",
@@ -1775,71 +1654,25 @@ fn cmd_coordinate(args: &[String]) -> Result<(), CliError> {
 }
 
 fn parse_coordinate_args(args: &[String]) -> Result<CoordinatorOptions, String> {
+    let a = COORDINATE.parse(args)?;
     let mut opts = CoordinatorOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                opts.addr = args.get(i).ok_or("--addr needs HOST:PORT")?.to_string();
-            }
-            "--queue-cap" => {
-                i += 1;
-                opts.queue_cap =
-                    parse_u64(args.get(i).ok_or("--queue-cap needs a value")?)? as usize;
-            }
-            "--lease-ms" => {
-                i += 1;
-                opts.lease_ms = parse_u64(args.get(i).ok_or("--lease-ms needs a value")?)?;
-            }
-            "--heartbeat-ms" => {
-                i += 1;
-                opts.heartbeat_ms = parse_u64(args.get(i).ok_or("--heartbeat-ms needs a value")?)?;
-            }
-            "--heartbeat-timeout-ms" => {
-                i += 1;
-                opts.heartbeat_timeout_ms =
-                    parse_u64(args.get(i).ok_or("--heartbeat-timeout-ms needs a value")?)?;
-            }
-            "--replicas" => {
-                i += 1;
-                opts.replicas = parse_u64(args.get(i).ok_or("--replicas needs a value")?)? as usize;
-            }
-            "--probe-timeout-ms" => {
-                i += 1;
-                opts.probe_timeout_ms =
-                    parse_u64(args.get(i).ok_or("--probe-timeout-ms needs a value")?)?;
-            }
-            "--session-inflight-cap" => {
-                i += 1;
-                opts.session_inflight_cap =
-                    parse_u64(args.get(i).ok_or("--session-inflight-cap needs a value")?)?;
-            }
-            "--journal" => {
-                i += 1;
-                opts.journal = Some(std::path::PathBuf::from(
-                    args.get(i).ok_or("--journal needs a path")?,
-                ));
-            }
-            "--recover" => opts.recover = true,
-            "--rebalance-ms" => {
-                i += 1;
-                opts.rebalance_ms = parse_u64(args.get(i).ok_or("--rebalance-ms needs a value")?)?;
-            }
-            "--journal-compact-bytes" => {
-                i += 1;
-                opts.journal_compact_bytes =
-                    parse_u64(args.get(i).ok_or("--journal-compact-bytes needs a value")?)?;
-            }
-            "--chaos-verbs" => opts.chaos_verbs = true,
-            other => return Err(format!("coordinate: unknown option `{other}`")),
-        }
-        i += 1;
-    }
+    a.set_str("--addr", &mut opts.addr);
+    a.set("--queue-cap", &mut opts.queue_cap)?;
+    a.set("--lease-ms", &mut opts.lease_ms)?;
+    a.set("--heartbeat-ms", &mut opts.heartbeat_ms)?;
+    a.set("--heartbeat-timeout-ms", &mut opts.heartbeat_timeout_ms)?;
+    a.set("--replicas", &mut opts.replicas)?;
+    a.set("--probe-timeout-ms", &mut opts.probe_timeout_ms)?;
+    a.set("--session-inflight-cap", &mut opts.session_inflight_cap)?;
+    opts.journal = a.value("--journal").map(PathBuf::from);
+    opts.recover = a.has("--recover");
+    a.set("--rebalance-ms", &mut opts.rebalance_ms)?;
+    a.set("--journal-compact-bytes", &mut opts.journal_compact_bytes)?;
+    opts.chaos_verbs = a.has("--chaos-verbs");
     Ok(opts)
 }
 
-fn cmd_loadgen(args: &[String]) -> Result<(), String> {
+fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     let opts = parse_loadgen_args(args)?;
     eprintln!(
         "gcl loadgen: {} submitter(s) against {} for {} ms (think {} ms, {} key variant(s))",
@@ -1858,63 +1691,31 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// A `--workloads A,B,...` value as names; empty items are skipped.
+fn comma_list(list: &str) -> Vec<String> {
+    let items = list.split(',').filter(|w| !w.is_empty());
+    items.map(str::to_string).collect()
+}
+
 fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, String> {
+    let a = LOADGEN.parse(args)?;
     let mut opts = LoadgenOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                opts.addr = args.get(i).ok_or("--addr needs HOST:PORT")?.to_string();
-            }
-            "--submitters" => {
-                i += 1;
-                opts.submitters =
-                    parse_u64(args.get(i).ok_or("--submitters needs a value")?)? as usize;
-            }
-            "--duration-ms" => {
-                i += 1;
-                opts.duration_ms = parse_u64(args.get(i).ok_or("--duration-ms needs a value")?)?;
-            }
-            "--think-ms" => {
-                i += 1;
-                opts.think_ms = parse_u64(args.get(i).ok_or("--think-ms needs a value")?)?;
-            }
-            "--distinct" => {
-                i += 1;
-                opts.distinct = parse_u64(args.get(i).ok_or("--distinct needs a value")?)? as usize;
-            }
-            "--sample-ms" => {
-                i += 1;
-                opts.sample_ms = parse_u64(args.get(i).ok_or("--sample-ms needs a value")?)?;
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = parse_u64(args.get(i).ok_or("--seed needs a value")?)?;
-            }
-            "--workloads" => {
-                i += 1;
-                opts.workloads = args
-                    .get(i)
-                    .ok_or("--workloads needs a comma-separated list")?
-                    .split(',')
-                    .filter(|w| !w.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--full" => opts.tiny = false,
-            "--out" => {
-                i += 1;
-                opts.out = std::path::PathBuf::from(args.get(i).ok_or("--out needs a path")?);
-            }
-            other => return Err(format!("loadgen: unknown option `{other}`")),
-        }
-        i += 1;
+    a.set_str("--addr", &mut opts.addr);
+    a.set("--submitters", &mut opts.submitters)?;
+    a.set("--duration-ms", &mut opts.duration_ms)?;
+    a.set("--think-ms", &mut opts.think_ms)?;
+    a.set("--distinct", &mut opts.distinct)?;
+    a.set("--sample-ms", &mut opts.sample_ms)?;
+    a.set("--seed", &mut opts.seed)?;
+    if let Some(list) = a.value("--workloads") {
+        opts.workloads = comma_list(list);
     }
+    opts.tiny = !a.has("--full");
+    a.set_str("--out", &mut opts.out);
     Ok(opts)
 }
 
-fn cmd_soak(args: &[String]) -> Result<(), String> {
+fn cmd_soak(args: &[String]) -> Result<(), CliError> {
     let opts = parse_soak_args(args)?;
     eprintln!(
         "gcl soak: {} worker(s) x {} slot(s) for {} ms{}",
@@ -1950,85 +1751,26 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
 }
 
 fn parse_soak_args(args: &[String]) -> Result<SoakOptions, String> {
+    let a = SOAK.parse(args)?;
     let mut opts = SoakOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                opts.addr = args.get(i).ok_or("--addr needs HOST:PORT")?.to_string();
-            }
-            "--workers" => {
-                i += 1;
-                opts.workers = parse_u64(args.get(i).ok_or("--workers needs a value")?)? as usize;
-            }
-            "--slots" => {
-                i += 1;
-                opts.slots = parse_u64(args.get(i).ok_or("--slots needs a value")?)? as usize;
-            }
-            "--duration-ms" => {
-                i += 1;
-                opts.duration_ms = parse_u64(args.get(i).ok_or("--duration-ms needs a value")?)?;
-            }
-            "--chaos" => opts.chaos = true,
-            "--kill-coordinator-ms" => {
-                i += 1;
-                opts.kill_coordinator_ms =
-                    parse_u64(args.get(i).ok_or("--kill-coordinator-ms needs a value")?)?;
-            }
-            "--kill-worker-ms" => {
-                i += 1;
-                opts.kill_worker_ms =
-                    parse_u64(args.get(i).ok_or("--kill-worker-ms needs a value")?)?;
-            }
-            "--submitters" => {
-                i += 1;
-                opts.submitters =
-                    parse_u64(args.get(i).ok_or("--submitters needs a value")?)? as usize;
-            }
-            "--think-ms" => {
-                i += 1;
-                opts.think_ms = parse_u64(args.get(i).ok_or("--think-ms needs a value")?)?;
-            }
-            "--distinct" => {
-                i += 1;
-                opts.distinct = parse_u64(args.get(i).ok_or("--distinct needs a value")?)? as usize;
-            }
-            "--workloads" => {
-                i += 1;
-                opts.workloads = args
-                    .get(i)
-                    .ok_or("--workloads needs a comma-separated list")?
-                    .split(',')
-                    .filter(|w| !w.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = parse_u64(args.get(i).ok_or("--seed needs a value")?)?;
-            }
-            "--replicas" => {
-                i += 1;
-                opts.replicas = parse_u64(args.get(i).ok_or("--replicas needs a value")?)? as usize;
-            }
-            "--rebalance-ms" => {
-                i += 1;
-                opts.rebalance_ms = parse_u64(args.get(i).ok_or("--rebalance-ms needs a value")?)?;
-            }
-            "--journal" => {
-                i += 1;
-                opts.journal =
-                    std::path::PathBuf::from(args.get(i).ok_or("--journal needs a path")?);
-            }
-            "--out" => {
-                i += 1;
-                opts.out = std::path::PathBuf::from(args.get(i).ok_or("--out needs a path")?);
-            }
-            other => return Err(format!("soak: unknown option `{other}`")),
-        }
-        i += 1;
+    a.set_str("--addr", &mut opts.addr);
+    a.set("--workers", &mut opts.workers)?;
+    a.set("--slots", &mut opts.slots)?;
+    a.set("--duration-ms", &mut opts.duration_ms)?;
+    opts.chaos = a.has("--chaos");
+    a.set("--kill-coordinator-ms", &mut opts.kill_coordinator_ms)?;
+    a.set("--kill-worker-ms", &mut opts.kill_worker_ms)?;
+    a.set("--submitters", &mut opts.submitters)?;
+    a.set("--think-ms", &mut opts.think_ms)?;
+    a.set("--distinct", &mut opts.distinct)?;
+    if let Some(list) = a.value("--workloads") {
+        opts.workloads = comma_list(list);
     }
+    a.set("--seed", &mut opts.seed)?;
+    a.set("--replicas", &mut opts.replicas)?;
+    a.set("--rebalance-ms", &mut opts.rebalance_ms)?;
+    a.set_str("--journal", &mut opts.journal);
+    a.set_str("--out", &mut opts.out);
     Ok(opts)
 }
 

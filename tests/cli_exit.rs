@@ -71,6 +71,62 @@ fn usage_errors_exit_one() {
         assert_eq!(code(&out), 1, "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
     }
+
+    // What the one flag table changed on purpose. Arguments a command used
+    // to ignore, integers it used to truncate and a flag it used to take
+    // for a value are usage errors, worded by one format.
+    let k = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/gather.ptx");
+    for (args, says) in [
+        (
+            &["classify", k, "--jsno"][..],
+            "classify: unknown option `--jsno`",
+        ),
+        (
+            &["disasm", k, "--bogus", "extra"][..],
+            "disasm: unknown option `--bogus`",
+        ),
+        (
+            &["disasm", k, "extra"][..],
+            "disasm: unexpected argument `extra`",
+        ),
+        (&["suite", "bfs"][..], "suite: unexpected argument `bfs`"),
+        (
+            &["run", k, "--grid", "4294967297"][..],
+            "--grid: `4294967297` out of range",
+        ),
+        (
+            &["run", k, "--block", "0x100000020"][..],
+            "--block: `4294967328` out of range",
+        ),
+        (
+            &["analyze", k, "--locality", "--grid", "4294967300"][..],
+            "bad dimension `4294967300`",
+        ),
+        (&["run", k, "--grid"][..], "--grid needs a value (G)"),
+        (
+            &["coordinate", "--journal", "--recover"][..],
+            "--journal needs a value (PATH)",
+        ),
+        (&["run", "--sanitize"][..], "run: missing <kernel.ptx>"),
+    ] {
+        let out = gcl(args);
+        assert_eq!(code(&out), 1, "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+    }
+    assert!(
+        !std::path::Path::new("--recover").exists(),
+        "`--journal --recover` must not journal to a file named --recover"
+    );
+
+    // The operand may stand anywhere among the flags.
+    for args in [
+        &["classify", "--json", k][..],
+        &["classify", k, "--json"][..],
+        &["analyze", "--csv", k, "--critical"][..],
+    ] {
+        let out = gcl(args);
+        assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]

@@ -250,3 +250,19 @@ fn the_tokenizer_tells_switches_from_values() {
         ]
     );
 }
+
+/// README's "Command reference" block is the generated synopsis, verbatim:
+/// regenerate it with `gcl --help` when a flag is added.
+#[test]
+fn readme_command_reference_is_the_generated_synopsis() {
+    let readme = include_str!("../README.md");
+    let block: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| l.trim() != "## Command reference")
+        .skip_while(|l| !l.starts_with("```"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("```"))
+        .collect();
+    assert!(!block.is_empty(), "README has a fenced command reference");
+    assert_eq!(block, usage_block(&help()), "README drifted from --help");
+}
