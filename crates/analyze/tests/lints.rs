@@ -147,6 +147,23 @@ fn loop_chase_corpus_reports_unbounded() {
 }
 
 #[test]
+fn warp_uniform_address_parts_keep_the_load_coalesced() {
+    // A register-held grid stride, a non-linear function of the CTA id and
+    // the warp id are all the same for every lane: they belong to the
+    // unknown base and must not cost the load its per-thread shape.
+    for name in ["grid_stride.ptx", "row_shift.ptx", "warp_lane.ptx"] {
+        let k = parse_kernel(&corpus(name)).unwrap();
+        let r = analyze(&k);
+        assert!(r.is_clean(), "{name}: {r}");
+        assert_eq!(r.loads.len(), 1, "{name}: {r}");
+        let p = &r.loads[0].prediction;
+        let form = p.affine.map(|v| v.to_string());
+        assert_eq!(form.as_deref(), Some("base + 4*tid.x"), "{name}: {r}");
+        assert_eq!(p.prediction.label(), "coalesced", "{name}: {r}");
+    }
+}
+
+#[test]
 fn workload_corpus_is_verifier_clean() {
     for w in all_workloads() {
         for k in w.kernels() {
