@@ -3,11 +3,15 @@
 //!
 //! Each address is abstracted as `base + cx·tid.x + cy·tid.y + cz·tid.z + k`
 //! where `base` stands for any warp-uniform but statically unknown component
-//! (kernel parameters, `%ctaid` products, loop-carried uniform values). When
-//! the coefficients are known, the per-lane addresses of one warp are known
-//! up to a uniform offset, which is enough to predict how many memory
-//! requests the coalescer emits (global loads, `gcl_sim`'s 128 B-line
-//! rule) or the bank-conflict degree (shared loads, 32 four-byte banks).
+//! (kernel parameters, `%ctaid` and `%warpid` terms, loop counters). This is
+//! the per-warp *projection* of the crate's one address evaluation, run
+//! without a launch geometry (`%ntid.*` / `%nctaid.*` are unknown
+//! uniforms): when the per-thread coefficients of the
+//! [`SymAffine`] form are known, the per-lane
+//! addresses of one warp are known up to a uniform offset, which is enough
+//! to predict how many memory requests the coalescer emits (global loads,
+//! `gcl_sim`'s 128 B-line rule) or the bank-conflict degree (shared loads,
+//! 32 four-byte banks).
 //!
 //! Soundness caveats (also in DESIGN.md §11):
 //!
@@ -17,15 +21,16 @@
 //! * the uniform base is assumed 128-byte aligned — a misaligned base can
 //!   double the real request count, so the cross-validation margin is 2;
 //! * `%laneid` is treated like `tid.x` (exact for x-major warps);
-//! * loop-carried registers widen to "uniform, unknown" when the join of
-//!   all reaching definitions agrees on coefficients, and to [`Affine::Top`]
-//!   otherwise — per-iteration constants are therefore approximate, but
-//!   coefficients (all the prediction uses) stay exact for the
-//!   same-register `i += step` idiom the workloads use.
+//! * a loop-carried register is affine only as a recognized induction
+//!   variable (`i += step` with a warp-uniform step); its counter joins the
+//!   base and `k` is the iteration-0 constant. Any other recurrence is not
+//!   affine.
 
-use gcl_core::{address_sources, DefSite, ReachingDefs};
-use gcl_ptx::{AluOp, Kernel, Op, Operand, Space, Special, UnaryOp};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use crate::eval::SymEval;
+use crate::facts::Facts;
+use crate::symaff::{Coeff, SymAffine, Term};
+use gcl_ptx::{Kernel, Op, Space};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// An affine address expression `base? + cx·tid.x + cy·tid.y + cz·tid.z + k`.
@@ -44,33 +49,27 @@ pub struct AffineVal {
 }
 
 impl AffineVal {
-    fn constant(k: i64) -> AffineVal {
-        AffineVal {
-            cx: 0,
-            cy: 0,
-            cz: 0,
-            k,
-            base: false,
-        }
-    }
-
-    fn uniform() -> AffineVal {
-        AffineVal {
-            cx: 0,
-            cy: 0,
-            cz: 0,
-            k: 0,
-            base: true,
-        }
-    }
-
     /// Whether all threads of a warp see the same value.
     pub fn is_uniform(&self) -> bool {
         self.cx == 0 && self.cy == 0 && self.cz == 0
     }
 
-    fn is_constant(&self) -> bool {
-        self.is_uniform() && !self.base
+    /// The per-warp view of a symbolic address: the per-thread coefficients
+    /// (`%laneid` counting as `tid.x`) and the constant, everything else —
+    /// parameters, CTA and warp ids, loop counters, unknown addends — folded
+    /// into `base`. `None` when a per-thread coefficient is unknown.
+    fn project(f: &SymAffine) -> Option<AffineVal> {
+        let known = |t| match f.coeff(t) {
+            Coeff::Known(c) => Some(c),
+            Coeff::Unknown => None,
+        };
+        Some(AffineVal {
+            cx: known(Term::TidX)?.wrapping_add(known(Term::Lane)?),
+            cy: known(Term::TidY)?,
+            cz: known(Term::TidZ)?,
+            k: f.k,
+            base: f.ubase || !f.bases.is_empty() || f.terms().any(|(t, _)| !t.per_thread()),
+        })
     }
 }
 
@@ -97,259 +96,6 @@ impl fmt::Display for AffineVal {
             write!(f, "{}", self.k)?;
         }
         Ok(())
-    }
-}
-
-/// Abstract value of a register in the affine domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Affine {
-    /// No information yet (cycle cut); identity for [`Affine::join`].
-    Bottom,
-    /// An affine expression.
-    Val(AffineVal),
-    /// Not affine in the tids (e.g. load-derived).
-    Top,
-}
-
-impl Affine {
-    /// Least upper bound of two abstract values.
-    pub fn join(self, other: Affine) -> Affine {
-        match (self, other) {
-            (Affine::Bottom, x) | (x, Affine::Bottom) => x,
-            (Affine::Top, _) | (_, Affine::Top) => Affine::Top,
-            (Affine::Val(a), Affine::Val(b)) => {
-                if a == b {
-                    Affine::Val(a)
-                } else if (a.cx, a.cy, a.cz) == (b.cx, b.cy, b.cz) {
-                    // Same per-thread shape, different uniform part.
-                    Affine::Val(AffineVal {
-                        cx: a.cx,
-                        cy: a.cy,
-                        cz: a.cz,
-                        k: 0,
-                        base: true,
-                    })
-                } else {
-                    Affine::Top
-                }
-            }
-        }
-    }
-}
-
-fn add(a: Affine, b: Affine) -> Affine {
-    match (a, b) {
-        (Affine::Bottom, _) | (_, Affine::Bottom) => Affine::Bottom,
-        (Affine::Top, _) | (_, Affine::Top) => Affine::Top,
-        (Affine::Val(a), Affine::Val(b)) => Affine::Val(AffineVal {
-            cx: a.cx.wrapping_add(b.cx),
-            cy: a.cy.wrapping_add(b.cy),
-            cz: a.cz.wrapping_add(b.cz),
-            k: a.k.wrapping_add(b.k),
-            base: a.base || b.base,
-        }),
-    }
-}
-
-fn neg(a: Affine) -> Affine {
-    match a {
-        Affine::Val(v) => Affine::Val(AffineVal {
-            cx: v.cx.wrapping_neg(),
-            cy: v.cy.wrapping_neg(),
-            cz: v.cz.wrapping_neg(),
-            k: v.k.wrapping_neg(),
-            base: v.base,
-        }),
-        other => other,
-    }
-}
-
-fn scale(a: Affine, c: i64) -> Affine {
-    match a {
-        Affine::Val(v) => {
-            if c == 0 {
-                Affine::Val(AffineVal::constant(0))
-            } else {
-                Affine::Val(AffineVal {
-                    cx: v.cx.wrapping_mul(c),
-                    cy: v.cy.wrapping_mul(c),
-                    cz: v.cz.wrapping_mul(c),
-                    k: v.k.wrapping_mul(c),
-                    base: v.base,
-                })
-            }
-        }
-        other => other,
-    }
-}
-
-fn mul(a: Affine, b: Affine) -> Affine {
-    match (a, b) {
-        (Affine::Bottom, _) | (_, Affine::Bottom) => Affine::Bottom,
-        (Affine::Val(x), _) if x.is_constant() => scale(b, x.k),
-        (_, Affine::Val(y)) if y.is_constant() => scale(a, y.k),
-        (Affine::Val(x), Affine::Val(y)) if x.is_uniform() && y.is_uniform() => {
-            Affine::Val(AffineVal::uniform())
-        }
-        _ => Affine::Top,
-    }
-}
-
-/// Fallback for operations the domain does not track linearly: uniform in,
-/// uniform out; anything per-thread collapses to [`Affine::Top`].
-fn uniform_rule(ops: &[Affine]) -> Affine {
-    if ops.iter().any(|o| matches!(o, Affine::Bottom)) {
-        return Affine::Bottom;
-    }
-    if ops
-        .iter()
-        .all(|o| matches!(o, Affine::Val(v) if v.is_uniform()))
-    {
-        Affine::Val(AffineVal::uniform())
-    } else {
-        Affine::Top
-    }
-}
-
-/// Memoized affine evaluator over the reaching-definition chains, the same
-/// traversal shape as `gcl_core`'s D/N classifier.
-struct AffineEval<'k> {
-    kernel: &'k Kernel,
-    reaching: ReachingDefs,
-    memo: HashMap<DefSite, Affine>,
-    in_progress: HashSet<DefSite>,
-}
-
-impl<'k> AffineEval<'k> {
-    fn new(kernel: &'k Kernel) -> AffineEval<'k> {
-        AffineEval {
-            kernel,
-            reaching: ReachingDefs::compute(kernel),
-            memo: HashMap::new(),
-            in_progress: HashSet::new(),
-        }
-    }
-
-    fn value_of_use(&mut self, use_pc: usize, reg: gcl_ptx::Reg) -> Affine {
-        let defs = self.reaching.defs_reaching_use(self.kernel, use_pc, reg);
-        if defs.is_empty() {
-            // Uninitialized read: the verifier flags it; predict nothing.
-            return Affine::Top;
-        }
-        let mut v = Affine::Bottom;
-        for def in defs {
-            v = v.join(self.value_of_def(def));
-        }
-        v
-    }
-
-    fn value_of_operand(&mut self, pc: usize, o: Operand) -> Affine {
-        match o {
-            Operand::Reg(r) => self.value_of_use(pc, r),
-            Operand::Imm(v) => Affine::Val(AffineVal::constant(v)),
-            // Float immediates never feed integer addresses usefully.
-            Operand::FImm(_) => Affine::Val(AffineVal::uniform()),
-            Operand::Special(s) => Affine::Val(match s {
-                Special::TidX | Special::LaneId => AffineVal {
-                    cx: 1,
-                    cy: 0,
-                    cz: 0,
-                    k: 0,
-                    base: false,
-                },
-                Special::TidY => AffineVal {
-                    cx: 0,
-                    cy: 1,
-                    cz: 0,
-                    k: 0,
-                    base: false,
-                },
-                Special::TidZ => AffineVal {
-                    cx: 0,
-                    cy: 0,
-                    cz: 1,
-                    k: 0,
-                    base: false,
-                },
-                // CTA ids and geometry are warp-uniform.
-                _ => AffineVal::uniform(),
-            }),
-        }
-    }
-
-    fn value_of_def(&mut self, def: DefSite) -> Affine {
-        if let Some(v) = self.memo.get(&def) {
-            return *v;
-        }
-        if !self.in_progress.insert(def) {
-            // Cycle: cut this edge; the join at the use site still sees the
-            // acyclic definitions.
-            return Affine::Bottom;
-        }
-        let pc = def.pc;
-        let v = match &self.kernel.insts()[pc].op {
-            Op::Ld { space, .. } => match space {
-                Space::Param | Space::Const => Affine::Val(AffineVal::uniform()),
-                _ => Affine::Top,
-            },
-            Op::Atom { .. } => Affine::Top,
-            Op::Mov { src, .. } => self.value_of_operand(pc, *src),
-            Op::Cvt { src, .. } => self.value_of_operand(pc, *src),
-            Op::Unary { op, a, .. } => {
-                let va = self.value_of_operand(pc, *a);
-                match op {
-                    UnaryOp::Neg => neg(va),
-                    _ => uniform_rule(&[va]),
-                }
-            }
-            Op::Alu { op, a, b, .. } => {
-                let va = self.value_of_operand(pc, *a);
-                let vb = self.value_of_operand(pc, *b);
-                match op {
-                    AluOp::Add => add(va, vb),
-                    AluOp::Sub => add(va, neg(vb)),
-                    AluOp::Mul | AluOp::MulWide => mul(va, vb),
-                    AluOp::Shl => match vb {
-                        Affine::Val(s) if s.is_constant() && (0..=32).contains(&s.k) => {
-                            scale(va, 1i64 << s.k)
-                        }
-                        _ => uniform_rule(&[va, vb]),
-                    },
-                    _ => uniform_rule(&[va, vb]),
-                }
-            }
-            Op::Mad { a, b, c, .. } => {
-                let va = self.value_of_operand(pc, *a);
-                let vb = self.value_of_operand(pc, *b);
-                let vc = self.value_of_operand(pc, *c);
-                add(mul(va, vb), vc)
-            }
-            Op::Sfu { a, .. } => {
-                let va = self.value_of_operand(pc, *a);
-                uniform_rule(&[va])
-            }
-            Op::Setp { a, b, .. } => {
-                let va = self.value_of_operand(pc, *a);
-                let vb = self.value_of_operand(pc, *b);
-                uniform_rule(&[va, vb])
-            }
-            Op::Selp { a, b, pred, .. } => {
-                let va = self.value_of_operand(pc, *a);
-                let vb = self.value_of_operand(pc, *b);
-                let vp = self.value_of_use(pc, *pred);
-                if va == vb {
-                    va
-                } else if matches!(vp, Affine::Val(p) if p.is_uniform()) {
-                    va.join(vb)
-                } else {
-                    Affine::Top
-                }
-            }
-            Op::St { .. } | Op::Bra { .. } | Op::Bar { .. } | Op::Exit => Affine::Top,
-        };
-        self.in_progress.remove(&def);
-        self.memo.insert(def, v);
-        v
     }
 }
 
@@ -451,45 +197,33 @@ pub struct LoadPrediction {
 
 /// Analyze every data load (global-backed and shared) of `kernel`.
 pub fn affine_loads(kernel: &Kernel) -> Vec<LoadPrediction> {
-    let mut eval = AffineEval::new(kernel);
+    predictions(&Facts::new(kernel))
+}
+
+/// [`affine_loads`] over facts the caller already has.
+pub(crate) fn predictions(facts: &Facts<'_>) -> Vec<LoadPrediction> {
+    let mut eval = SymEval::new(facts, None);
     let mut out = Vec::new();
-    for (pc, inst) in kernel.insts().iter().enumerate() {
+    for (pc, inst) in facts.kernel.insts().iter().enumerate() {
         let Op::Ld {
             space, ty, addr, ..
         } = &inst.op
         else {
             continue;
         };
-        if matches!(space, Space::Param | Space::Const) {
+        // The classifier's subjects exactly: parameterized reads are
+        // sources for other loads, not loads to predict.
+        if space.is_parameterized() {
             continue;
         }
         let bytes = ty.size_bytes();
-        let v = match addr.base {
-            // Fast path: if the D/N classifier already found a
-            // non-parameterized terminal, the address cannot be affine.
-            Some(base)
-                if address_sources(kernel, pc, base)
-                    .iter()
-                    .all(|s| s.is_parameterized()) =>
-            {
-                add(
-                    eval.value_of_use(pc, base),
-                    Affine::Val(AffineVal::constant(addr.offset)),
-                )
-            }
-            Some(_) => Affine::Top,
-            None => Affine::Val(AffineVal::constant(addr.offset)),
-        };
-        let (affine, prediction) = match v {
-            Affine::Val(av) => (Some(av), predict(*space, bytes, &av)),
-            _ => (None, Prediction::Unknown),
-        };
+        let affine = eval.address(pc, addr).and_then(|f| AffineVal::project(&f));
         out.push(LoadPrediction {
             pc,
             space: *space,
             bytes,
             affine,
-            prediction,
+            prediction: affine.map_or(Prediction::Unknown, |av| predict(*space, bytes, &av)),
         });
     }
     out
@@ -498,7 +232,7 @@ pub fn affine_loads(kernel: &Kernel) -> Vec<LoadPrediction> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcl_ptx::{KernelBuilder, Type};
+    use gcl_ptx::{AluOp, KernelBuilder, Special, Type};
 
     fn tid_scaled_kernel(elem: u32) -> Kernel {
         // addr = param + tid.x * elem; ld.global.u32

@@ -29,10 +29,11 @@
 //! [`CriticalLoad::score`]) so rankings are stable across runs and
 //! platforms; ties break toward the lower pc.
 
-use crate::affine::{affine_loads, Prediction};
-use crate::divergence;
-use gcl_core::{classify, AddressSource, LoadClass, ReachingDefs};
-use gcl_ptx::{Cfg, Kernel, Op, Space};
+use crate::affine::{predictions, LoadPrediction, Prediction};
+use crate::divergence::{divergence, DivergenceInfo};
+use crate::facts::Facts;
+use gcl_core::{AddressSource, Classification, LoadClass, ReachingDefs};
+use gcl_ptx::{Kernel, Op, Space};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Criticality facts and score for one global-backed load.
@@ -64,8 +65,7 @@ pub struct CriticalLoad {
 
 /// Dependent-load chain depth per load pc, from the terminal address
 /// sources: `depth(l) = 1 + max(depth of loads feeding l's address)`.
-fn chain_depths(kernel: &Kernel) -> BTreeMap<usize, u32> {
-    let cls = classify(kernel);
+fn chain_depths(cls: &Classification) -> BTreeMap<usize, u32> {
     let feeders: BTreeMap<usize, Vec<usize>> = cls
         .loads()
         .map(|l| {
@@ -194,18 +194,27 @@ fn consumer_counts(kernel: &Kernel, reaching: &ReachingDefs) -> HashMap<usize, u
 /// Rank every global-backed load of `kernel` by static criticality,
 /// most critical first.
 pub fn critical_loads(kernel: &Kernel) -> Vec<CriticalLoad> {
-    let cfg = Cfg::build(kernel);
-    let reaching = ReachingDefs::compute(kernel);
-    let depths = chain_depths(kernel);
-    let heights = slice_heights(kernel, &reaching);
-    let consumers = consumer_counts(kernel, &reaching);
-    let div = divergence(kernel, &cfg);
-    let cls = classify(kernel);
-    let class_of: BTreeMap<usize, LoadClass> = cls.loads().map(|l| (l.pc, l.class)).collect();
-    let predictions: HashMap<usize, Prediction> = affine_loads(kernel)
-        .into_iter()
-        .map(|l| (l.pc, l.prediction))
-        .collect();
+    let facts = Facts::new(kernel);
+    rank(
+        &facts,
+        &divergence(kernel, facts.cfg()),
+        &predictions(&facts),
+    )
+}
+
+/// [`critical_loads`] over the facts, divergence and predictions the
+/// caller already has.
+pub(crate) fn rank(
+    facts: &Facts<'_>,
+    div: &DivergenceInfo,
+    predictions: &[LoadPrediction],
+) -> Vec<CriticalLoad> {
+    let kernel = facts.kernel;
+    let depths = chain_depths(&facts.classes);
+    let heights = slice_heights(kernel, &facts.reaching);
+    let consumers = consumer_counts(kernel, &facts.reaching);
+    let predictions: HashMap<usize, Prediction> =
+        predictions.iter().map(|l| (l.pc, l.prediction)).collect();
 
     let mut out = Vec::new();
     for (pc, inst) in kernel.insts().iter().enumerate() {
@@ -232,10 +241,7 @@ pub fn critical_loads(kernel: &Kernel) -> Vec<CriticalLoad> {
         out.push(CriticalLoad {
             pc,
             space: *space,
-            class: class_of
-                .get(&pc)
-                .copied()
-                .unwrap_or(LoadClass::Deterministic),
+            class: facts.class_of(pc),
             chain_depth,
             slice_height,
             consumers: cons,

@@ -7,12 +7,12 @@
 //! (`gcl_sim`'s block tracker) *measures* that overlap; this module
 //! *predicts* it from the PTX alone, given only the launch geometry:
 //!
-//! 1. Every load address is evaluated to a [`SymAffine`] form over
-//!    `{tid.*, ctaid.*, %laneid, loop induction variables}` — the
-//!    [`crate::affine`] evaluator widened with CTA terms and natural-loop
-//!    induction-variable recognition over [`gcl_ptx::LoopForest`]. Loop trip
-//!    counts are recovered from the exit guard when the bound is a static
-//!    constant.
+//! 1. Every load address is evaluated under the launch geometry to a
+//!    [`SymAffine`] form over `{tid.*, ctaid.*, %laneid, %warpid, loop
+//!    induction variables}` by the crate's one address evaluator (the
+//!    coalescing predictor of [`crate::affine`] reads the same evaluation
+//!    without a geometry). Loop trip counts are recovered from the exit
+//!    guard when the bound is a static constant.
 //! 2. The per-CTA byte footprint is the Minkowski sum of one strided
 //!    [`ARange`] per non-CTA term; quantizing by 128 B gives the block
 //!    footprint. The CTA terms only *shift* that range, so inter-CTA overlap
@@ -33,19 +33,15 @@
 //! uniform addend the analysis falls back to byte-level reasoning with a
 //! full block of slack.
 
-use crate::symaff::{ARange, Coeff, LaunchCtx, SymAffine, SymVal, Term};
-use gcl_core::{address_sources, AddressSource, DefSite, ReachingDefs};
-use gcl_ptx::{
-    AluOp, Cfg, CmpOp, Kernel, LoopForest, Op, Operand, Reg, Space, Special, Type, UnaryOp,
-};
-use std::collections::{HashMap, HashSet};
+use crate::eval::SymEval;
+use crate::facts::Facts;
+use crate::symaff::{ARange, Coeff, LaunchCtx, SymAffine, Term};
+use gcl_core::AddressSource;
+use gcl_ptx::{Kernel, Op, Space};
 use std::fmt;
 
 /// Block granularity of the footprint model (the simulator's L2 line).
 pub const BLOCK_BYTES: i64 = 128;
-
-/// Iteration cap when scanning a loop guard for its trip count.
-const MAX_TRIP_SCAN: i64 = 1 << 16;
 
 /// Per-dimension cap on the CTA-delta scan for very large grids.
 const MAX_DELTA: i64 = 32;
@@ -266,398 +262,6 @@ enum PairShare {
     Unknown,
 }
 
-/// Symbolic evaluator over reaching definitions, with natural-loop
-/// induction-variable recognition. Same traversal shape as
-/// [`crate::affine`]'s evaluator, but cycles that are not recognized
-/// induction variables go to [`SymVal::Top`] — footprints need the
-/// constants, not just the coefficients, so the affine evaluator's
-/// "init value wins" shortcut would be unsound here.
-struct SymEval<'k> {
-    kernel: &'k Kernel,
-    cfg: Cfg,
-    forest: LoopForest,
-    reaching: ReachingDefs,
-    ctx: LaunchCtx,
-    memo: HashMap<DefSite, SymVal>,
-    in_progress: HashSet<DefSite>,
-    trips: HashMap<usize, Option<u64>>,
-}
-
-impl<'k> SymEval<'k> {
-    fn new(kernel: &'k Kernel, ctx: LaunchCtx) -> SymEval<'k> {
-        let cfg = Cfg::build(kernel);
-        let forest = cfg.loop_forest();
-        SymEval {
-            kernel,
-            cfg,
-            forest,
-            reaching: ReachingDefs::compute(kernel),
-            ctx,
-            memo: HashMap::new(),
-            in_progress: HashSet::new(),
-            trips: HashMap::new(),
-        }
-    }
-
-    /// `i = i ± const` with `dst == reg`, unguarded: the step, if so.
-    fn iv_step(&self, pc: usize, reg: Reg) -> Option<i64> {
-        let inst = &self.kernel.insts()[pc];
-        if inst.guard.is_some() {
-            return None;
-        }
-        let Op::Alu { op, dst, a, b, .. } = &inst.op else {
-            return None;
-        };
-        if *dst != reg {
-            return None;
-        }
-        match (op, a, b) {
-            (AluOp::Add, Operand::Reg(r), Operand::Imm(c)) if *r == reg => Some(*c),
-            (AluOp::Add, Operand::Imm(c), Operand::Reg(r)) if *r == reg => Some(*c),
-            (AluOp::Sub, Operand::Reg(r), Operand::Imm(c)) if *r == reg => Some(-*c),
-            _ => None,
-        }
-    }
-
-    fn value_of_use(&mut self, use_pc: usize, reg: Reg) -> SymVal {
-        let defs = self.reaching.defs_reaching_use(self.kernel, use_pc, reg);
-        if defs.is_empty() {
-            return SymVal::Top;
-        }
-        // Induction-variable recognition: exactly one in-loop self-increment
-        // plus initializations from outside that loop, with the use inside
-        // it, evaluates to `init + step·iv` instead of chasing the cycle.
-        let use_block = self.cfg.block_of(use_pc);
-        let ivs: Vec<(DefSite, usize, i64)> = defs
-            .iter()
-            .filter_map(|d| {
-                let step = self.iv_step(d.pc, reg)?;
-                let l = self.forest.innermost_of(self.cfg.block_of(d.pc))?;
-                Some((*d, l, step))
-            })
-            .collect();
-        if let [(inc, l, step)] = ivs[..] {
-            let lp = &self.forest.loops()[l];
-            // Needs the init defs in the reaching set: a use that sees only
-            // the increment resolves through `value_of_def(inc)` instead,
-            // whose own operand use does see the {init, increment} pair.
-            if defs.len() > 1
-                && lp.contains(use_block)
-                && defs
-                    .iter()
-                    .all(|d| d.pc == inc.pc || !lp.contains(self.cfg.block_of(d.pc)))
-            {
-                let mut init = SymVal::Bottom;
-                for d in defs.iter().filter(|d| d.pc != inc.pc) {
-                    init = init.join(&self.value_of_def(*d));
-                }
-                return match init {
-                    SymVal::Val(v) => SymVal::Val(v.add(&SymAffine::term(Term::Iv(l)).scale(step))),
-                    _ => SymVal::Top,
-                };
-            }
-        }
-        let mut v = SymVal::Bottom;
-        for d in defs {
-            v = v.join(&self.value_of_def(d));
-        }
-        v
-    }
-
-    fn value_of_operand(&mut self, pc: usize, o: &Operand) -> SymVal {
-        match o {
-            Operand::Reg(r) => self.value_of_use(pc, *r),
-            Operand::Imm(v) => SymVal::Val(SymAffine::constant(*v)),
-            Operand::FImm(_) => SymVal::Val(SymAffine::unknown_uniform()),
-            Operand::Special(s) => match s {
-                Special::TidX => SymVal::Val(SymAffine::term(Term::TidX)),
-                Special::TidY => SymVal::Val(SymAffine::term(Term::TidY)),
-                Special::TidZ => SymVal::Val(SymAffine::term(Term::TidZ)),
-                Special::CtaIdX => SymVal::Val(SymAffine::term(Term::CtaIdX)),
-                Special::CtaIdY => SymVal::Val(SymAffine::term(Term::CtaIdY)),
-                Special::CtaIdZ => SymVal::Val(SymAffine::term(Term::CtaIdZ)),
-                Special::LaneId => SymVal::Val(SymAffine::term(Term::Lane)),
-                Special::NTidX => SymVal::Val(SymAffine::constant(i64::from(self.ctx.ntid[0]))),
-                Special::NTidY => SymVal::Val(SymAffine::constant(i64::from(self.ctx.ntid[1]))),
-                Special::NTidZ => SymVal::Val(SymAffine::constant(i64::from(self.ctx.ntid[2]))),
-                Special::NCtaIdX => SymVal::Val(SymAffine::constant(i64::from(self.ctx.nctaid[0]))),
-                Special::NCtaIdY => SymVal::Val(SymAffine::constant(i64::from(self.ctx.nctaid[1]))),
-                Special::NCtaIdZ => SymVal::Val(SymAffine::constant(i64::from(self.ctx.nctaid[2]))),
-                // Per-warp, not per-thread-affine in our terms.
-                Special::WarpId => SymVal::Top,
-            },
-        }
-    }
-
-    fn uniform_rule(&self, ops: &[SymVal]) -> SymVal {
-        if ops.iter().any(|o| matches!(o, SymVal::Bottom)) {
-            return SymVal::Bottom;
-        }
-        if ops
-            .iter()
-            .all(|o| matches!(o, SymVal::Val(v) if v.is_uniform()))
-        {
-            SymVal::Val(SymAffine::unknown_uniform())
-        } else {
-            SymVal::Top
-        }
-    }
-
-    fn mul(&self, a: &SymVal, b: &SymVal) -> SymVal {
-        match (a, b) {
-            (SymVal::Bottom, _) | (_, SymVal::Bottom) => SymVal::Bottom,
-            (SymVal::Val(x), SymVal::Val(y)) => {
-                if x.is_constant() {
-                    return SymVal::Val(y.scale(x.k));
-                }
-                if y.is_constant() {
-                    return SymVal::Val(x.scale(y.k));
-                }
-                // One side grid-uniform but unknown: the term support of the
-                // other side survives with unknown magnitudes.
-                if x.is_uniform() {
-                    return match y.scale_unknown() {
-                        Some(v) => SymVal::Val(v),
-                        None => SymVal::Top,
-                    };
-                }
-                if y.is_uniform() {
-                    return match x.scale_unknown() {
-                        Some(v) => SymVal::Val(v),
-                        None => SymVal::Top,
-                    };
-                }
-                SymVal::Top
-            }
-            _ => SymVal::Top,
-        }
-    }
-
-    fn add(&self, a: &SymVal, b: &SymVal) -> SymVal {
-        match (a, b) {
-            (SymVal::Bottom, _) | (_, SymVal::Bottom) => SymVal::Bottom,
-            (SymVal::Top, _) | (_, SymVal::Top) => SymVal::Top,
-            (SymVal::Val(x), SymVal::Val(y)) => SymVal::Val(x.add(y)),
-        }
-    }
-
-    fn value_of_def(&mut self, def: DefSite) -> SymVal {
-        if let Some(v) = self.memo.get(&def) {
-            return v.clone();
-        }
-        if !self.in_progress.insert(def) {
-            // Unrecognized recurrence: refuse, do not pretend.
-            return SymVal::Top;
-        }
-        let pc = def.pc;
-        let v = match &self.kernel.insts()[pc].op {
-            Op::Ld { space, addr, .. } => match space {
-                Space::Param => match addr.base {
-                    // A pointer-typed parameter at a declared offset is a
-                    // base; any other param read is an unknown uniform.
-                    None => self.param_value(addr.offset),
-                    Some(_) => SymVal::Val(SymAffine::unknown_uniform()),
-                },
-                Space::Const => SymVal::Val(SymAffine::unknown_uniform()),
-                _ => SymVal::Top,
-            },
-            Op::Atom { .. } => SymVal::Top,
-            Op::Mov { src, .. } | Op::Cvt { src, .. } => {
-                let s = *src;
-                self.value_of_operand(pc, &s)
-            }
-            Op::Unary { op, a, .. } => {
-                let a = *a;
-                let va = self.value_of_operand(pc, &a);
-                match (op, &va) {
-                    (UnaryOp::Neg, SymVal::Val(v)) => SymVal::Val(v.neg()),
-                    (UnaryOp::Neg, other) => other.clone(),
-                    _ => self.uniform_rule(&[va]),
-                }
-            }
-            Op::Alu { op, a, b, .. } => {
-                let (op, a, b) = (*op, *a, *b);
-                let va = self.value_of_operand(pc, &a);
-                let vb = self.value_of_operand(pc, &b);
-                match op {
-                    AluOp::Add => self.add(&va, &vb),
-                    AluOp::Sub => {
-                        let nb = match &vb {
-                            SymVal::Val(v) => SymVal::Val(v.neg()),
-                            other => other.clone(),
-                        };
-                        self.add(&va, &nb)
-                    }
-                    AluOp::Mul | AluOp::MulWide => self.mul(&va, &vb),
-                    AluOp::Shl => match &vb {
-                        SymVal::Val(s) if s.is_constant() && (0..=32).contains(&s.k) => match &va {
-                            SymVal::Val(v) => SymVal::Val(v.scale(1i64 << s.k)),
-                            other => other.clone(),
-                        },
-                        _ => self.uniform_rule(&[va, vb]),
-                    },
-                    _ => self.uniform_rule(&[va, vb]),
-                }
-            }
-            Op::Mad { a, b, c, .. } => {
-                let (a, b, c) = (*a, *b, *c);
-                let va = self.value_of_operand(pc, &a);
-                let vb = self.value_of_operand(pc, &b);
-                let vc = self.value_of_operand(pc, &c);
-                let prod = self.mul(&va, &vb);
-                self.add(&prod, &vc)
-            }
-            Op::Sfu { a, .. } => {
-                let a = *a;
-                let va = self.value_of_operand(pc, &a);
-                self.uniform_rule(&[va])
-            }
-            Op::Setp { a, b, .. } => {
-                let (a, b) = (*a, *b);
-                let va = self.value_of_operand(pc, &a);
-                let vb = self.value_of_operand(pc, &b);
-                self.uniform_rule(&[va, vb])
-            }
-            Op::Selp { a, b, pred, .. } => {
-                let (a, b, pred) = (*a, *b, *pred);
-                let va = self.value_of_operand(pc, &a);
-                let vb = self.value_of_operand(pc, &b);
-                let vp = self.value_of_use(pc, pred);
-                if va == vb {
-                    va
-                } else if matches!(&vp, SymVal::Val(p) if p.is_uniform()) {
-                    va.join(&vb)
-                } else {
-                    SymVal::Top
-                }
-            }
-            Op::St { .. } | Op::Bra { .. } | Op::Bar { .. } | Op::Exit => SymVal::Top,
-        };
-        self.in_progress.remove(&def);
-        self.memo.insert(def, v.clone());
-        v
-    }
-
-    fn param_value(&self, offset: i64) -> SymVal {
-        let Ok(off) = u32::try_from(offset) else {
-            return SymVal::Val(SymAffine::unknown_uniform());
-        };
-        for i in 0..self.kernel.params().len() {
-            if self.kernel.param_offset(i) == off {
-                if self.kernel.params()[i].ty == Type::U64 {
-                    return SymVal::Val(SymAffine::param(off));
-                }
-                break;
-            }
-        }
-        SymVal::Val(SymAffine::unknown_uniform())
-    }
-
-    /// Trip count of loop `l`, when the exit guard compares a recognized
-    /// induction variable against a static constant.
-    fn loop_trips(&mut self, l: usize) -> Option<u64> {
-        if let Some(t) = self.trips.get(&l) {
-            return *t;
-        }
-        self.trips.insert(l, None); // cut re-entrancy
-        let t = self.compute_trips(l);
-        self.trips.insert(l, t);
-        t
-    }
-
-    fn compute_trips(&mut self, l: usize) -> Option<u64> {
-        let (latches, exits) = {
-            let lp = &self.forest.loops()[l];
-            (lp.latches.clone(), lp.exit_edges.clone())
-        };
-        let (gb, exit_target) = *exits.first()?;
-        if !exits.iter().all(|e| e.0 == gb) {
-            return None;
-        }
-        let term_pc = self.cfg.blocks()[gb].terminator_pc();
-        let (target, guard) = match &self.kernel.insts()[term_pc] {
-            gcl_ptx::Instruction {
-                op: Op::Bra { target },
-                guard: Some(g),
-            } => (*target, *g),
-            _ => return None,
-        };
-        let branch_block = self.cfg.block_of(target);
-        if term_pc + 1 >= self.kernel.insts().len() {
-            return None;
-        }
-        let fall_block = self.cfg.block_of(term_pc + 1);
-        if branch_block == fall_block {
-            return None;
-        }
-        let exit_on_taken = exit_target == branch_block;
-        let defs = self
-            .reaching
-            .defs_reaching_use(self.kernel, term_pc, guard.pred);
-        let [pdef] = defs[..] else { return None };
-        let sp = pdef.pc;
-        let (cmp, a, b) = match &self.kernel.insts()[sp] {
-            gcl_ptx::Instruction {
-                op: Op::Setp { cmp, a, b, .. },
-                guard: None,
-            } => (*cmp, *a, *b),
-            _ => return None,
-        };
-        let va = self.value_of_operand(sp, &a);
-        let vb = self.value_of_operand(sp, &b);
-        let (ka, sa) = as_iv_line(&va, l)?;
-        let (kb, sb) = as_iv_line(&vb, l)?;
-        for j in 0..=MAX_TRIP_SCAN {
-            let taken = eval_cmp(cmp, ka + sa * j, kb + sb * j) != guard.negate;
-            let exits_now = if exit_on_taken { taken } else { !taken };
-            if exits_now {
-                // A latch guard (incl. a single-block do-while, where the
-                // header is its own latch) tests after the body ran, so
-                // iteration j executed; a pure header guard tests first.
-                let t = if latches.contains(&gb) { j + 1 } else { j };
-                return u64::try_from(t).ok();
-            }
-        }
-        None
-    }
-
-    /// The value domain of a non-CTA term: geometry for tids/lane, trip
-    /// count for induction variables.
-    fn term_domain(&mut self, t: Term) -> Option<u64> {
-        match t {
-            Term::Iv(l) => self.loop_trips(l),
-            other => self.ctx.term_domain(other),
-        }
-    }
-}
-
-/// `v` as `k + s·iv(l)` with everything else absent: `(k, s)`.
-fn as_iv_line(v: &SymVal, l: usize) -> Option<(i64, i64)> {
-    let f = v.val()?;
-    if !f.bases.is_empty() || f.ubase {
-        return None;
-    }
-    let mut s = 0i64;
-    for (t, c) in f.terms() {
-        match (t, c) {
-            (Term::Iv(tl), Coeff::Known(cs)) if tl == l => s = cs,
-            _ => return None,
-        }
-    }
-    Some((f.k, s))
-}
-
-fn eval_cmp(cmp: CmpOp, a: i64, b: i64) -> bool {
-    match cmp {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
-}
-
 /// Quantize a byte-offset range of `bytes`-wide accesses to 128 B block
 /// indices. Inexact results are supersets.
 fn blockify(r: &ARange, bytes: u32) -> ARange {
@@ -688,28 +292,13 @@ fn blockify(r: &ARange, bytes: u32) -> ARange {
 /// dominating every exit-carrying block runs in every thread, so a load
 /// there carries *exact* footprint claims (no guard, predicate or branch
 /// can mask part of its index space off).
-fn always_executed(cfg: &Cfg) -> Vec<bool> {
-    let idom = cfg.immediate_dominators();
-    let dominates = |a: usize, b: usize| -> bool {
-        let mut cur = Some(b);
-        while let Some(c) = cur {
-            if c == a {
-                return true;
-            }
-            // The entry block is its own immediate dominator; stop there.
-            cur = idom[c].filter(|&d| d != c);
-        }
-        false
-    };
-    let exits: Vec<usize> = cfg
-        .blocks()
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.succs.is_empty())
-        .map(|(i, _)| i)
+fn always_executed(facts: &Facts<'_>) -> Vec<bool> {
+    let blocks = facts.cfg().blocks();
+    let exits: Vec<usize> = (0..blocks.len())
+        .filter(|&b| blocks[b].succs.is_empty())
         .collect();
-    (0..cfg.blocks().len())
-        .map(|b| !exits.is_empty() && exits.iter().all(|&e| dominates(b, e)))
+    (0..blocks.len())
+        .map(|b| !exits.is_empty() && exits.iter().all(|&e| facts.dominates(b, e)))
         .collect()
 }
 
@@ -719,32 +308,19 @@ fn always_executed(cfg: &Cfg) -> Vec<bool> {
 /// the block must dominate all the loop's latches, so it runs on every
 /// iteration rather than under a conditional inside the body.
 fn runs_unconditionally(eval: &mut SymEval<'_>, unconditional: &[bool], pc: usize) -> bool {
-    let idom = eval.cfg.immediate_dominators();
-    let dominates = |a: usize, t: usize| -> bool {
-        let mut cur = Some(t);
-        while let Some(c) = cur {
-            if c == a {
-                return true;
-            }
-            cur = idom[c].filter(|&d| d != c);
-        }
-        false
-    };
-    let mut b = eval.cfg.block_of(pc);
+    let facts = eval.facts;
+    let mut b = facts.cfg().block_of(pc);
     loop {
         if unconditional[b] {
             return true;
         }
-        let Some(l) = eval.forest.innermost_of(b) else {
+        let Some(l) = facts.forest.innermost_of(b) else {
             return false;
         };
-        let (header, latches) = {
-            let lp = &eval.forest.loops()[l];
-            (lp.header, lp.latches.clone())
-        };
+        let lp = &facts.forest.loops()[l];
         // Must run on every iteration, not under a conditional in the body
         // (the header trivially dominates its latches).
-        if !latches.iter().all(|&lt| dominates(b, lt)) {
+        if !lp.latches.iter().all(|&lt| facts.dominates(b, lt)) {
             return false;
         }
         if !matches!(eval.loop_trips(l), Some(t) if t >= 1) {
@@ -753,7 +329,7 @@ fn runs_unconditionally(eval: &mut SymEval<'_>, unconditional: &[bool], pc: usiz
         // The loop body runs iff the loop is entered: continue from the
         // header's immediate dominator, which sits outside the loop (the
         // entry block is its own idom — stop if the header is the entry).
-        let Some(pre) = idom[header].filter(|&d| d != header) else {
+        let Some(pre) = facts.idom[lp.header].filter(|&d| d != lp.header) else {
             return false;
         };
         b = pre;
@@ -763,11 +339,15 @@ fn runs_unconditionally(eval: &mut SymEval<'_>, unconditional: &[bool], pc: usiz
 /// Compute per-load footprints, the sharing matrix and the cluster map for
 /// `kernel` under launch geometry `ctx`.
 pub fn footprints(kernel: &Kernel, ctx: &LaunchCtx) -> KernelLocality {
-    let mut eval = SymEval::new(kernel, *ctx);
-    let unconditional = always_executed(&eval.cfg);
+    locality(&Facts::new(kernel), ctx)
+}
+
+/// [`footprints`] over facts the caller already has.
+pub(crate) fn locality(facts: &Facts<'_>, ctx: &LaunchCtx) -> KernelLocality {
+    let mut eval = SymEval::new(facts, Some(*ctx));
+    let unconditional = always_executed(facts);
     let mut loads = Vec::new();
-    let mut per_load_val: Vec<Option<SymAffine>> = Vec::new();
-    for (pc, inst) in kernel.insts().iter().enumerate() {
+    for (pc, inst) in facts.kernel.insts().iter().enumerate() {
         let Op::Ld {
             space, ty, addr, ..
         } = &inst.op
@@ -777,23 +357,22 @@ pub fn footprints(kernel: &Kernel, ctx: &LaunchCtx) -> KernelLocality {
         if !matches!(space, Space::Global | Space::Local | Space::Tex) {
             continue;
         }
-        let bytes = ty.size_bytes();
-        let v = match addr.base {
-            Some(base) => match eval.value_of_use(pc, base) {
-                SymVal::Val(f) => SymVal::Val(f.add(&SymAffine::constant(addr.offset))),
-                other => other,
-            },
-            None => SymVal::Val(SymAffine::constant(addr.offset)),
-        };
+        let sym = eval.address(pc, addr);
         // A load is guarded if predicated directly, or if its block is
         // reachable only through a branch (some threads/CTAs may skip it).
         // Loop bodies are an exception: with a recovered trip count >= 1
         // the body runs whenever its header does, so the loop's own exit
         // branch does not make the load conditional.
         let guarded = inst.guard.is_some() || !runs_unconditionally(&mut eval, &unconditional, pc);
-        let (fp, form) = build_footprint(&mut eval, kernel, pc, *space, bytes, &v, guarded);
-        loads.push(fp);
-        per_load_val.push(form);
+        loads.push(build_footprint(
+            &mut eval,
+            ctx,
+            pc,
+            *space,
+            ty.size_bytes(),
+            sym,
+            guarded,
+        ));
     }
 
     let n = ctx.n_ctas();
@@ -801,9 +380,9 @@ pub fn footprints(kernel: &Kernel, ctx: &LaunchCtx) -> KernelLocality {
     let mut matrix = SharingMatrix::new(matrix_n);
     if matrix_n > 1 {
         let coords = cta_coords(ctx);
-        for (li, form) in per_load_val.iter().enumerate() {
-            let Some(f) = form else { continue };
-            let f0 = footprint_bytes(&mut eval, f);
+        for load in &loads {
+            let Some(f) = &load.sym else { continue };
+            let f0 = footprint_bytes(&mut eval, ctx, f);
             for i in 0..matrix_n {
                 for j in (i + 1)..matrix_n {
                     let delta = [
@@ -812,7 +391,7 @@ pub fn footprints(kernel: &Kernel, ctx: &LaunchCtx) -> KernelLocality {
                         i64::from(coords[j][2]) - i64::from(coords[i][2]),
                     ];
                     if matches!(
-                        pair_share(f, &f0, delta, loads[li].bytes),
+                        pair_share(f, &f0, delta, load.bytes),
                         PairShare::All | PairShare::Blocks
                     ) {
                         matrix.bump(i, j);
@@ -824,7 +403,7 @@ pub fn footprints(kernel: &Kernel, ctx: &LaunchCtx) -> KernelLocality {
     let cluster = cluster_map(&matrix);
 
     KernelLocality {
-        kernel: kernel.name().to_string(),
+        kernel: facts.kernel.name().to_string(),
         launch: *ctx,
         loads,
         matrix,
@@ -848,7 +427,11 @@ fn cta_coords(ctx: &LaunchCtx) -> Vec<[u32; 3]> {
 /// Per-CTA byte footprint (CTA terms excluded): the Minkowski sum of one
 /// strided range per non-CTA term, plus the constant. `None` when a
 /// coefficient or domain is unknown. The bool is the unknown-uniform flag.
-fn footprint_bytes(eval: &mut SymEval<'_>, f: &SymAffine) -> Option<(ARange, bool)> {
+fn footprint_bytes(
+    eval: &mut SymEval<'_>,
+    ctx: &LaunchCtx,
+    f: &SymAffine,
+) -> Option<(ARange, bool)> {
     let mut r = ARange::singleton(f.k);
     for (t, c) in f.terms() {
         if matches!(t, Term::CtaIdX | Term::CtaIdY | Term::CtaIdZ) {
@@ -858,7 +441,12 @@ fn footprint_bytes(eval: &mut SymEval<'_>, f: &SymAffine) -> Option<(ARange, boo
         if c == 0 {
             continue;
         }
-        let dom = eval.term_domain(t)?;
+        // The value domain of the term: geometry for tids and the lane,
+        // the trip count for an induction variable.
+        let dom = match t {
+            Term::Iv(l) => eval.loop_trips(l),
+            other => ctx.term_domain(other),
+        }?;
         r = r.add(&ARange::strided(c, dom.max(1)));
     }
     Some((r, f.ubase))
@@ -929,46 +517,38 @@ fn pair_share(
 
 fn build_footprint(
     eval: &mut SymEval<'_>,
-    kernel: &Kernel,
+    ctx: &LaunchCtx,
     pc: usize,
     space: Space,
     bytes: u32,
-    v: &SymVal,
+    sym: Option<SymAffine>,
     guarded: bool,
-) -> (LoadFootprint, Option<SymAffine>) {
-    let ctx = eval.ctx;
-    let Some(f) = v.val() else {
+) -> LoadFootprint {
+    let Some(f) = sym else {
         // Not affine at all. Loaded-value addresses are the paper's
         // pointer-chase pattern: statically unbounded footprint.
-        let chased = match &kernel.insts()[pc].op {
-            Op::Ld { addr, .. } => addr.base.is_some_and(|b| {
-                address_sources(kernel, pc, b)
-                    .iter()
-                    .any(|s| matches!(s, AddressSource::MemoryLoad { .. }))
-            }),
-            _ => false,
-        };
-        return (
-            LoadFootprint {
-                pc,
-                space,
-                bytes,
-                sym: None,
-                sharing: if chased {
-                    Sharing::Unbounded
-                } else {
-                    Sharing::Unknown
-                },
-                blocks: None,
-                block_count: None,
-                cta_stride_x: None,
-                exact: false,
+        let chased = eval.facts.classes.load(pc).is_some_and(|l| {
+            l.sources
+                .iter()
+                .any(|s| matches!(s, AddressSource::MemoryLoad { .. }))
+        });
+        return LoadFootprint {
+            pc,
+            space,
+            bytes,
+            sym: None,
+            sharing: if chased {
+                Sharing::Unbounded
+            } else {
+                Sharing::Unknown
             },
-            None,
-        );
+            blocks: None,
+            block_count: None,
+            cta_stride_x: None,
+            exact: false,
+        };
     };
-    let f = f.clone();
-    let f0 = footprint_bytes(eval, &f);
+    let f0 = footprint_bytes(eval, ctx, &f);
     let (blocks, block_count) = match &f0 {
         Some((r, false)) => {
             let b = blockify(r, bytes);
@@ -981,33 +561,23 @@ fn build_footprint(
         Coeff::Known(c) => Some(c),
         Coeff::Unknown => None,
     };
-
-    let n = ctx.n_ctas();
-    let sharing = if n <= 1 {
+    let sharing = if ctx.n_ctas() <= 1 {
         Sharing::Private
     } else {
-        classify_sharing(&f, &f0, &ctx, bytes)
+        classify_sharing(&f, &f0, ctx, bytes)
     };
-    let exact = !guarded
-        && !f.ubase
-        && match &f0 {
-            Some((r, _)) => r.exact,
-            None => false,
-        };
-    (
-        LoadFootprint {
-            pc,
-            space,
-            bytes,
-            sym: Some(f.clone()),
-            sharing,
-            blocks,
-            block_count,
-            cta_stride_x,
-            exact,
-        },
-        Some(f),
-    )
+    let exact = !guarded && !f.ubase && f0.is_some_and(|(r, _)| r.exact);
+    LoadFootprint {
+        pc,
+        space,
+        bytes,
+        sym: Some(f),
+        sharing,
+        blocks,
+        block_count,
+        cta_stride_x,
+        exact,
+    }
 }
 
 /// Aggregate per-delta verdicts into the load's [`Sharing`] label.
@@ -1099,7 +669,7 @@ fn cluster_map(m: &SharingMatrix) -> ClusterMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcl_ptx::KernelBuilder;
+    use gcl_ptx::{AluOp, CmpOp, KernelBuilder, Special, Type};
 
     fn ctx_1d(ntid: u32, nctaid: u32) -> LaunchCtx {
         LaunchCtx::new([ntid, 1, 1], [nctaid, 1, 1])

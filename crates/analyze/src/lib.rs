@@ -1,7 +1,7 @@
 //! `gcl-analyze` — static analysis suite over the PTX subset.
 //!
-//! Three analyses run over [`gcl_ptx`]'s CFG on a shared dataflow framework
-//! ([`dataflow`]):
+//! Five passes read one set of per-kernel facts (CFG, reaching definitions,
+//! D/N classification, dominators and loops — built once per kernel):
 //!
 //! * a **verifier** ([`verify()`]) with structural lints — use-before-def,
 //!   type/width mismatches, unreachable blocks, dead stores/loads, missing
@@ -9,14 +9,25 @@
 //! * a **divergence analysis** ([`divergence()`]) that annotates each branch
 //!   uniform/divergent and statically flags barriers reachable under
 //!   divergent control flow (which hang the simulator's watchdog at
-//!   runtime);
+//!   runtime); it and the verifier's liveness share the [`dataflow`] engine;
 //! * a **tid-affine address analysis** ([`affine`]) that predicts, per
 //!   static load, the coalescer request count (global) or bank-conflict
 //!   degree (shared), cross-validated against dynamic measurement in the
-//!   test suite.
+//!   test suite;
+//! * a **footprint analysis** ([`footprint`]) that, given a launch geometry,
+//!   bounds each load's per-CTA 128 B-block set and predicts inter-CTA
+//!   sharing;
+//! * a **critical-load ranking** ([`critical`]) over the classification,
+//!   the divergence regions and the predictions.
 //!
-//! [`analyze`] runs all three and bundles the result in a [`Report`] with
-//! human-readable ([`std::fmt::Display`]) and CSV output.
+//! The two address passes are views of one evaluator: a backward walk over
+//! address def-chains into the [`SymAffine`] domain, of which the affine
+//! predictor keeps the per-thread coefficients and the footprint pass the
+//! whole form.
+//!
+//! [`analyze`] runs the first three, [`analyze_with`] optionally the other
+//! two, and both bundle the result in a [`Report`] with human-readable
+//! ([`std::fmt::Display`]) and CSV output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,22 +37,25 @@ pub mod critical;
 pub mod dataflow;
 pub mod diag;
 pub mod divergence;
+mod eval;
+mod facts;
 pub mod footprint;
 pub mod symaff;
 pub mod verify;
 
-pub use affine::{affine_loads, Affine, AffineVal, LoadPrediction, Prediction};
+pub use affine::{affine_loads, AffineVal, LoadPrediction, Prediction};
 pub use critical::{critical_loads, CriticalLoad};
 pub use diag::{Diagnostic, Severity};
 pub use divergence::{divergence, BranchDivergence, DivergenceInfo};
 pub use footprint::{
     footprints, ClusterMap, KernelLocality, LoadFootprint, Sharing, SharingMatrix,
 };
-pub use symaff::{ARange, Coeff, LaunchCtx, SymAffine, SymVal, Term};
+pub use symaff::{ARange, Coeff, LaunchCtx, SymAffine, Term};
 pub use verify::verify;
 
-use gcl_core::{address_sources, classify, LoadClass};
-use gcl_ptx::{Cfg, Kernel};
+use facts::Facts;
+use gcl_core::LoadClass;
+use gcl_ptx::Kernel;
 use std::fmt;
 
 /// Schema/version line emitted ahead of the CSV header so downstream
@@ -71,7 +85,7 @@ pub struct ReportLoad {
     pub inst: String,
 }
 
-/// Combined result of all three analyses over one kernel.
+/// Combined result of the analyses over one kernel.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Kernel name.
@@ -232,11 +246,12 @@ pub fn analyze(kernel: &Kernel) -> Report {
     analyze_with(kernel, &AnalyzeOptions::default())
 }
 
-/// [`analyze`], plus the optional locality and criticality layers.
+/// [`analyze`], plus the optional locality and criticality layers. Every
+/// pass reads the one set of per-kernel facts built here.
 pub fn analyze_with(kernel: &Kernel, opts: &AnalyzeOptions) -> Report {
-    let cfg = Cfg::build(kernel);
-    let mut diagnostics = verify::verify(kernel, &cfg);
-    let div = divergence::divergence(kernel, &cfg);
+    let facts = Facts::new(kernel);
+    let mut diagnostics = verify::lints(kernel, facts.cfg(), &facts.reaching);
+    let div = divergence::divergence(kernel, facts.cfg());
     diagnostics.extend(div.diagnostics.iter().cloned());
     diagnostics.sort_by(|a, b| (a.pc, a.code).cmp(&(b.pc, b.code)));
     // Passes can anchor several findings of one kind to the same
@@ -244,35 +259,19 @@ pub fn analyze_with(kernel: &Kernel, opts: &AnalyzeOptions) -> Report {
     // rendering each would double-report. Keep the first per (pc, code).
     diagnostics.dedup_by(|a, b| (a.pc, a.code) == (b.pc, b.code));
 
-    let classification = classify(kernel);
+    let predictions = affine::predictions(&facts);
+    let critical = if opts.critical {
+        critical::rank(&facts, &div, &predictions)
+    } else {
+        Vec::new()
+    };
     let insts = kernel.insts();
-    let loads = affine_loads(kernel)
+    let loads = predictions
         .into_iter()
-        .map(|p| {
-            // Shared loads are not classification subjects in gcl-core;
-            // derive their class from the same provenance terminals.
-            let class = classification
-                .loads()
-                .find(|l| l.pc == p.pc)
-                .map(|l| l.class)
-                .unwrap_or_else(|| {
-                    let deterministic = match insts[p.pc].op.addr().and_then(|a| a.base) {
-                        Some(base) => address_sources(kernel, p.pc, base)
-                            .iter()
-                            .all(|s| s.is_parameterized()),
-                        None => true,
-                    };
-                    if deterministic {
-                        LoadClass::Deterministic
-                    } else {
-                        LoadClass::NonDeterministic
-                    }
-                });
-            ReportLoad {
-                inst: insts[p.pc].to_string(),
-                class,
-                prediction: p,
-            }
+        .map(|p| ReportLoad {
+            inst: insts[p.pc].to_string(),
+            class: facts.class_of(p.pc),
+            prediction: p,
         })
         .collect();
 
@@ -281,11 +280,7 @@ pub fn analyze_with(kernel: &Kernel, opts: &AnalyzeOptions) -> Report {
         diagnostics,
         branches: div.branches,
         loads,
-        locality: opts.locality.map(|ctx| footprint::footprints(kernel, &ctx)),
-        critical: if opts.critical {
-            critical::critical_loads(kernel)
-        } else {
-            Vec::new()
-        },
+        locality: opts.locality.map(|ctx| footprint::locality(&facts, &ctx)),
+        critical,
     }
 }

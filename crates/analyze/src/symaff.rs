@@ -1,22 +1,20 @@
 //! Symbolic affine address forms and strided-range arithmetic.
 //!
-//! The coalescing predictor ([`crate::affine`]) abstracts an address as
-//! `base + cx·tid.x + cy·tid.y + cz·tid.z + k` — enough for per-warp
-//! requests, blind to everything beyond one warp. The footprint analysis
-//! ([`crate::footprint`]) needs the *whole* index expression: which CTA the
-//! thread is in, and how far a loop walks the pointer. This module supplies
-//! its two value domains:
+//! Every address analysis of this crate reads one evaluation of the index
+//! expression. This module supplies the value domains of that evaluator
+//! and of the footprint arithmetic over its results:
 //!
 //! * [`SymAffine`] — a linear form `Σ cᵢ·termᵢ + k` over the terms
-//!   `{tid.*, ctaid.*, %laneid, loop induction variables}` plus a set of
-//!   base-pointer parameters and an "unknown uniform addend" flag. Launch
-//!   geometry (`%ntid.*`, `%nctaid.*`) is substituted concretely from a
-//!   [`LaunchCtx`], so `ctaid.x * ntid.x + tid.x` stays linear.
-//!   Multiplication by a *runtime-unknown* uniform (a scalar kernel
-//!   parameter like a matrix dimension) keeps the term support but marks
-//!   every coefficient [`Coeff::Unknown`] — the analysis then still knows
-//!   *which* ids the address depends on, which is exactly what broadcast
-//!   detection needs.
+//!   `{tid.*, ctaid.*, %laneid, %warpid, loop induction variables}` plus a
+//!   set of base-pointer parameters and an "unknown uniform addend" flag.
+//!   Launch geometry (`%ntid.*`, `%nctaid.*`) is substituted concretely
+//!   from a [`LaunchCtx`] when there is one, so `ctaid.x * ntid.x + tid.x`
+//!   stays linear. A coefficient the evaluation cannot name — a term scaled
+//!   by a runtime scalar, or fed through an operation that is not linear —
+//!   becomes [`Coeff::Unknown`]: the form then still says *which* ids the
+//!   address depends on, which is exactly what broadcast detection needs,
+//!   and [`crate::affine`]'s per-warp view only asks that the per-thread
+//!   coefficients be known.
 //! * [`ARange`] — a finite arithmetic progression `{lo, lo+step, ..., hi}`
 //!   with an exactness bit. Addition (Minkowski sum), scaling, hull and
 //!   intersection are closed on the domain; inexact results are always
@@ -44,9 +42,19 @@ pub enum Term {
     CtaIdZ,
     /// `%laneid` — lane within the warp (domain `0..32`).
     Lane,
+    /// `%warpid` — warp within the CTA. The same for all lanes of a warp and
+    /// a function of the tids, so it has no value domain of its own.
+    Warp,
     /// The induction variable of loop `id` (a [`gcl_ptx::LoopForest`]
     /// index), counting iterations from 0.
     Iv(usize),
+}
+
+impl Term {
+    /// Whether the term differs between the threads of one warp.
+    pub fn per_thread(self) -> bool {
+        matches!(self, Term::TidX | Term::TidY | Term::TidZ | Term::Lane)
+    }
 }
 
 impl fmt::Display for Term {
@@ -59,18 +67,21 @@ impl fmt::Display for Term {
             Term::CtaIdY => write!(f, "ctaid.y"),
             Term::CtaIdZ => write!(f, "ctaid.z"),
             Term::Lane => write!(f, "laneid"),
+            Term::Warp => write!(f, "warpid"),
             Term::Iv(l) => write!(f, "iv{l}"),
         }
     }
 }
 
-/// A term coefficient: a known integer, or unknown (but grid-uniform).
+/// A term coefficient: a known integer, or unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Coeff {
     /// Exactly this many bytes per unit of the term.
     Known(i64),
-    /// Nonconstant scale (e.g. multiplied by a runtime parameter value);
-    /// the dependence exists but its magnitude is unknown.
+    /// The address depends on the term in a way the form cannot name: a
+    /// runtime scale (multiplied by a parameter value), or an operation
+    /// that is not linear. Consumers may conclude nothing from it except
+    /// that the dependence exists.
     Unknown,
 }
 
@@ -110,20 +121,24 @@ impl LaunchCtx {
         LaunchCtx { ntid, nctaid }
     }
 
-    /// Total CTAs in the grid.
+    /// Total CTAs in the grid, saturating: three `u32` extents can exceed
+    /// a `u64`.
     pub fn n_ctas(&self) -> u64 {
-        self.nctaid.iter().map(|&d| u64::from(d.max(1))).product()
+        let [x, y, z] = self.nctaid.map(|d| u64::from(d.max(1)));
+        x.saturating_mul(y).saturating_mul(z)
     }
 
-    /// Linearize a CTA coordinate x-major (the simulator's CTA id order).
+    /// Linearize a CTA coordinate x-major (the simulator's CTA id order),
+    /// saturating like [`LaunchCtx::n_ctas`].
     pub fn linear_cta(&self, c: [u32; 3]) -> u64 {
-        u64::from(c[0])
-            + u64::from(self.nctaid[0].max(1))
-                * (u64::from(c[1]) + u64::from(self.nctaid[1].max(1)) * u64::from(c[2]))
+        let [nx, ny, _] = self.nctaid.map(|d| u64::from(d.max(1)));
+        let rows = u64::from(c[1]).saturating_add(ny.saturating_mul(u64::from(c[2])));
+        u64::from(c[0]).saturating_add(nx.saturating_mul(rows))
     }
 
     /// The value domain size of a term under this geometry, if bounded by
-    /// the geometry alone (`Iv` domains come from trip counts instead).
+    /// the geometry alone (`Iv` domains come from trip counts instead, and
+    /// `%warpid` has none of its own).
     pub fn term_domain(&self, t: Term) -> Option<u64> {
         Some(match t {
             Term::TidX => u64::from(self.ntid[0].max(1)),
@@ -133,7 +148,7 @@ impl LaunchCtx {
             Term::CtaIdY => u64::from(self.nctaid[1].max(1)),
             Term::CtaIdZ => u64::from(self.nctaid[2].max(1)),
             Term::Lane => 32,
-            Term::Iv(_) => return None,
+            Term::Warp | Term::Iv(_) => return None,
         })
     }
 }
@@ -206,6 +221,21 @@ impl SymAffine {
     /// every CTA (only constants, parameters, and unknown uniform parts).
     pub fn is_uniform(&self) -> bool {
         self.terms.is_empty()
+    }
+
+    /// Whether every thread of a warp sees the same value: CTA ids, the
+    /// warp id and loop counters may enter, tids and the lane id may not.
+    pub fn is_warp_uniform(&self) -> bool {
+        !self.terms.keys().any(|t| t.per_thread())
+    }
+
+    /// This form made an unknown function of every term `other` depends
+    /// on: each gets [`Coeff::Unknown`].
+    pub fn depending_on(mut self, other: &SymAffine) -> SymAffine {
+        for &t in other.terms.keys() {
+            self.terms.insert(t, Coeff::Unknown);
+        }
+        self
     }
 
     fn insert_coeff(&mut self, t: Term, c: Coeff) {
@@ -347,37 +377,6 @@ impl fmt::Display for SymAffine {
             write!(f, "{}", self.k)?;
         }
         Ok(())
-    }
-}
-
-/// Abstract value in the symbolic affine domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SymVal {
-    /// No value yet (unreached path / cut cycle); identity of
-    /// [`SymVal::join`].
-    Bottom,
-    /// An affine form.
-    Val(SymAffine),
-    /// Not affine (load-derived, non-linear, or unrecognized recurrence).
-    Top,
-}
-
-impl SymVal {
-    /// Least upper bound.
-    pub fn join(&self, other: &SymVal) -> SymVal {
-        match (self, other) {
-            (SymVal::Bottom, x) | (x, SymVal::Bottom) => x.clone(),
-            (SymVal::Top, _) | (_, SymVal::Top) => SymVal::Top,
-            (SymVal::Val(a), SymVal::Val(b)) => SymVal::Val(a.join(b)),
-        }
-    }
-
-    /// The affine form, if this is [`SymVal::Val`].
-    pub fn val(&self) -> Option<&SymAffine> {
-        match self {
-            SymVal::Val(v) => Some(v),
-            _ => None,
-        }
     }
 }
 
@@ -691,5 +690,12 @@ mod tests {
         assert_eq!(ctx.term_domain(Term::Iv(0)), None);
         assert_eq!(ctx.n_ctas(), 32);
         assert_eq!(ctx.linear_cta([3, 2, 0]), 19);
+        assert_eq!(ctx.term_domain(Term::Warp), None);
+        // 2^64 CTAs and beyond saturate instead of wrapping to 0.
+        let wrap = LaunchCtx::new([1, 1, 1], [1 << 22, 1 << 21, 1 << 21]);
+        assert_eq!(wrap.n_ctas(), u64::MAX);
+        let huge = LaunchCtx::new([1, 1, 1], [u32::MAX; 3]);
+        assert_eq!(huge.n_ctas(), u64::MAX);
+        assert_eq!(huge.linear_cta([u32::MAX - 1; 3]), u64::MAX);
     }
 }

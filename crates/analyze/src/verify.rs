@@ -229,6 +229,11 @@ fn diag(
 /// Run every verifier lint over `kernel` and return the findings in pc
 /// order.
 pub fn verify(kernel: &Kernel, cfg: &Cfg) -> Vec<Diagnostic> {
+    lints(kernel, cfg, &ReachingDefs::compute(kernel))
+}
+
+/// [`verify`] over reaching definitions the caller already has.
+pub(crate) fn lints(kernel: &Kernel, cfg: &Cfg, reaching: &ReachingDefs) -> Vec<Diagnostic> {
     let insts = kernel.insts();
     let mut out = Vec::new();
 
@@ -274,7 +279,6 @@ pub fn verify(kernel: &Kernel, cfg: &Cfg) -> Vec<Diagnostic> {
     }
 
     // Use-before-def and type/width checks over reaching definitions.
-    let reaching = ReachingDefs::compute(kernel);
     for (pc, inst) in insts.iter().enumerate() {
         if !reachable[pc] {
             continue;

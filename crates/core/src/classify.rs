@@ -217,40 +217,31 @@ impl Classification {
 /// and other non-global loads appear in the result but are excluded from
 /// [`Classification::global_loads`].
 pub fn classify(kernel: &Kernel) -> Classification {
-    Classifier::new(kernel).run()
+    classify_with(kernel, &ReachingDefs::compute(kernel))
 }
 
-/// Terminal provenance sources of `reg` as used at `use_pc`: the same
-/// backward def-chain trace [`classify`] runs for load addresses, exposed
-/// for downstream analyses (e.g. the static coalescing predictor of
-/// `gcl-analyze`, which bails to "unknown" as soon as a non-parameterized
-/// terminal appears).
-///
-/// An empty reaching-definition set yields `{Uninitialized}`, exactly as in
-/// classification.
-pub fn address_sources(kernel: &Kernel, use_pc: usize, reg: Reg) -> BTreeSet<AddressSource> {
-    Classifier::new(kernel).sources_of_use(use_pc, reg)
+/// [`classify`] over reaching definitions the caller already computed for
+/// `kernel`, for analyses that share one [`ReachingDefs`] between passes.
+pub fn classify_with(kernel: &Kernel, reaching: &ReachingDefs) -> Classification {
+    Classifier {
+        kernel,
+        reaching,
+        memo: HashMap::new(),
+        in_progress: BTreeSet::new(),
+    }
+    .run()
 }
 
 struct Classifier<'k> {
     kernel: &'k Kernel,
-    reaching: ReachingDefs,
+    reaching: &'k ReachingDefs,
     /// Memoized terminal-source sets per definition site.
     memo: HashMap<DefSite, BTreeSet<AddressSource>>,
     /// Cycle guard: definition sites on the current DFS stack.
     in_progress: BTreeSet<DefSite>,
 }
 
-impl<'k> Classifier<'k> {
-    fn new(kernel: &'k Kernel) -> Classifier<'k> {
-        Classifier {
-            kernel,
-            reaching: ReachingDefs::compute(kernel),
-            memo: HashMap::new(),
-            in_progress: BTreeSet::new(),
-        }
-    }
-
+impl Classifier<'_> {
     fn run(mut self) -> Classification {
         let mut loads = BTreeMap::new();
         for (pc, inst) in self.kernel.insts().iter().enumerate() {

@@ -50,5 +50,5 @@
 mod classify;
 mod reaching;
 
-pub use classify::{address_sources, classify, AddressSource, Classification, LoadClass, LoadInfo};
+pub use classify::{classify, classify_with, AddressSource, Classification, LoadClass, LoadInfo};
 pub use reaching::{DefSite, ReachingDefs};

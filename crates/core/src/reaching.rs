@@ -136,6 +136,11 @@ impl ReachingDefs {
         &self.defs
     }
 
+    /// The control-flow graph the analysis ran over.
+    pub fn cfg(&self) -> &Cfg {
+        &self.cfg
+    }
+
     /// Definitions of `reg` that may reach the *use* at instruction `use_pc`.
     ///
     /// Resolution is flow-sensitive within the block: an unguarded

@@ -279,7 +279,8 @@ loop-aware footprint analysis: per load, the set of 128-byte blocks each
 CTA touches (using recovered loop trip counts) and the inter-CTA sharing
 class — broadcast / shared / private / unbounded — plus a CTA-pair sharing
 matrix and its cluster map under the launch geometry given by --grid and
---block (default 4x1x1 CTAs of 64x1x1 threads). --critical ranks each
+--block (default 4x1x1 CTAs of 64x1x1 threads; a usage error without
+--locality). --critical ranks each
 kernel's loads by static criticality (dependent-load chain depth, slice
 height, consumer count, divergence, predicted requests) so the top of the
 list is where optimization and validation effort should go. `run` simulates one launch on the Fermi configuration;
@@ -515,12 +516,16 @@ fn parse_dim3(s: &str) -> Result<[u32; 3], String> {
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let a = ANALYZE.parse(args)?;
     let csv = a.has("--csv");
+    let locality = a.has("--locality");
+    if !locality && (a.has("--grid") || a.has("--block")) {
+        return Err("--grid and --block only apply with --locality".into());
+    }
     // The locality analysis needs a launch geometry; default to a small
     // multi-CTA launch so inter-CTA sharing is observable.
     let block = a.value("--block").map_or(Ok([64, 1, 1]), parse_dim3)?;
     let grid = a.value("--grid").map_or(Ok([4, 1, 1]), parse_dim3)?;
     let opts = AnalyzeOptions {
-        locality: a.has("--locality").then(|| LaunchCtx::new(block, grid)),
+        locality: locality.then(|| LaunchCtx::new(block, grid)),
         critical: a.has("--critical"),
     };
     let kernels = analyze_targets(a.required()?)?;

@@ -102,6 +102,14 @@ fn usage_errors_exit_one() {
             &["analyze", k, "--locality", "--grid", "4294967300"][..],
             "bad dimension `4294967300`",
         ),
+        (
+            &["analyze", k, "--grid", "8"][..],
+            "--grid and --block only apply with --locality",
+        ),
+        (
+            &["analyze", k, "--critical", "--block", "128"][..],
+            "--grid and --block only apply with --locality",
+        ),
         (&["run", k, "--grid"][..], "--grid needs a value (G)"),
         (
             &["coordinate", "--journal", "--recover"][..],
@@ -127,6 +135,33 @@ fn usage_errors_exit_one() {
         let out = gcl(args);
         assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
     }
+}
+
+#[test]
+fn analyze_survives_grids_beyond_u64() {
+    // Three u32 extents multiply to ~2^96 CTAs: a report, not an overflow
+    // panic (exit 101 in a debug build).
+    let huge = "4294967295,4294967295,4294967295";
+    let out = gcl(&["analyze", "2mm", "--locality", "--grid", huge]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("locality over 4294967295x"), "{text}");
+
+    // Exactly 2^64 CTAs used to wrap to 0 in release, take the single-CTA
+    // branch and call every load private; mask[tid] does not read %ctaid.y
+    // or .z, so it is broadcast along them like on any smaller grid.
+    let out = gcl(&[
+        "analyze",
+        "bfs",
+        "--locality",
+        "--grid",
+        "4194304,2097152,2097152",
+    ]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let expand = text.split("\n\n").find(|r| r.contains("`bfs_expand`"));
+    let row = expand.and_then(|r| r.lines().find(|l| l.starts_with("  pc  15 ")));
+    assert!(row.is_some_and(|l| l.contains("broadcast")), "{text}");
 }
 
 #[test]
