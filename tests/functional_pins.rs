@@ -1,0 +1,245 @@
+//! Functional pins: what every workload leaves in device memory and what
+//! the three locality reports say about it, byte for byte, plus the bytes
+//! of two mid-launch snapshots.
+//!
+//! The workloads' own unit tests check results against a host `reference()`
+//! only at their test sizes; nothing else pins device memory at the default
+//! scale the benchmark runs, nor the locality reports at any scale. A change
+//! to functional execution, to `GlobalMem` or to `BlockTracker` must leave
+//! every line here identical — the simulator's speed may move, its answers
+//! may not.
+//!
+//! Per workload the golden files under `tests/golden/` hold
+//!
+//! * `mem`: one `base+len:fnv` per allocation, the FNV-1a of the
+//!   allocation's bytes read back through [`GlobalMem::read_le`] (never
+//!   through checkpoint bytes, whose page order is pinned separately below);
+//! * `blocks`: every field of `Gpu::block_summary()`;
+//! * `dist`: every `(distance, fraction)` of `Gpu::distance_histogram()`,
+//!   fractions in shortest round-trip form;
+//! * `pc`: one line per `Gpu::pc_sharing()` row, the CTA-pair list folded to
+//!   its length and the FNV of its `(i, j, n)` triples.
+//!
+//! Tiny scale on `GpuConfig::small()` runs in tier-1; default scale on
+//! `GpuConfig::fermi()` is `#[ignore]`d (half a minute in debug) and run in
+//! release by CI: `cargo test --release --test functional_pins --
+//! --include-ignored`. On a mismatch the actual text is left under
+//! `target/tmp/functional_pins/` ready to diff against the golden file.
+
+use gcl::prelude::*;
+use gcl::sim::GlobalMem;
+use gcl::workloads::graph_apps::Bfs;
+use gcl::workloads::linear::Mm2;
+use gcl::workloads::{all_workloads, tiny_workloads, upload_f32, upload_u32};
+use gcl_mem::{fnv_fold, fnv_fold_bytes, FNV_OFFSET};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+/// FNV-1a of `[base, base + len)` read eight bytes at a time (the tail in
+/// one shorter read) through the public scalar read path.
+fn allocation_digest(mem: &GlobalMem, base: u64, len: u64) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut off = 0;
+    while off < len {
+        let n = (len - off).min(8) as u32;
+        h = fnv_fold(h, mem.read_le(base + off, n));
+        off += u64::from(n);
+    }
+    h
+}
+
+fn render(out: &mut String, w: &dyn Workload, cfg: GpuConfig) {
+    let name = w.name();
+    let mut gpu = Gpu::new(cfg).expect("preset configurations are valid");
+    w.run(&mut gpu)
+        .unwrap_or_else(|e| panic!("{name} failed: {e}"));
+
+    let mem = gpu.mem_ref();
+    write!(out, "{name} mem").unwrap();
+    for &(base, len) in mem.allocations() {
+        let digest = allocation_digest(mem, base, len);
+        write!(out, " {base:#x}+{len}:{digest:016x}").unwrap();
+    }
+    out.push('\n');
+
+    let s = gpu.block_summary();
+    writeln!(
+        out,
+        "{name} blocks blocks={} accesses={} cold_miss={:?} per_block={:?} shared_blocks={:?} \
+         shared_accesses={:?} ctas_per_shared={:?}",
+        s.blocks,
+        s.accesses,
+        s.cold_miss_ratio,
+        s.mean_accesses_per_block,
+        s.shared_block_ratio,
+        s.shared_access_ratio,
+        s.mean_ctas_per_shared_block,
+    )
+    .unwrap();
+
+    write!(out, "{name} dist").unwrap();
+    for (d, frac) in gpu.distance_histogram() {
+        write!(out, " {d}:{frac:?}").unwrap();
+    }
+    out.push('\n');
+
+    for p in gpu.pc_sharing() {
+        let pairs = p.pairs.iter().fold(FNV_OFFSET, |h, &((i, j), n)| {
+            fnv_fold(fnv_fold(fnv_fold(h, i), j), n)
+        });
+        writeln!(
+            out,
+            "{name} pc {} {} accesses={} blocks={} shared={} max_ctas={} pairs={}:{pairs:016x}",
+            p.kernel,
+            p.pc,
+            p.accesses,
+            p.blocks,
+            p.shared_blocks,
+            p.max_ctas_per_block,
+            p.pairs.len(),
+        )
+        .unwrap();
+    }
+}
+
+fn check(golden: &str, file: &str, actual: &str) {
+    if actual == golden {
+        return;
+    }
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("functional_pins");
+    std::fs::create_dir_all(&dir).expect("create the actual-text directory");
+    std::fs::write(dir.join(file), actual).expect("write actual text");
+    let line = golden
+        .lines()
+        .zip(actual.lines())
+        .position(|(g, a)| g != a)
+        .unwrap_or_else(|| golden.lines().count().min(actual.lines().count()));
+    panic!(
+        "tests/golden/{file} moved at line {}:\n  golden: {}\n  actual: {}\nfull actual text: \
+         target/tmp/functional_pins/{file}",
+        line + 1,
+        golden.lines().nth(line).unwrap_or("<end of file>"),
+        actual.lines().nth(line).unwrap_or("<end of file>"),
+    );
+}
+
+#[test]
+fn tiny_workloads_on_small() {
+    let mut actual = String::new();
+    for w in tiny_workloads() {
+        render(&mut actual, w.as_ref(), GpuConfig::small());
+    }
+    check(
+        include_str!("golden/functional_pins.tiny.txt"),
+        "functional_pins.tiny.txt",
+        &actual,
+    );
+}
+
+#[test]
+#[ignore = "default scale: half a minute in debug; CI runs it in release"]
+fn default_workloads_on_fermi() {
+    let mut actual = String::new();
+    for w in all_workloads() {
+        render(&mut actual, w.as_ref(), GpuConfig::fermi());
+    }
+    check(
+        include_str!("golden/functional_pins.default.txt"),
+        "functional_pins.default.txt",
+        &actual,
+    );
+}
+
+/// Step the active launch to relative cycle `at` and digest the snapshot
+/// taken there.
+fn snapshot_digest_at(gpu: &mut Gpu, kernel: &Kernel, at: u64) -> u64 {
+    while gpu.launch_cycle() != Some(at) {
+        assert!(
+            gpu.launch_step(kernel).expect("launch steps").is_none(),
+            "launch completed before cycle {at}"
+        );
+    }
+    fnv_fold_bytes(FNV_OFFSET, &gpu.snapshot().to_bytes())
+}
+
+fn sanitized_small() -> GpuConfig {
+    let mut cfg = GpuConfig::small();
+    cfg.sanitize = true;
+    cfg
+}
+
+/// Tiny `2mm` (set up exactly as `Mm2::run` does): the first launch
+/// complete, the second interrupted at cycle 700 — resident heap pages, a
+/// folded launch and a live one in the block tracker, warps mid-flight.
+#[test]
+fn snapshot_bytes_mid_launch_2mm() {
+    let w = Mm2::tiny();
+    let n = w.n as usize;
+    let mut gpu = Gpu::new(sanitized_small()).unwrap();
+    let dense = |seed| gcl::workloads::gen::dense_matrix(n, n, seed);
+    let da = upload_f32(&mut gpu, &dense(0x2001)).unwrap();
+    let db = upload_f32(&mut gpu, &dense(0x2003)).unwrap();
+    let dc = upload_f32(&mut gpu, &dense(0x2002)).unwrap();
+    let dd = gpu.mem().alloc_array(Type::F32, (n * n) as u64).unwrap();
+    let de = gpu.mem().alloc_array(Type::F32, (n * n) as u64).unwrap();
+    let kernel = Mm2::kernel();
+    let gdim = w.n.div_ceil(w.tile);
+    let (grid, block) = (Dim3::xy(gdim, gdim), Dim3::xy(w.tile, w.tile));
+    let n64 = u64::from(w.n);
+    gpu.launch(
+        &kernel,
+        grid,
+        block,
+        &pack_params(&kernel, &[da, db, dd, n64]),
+    )
+    .unwrap();
+    gpu.launch_begin(
+        &kernel,
+        grid,
+        block,
+        &pack_params(&kernel, &[dd, dc, de, n64]),
+    )
+    .unwrap();
+    assert_eq!(
+        snapshot_digest_at(&mut gpu, &kernel, 700),
+        0xdf37_af49_ec4d_d476
+    );
+}
+
+/// Tiny `bfs` (set up exactly as `Bfs::run` does): level 0 complete, the
+/// level-1 expand interrupted at cycle 150 with its gathers in flight.
+#[test]
+fn snapshot_bytes_mid_launch_bfs() {
+    let w = Bfs::tiny();
+    let csr = gcl::workloads::graph::Csr::rmat(w.scale, w.edge_factor, 0xBF5);
+    let n = csr.n();
+    let mut gpu = Gpu::new(sanitized_small()).unwrap();
+    let drp = upload_u32(&mut gpu, &csr.row_ptr).unwrap();
+    let dedge = upload_u32(&mut gpu, &csr.col_idx).unwrap();
+    let src = w.source as usize;
+    let mut mask = vec![0u32; n];
+    let mut cost = vec![u32::MAX - 1; n];
+    mask[src] = 1;
+    cost[src] = 0;
+    let dmask = upload_u32(&mut gpu, &mask).unwrap();
+    let dupd = upload_u32(&mut gpu, &vec![0u32; n]).unwrap();
+    let dvis = upload_u32(&mut gpu, &mask).unwrap();
+    let dcost = upload_u32(&mut gpu, &cost).unwrap();
+    let dflag = upload_u32(&mut gpu, &[0u32]).unwrap();
+    let (expand, commit) = (Bfs::expand_kernel(), Bfs::commit_kernel());
+    let n64 = n as u64;
+    let grid = Dim3::x((n as u32).div_ceil(w.block));
+    let block = Dim3::x(w.block);
+    let expand_params = pack_params(&expand, &[dmask, dupd, dvis, drp, dedge, dcost, n64]);
+    let commit_params = pack_params(&commit, &[dmask, dupd, dvis, dflag, n64]);
+    gpu.launch(&expand, grid, block, &expand_params).unwrap();
+    gpu.launch(&commit, grid, block, &commit_params).unwrap();
+    assert_eq!(gpu.mem().read_u32_slice(dflag, 1), [1], "level 1 exists");
+    gpu.mem().write_u32_slice(dflag, &[0]);
+    gpu.launch_begin(&expand, grid, block, &expand_params)
+        .unwrap();
+    assert_eq!(
+        snapshot_digest_at(&mut gpu, &expand, 150),
+        0x632b_4ba9_a1c8_3e1c
+    );
+}
