@@ -47,6 +47,7 @@ impl Type {
     ///
     /// Predicates occupy one byte for accounting purposes (they never touch
     /// memory in the subset).
+    #[inline]
     pub fn size_bytes(self) -> u32 {
         match self {
             Type::U8 | Type::Pred => 1,
@@ -57,11 +58,13 @@ impl Type {
     }
 
     /// Whether this is a signed integer type.
+    #[inline]
     pub fn is_signed(self) -> bool {
         matches!(self, Type::S32 | Type::S64)
     }
 
     /// Whether this is a floating-point type.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(self, Type::F32 | Type::F64)
     }

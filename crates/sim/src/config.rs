@@ -202,10 +202,11 @@ impl GpuConfig {
         if self.n_sms == 0 {
             return err("n_sms", "need at least one SM");
         }
-        if self.warp_size == 0 || self.warp_size > 64 {
+        // Every active / valid / exited / guard mask is a `u32`.
+        if self.warp_size == 0 || self.warp_size > 32 {
             return err(
                 "warp_size",
-                format!("warp size must be 1..=64, got {}", self.warp_size),
+                format!("warp size must be 1..=32, got {}", self.warp_size),
             );
         }
         if self.max_threads_per_sm < self.warp_size {
@@ -309,6 +310,20 @@ mod tests {
         let e = c.validate().unwrap_err();
         assert_eq!(e.field, "n_sms");
         assert!(e.to_string().contains("at least one SM"), "{e}");
+    }
+
+    #[test]
+    fn warp_wider_than_the_lane_masks_rejected() {
+        for warp_size in [0, 33, 64] {
+            let mut c = GpuConfig::fermi();
+            c.warp_size = warp_size;
+            let e = c.validate().unwrap_err();
+            assert_eq!(e.field, "warp_size");
+            assert!(e.to_string().contains("1..=32"), "{e}");
+        }
+        let mut c = GpuConfig::fermi();
+        c.warp_size = 16;
+        c.validate().expect("narrower warps are valid");
     }
 
     #[test]

@@ -1,23 +1,79 @@
-//! Device global memory: a sparse byte-addressable store plus a bump
-//! allocator, playing the role of `cudaMalloc` + device DRAM contents.
+//! Device global memory: a byte-addressable store plus a bump allocator,
+//! playing the role of `cudaMalloc` + device DRAM contents.
 //!
 //! The allocator records every live `(base, len)` range so that memcheck
 //! ([`GpuConfig::memcheck`](crate::GpuConfig::memcheck)) can reject
 //! accesses that fall outside all allocations.
+//!
+//! The bump allocator makes the heap one contiguous range from
+//! [`HEAP_BASE`], so its pages sit in a flat table indexed by page number:
+//! reaching one costs a subtraction and a bounds check, not a hash. Any
+//! address stays readable and writable; pages outside the allocated heap
+//! (wild addresses when memcheck is off) live in a sparse map beside it.
 
+use crate::decode::Lanes;
 use crate::fault::AllocError;
 use gcl_mem::{Dec, Enc, WireError};
 use gcl_ptx::Type;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+type Page = [u8; PAGE_SIZE];
 
 /// Base of the device heap. Nonzero so that address 0 stays an obvious
 /// "null" and accidental null derefs read zeros rather than real data.
 pub const HEAP_BASE: u64 = 0x1000_0000;
 
-/// Sparse device memory image with functional reads/writes.
+/// Page number of [`HEAP_BASE`].
+const HEAP_PAGE0: u64 = HEAP_BASE >> PAGE_SHIFT;
+
+/// Most pages the flat table covers (4 GiB of heap, an 8 MiB table), so an
+/// absurd allocation size cannot size it; pages past it are sparse.
+const MAX_HEAP_PAGES: u64 = 1 << 20;
+
+/// Pages of the flat table when the bump pointer stands at `next_alloc`:
+/// those covering `[HEAP_BASE, next_alloc)`, capped at [`MAX_HEAP_PAGES`].
+fn heap_pages(next_alloc: u64) -> usize {
+    let bytes = next_alloc.saturating_sub(HEAP_BASE);
+    bytes.div_ceil(PAGE_SIZE as u64).min(MAX_HEAP_PAGES) as usize
+}
+
+fn zero_page() -> Box<Page> {
+    Box::new([0; PAGE_SIZE])
+}
+
+/// Whether an `n`-byte access at `addr` crosses into the next page.
+fn straddles(addr: u64, n: usize) -> bool {
+    (addr as usize & (PAGE_SIZE - 1)) + n > PAGE_SIZE
+}
+
+/// Read `n` ≤ 8 little-endian bytes at the start of `bytes`.
+#[inline(always)]
+fn load_le(bytes: &[u8], n: usize) -> u64 {
+    match n {
+        4 => u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")).into(),
+        8 => u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
+        _ => {
+            let mut le = [0u8; 8];
+            le[..n].copy_from_slice(&bytes[..n]);
+            u64::from_le_bytes(le)
+        }
+    }
+}
+
+/// Write the low `n` ≤ 8 bytes of `v` little-endian at the start of `bytes`.
+#[inline(always)]
+fn store_le(bytes: &mut [u8], n: usize, v: u64) {
+    match n {
+        4 => bytes[..4].copy_from_slice(&(v as u32).to_le_bytes()),
+        8 => bytes[..8].copy_from_slice(&v.to_le_bytes()),
+        _ => bytes[..n].copy_from_slice(&v.to_le_bytes()[..n]),
+    }
+}
+
+/// Device memory image with functional reads/writes.
 ///
 /// Unwritten memory reads as zero (convenient for synthetic workloads).
 ///
@@ -35,7 +91,13 @@ pub const HEAP_BASE: u64 = 0x1000_0000;
 /// ```
 #[derive(Debug, Default)]
 pub struct GlobalMem {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Pages of the allocated heap, indexed by `(addr >> 12) - HEAP_PAGE0`;
+    /// [`heap_pages`]`(next_alloc)` slots, `None` until first written.
+    heap: Vec<Option<Box<Page>>>,
+    /// Written pages outside `heap`'s window, by page number. A page lives
+    /// in exactly one of the two: [`alloc`](Self::alloc) moves the ones its
+    /// new range covers into `heap`.
+    stray: BTreeMap<u64, Box<Page>>,
     next_alloc: u64,
     /// Live allocations as `(base, len)`, sorted by base (the bump
     /// allocator only moves upward, so pushes keep the order).
@@ -46,7 +108,8 @@ impl GlobalMem {
     /// An empty memory image.
     pub fn new() -> GlobalMem {
         GlobalMem {
-            pages: HashMap::new(),
+            heap: Vec::new(),
+            stray: BTreeMap::new(),
             next_alloc: HEAP_BASE,
             allocs: Vec::new(),
         }
@@ -78,7 +141,41 @@ impl GlobalMem {
             .ok_or(AllocError::TooLarge { bytes })?;
         self.allocs.push((base, len));
         self.next_alloc = end;
+        self.grow_heap();
         Ok(base)
+    }
+
+    /// Extend the flat table to the bump pointer, adopting pages that were
+    /// written before their range was allocated.
+    fn grow_heap(&mut self) {
+        let (old, new) = (self.heap.len(), heap_pages(self.next_alloc));
+        if new <= old {
+            return;
+        }
+        self.heap.resize_with(new, || None);
+        let window = HEAP_PAGE0 + old as u64..HEAP_PAGE0 + new as u64;
+        let adopted: Vec<u64> = self.stray.range(window).map(|(&id, _)| id).collect();
+        for id in adopted {
+            self.heap[(id - HEAP_PAGE0) as usize] = self.stray.remove(&id);
+        }
+    }
+
+    /// The page numbered `id`, if it was ever written.
+    fn page(&self, id: u64) -> Option<&Page> {
+        match self.heap.get(id.wrapping_sub(HEAP_PAGE0) as usize) {
+            Some(slot) => slot.as_deref(),
+            None => self.stray.get(&id).map(|p| &**p),
+        }
+    }
+
+    /// The page numbered `id`, created zeroed on first use.
+    fn page_mut(&mut self, id: u64) -> &mut Page {
+        let i = id.wrapping_sub(HEAP_PAGE0) as usize;
+        if i < self.heap.len() {
+            self.heap[i].get_or_insert_with(zero_page)
+        } else {
+            self.stray.entry(id).or_insert_with(zero_page)
+        }
     }
 
     /// Allocate room for `n` elements of `ty`, 128-byte aligned (so buffers
@@ -116,6 +213,11 @@ impl GlobalMem {
         (i > 0).then(|| self.allocs[i - 1])
     }
 
+    /// One past the last allocated byte: where the bump pointer stands.
+    pub fn heap_end(&self) -> u64 {
+        self.next_alloc
+    }
+
     /// All live allocations as `(base, len)`, in address order.
     pub fn allocations(&self) -> &[(u64, u64)] {
         &self.allocs
@@ -123,8 +225,7 @@ impl GlobalMem {
 
     /// Read one byte (zero if never written).
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let page = addr >> PAGE_SHIFT;
-        match self.pages.get(&page) {
+        match self.page(addr >> PAGE_SHIFT) {
             Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
             None => 0,
         }
@@ -132,49 +233,107 @@ impl GlobalMem {
 
     /// Write one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        let page = addr >> PAGE_SHIFT;
-        let p = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        p[(addr as usize) & (PAGE_SIZE - 1)] = v;
+        self.page_mut(addr >> PAGE_SHIFT)[(addr as usize) & (PAGE_SIZE - 1)] = v;
     }
 
     /// Read `n` bytes little-endian into a u64 (n ≤ 8).
     pub fn read_le(&self, addr: u64, n: u32) -> u64 {
         debug_assert!(n <= 8);
-        let off = (addr as usize) & (PAGE_SIZE - 1);
         let n = n as usize;
-        if off + n > PAGE_SIZE {
-            // Straddles a page boundary: byte by byte.
+        if straddles(addr, n) {
+            // Byte by byte across the page boundary.
             return (0..n as u64).fold(0, |v, i| {
                 v | u64::from(self.read_u8(addr.wrapping_add(i))) << (8 * i)
             });
         }
-        let mut bytes = [0u8; 8];
-        if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
-            bytes[..n].copy_from_slice(&p[off..off + n]);
-        }
-        u64::from_le_bytes(bytes)
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        self.page(addr >> PAGE_SHIFT)
+            .map_or(0, |p| load_le(&p[off..], n))
     }
 
     /// Write the low `n` bytes of `v` little-endian (n ≤ 8).
     pub fn write_le(&mut self, addr: u64, n: u32, v: u64) {
         debug_assert!(n <= 8);
-        let off = (addr as usize) & (PAGE_SIZE - 1);
         let n = n as usize;
-        if n == 0 || off + n > PAGE_SIZE {
-            // Straddles a page boundary (or writes nothing): byte by byte.
+        if n == 0 {
+            return; // touches no page
+        }
+        if straddles(addr, n) {
+            // Byte by byte across the page boundary.
             for i in 0..n as u64 {
                 self.write_u8(addr.wrapping_add(i), (v >> (8 * i)) as u8);
             }
             return;
         }
-        let p = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        p[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        store_le(&mut self.page_mut(addr >> PAGE_SHIFT)[off..], n, v);
+    }
+
+    /// [`read_le`](Self::read_le) for every lane of `mask`, in ascending
+    /// lane order: `put(lane, bits)`. A page is looked up once per run of
+    /// consecutive lanes that fall on it.
+    pub(crate) fn read_lanes(
+        &self,
+        mask: u32,
+        addrs: &Lanes,
+        n: u32,
+        mut put: impl FnMut(usize, u64),
+    ) {
+        let bytes = n as usize;
+        let mut m = mask;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            let addr = addrs[lane];
+            if straddles(addr, bytes) {
+                put(lane, self.read_le(addr, n));
+                m &= m - 1;
+                continue;
+            }
+            let id = addr >> PAGE_SHIFT;
+            let page = self.page(id);
+            // This lane and the lanes after it for as long as they stay on
+            // the page.
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                let addr = addrs[lane];
+                if addr >> PAGE_SHIFT != id || straddles(addr, bytes) {
+                    break;
+                }
+                let off = (addr as usize) & (PAGE_SIZE - 1);
+                put(lane, page.map_or(0, |p| load_le(&p[off..], bytes)));
+                m &= m - 1;
+            }
+        }
+    }
+
+    /// [`write_le`](Self::write_le) of `vals[lane]` for every lane of
+    /// `mask`, in ascending lane order (the last lane wins an address two
+    /// lanes share). A page is looked up once per run of consecutive lanes
+    /// that fall on it.
+    pub(crate) fn write_lanes(&mut self, mask: u32, addrs: &Lanes, n: u32, vals: &Lanes) {
+        let bytes = n as usize;
+        let mut m = mask;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            let addr = addrs[lane];
+            if straddles(addr, bytes) {
+                self.write_le(addr, n, vals[lane]);
+                m &= m - 1;
+                continue;
+            }
+            let id = addr >> PAGE_SHIFT;
+            let page = self.page_mut(id);
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                let addr = addrs[lane];
+                if addr >> PAGE_SHIFT != id || straddles(addr, bytes) {
+                    break;
+                }
+                let off = (addr as usize) & (PAGE_SIZE - 1);
+                store_le(&mut page[off..], bytes, vals[lane]);
+                m &= m - 1;
+            }
+        }
     }
 
     /// Read a typed scalar as raw bits (sign/float interpretation is the
@@ -218,18 +377,27 @@ impl GlobalMem {
 
     /// Number of resident (written) pages, for memory-footprint sanity.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.heap.iter().flatten().count() + self.stray.len()
     }
 
-    /// Checkpoint-encode the memory image: resident pages (in sorted page
-    /// order for byte stability), bump pointer and allocation table.
+    /// Resident pages as `(page number, bytes)`, in ascending page order.
+    fn pages(&self) -> impl Iterator<Item = (u64, &Page)> {
+        let below = self.stray.range(..HEAP_PAGE0);
+        let above = self.stray.range(HEAP_PAGE0..);
+        let heap = self.heap.iter().enumerate();
+        below
+            .map(|(&id, p)| (id, &**p))
+            .chain(heap.filter_map(|(i, p)| Some((HEAP_PAGE0 + i as u64, &**p.as_ref()?))))
+            .chain(above.map(|(&id, p)| (id, &**p)))
+    }
+
+    /// Checkpoint-encode the memory image: resident pages (in ascending
+    /// page order for byte stability), bump pointer and allocation table.
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        let mut page_ids: Vec<&u64> = self.pages.keys().collect();
-        page_ids.sort_unstable();
-        e.usize(page_ids.len());
-        for p in page_ids {
-            e.u64(*p);
-            e.bytes(&self.pages[p][..]);
+        e.usize(self.resident_pages());
+        for (id, page) in self.pages() {
+            e.u64(id);
+            e.bytes(page);
         }
         e.u64(self.next_alloc);
         e.seq(&self.allocs, |e, &(base, len)| {
@@ -242,18 +410,16 @@ impl GlobalMem {
     /// [`ckpt_encode`](Self::ckpt_encode).
     pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<GlobalMem, WireError> {
         let n = d.seq_len()?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = Vec::with_capacity(n);
         for _ in 0..n {
             let id = d.u64()?;
-            let bytes = d.bytes()?;
-            let arr: Box<[u8; PAGE_SIZE]> = bytes
+            let page: Box<Page> = d
+                .bytes()?
                 .to_vec()
                 .into_boxed_slice()
                 .try_into()
                 .map_err(|_| WireError::Malformed("page size mismatch"))?;
-            if pages.insert(id, arr).is_some() {
-                return Err(WireError::Malformed("duplicate page"));
-            }
+            pages.push((id, page));
         }
         let next_alloc = d.u64()?;
         let allocs = d.seq(|d| {
@@ -261,11 +427,23 @@ impl GlobalMem {
             let len = d.u64()?;
             Ok((base, len))
         })?;
-        Ok(GlobalMem {
-            pages,
+        let mut mem = GlobalMem {
+            heap: Vec::new(),
+            stray: BTreeMap::new(),
             next_alloc,
             allocs,
-        })
+        };
+        mem.heap.resize_with(heap_pages(next_alloc), || None);
+        for (id, page) in pages {
+            let old = match mem.heap.get_mut(id.wrapping_sub(HEAP_PAGE0) as usize) {
+                Some(slot) => slot.replace(page),
+                None => mem.stray.insert(id, page),
+            };
+            if old.is_some() {
+                return Err(WireError::Malformed("duplicate page"));
+            }
+        }
+        Ok(mem)
     }
 }
 
@@ -377,5 +555,150 @@ mod tests {
         mem.write_le(100, 2, 0x1111);
         assert_eq!(mem.read_le(100, 4), 0xAAAA_1111);
         assert_eq!(mem.read_le(104, 4), 0xBBBB_BBBB);
+    }
+
+    fn encode(mem: &GlobalMem) -> Vec<u8> {
+        let mut e = Enc::new();
+        mem.ckpt_encode(&mut e);
+        e.into_bytes()
+    }
+
+    /// Eight bytes across every page boundary there is a different pair of
+    /// tables behind: sparse | sparse below the heap, sparse | flat at
+    /// `HEAP_BASE`, flat | flat inside the heap, flat | sparse at its end.
+    #[test]
+    fn straddling_accesses_on_both_sides_of_the_heap() {
+        let mut mem = GlobalMem::new();
+        let a = mem.alloc(2 * PAGE_SIZE as u64, 128).unwrap();
+        assert_eq!((a, mem.heap.len()), (HEAP_BASE, 2));
+        let boundaries = [
+            HEAP_BASE - PAGE_SIZE as u64,
+            HEAP_BASE,
+            HEAP_BASE + PAGE_SIZE as u64,
+            HEAP_BASE + 2 * PAGE_SIZE as u64,
+        ];
+        for (i, boundary) in boundaries.into_iter().enumerate() {
+            let v = 0x1122_3344_5566_7788 ^ i as u64;
+            mem.write_le(boundary - 3, 8, v);
+            assert_eq!(mem.read_le(boundary - 3, 8), v);
+            assert_eq!(mem.read_le(boundary - 3, 4), v & 0xFFFF_FFFF);
+            assert_eq!(mem.read_le(boundary, 4), v >> 24 & 0xFFFF_FFFF);
+            assert_eq!(u64::from(mem.read_u8(boundary - 1)), v >> 16 & 0xFF);
+        }
+        // Two pages below the heap, two in it, one past it.
+        assert_eq!((mem.stray.len(), mem.resident_pages()), (3, 5));
+    }
+
+    /// A page written past the end of the heap stays reachable when a later
+    /// allocation grows the heap over it, and lives in one table only.
+    #[test]
+    fn allocation_adopts_pages_written_before_it() {
+        let mut mem = GlobalMem::new();
+        let a = mem.alloc(100, 128).unwrap();
+        let wild = a + 5 * PAGE_SIZE as u64 + 40;
+        mem.write_le(wild, 4, 0xABCD_EF01);
+        mem.write_le(a, 4, 1);
+        assert_eq!((mem.stray.len(), mem.resident_pages()), (1, 2));
+
+        let b = mem.alloc(8 * PAGE_SIZE as u64, 128).unwrap();
+        assert!(b < wild && wild < b + 8 * PAGE_SIZE as u64);
+        assert_eq!(mem.read_le(wild, 4), 0xABCD_EF01);
+        assert_eq!((mem.stray.len(), mem.resident_pages()), (0, 2));
+        mem.write_le(wild, 4, 2);
+        assert_eq!(mem.read_le(wild, 4), 2);
+        assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn checkpoint_round_trips_pages_of_both_tables_in_page_order() {
+        let mut mem = GlobalMem::new();
+        let a = mem.alloc(3 * PAGE_SIZE as u64, 128).unwrap();
+        // Written out of address order, on both sides of the heap and in it.
+        mem.write_le(a + 3 * PAGE_SIZE as u64 + 8, 8, 5);
+        mem.write_le(a + 2 * PAGE_SIZE as u64, 8, 4);
+        mem.write_le(0x40, 8, 1);
+        mem.write_le(a, 8, 3);
+        mem.write_le(HEAP_BASE - 8, 8, 2);
+        let bytes = encode(&mem);
+
+        let mut d = Dec::new(&bytes);
+        let page_ids: Vec<u64> = (0..d.seq_len().unwrap())
+            .map(|_| {
+                let id = d.u64().unwrap();
+                d.bytes().unwrap();
+                id
+            })
+            .collect();
+        assert_eq!(
+            page_ids,
+            [
+                0,
+                HEAP_PAGE0 - 1,
+                HEAP_PAGE0,
+                HEAP_PAGE0 + 2,
+                HEAP_PAGE0 + 3
+            ]
+        );
+
+        let mut d = Dec::new(&bytes);
+        let back = GlobalMem::ckpt_decode(&mut d).expect("decode");
+        assert!(d.is_done());
+        assert_eq!(encode(&back), bytes);
+        assert_eq!((back.heap.len(), back.stray.len()), (3, 3));
+        assert_eq!(back.allocations(), mem.allocations());
+        for (addr, v) in [(0x40, 1), (HEAP_BASE - 8, 2), (a, 3)] {
+            assert_eq!(back.read_le(addr, 8), v);
+        }
+    }
+
+    /// The warp-wide accessors agree with one `read_le` / `write_le` per
+    /// lane in ascending order: runs on one page, page changes, straddles,
+    /// unwritten and out-of-heap pages, two lanes on one address.
+    #[test]
+    fn lane_accessors_equal_per_lane_accesses() {
+        let page = PAGE_SIZE as u64;
+        let mut addrs = [0u64; 32];
+        for (l, a) in addrs.iter_mut().enumerate() {
+            let l = l as u64;
+            *a = match l {
+                0..8 => HEAP_BASE + 8 * l,              // one run
+                8..12 => HEAP_BASE + page - 12 + 4 * l, // crosses into page 1
+                12 => HEAP_BASE + 2 * page - 3,         // straddles 1 | 2
+                13..16 => HEAP_BASE + 8 * (l - 13),     // back on page 0, aliases lanes 0..3
+                16..20 => 0x100 + 8 * l,                // below the heap
+                20..24 => HEAP_BASE + 64 * page + l,    // past the heap
+                _ => HEAP_BASE + 3 * page + 16 * l,     // never written by the setup
+            };
+        }
+        let mut vals = [0u64; 32];
+        for (l, v) in vals.iter_mut().enumerate() {
+            *v = 0x0101_0101_0101_0101 * (l as u64 + 1);
+        }
+        for n in [1, 2, 4, 8] {
+            for mask in [u32::MAX, 0x0F0F_3355, 1 << 12, 0] {
+                let mut lanes = GlobalMem::new();
+                lanes.alloc(4 * page, 128).unwrap();
+                lanes.write_le(HEAP_BASE + 4, 8, u64::MAX);
+                let mut scalar = GlobalMem::new();
+                scalar.alloc(4 * page, 128).unwrap();
+                scalar.write_le(HEAP_BASE + 4, 8, u64::MAX);
+
+                lanes.write_lanes(mask, &addrs, n, &vals);
+                for l in (0..32).filter(|l| mask >> l & 1 == 1) {
+                    scalar.write_le(addrs[l], n, vals[l]);
+                }
+                assert_eq!(encode(&lanes), encode(&scalar), "n {n} mask {mask:#x}");
+
+                let mut got = [u64::MAX; 32];
+                lanes.read_lanes(mask, &addrs, n, |l, bits| got[l] = bits);
+                for l in 0..32 {
+                    let want = match mask >> l & 1 {
+                        1 => scalar.read_le(addrs[l], n),
+                        _ => u64::MAX,
+                    };
+                    assert_eq!(got[l], want, "n {n} mask {mask:#x} lane {l}");
+                }
+            }
+        }
     }
 }

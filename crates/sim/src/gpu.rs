@@ -9,13 +9,13 @@ use crate::replay::{warps_per_cta, LaunchInfo, LaunchReplay, ReplayError, TraceS
 use crate::san::{SanRun, SanitizerReport, TickError};
 use crate::sm::TickCtx;
 use crate::{
-    BlockSummary, BlockTracker, CtaSchedPolicy, Dim3, GlobalMem, GpuConfig, HazardTable,
+    BlockSummary, BlockTracker, CtaSchedPolicy, DecodedKernel, Dim3, GlobalMem, GpuConfig,
     LaunchStats, Sm,
 };
 use gcl_core::{classify, Classification};
 use gcl_mem::{AddrMap, ConservationReport, Dec, Enc, Icnt, L2Partition, PartitionEvent, SanStage};
 use gcl_ptx::Kernel;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Everything that can go wrong constructing a [`Gpu`] or running a
@@ -227,13 +227,12 @@ struct LaunchState {
 }
 
 /// Kernel-derived launch state, recomputed (not serialized) because it is a
-/// pure function of the kernel and configuration.
+/// pure function of the kernel, the launch geometry and the configuration.
 #[derive(Debug)]
 struct Derived {
     classification: Classification,
-    reconv: HashMap<usize, usize>,
     addrmap: AddrMap,
-    hazards: HazardTable,
+    decoded: DecodedKernel,
 }
 
 /// How one simulated cycle ended (collected inside the borrow region of
@@ -264,9 +263,9 @@ impl Gpu {
             .map(|_| L2Partition::new(cfg.partition))
             .collect();
         Ok(Gpu {
+            blocktrack: BlockTracker::new(cfg.l1.line_bytes),
             cfg,
             gmem: GlobalMem::new(),
-            blocktrack: BlockTracker::new(),
             l1s,
             icnt,
             partitions,
@@ -559,7 +558,8 @@ impl Gpu {
             }
         }
 
-        self.blocktrack.begin_launch(kernel.name());
+        self.blocktrack
+            .begin_launch(kernel.name(), self.gmem.heap_end());
         let start_cycle = self.now;
         let kernel_fp = kernel_fingerprint(kernel);
         if let Some(sink) = self.sink.as_deref_mut() {
@@ -712,20 +712,18 @@ impl Gpu {
                     }
                 }
                 let classification = classify(kernel);
-                let cfg_ptx = gcl_ptx::Cfg::build(kernel);
-                let reconv = cfg_ptx.reconvergence_pcs(kernel);
+                let decoded =
+                    DecodedKernel::new(kernel, &classification, active.block, active.grid);
                 // The schedulers' ready sets are derived state too: empty
                 // after launch_begin or a restore, rebuilt here by polling
                 // every warp slot once.
-                let hazards = HazardTable::new(kernel);
                 for sm in &mut active.sms {
-                    sm.rebuild_ready(&hazards);
+                    sm.rebuild_ready(&decoded);
                 }
                 active.derived = Some(Derived {
                     classification,
-                    reconv,
                     addrmap: AddrMap::new(cfg.n_partitions, cfg.n_sms, cfg.l2_topology),
-                    hazards,
+                    decoded,
                 });
             }
         }
@@ -762,7 +760,7 @@ impl Gpu {
                 };
                 if let Some(cta) = next {
                     let (x, y, z) = grid.coords(cta);
-                    sm.dispatch_cta(cta, (x, y, z), block, cfg, kernel, &derived.hazards, replay);
+                    sm.dispatch_cta(cta, (x, y, z), block, cfg, kernel, &derived.decoded, replay);
                     progress = true;
                 }
             }
@@ -773,17 +771,14 @@ impl Gpu {
                 let mut ctx = TickCtx {
                     cycle: now_cycle,
                     kernel,
-                    reconv: &derived.reconv,
-                    classification: &derived.classification,
+                    decoded: &derived.decoded,
                     params,
                     gmem: &mut self.gmem,
                     icnt: &mut self.icnt,
                     addrmap: &derived.addrmap,
                     blocktrack: &mut self.blocktrack,
                     cfg,
-                    hazards: &derived.hazards,
                     ntid: block,
-                    nctaid: grid,
                     sink: &mut self.sink,
                     san: san_run.as_mut(),
                 };
@@ -1150,7 +1145,7 @@ impl Gpu {
         let cfg = &self.cfg;
         let mut d = Dec::new(&snap.payload);
         let gmem = GlobalMem::ckpt_decode(&mut d)?;
-        let blocktrack = BlockTracker::ckpt_decode(&mut d)?;
+        let blocktrack = BlockTracker::ckpt_decode(&mut d, cfg.l1.line_bytes, gmem.heap_end())?;
         let now = d.u64()?;
         let icnt = Icnt::ckpt_decode(&mut d, cfg.icnt, cfg.n_sms, cfg.n_partitions)?;
         let n_parts = d.seq_len()?;

@@ -72,6 +72,7 @@ mod blocktrack;
 mod ckpt;
 mod coalesce;
 mod config;
+mod decode;
 mod fault;
 mod gmem;
 mod gpu;
@@ -95,6 +96,7 @@ pub use ckpt::{
 };
 pub use coalesce::coalesce;
 pub use config::{CtaSchedPolicy, GpuConfig, PrefetchFilter, WarpSchedPolicy};
+pub use decode::DecodedKernel;
 pub use fault::{
     AccessKind, AllocError, ConfigError, HangReport, MemFaultReport, MemViolation, SmSnapshot,
     WarpSnapshot,
@@ -111,13 +113,13 @@ pub use san::{
     check_digests, DeterminismReport, RaceAccess, RaceReport, SanInject, SanRun, SanitizerReport,
     TickError,
 };
-pub use scoreboard::{HazardTable, Scoreboard};
+pub use scoreboard::Scoreboard;
 pub use simt::{SimtEntry, SimtStack};
 pub use sm::{bank_conflict_degree, Sm, SmStats, TickCtx};
 pub use stats::{LaunchStats, PcKey};
 pub use trace::{Trace, TraceEvent};
 pub use value::{canon, eval_alu, eval_atom, eval_cmp, eval_cvt, eval_mad, eval_sfu, eval_unary};
-pub use warp::{lanes, ExecCtx, MemAccess, ReplayCursor, StepResult, Warp};
+pub use warp::{ExecCtx, MemAccess, ReplayCursor, StepResult, Warp};
 pub use warp_sched::WarpScheduler;
 
 pub use gcl_mem::{

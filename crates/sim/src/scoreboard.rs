@@ -2,51 +2,15 @@
 //! or destination registers have writes in flight.
 
 use gcl_mem::{Dec, Enc, WireError};
-use gcl_ptx::{Instruction, Kernel, Reg, Unit};
+use gcl_ptx::{Instruction, Reg};
 
-fn words_for(num_regs: u32) -> usize {
+/// Scoreboard words per warp (and per hazard mask) for `num_regs` registers.
+pub(crate) fn words_for(num_regs: u32) -> usize {
     (num_regs as usize).div_ceil(64).max(1)
 }
 
-/// What the issue stage needs to know about each static instruction of one
-/// kernel: the registers it reads or writes as a bitmask in the scoreboard's
-/// layout, and its execution unit. A pure function of the kernel, built once
-/// per launch and never serialised.
-#[derive(Debug)]
-pub struct HazardTable {
-    words: usize,
-    masks: Vec<u64>,
-    units: Vec<Unit>,
-}
-
-impl HazardTable {
-    /// Precompute the table for `kernel`.
-    pub fn new(kernel: &Kernel) -> HazardTable {
-        let words = words_for(kernel.num_regs());
-        let mut masks = vec![0; words * kernel.insts().len()];
-        for (inst, row) in kernel.insts().iter().zip(masks.chunks_exact_mut(words)) {
-            fill_mask(inst, row);
-        }
-        HazardTable {
-            words,
-            masks,
-            units: kernel.insts().iter().map(|i| i.op.unit()).collect(),
-        }
-    }
-
-    /// Read|write register mask of the instruction at `pc`.
-    pub fn mask(&self, pc: usize) -> &[u64] {
-        &self.masks[pc * self.words..(pc + 1) * self.words]
-    }
-
-    /// Execution unit of the instruction at `pc`.
-    pub fn unit(&self, pc: usize) -> Unit {
-        self.units[pc]
-    }
-}
-
 /// Set the bit of every register `inst` reads (guard included) or writes.
-fn fill_mask(inst: &Instruction, row: &mut [u64]) {
+pub(crate) fn fill_mask(inst: &Instruction, row: &mut [u64]) {
     let mut set = |r: Reg| row[r.index() / 64] |= 1 << (r.index() % 64);
     inst.for_each_src_reg(&mut set);
     if let Some(d) = inst.dst_reg() {
@@ -78,7 +42,7 @@ impl Scoreboard {
     }
 
     /// Whether an instruction with read|write register `mask` (a
-    /// [`HazardTable::mask`] row) must wait for `warp`'s in-flight writes
+    /// [`DecodedKernel::mask`](crate::DecodedKernel::mask) row) must wait for `warp`'s in-flight writes
     /// (RAW or WAW hazard).
     pub fn blocked(&self, warp: usize, mask: &[u64]) -> bool {
         self.row(warp).iter().zip(mask).any(|(p, m)| p & m != 0)

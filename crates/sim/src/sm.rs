@@ -7,10 +7,10 @@ use crate::replay::{warps_per_cta, LaunchReplay, ReplayKind, TraceSink};
 use crate::san::{SanRun, SmSan, TickError};
 use crate::warp::{ExecCtx, MemAccess, ReplayCursor, StepResult, Warp};
 use crate::{
-    BlockTracker, Dim3, GlobalMem, GpuConfig, HazardTable, LoadTracker, Scoreboard, Trace,
+    BlockTracker, DecodedKernel, Dim3, GlobalMem, GpuConfig, LoadTracker, Scoreboard, Trace,
     WarpScheduler,
 };
-use gcl_core::{Classification, LoadClass};
+use gcl_core::LoadClass;
 use gcl_mem::{
     AccessOutcome, AddrMap, Cache, ClassTag, Cycle, Dec, Enc, Icnt, MemRequest, ReqInfo, SanStage,
     WireError,
@@ -151,10 +151,9 @@ pub struct TickCtx<'a> {
     pub cycle: Cycle,
     /// The running kernel.
     pub kernel: &'a Kernel,
-    /// Branch reconvergence table.
-    pub reconv: &'a HashMap<usize, usize>,
-    /// Load classification of the kernel.
-    pub classification: &'a Classification,
+    /// The running kernel decoded for this launch: hazard masks, units, load
+    /// classes and the micro-ops warps execute.
+    pub decoded: &'a DecodedKernel,
     /// Kernel parameter block.
     pub params: &'a [u8],
     /// Device memory.
@@ -167,12 +166,8 @@ pub struct TickCtx<'a> {
     pub blocktrack: &'a mut BlockTracker,
     /// GPU configuration.
     pub cfg: &'a GpuConfig,
-    /// Per-instruction hazard masks and units of the running kernel.
-    pub hazards: &'a HazardTable,
     /// CTA dimensions of the launch.
     pub ntid: Dim3,
-    /// Grid dimensions of the launch.
-    pub nctaid: Dim3,
     /// Optional trace sink observing every issued instruction.
     pub sink: &'a mut Option<Box<dyn TraceSink>>,
     /// Per-launch sanitizer state (ledger + injection), present when
@@ -347,7 +342,7 @@ impl Sm {
         ntid: Dim3,
         cfg: &GpuConfig,
         kernel: &Kernel,
-        hazards: &HazardTable,
+        decoded: &DecodedKernel,
         replay: Option<&LaunchReplay>,
     ) {
         let cta_slot = self
@@ -388,7 +383,7 @@ impl Sm {
             self.warp_age[slot] = self.next_age;
             self.next_age += 1;
             self.pending_ops[slot] = 0;
-            self.refresh_ready(slot, hazards);
+            self.refresh_ready(slot, decoded);
         }
         self.smem[cta_slot].iter_mut().for_each(|b| *b = 0);
         if let Some(s) = &mut self.san {
@@ -405,38 +400,38 @@ impl Sm {
     /// or blocked on the scoreboard; otherwise whether that instruction
     /// needs the LD/ST unit. This full poll defines the schedulers' ready
     /// sets, which cache it between the events that can change it.
-    fn poll_ready(&self, slot: usize, hazards: &HazardTable) -> Option<bool> {
+    fn poll_ready(&self, slot: usize, decoded: &DecodedKernel) -> Option<bool> {
         let w = self.warps[slot].as_ref()?;
         if w.is_finished() || w.at_barrier.is_some() {
             return None;
         }
         let pc = w.pc();
-        (!self.scoreboard.blocked(slot, hazards.mask(pc))).then(|| hazards.unit(pc) == Unit::LdSt)
+        (!self.scoreboard.blocked(slot, decoded.mask(pc))).then(|| decoded.unit(pc) == Unit::LdSt)
     }
 
     /// Re-poll `slot` after an event that can change its readiness: its own
     /// issue, a scoreboard release, a barrier release, or its dispatch.
-    fn refresh_ready(&mut self, slot: usize, hazards: &HazardTable) {
-        let ready = self.poll_ready(slot, hazards);
+    fn refresh_ready(&mut self, slot: usize, decoded: &DecodedKernel) {
+        let ready = self.poll_ready(slot, decoded);
         let n_sched = self.schedulers.len();
         self.schedulers[slot % n_sched].set_ready(slot, ready);
     }
 
     /// Rebuild every scheduler's ready set from scratch (first step after a
     /// launch begins or a snapshot is restored; the sets are not serialised).
-    pub(crate) fn rebuild_ready(&mut self, hazards: &HazardTable) {
+    pub(crate) fn rebuild_ready(&mut self, decoded: &DecodedKernel) {
         for slot in 0..self.warps.len() {
-            self.refresh_ready(slot, hazards);
+            self.refresh_ready(slot, decoded);
         }
     }
 
     /// A pending operation of `slot` finished: release its destination
     /// register, which may unblock the warp.
-    fn complete_op(&mut self, slot: usize, dst: Option<Reg>, hazards: &HazardTable) {
+    fn complete_op(&mut self, slot: usize, dst: Option<Reg>, decoded: &DecodedKernel) {
         self.pending_ops[slot] -= 1;
         if let Some(d) = dst {
             self.scoreboard.release(slot, d);
-            self.refresh_ready(slot, hazards);
+            self.refresh_ready(slot, decoded);
         }
     }
 
@@ -486,7 +481,7 @@ impl Sm {
         progress |= any_issued;
         if any_issued {
             // Only an issue (a warp parking or exiting) can complete a barrier.
-            self.release_barriers(ctx.hazards);
+            self.release_barriers(ctx.decoded);
         }
         let ldst_active = !self.ldst_queue.is_empty();
         progress |= self.process_ldst(ctx)?;
@@ -519,7 +514,7 @@ impl Sm {
                 break;
             }
             self.writebacks.pop();
-            self.complete_op(slot, Some(reg), ctx.hazards);
+            self.complete_op(slot, Some(reg), ctx.decoded);
             if let Some(s) = &mut self.san {
                 s.fold(at);
                 s.fold(((slot as u64) << 32) | u64::from(reg.0));
@@ -610,12 +605,12 @@ impl Sm {
                     sr.ledger.retire(w.san, cycle)?;
                 }
             }
-            self.finish_request(w, cycle, ctx.hazards);
+            self.finish_request(w, cycle, ctx.decoded);
         }
         Ok(())
     }
 
-    fn finish_request(&mut self, req: MemRequest, cycle: Cycle, hazards: &HazardTable) {
+    fn finish_request(&mut self, req: MemRequest, cycle: Cycle, decoded: &DecodedKernel) {
         let meta = req.meta;
         if meta == PREFETCH_META {
             return; // prefetched data is now resident; nothing waits on it
@@ -625,7 +620,7 @@ impl Sm {
             // request's packed routing info.
             let warp_slot = (req.id >> 32) as usize;
             let dst = Reg((req.id & 0xFFFF_FFFF) as u32);
-            self.complete_op(warp_slot, Some(dst), hazards);
+            self.complete_op(warp_slot, Some(dst), decoded);
         }
     }
 
@@ -648,10 +643,10 @@ impl Sm {
                             sr.ledger.retire(req.san, cycle)?;
                         }
                     }
-                    self.finish_request(req, cycle, ctx.hazards);
+                    self.finish_request(req, cycle, ctx.decoded);
                 }
                 // Shared/const load completion.
-                _ => self.complete_op(done.warp_slot, done.dst, ctx.hazards),
+                _ => self.complete_op(done.warp_slot, done.dst, ctx.decoded),
             }
         }
         Ok(any)
@@ -666,7 +661,7 @@ impl Sm {
             for slot in 0..self.warps.len() {
                 assert_eq!(
                     self.schedulers[slot % n_sched].ready(slot),
-                    self.poll_ready(slot, ctx.hazards),
+                    self.poll_ready(slot, ctx.decoded),
                     "SM{}: ready set of warp slot {slot} diverged from a full poll",
                     self.id
                 );
@@ -703,20 +698,17 @@ impl Sm {
         let active = active_mask.count_ones();
         let cta_slot = warp.cta_slot;
         let pc = warp.pc();
-        let inst_unit = ctx.hazards.unit(pc);
+        let inst_unit = ctx.decoded.unit(pc);
         let result = if warp.replay.is_some() {
             // Replay: re-inject the recorded step outcome; no functional
             // execution (a recorded stream cannot fault).
             Ok(warp.step_replay(&mut self.lane_buf))
         } else {
             let mut ectx = ExecCtx {
-                kernel: ctx.kernel,
-                reconv: ctx.reconv,
+                decoded: ctx.decoded,
                 params: ctx.params,
                 gmem: ctx.gmem,
                 smem: &mut self.smem[cta_slot],
-                ntid: ctx.ntid,
-                nctaid: ctx.nctaid,
                 memcheck: ctx.cfg.memcheck,
                 lane_buf: &mut self.lane_buf,
             };
@@ -791,7 +783,7 @@ impl Sm {
             StepResult::Predicated | StepResult::Exit => {}
             StepResult::Barrier => {}
         }
-        self.refresh_ready(slot, ctx.hazards);
+        self.refresh_ready(slot, ctx.decoded);
         Ok(inst_unit)
     }
 
@@ -860,10 +852,7 @@ impl Sm {
                 let (class_tag, meta) = if is_store {
                     (ClassTag::Other, None)
                 } else {
-                    let class = ctx
-                        .classification
-                        .class_of(pc)
-                        .unwrap_or(LoadClass::Deterministic);
+                    let class = ctx.decoded.class(pc);
                     self.stats.global_load_warps[match class {
                         LoadClass::Deterministic => 0,
                         LoadClass::NonDeterministic => 1,
@@ -922,7 +911,7 @@ impl Sm {
         Ok(())
     }
 
-    fn release_barriers(&mut self, hazards: &HazardTable) {
+    fn release_barriers(&mut self, decoded: &DecodedKernel) {
         for idx in 0..self.cta_slots.len() {
             let Some(cta) = self.cta_slots[idx].take() else {
                 continue;
@@ -957,7 +946,7 @@ impl Sm {
                     if let Some(w) = self.warps[slot].as_mut() {
                         w.at_barrier = None;
                     }
-                    self.refresh_ready(slot, hazards);
+                    self.refresh_ready(slot, decoded);
                 }
                 // A barrier release opens a new race-detection epoch: accesses
                 // before the barrier can no longer conflict with accesses after.

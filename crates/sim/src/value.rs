@@ -3,6 +3,10 @@
 //! Registers hold untyped 64-bit patterns; instructions interpret them via
 //! their type suffix, exactly as PTX does. Narrow results are stored
 //! zero-extended.
+//!
+//! Every `eval_*` function is `#[inline(always)]`: the decoded table
+//! (`decode.rs`) calls each with a constant `(op, type)`, and inlining
+//! is what lets the compiler fold the matches on them away.
 
 use gcl_ptx::{AluOp, AtomOp, CmpOp, SfuOp, Type, UnaryOp};
 
@@ -24,6 +28,7 @@ fn of_f64(v: f64) -> u64 {
 
 /// Truncate/extend a raw value to the width and signedness of `ty`, returning
 /// the canonical zero-extended storage form.
+#[inline(always)]
 pub fn canon(ty: Type, bits: u64) -> u64 {
     match ty.size_bytes() {
         1 => bits & 0xFF,
@@ -33,6 +38,7 @@ pub fn canon(ty: Type, bits: u64) -> u64 {
     }
 }
 
+#[inline(always)]
 fn as_signed(ty: Type, bits: u64) -> i64 {
     match ty.size_bytes() {
         1 => bits as u8 as i8 as i64,
@@ -44,6 +50,7 @@ fn as_signed(ty: Type, bits: u64) -> i64 {
 
 /// Evaluate a two-source ALU operation. Division/remainder by zero yields 0
 /// (CUDA leaves it undefined; a fixed result keeps simulation deterministic).
+#[inline(always)]
 pub fn eval_alu(op: AluOp, ty: Type, a: u64, b: u64) -> u64 {
     if ty.is_float() {
         return eval_alu_float(op, ty, a, b);
@@ -132,6 +139,7 @@ pub fn eval_alu(op: AluOp, ty: Type, a: u64, b: u64) -> u64 {
     canon(ty, raw)
 }
 
+#[inline(always)]
 fn eval_alu_float(op: AluOp, ty: Type, a: u64, b: u64) -> u64 {
     macro_rules! fop {
         ($fa:expr, $fb:expr, $pack:expr) => {{
@@ -159,6 +167,7 @@ fn eval_alu_float(op: AluOp, ty: Type, a: u64, b: u64) -> u64 {
 }
 
 /// Evaluate a one-source ALU operation.
+#[inline(always)]
 pub fn eval_unary(op: UnaryOp, ty: Type, a: u64) -> u64 {
     if ty.is_float() {
         return match (op, ty) {
@@ -192,6 +201,7 @@ pub fn eval_unary(op: UnaryOp, ty: Type, a: u64) -> u64 {
 }
 
 /// Evaluate `a * b + c`, optionally at double width (`mad.wide`).
+#[inline(always)]
 pub fn eval_mad(ty: Type, wide: bool, a: u64, b: u64, c: u64) -> u64 {
     match ty {
         Type::F32 => of_f32(f32_of(a) * f32_of(b) + f32_of(c)),
@@ -209,6 +219,7 @@ pub fn eval_mad(ty: Type, wide: bool, a: u64, b: u64, c: u64) -> u64 {
 }
 
 /// Evaluate a comparison, returning the predicate value (0 or 1).
+#[inline(always)]
 pub fn eval_cmp(cmp: CmpOp, ty: Type, a: u64, b: u64) -> u64 {
     let ord = if ty.is_float() {
         let (fa, fb) = match ty {
@@ -237,6 +248,7 @@ pub fn eval_cmp(cmp: CmpOp, ty: Type, a: u64, b: u64) -> u64 {
 }
 
 /// Evaluate a special-function operation.
+#[inline(always)]
 pub fn eval_sfu(op: SfuOp, ty: Type, a: u64) -> u64 {
     macro_rules! sfu {
         ($v:expr, $pack:expr) => {{
@@ -261,6 +273,7 @@ pub fn eval_sfu(op: SfuOp, ty: Type, a: u64) -> u64 {
 }
 
 /// Evaluate a type conversion.
+#[inline(always)]
 pub fn eval_cvt(dst_ty: Type, src_ty: Type, v: u64) -> u64 {
     // Decode the source to a wide intermediate.
     enum Wide {
@@ -307,6 +320,7 @@ pub fn eval_cvt(dst_ty: Type, src_ty: Type, v: u64) -> u64 {
 }
 
 /// Evaluate an atomic RMW's combine step: `old op src`.
+#[inline(always)]
 pub fn eval_atom(op: AtomOp, ty: Type, old: u64, src: u64) -> u64 {
     match op {
         AtomOp::Add => eval_alu(AluOp::Add, ty, old, src),

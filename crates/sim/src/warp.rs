@@ -8,31 +8,22 @@
 //! inter-warp communication is ordered by barriers and kernel relaunches,
 //! matching the synchronization the workloads actually use.
 
+use crate::decode::{for_lanes, DecodedKernel, Kind, Lanes, Src, MAX_LANES};
 use crate::fault::{AccessKind, MemViolation};
 use crate::replay::{mem_access_of_record, ReplayKind, ReplayRecord};
-use crate::value::{
-    canon, eval_alu, eval_atom, eval_cmp, eval_cvt, eval_mad, eval_sfu, eval_unary,
-};
 use crate::{Dim3, GlobalMem, SimtStack};
-use gcl_ptx::{Address, Instruction, Kernel, Op, Operand, Reg, Space, Special, Type};
-use std::collections::HashMap;
+use gcl_ptx::{Address, Guard, Reg, Space, Special, Type};
 
 /// Execution context shared by the warps of one CTA during one step.
 pub struct ExecCtx<'a> {
-    /// The kernel being executed.
-    pub kernel: &'a Kernel,
-    /// Branch pc → reconvergence pc (from [`gcl_ptx::Cfg::reconvergence_pcs`]).
-    pub reconv: &'a HashMap<usize, usize>,
+    /// The running kernel, decoded for this launch.
+    pub decoded: &'a DecodedKernel,
     /// The launch's parameter block.
     pub params: &'a [u8],
     /// Device global memory.
     pub gmem: &'a mut GlobalMem,
     /// This CTA's shared memory.
     pub smem: &'a mut [u8],
-    /// CTA dimensions.
-    pub ntid: Dim3,
-    /// Grid dimensions.
-    pub nctaid: Dim3,
     /// Validate global-backed accesses against the allocation table and
     /// fail with [`MemViolation`] on the first out-of-bounds lane.
     pub memcheck: bool,
@@ -216,15 +207,6 @@ impl Warp {
         }
     }
 
-    /// The next instruction to issue, or `None` if finished.
-    pub fn next_inst<'k>(&self, kernel: &'k Kernel) -> Option<&'k Instruction> {
-        if self.is_finished() {
-            None
-        } else {
-            Some(&kernel.insts()[self.pc()])
-        }
-    }
-
     /// Read a register for one lane.
     pub fn reg(&self, lane: u32, r: Reg) -> u64 {
         self.regs[r.index() * self.warp_size as usize + lane as usize]
@@ -315,66 +297,84 @@ impl Warp {
         })
     }
 
-    fn special(&self, lane: u32, s: Special, ctx: &ExecCtx<'_>) -> u64 {
-        let (tx, ty_, tz) = self.lane_tid[lane as usize];
-        let v = match s {
-            Special::TidX => tx,
-            Special::TidY => ty_,
-            Special::TidZ => tz,
-            Special::NTidX => ctx.ntid.x,
-            Special::NTidY => ctx.ntid.y,
-            Special::NTidZ => ctx.ntid.z,
-            Special::CtaIdX => self.ctaid.0,
-            Special::CtaIdY => self.ctaid.1,
-            Special::CtaIdZ => self.ctaid.2,
-            Special::NCtaIdX => ctx.nctaid.x,
-            Special::NCtaIdY => ctx.nctaid.y,
-            Special::NCtaIdZ => ctx.nctaid.z,
-            Special::LaneId => lane,
-            Special::WarpId => self.warp_in_cta,
-        };
-        u64::from(v)
+    /// The row of `r` in the register file: one value per lane.
+    fn row(&self, r: Reg) -> &[u64] {
+        let ws = self.warp_size as usize;
+        &self.regs[r.index() * ws..][..ws]
     }
 
-    /// Read an operand as the raw bits an instruction of type `ty` expects.
-    /// Float immediates are stored as `f64` bits ([`Operand::FImm`]); for
-    /// `f32`-typed instructions they are narrowed here.
-    fn operand(&self, lane: u32, op: Operand, ty: Type, ctx: &ExecCtx<'_>) -> u64 {
-        match op {
-            Operand::Reg(r) => self.reg(lane, r),
-            Operand::Imm(v) => v as u64,
-            Operand::FImm(bits) => {
-                if ty == Type::F32 {
-                    u64::from((f64::from_bits(bits) as f32).to_bits())
-                } else {
-                    bits
+    fn row_mut(&mut self, r: Reg) -> &mut [u64] {
+        let ws = self.warp_size as usize;
+        &mut self.regs[r.index() * ws..][..ws]
+    }
+
+    /// Read an operand for every lane at once. Lanes past the warp's width
+    /// read zero; no exec mask selects them.
+    fn gather(&self, src: Src) -> Lanes {
+        let mut out = [0; MAX_LANES];
+        match src {
+            Src::Reg(r) => {
+                let row = self.row(r);
+                out[..row.len()].copy_from_slice(row);
+            }
+            Src::Const(v) => out = [v; MAX_LANES],
+            Src::Uniform(s) => {
+                let v = match s {
+                    Special::CtaIdX => self.ctaid.0,
+                    Special::CtaIdY => self.ctaid.1,
+                    Special::CtaIdZ => self.ctaid.2,
+                    Special::WarpId => self.warp_in_cta,
+                    _ => unreachable!("{s} is not warp-uniform"),
+                };
+                out = [u64::from(v); MAX_LANES];
+            }
+            Src::Lane(s) => {
+                for (lane, (o, &(x, y, z))) in out.iter_mut().zip(&self.lane_tid).enumerate() {
+                    *o = u64::from(match s {
+                        Special::TidX => x,
+                        Special::TidY => y,
+                        Special::TidZ => z,
+                        Special::LaneId => lane as u32,
+                        _ => unreachable!("{s} is not per-lane"),
+                    });
                 }
             }
-            Operand::Special(s) => self.special(lane, s, ctx),
         }
+        out
     }
 
-    fn effective_addr(&self, lane: u32, addr: Address) -> u64 {
-        let base = addr.base.map_or(0, |r| self.reg(lane, r));
-        base.wrapping_add(addr.offset as u64)
+    /// Every lane's effective address.
+    fn addresses(&self, addr: Address) -> Lanes {
+        let mut ea = match addr.base {
+            Some(r) => self.gather(Src::Reg(r)),
+            None => [0; MAX_LANES],
+        };
+        for a in &mut ea {
+            *a = a.wrapping_add(addr.offset as u64);
+        }
+        ea
     }
 
     /// Lanes (⊆ `active`) whose guard predicate allows execution.
-    fn guard_mask(&self, inst: &Instruction, active: u32) -> u32 {
-        let Some(g) = inst.guard else { return active };
+    fn guard_mask(&self, guard: Option<Guard>, active: u32) -> u32 {
+        let Some(g) = guard else { return active };
+        let pred = self.row(g.pred);
         let mut mask = 0u32;
-        for lane in 0..self.warp_size {
-            if active >> lane & 1 == 1 {
-                let p = self.reg(lane, g.pred) != 0;
-                if p != g.negate {
-                    mask |= 1 << lane;
-                }
+        for_lanes(active, |lane| {
+            if (pred[lane] != 0) != g.negate {
+                mask |= 1 << lane;
             }
-        }
+        });
         mask
     }
 
     /// Issue and functionally execute the instruction at the current pc.
+    ///
+    /// Source operands are gathered for the whole warp before the
+    /// destination row is written, and memory side effects happen in
+    /// ascending lane order: the last lane wins a same-address store, an
+    /// atomic serialises by lane, and a memcheck fault leaves the earlier
+    /// lanes' effects applied.
     ///
     /// # Errors
     ///
@@ -389,21 +389,13 @@ impl Warp {
     pub fn step(&mut self, ctx: &mut ExecCtx<'_>) -> Result<StepResult, MemViolation> {
         assert!(!self.is_finished(), "stepping a finished warp");
         let pc = self.pc();
-        let kernel = ctx.kernel;
-        let inst = &kernel.insts()[pc];
+        let op = ctx.decoded.op(pc);
         let active = self.active_mask();
         debug_assert_ne!(active, 0, "active entry with no live lanes at pc {pc}");
-        let exec = self.guard_mask(inst, active);
+        let exec = self.guard_mask(op.guard, active);
 
         // Branches consume the guard as the branch condition.
-        if let Op::Bra { target } = inst.op {
-            let reconv = if inst.guard.is_some() {
-                *ctx.reconv
-                    .get(&pc)
-                    .expect("missing reconvergence pc for branch")
-            } else {
-                gcl_ptx::RECONV_EXIT // unused: uniform
-            };
+        if let Kind::Bra { target, reconv } = op.kind {
             let diverged = exec != 0 && exec != active;
             self.stack.branch(exec, active, target, pc + 1, reconv);
             return Ok(StepResult::Branch { diverged });
@@ -414,216 +406,129 @@ impl Warp {
             return Ok(StepResult::Predicated);
         }
 
-        let result = match &inst.op {
-            Op::Exit => {
+        let result = match op.kind {
+            Kind::Exit => {
                 self.exited |= exec;
                 self.stack.advance();
                 self.stack.prune_exited(self.exited);
                 return Ok(StepResult::Exit);
             }
-            Op::Bar { id } => {
-                self.at_barrier = Some(*id);
+            Kind::Bar { id } => {
+                self.at_barrier = Some(id);
                 StepResult::Barrier
             }
-            Op::Mov { ty, dst, src } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let v = self.operand(lane, *src, *ty, ctx);
-                    self.set_reg(lane, *dst, canon(*ty, v));
-                }
-                StepResult::Alu { dst: Some(*dst) }
+            Kind::Map1 { dst, a, f } => {
+                let a = self.gather(a);
+                f(self.row_mut(dst), &a, exec);
+                StepResult::Alu { dst: Some(dst) }
             }
-            Op::Cvt {
-                dst_ty,
-                src_ty,
-                dst,
-                src,
-            } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let v = self.operand(lane, *src, *src_ty, ctx);
-                    self.set_reg(lane, *dst, eval_cvt(*dst_ty, *src_ty, v));
-                }
-                StepResult::Alu { dst: Some(*dst) }
+            Kind::Map2 { dst, a, b, f } => {
+                let (a, b) = (self.gather(a), self.gather(b));
+                f(self.row_mut(dst), &a, &b, exec);
+                StepResult::Alu { dst: Some(dst) }
             }
-            Op::Unary { op, ty, dst, a } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let v = self.operand(lane, *a, *ty, ctx);
-                    self.set_reg(lane, *dst, eval_unary(*op, *ty, v));
-                }
-                StepResult::Alu { dst: Some(*dst) }
+            Kind::Map3 { dst, a, b, c, f } => {
+                let (a, b, c) = (self.gather(a), self.gather(b), self.gather(c));
+                f(self.row_mut(dst), &a, &b, &c, exec);
+                StepResult::Alu { dst: Some(dst) }
             }
-            Op::Alu { op, ty, dst, a, b } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let va = self.operand(lane, *a, *ty, ctx);
-                    let vb = self.operand(lane, *b, *ty, ctx);
-                    self.set_reg(lane, *dst, eval_alu(*op, *ty, va, vb));
-                }
-                StepResult::Alu { dst: Some(*dst) }
-            }
-            Op::Mad {
-                ty,
-                dst,
-                a,
-                b,
-                c,
-                wide,
-            } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let va = self.operand(lane, *a, *ty, ctx);
-                    let vb = self.operand(lane, *b, *ty, ctx);
-                    let vc = self.operand(lane, *c, *ty, ctx);
-                    self.set_reg(lane, *dst, eval_mad(*ty, *wide, va, vb, vc));
-                }
-                StepResult::Alu { dst: Some(*dst) }
-            }
-            Op::Sfu { op, ty, dst, a } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let v = self.operand(lane, *a, *ty, ctx);
-                    self.set_reg(lane, *dst, eval_sfu(*op, *ty, v));
-                }
-                StepResult::Alu { dst: Some(*dst) }
-            }
-            Op::Setp { cmp, ty, dst, a, b } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let va = self.operand(lane, *a, *ty, ctx);
-                    let vb = self.operand(lane, *b, *ty, ctx);
-                    self.set_reg(lane, *dst, eval_cmp(*cmp, *ty, va, vb));
-                }
-                StepResult::Alu { dst: Some(*dst) }
-            }
-            Op::Selp {
-                ty,
-                dst,
-                a,
-                b,
-                pred,
-            } => {
-                for lane in lanes(exec, self.warp_size) {
-                    let p = self.reg(lane, *pred) != 0;
-                    let v = if p {
-                        self.operand(lane, *a, *ty, ctx)
-                    } else {
-                        self.operand(lane, *b, *ty, ctx)
-                    };
-                    self.set_reg(lane, *dst, canon(*ty, v));
-                }
-                StepResult::Alu { dst: Some(*dst) }
-            }
-            Op::Ld {
+            Kind::Ld {
                 space,
                 ty,
                 dst,
                 addr,
             } => {
-                let mut lane_addrs = take_cleared(ctx.lane_buf);
-                for lane in lanes(exec, self.warp_size) {
-                    let ea = self.effective_addr(lane, *addr);
-                    if ctx.memcheck && memchecked_space(*space) {
-                        check(
-                            ctx.gmem,
-                            pc,
-                            *space,
-                            AccessKind::Load,
-                            lane,
-                            ea,
-                            ty.size_bytes(),
-                        )?;
+                let ea = self.addresses(addr);
+                let (done, fault) = memcheck(ctx, pc, space, AccessKind::Load, exec, &ea, ty);
+                let row = self.row_mut(dst);
+                match space {
+                    // No register base: every lane reads the same bytes.
+                    Space::Param if addr.base.is_none() => {
+                        let v = sign_extend_load(ty, read_param(ctx.params, ea[0], ty));
+                        for_lanes(done, |l| row[l] = v);
                     }
-                    let bits = match space {
-                        Space::Param => read_param(ctx.params, ea, *ty),
-                        Space::Shared => read_smem(ctx.smem, ea, *ty),
-                        // Const and the global-backed spaces read device
-                        // memory functionally.
-                        _ => ctx.gmem.read_scalar(ea, *ty),
-                    };
-                    let bits = sign_extend_load(*ty, bits);
-                    self.set_reg(lane, *dst, bits);
-                    lane_addrs.push((lane, ea));
+                    Space::Param => for_lanes(done, |l| {
+                        row[l] = sign_extend_load(ty, read_param(ctx.params, ea[l], ty));
+                    }),
+                    Space::Shared => for_lanes(done, |l| {
+                        row[l] = sign_extend_load(ty, read_smem(ctx.smem, ea[l], ty));
+                    }),
+                    // Const and the global-backed spaces read device
+                    // memory functionally.
+                    _ => ctx.gmem.read_lanes(done, &ea, ty.size_bytes(), |l, bits| {
+                        row[l] = sign_extend_load(ty, bits);
+                    }),
+                }
+                if let Some(violation) = fault {
+                    return Err(violation);
                 }
                 StepResult::Mem(MemAccess {
                     pc,
-                    space: *space,
+                    space,
                     is_store: false,
-                    dst: Some(*dst),
-                    lane_addrs,
+                    dst: Some(dst),
+                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                     bytes: ty.size_bytes(),
                 })
             }
-            Op::St {
+            Kind::St {
                 space,
                 ty,
                 addr,
                 src,
             } => {
-                let mut lane_addrs = take_cleared(ctx.lane_buf);
-                for lane in lanes(exec, self.warp_size) {
-                    let ea = self.effective_addr(lane, *addr);
-                    if ctx.memcheck && memchecked_space(*space) {
-                        check(
-                            ctx.gmem,
-                            pc,
-                            *space,
-                            AccessKind::Store,
-                            lane,
-                            ea,
-                            ty.size_bytes(),
-                        )?;
-                    }
-                    let v = self.operand(lane, *src, *ty, ctx);
-                    match space {
-                        Space::Shared => write_smem(ctx.smem, ea, *ty, v),
-                        Space::Param => panic!("stores to param space are invalid"),
-                        _ => ctx.gmem.write_scalar(ea, *ty, v),
-                    }
-                    lane_addrs.push((lane, ea));
+                let ea = self.addresses(addr);
+                let v = self.gather(src);
+                let (done, fault) = memcheck(ctx, pc, space, AccessKind::Store, exec, &ea, ty);
+                match space {
+                    Space::Shared => for_lanes(done, |l| write_smem(ctx.smem, ea[l], ty, v[l])),
+                    Space::Param => panic!("stores to param space are invalid"),
+                    _ => ctx.gmem.write_lanes(done, &ea, ty.size_bytes(), &v),
+                }
+                if let Some(violation) = fault {
+                    return Err(violation);
                 }
                 StepResult::Mem(MemAccess {
                     pc,
-                    space: *space,
+                    space,
                     is_store: true,
                     dst: None,
-                    lane_addrs,
+                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                     bytes: ty.size_bytes(),
                 })
             }
-            Op::Atom {
-                op,
+            Kind::Atom {
                 ty,
                 dst,
                 addr,
                 src,
+                f,
             } => {
+                let ea = self.addresses(addr);
+                let v = self.gather(src);
+                let (done, fault) =
+                    memcheck(ctx, pc, Space::Global, AccessKind::Atomic, exec, &ea, ty);
+                let row = self.row_mut(dst);
                 // Lanes of a warp perform the RMW in lane order, which is a
                 // valid serialization.
-                let mut lane_addrs = take_cleared(ctx.lane_buf);
-                for lane in lanes(exec, self.warp_size) {
-                    let ea = self.effective_addr(lane, *addr);
-                    if ctx.memcheck {
-                        check(
-                            ctx.gmem,
-                            pc,
-                            Space::Global,
-                            AccessKind::Atomic,
-                            lane,
-                            ea,
-                            ty.size_bytes(),
-                        )?;
-                    }
-                    let old = ctx.gmem.read_scalar(ea, *ty);
-                    let v = self.operand(lane, *src, *ty, ctx);
-                    ctx.gmem.write_scalar(ea, *ty, eval_atom(*op, *ty, old, v));
-                    self.set_reg(lane, *dst, sign_extend_load(*ty, old));
-                    lane_addrs.push((lane, ea));
+                for_lanes(done, |l| {
+                    let old = ctx.gmem.read_scalar(ea[l], ty);
+                    ctx.gmem.write_scalar(ea[l], ty, f(old, v[l]));
+                    row[l] = sign_extend_load(ty, old);
+                });
+                if let Some(violation) = fault {
+                    return Err(violation);
                 }
                 StepResult::Mem(MemAccess {
                     pc,
                     space: Space::Global,
                     is_store: false,
-                    dst: Some(*dst),
-                    lane_addrs,
+                    dst: Some(dst),
+                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                     bytes: ty.size_bytes(),
                 })
             }
-            Op::Bra { .. } => unreachable!("handled above"),
+            Kind::Bra { .. } => unreachable!("handled above"),
         };
 
         self.stack.advance();
@@ -666,30 +571,50 @@ impl Warp {
     }
 }
 
-/// The memcheck predicate: `[addr, addr + bytes)` must sit inside one live
-/// allocation, otherwise a [`MemViolation`] with nearest-allocation
-/// attribution.
-fn check(
-    gmem: &GlobalMem,
+/// The memcheck predicate over a warp: `[ea, ea + size_of(ty))` of every
+/// lane of `exec` must sit inside one live allocation. Returns the lanes
+/// below the first violating one (all of `exec` when memcheck is off, the
+/// space is not policed, or nothing violates) and that lane's
+/// [`MemViolation`] with nearest-allocation attribution.
+fn memcheck(
+    ctx: &ExecCtx<'_>,
     pc: usize,
     space: Space,
     kind: AccessKind,
-    lane: u32,
-    addr: u64,
-    bytes: u32,
-) -> Result<(), MemViolation> {
-    if gmem.is_allocated(addr, bytes) {
-        return Ok(());
+    exec: u32,
+    ea: &Lanes,
+    ty: Type,
+) -> (u32, Option<MemViolation>) {
+    if !(ctx.memcheck && memchecked_space(space)) {
+        return (exec, None);
     }
-    Err(MemViolation {
-        pc,
-        space,
-        kind,
-        lane,
-        addr,
-        bytes,
-        nearest: gmem.nearest_allocation(addr),
-    })
+    let bytes = ty.size_bytes();
+    let mut m = exec;
+    while m != 0 {
+        let lane = m.trailing_zeros();
+        let addr = ea[lane as usize];
+        if !ctx.gmem.is_allocated(addr, bytes) {
+            let violation = MemViolation {
+                pc,
+                space,
+                kind,
+                lane,
+                addr,
+                bytes,
+                nearest: ctx.gmem.nearest_allocation(addr),
+            };
+            return (exec & ((1 << lane) - 1), Some(violation));
+        }
+        m &= m - 1;
+    }
+    (exec, None)
+}
+
+/// `(lane, address)` of every executing lane, built in `buf`'s allocation.
+fn lane_addrs(buf: &mut Vec<(u32, u64)>, exec: u32, ea: &Lanes) -> Vec<(u32, u64)> {
+    let mut v = take_cleared(buf);
+    for_lanes(exec, |l| v.push((l as u32, ea[l])));
+    v
 }
 
 /// Take `buf`'s allocation, emptied.
@@ -697,11 +622,6 @@ fn take_cleared(buf: &mut Vec<(u32, u64)>) -> Vec<(u32, u64)> {
     let mut v = std::mem::take(buf);
     v.clear();
     v
-}
-
-/// Iterate over the set lanes of a mask.
-pub fn lanes(mask: u32, warp_size: u32) -> impl Iterator<Item = u32> {
-    (0..warp_size).filter(move |l| mask >> l & 1 == 1)
 }
 
 fn sign_extend_load(ty: Type, bits: u64) -> u64 {
@@ -760,45 +680,47 @@ fn write_smem(smem: &mut [u8], addr: u64, ty: Type, v: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcl_ptx::{Cfg, CmpOp, KernelBuilder};
+    use gcl_core::classify;
+    use gcl_ptx::{CmpOp, Kernel, KernelBuilder, Op, Operand};
+
+    fn decode(kernel: &Kernel, ntid: Dim3) -> DecodedKernel {
+        DecodedKernel::new(kernel, &classify(kernel), ntid, Dim3::x(4))
+    }
 
     fn make_ctx<'a>(
-        kernel: &'a Kernel,
-        reconv: &'a HashMap<usize, usize>,
+        decoded: &'a DecodedKernel,
         params: &'a [u8],
         gmem: &'a mut GlobalMem,
         smem: &'a mut [u8],
-        ntid: Dim3,
         lane_buf: &'a mut Vec<(u32, u64)>,
     ) -> ExecCtx<'a> {
         ExecCtx {
             lane_buf,
-            kernel,
-            reconv,
+            decoded,
             params,
             gmem,
             smem,
-            ntid,
-            nctaid: Dim3::x(4),
             memcheck: false,
         }
     }
 
     fn run_warp(kernel: &Kernel, params: &[u8], gmem: &mut GlobalMem, ntid: Dim3) -> Warp {
-        let cfg = Cfg::build(kernel);
-        let reconv = cfg.reconvergence_pcs(kernel);
+        let warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, kernel.num_regs());
+        run(kernel, params, gmem, ntid, warp)
+    }
+
+    /// Step `warp` through `kernel` until it retires.
+    fn run(
+        kernel: &Kernel,
+        params: &[u8],
+        gmem: &mut GlobalMem,
+        ntid: Dim3,
+        mut warp: Warp,
+    ) -> Warp {
+        let decoded = decode(kernel, ntid);
         let mut smem = vec![0u8; kernel.shared_bytes() as usize];
-        let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, kernel.num_regs());
         let mut lane_buf = Vec::new();
-        let mut ctx = make_ctx(
-            kernel,
-            &reconv,
-            params,
-            gmem,
-            &mut smem,
-            ntid,
-            &mut lane_buf,
-        );
+        let mut ctx = make_ctx(&decoded, params, gmem, &mut smem, &mut lane_buf);
         let mut steps = 0;
         while !warp.is_finished() {
             let r = warp.step(&mut ctx).expect("memcheck off");
@@ -1028,24 +950,15 @@ mod tests {
         let _ = b.ld_global(Type::U32, a);
         b.exit();
         let k = b.build().unwrap();
-        let cfg = Cfg::build(&k);
-        let reconv = cfg.reconvergence_pcs(&k);
         let mut gmem = GlobalMem::new();
         let buf = gmem.alloc_array(Type::U32, 32).unwrap();
         let params = buf.to_le_bytes().to_vec();
         let mut smem = vec![];
         let ntid = Dim3::x(8);
+        let decoded = decode(&k, ntid);
         let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, k.num_regs());
         let mut lane_buf = Vec::new();
-        let mut ctx = make_ctx(
-            &k,
-            &reconv,
-            &params,
-            &mut gmem,
-            &mut smem,
-            ntid,
-            &mut lane_buf,
-        );
+        let mut ctx = make_ctx(&decoded, &params, &mut gmem, &mut smem, &mut lane_buf);
         // Step to the global load.
         let mut access = None;
         while !warp.is_finished() {
@@ -1059,6 +972,219 @@ mod tests {
         assert_eq!(m.lane_addrs.len(), 8);
         for (lane, addr) in &m.lane_addrs {
             assert_eq!(*addr, buf + u64::from(*lane) * 4);
+        }
+    }
+
+    /// `dst = dst + lane` under a guard that holds on odd lanes: the sources
+    /// are gathered before the destination row is written, and lanes the
+    /// guard masks off keep their value.
+    #[test]
+    fn guarded_add_into_its_own_source_writes_only_the_guarded_lanes() {
+        let mut b = KernelBuilder::new("k");
+        let lane = b.sreg(Special::LaneId);
+        let odd = b.and(Type::U32, lane, 1i64);
+        let p = b.setp(CmpOp::Eq, Type::U32, odd, 1i64);
+        let acc = b.imm32(100);
+        b.guard_next(p, false);
+        b.push(Op::Alu {
+            op: gcl_ptx::AluOp::Add,
+            ty: Type::U32,
+            dst: acc,
+            a: acc.into(),
+            b: lane.into(),
+        });
+        let twice = b.reg();
+        b.push(Op::Alu {
+            op: gcl_ptx::AluOp::Add,
+            ty: Type::U32,
+            dst: twice,
+            a: acc.into(),
+            b: acc.into(),
+        });
+        b.push(Op::Alu {
+            op: gcl_ptx::AluOp::Sub,
+            ty: Type::U32,
+            dst: twice,
+            a: twice.into(),
+            b: twice.into(),
+        });
+        b.exit();
+        let k = b.build().unwrap();
+        let w = run_warp(&k, &[], &mut GlobalMem::new(), Dim3::x(32));
+        for l in 0..32 {
+            let want = if l % 2 == 1 { 100 + u64::from(l) } else { 100 };
+            assert_eq!(w.reg(l, acc), want, "lane {l}");
+            assert_eq!(w.reg(l, twice), 0, "lane {l}: r - r");
+        }
+    }
+
+    /// A 16-lane machine running the 12-thread tail warp of CTA (3, 0, 0):
+    /// rows are 16 wide, lanes 12..16 never execute, and the warp-uniform
+    /// specials read this warp's coordinates.
+    #[test]
+    fn narrow_tail_warp_sees_only_valid_lanes_and_its_own_coordinates() {
+        let mut b = KernelBuilder::new("k");
+        let p = b.param("out", Type::U64);
+        let base = b.ld_param(Type::U64, p);
+        let lane = b.sreg(Special::LaneId);
+        let cta = b.sreg(Special::CtaIdX);
+        let v = b.mad(Type::U32, cta, 1000i64, Special::WarpId);
+        let v = b.mad(Type::U32, v, 100i64, Special::NTidX);
+        let v = b.add(Type::U32, v, Special::TidX);
+        let a = b.index64(base, lane, 4);
+        b.st_global(Type::U32, a, v);
+        b.exit();
+        let k = b.build().unwrap();
+
+        let mut gmem = GlobalMem::new();
+        let out = gmem.alloc_array(Type::U32, 32).unwrap();
+        let ntid = Dim3::x(28); // warps of 16: one full, one of 12
+        let warp = Warp::new(0, 0, 3, (3, 0, 0), 1, ntid, 16, k.num_regs());
+        assert_eq!(warp.valid, 0x0FFF);
+        let w = run(&k, &out.to_le_bytes(), &mut gmem, ntid, warp);
+        assert_eq!(w.regs.len(), k.num_regs() as usize * 16);
+        let vals = gmem.read_u32_slice(out, 32);
+        for (l, &got) in vals.iter().enumerate() {
+            // (ctaid 3 * 1000 + warpid 1) * 100 + ntid 28 + tid (16 + lane)
+            let want = if l < 12 { 300_128 + 16 + l as u32 } else { 0 };
+            assert_eq!(got, want, "lane {l}");
+        }
+    }
+
+    #[test]
+    fn float_immediates_narrow_under_f32_and_stay_wide_under_f64() {
+        let third = Operand::f64(1.0 / 3.0);
+        let mut b = KernelBuilder::new("k");
+        let narrow = b.mov(Type::F32, third);
+        let wide = b.mov(Type::F64, third);
+        let sum = b.add(Type::F32, narrow, third);
+        b.exit();
+        let k = b.build().unwrap();
+        let w = run_warp(&k, &[], &mut GlobalMem::new(), Dim3::x(32));
+        let third32 = 1.0f32 / 3.0;
+        for l in [0, 31] {
+            assert_eq!(w.reg(l, narrow), u64::from(third32.to_bits()));
+            assert_eq!(w.reg(l, wide), (1.0f64 / 3.0).to_bits());
+            assert_eq!(w.reg(l, sum), u64::from((third32 + third32).to_bits()));
+        }
+    }
+
+    /// Stores happen in ascending lane order, so the highest executing lane
+    /// wins an address every lane writes.
+    #[test]
+    fn same_address_store_keeps_the_last_executing_lane() {
+        let mut b = KernelBuilder::new("k");
+        let p = b.param("out", Type::U64);
+        let base = b.ld_param(Type::U64, p);
+        let lane = b.sreg(Special::LaneId);
+        b.st_global(Type::U32, base, lane);
+        let low = b.setp(CmpOp::Lt, Type::U32, lane, 7i64);
+        b.guard_next(low, false);
+        b.st(Space::Global, Type::U32, Address::reg_offset(base, 4), lane);
+        b.exit();
+        let k = b.build().unwrap();
+        let mut gmem = GlobalMem::new();
+        let out = gmem.alloc_array(Type::U32, 2).unwrap();
+        run_warp(&k, &out.to_le_bytes(), &mut gmem, Dim3::x(20));
+        assert_eq!(gmem.read_u32_slice(out, 2), [19, 6]);
+    }
+
+    #[test]
+    fn param_loads_broadcast_and_sign_extend() {
+        let mut b = KernelBuilder::new("k");
+        let p = b.param("v", Type::S32);
+        let signed = b.ld_param(Type::S32, p);
+        let unsigned = b.ld(Space::Param, Type::U32, Address::abs(0));
+        // A register-based parameter address: lane l reads byte l % 4.
+        let lane = b.sreg(Special::LaneId);
+        let byte = b.and(Type::U64, lane, 3i64);
+        let per_lane = b.ld(Space::Param, Type::U8, Address::reg(byte));
+        b.exit();
+        let k = b.build().unwrap();
+        let params = 0xFFFF_FF80u32.to_le_bytes();
+        let w = run_warp(&k, &params, &mut GlobalMem::new(), Dim3::x(20));
+        for l in 0..20 {
+            assert_eq!(w.reg(l, signed), 0xFFFF_FFFF_FFFF_FF80, "lane {l}");
+            assert_eq!(w.reg(l, unsigned), 0xFFFF_FF80, "lane {l}");
+            assert_eq!(
+                w.reg(l, per_lane),
+                u64::from(params[l as usize % 4]),
+                "lane {l}"
+            );
+        }
+        assert_eq!(w.reg(20, signed), 0, "lanes past the tail never load");
+    }
+
+    /// Memcheck reports the first out-of-bounds lane, with the stores of the
+    /// lanes below it applied, none above it, and the pc left on the store.
+    #[test]
+    fn memcheck_fault_applies_earlier_lanes_and_keeps_the_pc() {
+        let mut b = KernelBuilder::new("k");
+        let p = b.param("out", Type::U64);
+        let base = b.ld_param(Type::U64, p);
+        let lane = b.sreg(Special::LaneId);
+        let a = b.index64(base, lane, 4);
+        let store_pc = b.here();
+        b.st_global(Type::U32, a, 7i64);
+        b.exit();
+        let k = b.build().unwrap();
+
+        let mut gmem = GlobalMem::new();
+        let out = gmem.alloc_array(Type::U32, 5).unwrap();
+        let params = out.to_le_bytes();
+        let ntid = Dim3::x(32);
+        let decoded = decode(&k, ntid);
+        let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, k.num_regs());
+        let (mut smem, mut lane_buf) = (vec![], Vec::new());
+        let mut ctx = make_ctx(&decoded, &params, &mut gmem, &mut smem, &mut lane_buf);
+        ctx.memcheck = true;
+        while warp.pc() != store_pc {
+            warp.step(&mut ctx).expect("in bounds so far");
+        }
+        for _ in 0..2 {
+            let v = warp.step(&mut ctx).expect_err("lane 5 is out of bounds");
+            assert_eq!((v.pc, v.lane, v.addr), (store_pc, 5, out + 20));
+            assert_eq!(v.kind, AccessKind::Store);
+            assert_eq!(v.nearest, Some((out, 20)));
+            assert_eq!(warp.pc(), store_pc);
+        }
+        assert_eq!(gmem.read_u32_slice(out, 8), [7, 7, 7, 7, 7, 0, 0, 0]);
+    }
+
+    #[test]
+    fn guarded_branch_taken_by_some_lanes_diverges_and_reconverges() {
+        let mut b = KernelBuilder::new("k");
+        let lane = b.sreg(Special::LaneId);
+        let low = b.setp(CmpOp::Lt, Type::U32, lane, 10i64);
+        let v = b.imm32(1);
+        let skip = b.new_label();
+        b.bra_if(low, skip);
+        b.push(Op::Mov {
+            ty: Type::U32,
+            dst: v,
+            src: 2i64.into(),
+        });
+        b.place(skip);
+        let after = b.add(Type::U32, v, 10i64);
+        b.exit();
+        let k = b.build().unwrap();
+
+        let ntid = Dim3::x(32);
+        let decoded = decode(&k, ntid);
+        let mut gmem = GlobalMem::new();
+        let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, k.num_regs());
+        let (mut smem, mut lane_buf) = (vec![], Vec::new());
+        let mut ctx = make_ctx(&decoded, &[], &mut gmem, &mut smem, &mut lane_buf);
+        let mut branches = Vec::new();
+        while !warp.is_finished() {
+            if let StepResult::Branch { diverged } = warp.step(&mut ctx).unwrap() {
+                branches.push((diverged, warp.active_mask()));
+            }
+        }
+        // The fall-through lanes run first; all 32 meet again at `skip`.
+        assert_eq!(branches, [(true, !0x3FF)]);
+        for l in 0..32 {
+            assert_eq!(warp.reg(l, after), if l < 10 { 11 } else { 12 }, "lane {l}");
         }
     }
 }

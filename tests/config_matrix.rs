@@ -116,6 +116,20 @@ fn narrow_warps() {
 }
 
 #[test]
+fn warps_wider_than_32_lanes_are_rejected() {
+    // Lane masks are `u32`: lane 32+k has no bit of its own.
+    for warp_size in [33, 64] {
+        let mut cfg = base();
+        cfg.warp_size = warp_size;
+        cfg.max_threads_per_sm = 1024;
+        match Gpu::new(cfg) {
+            Err(SimError::InvalidConfig(e)) => assert_eq!(e.field, "warp_size", "{e}"),
+            other => panic!("warp_size {warp_size} accepted: {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn single_scheduler_and_one_cta_slot() {
     let mut cfg = base();
     cfg.n_schedulers = 1;
