@@ -31,13 +31,9 @@ pub(crate) const MAX_LANES: usize = 32;
 /// One operand (or one address, or one result) per lane.
 pub(crate) type Lanes = [u64; MAX_LANES];
 
-/// A one-source lane function mapped over the lanes of `mask`:
-/// `dst[l] = f(a[l])`. `dst` is the destination register's row.
-pub(crate) type Map1 = fn(dst: &mut [u64], a: &Lanes, mask: u32);
-/// Two-source sibling of [`Map1`].
-pub(crate) type Map2 = fn(dst: &mut [u64], a: &Lanes, b: &Lanes, mask: u32);
-/// Three-source sibling of [`Map1`].
-pub(crate) type Map3 = fn(dst: &mut [u64], a: &Lanes, b: &Lanes, c: &Lanes, mask: u32);
+/// An `N`-source lane function mapped over the lanes of `mask`:
+/// `dst[l] = f([srcs[0][l], ..])`. `dst` is the destination register's row.
+pub(crate) type Map<const N: usize> = fn(dst: &mut [u64], srcs: [&Lanes; N], mask: u32);
 /// An atomic's combine step `old op src`, applied lane by lane because each
 /// lane's read-modify-write must see the previous lane's.
 pub(crate) type Combine = fn(old: u64, src: u64) -> u64;
@@ -107,17 +103,11 @@ pub(crate) enum Kind {
     /// Park at named barrier `id`.
     Bar { id: u32 },
     /// `dst = f(a)`: `mov`, `cvt`, unary ALU and SFU operations.
-    Map1 { dst: Reg, a: Src, f: Map1 },
+    Map1 { dst: Reg, srcs: [Src; 1], f: Map<1> },
     /// `dst = f(a, b)`: two-source ALU operations and `setp`.
-    Map2 { dst: Reg, a: Src, b: Src, f: Map2 },
+    Map2 { dst: Reg, srcs: [Src; 2], f: Map<2> },
     /// `dst = f(a, b, c)`: `mad`, and `selp` as `f(pred, a, b)`.
-    Map3 {
-        dst: Reg,
-        a: Src,
-        b: Src,
-        c: Src,
-        f: Map3,
-    },
+    Map3 { dst: Reg, srcs: [Src; 3], f: Map<3> },
     /// Load `ty` from `addr` in `space` into `dst`.
     Ld {
         space: Space,
@@ -202,7 +192,7 @@ impl DecodedKernel {
                     Op::Bar { id } => Kind::Bar { id },
                     Op::Mov { ty, dst, src: a } => Kind::Map1 {
                         dst,
-                        a: src(a, ty),
+                        srcs: [src(a, ty)],
                         f: mov_fn(ty),
                     },
                     Op::Cvt {
@@ -212,29 +202,27 @@ impl DecodedKernel {
                         src: a,
                     } => Kind::Map1 {
                         dst,
-                        a: src(a, src_ty),
+                        srcs: [src(a, src_ty)],
                         f: cvt_fn(dst_ty, src_ty),
                     },
                     Op::Unary { op, ty, dst, a } => Kind::Map1 {
                         dst,
-                        a: src(a, ty),
+                        srcs: [src(a, ty)],
                         f: unary_fn(op, ty),
                     },
                     Op::Sfu { op, ty, dst, a } => Kind::Map1 {
                         dst,
-                        a: src(a, ty),
+                        srcs: [src(a, ty)],
                         f: sfu_fn(op, ty),
                     },
                     Op::Alu { op, ty, dst, a, b } => Kind::Map2 {
                         dst,
-                        a: src(a, ty),
-                        b: src(b, ty),
+                        srcs: [src(a, ty), src(b, ty)],
                         f: alu_fn(op, ty),
                     },
                     Op::Setp { cmp, ty, dst, a, b } => Kind::Map2 {
                         dst,
-                        a: src(a, ty),
-                        b: src(b, ty),
+                        srcs: [src(a, ty), src(b, ty)],
                         f: cmp_fn(cmp, ty),
                     },
                     Op::Mad {
@@ -246,9 +234,7 @@ impl DecodedKernel {
                         wide,
                     } => Kind::Map3 {
                         dst,
-                        a: src(a, ty),
-                        b: src(b, ty),
-                        c: src(c, ty),
+                        srcs: [src(a, ty), src(b, ty), src(c, ty)],
                         f: mad_fn(ty, wide),
                     },
                     Op::Selp {
@@ -259,9 +245,7 @@ impl DecodedKernel {
                         pred,
                     } => Kind::Map3 {
                         dst,
-                        a: Src::Reg(pred),
-                        b: src(a, ty),
-                        c: src(b, ty),
+                        srcs: [Src::Reg(pred), src(a, ty), src(b, ty)],
                         f: selp_fn(ty),
                     },
                     Op::Ld {
@@ -335,47 +319,17 @@ impl DecodedKernel {
     }
 }
 
+/// Apply lane function `f` to the lanes of `mask`.
 #[inline(always)]
-fn map1(dst: &mut [u64], a: &Lanes, mask: u32, f: impl Fn(u64) -> u64) {
+fn map<const N: usize>(dst: &mut [u64], srcs: [&Lanes; N], mask: u32, f: impl Fn([u64; N]) -> u64) {
     match <&mut Lanes>::try_from(&mut *dst) {
         // A full warp needs no bit scan and may vectorise.
         Ok(dst) if mask == u32::MAX => {
-            for (d, &a) in dst.iter_mut().zip(a) {
-                *d = f(a);
+            for (l, d) in dst.iter_mut().enumerate() {
+                *d = f(srcs.map(|s| s[l]));
             }
         }
-        _ => for_lanes(mask, |l| dst[l] = f(a[l])),
-    }
-}
-
-#[inline(always)]
-fn map2(dst: &mut [u64], a: &Lanes, b: &Lanes, mask: u32, f: impl Fn(u64, u64) -> u64) {
-    match <&mut Lanes>::try_from(&mut *dst) {
-        Ok(dst) if mask == u32::MAX => {
-            for ((d, &a), &b) in dst.iter_mut().zip(a).zip(b) {
-                *d = f(a, b);
-            }
-        }
-        _ => for_lanes(mask, |l| dst[l] = f(a[l], b[l])),
-    }
-}
-
-#[inline(always)]
-fn map3(
-    dst: &mut [u64],
-    a: &Lanes,
-    b: &Lanes,
-    c: &Lanes,
-    mask: u32,
-    f: impl Fn(u64, u64, u64) -> u64,
-) {
-    match <&mut Lanes>::try_from(&mut *dst) {
-        Ok(dst) if mask == u32::MAX => {
-            for (((d, &a), &b), &c) in dst.iter_mut().zip(a).zip(b).zip(c) {
-                *d = f(a, b, c);
-            }
-        }
-        _ => for_lanes(mask, |l| dst[l] = f(a[l], b[l], c[l])),
+        _ => for_lanes(mask, |l| dst[l] = f(srcs.map(|s| s[l]))),
     }
 }
 
@@ -402,64 +356,52 @@ macro_rules! each_type {
     };
 }
 
-macro_rules! lanes1 {
-    ($f:expr) => {
-        (|dst: &mut [u64], a: &Lanes, mask: u32| map1(dst, a, mask, $f)) as Map1
+/// Lane function `$f` of `$n` sources, mapped over a warp, as a plain `fn`.
+macro_rules! mapped {
+    ($n:literal, $f:expr) => {
+        (|dst: &mut [u64], srcs: [&Lanes; $n], mask: u32| map(dst, srcs, mask, $f)) as Map<$n>
     };
 }
 
-macro_rules! lanes2 {
-    ($f:expr) => {
-        (|dst: &mut [u64], a: &Lanes, b: &Lanes, mask: u32| map2(dst, a, b, mask, $f)) as Map2
-    };
-}
-
-macro_rules! lanes3 {
-    ($f:expr) => {
-        (|dst: &mut [u64], a: &Lanes, b: &Lanes, c: &Lanes, mask: u32| map3(dst, a, b, c, mask, $f))
-            as Map3
-    };
-}
-
-pub(crate) fn alu_fn(op: AluOp, ty: Type) -> Map2 {
+pub(crate) fn alu_fn(op: AluOp, ty: Type) -> Map<2> {
     specialise!(op, OP: AluOp [Add Sub Mul MulHi MulWide Div Rem Min Max And Or Xor Shl Shr] =>
-        each_type!(ty, T => lanes2!(|a, b| eval_alu(OP, T, a, b))))
+        each_type!(ty, T => mapped!(2, |[a, b]| eval_alu(OP, T, a, b))))
 }
 
-pub(crate) fn cmp_fn(cmp: CmpOp, ty: Type) -> Map2 {
+pub(crate) fn cmp_fn(cmp: CmpOp, ty: Type) -> Map<2> {
     specialise!(cmp, CMP: CmpOp [Eq Ne Lt Le Gt Ge] =>
-        each_type!(ty, T => lanes2!(|a, b| eval_cmp(CMP, T, a, b))))
+        each_type!(ty, T => mapped!(2, |[a, b]| eval_cmp(CMP, T, a, b))))
 }
 
-pub(crate) fn unary_fn(op: UnaryOp, ty: Type) -> Map1 {
+pub(crate) fn unary_fn(op: UnaryOp, ty: Type) -> Map<1> {
     specialise!(op, OP: UnaryOp [Neg Not Abs Popc Clz] =>
-        each_type!(ty, T => lanes1!(|a| eval_unary(OP, T, a))))
+        each_type!(ty, T => mapped!(1, |[a]| eval_unary(OP, T, a))))
 }
 
-pub(crate) fn sfu_fn(op: SfuOp, ty: Type) -> Map1 {
+pub(crate) fn sfu_fn(op: SfuOp, ty: Type) -> Map<1> {
     specialise!(op, OP: SfuOp [Sin Cos Sqrt Rsqrt Rcp Ex2 Lg2] =>
-        each_type!(ty, T => lanes1!(|a| eval_sfu(OP, T, a))))
+        each_type!(ty, T => mapped!(1, |[a]| eval_sfu(OP, T, a))))
 }
 
-pub(crate) fn cvt_fn(dst_ty: Type, src_ty: Type) -> Map1 {
-    each_type!(dst_ty, D => each_type!(src_ty, S => lanes1!(|a| eval_cvt(D, S, a))))
+pub(crate) fn cvt_fn(dst_ty: Type, src_ty: Type) -> Map<1> {
+    each_type!(dst_ty, D => each_type!(src_ty, S => mapped!(1, |[a]| eval_cvt(D, S, a))))
 }
 
-pub(crate) fn mov_fn(ty: Type) -> Map1 {
-    each_type!(ty, T => lanes1!(|a| canon(T, a)))
+pub(crate) fn mov_fn(ty: Type) -> Map<1> {
+    each_type!(ty, T => mapped!(1, |[a]| canon(T, a)))
 }
 
-pub(crate) fn mad_fn(ty: Type, wide: bool) -> Map3 {
+pub(crate) fn mad_fn(ty: Type, wide: bool) -> Map<3> {
     if wide {
-        each_type!(ty, T => lanes3!(|a, b, c| eval_mad(T, true, a, b, c)))
+        each_type!(ty, T => mapped!(3, |[a, b, c]| eval_mad(T, true, a, b, c)))
     } else {
-        each_type!(ty, T => lanes3!(|a, b, c| eval_mad(T, false, a, b, c)))
+        each_type!(ty, T => mapped!(3, |[a, b, c]| eval_mad(T, false, a, b, c)))
     }
 }
 
 /// `selp` as a three-source lane function of `(pred, a, b)`.
-pub(crate) fn selp_fn(ty: Type) -> Map3 {
-    each_type!(ty, T => lanes3!(|p, a, b| canon(T, if p != 0 { a } else { b })))
+pub(crate) fn selp_fn(ty: Type) -> Map<3> {
+    each_type!(ty, T => mapped!(3, |[p, a, b]| canon(T, if p != 0 { a } else { b })))
 }
 
 pub(crate) fn atom_fn(op: AtomOp, ty: Type) -> Combine {
@@ -610,7 +552,7 @@ mod tests {
                         &format!("{op:?}.{ty}"),
                         ty,
                         &[*a, *b],
-                        |dst, mask| f(dst, a, b, mask),
+                        |dst, mask| f(dst, [a, b], mask),
                         |l| eval_alu(op, ty, a[l], b[l]),
                     );
                 }
@@ -629,7 +571,7 @@ mod tests {
                         &format!("setp.{cmp:?}.{ty}"),
                         Type::Pred,
                         &[*a, *b],
-                        |dst, mask| f(dst, a, b, mask),
+                        |dst, mask| f(dst, [a, b], mask),
                         |l| eval_cmp(cmp, ty, a[l], b[l]),
                     );
                 }
@@ -652,7 +594,7 @@ mod tests {
                         &format!("{op:?}.{ty}"),
                         ty,
                         &[*a],
-                        |dst, mask| f(dst, a, mask),
+                        |dst, mask| f(dst, [a], mask),
                         |l| eval_unary(op, ty, a[l]),
                     );
                 }
@@ -666,7 +608,7 @@ mod tests {
                             &format!("{op:?}.{ty}"),
                             ty,
                             &[*a],
-                            |dst, mask| f(dst, a, mask),
+                            |dst, mask| f(dst, [a], mask),
                             |l| eval_sfu(op, ty, a[l]),
                         );
                     }
@@ -679,7 +621,7 @@ mod tests {
                         &format!("cvt.{ty}.{src_ty}"),
                         ty,
                         &[*a],
-                        |dst, mask| f(dst, a, mask),
+                        |dst, mask| f(dst, [a], mask),
                         |l| eval_cvt(ty, src_ty, a[l]),
                     );
                 }
@@ -690,7 +632,7 @@ mod tests {
                     &format!("mov.{ty}"),
                     ty,
                     &[*a],
-                    |dst, mask| f(dst, a, mask),
+                    |dst, mask| f(dst, [a], mask),
                     |l| canon(ty, a[l]),
                 );
             }
@@ -710,7 +652,7 @@ mod tests {
                         &format!("mad{}.{ty}", if wide { ".wide" } else { "" }),
                         ty,
                         &[*a, *b, *c],
-                        |dst, mask| f(dst, a, b, c, mask),
+                        |dst, mask| f(dst, [a, b, c], mask),
                         |l| eval_mad(ty, wide, a[l], b[l], c[l]),
                     );
                 }
@@ -721,7 +663,7 @@ mod tests {
                     &format!("selp.{ty}"),
                     ty,
                     &[*p, *a, *b],
-                    |dst, mask| f(dst, p, a, b, mask),
+                    |dst, mask| f(dst, [p, a, b], mask),
                     |l| canon(ty, if p[l] != 0 { a[l] } else { b[l] }),
                 );
             }

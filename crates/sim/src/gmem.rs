@@ -11,7 +11,7 @@
 //! address stays readable and writable; pages outside the allocated heap
 //! (wild addresses when memcheck is off) live in a sparse map beside it.
 
-use crate::decode::Lanes;
+use crate::decode::{for_lanes, Lanes};
 use crate::fault::AllocError;
 use gcl_mem::{Dec, Enc, WireError};
 use gcl_ptx::Type;
@@ -44,9 +44,41 @@ fn zero_page() -> Box<Page> {
     Box::new([0; PAGE_SIZE])
 }
 
+/// Offset of `addr` within its page.
+fn offset(addr: u64) -> usize {
+    addr as usize & (PAGE_SIZE - 1)
+}
+
 /// Whether an `n`-byte access at `addr` crosses into the next page.
 fn straddles(addr: u64, n: usize) -> bool {
-    (addr as usize & (PAGE_SIZE - 1)) + n > PAGE_SIZE
+    offset(addr) + n > PAGE_SIZE
+}
+
+/// Split the lanes of `mask`, in ascending order, into maximal runs of
+/// consecutive lanes whose `n`-byte accesses fall inside one page —
+/// `run(Some(page number), lanes)` — and single lanes whose access straddles
+/// two — `run(None, lane)`.
+fn for_page_runs(mask: u32, addrs: &Lanes, n: usize, mut run: impl FnMut(Option<u64>, u32)) {
+    let mut m = mask;
+    while m != 0 {
+        let first = addrs[m.trailing_zeros() as usize];
+        if straddles(first, n) {
+            run(None, m & m.wrapping_neg());
+            m &= m - 1;
+            continue;
+        }
+        let id = first >> PAGE_SHIFT;
+        let mut lanes = 0;
+        while m != 0 {
+            let addr = addrs[m.trailing_zeros() as usize];
+            if addr >> PAGE_SHIFT != id || straddles(addr, n) {
+                break;
+            }
+            lanes |= m & m.wrapping_neg();
+            m &= m - 1;
+        }
+        run(Some(id), lanes);
+    }
 }
 
 /// Read `n` ≤ 8 little-endian bytes at the start of `bytes`.
@@ -226,14 +258,14 @@ impl GlobalMem {
     /// Read one byte (zero if never written).
     pub fn read_u8(&self, addr: u64) -> u8 {
         match self.page(addr >> PAGE_SHIFT) {
-            Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
+            Some(p) => p[offset(addr)],
             None => 0,
         }
     }
 
     /// Write one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.page_mut(addr >> PAGE_SHIFT)[(addr as usize) & (PAGE_SIZE - 1)] = v;
+        self.page_mut(addr >> PAGE_SHIFT)[offset(addr)] = v;
     }
 
     /// Read `n` bytes little-endian into a u64 (n ≤ 8).
@@ -246,9 +278,8 @@ impl GlobalMem {
                 v | u64::from(self.read_u8(addr.wrapping_add(i))) << (8 * i)
             });
         }
-        let off = (addr as usize) & (PAGE_SIZE - 1);
         self.page(addr >> PAGE_SHIFT)
-            .map_or(0, |p| load_le(&p[off..], n))
+            .map_or(0, |p| load_le(&p[offset(addr)..], n))
     }
 
     /// Write the low `n` bytes of `v` little-endian (n ≤ 8).
@@ -265,8 +296,7 @@ impl GlobalMem {
             }
             return;
         }
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        store_le(&mut self.page_mut(addr >> PAGE_SHIFT)[off..], n, v);
+        store_le(&mut self.page_mut(addr >> PAGE_SHIFT)[offset(addr)..], n, v);
     }
 
     /// [`read_le`](Self::read_le) for every lane of `mask`, in ascending
@@ -279,31 +309,18 @@ impl GlobalMem {
         n: u32,
         mut put: impl FnMut(usize, u64),
     ) {
-        let bytes = n as usize;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            let addr = addrs[lane];
-            if straddles(addr, bytes) {
-                put(lane, self.read_le(addr, n));
-                m &= m - 1;
-                continue;
+        for_page_runs(mask, addrs, n as usize, |page, lanes| match page {
+            None => for_lanes(lanes, |l| put(l, self.read_le(addrs[l], n))),
+            Some(id) => {
+                let page = self.page(id);
+                for_lanes(lanes, |l| {
+                    put(
+                        l,
+                        page.map_or(0, |p| load_le(&p[offset(addrs[l])..], n as usize)),
+                    );
+                });
             }
-            let id = addr >> PAGE_SHIFT;
-            let page = self.page(id);
-            // This lane and the lanes after it for as long as they stay on
-            // the page.
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                let addr = addrs[lane];
-                if addr >> PAGE_SHIFT != id || straddles(addr, bytes) {
-                    break;
-                }
-                let off = (addr as usize) & (PAGE_SIZE - 1);
-                put(lane, page.map_or(0, |p| load_le(&p[off..], bytes)));
-                m &= m - 1;
-            }
-        }
+        });
     }
 
     /// [`write_le`](Self::write_le) of `vals[lane]` for every lane of
@@ -311,29 +328,15 @@ impl GlobalMem {
     /// lanes share). A page is looked up once per run of consecutive lanes
     /// that fall on it.
     pub(crate) fn write_lanes(&mut self, mask: u32, addrs: &Lanes, n: u32, vals: &Lanes) {
-        let bytes = n as usize;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            let addr = addrs[lane];
-            if straddles(addr, bytes) {
-                self.write_le(addr, n, vals[lane]);
-                m &= m - 1;
-                continue;
+        for_page_runs(mask, addrs, n as usize, |page, lanes| match page {
+            None => for_lanes(lanes, |l| self.write_le(addrs[l], n, vals[l])),
+            Some(id) => {
+                let page = self.page_mut(id);
+                for_lanes(lanes, |l| {
+                    store_le(&mut page[offset(addrs[l])..], n as usize, vals[l])
+                });
             }
-            let id = addr >> PAGE_SHIFT;
-            let page = self.page_mut(id);
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                let addr = addrs[lane];
-                if addr >> PAGE_SHIFT != id || straddles(addr, bytes) {
-                    break;
-                }
-                let off = (addr as usize) & (PAGE_SIZE - 1);
-                store_le(&mut page[off..], bytes, vals[lane]);
-                m &= m - 1;
-            }
-        }
+        });
     }
 
     /// Read a typed scalar as raw bits (sign/float interpretation is the

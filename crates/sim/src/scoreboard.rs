@@ -42,8 +42,8 @@ impl Scoreboard {
     }
 
     /// Whether an instruction with read|write register `mask` (a
-    /// [`DecodedKernel::mask`](crate::DecodedKernel::mask) row) must wait for `warp`'s in-flight writes
-    /// (RAW or WAW hazard).
+    /// [`DecodedKernel::mask`](crate::DecodedKernel::mask) row) must wait
+    /// for `warp`'s in-flight writes (RAW or WAW hazard).
     pub fn blocked(&self, warp: usize, mask: &[u64]) -> bool {
         self.row(warp).iter().zip(mask).any(|(p, m)| p & m != 0)
     }

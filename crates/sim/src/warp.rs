@@ -8,7 +8,7 @@
 //! inter-warp communication is ordered by barriers and kernel relaunches,
 //! matching the synchronization the workloads actually use.
 
-use crate::decode::{for_lanes, DecodedKernel, Kind, Lanes, Src, MAX_LANES};
+use crate::decode::{for_lanes, DecodedKernel, Kind, Lanes, Map, Src, MAX_LANES};
 use crate::fault::{AccessKind, MemViolation};
 use crate::replay::{mem_access_of_record, ReplayKind, ReplayRecord};
 use crate::{Dim3, GlobalMem, SimtStack};
@@ -312,12 +312,17 @@ impl Warp {
     /// read zero; no exec mask selects them.
     fn gather(&self, src: Src) -> Lanes {
         let mut out = [0; MAX_LANES];
+        self.gather_into(src, &mut out);
+        out
+    }
+
+    fn gather_into(&self, src: Src, out: &mut Lanes) {
         match src {
             Src::Reg(r) => {
                 let row = self.row(r);
                 out[..row.len()].copy_from_slice(row);
             }
-            Src::Const(v) => out = [v; MAX_LANES],
+            Src::Const(v) => *out = [v; MAX_LANES],
             Src::Uniform(s) => {
                 let v = match s {
                     Special::CtaIdX => self.ctaid.0,
@@ -326,7 +331,7 @@ impl Warp {
                     Special::WarpId => self.warp_in_cta,
                     _ => unreachable!("{s} is not warp-uniform"),
                 };
-                out = [u64::from(v); MAX_LANES];
+                *out = [u64::from(v); MAX_LANES];
             }
             Src::Lane(s) => {
                 for (lane, (o, &(x, y, z))) in out.iter_mut().zip(&self.lane_tid).enumerate() {
@@ -340,7 +345,23 @@ impl Warp {
                 }
             }
         }
-        out
+    }
+
+    /// `dst = f(srcs)` on the lanes of `exec`; the sources are gathered
+    /// before the destination row is written.
+    fn map<const N: usize>(
+        &mut self,
+        dst: Reg,
+        srcs: [Src; N],
+        f: Map<N>,
+        exec: u32,
+    ) -> StepResult {
+        let mut rows = [[0; MAX_LANES]; N];
+        for (row, src) in rows.iter_mut().zip(srcs) {
+            self.gather_into(src, row);
+        }
+        f(self.row_mut(dst), rows.each_ref(), exec);
+        StepResult::Alu { dst: Some(dst) }
     }
 
     /// Every lane's effective address.
@@ -417,21 +438,9 @@ impl Warp {
                 self.at_barrier = Some(id);
                 StepResult::Barrier
             }
-            Kind::Map1 { dst, a, f } => {
-                let a = self.gather(a);
-                f(self.row_mut(dst), &a, exec);
-                StepResult::Alu { dst: Some(dst) }
-            }
-            Kind::Map2 { dst, a, b, f } => {
-                let (a, b) = (self.gather(a), self.gather(b));
-                f(self.row_mut(dst), &a, &b, exec);
-                StepResult::Alu { dst: Some(dst) }
-            }
-            Kind::Map3 { dst, a, b, c, f } => {
-                let (a, b, c) = (self.gather(a), self.gather(b), self.gather(c));
-                f(self.row_mut(dst), &a, &b, &c, exec);
-                StepResult::Alu { dst: Some(dst) }
-            }
+            Kind::Map1 { dst, srcs, f } => self.map(dst, srcs, f, exec),
+            Kind::Map2 { dst, srcs, f } => self.map(dst, srcs, f, exec),
+            Kind::Map3 { dst, srcs, f } => self.map(dst, srcs, f, exec),
             Kind::Ld {
                 space,
                 ty,
@@ -589,25 +598,25 @@ fn memcheck(
         return (exec, None);
     }
     let bytes = ty.size_bytes();
-    let mut m = exec;
-    while m != 0 {
-        let lane = m.trailing_zeros();
-        let addr = ea[lane as usize];
-        if !ctx.gmem.is_allocated(addr, bytes) {
-            let violation = MemViolation {
-                pc,
-                space,
-                kind,
-                lane,
-                addr,
-                bytes,
-                nearest: ctx.gmem.nearest_allocation(addr),
-            };
-            return (exec & ((1 << lane) - 1), Some(violation));
-        }
-        m &= m - 1;
+    let mut bad = 0u32;
+    for_lanes(exec, |l| {
+        bad |= u32::from(!ctx.gmem.is_allocated(ea[l], bytes)) << l
+    });
+    if bad == 0 {
+        return (exec, None);
     }
-    (exec, None)
+    let lane = bad.trailing_zeros();
+    let addr = ea[lane as usize];
+    let violation = MemViolation {
+        pc,
+        space,
+        kind,
+        lane,
+        addr,
+        bytes,
+        nearest: ctx.gmem.nearest_allocation(addr),
+    };
+    (exec & ((1 << lane) - 1), Some(violation))
 }
 
 /// `(lane, address)` of every executing lane, built in `buf`'s allocation.
