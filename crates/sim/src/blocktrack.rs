@@ -8,7 +8,7 @@
 
 use crate::HEAP_BASE;
 use gcl_mem::{Dec, Enc, WireError};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Summary statistics extracted from a [`BlockTracker`].
 #[derive(Debug, Clone, PartialEq)]
@@ -370,24 +370,21 @@ impl BlockTracker {
             e.str(k);
         }
         e.u32(self.current_kernel.map_or(u32::MAX, |k| k));
-        let mut live: BTreeMap<u64, BTreeMap<u64, Vec<u64>>> = BTreeMap::new();
+        let mut live: Vec<(u64, u64, u64)> = Vec::new();
         for &addr in &self.touched {
             let block = self.block(addr).expect("touched blocks exist");
-            for &(pc, cta) in &block.live {
-                live.entry(pc)
-                    .or_default()
-                    .entry(addr)
-                    .or_default()
-                    .push(cta);
-            }
+            live.extend(block.live.iter().map(|&(pc, cta)| (pc, addr, cta)));
         }
-        e.usize(live.len());
-        for (pc, blocks) in &live {
-            e.u64(*pc);
-            e.usize(blocks.len());
-            for (addr, ctas) in blocks {
-                e.u64(*addr);
-                e.seq(ctas, |e, &c| e.u64(c));
+        live.sort_unstable();
+        let by_pc = live.chunk_by(|a, b| a.0 == b.0);
+        e.usize(by_pc.clone().count());
+        for blocks in by_pc {
+            e.u64(blocks[0].0);
+            let by_block = blocks.chunk_by(|a, b| a.1 == b.1);
+            e.usize(by_block.clone().count());
+            for ctas in by_block {
+                e.u64(ctas[0].1);
+                e.seq(ctas, |e, &(_, _, cta)| e.u64(cta));
             }
         }
         let mut per_pc = self.per_pc.clone();
@@ -447,16 +444,18 @@ impl BlockTracker {
         t.kernels = d.seq(|d| d.str())?;
         let ck = d.u32()?;
         t.current_kernel = (ck != u32::MAX).then_some(ck);
-        let mut live = BTreeSet::new();
+        let mut live = Vec::new();
         for _ in 0..d.seq_len()? {
             let pc = d.u64()?;
             for _ in 0..d.seq_len()? {
                 let addr = d.u64()?;
                 for cta in d.seq(|d| d.u64())? {
-                    live.insert((addr, pc, cta));
+                    live.push((addr, pc, cta));
                 }
             }
         }
+        live.sort_unstable();
+        live.dedup();
         for (addr, pc, cta) in live {
             let index = t.heap_index(addr);
             let block = slot(&mut t.heap, &mut t.other, index, addr);
