@@ -104,6 +104,8 @@ fn journal_bytes_are_pinned() {
     }
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(pin(&bytes), (142, 0x26ac_cec3_fdde_1a39));
+    // Everything after magic + version: the records and their framing.
+    assert_eq!(pin(&bytes[10..]), (132, 0x7690_b122_a665_6bae));
     let (_, rec) = Journal::open_recover(&path).unwrap();
     assert!(!rec.truncated);
     assert_eq!(rec.records, 2);

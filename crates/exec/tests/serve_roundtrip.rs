@@ -336,6 +336,108 @@ fn served_stats_equal_a_serial_run_of_the_same_spec() {
     handle.join().expect("serve thread exits");
 }
 
+/// The keys of a JSON object, sorted.
+fn keys(j: &Json) -> Vec<&str> {
+    let Json::Obj(pairs) = j else {
+        panic!("not an object: {j}");
+    };
+    let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// The reply surface, pinned by name: a field added to or dropped from
+/// `status` or a done `result` shows up as a diff of these literals.
+#[test]
+fn status_and_result_replies_carry_exactly_the_pinned_keys() {
+    let (addr, handle) = start(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        cache: None,
+        ..ServeOptions::default()
+    });
+    let mut client = ServeClient::connect(ClientOptions {
+        addr: addr.to_string(),
+        ..ClientOptions::default()
+    })
+    .expect("connect");
+    let id = client.submit("bfs", true, true).expect("submit");
+    let result = client.wait(id, Duration::from_secs(120)).expect("result");
+    let status = client.status().expect("status");
+
+    assert_eq!(
+        keys(&status),
+        [
+            "cache",
+            "draining",
+            "jobs",
+            "ok",
+            "queue_depth",
+            "queue_depth_stats",
+            "replicas",
+            "sessions",
+            "sheds",
+            "workers",
+        ]
+    );
+    assert_eq!(
+        keys(status.get("jobs").expect("jobs")),
+        ["done", "failed", "probing", "queued", "running"]
+    );
+    assert_eq!(
+        keys(status.get("cache").expect("cache")),
+        [
+            "dedup_hits",
+            "hit_rate",
+            "misses",
+            "primary_hits",
+            "read_through",
+            "rebalances",
+            "repairs",
+            "resumed",
+            "sims",
+            "stores",
+        ]
+    );
+    let workers = status.get("workers").and_then(Json::as_arr).expect("rows");
+    assert_eq!(
+        keys(&workers[0]),
+        [
+            "alive",
+            "corrupt",
+            "done",
+            "failed",
+            "leased",
+            "name",
+            "reassigned",
+            "slots",
+        ]
+    );
+    assert_eq!(
+        keys(&result),
+        [
+            "assigns",
+            "cached",
+            "cycles",
+            "digest",
+            "id",
+            "key",
+            "ok",
+            "replicas",
+            "state",
+            "stats",
+            "sum",
+            "wall_ms",
+            "warp_insts",
+            "worker",
+            "worker_wall_ms",
+            "workload",
+        ]
+    );
+    client.shutdown().expect("drain");
+    drop(client);
+    handle.join().expect("serve thread exits");
+}
+
 #[test]
 fn a_local_worker_that_cannot_join_fails_the_run_instead_of_hanging() {
     // A frame cap below the size of the worker's own `join` frame: the
