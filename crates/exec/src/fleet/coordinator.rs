@@ -29,17 +29,15 @@
 //! every transition between their states live in [`super::state`]; a
 //! handler here parses its frame, takes the one lock, and calls an edge.
 
-use super::journal::{JCounter, Journal, JournalError, Record};
-use super::state::{
-    cycle_override, ranked_live, Fleet, FleetJob, FleetJobState, Payload, Source, WorkerEntry,
-};
+use super::journal::{Journal, JournalError, Record};
+use super::state::{cycle_override, Fleet, FleetJob, FleetJobState, Payload, WorkerEntry};
 use crate::proto::{
-    decode_key, encode_key, error_response, error_text, fetch_frame, parse_submit, write_frame,
-    Conn, FrameError, FrameReader, ServeError,
+    encode_key, error_response, error_text, parse_submit, write_frame, Conn, FrameError,
+    FrameReader, ServeError,
 };
 use gcl_mem::fnv_fold;
 use gcl_stats::Json;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,9 +60,8 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// After `--recover`, hold recovered non-terminal jobs this long before
-/// dispatching, so re-joining workers can reconcile running leases and
-/// replica inventories instead of the coordinator re-running (or vainly
-/// probing) work that is still in flight.
+/// dispatching, so re-joining workers can reconcile running leases instead
+/// of the coordinator re-running work that is still in flight.
 const RECOVER_GRACE: Duration = Duration::from_secs(3);
 
 /// How the coordinator runs.
@@ -86,13 +83,6 @@ pub struct CoordinatorOptions {
     pub max_frame: usize,
     /// Print the per-worker outcome table on drain.
     pub print_outcomes: bool,
-    /// Replica-set size R: every verified result is fanned out to the top
-    /// R rendezvous-ranked live workers, so a key survives any node loss
-    /// short of its entire replica set dying.
-    pub replicas: usize,
-    /// How long a replica `fetch` probe may go unanswered before the
-    /// lookup advances to the next replica (or to recomputation).
-    pub probe_timeout_ms: u64,
     /// Admission control: a session with this many unfinished submits gets
     /// structured shed responses instead of deeper queueing (0 disables).
     pub session_inflight_cap: u64,
@@ -101,14 +91,10 @@ pub struct CoordinatorOptions {
     /// Replay the journal on startup instead of truncating it. Requires
     /// `journal` to be set.
     pub recover: bool,
-    /// Expose the destructive chaos verbs (`decommission`, `reset`) to
-    /// clients. Off by default: a production coordinator sheds them with a
-    /// structured error.
+    /// Expose the destructive chaos verb (`decommission`) to clients. Off
+    /// by default: a production coordinator sheds it with a structured
+    /// error.
     pub chaos_verbs: bool,
-    /// Interval for the proactive replica rebalancer, which re-fans
-    /// under-replicated keys back to R = `replicas` after any membership
-    /// change (0 disables; repair then only happens on a read miss).
-    pub rebalance_ms: u64,
     /// Journal size that triggers compaction into a snapshot record.
     pub journal_compact_bytes: u64,
 }
@@ -123,13 +109,10 @@ impl Default for CoordinatorOptions {
             heartbeat_timeout_ms: 2_000,
             max_frame: 1024 * 1024,
             print_outcomes: true,
-            replicas: 2,
-            probe_timeout_ms: 2_000,
             session_inflight_cap: 1_024,
             journal: None,
             recover: false,
             chaos_verbs: false,
-            rebalance_ms: 0,
             journal_compact_bytes: 1024 * 1024,
         }
     }
@@ -174,11 +157,7 @@ impl Coordinator {
                 "coordinator needs a positive queue capacity".to_string(),
             ));
         }
-        if opts.lease_ms == 0
-            || opts.heartbeat_ms == 0
-            || opts.heartbeat_timeout_ms == 0
-            || opts.probe_timeout_ms == 0
-        {
+        if opts.lease_ms == 0 || opts.heartbeat_ms == 0 || opts.heartbeat_timeout_ms == 0 {
             return Err(ServeError::Config(
                 "coordinator deadlines must be positive".to_string(),
             ));
@@ -188,11 +167,6 @@ impl Coordinator {
                 "heartbeat timeout ({} ms) must exceed the ping interval ({} ms)",
                 opts.heartbeat_timeout_ms, opts.heartbeat_ms
             )));
-        }
-        if opts.replicas == 0 {
-            return Err(ServeError::Config(
-                "coordinator needs at least one replica (--replicas 1)".to_string(),
-            ));
         }
         // Open the journal before binding: an unusable journal is a
         // config error the operator must fix, not something to retry.
@@ -331,27 +305,16 @@ fn print_outcome_table(fleet: &Fleet) {
     }
     let c = &fleet.counters;
     eprintln!(
-        "  cache: {} sims, {} stores, {} primary hits, {} read-through, \
-         {} repairs, {} lost, {} dedup, {} sheds, {} rebalances, {} resumed",
-        c.sims,
-        c.stores,
-        c.primary_hits,
-        c.read_through,
-        c.repairs,
-        c.misses,
-        c.dedup_hits,
-        c.sheds,
-        c.rebalances,
-        c.resumed
+        "  cache: {} sims, {} dedup, {} sheds, {} resumed",
+        c.sims, c.dedup_hits, c.sheds, c.resumed
     );
 }
 
-/// The supervisor: heartbeats, deadline enforcement, assignment,
-/// rebalancing, journal upkeep, drain — one pass per tick, under the lock.
+/// The supervisor: heartbeats, deadline enforcement, assignment, journal
+/// upkeep, drain — one pass per tick, under the lock.
 fn supervisor_loop(shared: &CoordShared) {
     let opts = &shared.opts;
     let tick = Duration::from_millis(20);
-    let mut next_rebalance = Instant::now();
     while !shared.finished.load(Ordering::SeqCst) {
         let now = Instant::now();
         {
@@ -359,10 +322,6 @@ fn supervisor_loop(shared: &CoordShared) {
             heartbeat(&mut fleet, opts, now);
             expire(&mut fleet, now);
             dispatch(&mut fleet, opts, now);
-            if opts.rebalance_ms > 0 && now >= next_rebalance {
-                next_rebalance = now + Duration::from_millis(opts.rebalance_ms);
-                rebalance(&mut fleet, opts, now);
-            }
             let depth = fleet.jobs.queue.len() as f64;
             fleet.depth.add(depth);
 
@@ -407,19 +366,14 @@ fn heartbeat(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
 }
 
 /// Deadlines: reclaim expired leases even from live workers — a straggler
-/// keeps its connection but loses the job — and advance replica probes
-/// that never got an answer.
+/// keeps its connection but loses the job.
 fn expire(fleet: &mut Fleet, now: Instant) {
     let mut leases = Vec::new();
-    let mut probes = Vec::new();
     for (id, job) in &fleet.jobs.map {
         match job.state {
             FleetJobState::Leased { worker, deadline } if now >= deadline => {
                 leases.push((*id, worker));
             }
-            FleetJobState::Probing {
-                worker, deadline, ..
-            } if now >= deadline => probes.push((*id, worker)),
             _ => {}
         }
     }
@@ -430,20 +384,15 @@ fn expire(fleet: &mut Fleet, now: Instant) {
         );
         fleet.reclaim(id, widx, LEASE_EXPIRED);
     }
-    for (id, widx) in probes {
-        eprintln!("fleet: replica probe for job {id} timed out; advancing");
-        fleet.probe_miss(id, widx);
-    }
 }
 
-/// Dispatch: pop the queue; a key known to be replicated is probed
-/// (read-through) before costing a simulation, everything else is sharded
-/// across live workers with free slots, rendezvous-hashing on the
-/// content-addressed key so placement is deterministic for a fixed fleet.
+/// Dispatch: pop the queue and shard it across live workers with free
+/// slots, rendezvous-hashing on the content-addressed key so placement is
+/// deterministic for a fixed fleet.
 fn dispatch(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
     let mut stuck = VecDeque::new();
     while let Some(id) = fleet.jobs.queue.pop_front() {
-        let Some(job) = fleet.jobs.map.get_mut(&id) else {
+        let Some(job) = fleet.jobs.map.get(&id) else {
             continue;
         };
         if !matches!(job.state, FleetJobState::Queued) {
@@ -456,23 +405,6 @@ fn dispatch(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
             continue;
         }
         let (key, avoid) = (job.key, job.last_worker);
-        if fleet.jobs.stored.contains(&key) && !job.probe_done {
-            let ranked = ranked_live(&fleet.workers, key);
-            if job.probe_rank < opts.replicas.min(ranked.len()) {
-                let (widx, rank) = (ranked[job.probe_rank], job.probe_rank);
-                if fleet.send(widx, &fetch_frame(id, key)) {
-                    let deadline = now + Duration::from_millis(opts.probe_timeout_ms);
-                    fleet.probe(id, widx, rank, deadline);
-                } else {
-                    fleet.jobs.queue.push_front(id);
-                }
-                continue;
-            }
-            // Every replica rank missed or died: the key is truly lost;
-            // fall through and recompute it.
-            job.probe_done = true;
-            fleet.bump(JCounter::Misses);
-        }
         let free = |w: &WorkerEntry| w.alive && w.writer.is_some() && w.leased.len() < w.slots;
         let candidates: Vec<usize> = (0..fleet.workers.len())
             .filter(|widx| free(&fleet.workers[*widx]))
@@ -512,50 +444,6 @@ fn dispatch(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
     // Jobs with nowhere to go wait at the front, in order.
     for id in stuck.into_iter().rev() {
         fleet.jobs.queue.push_front(id);
-    }
-}
-
-/// Proactive rebalancing: scan the replica directory and re-fan every
-/// under-replicated stored key back to R live replicas, without waiting
-/// for a read miss. The payload comes from a terminal job when one is
-/// still in the table, else it is fetched back from a surviving holder
-/// ([`rebalance_fetched`] finishes that fan-out).
-fn rebalance(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
-    fleet
-        .jobs
-        .rebalance_inflight
-        .retain(|_, deadline| now < *deadline);
-    let stored: Vec<u64> = fleet.jobs.stored.iter().copied().collect();
-    for key in stored {
-        if fleet.jobs.rebalance_inflight.contains_key(&key) {
-            continue;
-        }
-        let ranked = ranked_live(&fleet.workers, key);
-        let holds = |widx: &usize| fleet.workers[*widx].keys.contains(&key);
-        if ranked.is_empty() || ranked.iter().take(opts.replicas).all(holds) {
-            continue;
-        }
-        // Prefer a payload still in the job table: re-fan it directly.
-        let by_key = fleet.jobs.by_key.get(&key);
-        let job = by_key.and_then(|id| fleet.jobs.map.get(id));
-        if let Some(FleetJobState::Done(result)) = job.map(|j| &j.state) {
-            let ((hex, sum), wall_ms) =
-                (super::encode_stats_payload(&result.stats), result.wall_ms);
-            if fleet.fan_out_store(opts, key, &hex, &sum, wall_ms, None) > 0 {
-                fleet.bump(JCounter::Rebalances);
-            }
-            continue;
-        }
-        // The job table no longer has the bytes (reset, or recovery with
-        // the payload on a worker): fetch them back from the best-ranked
-        // surviving holder. Job id 0 marks the reply as a rebalance fetch.
-        let Some(widx) = ranked.into_iter().find(holds) else {
-            continue;
-        };
-        if fleet.send(widx, &fetch_frame(0, key)) {
-            let deadline = now + Duration::from_millis(opts.probe_timeout_ms);
-            fleet.jobs.rebalance_inflight.insert(key, deadline);
-        }
     }
 }
 
@@ -682,29 +570,21 @@ fn worker_session(
             Some("pong") => shared.fleet().workers[idx].last_pong = Instant::now(),
             Some("done") => handle_done(&frame, idx, shared),
             Some("fail") => handle_fail(&frame, idx, shared),
-            Some("fetched") => handle_fetched(&frame, idx, shared),
             Some("inventory") => handle_inventory(&frame, idx, shared),
             _ => {}
         }
     }
 }
 
-/// Reconcile a (re-)joining worker's `inventory` frame: its replica-store
-/// keys become ground truth for the directory, and any job it reports
+/// Reconcile a (re-)joining worker's `inventory` frame: any job it reports
 /// still running has its lease resumed — a recovered coordinator then
 /// waits for the in-flight result instead of re-running the simulation.
 fn handle_inventory(frame: &Json, idx: usize, shared: &CoordShared) {
-    let items = |field| frame.get(field).and_then(Json::as_arr).unwrap_or(&[]);
-    let keys: HashSet<u64> = items("keys")
-        .iter()
-        .filter_map(|k| k.as_str().and_then(|s| decode_key(s).ok()))
-        .collect();
+    let running = frame.get("running").and_then(Json::as_arr).unwrap_or(&[]);
     let mut fleet = shared.fleet();
-    fleet.jobs.stored.extend(&keys);
-    fleet.workers[idx].keys = keys;
     let deadline = Instant::now() + Duration::from_millis(shared.opts.lease_ms);
     let mut resumed = 0u64;
-    for id in items("running").iter().filter_map(Json::as_u64) {
+    for id in running.iter().filter_map(Json::as_u64) {
         let queued = |j: &FleetJob| matches!(j.state, FleetJobState::Queued);
         if fleet.jobs.map.get(&id).is_some_and(queued) {
             fleet.lease(id, idx, true, deadline);
@@ -717,20 +597,21 @@ fn handle_inventory(frame: &Json, idx: usize, shared: &CoordShared) {
     }
 }
 
-/// Decode and checksum-verify the `stats` payload a `done` or `fetched`
-/// frame carries — outside the lock, and exactly once: the bytes that
-/// were checksummed are the bytes the journal will hold.
-fn verified_payload(frame: &Json) -> Result<Payload<'_>, String> {
+/// Decode and checksum-verify the `stats` payload a `done` frame carries —
+/// outside the lock, and exactly once: the bytes that were checksummed are
+/// the bytes the journal will hold.
+fn verified_payload(frame: &Json) -> Result<Payload, String> {
     let text = |field| frame.get(field).and_then(Json::as_str);
     let hex = text("stats").ok_or("missing stats payload")?;
     let sum = text("sum").ok_or("missing checksum")?;
     let (stats, bytes) = super::decode_stats_bytes(hex, sum)?;
+    let ms = |field| frame.get(field).and_then(Json::as_f64).unwrap_or(0.0);
     Ok(Payload {
         stats,
         bytes,
-        hex,
-        sum,
-        wall_ms: frame.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
+        wall_ms: ms("wall_ms"),
+        worker_wall_ms: ms("worker_wall_ms"),
+        cached: frame.get("cached").and_then(Json::as_bool).unwrap_or(false),
     })
 }
 
@@ -742,95 +623,15 @@ fn handle_done(frame: &Json, idx: usize, shared: &CoordShared) {
         return;
     };
     let verified = verified_payload(frame);
-    let worker_wall_ms = frame.get("worker_wall_ms").and_then(Json::as_f64);
-    let source = Source::Worker {
-        cached: frame.get("cached").and_then(Json::as_bool).unwrap_or(false),
-        worker_wall_ms: worker_wall_ms.unwrap_or(0.0),
-    };
     let mut fleet = shared.fleet();
-    if !fleet.jobs.map.contains_key(&id) {
-        // A late result for a job `reset` cleared: only the slot is freed.
-        fleet.workers[idx].leased.remove(&id);
-        return;
-    }
     match verified {
-        Ok(payload) => fleet.complete(&shared.opts, id, idx, payload, source),
+        Ok(payload) => fleet.complete(id, idx, payload),
         Err(why) => {
             eprintln!("fleet: corrupt result for job {id}: {why}; reassigning");
             fleet.workers[idx].corrupt += 1;
             fleet.reclaim(id, idx, "corrupt result");
         }
     }
-}
-
-/// A worker's answer to a replica probe. A verified hit completes the job
-/// from the replica store (and write-repairs the set when a non-primary
-/// answered); a miss or a corrupt payload advances to the next rank.
-fn handle_fetched(frame: &Json, idx: usize, shared: &CoordShared) {
-    let Some(id) = frame.get("job").and_then(Json::as_u64) else {
-        return;
-    };
-    let hit = frame.get("hit").and_then(Json::as_bool).unwrap_or(false);
-    let payload = hit.then(|| verified_payload(frame));
-    let key = frame.get("key").and_then(Json::as_str);
-    let key = key.and_then(|s| decode_key(s).ok());
-    let mut fleet = shared.fleet();
-    // Job id 0 never exists: this is the rebalancer's fetch coming back.
-    if id == 0 {
-        if let Some(key) = key {
-            rebalance_fetched(&mut fleet, &shared.opts, key, idx, payload);
-        }
-        return;
-    }
-    let probing =
-        |j: &FleetJob| matches!(j.state, FleetJobState::Probing { worker, .. } if worker == idx);
-    if !fleet.jobs.map.get(&id).is_some_and(probing) {
-        // Stale answer: the probe already timed out and moved on.
-        return;
-    }
-    match payload {
-        Some(Ok(payload)) => {
-            return fleet.complete(&shared.opts, id, idx, payload, Source::Replica);
-        }
-        Some(Err(why)) => {
-            eprintln!("fleet: corrupt replica payload for job {id}: {why}; advancing");
-        }
-        // The probe said miss: correct the directory's view.
-        None => {
-            if let Some(key) = key {
-                fleet.workers[idx].keys.remove(&key);
-            }
-        }
-    }
-    fleet.probe_miss(id, idx);
-}
-
-/// Finish a rebalance fetch (job id 0): a verified hit is re-fanned to
-/// the key's current replica set; a miss corrects the directory so the
-/// next rebalance pass tries another holder (or gives the key up for
-/// lost — a later submit recomputes it).
-fn rebalance_fetched(
-    fleet: &mut Fleet,
-    opts: &CoordinatorOptions,
-    key: u64,
-    idx: usize,
-    payload: Option<Result<Payload<'_>, String>>,
-) {
-    fleet.jobs.rebalance_inflight.remove(&key);
-    match payload {
-        Some(Ok(p)) => {
-            if fleet.fan_out_store(opts, key, p.hex, p.sum, p.wall_ms, Some(idx)) > 0 {
-                fleet.bump(JCounter::Rebalances);
-            }
-            return;
-        }
-        Some(Err(why)) => eprintln!(
-            "fleet: corrupt rebalance payload for key {}: {why}",
-            encode_key(key)
-        ),
-        None => {}
-    }
-    fleet.workers[idx].keys.remove(&key);
 }
 
 /// Record a worker's structured `fail` frame.
@@ -922,11 +723,11 @@ fn session_attach(request: &Json, shared: &CoordShared) -> Result<(String, u64, 
 
 /// A live-only (never logged, no sequence number) queue heartbeat event.
 fn depth_event(fleet: &Fleet, draining: bool) -> Json {
-    let (queued, probing, running, _, _) = fleet.jobs.count_states();
+    let (queued, running, _, _) = fleet.jobs.count_states();
     Json::obj(vec![
         ("event", Json::Str("depth".to_string())),
         ("queue", Json::UInt(fleet.jobs.queue.len() as u64)),
-        ("queued", Json::UInt(queued + probing)),
+        ("queued", Json::UInt(queued)),
         ("running", Json::UInt(running)),
         ("draining", Json::Bool(draining)),
     ])
@@ -1001,15 +802,12 @@ fn handle_client_request(request: &Json, shared: &CoordShared) -> Json {
     let draining = || shared.draining.load(Ordering::SeqCst);
     match request.get("op").and_then(Json::as_str) {
         Some("submit") => handle_submit(request, shared),
-        Some("status") => handle_status(&shared.fleet(), &shared.opts, draining()),
-        Some("result") => handle_result(request, &shared.fleet(), &shared.opts),
-        // Destructive chaos-test verbs are opt-in: a production
-        // coordinator refuses them with a structured error.
-        Some("decommission" | "reset") if !shared.opts.chaos_verbs => {
-            error_response("chaos verbs disabled")
-        }
+        Some("status") => handle_status(&shared.fleet(), draining()),
+        Some("result") => handle_result(request, &shared.fleet()),
+        // The destructive chaos-test verb is opt-in: a production
+        // coordinator refuses it with a structured error.
+        Some("decommission") if !shared.opts.chaos_verbs => error_response("chaos verbs disabled"),
         Some("decommission") => handle_decommission(request, &mut shared.fleet()),
-        Some("reset") => handle_reset(&mut shared.fleet()),
         // A `session` frame inside an already-streaming connection (the
         // stream loop dispatches here) cannot re-upgrade.
         Some("session") => error_response("session already active on this connection"),
@@ -1024,7 +822,7 @@ fn handle_client_request(request: &Json, shared: &CoordShared) -> Json {
         }
         Some(other) => error_response(format!(
             "unknown op `{other}` (expected submit, status, result, session, \
-             decommission, reset, shutdown)"
+             decommission, shutdown)"
         )),
         None => error_response("missing `op` field"),
     }
@@ -1032,7 +830,7 @@ fn handle_client_request(request: &Json, shared: &CoordShared) -> Json {
 
 /// Administratively retire a live worker by name: exactly what a heartbeat
 /// death does, but deterministic — chaos tests use it to kill a specific
-/// replica holder without racing the failure detector.
+/// worker without racing the failure detector.
 fn handle_decommission(request: &Json, fleet: &mut Fleet) -> Json {
     let Some(name) = request.get("worker").and_then(Json::as_str) else {
         return error_response("decommission needs a `worker` field");
@@ -1045,28 +843,6 @@ fn handle_decommission(request: &Json, fleet: &mut Fleet) -> Json {
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("worker", Json::Str(name.to_string())),
-    ])
-}
-
-/// Start a new measurement epoch on a warm fleet: clear the job table and
-/// dedup index while keeping workers, sessions, counters, and — crucially
-/// — the replica stores (`stored` keys), so the next sweep exercises the
-/// replicated cache instead of the dedup index.
-fn handle_reset(fleet: &mut Fleet) -> Json {
-    if !fleet.jobs.all_terminal() {
-        return error_response("reset requires every job to be terminal");
-    }
-    let cleared = fleet.jobs.map.len() as u64;
-    fleet.jobs.map.clear();
-    fleet.jobs.queue.clear();
-    fleet.jobs.by_key.clear();
-    fleet.log(&Record::Reset);
-    for s in fleet.sessions.map.values_mut() {
-        s.inflight = 0;
-    }
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("cleared", Json::UInt(cleared)),
     ])
 }
 
@@ -1096,23 +872,9 @@ fn handle_submit(request: &Json, shared: &CoordShared) -> Json {
     }
 }
 
-fn handle_status(fleet: &Fleet, opts: &CoordinatorOptions, draining: bool) -> Json {
+fn handle_status(fleet: &Fleet, draining: bool) -> Json {
     let (jobs, workers) = (&fleet.jobs, &fleet.workers);
-    let (queued, probing, running, done, failed) = jobs.count_states();
-    // Replica convergence: a key is "full" when every member of its
-    // current top-R rendezvous set holds it (per worker inventory).
-    let full = |key: &&u64| {
-        let ranked = ranked_live(workers, **key);
-        let holds = |w: &usize| workers[*w].keys.contains(*key);
-        !ranked.is_empty() && ranked.iter().take(opts.replicas).all(holds)
-    };
-    let replica_summary = Json::obj(vec![
-        ("keys", Json::UInt(jobs.stored.len() as u64)),
-        (
-            "full",
-            Json::UInt(jobs.stored.iter().filter(full).count() as u64),
-        ),
-    ]);
+    let (queued, running, done, failed) = jobs.count_states();
     let worker_rows = workers
         .iter()
         .map(|w| {
@@ -1129,9 +891,10 @@ fn handle_status(fleet: &Fleet, opts: &CoordinatorOptions, draining: bool) -> Js
         })
         .collect();
     let c = &fleet.counters;
-    let hits = c.primary_hits + c.read_through;
-    let hit_rate = if hits + c.sims > 0 {
-        hits as f64 / (hits + c.sims) as f64
+    // The share of submits answered without a simulation: joins of a live
+    // or finished job over joins plus fresh runs.
+    let hit_rate = if c.dedup_hits + c.sims > 0 {
+        c.dedup_hits as f64 / (c.dedup_hits + c.sims) as f64
     } else {
         0.0
     };
@@ -1143,7 +906,6 @@ fn handle_status(fleet: &Fleet, opts: &CoordinatorOptions, draining: bool) -> Js
             "jobs",
             Json::obj(vec![
                 ("queued", Json::UInt(queued)),
-                ("probing", Json::UInt(probing)),
                 ("running", Json::UInt(running)),
                 ("done", Json::UInt(done)),
                 ("failed", Json::UInt(failed)),
@@ -1154,25 +916,18 @@ fn handle_status(fleet: &Fleet, opts: &CoordinatorOptions, draining: bool) -> Js
             "cache",
             Json::obj(vec![
                 ("sims", Json::UInt(c.sims)),
-                ("stores", Json::UInt(c.stores)),
-                ("primary_hits", Json::UInt(c.primary_hits)),
-                ("read_through", Json::UInt(c.read_through)),
-                ("repairs", Json::UInt(c.repairs)),
-                ("misses", Json::UInt(c.misses)),
                 ("dedup_hits", Json::UInt(c.dedup_hits)),
-                ("rebalances", Json::UInt(c.rebalances)),
                 ("resumed", Json::UInt(c.resumed)),
                 ("hit_rate", Json::Float(hit_rate)),
             ]),
         ),
-        ("replicas", replica_summary),
         ("sheds", Json::UInt(c.sheds)),
         ("sessions", Json::UInt(fleet.sessions.map.len() as u64)),
         ("queue_depth_stats", fleet.depth.to_json()),
     ])
 }
 
-fn handle_result(request: &Json, fleet: &Fleet, opts: &CoordinatorOptions) -> Json {
+fn handle_result(request: &Json, fleet: &Fleet) -> Json {
     let Some(id) = request.get("id").and_then(Json::as_u64) else {
         return error_response("result needs a numeric `id` field");
     };
@@ -1182,7 +937,6 @@ fn handle_result(request: &Json, fleet: &Fleet, opts: &CoordinatorOptions) -> Js
     let mut fields = vec![("ok", Json::Bool(true)), ("id", Json::UInt(id))];
     match &job.state {
         FleetJobState::Queued => fields.push(("state", Json::Str("queued".into()))),
-        FleetJobState::Probing { .. } => fields.push(("state", Json::Str("probing".into()))),
         FleetJobState::Leased { .. } => fields.push(("state", Json::Str("running".into()))),
         FleetJobState::Failed(msg) => {
             fields.push(("state", Json::Str("failed".into())));
@@ -1207,12 +961,6 @@ fn handle_result(request: &Json, fleet: &Fleet, opts: &CoordinatorOptions) -> Js
             fields.push(("worker", Json::Str(result.worker.clone())));
             fields.push(("assigns", Json::UInt(job.assigns)));
             fields.push(("key", Json::Str(encode_key(job.key))));
-            let replicas = ranked_live(&fleet.workers, job.key)
-                .into_iter()
-                .take(opts.replicas)
-                .map(|i| Json::Str(fleet.workers[i].name.clone()))
-                .collect();
-            fields.push(("replicas", Json::Arr(replicas)));
             fields.push(("stats", Json::Str(hex)));
             fields.push(("sum", Json::Str(sum)));
         }

@@ -1,10 +1,10 @@
 //! Write-ahead journal for the fleet coordinator.
 //!
 //! `gcl coordinate --journal PATH` appends one checksummed record per
-//! job-table transition (submit / lease / done / failed / reclaim),
-//! session attach/detach, and replica-directory change, so a coordinator
-//! killed at an arbitrary instant can be restarted with `--recover` and
-//! resume the sweep with zero lost acknowledged jobs. The format reuses
+//! job-table transition (submit / lease / done / failed / reclaim) and
+//! session attach/detach, so a coordinator killed at an arbitrary instant
+//! can be restarted with `--recover` and resume the sweep with zero lost
+//! acknowledged jobs. The format reuses
 //! the checkpoint wire codec ([`gcl_mem::Enc`]/[`gcl_mem::Dec`]): the file
 //! opens with an 8-byte magic and a little-endian `u16` version, then
 //! carries one [`gcl_mem::wire`] section (`length | payload | FNV`) per
@@ -28,8 +28,12 @@ use std::path::{Path, PathBuf};
 /// The journal's opening magic: file format identity, checked verbatim.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"gcljrnl\n";
 
-/// Current journal format version, written after the magic.
-pub const JOURNAL_VERSION: u16 = 1;
+/// Current journal format version, written after the magic. Version 1
+/// files can hold records this build has no decoder for (tags 8 and 10,
+/// below) and a wider snapshot; refusing the version keeps replay from
+/// mistaking the first such record for a torn tail and truncating every
+/// acknowledged job behind it.
+pub const JOURNAL_VERSION: u16 = 2;
 
 /// Magic plus version: every journal starts with exactly these bytes.
 const HEADER_LEN: u64 = 10;
@@ -74,47 +78,28 @@ impl std::error::Error for JournalError {}
 /// output (and the outcome table) carries on from the pre-crash totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JCounter {
-    /// Replica probe answered by the rendezvous primary.
-    PrimaryHits,
-    /// Replica probe answered by a non-primary survivor.
-    ReadThrough,
-    /// Write-repairs issued after a read-through.
-    Repairs,
-    /// Probe walks that exhausted the replica set.
-    Misses,
     /// Submits deduplicated against a live or finished job.
     DedupHits,
     /// Structured overload sheds.
     Sheds,
-    /// Keys proactively re-fanned by the rebalancer.
-    Rebalances,
     /// Leases resumed from worker inventory after recovery.
     Resumed,
 }
 
 impl JCounter {
+    // Ids 0-3 and 6 belonged to version 1 counters and are never reused.
     fn to_u8(self) -> u8 {
         match self {
-            JCounter::PrimaryHits => 0,
-            JCounter::ReadThrough => 1,
-            JCounter::Repairs => 2,
-            JCounter::Misses => 3,
             JCounter::DedupHits => 4,
             JCounter::Sheds => 5,
-            JCounter::Rebalances => 6,
             JCounter::Resumed => 7,
         }
     }
 
     fn from_u8(v: u8) -> Result<JCounter, WireError> {
         Ok(match v {
-            0 => JCounter::PrimaryHits,
-            1 => JCounter::ReadThrough,
-            2 => JCounter::Repairs,
-            3 => JCounter::Misses,
             4 => JCounter::DedupHits,
             5 => JCounter::Sheds,
-            6 => JCounter::Rebalances,
             7 => JCounter::Resumed,
             _ => return Err(WireError::Malformed("counter id")),
         })
@@ -168,7 +153,7 @@ pub enum Record {
     Done {
         /// Job id.
         id: u64,
-        /// Result came from a replica or cache rather than a fresh run.
+        /// The worker served it from its result cache, not a fresh run.
         cached: bool,
         /// Wall-clock ms of the producing simulation.
         wall_ms: f64,
@@ -197,14 +182,6 @@ pub enum Record {
         /// Session id.
         session: String,
     },
-    /// The replica directory gained a key (fan-out, repair, or rebalance
-    /// sent `count` store frames for it).
-    Stored {
-        /// Cache key now replicated.
-        key: u64,
-        /// Store frames sent in this change.
-        count: u64,
-    },
     /// A counter advanced by `delta`.
     Counter {
         /// Which counter.
@@ -212,8 +189,6 @@ pub enum Record {
         /// Amount added.
         delta: u64,
     },
-    /// `reset` cleared the job table (replica directory survives).
-    Reset,
     /// A compaction checkpoint: complete coordinator state at a point in
     /// time. Replay restarts from the latest one.
     Snapshot(SnapState),
@@ -231,7 +206,7 @@ pub enum SnapJobState {
     },
     /// Finished successfully; the payload is the wire-encoded stats.
     Done {
-        /// Served from replica/cache.
+        /// Served from the worker's result cache.
         cached: bool,
         /// Producing simulation's wall ms.
         wall_ms: f64,
@@ -272,22 +247,10 @@ pub struct SnapJob {
 pub struct SnapCounters {
     /// Fresh simulations run.
     pub sims: u64,
-    /// Replica store frames sent.
-    pub stores: u64,
-    /// Primary replica probe hits.
-    pub primary_hits: u64,
-    /// Non-primary replica probe hits.
-    pub read_through: u64,
-    /// Write-repairs issued.
-    pub repairs: u64,
-    /// Probe walks that found nothing.
-    pub misses: u64,
     /// Deduplicated submits.
     pub dedup_hits: u64,
     /// Structured sheds.
     pub sheds: u64,
-    /// Proactive rebalances.
-    pub rebalances: u64,
     /// Leases resumed from inventory.
     pub resumed: u64,
 }
@@ -295,13 +258,8 @@ pub struct SnapCounters {
 impl SnapCounters {
     pub(super) fn bump(&mut self, c: JCounter, delta: u64) {
         let slot = match c {
-            JCounter::PrimaryHits => &mut self.primary_hits,
-            JCounter::ReadThrough => &mut self.read_through,
-            JCounter::Repairs => &mut self.repairs,
-            JCounter::Misses => &mut self.misses,
             JCounter::DedupHits => &mut self.dedup_hits,
             JCounter::Sheds => &mut self.sheds,
-            JCounter::Rebalances => &mut self.rebalances,
             JCounter::Resumed => &mut self.resumed,
         };
         *slot = slot.saturating_add(delta);
@@ -328,16 +286,14 @@ pub struct SnapSession {
 
 /// Complete durable coordinator state: what a snapshot holds and what
 /// replay produces. Worker membership is deliberately absent — workers are
-/// ground truth and re-announce themselves (plus their replica inventory)
-/// when they rejoin.
+/// ground truth and re-announce themselves (plus the jobs they are still
+/// running) when they rejoin.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapState {
     /// Next job id to assign.
     pub next_id: u64,
     /// Every live-or-terminal job, in id order.
     pub jobs: Vec<SnapJob>,
-    /// Keys believed replicated somewhere in the fleet.
-    pub stored: Vec<u64>,
     /// Next session number to assign.
     pub session_next: u64,
     /// Sessions that have been opened, with their event watermarks.
@@ -465,14 +421,7 @@ impl SnapState {
             // Sessions stay resumable after the client detaches; the
             // record is an audit line, not a deletion.
             Record::SessionDetach { .. } => {}
-            Record::Stored { key, count } => {
-                self.counters.stores = self.counters.stores.saturating_add(count);
-                if !self.stored.contains(&key) {
-                    self.stored.push(key);
-                }
-            }
             Record::Counter { counter, delta } => self.counters.bump(counter, delta),
-            Record::Reset => self.jobs.clear(),
             Record::Snapshot(state) => *self = state,
         }
     }
@@ -511,6 +460,8 @@ pub struct RecoveredState {
     pub records: u64,
 }
 
+// Record tags are file format: 8 and 10 were version 1 records and stay
+// retired, so every surviving tag keeps its number.
 fn enc_record(rec: &Record) -> Vec<u8> {
     let mut e = Enc::new();
     match rec {
@@ -576,17 +527,11 @@ fn enc_record(rec: &Record) -> Vec<u8> {
             e.u8(7);
             e.str(session);
         }
-        Record::Stored { key, count } => {
-            e.u8(8);
-            e.u64(*key);
-            e.u64(*count);
-        }
         Record::Counter { counter, delta } => {
             e.u8(9);
             e.u8(counter.to_u8());
             e.u64(*delta);
         }
-        Record::Reset => e.u8(10),
         Record::Snapshot(state) => {
             e.u8(11);
             enc_snapshot(&mut e, state);
@@ -630,25 +575,13 @@ fn enc_snapshot(e: &mut Enc, s: &SnapState) {
             }
         }
     });
-    e.seq(&s.stored, |e, k| e.u64(*k));
     e.u64(s.session_next);
     e.seq(&s.sessions, |e, sess| {
         e.str(&sess.id);
         e.u64(sess.events);
     });
     let c = &s.counters;
-    for v in [
-        c.sims,
-        c.stores,
-        c.primary_hits,
-        c.read_through,
-        c.repairs,
-        c.misses,
-        c.dedup_hits,
-        c.sheds,
-        c.rebalances,
-        c.resumed,
-    ] {
+    for v in [c.sims, c.dedup_hits, c.sheds, c.resumed] {
         e.u64(v);
     }
 }
@@ -691,15 +624,10 @@ fn dec_record(bytes: &[u8]) -> Result<Record, WireError> {
         },
         6 => Record::SessionOpen { session: d.str()? },
         7 => Record::SessionDetach { session: d.str()? },
-        8 => Record::Stored {
-            key: d.u64()?,
-            count: d.u64()?,
-        },
         9 => Record::Counter {
             counter: JCounter::from_u8(d.u8()?)?,
             delta: d.u64()?,
         },
-        10 => Record::Reset,
         11 => Record::Snapshot(dec_snapshot(&mut d)?),
         _ => return Err(WireError::Malformed("record kind")),
     };
@@ -744,7 +672,6 @@ fn dec_snapshot(d: &mut Dec) -> Result<SnapState, WireError> {
             state,
         })
     })?;
-    let stored = d.seq(|d| d.u64())?;
     let session_next = d.u64()?;
     let sessions = d.seq(|d| {
         Ok(SnapSession {
@@ -754,20 +681,13 @@ fn dec_snapshot(d: &mut Dec) -> Result<SnapState, WireError> {
     })?;
     let counters = SnapCounters {
         sims: d.u64()?,
-        stores: d.u64()?,
-        primary_hits: d.u64()?,
-        read_through: d.u64()?,
-        repairs: d.u64()?,
-        misses: d.u64()?,
         dedup_hits: d.u64()?,
         sheds: d.u64()?,
-        rebalances: d.u64()?,
         resumed: d.u64()?,
     };
     Ok(SnapState {
         next_id,
         jobs,
-        stored,
         session_next,
         sessions,
         counters,
@@ -1024,12 +944,8 @@ mod tests {
                 worker: "w1".to_string(),
                 payload: vec![1, 2, 3],
             },
-            Record::Stored {
-                key: 0xdead_beef,
-                count: 2,
-            },
             Record::Counter {
-                counter: JCounter::Rebalances,
+                counter: JCounter::DedupHits,
                 delta: 1,
             },
         ]
@@ -1047,13 +963,12 @@ mod tests {
         }
         let (_, rec) = Journal::open_recover(&path).unwrap();
         assert!(!rec.truncated);
-        assert_eq!(rec.records, 6);
+        assert_eq!(rec.records, 5);
         let s = rec.state;
         assert_eq!(s.next_id, 1);
         assert_eq!(s.jobs.len(), 1);
         assert!(matches!(s.jobs[0].state, SnapJobState::Done { .. }));
         assert_eq!(s.jobs[0].sessions, vec!["s-1".to_string()]);
-        assert_eq!(s.stored, vec![0xdead_beef]);
         // SessionOpen, then 1 queued + 1 leased + 1 done for the one
         // subscribed job: watermark 3.
         assert_eq!(
@@ -1064,8 +979,7 @@ mod tests {
             }]
         );
         assert_eq!(s.counters.sims, 1);
-        assert_eq!(s.counters.stores, 2);
-        assert_eq!(s.counters.rebalances, 1);
+        assert_eq!(s.counters.dedup_hits, 1);
         assert_eq!(s.session_next, 1);
         std::fs::remove_file(&path).ok();
     }
@@ -1141,13 +1055,13 @@ mod tests {
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
         let (_, rec) = Journal::open_recover(&path).unwrap();
         assert!(rec.truncated);
-        assert_eq!(rec.records, 5, "last record lost, prefix kept");
+        assert_eq!(rec.records, 4, "last record lost, prefix kept");
         let after = std::fs::read(&path).unwrap().len();
         assert!(after < full.len() - 5, "file physically truncated");
         // A second recovery sees a clean file.
         let (_, rec2) = Journal::open_recover(&path).unwrap();
         assert!(!rec2.truncated);
-        assert_eq!(rec2.records, 5);
+        assert_eq!(rec2.records, 4);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1187,7 +1101,6 @@ mod tests {
             Record::SessionDetach {
                 session: "s-1".to_string(),
             },
-            Record::Reset,
             Record::Snapshot(SnapState {
                 next_id: 9,
                 jobs: vec![SnapJob {
@@ -1200,7 +1113,6 @@ mod tests {
                     sessions: vec!["s-3".to_string()],
                     state: SnapJobState::Failed("x".to_string()),
                 }],
-                stored: vec![7],
                 session_next: 3,
                 sessions: vec![SnapSession {
                     id: "s-3".to_string(),

@@ -19,22 +19,17 @@
 //! corrupt-result-frame, partition — and one test per mode proving both
 //! detection and recovery.
 //!
-//! Results are durable beyond the worker that computed them: on every
-//! accepted `done` the coordinator fans the checksummed payload out to an
-//! R-member replica set chosen by rendezvous hashing, and resubmits of a
-//! warm key probe that set (primary first, read-through from survivors,
-//! write-repair back to full strength) before ever re-running a
-//! simulation. Clients can open a `session` for an NDJSON event stream
-//! with resumable cursors, and the coordinator sheds structured errors
-//! under overload instead of stalling.
-//!
-//! The coordinator itself is no longer a single point of data loss:
-//! `--journal PATH` appends every job-table transition to a checksummed
-//! write-ahead [`journal`](Journal), `--recover` replays it after a crash
-//! (tolerating a torn tail), re-joining workers reconcile held leases and
-//! replica inventories over a new `inventory` frame, and a background
-//! rebalancer (`--rebalance-ms`) proactively re-fans under-replicated
-//! keys back to full strength on any membership change.
+//! A finished result lives in one place per role. The coordinator's job
+//! table keeps every verified `done` payload and answers each later submit
+//! of the same spec from it, whichever workers have died since; `--journal
+//! PATH` makes the table durable — every job-table transition is appended
+//! to a checksummed write-ahead [`journal`](Journal), `--recover` replays
+//! it after a crash (tolerating a torn tail), and re-joining workers
+//! re-announce the leases they still hold over an `inventory` frame. On
+//! the worker, the on-disk [`ResultCache`](crate::ResultCache) remembers
+//! what that worker ran. Clients can open a `session` for an NDJSON event
+//! stream with resumable cursors, and the coordinator sheds structured
+//! errors under overload instead of stalling.
 //!
 //! Inside the coordinator the split is tables versus threads: `state`
 //! holds one `Fleet` (job table, workers, sessions, counters, journal)

@@ -2,14 +2,13 @@
 //! method per job-table edge.
 //!
 //! Each edge — [`Fleet::submit`], `subscribe`, [`Fleet::lease`],
-//! [`Fleet::probe`] / [`Fleet::probe_miss`], [`Fleet::reclaim`],
-//! [`Fleet::complete`], [`Fleet::fail`] — performs its state change, its
-//! journal record, its session event, its counters and its worker
-//! bookkeeping exactly once; handlers and the supervisor only decide
-//! *which* edge to take (DESIGN.md §13 has the table). Recovery rests on
-//! one ordering rule, kept inside every edge: the journal record precedes
-//! the session event, so the per-session watermark a replayed journal
-//! folds to never falls below what that session's client saw. The
+//! [`Fleet::reclaim`], [`Fleet::complete`], [`Fleet::fail`] — performs its
+//! state change, its journal record, its session event, its counters and
+//! its worker bookkeeping exactly once; handlers and the supervisor only
+//! decide *which* edge to take (DESIGN.md §13 has the table). Recovery
+//! rests on one ordering rule, kept inside every edge: the journal record
+//! precedes the session event, so the per-session watermark a replayed
+//! journal folds to never falls below what that session's client saw. The
 //! property test at the foot of this file replays the journal cut at
 //! every edge boundary against the live state.
 //!
@@ -23,8 +22,8 @@ use super::journal::{
     SnapState,
 };
 use crate::job::JobSpec;
-use crate::proto::{error_response, shed_response, store_frame, write_frame, QUEUE_FULL};
-use gcl_mem::{fnv_fold, Dec, Enc};
+use crate::proto::{error_response, shed_response, write_frame, QUEUE_FULL};
+use gcl_mem::{Dec, Enc};
 use gcl_sim::{GpuConfig, LaunchStats};
 use gcl_stats::{Accumulator, Json};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -35,15 +34,14 @@ use std::time::Instant;
 /// a late re-attach learns it missed some (`"truncated":true` in the ack).
 const EVENT_LOG_CAP: usize = 8192;
 
-/// A completed job's payload, as verified from a worker's `done` frame or
-/// decoded from a replica `fetched` hit.
+/// A completed job's payload, as verified from a worker's `done` frame.
 #[derive(Debug, Clone)]
 pub(super) struct FleetResult {
     pub(super) stats: LaunchStats,
     pub(super) wall_ms: f64,
     /// Wall time measured on the worker that executed the job, including
     /// any stall injection — the fleet-side counterpart of the local
-    /// manifest's wall column (0 for replica hits; nothing executed).
+    /// manifest's wall column.
     pub(super) worker_wall_ms: f64,
     pub(super) cached: bool,
     pub(super) worker: String,
@@ -53,17 +51,7 @@ pub(super) struct FleetResult {
 #[derive(Debug)]
 pub(super) enum FleetJobState {
     Queued,
-    /// A replica `fetch` is in flight at `worker` for replica-set rank
-    /// `rank`; a miss, a timeout or the worker's death advances the rank.
-    Probing {
-        worker: usize,
-        rank: usize,
-        deadline: Instant,
-    },
-    Leased {
-        worker: usize,
-        deadline: Instant,
-    },
+    Leased { worker: usize, deadline: Instant },
     Done(Box<FleetResult>),
     Failed(String),
 }
@@ -79,16 +67,22 @@ pub(super) struct FleetJob {
     /// reclaimed job would bounce back to the same straggler forever;
     /// assignment avoids this worker whenever any other candidate exists.
     pub(super) last_worker: Option<usize>,
-    /// Next replica rank to probe for this job's key.
-    pub(super) probe_rank: usize,
-    /// Every replica rank answered "miss" (or died): stop probing and
-    /// recompute.
-    pub(super) probe_done: bool,
     /// Sessions subscribed to this job's lifecycle events.
     pub(super) sessions: Vec<String>,
     /// Recovery grace: dispatch skips this job until the deadline, giving
     /// re-joining workers time to reclaim it via their `inventory` frame.
     pub(super) hold_until: Option<Instant>,
+}
+
+impl FleetJob {
+    /// Not yet terminal: a worker's `done` or `fail` still settles it. That
+    /// includes `Queued` — a reclaimed job's old holder may answer first.
+    fn awaits_result(&self) -> bool {
+        matches!(
+            self.state,
+            FleetJobState::Leased { .. } | FleetJobState::Queued
+        )
+    }
 }
 
 /// All jobs ever submitted, plus the dispatch queue and the cache-key
@@ -101,12 +95,6 @@ pub(super) struct JobTable {
     pub(super) queue: VecDeque<u64>,
     /// Cache key → job id: a resubmitted spec joins the existing job.
     pub(super) by_key: HashMap<u64, u64>,
-    /// Keys whose payload was fanned out to a replica set at least once.
-    /// Only these are worth probing — a never-stored key can only miss.
-    pub(super) stored: HashSet<u64>,
-    /// Keys with a rebalance `fetch` probe in flight (value: its
-    /// deadline), so the rebalancer does not re-probe every tick.
-    pub(super) rebalance_inflight: HashMap<u64, Instant>,
     pub(super) next_id: u64,
 }
 
@@ -117,20 +105,18 @@ impl JobTable {
             .all(|j| matches!(j.state, FleetJobState::Done(_) | FleetJobState::Failed(_)))
     }
 
-    /// Jobs per state: `(queued, probing, running, done, failed)`.
-    pub(super) fn count_states(&self) -> (u64, u64, u64, u64, u64) {
-        let (mut queued, mut probing, mut running, mut done, mut failed) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
+    /// Jobs per state: `(queued, running, done, failed)`.
+    pub(super) fn count_states(&self) -> (u64, u64, u64, u64) {
+        let (mut queued, mut running, mut done, mut failed) = (0u64, 0u64, 0u64, 0u64);
         for job in self.map.values() {
             match job.state {
                 FleetJobState::Queued => queued += 1,
-                FleetJobState::Probing { .. } => probing += 1,
                 FleetJobState::Leased { .. } => running += 1,
                 FleetJobState::Done(_) => done += 1,
                 FleetJobState::Failed(_) => failed += 1,
             }
         }
-        (queued, probing, running, done, failed)
+        (queued, running, done, failed)
     }
 }
 
@@ -146,14 +132,6 @@ pub(super) struct WorkerEntry {
     pub(super) ping_seq: u64,
     /// Job ids currently leased to this worker.
     pub(super) leased: HashSet<u64>,
-    /// Job ids with a replica probe in flight at this worker.
-    pub(super) probing: HashSet<u64>,
-    /// Cache keys the coordinator believes this worker's replica store
-    /// holds: seeded from successful `store` sends, corrected by the
-    /// worker's own `inventory` frame (ground truth on rejoin) and by
-    /// `fetched` misses. The rebalancer reads this to find
-    /// under-replicated keys.
-    pub(super) keys: HashSet<u64>,
     // Outcome counters for the drain-time table.
     pub(super) done: u64,
     pub(super) failed: u64,
@@ -173,8 +151,6 @@ impl WorkerEntry {
             last_ping: now,
             ping_seq: 0,
             leased: HashSet::new(),
-            probing: HashSet::new(),
-            keys: HashSet::new(),
             done: 0,
             failed: 0,
             corrupt: 0,
@@ -273,24 +249,15 @@ impl SessionTable {
     }
 }
 
-/// A checksum-verified stats payload in the three forms its consumers
-/// need: decoded for the job table, the verified bytes for the journal,
-/// and the frame's own hex and checksum text for the `store` fan-out.
-pub(super) struct Payload<'a> {
+/// A worker's checksum-verified `done` frame: the stats decoded for the
+/// job table, and the verified bytes for the journal.
+pub(super) struct Payload {
     pub(super) stats: LaunchStats,
     pub(super) bytes: Vec<u8>,
-    pub(super) hex: &'a str,
-    pub(super) sum: &'a str,
     pub(super) wall_ms: f64,
-}
-
-/// Where a completing result came from.
-#[derive(Clone, Copy)]
-pub(super) enum Source {
-    /// The leased worker's `done` frame.
-    Worker { cached: bool, worker_wall_ms: f64 },
-    /// A replica holder's `fetched` hit; the rank is the probe's.
-    Replica,
+    pub(super) worker_wall_ms: f64,
+    /// The worker served the job from its own result cache.
+    pub(super) cached: bool,
 }
 
 /// The default configuration of a job's scale.
@@ -308,21 +275,6 @@ fn scale_config(tiny: bool) -> GpuConfig {
 pub(super) fn cycle_override(spec: &JobSpec) -> Option<u64> {
     let default = scale_config(spec.tiny).max_cycles;
     (spec.cfg.max_cycles != default).then_some(spec.cfg.max_cycles)
-}
-
-/// Live workers ranked by rendezvous weight for `key`, highest first. The
-/// top [`CoordinatorOptions::replicas`] entries are the key's replica set
-/// for the current fleet; the ranking degrades gracefully as workers die
-/// (survivors keep their relative order).
-pub(super) fn ranked_live(workers: &[WorkerEntry], key: u64) -> Vec<usize> {
-    let mut live: Vec<usize> = workers
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| w.alive && w.writer.is_some())
-        .map(|(i, _)| i)
-        .collect();
-    live.sort_by_key(|&i| std::cmp::Reverse(fnv_fold(key, i as u64)));
-    live
 }
 
 /// Everything the coordinator knows. The accept loop, the session
@@ -454,8 +406,6 @@ impl Fleet {
                 state: FleetJobState::Queued,
                 assigns: 0,
                 last_worker: None,
-                probe_rank: 0,
-                probe_done: false,
                 hold_until: None,
                 sessions,
             },
@@ -518,39 +468,6 @@ impl Fleet {
         self.sessions.log_event(&job.sessions, "leased", &fields);
     }
 
-    /// Edge `probe`: a replica `fetch` for queued job `id` is in flight at
-    /// `worker`, the key's rank-`rank` holder. Not journaled: a recovered
-    /// coordinator simply probes again.
-    pub(super) fn probe(&mut self, id: u64, worker: usize, rank: usize, deadline: Instant) {
-        let job = self.jobs.map.get_mut(&id).expect("job exists");
-        job.state = FleetJobState::Probing {
-            worker,
-            rank,
-            deadline,
-        };
-        self.workers[worker].probing.insert(id);
-    }
-
-    /// Edge `probe_miss`: the probe at `worker` came to nothing (miss,
-    /// corrupt payload, timeout, dead worker). The job returns to the queue
-    /// front with its rank advanced, unless a newer probe superseded it.
-    pub(super) fn probe_miss(&mut self, id: u64, worker: usize) {
-        self.workers[worker].probing.remove(&id);
-        let Some(job) = self.jobs.map.get_mut(&id) else {
-            return;
-        };
-        match job.state {
-            FleetJobState::Probing {
-                worker: w, rank, ..
-            } if w == worker => {
-                job.probe_rank = rank + 1;
-                job.state = FleetJobState::Queued;
-                self.jobs.queue.push_front(id);
-            }
-            _ => {}
-        }
-    }
-
     /// Edge `reclaim`: `worker` loses job `id` for `reason` (its death,
     /// the lease deadline, a corrupt result). The job returns to the queue
     /// front — unless a late result already made it terminal, in which
@@ -582,84 +499,36 @@ impl Fleet {
     /// job carries identical bytes (the run is a pure function of the
     /// spec), so dropping it is sound. A job requeued by a pessimistic
     /// deadline leaves a stale queue entry that dispatch skips lazily.
-    pub(super) fn complete(
-        &mut self,
-        opts: &CoordinatorOptions,
-        id: u64,
-        worker: usize,
-        payload: Payload<'_>,
-        source: Source,
-    ) {
+    pub(super) fn complete(&mut self, id: u64, worker: usize, payload: Payload) {
         let w = &mut self.workers[worker];
-        match source {
-            Source::Worker { .. } => w.leased.remove(&id),
-            Source::Replica => w.probing.remove(&id),
-        };
-        let Some(job) = self.jobs.map.get(&id) else {
+        w.leased.remove(&id);
+        if !self.jobs.map.get(&id).is_some_and(FleetJob::awaits_result) {
             return;
-        };
-        let key = job.key;
-        let (cached, worker_wall_ms, rank) = match (source, &job.state) {
-            (
-                Source::Worker {
-                    cached,
-                    worker_wall_ms,
-                },
-                FleetJobState::Leased { .. } | FleetJobState::Queued,
-            ) => (cached, worker_wall_ms, None),
-            // A stale answer (the probe timed out and moved on) is dropped.
-            (
-                Source::Replica,
-                FleetJobState::Probing {
-                    worker: w, rank, ..
-                },
-            ) if *w == worker => (true, 0.0, Some(*rank)),
-            _ => return,
-        };
-        match rank {
-            None => w.done += 1,
-            Some(_) => {
-                w.keys.insert(key);
-            }
         }
+        w.done += 1;
         let result = FleetResult {
             stats: payload.stats,
             wall_ms: payload.wall_ms,
-            worker_wall_ms,
-            cached,
+            worker_wall_ms: payload.worker_wall_ms,
+            cached: payload.cached,
             worker: w.name.clone(),
         };
         self.log(&Record::Done {
             id,
-            cached,
+            cached: result.cached,
             wall_ms: result.wall_ms,
-            worker_wall_ms,
+            worker_wall_ms: result.worker_wall_ms,
             worker: result.worker.clone(),
             payload: payload.bytes,
         });
-        match rank {
-            Some(0) => self.bump(JCounter::PrimaryHits),
-            Some(_) => self.bump(JCounter::ReadThrough),
-            None if !cached => self.counters.sims += 1,
-            None => {}
+        if !result.cached {
+            self.counters.sims += 1;
         }
         let job = self.jobs.map.get_mut(&id).expect("checked above");
-        let done = done_fields(id, &job.spec.workload, cached, &result);
+        let done = done_fields(id, &job.spec.workload, result.cached, &result);
         self.sessions.log_event(&job.sessions, "done", &done);
         self.sessions.settle(&job.sessions);
         job.state = FleetJobState::Done(Box::new(result));
-        // Durability: fan the already-verified payload out to the key's
-        // replica set, so a later submit of this key can be served by any
-        // surviving replica. A primary hit leaves the set as it is; a hit
-        // further down means the primary is gone, so write-repair onto the
-        // current set and the key survives the next node loss too.
-        if rank != Some(0) {
-            let (hex, sum) = (payload.hex, payload.sum);
-            self.fan_out_store(opts, key, hex, sum, payload.wall_ms, rank.map(|_| worker));
-            if rank.is_some() {
-                self.bump(JCounter::Repairs);
-            }
-        }
     }
 
     /// Edge `fail`: the leased worker reported a structured failure.
@@ -668,13 +537,7 @@ impl Fleet {
     /// fail identically.
     pub(super) fn fail(&mut self, id: u64, worker: usize, error: &str) {
         self.workers[worker].leased.remove(&id);
-        let live = |j: &FleetJob| {
-            matches!(
-                j.state,
-                FleetJobState::Leased { .. } | FleetJobState::Queued
-            )
-        };
-        if !self.jobs.map.get(&id).is_some_and(live) {
+        if !self.jobs.map.get(&id).is_some_and(FleetJob::awaits_result) {
             return;
         }
         self.workers[worker].failed += 1;
@@ -702,9 +565,8 @@ impl Fleet {
         sent
     }
 
-    /// Declare worker `idx` dead for `reason`: tear down its socket,
-    /// reclaim every lease it held, advance every probe it owed past its
-    /// rank.
+    /// Declare worker `idx` dead for `reason`: tear down its socket and
+    /// reclaim every lease it held.
     pub(super) fn mark_dead(&mut self, idx: usize, reason: &str) {
         let w = &mut self.workers[idx];
         if !w.alive {
@@ -714,9 +576,7 @@ impl Fleet {
         if let Some(writer) = w.writer.take() {
             let _ = writer.shutdown(Shutdown::Both);
         }
-        w.keys.clear();
         let leases: Vec<u64> = w.leased.drain().collect();
-        let probes: Vec<u64> = w.probing.drain().collect();
         if !leases.is_empty() {
             eprintln!(
                 "fleet: {reason}: `{}` loses {} lease(s), reassigning",
@@ -729,43 +589,6 @@ impl Fleet {
         for id in leases {
             self.reclaim(id, idx, reason);
         }
-        for id in probes {
-            self.probe_miss(id, idx);
-        }
-    }
-
-    /// Fan a verified payload out to `key`'s replica set (minus `exclude`,
-    /// which already holds it). Dead sends bury the worker; returns how many
-    /// stores landed.
-    pub(super) fn fan_out_store(
-        &mut self,
-        opts: &CoordinatorOptions,
-        key: u64,
-        hex: &str,
-        sum: &str,
-        wall_ms: f64,
-        exclude: Option<usize>,
-    ) -> u64 {
-        let frame = store_frame(key, hex, sum, wall_ms);
-        let mut sent = 0;
-        for widx in ranked_live(&self.workers, key)
-            .into_iter()
-            .take(opts.replicas)
-        {
-            if Some(widx) != exclude && self.send(widx, &frame) {
-                self.workers[widx].keys.insert(key);
-                sent += 1;
-            }
-        }
-        if let Some(holder) = exclude {
-            self.workers[holder].keys.insert(key);
-        }
-        if sent > 0 || exclude.is_some() {
-            self.jobs.stored.insert(key);
-            self.log(&Record::Stored { key, count: sent });
-            self.counters.stores += sent;
-        }
-        sent
     }
 
     /// One batched fsync per supervisor tick, and compaction into a
@@ -795,9 +618,7 @@ impl Fleet {
             .iter()
             .map(|(id, job)| {
                 let state = match &job.state {
-                    FleetJobState::Queued | FleetJobState::Probing { .. } => {
-                        SnapJobState::Queued { was_leased: false }
-                    }
+                    FleetJobState::Queued => SnapJobState::Queued { was_leased: false },
                     FleetJobState::Leased { .. } => SnapJobState::Queued { was_leased: true },
                     FleetJobState::Done(result) => {
                         let mut enc = Enc::new();
@@ -825,8 +646,6 @@ impl Fleet {
             })
             .collect();
         jobs.sort_by_key(|j| j.id);
-        let mut stored: Vec<u64> = self.jobs.stored.iter().copied().collect();
-        stored.sort_unstable();
         let mut sessions: Vec<SnapSession> = self
             .sessions
             .map
@@ -840,7 +659,6 @@ impl Fleet {
         SnapState {
             next_id: self.jobs.next_id,
             jobs,
-            stored,
             session_next: self.sessions.next,
             sessions,
             counters: self.counters,
@@ -930,24 +748,20 @@ impl Fleet {
                     state,
                     assigns: u64::from(terminal.is_some() || was_leased),
                     last_worker: None,
-                    probe_rank: 0,
-                    probe_done: false,
                     sessions: sj.sessions,
                     hold_until: terminal.is_none().then_some(hold_until),
                 },
             );
         }
-        self.jobs.stored.extend(rec.state.stored);
         self.counters = rec.state.counters;
         eprintln!(
             "fleet: recovered {} record(s): {} job(s) ({} pending, {} resumable), \
-             {} session(s), {} stored key(s){}",
+             {} session(s){}",
             rec.records,
             self.jobs.map.len(),
             self.jobs.queue.len(),
             resumable,
             self.sessions.map.len(),
-            self.jobs.stored.len(),
             if rec.truncated {
                 " — torn tail truncated"
             } else {
@@ -962,25 +776,16 @@ mod tests {
     use super::*;
     use crate::fleet::{decode_stats_bytes, encode_stats_payload};
     use gcl_rng::{cases, Rng};
-    use std::io::Read;
     use std::net::TcpListener;
 
-    /// Register a worker over a real loopback socket; the test keeps (and
-    /// drains) the peer end, so `store` fan-outs never block.
+    /// Register a worker over a real loopback socket; the test keeps the
+    /// peer end open (no edge writes to it).
     fn join(fleet: &mut Fleet, listener: &TcpListener, peers: &mut Vec<TcpStream>) {
         let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (peer, _) = listener.accept().unwrap();
-        peer.set_nonblocking(true).unwrap();
         peers.push(peer);
         let name = format!("w{}", fleet.workers.len());
         fleet.workers.push(WorkerEntry::new(name, 2, writer));
-    }
-
-    fn drain(peers: &mut [TcpStream]) {
-        let mut buf = [0u8; 4096];
-        for peer in peers {
-            while matches!(peer.read(&mut buf), Ok(n) if n > 0) {}
-        }
     }
 
     /// Ids (ascending, so a seed replays) of the jobs satisfying `pred`.
@@ -1009,7 +814,6 @@ mod tests {
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let queued = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Queued));
         let leased = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Leased { .. }));
-        let probing = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Probing { .. }));
         let held = jobs_where(fleet, |j| j.last_worker.is_some());
         let live = alive(fleet);
         let (hex, sum) = {
@@ -1023,24 +827,18 @@ mod tests {
         let payload = Payload {
             stats,
             bytes,
-            hex: &hex,
-            sum: &sum,
             wall_ms: 1.5,
+            worker_wall_ms: 2.5,
+            cached: rng.chance(0.2),
         };
-        match rng.u32_below(12) {
+        match rng.u32_below(10) {
             0 | 1 if !queued.is_empty() && !live.is_empty() => {
                 let (id, w) = (*rng.pick(&queued), *rng.pick(&live));
                 // Off the dispatch queue, the way `dispatch` pops it.
                 fleet.jobs.queue.retain(|q| *q != id);
-                if rng.chance(0.3) {
-                    let rank = fleet.jobs.map[&id].probe_rank;
-                    fleet.probe(id, w, rank, far);
-                    format!("probe {id} at {w}")
-                } else {
-                    let resumed = rng.chance(0.2);
-                    fleet.lease(id, w, resumed, far);
-                    format!("lease {id} to {w} resumed {resumed}")
-                }
+                let resumed = rng.chance(0.2);
+                fleet.lease(id, w, resumed, far);
+                format!("lease {id} to {w} resumed {resumed}")
             }
             2 if !leased.is_empty() => {
                 let id = *rng.pick(&leased);
@@ -1066,34 +864,17 @@ mod tests {
                         format!("corrupt done {id} from {worker}")
                     }
                     _ => {
-                        let source = Source::Worker {
-                            cached: rng.chance(0.2),
-                            worker_wall_ms: 2.5,
-                        };
-                        fleet.complete(opts, id, worker, payload, source);
+                        fleet.complete(id, worker, payload);
                         format!("done {id} from {worker}")
                     }
                 }
             }
-            6 | 7 if !probing.is_empty() => {
-                let id = *rng.pick(&probing);
-                let FleetJobState::Probing { worker, .. } = fleet.jobs.map[&id].state else {
-                    unreachable!()
-                };
-                if rng.chance(0.6) {
-                    fleet.complete(opts, id, worker, payload, Source::Replica);
-                    format!("replica hit {id} at {worker}")
-                } else {
-                    fleet.probe_miss(id, worker);
-                    format!("replica miss {id} at {worker}")
-                }
-            }
-            8 if live.len() > 1 => {
+            6 if live.len() > 1 => {
                 let w = *rng.pick(&live);
                 fleet.mark_dead(w, WORKER_DEAD);
                 format!("worker {w} dies")
             }
-            9 if live.len() < 4 => {
+            7 if live.len() < 4 => {
                 join(fleet, listener, peers);
                 "worker joins".to_string()
             }
@@ -1129,9 +910,6 @@ mod tests {
                 (l.key, &l.workload, l.max_cycles)
             );
         }
-        let mut stored = recovered.stored.clone();
-        stored.sort_unstable();
-        assert_eq!(stored, live.stored, "stored keys after {trace:#?}");
         assert_eq!(
             recovered.counters, live.counters,
             "counters after {trace:#?}"
@@ -1185,7 +963,6 @@ mod tests {
                 trace.push(step(
                     &mut fleet, &opts, &sessions, rng, &listener, &mut peers,
                 ));
-                drain(&mut peers);
                 let bytes = fleet.journal.as_ref().unwrap().bytes();
                 boundaries.push((bytes as usize, fleet.snapshot(), trace.len()));
             }

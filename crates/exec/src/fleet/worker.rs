@@ -17,13 +17,12 @@ use super::inject::FleetInject;
 use crate::cache::ResultCache;
 use crate::job::run_job_from;
 use crate::proto::{
-    decode_key, fetched_frame, hex_decode, hex_encode, inventory_frame, parse_submit, write_frame,
-    Conn, FrameError, FrameReader, MAX_FRAME,
+    inventory_frame, parse_submit, write_frame, Conn, FrameError, FrameReader, MAX_FRAME,
 };
 use crate::trace_store::TraceStore;
 use gcl_rng::{backoff::Backoff, Rng};
 use gcl_stats::Json;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -52,12 +51,9 @@ pub struct WorkerOptions {
     pub backoff: Backoff,
     /// Seed for the backoff jitter stream.
     pub seed: u64,
-    /// Most replica payloads held for the coordinator's fleet cache
-    /// before FIFO eviction kicks in.
-    pub replica_cap: usize,
     /// Redial and re-join when the coordinator connection drops, instead
-    /// of exiting. Held leases and replica keys are re-announced with an
-    /// `inventory` frame so a recovered coordinator resumes them.
+    /// of exiting. Held leases are re-announced with an `inventory` frame
+    /// so a recovered coordinator resumes them.
     pub rejoin: bool,
 }
 
@@ -73,52 +69,8 @@ impl Default for WorkerOptions {
             connect_retries: 8,
             backoff: Backoff::default(),
             seed: 0x0077_726b, // "wrk"
-            replica_cap: 1024,
             rejoin: false,
         }
-    }
-}
-
-/// Bounded key → checksummed-payload store a worker keeps on behalf of the
-/// coordinator's replicated fleet cache. FIFO eviction: the coordinator
-/// re-fans hot keys on every recomputation, so recency tracking buys
-/// little over insertion order here. Payloads are held as bytes, half the
-/// size of the wire's hex, and re-encoded on `fetch`.
-struct ReplicaStore {
-    map: HashMap<u64, (Vec<u8>, String, f64)>,
-    order: VecDeque<u64>,
-    cap: usize,
-}
-
-impl ReplicaStore {
-    fn new(cap: usize) -> ReplicaStore {
-        ReplicaStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    fn insert(&mut self, key: u64, stats: Vec<u8>, sum: String, wall_ms: f64) {
-        if self.map.insert(key, (stats, sum, wall_ms)).is_none() {
-            self.order.push_back(key);
-            while self.map.len() > self.cap {
-                let Some(evict) = self.order.pop_front() else {
-                    break;
-                };
-                self.map.remove(&evict);
-            }
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<&(Vec<u8>, String, f64)> {
-        self.map.get(&key)
-    }
-
-    fn keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.map.keys().copied().collect();
-        keys.sort_unstable();
-        keys
     }
 }
 
@@ -152,8 +104,6 @@ struct WorkerState {
     cache: Option<ResultCache>,
     traces: Option<TraceStore>,
     inject: FleetInject,
-    /// Replica payloads held for the coordinator's fleet cache.
-    replica: Mutex<ReplicaStore>,
     /// Job ids accepted but not yet reported: what an `inventory` frame
     /// re-announces as held leases after a reconnect.
     running: Mutex<HashSet<u64>>,
@@ -213,7 +163,7 @@ fn connect_handshake(
     Ok((conn.reader, conn.writer, sock))
 }
 
-/// Re-announce held leases and replica inventory right after a join ack.
+/// Re-announce held leases right after a join ack.
 fn send_inventory(state: &WorkerState) -> Result<(), String> {
     let running: Vec<u64> = {
         let running = state.running.lock().expect("running poisoned");
@@ -221,10 +171,8 @@ fn send_inventory(state: &WorkerState) -> Result<(), String> {
         ids.sort_unstable();
         ids
     };
-    let keys = state.replica.lock().expect("replica poisoned").keys();
     let mut w = state.writer.lock().expect("writer poisoned");
-    write_frame(&mut *w, &inventory_frame(&running, &keys))
-        .map_err(|e| format!("inventory failed: {e}"))
+    write_frame(&mut *w, &inventory_frame(&running)).map_err(|e| format!("inventory failed: {e}"))
 }
 
 /// Why one connection's reader loop ended.
@@ -260,7 +208,6 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, String> {
         cache: opts.cache.clone(),
         traces: opts.traces.clone(),
         inject: opts.inject.clone(),
-        replica: Mutex::new(ReplicaStore::new(opts.replica_cap)),
         running: Mutex::new(HashSet::new()),
         sock: Mutex::new(sock),
     };
@@ -410,53 +357,6 @@ fn serve_connection(
                         let _ = write_frame(&mut *w, &fail_frame(id, e));
                     }
                 }
-            }
-            Some("store") => {
-                // The coordinator fans a finished job's checksummed
-                // payload to this worker as part of a replica set.
-                // Store it unverified — the coordinator checks the sum
-                // when it reads the payload back. (A payload that is not
-                // even hex is dropped: a later `fetch` misses.)
-                let key = frame
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .and_then(|t| decode_key(t).ok());
-                let stats = frame
-                    .get("stats")
-                    .and_then(Json::as_str)
-                    .and_then(|hex| hex_decode(hex).ok());
-                let sum = frame.get("sum").and_then(Json::as_str);
-                let wall_ms = frame.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-                if let (Some(key), Some(stats), Some(sum)) = (key, stats, sum) {
-                    let mut store = state.replica.lock().expect("replica poisoned");
-                    store.insert(key, stats, sum.to_string(), wall_ms);
-                }
-            }
-            Some("fetch") => {
-                let Some(job) = frame.get("job").and_then(Json::as_u64) else {
-                    continue;
-                };
-                let Some(key) = frame
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .and_then(|t| decode_key(t).ok())
-                else {
-                    continue;
-                };
-                if state.silent.load(Ordering::SeqCst) {
-                    continue;
-                }
-                let reply = {
-                    let store = state.replica.lock().expect("replica poisoned");
-                    match store.get(key) {
-                        Some((stats, sum, wall_ms)) => {
-                            fetched_frame(job, key, Some((&hex_encode(stats), sum, *wall_ms)))
-                        }
-                        None => fetched_frame(job, key, None),
-                    }
-                };
-                let mut w = state.writer.lock().expect("writer poisoned");
-                let _ = write_frame(&mut *w, &reply);
             }
             Some("close") => return ConnEnd::Close,
             _ => {}

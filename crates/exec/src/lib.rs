@@ -36,15 +36,15 @@
 //!   fault-tolerant fleet — workers join with `gcl serve --join`, the
 //!   coordinator shards jobs by content-addressed cache key, supervises
 //!   with heartbeats and per-job leases, and reassigns work from dead or
-//!   stalled workers. Results are replicated across an R-member replica
-//!   set (read-through with write-repair on node loss), clients can
+//!   stalled workers. A finished result lives in the coordinator's job
+//!   table, which answers every resubmit of its spec, clients can
 //!   stream progress over resumable sessions ([`SessionClient`]), and
 //!   [`loadgen`] measures the whole stack under thousands of concurrent
 //!   submitters. [`FleetInject`] is the chaos layer that proves every
 //!   failure mode is detected and recovered. The coordinator journals
 //!   every state transition to a checksummed write-ahead log
 //!   ([`fleet::Journal`]) and replays it on `--recover`, re-joining
-//!   workers reconcile leases and replica inventories, and [`soak`] is
+//!   workers re-announce the leases they still hold, and [`soak`] is
 //!   the long-haul harness that `kill -9`s the whole fleet — coordinator
 //!   included — while proving no acknowledged job is ever lost.
 //! * **Arguments** ([`args`]): the one flag-table parser behind `gcl` and

@@ -388,8 +388,8 @@ pub fn parse_submit(request: &Json) -> Result<JobSpec, String> {
 
 /// Wire form of a 64-bit cache key: `0x`-prefixed, zero-padded lower hex.
 ///
-/// Cache keys ride in `store`/`fetch` frames as strings because JSON
-/// numbers cannot carry a full u64 faithfully through every decoder.
+/// Cache keys ride in `result` replies as strings because JSON numbers
+/// cannot carry a full u64 faithfully through every decoder.
 pub fn encode_key(key: u64) -> String {
     format!("0x{key:016x}")
 }
@@ -406,61 +406,16 @@ pub fn decode_key(text: &str) -> Result<u64, String> {
     u64::from_str_radix(digits, 16).map_err(|_| format!("bad cache key `{text}`"))
 }
 
-/// A `store` frame: the coordinator pushing one checksummed stats payload
-/// into a worker's replica store. `sum` is the `0x…` FNV checksum string
-/// produced alongside the hex payload, same as in `done` frames.
-pub fn store_frame(key: u64, stats_hex: &str, sum: &str, wall_ms: f64) -> Json {
-    Json::obj(vec![
-        ("op", Json::Str("store".into())),
-        ("key", Json::Str(encode_key(key))),
-        ("stats", Json::Str(stats_hex.into())),
-        ("sum", Json::Str(sum.into())),
-        ("wall_ms", Json::Float(wall_ms)),
-    ])
-}
-
-/// A `fetch` frame: the coordinator probing a worker's replica store for
-/// `key` on behalf of job `job`.
-pub fn fetch_frame(job: u64, key: u64) -> Json {
-    Json::obj(vec![
-        ("op", Json::Str("fetch".into())),
-        ("job", Json::UInt(job)),
-        ("key", Json::Str(encode_key(key))),
-    ])
-}
-
-/// A worker's reply to [`fetch_frame`]: a replica hit carrying the stored
-/// payload, or a miss.
-pub fn fetched_frame(job: u64, key: u64, hit: Option<(&str, &str, f64)>) -> Json {
-    let mut fields = vec![
-        ("op", Json::Str("fetched".into())),
-        ("job", Json::UInt(job)),
-        ("key", Json::Str(encode_key(key))),
-        ("hit", Json::Bool(hit.is_some())),
-    ];
-    if let Some((stats_hex, sum, wall_ms)) = hit {
-        fields.push(("stats", Json::Str(stats_hex.into())));
-        fields.push(("sum", Json::Str(sum.into())));
-        fields.push(("wall_ms", Json::Float(wall_ms)));
-    }
-    Json::obj(fields)
-}
-
 /// An `inventory` frame: a worker re-announcing, right after a (re-)join
-/// ack, the job ids it is still running and the cache keys its
-/// ReplicaStore holds. A recovering coordinator reconciles its journal
-/// state against this ground truth — leases resume instead of re-running,
-/// and the replica directory is rebuilt from what workers actually hold.
-pub fn inventory_frame(running: &[u64], keys: &[u64]) -> Json {
+/// ack, the job ids it is still running. A recovering coordinator
+/// reconciles its journal state against this ground truth — leases resume
+/// instead of re-running.
+pub fn inventory_frame(running: &[u64]) -> Json {
     Json::obj(vec![
         ("op", Json::Str("inventory".into())),
         (
             "running",
             Json::Arr(running.iter().map(|&id| Json::UInt(id)).collect()),
-        ),
-        (
-            "keys",
-            Json::Arr(keys.iter().map(|&k| Json::Str(encode_key(k))).collect()),
         ),
     ])
 }
@@ -593,33 +548,8 @@ mod tests {
     }
 
     #[test]
-    fn store_and_fetch_frames_reparse_faithfully() {
-        let store = store_frame(42, "0abc", "0xdeadbeef", 1.5).render_compact();
-        let v = Json::parse(&store).unwrap();
-        assert_eq!(v.get("op").and_then(Json::as_str), Some("store"));
-        assert_eq!(
-            v.get("key").and_then(Json::as_str).map(decode_key),
-            Some(Ok(42))
-        );
-        assert_eq!(v.get("sum").and_then(Json::as_str), Some("0xdeadbeef"));
-
-        let hit = fetched_frame(7, 42, Some(("0abc", "0x9", 2.0)));
-        let v = Json::parse(&hit.render_compact()).unwrap();
-        assert_eq!(v.get("hit").and_then(Json::as_bool), Some(true));
-        assert_eq!(v.get("stats").and_then(Json::as_str), Some("0abc"));
-
-        let miss = fetched_frame(7, 42, None);
-        let v = Json::parse(&miss.render_compact()).unwrap();
-        assert_eq!(v.get("hit").and_then(Json::as_bool), Some(false));
-        assert!(v.get("stats").is_none());
-
-        let fetch = Json::parse(&fetch_frame(7, 42).render_compact()).unwrap();
-        assert_eq!(fetch.get("job").and_then(Json::as_u64), Some(7));
-    }
-
-    #[test]
     fn inventory_frames_reparse_faithfully() {
-        let inv = inventory_frame(&[3, 9], &[42, u64::MAX]);
+        let inv = inventory_frame(&[3, 9]);
         let v = Json::parse(&inv.render_compact()).unwrap();
         assert_eq!(v.get("op").and_then(Json::as_str), Some("inventory"));
         let running: Vec<u64> = match v.get("running") {
@@ -627,20 +557,11 @@ mod tests {
             other => panic!("bad running field: {other:?}"),
         };
         assert_eq!(running, vec![3, 9]);
-        let keys: Vec<u64> = match v.get("keys") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .filter_map(Json::as_str)
-                .map(|t| decode_key(t).unwrap())
-                .collect(),
-            other => panic!("bad keys field: {other:?}"),
-        };
-        assert_eq!(keys, vec![42, u64::MAX]);
+        assert!(v.get("keys").is_none());
 
-        let empty = inventory_frame(&[], &[]);
+        let empty = inventory_frame(&[]);
         let v = Json::parse(&empty.render_compact()).unwrap();
         assert!(matches!(v.get("running"), Some(Json::Arr(a)) if a.is_empty()));
-        assert!(matches!(v.get("keys"), Some(Json::Arr(a)) if a.is_empty()));
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //! the write-ahead journal exists for: a coordinator that vanishes
 //! between one frame and the next.
 //!
-//! After the traffic window the harness drains and audits three
-//! invariants, failing loudly on any violation:
+//! After the traffic window the harness drains and audits two invariants,
+//! failing loudly on any violation:
 //!
 //! 1. **Zero lost acknowledged jobs** — every job id the coordinator ever
 //!    acked reaches a terminal `done` state after recovery.
 //! 2. **Digest identity with serial** — each distinct spec's fleet result
 //!    payload is byte-identical to a local serial [`run_job`] run.
-//! 3. **Replica convergence** — the coordinator's `status` report shows
-//!    every cached key back at full replica strength (R = `--replicas`)
-//!    without any read traffic forcing repairs.
+//!
+//! The report also carries how many submits each path served — fresh
+//! simulations versus joins of a live or finished job — read from the
+//! final `status`.
 
 use crate::job::{run_job, JobSpec};
 use crate::loadgen::{dial, GOLDEN};
@@ -67,10 +68,6 @@ pub struct SoakOptions {
     pub workloads: Vec<String>,
     /// Seed for submit jitter and the chaos schedule.
     pub seed: u64,
-    /// Replica fan-out the coordinator runs with (convergence target).
-    pub replicas: usize,
-    /// Background rebalance cadence handed to the coordinator.
-    pub rebalance_ms: u64,
     /// Where the coordinator's write-ahead journal lives.
     pub journal: PathBuf,
     /// Where the JSON soak report lands.
@@ -93,8 +90,6 @@ impl Default for SoakOptions {
             distinct: 3,
             workloads: vec!["bfs".to_string(), "spmv".to_string()],
             seed: 0x0073_6f61_6b00, // "soak"
-            replicas: 2,
-            rebalance_ms: 250,
             journal: PathBuf::from("results/soak/journal.bin"),
             out: PathBuf::from("results/soak/soak.json"),
         }
@@ -116,12 +111,10 @@ pub struct SoakReport {
     pub coordinator_kills: u64,
     /// Worker kill/respawn cycles the chaos director ran.
     pub worker_kills: u64,
-    /// Keys in the coordinator's replica directory at the end.
-    pub replica_keys: u64,
-    /// Keys at full replica strength at the end.
-    pub replica_full: u64,
-    /// Proactive rebalance fan-outs the coordinator counted.
-    pub rebalances: u64,
+    /// Simulations the fleet ran, from the final `status`.
+    pub sims: u64,
+    /// Submits that joined a live or finished job, from the final `status`.
+    pub dedup_hits: u64,
     /// In-flight leases resumed from worker inventories.
     pub resumed: u64,
 }
@@ -227,10 +220,6 @@ fn spawn_coordinator(bin: &PathBuf, addr: &str, opts: &SoakOptions) -> Result<Ch
             "--journal",
             &opts.journal.display().to_string(),
             "--recover",
-            "--replicas",
-            &opts.replicas.to_string(),
-            "--rebalance-ms",
-            &opts.rebalance_ms.to_string(),
             "--lease-ms",
             "15000",
             "--heartbeat-ms",
@@ -344,7 +333,7 @@ impl Fleet {
 
 fn write_report(opts: &SoakOptions, report: &SoakReport) -> Result<(), String> {
     let doc = Json::obj(vec![
-        ("version", Json::UInt(1)),
+        ("version", Json::UInt(2)),
         ("duration_ms", Json::UInt(opts.duration_ms)),
         ("chaos", Json::Bool(opts.chaos)),
         ("workers", Json::UInt(opts.workers as u64)),
@@ -355,9 +344,8 @@ fn write_report(opts: &SoakOptions, report: &SoakReport) -> Result<(), String> {
         ("digest_matches", Json::UInt(report.digest_matches)),
         ("coordinator_kills", Json::UInt(report.coordinator_kills)),
         ("worker_kills", Json::UInt(report.worker_kills)),
-        ("replica_keys", Json::UInt(report.replica_keys)),
-        ("replica_full", Json::UInt(report.replica_full)),
-        ("rebalances", Json::UInt(report.rebalances)),
+        ("sims", Json::UInt(report.sims)),
+        ("dedup_hits", Json::UInt(report.dedup_hits)),
         ("resumed", Json::UInt(report.resumed)),
     ]);
     gcl_mem::publish(&opts.out, format!("{doc}\n").as_bytes(), true)
@@ -370,8 +358,7 @@ fn write_report(opts: &SoakOptions, report: &SoakReport) -> Result<(), String> {
 /// # Errors
 ///
 /// A human-readable message when an invariant is violated (lost
-/// acknowledged job, serial divergence, replica non-convergence) or the
-/// fleet cannot be spawned.
+/// acknowledged job, serial divergence) or the fleet cannot be spawned.
 pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
     if opts.workers == 0 {
         return Err("soak needs at least one worker (--workers 1)".to_string());
@@ -547,44 +534,17 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
         }
         report.digest_matches = matched.len() as u64;
 
-        // Replica convergence: poll status until every key is at full
-        // strength. The rebalancer must get there without any reads.
+        // Which path served the traffic, while the coordinator still runs.
         let status = Json::obj(vec![("op", Json::Str("status".into()))]);
-        let converge_deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let s = call_resilient(&mut line, &addr, &status, converge_deadline)?;
-            let keys = s
-                .get("replicas")
-                .and_then(|r| r.get("keys"))
+        let s = call_resilient(&mut line, &addr, &status, audit_deadline)?;
+        let counter = |name| {
+            s.get("cache")
+                .and_then(|c| c.get(name))
                 .and_then(Json::as_u64)
-                .unwrap_or(0);
-            let full = s
-                .get("replicas")
-                .and_then(|r| r.get("full"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            report.replica_keys = keys;
-            report.replica_full = full;
-            report.rebalances = s
-                .get("cache")
-                .and_then(|c| c.get("rebalances"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            report.resumed = s
-                .get("cache")
-                .and_then(|c| c.get("resumed"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            if keys > 0 && full == keys {
-                break;
-            }
-            if Instant::now() >= converge_deadline {
-                return Err(format!(
-                    "replica directory never converged: {full}/{keys} keys at full strength"
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(200));
-        }
+        };
+        report.sims = counter("sims").unwrap_or(0);
+        report.dedup_hits = counter("dedup_hits").unwrap_or(0);
+        report.resumed = counter("resumed").unwrap_or(0);
 
         // Graceful drain so the children exit on their own.
         let shutdown = Json::obj(vec![("op", Json::Str("shutdown".into()))]);

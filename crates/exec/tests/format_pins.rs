@@ -103,8 +103,9 @@ fn journal_bytes_are_pinned() {
         assert_eq!(j.bytes(), 142);
     }
     let bytes = std::fs::read(&path).unwrap();
-    assert_eq!(pin(&bytes), (142, 0x26ac_cec3_fdde_1a39));
-    // Everything after magic + version: the records and their framing.
+    assert_eq!(pin(&bytes), (142, 0xa4bb_306b_1ef7_4c72));
+    // Everything after magic + version: the records and their framing. A
+    // version bump that retires records moves the pin above, not this one.
     assert_eq!(pin(&bytes[10..]), (132, 0x7690_b122_a665_6bae));
     let (_, rec) = Journal::open_recover(&path).unwrap();
     assert!(!rec.truncated);

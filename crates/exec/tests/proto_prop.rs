@@ -4,6 +4,7 @@
 //! frame must be rejected without inventing or dropping any frame that
 //! came before it.
 
+use gcl_exec::proto::inventory_frame;
 use gcl_exec::{FrameError, FrameReader};
 use std::io::{ErrorKind, Read};
 
@@ -62,6 +63,7 @@ fn corpus() -> Vec<String> {
         "y".repeat(64),
         "z".repeat(65),
         "{\"op\":\"done\",\"job\":42,\"stats\":\"00ff00ff\"}".to_string(),
+        inventory_frame(&[3, 9]).render_compact(),
     ];
     for i in 0..8 {
         frames.push(format!("frame-{i}-{}", "p".repeat(i * 7 + 1)));

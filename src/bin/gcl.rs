@@ -159,12 +159,9 @@ static COORDINATE: Command = Command {
         Flag::taking("--lease-ms", "N"),
         Flag::taking("--heartbeat-ms", "N"),
         Flag::taking("--heartbeat-timeout-ms", "N"),
-        Flag::taking("--replicas", "N"),
-        Flag::taking("--probe-timeout-ms", "N"),
         Flag::taking("--session-inflight-cap", "N"),
         Flag::taking("--journal", "PATH"),
         Flag::switch("--recover"),
-        Flag::taking("--rebalance-ms", "N"),
         Flag::taking("--journal-compact-bytes", "N"),
         Flag::switch("--chaos-verbs"),
     ],
@@ -201,8 +198,6 @@ static SOAK: Command = Command {
         Flag::taking("--distinct", "N"),
         Flag::taking("--workloads", "A,B,..."),
         Flag::taking("--seed", "N"),
-        Flag::taking("--replicas", "N"),
-        Flag::taking("--rebalance-ms", "N"),
         Flag::taking("--journal", "PATH"),
         Flag::taking("--out", "PATH"),
     ],
@@ -304,9 +299,9 @@ checksummed — to a GCLTRACE1 container under results/traces (or --out DIR),
 content-addressed by the same configuration + kernel + parameter
 fingerprint that keys the result cache. `replay` feeds those containers
 back through the timing model instead of functionally executing the
-workload: same per-launch event digests, cycle counts and statistics, at a
-fraction of the capture wall-clock; --verify re-runs each workload
-execution-driven and fails if replay and execution disagree anywhere.
+workload: same per-launch event digests, cycle counts and statistics;
+--verify re-runs each workload execution-driven and fails if replay and
+execution disagree anywhere.
 `replay` exits 2 when a container is missing or unreadable (truncated,
 corrupt, bad magic — recapture it) and 3 when a readable container does not
 match this build or spec (format version skew, configuration fingerprint
@@ -347,11 +342,10 @@ the coordinator, which shards jobs across workers by content-addressed
 cache key, supervises them with heartbeats and per-job leases, and
 reassigns work from dead, partitioned or stalled workers — results are
 deduplicated by cache key, so a fleet sweep is digest-identical to a
-serial run. Finished results are fanned out to an R-member replica set of
-workers (--replicas, default 2) chosen by rendezvous hashing; a resubmit
-of a warm key probes the primary, reads through from a surviving replica,
-and write-repairs back to full strength — so losing a node costs only the
-keys whose entire replica set died. `suite --fleet COORD:PORT` runs the
+serial run. A finished result lives in the coordinator's job table (made
+durable by --journal, below) and in the result cache of the worker that
+ran it: a resubmit of its spec joins the finished job, whichever workers
+have died since. `suite --fleet COORD:PORT` runs the
 whole suite through a coordinator instead of local threads (incompatible
 with --jobs, --retries, --force-fail and --no-cache: parallelism, retry
 policy and caching belong to the fleet); it opens a streaming session and
@@ -369,26 +363,26 @@ shed and error counts — under results/load/. Sheds are data, not
 failures: an overloaded coordinator answers structured
 {\"ok\":false,\"shed\":true} responses (per-session inflight cap, queue
 cap) instead of stalling.
-`coordinate --journal PATH` appends every job-table transition, session
-attach/detach and replica-directory change to a checksummed write-ahead
-journal (fsync-batched, compacted into a snapshot record once it outgrows
+`coordinate --journal PATH` appends every job-table transition and session
+attach/detach to a checksummed write-ahead journal (fsync-batched, compacted into a snapshot record once it outgrows
 --journal-compact-bytes); `--recover` replays the journal on startup —
 tolerating a torn tail by truncating to the last valid record — then
-reconciles with re-joining workers, which re-announce held leases and
-replica inventories so in-flight work resumes instead of re-running.
+reconciles with re-joining workers, which re-announce held leases so
+in-flight work resumes instead of re-running. Without a journal a
+restarted coordinator has forgotten its finished jobs and dispatches their
+resubmits again (a cache hit on the worker that ran them).
 `serve --join --rejoin` makes a worker redial and re-join after losing
-its coordinator instead of exiting. `--rebalance-ms N` arms a background
-rebalancer that proactively re-fans under-replicated keys back to R
-replicas on any membership change, instead of waiting for a read miss.
-The destructive chaos verbs (decommission, reset) are refused unless the
+its coordinator instead of exiting.
+The destructive chaos verb (decommission) is refused unless the
 coordinator runs with --chaos-verbs.
 `soak` is the long-haul proof: it spawns a journaled coordinator and N
 rejoin-capable workers as child processes, drives them with submitter
 threads, and with --chaos runs a seeded schedule that kill -9s workers
 and the coordinator itself (respawned with --recover) mid-sweep; it then
-audits that every acknowledged job reached `done`, that every result is
-byte-identical to a serial run, and that the replica directory converged
-back to full strength, writing a JSON report under results/soak/.
+audits that every acknowledged job reached `done` and that every result is
+byte-identical to a serial run, and reports how many submits were served
+by a simulation and how many by joining an existing job, writing a JSON
+report under results/soak/.
 `serve` and `coordinate` exit 2 when the address cannot be bound (or the
 worker cannot reach its coordinator) and 3 on a protocol failure after
 startup, so supervisors can tell configuration from runtime faults; an
@@ -1628,13 +1622,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 fn cmd_coordinate(args: &[String]) -> Result<(), CliError> {
     let opts = parse_coordinate_args(args)?;
     let summary = format!(
-        "queue cap {}, lease {} ms, heartbeat {} ms (timeout {} ms), replicas {}, \
-         session inflight cap {}{}{}",
+        "queue cap {}, lease {} ms, heartbeat {} ms (timeout {} ms), \
+         session inflight cap {}{}",
         opts.queue_cap,
         opts.lease_ms,
         opts.heartbeat_ms,
         opts.heartbeat_timeout_ms,
-        opts.replicas,
         opts.session_inflight_cap,
         match &opts.journal {
             Some(p) => format!(
@@ -1643,11 +1636,6 @@ fn cmd_coordinate(args: &[String]) -> Result<(), CliError> {
                 if opts.recover { " (recover)" } else { "" }
             ),
             None => String::new(),
-        },
-        if opts.rebalance_ms > 0 {
-            format!(", rebalance every {} ms", opts.rebalance_ms)
-        } else {
-            String::new()
         },
     );
     let coordinator = Coordinator::bind(opts).map_err(serve_exit)?;
@@ -1666,12 +1654,9 @@ fn parse_coordinate_args(args: &[String]) -> Result<CoordinatorOptions, String> 
     a.set("--lease-ms", &mut opts.lease_ms)?;
     a.set("--heartbeat-ms", &mut opts.heartbeat_ms)?;
     a.set("--heartbeat-timeout-ms", &mut opts.heartbeat_timeout_ms)?;
-    a.set("--replicas", &mut opts.replicas)?;
-    a.set("--probe-timeout-ms", &mut opts.probe_timeout_ms)?;
     a.set("--session-inflight-cap", &mut opts.session_inflight_cap)?;
     opts.journal = a.value("--journal").map(PathBuf::from);
     opts.recover = a.has("--recover");
-    a.set("--rebalance-ms", &mut opts.rebalance_ms)?;
     a.set("--journal-compact-bytes", &mut opts.journal_compact_bytes)?;
     opts.chaos_verbs = a.has("--chaos-verbs");
     Ok(opts)
@@ -1742,14 +1727,13 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         report.submits, report.acked, report.audited, report.digest_matches
     );
     println!(
-        "soak: {} coordinator kill(s), {} worker kill(s) survived; \
-         {} lease(s) resumed, {} rebalance(s)",
-        report.coordinator_kills, report.worker_kills, report.resumed, report.rebalances
+        "soak: {} coordinator kill(s), {} worker kill(s) survived; {} lease(s) resumed",
+        report.coordinator_kills, report.worker_kills, report.resumed
     );
     println!(
-        "soak: replica directory converged at {}/{} keys full; report written to {}",
-        report.replica_full,
-        report.replica_keys,
+        "soak: served by {} sim(s) + {} dedup hit(s); report written to {}",
+        report.sims,
+        report.dedup_hits,
         opts.out.display()
     );
     Ok(())
@@ -1772,8 +1756,6 @@ fn parse_soak_args(args: &[String]) -> Result<SoakOptions, String> {
         opts.workloads = comma_list(list);
     }
     a.set("--seed", &mut opts.seed)?;
-    a.set("--replicas", &mut opts.replicas)?;
-    a.set("--rebalance-ms", &mut opts.rebalance_ms)?;
     a.set_str("--journal", &mut opts.journal);
     a.set_str("--out", &mut opts.out);
     Ok(opts)
@@ -1800,17 +1782,17 @@ mod tests {
     fn coordinate_flags_fill_the_pinned_options() {
         let all = argv(
             "--addr 10.0.0.1:9 --queue-cap 7 --lease-ms 0x10 --heartbeat-ms 11 \
-             --heartbeat-timeout-ms 12 --replicas 3 --probe-timeout-ms 13 \
-             --session-inflight-cap 14 --journal j.bin --recover --rebalance-ms 15 \
+             --heartbeat-timeout-ms 12 \
+             --session-inflight-cap 14 --journal j.bin --recover \
              --journal-compact-bytes 16 --chaos-verbs",
         );
         assert_eq!(
             format!("{:?}", parse_coordinate_args(&all).unwrap()),
-            r#"CoordinatorOptions { addr: "10.0.0.1:9", queue_cap: 7, lease_ms: 16, heartbeat_ms: 11, heartbeat_timeout_ms: 12, max_frame: 1048576, print_outcomes: true, replicas: 3, probe_timeout_ms: 13, session_inflight_cap: 14, journal: Some("j.bin"), recover: true, chaos_verbs: true, rebalance_ms: 15, journal_compact_bytes: 16 }"#
+            r#"CoordinatorOptions { addr: "10.0.0.1:9", queue_cap: 7, lease_ms: 16, heartbeat_ms: 11, heartbeat_timeout_ms: 12, max_frame: 1048576, print_outcomes: true, session_inflight_cap: 14, journal: Some("j.bin"), recover: true, chaos_verbs: true, journal_compact_bytes: 16 }"#
         );
         assert_eq!(
             format!("{:?}", parse_coordinate_args(&[]).unwrap()),
-            r#"CoordinatorOptions { addr: "127.0.0.1:7177", queue_cap: 64, lease_ms: 60000, heartbeat_ms: 500, heartbeat_timeout_ms: 2000, max_frame: 1048576, print_outcomes: true, replicas: 2, probe_timeout_ms: 2000, session_inflight_cap: 1024, journal: None, recover: false, chaos_verbs: false, rebalance_ms: 0, journal_compact_bytes: 1048576 }"#
+            r#"CoordinatorOptions { addr: "127.0.0.1:7177", queue_cap: 64, lease_ms: 60000, heartbeat_ms: 500, heartbeat_timeout_ms: 2000, max_frame: 1048576, print_outcomes: true, session_inflight_cap: 1024, journal: None, recover: false, chaos_verbs: false, journal_compact_bytes: 1048576 }"#
         );
     }
 
@@ -1835,16 +1817,16 @@ mod tests {
         let all = argv(
             "--addr 10.0.0.1:9 --workers 5 --slots 2 --duration-ms 11 --chaos \
              --kill-coordinator-ms 12 --kill-worker-ms 13 --submitters 7 --think-ms 14 \
-             --distinct 6 --workloads mst,,mis --seed 0x2a --replicas 3 --rebalance-ms 15 \
+             --distinct 6 --workloads mst,,mis --seed 0x2a \
              --journal j.bin --out o.json",
         );
         assert_eq!(
             format!("{:?}", parse_soak_args(&all).unwrap()),
-            r#"SoakOptions { addr: "10.0.0.1:9", gcl_bin: None, workers: 5, slots: 2, duration_ms: 11, chaos: true, kill_coordinator_ms: 12, kill_worker_ms: 13, submitters: 7, think_ms: 14, distinct: 6, workloads: ["mst", "mis"], seed: 42, replicas: 3, rebalance_ms: 15, journal: "j.bin", out: "o.json" }"#
+            r#"SoakOptions { addr: "10.0.0.1:9", gcl_bin: None, workers: 5, slots: 2, duration_ms: 11, chaos: true, kill_coordinator_ms: 12, kill_worker_ms: 13, submitters: 7, think_ms: 14, distinct: 6, workloads: ["mst", "mis"], seed: 42, journal: "j.bin", out: "o.json" }"#
         );
         assert_eq!(
             format!("{:?}", parse_soak_args(&[]).unwrap()),
-            r#"SoakOptions { addr: "", gcl_bin: None, workers: 3, slots: 1, duration_ms: 20000, chaos: false, kill_coordinator_ms: 7000, kill_worker_ms: 3000, submitters: 4, think_ms: 25, distinct: 3, workloads: ["bfs", "spmv"], seed: 495789894400, replicas: 2, rebalance_ms: 250, journal: "results/soak/journal.bin", out: "results/soak/soak.json" }"#
+            r#"SoakOptions { addr: "", gcl_bin: None, workers: 3, slots: 1, duration_ms: 20000, chaos: false, kill_coordinator_ms: 7000, kill_worker_ms: 3000, submitters: 4, think_ms: 25, distinct: 3, workloads: ["bfs", "spmv"], seed: 495789894400, journal: "results/soak/journal.bin", out: "results/soak/soak.json" }"#
         );
     }
 }

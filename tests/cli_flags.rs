@@ -146,12 +146,9 @@ const SURFACE: &[(&str, &[&str])] = &[
             "--lease-ms+",
             "--heartbeat-ms+",
             "--heartbeat-timeout-ms+",
-            "--replicas+",
-            "--probe-timeout-ms+",
             "--session-inflight-cap+",
             "--journal+",
             "--recover",
-            "--rebalance-ms+",
             "--journal-compact-bytes+",
             "--chaos-verbs",
         ],
@@ -186,8 +183,6 @@ const SURFACE: &[(&str, &[&str])] = &[
             "--distinct+",
             "--workloads+",
             "--seed+",
-            "--replicas+",
-            "--rebalance-ms+",
             "--journal+",
             "--out+",
         ],
@@ -211,7 +206,7 @@ fn help_lists_exactly_the_pinned_flags() {
         .collect();
     let pairs: usize = expected.values().map(BTreeMap::len).sum();
     assert_eq!(
-        pairs, 84,
+        pairs, 79,
         "the pin itself covers every (command, flag) pair"
     );
     let actual = surface(&help());
