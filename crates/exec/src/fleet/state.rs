@@ -100,9 +100,7 @@ pub(super) struct JobTable {
 
 impl JobTable {
     pub(super) fn all_terminal(&self) -> bool {
-        self.map
-            .values()
-            .all(|j| matches!(j.state, FleetJobState::Done(_) | FleetJobState::Failed(_)))
+        self.map.values().all(|j| !j.awaits_result())
     }
 
     /// Jobs per state: `(queued, running, done, failed)`.

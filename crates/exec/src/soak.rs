@@ -537,14 +537,11 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
         // Which path served the traffic, while the coordinator still runs.
         let status = Json::obj(vec![("op", Json::Str("status".into()))]);
         let s = call_resilient(&mut line, &addr, &status, audit_deadline)?;
-        let counter = |name| {
-            s.get("cache")
-                .and_then(|c| c.get(name))
-                .and_then(Json::as_u64)
-        };
-        report.sims = counter("sims").unwrap_or(0);
-        report.dedup_hits = counter("dedup_hits").unwrap_or(0);
-        report.resumed = counter("resumed").unwrap_or(0);
+        let cache = s.get("cache");
+        let counter = |name| cache.and_then(|c| c.get(name)?.as_u64()).unwrap_or(0);
+        report.sims = counter("sims");
+        report.dedup_hits = counter("dedup_hits");
+        report.resumed = counter("resumed");
 
         // Graceful drain so the children exit on their own.
         let shutdown = Json::obj(vec![("op", Json::Str("shutdown".into()))]);

@@ -16,11 +16,6 @@ use std::time::{Duration, Instant};
 
 const KEY: &str = "0x00000000deadbeef";
 
-fn conn(stream: std::net::TcpStream) -> Conn {
-    let tick = Duration::from_millis(50);
-    Conn::from_stream(stream, tick, Duration::from_secs(5), MAX_FRAME).expect("conn")
-}
-
 fn soon() -> Instant {
     Instant::now() + Duration::from_secs(60)
 }
@@ -40,7 +35,9 @@ fn a_worker_skips_the_store_and_fetch_frames_of_an_older_coordinator() {
             ..WorkerOptions::default()
         })
     });
-    let mut c = conn(listener.accept().expect("worker dials").0);
+    let (stream, _) = listener.accept().expect("worker dials");
+    let (tick, write) = (Duration::from_millis(50), Duration::from_secs(5));
+    let mut c = Conn::from_stream(stream, tick, write, MAX_FRAME).expect("conn");
     assert_eq!(op(&c.recv_by(soon()).expect("join")), Some("join"));
     c.send(&Json::obj(vec![("ok", Json::Bool(true))]))
         .expect("ack");
