@@ -181,9 +181,11 @@ fn turnaround_by_requests(r: &BenchResult, kernel: &str, pc: usize, max_req: u32
 }
 
 /// Pick the (kernel, pc) of the busiest load of `class` in a workload (most
-/// dynamic samples), if any.
+/// dynamic samples), if any. Equally busy loads tie to the lowest
+/// (kernel, pc), so the pick does not depend on map iteration order.
 pub fn busiest_pc(r: &BenchResult, class: LoadClass) -> Option<(String, usize)> {
-    let mut by_pc: std::collections::HashMap<(&str, usize), u64> = std::collections::HashMap::new();
+    let mut by_pc: std::collections::BTreeMap<(&str, usize), u64> =
+        std::collections::BTreeMap::new();
     for (key, agg) in &r.stats.per_pc {
         if key.class == class {
             *by_pc.entry((key.kernel.as_str(), key.pc)).or_default() += agg.turnaround.count;
@@ -191,7 +193,7 @@ pub fn busiest_pc(r: &BenchResult, class: LoadClass) -> Option<(String, usize)> 
     }
     by_pc
         .into_iter()
-        .max_by_key(|(_, count)| *count)
+        .max_by_key(|(key, count)| (*count, std::cmp::Reverse(*key)))
         .map(|((kernel, pc), _)| (kernel.to_string(), pc))
 }
 

@@ -129,6 +129,25 @@ fn fig6_and_fig7_find_the_synthetic_pc() {
     assert!((f7.series[1].values[3] - 3.0).abs() < 1e-9); // gap at L1D
 }
 
+/// Equally busy loads tie to the lowest (kernel, pc): Figures 6 and 7 must
+/// not depend on hash order (at tiny scale ties are the rule).
+#[test]
+fn busiest_pc_breaks_ties_by_lowest_pc() {
+    let mut r = fake_result("alpha", Category::Graph);
+    let (key, agg) = r.stats.per_pc[0].clone();
+    for pc in [3, 11, 5] {
+        r.stats
+            .per_pc
+            .push((PcKey { pc, ..key.clone() }, agg.clone()));
+    }
+    for _ in 0..8 {
+        assert_eq!(
+            figures::busiest_pc(&r, LoadClass::NonDeterministic),
+            Some(("alpha_kernel".to_string(), 3))
+        );
+    }
+}
+
 #[test]
 fn fig10_fig11_read_block_summary() {
     let f10 = figures::fig10(&fakes());
