@@ -2,8 +2,8 @@
 //! [`Command::parse`] checks an argv against that table and [`Args`] hands
 //! the values back typed, so every `unknown option`, `needs a value` and
 //! `bad integer` message is built here, and the usage synopsis is generated
-//! from the table the parser reads. `gcl`'s subcommands and the figure
-//! binaries all parse through it.
+//! from the table the parser reads. Every `gcl` subcommand parses through
+//! it.
 //!
 //! The accepted shape is deliberately small — `--flag`, `--flag VALUE`, at
 //! most one positional anywhere among them; no `--flag=value`, no short

@@ -47,8 +47,8 @@
 //!   workers re-announce the leases they still hold, and [`soak`] is
 //!   the long-haul harness that `kill -9`s the whole fleet — coordinator
 //!   included — while proving no acknowledged job is ever lost.
-//! * **Arguments** ([`args`]): the one flag-table parser behind `gcl` and
-//!   the figure binaries. It lives here because this crate owns the option
+//! * **Arguments** ([`args`]): the one flag-table parser behind every
+//!   `gcl` subcommand. It lives here because this crate owns the option
 //!   structs the flags fill ([`ServeOptions`], [`CoordinatorOptions`],
 //!   [`WorkerOptions`], [`LoadgenOptions`], [`SoakOptions`], …).
 //!

@@ -167,8 +167,8 @@ pub fn run_pool(
 
 /// Generic fixed-pool parallel map with panic isolation and deterministic
 /// output ordering: `out[i]` is `f(items[i])`, or `Err(panic message)` if
-/// that call panicked. The bench harness uses this to fan a workload sweep
-/// out over workers without the [`JobSpec`] machinery.
+/// that call panicked. `gcl figures` uses this to fan its (machine, workload)
+/// sweep out over workers without the [`JobSpec`] machinery.
 pub fn parallel_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<Result<R, String>>
 where
     T: Send,

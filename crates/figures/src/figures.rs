@@ -483,3 +483,29 @@ pub fn critical_loads(results: &[BenchResult], workload: &str) -> gcl_stats::Tab
     }
     t
 }
+
+/// One line per workload of the headline counters of a sweep: a text
+/// report, not a JSON artifact.
+pub fn summary(results: &[BenchResult]) -> String {
+    let mut lines = vec![format!(
+        "{:6} {:7} {:>9} {:>10} {:>9} {:>6} {:>8} {:>6} {:>6} {:>6}",
+        "name", "cat", "cycles", "warp insts", "gld", "N%", "L1miss%", "ipc", "simd%", "bdiv%"
+    )];
+    for r in results {
+        let p = r.stats.profiler();
+        lines.push(format!(
+            "{:6} {:7} {:>9} {:>10} {:>9} {:>5.1} {:>8.1} {:>6.2} {:>6.1} {:>6.1}",
+            r.name,
+            r.category.to_string(),
+            r.stats.cycles,
+            r.stats.sm.warp_insts,
+            p.gld_request,
+            r.stats.nondet_load_fraction() * 100.0,
+            p.l1_miss_ratio() * 100.0,
+            r.stats.sm.warp_insts as f64 / r.stats.cycles as f64,
+            r.stats.simd_utilization(32) * 100.0,
+            r.stats.branch_divergence() * 100.0,
+        ));
+    }
+    lines.join("\n")
+}

@@ -1,9 +1,11 @@
-//! Shared harness: run every workload on a configured GPU and collect the
-//! per-workload results every figure draws from.
+//! The one sweep every artifact is read off: each workload once on each
+//! machine the requested artifacts need, fanned out over worker threads.
 
-use gcl_exec::args::{Command, Flag};
+use gcl_mem::L2Topology;
 use gcl_ptx::Kernel;
-use gcl_sim::{BlockSummary, Gpu, GpuConfig, LaunchStats, SimError};
+use gcl_sim::{
+    BlockSummary, CtaSchedPolicy, Gpu, GpuConfig, LaunchStats, PrefetchFilter, SimError,
+};
 use gcl_workloads::{all_workloads, tiny_workloads, Category, Workload};
 
 /// Everything one workload produced in one full run.
@@ -19,8 +21,6 @@ pub struct BenchResult {
     pub total_ctas: u64,
     /// Threads per CTA.
     pub threads_per_cta: u32,
-    /// Static classification counts over the workload's kernels (D, N).
-    pub static_loads: (usize, usize),
     /// The distinct kernels the run launched — the subjects the static
     /// analyses (classification provenance, affine coalescing prediction)
     /// join against when a figure needs per-load static columns.
@@ -31,135 +31,123 @@ pub struct BenchResult {
     pub distance_hist: Vec<(u64, f64)>,
 }
 
-/// Input-size selection for a harness run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Default benchmark scale (used for the reported figures).
-    Full,
-    /// Tiny scale for tests and smoke runs.
-    Tiny,
+/// Sub-warp request chunk of [`Machine::WarpSplit`] (ablation A3).
+pub const WARP_SPLIT_CHUNK: usize = 4;
+
+/// A machine of the evaluation: the baseline every table and figure
+/// characterises, or that baseline with one Section X suggestion applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Machine {
+    /// The unmodified base configuration (`GpuConfig::fermi()` for `gcl
+    /// figures`). Also the `Off` column of every ablation.
+    Fermi,
+    /// A1: clustered CTA scheduling, groups of 2.
+    ClusteredCta,
+    /// A2: semi-global L2, 2 clusters.
+    SemiGlobalL2,
+    /// A3: non-deterministic loads split into [`WARP_SPLIT_CHUNK`]-lane
+    /// requests.
+    WarpSplit,
+    /// A4: next-line prefetch on deterministic misses only.
+    PrefetchD,
+    /// A4: next-line prefetch on non-deterministic misses only.
+    PrefetchN,
+    /// A4: class-oblivious next-line prefetch.
+    PrefetchAll,
 }
 
-/// Parsed command line of a figure/ablation binary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchArgs {
-    /// Input-size selection (`--tiny`).
-    pub scale: Scale,
-    /// Optional positional workload name (only some binaries accept one).
-    pub workload: Option<String>,
-    /// Worker threads for the workload sweep (`--jobs N`, default 1).
-    pub jobs: usize,
-}
-
-impl BenchArgs {
-    /// Strictly parse the process arguments of an ablation/figure binary.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first unknown flag or stray positional argument.
-    pub fn from_env(allow_workload: bool) -> Result<BenchArgs, String> {
-        parse_scale_args(std::env::args().skip(1), allow_workload)
-    }
-}
-
-/// What every figure binary accepts, as the workspace's one flag-table
-/// parser ([`gcl_exec::args`]) reads it.
-const FLAGS: &[Flag] = &[Flag::switch("--tiny"), Flag::taking("--jobs", "N")];
-
-/// Strictly parse a figure-binary command line: `--tiny`, `--jobs N`, plus
-/// — only when `allow_workload` — one optional positional workload name.
-/// Unknown flags and unexpected positionals are errors, never silently
-/// ignored.
-///
-/// # Errors
-///
-/// Describes the offending argument and what the binary accepts.
-pub fn parse_scale_args(
-    args: impl Iterator<Item = String>,
-    allow_workload: bool,
-) -> Result<BenchArgs, String> {
-    let cmd = Command {
-        name: "gcl-figures",
-        positional: allow_workload.then_some("[workload]"),
-        flags: FLAGS,
-    };
-    let argv: Vec<String> = args.collect();
-    let usage = |e| format!("{e} (usage: {})", cmd.synopsis());
-    let a = cmd.parse(&argv).map_err(usage)?;
-    let (tiny, jobs) = (a.has("--tiny"), a.int("--jobs")?.unwrap_or(1));
-    if jobs == 0 {
-        return Err("--jobs needs a positive integer, got `0`".to_string());
-    }
-    Ok(BenchArgs {
-        scale: if tiny { Scale::Tiny } else { Scale::Full },
-        workload: a.positional().map(str::to_string),
-        jobs,
-    })
-}
-
-/// The outcome of attempting one workload end to end: either its results or
-/// why it stopped (a rendered [`SimError`], or a panic message when the
-/// workload crashed outright — worker panics are isolated per workload).
-/// One failed benchmark never takes down a harness sweep.
-#[derive(Debug)]
-pub struct BenchRun {
-    /// Workload name (Table I).
-    pub name: &'static str,
-    /// Application category.
-    pub category: Category,
-    /// The workload's results, or why it failed.
-    pub outcome: Result<BenchResult, String>,
-}
-
-impl BenchRun {
-    /// The results, if the workload completed.
-    pub fn result(&self) -> Option<&BenchResult> {
-        self.outcome.as_ref().ok()
-    }
-}
-
-/// Run every workload of the paper on `cfg`, each on a fresh GPU, fanned
-/// out over `jobs` worker threads (results stay in Table I order for any
-/// `jobs`; 1 reproduces the serial sweep). Failures are captured per
-/// workload — a [`SimError`] structurally, a panic as a failure message —
-/// never panicked: the remaining benchmarks still run and the caller
-/// decides how to report the casualties (see [`completed`]).
-pub fn run_all(cfg: &GpuConfig, scale: Scale, jobs: usize) -> Vec<BenchRun> {
-    let workloads = match scale {
-        Scale::Full => all_workloads(),
-        Scale::Tiny => tiny_workloads(),
-    };
-    let meta: Vec<(&'static str, Category)> =
-        workloads.iter().map(|w| (w.name(), w.category())).collect();
-    gcl_exec::parallel_map(jobs, workloads, |w| run_one(w.as_ref(), cfg))
-        .into_iter()
-        .zip(meta)
-        .map(|(outcome, (name, category))| BenchRun {
-            name,
-            category,
-            outcome: match outcome {
-                Ok(r) => r.map_err(|e| e.to_string()),
-                Err(panic) => Err(format!("workload panicked: {panic}")),
-            },
-        })
-        .collect()
-}
-
-/// Keep the completed results of a sweep, warning on stderr about each
-/// failed benchmark. Figures built from the survivors simply render the
-/// failed workloads as absent.
-pub fn completed(runs: &[BenchRun]) -> Vec<BenchResult> {
-    let mut out = Vec::new();
-    for run in runs {
-        match &run.outcome {
-            Ok(r) => out.push(r.clone()),
-            Err(e) => eprintln!(
-                "warning: workload {} failed, omitted from figures: {e}",
-                run.name
-            ),
+impl Machine {
+    /// `base` with this machine's one change applied.
+    pub fn configure(self, base: &GpuConfig) -> GpuConfig {
+        let mut cfg = base.clone();
+        match self {
+            Machine::Fermi => {}
+            Machine::ClusteredCta => cfg.cta_sched = CtaSchedPolicy::Clustered { group: 2 },
+            Machine::SemiGlobalL2 => cfg.l2_topology = L2Topology::Clustered { clusters: 2 },
+            Machine::WarpSplit => cfg.warp_split_nd = Some(WARP_SPLIT_CHUNK),
+            Machine::PrefetchD => cfg.prefetch = PrefetchFilter::DeterministicOnly,
+            Machine::PrefetchN => cfg.prefetch = PrefetchFilter::NonDeterministicOnly,
+            Machine::PrefetchAll => cfg.prefetch = PrefetchFilter::All,
         }
+        cfg
     }
-    out
+}
+
+/// The completed runs of one sweep, per machine in Table I order, and the
+/// runs that did not complete.
+#[derive(Debug)]
+pub struct Sweep {
+    /// The configuration every [`Machine`] was derived from.
+    pub base: GpuConfig,
+    runs: Vec<(Machine, Vec<BenchResult>)>,
+    /// One `workload on Machine: reason` line per failed run — a rendered
+    /// [`SimError`], or the panic message when the workload crashed
+    /// outright (panics are isolated per run). The artifacts render the
+    /// failed workloads as absent.
+    pub casualties: Vec<String>,
+}
+
+impl Sweep {
+    /// Run every workload of the paper once on each of `machines`, each
+    /// (machine, workload) pair on a fresh GPU, over `jobs` worker threads.
+    /// The results do not depend on `jobs`. A failed run never stops the
+    /// sweep: it is warned about on stderr and recorded in
+    /// [`Sweep::casualties`].
+    pub fn run(base: &GpuConfig, machines: &[Machine], tiny: bool, jobs: usize) -> Sweep {
+        let workloads: fn() -> Vec<Box<dyn Workload>> =
+            if tiny { tiny_workloads } else { all_workloads };
+        let configs: Vec<GpuConfig> = machines.iter().map(|m| m.configure(base)).collect();
+        let pairs: Vec<(usize, Box<dyn Workload>)> = (0..machines.len())
+            .flat_map(|m| workloads().into_iter().map(move |w| (m, w)))
+            .collect();
+        let labels: Vec<(usize, &'static str)> =
+            pairs.iter().map(|(m, w)| (*m, w.name())).collect();
+        let outcomes =
+            gcl_exec::parallel_map(jobs, pairs, |(m, w)| run_one(w.as_ref(), &configs[m]));
+        let mut sweep = Sweep {
+            base: base.clone(),
+            runs: machines.iter().map(|m| (*m, Vec::new())).collect(),
+            casualties: Vec::new(),
+        };
+        for (outcome, (m, name)) in outcomes.into_iter().zip(labels) {
+            let failure = match outcome {
+                Ok(Ok(result)) => {
+                    sweep.runs[m].1.push(result);
+                    continue;
+                }
+                Ok(Err(e)) => e.to_string(),
+                Err(panic) => format!("workload panicked: {panic}"),
+            };
+            let line = format!("{name} on {:?}: {failure}", machines[m]);
+            eprintln!("warning: {line}; omitted from every artifact");
+            sweep.casualties.push(line);
+        }
+        sweep
+    }
+
+    /// The completed runs on `machine`, in Table I order.
+    ///
+    /// # Panics
+    ///
+    /// When the sweep did not run `machine`: the artifact reading it did
+    /// not declare it.
+    pub fn on(&self, machine: Machine) -> &[BenchResult] {
+        let run = self.runs.iter().find(|(m, _)| *m == machine);
+        &run.unwrap_or_else(|| panic!("the sweep did not run {machine:?}"))
+            .1
+    }
+
+    /// `Err` naming every casualty, once the survivors have been rendered.
+    pub fn verdict(&self) -> Result<(), String> {
+        if self.casualties.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "{} run(s) of the sweep failed and are missing from the artifacts:\n  {}",
+            self.casualties.len(),
+            self.casualties.join("\n  ")
+        ))
+    }
 }
 
 /// Run a single workload on a fresh GPU with `cfg`.
@@ -171,89 +159,29 @@ pub fn completed(runs: &[BenchRun]) -> Vec<BenchResult> {
 pub fn run_one(w: &dyn Workload, cfg: &GpuConfig) -> Result<BenchResult, SimError> {
     let mut gpu = Gpu::new(cfg.clone())?;
     let run = w.run(&mut gpu)?;
-    let static_loads = run
-        .kernels
-        .iter()
-        .map(|k| gcl_core::classify(k).global_load_counts())
-        .fold((0, 0), |acc, (d, n)| (acc.0 + d, acc.1 + n));
     Ok(BenchResult {
         name: w.name(),
         category: w.category(),
         stats: run.stats,
         total_ctas: run.total_ctas,
         threads_per_cta: run.threads_per_cta,
-        static_loads,
         kernels: run.kernels,
         blocks: gpu.block_summary(),
         distance_hist: gpu.distance_histogram(),
     })
 }
 
-/// The benchmark names in Table I order.
-pub fn names(results: &[BenchResult]) -> Vec<&'static str> {
-    results.iter().map(|r| r.name).collect()
-}
-
-/// Write a JSON artifact under `results/` (best effort; prints the path).
-pub fn save_json(id: &str, json: &str) {
+/// Write `results/<id>.json`, creating `results/` when absent.
+///
+/// # Errors
+///
+/// Names the path that could not be created or written, and why.
+pub fn save_json(id: &str, json: &str) -> Result<(), String> {
     let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{id}.json"));
-        if std::fs::write(&path, json).is_ok() {
-            eprintln!("(wrote {})", path.display());
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{parse_scale_args, BenchArgs, Scale};
-
-    fn args(list: &'static [&'static str]) -> impl Iterator<Item = String> {
-        list.iter().map(|s| s.to_string())
-    }
-
-    #[test]
-    fn tiny_flag_jobs_and_workload_parse() {
-        assert_eq!(
-            parse_scale_args(args(&[]), false).unwrap(),
-            BenchArgs {
-                scale: Scale::Full,
-                workload: None,
-                jobs: 1
-            }
-        );
-        assert_eq!(
-            parse_scale_args(args(&["--tiny", "--jobs", "4"]), false).unwrap(),
-            BenchArgs {
-                scale: Scale::Tiny,
-                workload: None,
-                jobs: 4
-            }
-        );
-        assert_eq!(
-            parse_scale_args(args(&["bfs", "--tiny"]), true).unwrap(),
-            BenchArgs {
-                scale: Scale::Tiny,
-                workload: Some("bfs".to_string()),
-                jobs: 1
-            }
-        );
-    }
-
-    /// Unknown flags, stray positionals and bad --jobs values are rejected,
-    /// not ignored.
-    #[test]
-    fn unknown_arguments_rejected() {
-        let err = parse_scale_args(args(&["--huge"]), false).unwrap_err();
-        assert!(err.contains("unknown option `--huge`"), "{err}");
-        let err = parse_scale_args(args(&["bfs"]), false).unwrap_err();
-        assert!(err.contains("unexpected argument `bfs`"), "{err}");
-        let err = parse_scale_args(args(&["bfs", "sssp"]), true).unwrap_err();
-        assert!(err.contains("unexpected argument `sssp`"), "{err}");
-        let err = parse_scale_args(args(&["--jobs", "0"]), false).unwrap_err();
-        assert!(err.contains("--jobs"), "{err}");
-        let err = parse_scale_args(args(&["--jobs"]), false).unwrap_err();
-        assert!(err.contains("--jobs needs a value"), "{err}");
-    }
+    let path = dir.join(format!("{id}.json"));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("(wrote {})", path.display());
+    Ok(())
 }

@@ -1,20 +1,22 @@
-//! # gcl-figures — harnesses regenerating the paper's evaluation
+//! # gcl-figures — the paper's evaluation, read off one sweep
 //!
-//! One binary per table/figure of *"Revealing Critical Loads and Hidden
-//! Data Locality in GPGPU Applications"* (IISWC 2015), plus the Section X
-//! ablations:
+//! Every table and figure of *"Revealing Critical Loads and Hidden Data
+//! Locality in GPGPU Applications"* (IISWC 2015) and the three Section X
+//! suggestions, built as ablations, behind one command:
 //!
 //! ```text
-//! cargo run --release -p gcl-figures --bin table1
-//! cargo run --release -p gcl-figures --bin fig1     # ... fig12
-//! cargo run --release -p gcl-figures --bin ablation_cta_sched
-//! cargo run --release -p gcl-figures --bin ablation_semiglobal_l2
-//! cargo run --release -p gcl-figures --bin ablation_warp_split
-//! cargo run --release -p gcl-figures --bin summary
+//! gcl figures all                    # everything, 7 machines x 15 workloads
+//! gcl figures fig7 --tiny            # one artifact, fast smoke scale
+//! gcl figures critical_loads:spmv    # the one artifact about one workload
+//! gcl figures ablation_prefetch --jobs 4
 //! ```
 //!
-//! Pass `--tiny` to any binary for a fast smoke run. Each binary prints its
-//! table and writes a JSON artifact under `results/`.
+//! [`driver::ARTIFACTS`] names each artifact, the [`harness::Machine`]s it
+//! reads and the pure function ([`figures`], [`ablation`]) that draws it.
+//! The command runs each (machine, workload) pair the requested artifacts
+//! need exactly once ([`harness::Sweep`]), prints every drawing and writes
+//! its JSON under `results/`. A run that fails is left out of the drawings
+//! and fails the command after the survivors are written.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

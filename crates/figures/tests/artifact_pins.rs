@@ -14,73 +14,22 @@
 //! and the failure names both files; copying the actual file over the
 //! golden accepts the change.
 
-use gcl_figures::harness::{completed, run_all, Scale};
-use gcl_figures::{ablation, figures};
+use gcl_figures::driver::{draw, plan, select};
+use gcl_figures::harness::Sweep;
 use gcl_sim::GpuConfig;
-use gcl_workloads::Category;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
 /// Every `(file stem under results/, JSON text)` pair of a tiny run.
 fn artifacts() -> Vec<(String, String)> {
-    let cfg = GpuConfig::fermi();
-    let latency = cfg.unloaded_miss_latency();
-    let results = completed(&run_all(&cfg, Scale::Tiny, 2));
-    let mut out = vec![
-        ("fig1".to_string(), figures::fig1(&results).to_json()),
-        ("fig2".to_string(), figures::fig2(&results).to_json()),
-        ("fig3".to_string(), figures::fig3(&results).to_json()),
-        ("fig4".to_string(), figures::fig4(&results).to_json()),
-        (
-            "fig5".to_string(),
-            figures::fig5(&results, latency).to_json(),
-        ),
-        (
-            "fig6".to_string(),
-            figures::fig6(&results, &["bfs", "sssp", "spmv"]).to_json(),
-        ),
-        (
-            "fig7".to_string(),
-            figures::fig7(&results, "bfs", latency).to_json(),
-        ),
-        ("fig8".to_string(), figures::fig8(&results).to_json()),
-        ("fig9".to_string(), figures::fig9(&results).to_json()),
-        ("fig10".to_string(), figures::fig10(&results).to_json()),
-        ("fig11".to_string(), figures::fig11(&results).to_json()),
-        ("table1".to_string(), figures::table1(&results).to_json()),
-        (
-            "critical_loads_bfs".to_string(),
-            figures::critical_loads(&results, "bfs").to_json(),
-        ),
-    ];
-    for (panel, category) in [
-        ("a", Category::Linear),
-        ("b", Category::Image),
-        ("c", Category::Graph),
-    ] {
-        out.push((
-            format!("fig12{panel}"),
-            figures::fig12(&results, category).to_json(),
-        ));
-    }
-    out.push((
-        "ablation_cta_sched".to_string(),
-        ablation::cta_sched(Scale::Tiny, 2).to_json(),
-    ));
-    out.push((
-        "ablation_semiglobal_l2".to_string(),
-        ablation::semiglobal_l2(Scale::Tiny, 2).to_json(),
-    ));
-    out.push((
-        "ablation_warp_split".to_string(),
-        ablation::warp_split(Scale::Tiny, 4, 2).to_json(),
-    ));
-    out.push((
-        "ablation_prefetch".to_string(),
-        ablation::prefetch(Scale::Tiny, 2).to_json(),
-    ));
-    out
+    let all = select("all").expect("`all` selects");
+    let sweep = Sweep::run(&GpuConfig::fermi(), &plan(&all), true, 2);
+    sweep.verdict().expect("every tiny run completes");
+    let files = draw(&all, &sweep).into_iter();
+    files
+        .filter_map(|(stem, drawn)| Some((stem, drawn.json?)))
+        .collect()
 }
 
 fn golden_dir() -> std::path::PathBuf {

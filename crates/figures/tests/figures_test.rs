@@ -4,9 +4,9 @@
 
 use gcl_core::LoadClass;
 use gcl_figures::figures;
-use gcl_figures::harness::{completed, run_all, BenchResult, Scale};
+use gcl_figures::harness::{BenchResult, Machine, Sweep};
 use gcl_sim::{BlockSummary, GpuConfig, LaunchStats, PcKey};
-use gcl_workloads::Category;
+use gcl_workloads::{tiny_workloads, Category};
 
 fn fake_result(name: &'static str, category: Category) -> BenchResult {
     let mut stats = LaunchStats {
@@ -45,7 +45,6 @@ fn fake_result(name: &'static str, category: Category) -> BenchResult {
         stats,
         total_ctas: 16,
         threads_per_cta: 128,
-        static_loads: (3, 2),
         kernels: Vec::new(),
         blocks: BlockSummary {
             blocks: 100,
@@ -190,37 +189,39 @@ fn tiny_harness_feeds_every_builder() {
     let cfg = GpuConfig::small();
     // Exercise the parallel sweep path: results must be Table I-ordered
     // and complete exactly as in a serial run.
-    let runs = run_all(&cfg, Scale::Tiny, 4);
-    assert_eq!(runs.len(), 15);
-    let results = completed(&runs);
+    let sweep = Sweep::run(&cfg, &[Machine::Fermi], true, 4);
+    let results = sweep.on(Machine::Fermi);
     assert_eq!(results.len(), 15, "every tiny workload completes");
-    let t = figures::table1(&results);
+    let names: Vec<&str> = results.iter().map(|r| r.name).collect();
+    let table1: Vec<&str> = tiny_workloads().iter().map(|w| w.name()).collect();
+    assert_eq!(names, table1);
+    let t = figures::table1(results);
     assert_eq!(t.rows.len(), 15);
     for f in [
-        figures::fig1(&results),
-        figures::fig2(&results),
-        figures::fig3(&results),
-        figures::fig4(&results),
-        figures::fig8(&results),
-        figures::fig9(&results),
-        figures::fig10(&results),
-        figures::fig11(&results),
+        figures::fig1(results),
+        figures::fig2(results),
+        figures::fig3(results),
+        figures::fig4(results),
+        figures::fig8(results),
+        figures::fig9(results),
+        figures::fig10(results),
+        figures::fig11(results),
     ] {
         assert_eq!(f.labels.len(), 15, "{}", f.id);
         assert!(!f.series.is_empty(), "{}", f.id);
     }
-    let f5 = figures::fig5(&results, cfg.unloaded_miss_latency());
+    let f5 = figures::fig5(results, cfg.unloaded_miss_latency());
     assert_eq!(f5.labels.len(), 30);
-    let f6 = figures::fig6(&results, &["bfs", "sssp", "spmv"]);
+    let f6 = figures::fig6(results, &["bfs", "sssp", "spmv"]);
     assert!(f6.series.len() >= 4);
-    let f7 = figures::fig7(&results, "bfs", cfg.unloaded_miss_latency());
+    let f7 = figures::fig7(results, "bfs", cfg.unloaded_miss_latency());
     assert_eq!(f7.series.len(), 4);
     for cat in [Category::Linear, Category::Image, Category::Graph] {
-        let f12 = figures::fig12(&results, cat);
+        let f12 = figures::fig12(results, cat);
         assert_eq!(f12.series.len(), 5);
     }
     // Real kernels flowed through: the static columns are populated.
-    let cl = figures::critical_loads(&results, "spmv");
+    let cl = figures::critical_loads(results, "spmv");
     assert!(!cl.rows.is_empty());
     assert!(
         cl.rows
@@ -233,5 +234,44 @@ fn tiny_harness_feeds_every_builder() {
             .iter()
             .any(|r| matches!(&r[8], gcl_stats::Cell::Text(t) if t == "coalesced")),
         "no coalescing prediction in {cl}"
+    );
+}
+
+/// A run that fails mid-sweep is left out of every drawing — the survivors
+/// still render, an ablation keeps only the workloads that completed on
+/// every machine it reads — and the sweep's verdict names each casualty.
+#[test]
+fn a_starved_sweep_draws_the_survivors_and_names_the_casualties() {
+    let mut starved = GpuConfig::fermi();
+    starved.max_cycles = 600;
+    let machines = [Machine::Fermi, Machine::ClusteredCta];
+    let sweep = Sweep::run(&starved, &machines, true, 2);
+    let survivors: Vec<&str> = sweep.on(Machine::Fermi).iter().map(|r| r.name).collect();
+    assert!(!survivors.is_empty(), "600 cycles finish the short kernels");
+    assert!(survivors.len() < 15, "600 cycles starve the long ones");
+    assert_eq!(figures::fig1(sweep.on(Machine::Fermi)).labels, survivors);
+
+    let table =
+        gcl_figures::ablation::cta_sched(sweep.on(Machine::Fermi), sweep.on(Machine::ClusteredCta));
+    let clustered = sweep.on(Machine::ClusteredCta);
+    let on_both = survivors
+        .iter()
+        .filter(|name| clustered.iter().any(|r| r.name == **name));
+    assert_eq!(table.rows.len(), on_both.count());
+
+    let ran = sweep.on(Machine::Fermi).len() + sweep.on(Machine::ClusteredCta).len();
+    assert_eq!(ran + sweep.casualties.len(), 30);
+    let verdict = sweep.verdict().unwrap_err();
+    for w in tiny_workloads() {
+        let casualty = format!("{} on Fermi: ", w.name());
+        assert_eq!(
+            verdict.contains(&casualty),
+            !survivors.contains(&w.name()),
+            "{verdict}"
+        );
+    }
+    assert!(
+        verdict.contains("did not finish within 600 cycles"),
+        "{verdict}"
     );
 }

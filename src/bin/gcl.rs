@@ -135,6 +135,11 @@ static SUITE: Command = Command {
         Flag::taking("--fleet", "HOST:PORT"),
     ],
 };
+static FIGURES: Command = Command {
+    name: "figures",
+    positional: Some("<id|all>"),
+    flags: &[Flag::switch("--tiny"), Flag::taking("--jobs", "N")],
+};
 static SERVE: Command = Command {
     name: "serve",
     positional: None,
@@ -216,6 +221,7 @@ const COMMANDS: &[(&Command, Handler)] = &[
     (&TRACE, cmd_trace),
     (&REPLAY, cmd_replay),
     (&SUITE, cmd_suite),
+    (&FIGURES, cmd_figures),
     (&SERVE, cmd_serve),
     (&COORDINATE, cmd_coordinate),
     (&LOADGEN, cmd_loadgen),
@@ -325,6 +331,16 @@ containers under results/traces (or --traces DIR) instead of functionally
 executing the workloads; a benchmark whose container is absent or
 mismatched fails structurally — replay never silently falls back to
 execution.
+`figures` regenerates the paper's evaluation: `table1`, `fig1` … `fig12`,
+`critical_loads` (of `bfs`, or `critical_loads:WORKLOAD`), `summary`, the
+Section X ablations `ablation_cta_sched`, `ablation_semiglobal_l2`,
+`ablation_warp_split`, `ablation_prefetch`, or `all` of them. It simulates
+each workload once on each machine the requested artifacts read — the
+Fermi baseline, plus one variant per ablation column; 7 machines for `all`
+— prints every artifact and writes its JSON to results/<id>.json. --jobs N
+fans the sweep out over N threads without changing a byte. A run that
+fails is left out of the artifacts, which are still written, and the
+command then exits nonzero naming it.
 `serve` runs the same job engine as a daemon — a coordinator (below) with
 one in-process worker of --jobs slots: clients connect over TCP and speak
 newline-delimited JSON — {\"op\":\"submit\",\"workload\":\"bfs\",
@@ -909,10 +925,7 @@ fn cmd_suite(args: &[String]) -> Result<(), CliError> {
     let no_cache = a.has("--no-cache");
     let force_fail = a.value("--force-fail");
     let retries = a.int("--retries")?.unwrap_or(0);
-    let jobs = a.int("--jobs")?.unwrap_or(1);
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".into());
-    }
+    let jobs = jobs_flag(&a)?;
     let fleet = a.value("--fleet");
     let traces_dir = a.value("--traces");
     if fleet.is_some()
@@ -1404,6 +1417,24 @@ fn run_fleet_suite(
         .into_iter()
         .map(|r| r.expect("all settled"))
         .collect())
+}
+
+/// `--jobs N` of `suite` and `figures`: worker threads, 1 unless given.
+fn jobs_flag(a: &Args) -> Result<usize, String> {
+    match a.int("--jobs")?.unwrap_or(1) {
+        0 => Err("--jobs must be at least 1".into()),
+        jobs => Ok(jobs),
+    }
+}
+
+fn cmd_figures(args: &[String]) -> Result<(), CliError> {
+    let a = FIGURES.parse(args)?;
+    let jobs = jobs_flag(&a)?;
+    Ok(gcl_figures::driver::run(
+        a.required()?,
+        a.has("--tiny"),
+        jobs,
+    )?)
 }
 
 /// Shared reads of `gcl trace` / `gcl replay`: the job specs of the target

@@ -50,8 +50,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for larger programs and `crates/figures` for the harnesses
-//! that regenerate every table and figure of the paper.
+//! See `examples/` for larger programs; `gcl figures all` (`crates/figures`)
+//! regenerates every table and figure of the paper from one sweep.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -137,6 +137,73 @@ fn usage_errors_exit_one() {
     }
 }
 
+/// `gcl figures`: a bad operand or flag is a usage error that says what
+/// is valid, and an artifact that cannot be written fails the command
+/// naming the path instead of exiting 0 without the file.
+#[test]
+fn figures_usage_and_write_errors_exit_one() {
+    let out = gcl(&["figures", "fig99", "--tiny"]);
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(
+            "no figure or table named `fig99` (valid: all, table1, fig1, fig2, fig3, fig4, \
+             fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, critical_loads, summary, \
+             ablation_cta_sched, ablation_semiglobal_l2, ablation_warp_split, ablation_prefetch)"
+        ),
+        "{}",
+        stderr(&out)
+    );
+
+    for (args, says) in [
+        (&["figures"][..], "figures: missing <id|all>"),
+        (
+            &["figures", "fig3", "--huge"][..],
+            "figures: unknown option `--huge`",
+        ),
+        (
+            &["figures", "fig3", "bfs"][..],
+            "figures: unexpected argument `bfs`",
+        ),
+        (
+            &["figures", "fig3:bfs"][..],
+            "`fig3` is not about one workload",
+        ),
+        (
+            &["figures", "fig3", "--jobs", "0"][..],
+            "--jobs must be at least 1",
+        ),
+        (
+            &["figures", "fig3", "--jobs"][..],
+            "--jobs needs a value (N)",
+        ),
+        (
+            &["figures", "fig3", "--jobs", "many"][..],
+            "--jobs: bad integer `many`",
+        ),
+    ] {
+        let out = gcl(args);
+        assert_eq!(code(&out), 1, "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+    }
+
+    // `results` is a regular file: nothing can be written under it.
+    let dir = std::env::temp_dir().join(format!("gcl-cli-figures-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("results"), "in the way").expect("block results/");
+    let out = Command::new(env!("CARGO_BIN_EXE_gcl"))
+        .args(["figures", "fig3", "--tiny"])
+        .current_dir(&dir)
+        .output()
+        .expect("run gcl binary");
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("error: cannot write results/fig3.json: "),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn analyze_survives_grids_beyond_u64() {
     // Three u32 extents multiply to ~2^96 CTAs: a report, not an overflow

@@ -124,6 +124,7 @@ const SURFACE: &[(&str, &[&str])] = &[
             "--fleet+",
         ],
     ),
+    ("figures", &["--tiny", "--jobs+"]),
     (
         "serve",
         &[
@@ -206,7 +207,7 @@ fn help_lists_exactly_the_pinned_flags() {
         .collect();
     let pairs: usize = expected.values().map(BTreeMap::len).sum();
     assert_eq!(
-        pairs, 79,
+        pairs, 81,
         "the pin itself covers every (command, flag) pair"
     );
     let actual = surface(&help());
