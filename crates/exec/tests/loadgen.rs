@@ -38,6 +38,14 @@ fn spawn_worker(
     std::thread::spawn(move || run_worker(opts))
 }
 
+/// An object's keys, in document order.
+fn keys(v: &Json) -> Vec<&str> {
+    match v {
+        Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other}"),
+    }
+}
+
 fn series_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gcl-loadgen-{tag}-{}.json", std::process::id()))
 }
@@ -92,6 +100,41 @@ fn loadgen_produces_time_series_against_live_fleet() {
     assert_eq!(
         totals.get("accepted").and_then(Json::as_u64),
         Some(report.accepted)
+    );
+    // The document's shape is a contract with the scripts that read it.
+    assert_eq!(
+        keys(&doc),
+        [
+            "version",
+            "addr",
+            "submitters",
+            "duration_ms",
+            "think_ms",
+            "distinct",
+            "seed",
+            "workloads",
+            "samples",
+            "totals",
+        ]
+    );
+    assert_eq!(
+        keys(last),
+        [
+            "t_ms",
+            "submits",
+            "accepted",
+            "sheds",
+            "errors",
+            "finished",
+            "p50_us",
+            "p99_us",
+            "queue_depth",
+            "hit_rate",
+        ]
+    );
+    assert_eq!(
+        keys(totals),
+        ["submits", "accepted", "sheds", "errors", "finished", "p50_us", "p99_us"]
     );
     std::fs::remove_file(&out).ok();
 
