@@ -15,13 +15,21 @@
 //!   jittered backoff and resubmits, up to the configured attempt budget.
 //! * **Deadlines everywhere.** Reads and writes carry timeouts, so a
 //!   stalled server produces a structured error instead of a hung client.
+//!
+//! `ClosedLoop` is the one traffic driver on top of it, behind `gcl
+//! loadgen` and `gcl soak`: N submitters, each with a one-attempt
+//! `ServeClient`, think, submit and wait for the job in a closed loop.
 
+use crate::job::JobSpec;
 use crate::proto::{
-    error_text, result_frame, session_frame, submit_frame, Conn, FrameError, QUEUE_FULL,
+    error_text, parse_submit, result_frame, session_frame, submit_frame, Conn, FrameError,
+    QUEUE_FULL,
 };
 use gcl_rng::{backoff::Backoff, Rng};
-use gcl_stats::Json;
-use std::collections::VecDeque;
+use gcl_stats::{Histogram, Json};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a [`ServeClient`] connects and retries.
@@ -114,14 +122,19 @@ impl ServeClient {
     }
 
     fn link(opts: ClientOptions, stream: Stream) -> Result<ServeClient, String> {
-        let mut client = ServeClient {
+        let mut client = ServeClient::unlinked(opts, stream);
+        client.ensure_conn()?;
+        Ok(client)
+    }
+
+    /// A client that dials on its first request.
+    fn unlinked(opts: ClientOptions, stream: Stream) -> ServeClient {
+        ServeClient {
             rng: Rng::new(opts.seed),
             opts,
             conn: None,
             stream,
-        };
-        client.ensure_conn()?;
-        Ok(client)
+        }
     }
 
     /// Sleep the jittered backoff before retry number `attempt`.
@@ -457,4 +470,224 @@ impl SessionClient {
     pub fn result(&mut self, id: u64) -> Result<Json, String> {
         self.client.result(id)
     }
+}
+
+/// Weyl-sequence increment: submitter `i` seeds its jitter with
+/// `seed ^ i·GOLDEN`.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// What a [`ClosedLoop`] run did: live while it runs, final after.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Submit round trips attempted.
+    pub submits: u64,
+    /// Submits the server accepted.
+    pub accepted: u64,
+    /// Structured shed responses (queue full / inflight cap).
+    pub sheds: u64,
+    /// Failed dials, round trips and polls, and rejections other than sheds.
+    pub errors: u64,
+    /// Acked jobs seen reaching `done` or `failed`.
+    pub finished: u64,
+    /// Submit round-trip latency, microseconds.
+    pub submit_us: Histogram,
+    /// Every acked job id, with the spec the server built for it.
+    pub acked: HashMap<u64, JobSpec>,
+}
+
+/// Closed-loop traffic against one server or coordinator: the submitter
+/// loop of `gcl loadgen` and `gcl soak`.
+///
+/// Each submitter thinks (seeded jitter around `think_ms`, cut short when
+/// the run stops), submits one spec drawn from `specs` × `distinct`
+/// cache-key variants, records the round trip, then polls `result` until
+/// the job is terminal before thinking again, so offered load self-limits
+/// to what the server absorbs. Every request goes through a
+/// [`ServeClient`] with `retries: 0`: one attempt, so a failure is counted
+/// and never retried away, and a dead connection is redialled before the
+/// next submit, outside its timed round trip.
+#[derive(Debug)]
+pub(crate) struct ClosedLoop {
+    addr: String,
+    submitters: usize,
+    think_ms: u64,
+    seed: u64,
+    distinct: u64,
+    specs: Vec<JobSpec>,
+}
+
+impl ClosedLoop {
+    /// The specs a `submit` of each of `workloads` names, built and checked
+    /// exactly as the server's `submit` verb builds them.
+    ///
+    /// # Errors
+    ///
+    /// The first unknown workload, named.
+    pub(crate) fn specs(
+        workloads: &[String],
+        tiny: bool,
+        sanitize: bool,
+    ) -> Result<Vec<JobSpec>, String> {
+        let spec = |w: &String| parse_submit(&submit_frame(w, tiny, sanitize, None, None));
+        workloads.iter().map(spec).collect()
+    }
+
+    /// `submitters` loops against `addr`, each submit one of `specs` in one
+    /// of `distinct` variants (variant v > 0 adds v to `max_cycles`: the
+    /// same simulation under another cache key).
+    ///
+    /// # Errors
+    ///
+    /// No submitter, or no spec.
+    pub(crate) fn new(
+        addr: &str,
+        submitters: usize,
+        think_ms: u64,
+        seed: u64,
+        distinct: usize,
+        specs: Vec<JobSpec>,
+    ) -> Result<ClosedLoop, String> {
+        if submitters == 0 {
+            return Err("at least one submitter is needed (--submitters 1)".to_string());
+        }
+        if specs.is_empty() {
+            return Err("at least one workload is needed (--workloads)".to_string());
+        }
+        Ok(ClosedLoop {
+            addr: addr.to_string(),
+            submitters,
+            think_ms,
+            seed,
+            distinct: (distinct as u64).max(1),
+            specs,
+        })
+    }
+
+    /// Run the submitters while `body` runs on the calling thread with the
+    /// live tally; they stop when it returns.
+    pub(crate) fn run<R>(&self, body: impl FnOnce(&Mutex<Tally>) -> R) -> (Tally, R) {
+        let tally = Mutex::new(Tally::default());
+        let stop = AtomicBool::new(false);
+        let out = std::thread::scope(|scope| {
+            for idx in 0..self.submitters {
+                let (tally, stop) = (&tally, &stop);
+                // Submitters are shallow (no simulation runs locally), so a
+                // small stack keeps thousands of them cheap.
+                std::thread::Builder::new()
+                    .stack_size(256 * 1024)
+                    .name(format!("submitter-{idx}"))
+                    .spawn_scoped(scope, move || self.submitter(idx, tally, stop))
+                    .expect("spawn submitter");
+            }
+            let out = body(&tally);
+            stop.store(true, Ordering::SeqCst);
+            out
+        });
+        (tally.into_inner().expect("tally poisoned"), out)
+    }
+
+    fn submitter(&self, idx: usize, tally: &Mutex<Tally>, stop: &AtomicBool) {
+        let seed = self.seed ^ (idx as u64).wrapping_mul(GOLDEN);
+        let mut rng = Rng::new(seed);
+        let opts = ClientOptions {
+            addr: self.addr.clone(),
+            retries: 0,
+            seed,
+            response_timeout_ms: 10_000,
+            // Result payloads carry full wire-encoded stats.
+            max_frame: 4 * 1024 * 1024,
+            ..ClientOptions::default()
+        };
+        let mut client = ServeClient::unlinked(opts, Stream::default());
+        let lock = || tally.lock().expect("tally poisoned");
+        let (half, jitter) = (self.think_ms / 2, self.think_ms.max(1).saturating_add(1));
+        // Think first so N fresh submitters do not arrive as one herd.
+        while nap(stop, half.saturating_add(rng.u64_below(jitter))) {
+            if client.ensure_conn().is_err() {
+                lock().errors += 1;
+                nap(stop, 20 + rng.u64_below(80));
+                continue;
+            }
+            let v = rng.u64_below(self.distinct);
+            let spec = variant(rng.pick(&self.specs), v);
+            let max_cycles = (v > 0).then_some(spec.cfg.max_cycles);
+            let request = submit_frame(
+                &spec.workload,
+                spec.tiny,
+                spec.cfg.sanitize,
+                max_cycles,
+                None,
+            );
+            let t0 = Instant::now();
+            let response = client.call(&request);
+            let rtt_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            let id = {
+                let mut t = lock();
+                t.submits += 1;
+                t.submit_us.add(rtt_us);
+                let flag = |r: &Json, name| matches!(r.get(name), Some(Json::Bool(true)));
+                match &response {
+                    Ok(r) if flag(r, "ok") => {
+                        t.accepted += 1;
+                        let id = r.get("id").and_then(Json::as_u64);
+                        if let Some(id) = id {
+                            t.acked.insert(id, spec);
+                        }
+                        id
+                    }
+                    Ok(r) if flag(r, "shed") => {
+                        t.sheds += 1;
+                        None
+                    }
+                    _ => {
+                        t.errors += 1;
+                        None
+                    }
+                }
+            };
+            // Closed loop: the acked job is terminal before the next think.
+            let Some(id) = id else { continue };
+            while !stop.load(Ordering::SeqCst) {
+                let polled = client.result(id);
+                match polled
+                    .as_ref()
+                    .map(|r| r.get("state").and_then(Json::as_str))
+                {
+                    Ok(Some("done" | "failed")) => {
+                        lock().finished += 1;
+                        break;
+                    }
+                    Ok(_) => {
+                        nap(stop, 5 + rng.u64_below(20));
+                    }
+                    Err(_) => {
+                        lock().errors += 1;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Variant `v` of `base`: `max_cycles` nudged by `v` (variant 0 is `base`),
+/// the same simulation under another cache key.
+pub(crate) fn variant(base: &JobSpec, v: u64) -> JobSpec {
+    let mut spec = base.clone();
+    spec.cfg.max_cycles = spec.cfg.max_cycles.saturating_add(v);
+    spec
+}
+
+/// Sleep `ms` in short slices, returning early once `stop` is raised; true
+/// when the whole sleep ran.
+fn nap(stop: &AtomicBool, ms: u64) -> bool {
+    let (start, span) = (Instant::now(), Duration::from_millis(ms));
+    while !stop.load(Ordering::SeqCst) {
+        let left = span.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            return true;
+        }
+        std::thread::sleep(left.min(Duration::from_millis(20)));
+    }
+    false
 }

@@ -32,6 +32,10 @@
 //!   frame-size cap on every connection, and a graceful drain on shutdown.
 //!   [`ServeClient`] is the matching resilient client: reconnect-and-replay
 //!   on transport failure, jittered-backoff retry on `queue full`.
+//!   `client::ClosedLoop` is the one traffic driver built on it: N
+//!   submitters, each thinking, submitting through a one-attempt
+//!   `ServeClient` and waiting for its job — [`loadgen`] samples it,
+//!   [`soak`] runs chaos beside it.
 //! * **Fleet** ([`fleet`]): `gcl coordinate` is the one daemon, run as a
 //!   fault-tolerant fleet — workers join with `gcl serve --join`, the
 //!   coordinator shards jobs by content-addressed cache key, supervises
@@ -40,13 +44,14 @@
 //!   table, which answers every resubmit of its spec, clients can
 //!   stream progress over resumable sessions ([`SessionClient`]), and
 //!   [`loadgen`] measures the whole stack under thousands of concurrent
-//!   submitters. [`FleetInject`] is the chaos layer that proves every
-//!   failure mode is detected and recovered. The coordinator journals
-//!   every state transition to a checksummed write-ahead log
-//!   ([`fleet::Journal`]) and replays it on `--recover`, re-joining
-//!   workers re-announce the leases they still hold, and [`soak`] is
-//!   the long-haul harness that `kill -9`s the whole fleet — coordinator
-//!   included — while proving no acknowledged job is ever lost.
+//!   closed-loop submitters. [`FleetInject`] is the chaos layer that
+//!   proves every failure mode is detected and recovered. The
+//!   coordinator journals every state transition to a checksummed
+//!   write-ahead log ([`fleet::Journal`]) and replays it on `--recover`,
+//!   re-joining workers re-announce the leases they still hold, and
+//!   [`soak`] is the long-haul harness that `kill -9`s the whole fleet —
+//!   coordinator included — under the same closed loop while proving no
+//!   acknowledged job is ever lost.
 //! * **Arguments** ([`args`]): the one flag-table parser behind every
 //!   `gcl` subcommand. It lives here because this crate owns the option
 //!   structs the flags fill ([`ServeOptions`], [`CoordinatorOptions`],
@@ -81,7 +86,7 @@ pub use fleet::{
     DECOMMISSIONED, LEASE_EXPIRED, WORKER_DEAD,
 };
 pub use job::{run_job, run_job_from, ExecError, JobOutput, JobResult, JobSpec, SpecFingerprint};
-pub use loadgen::{read_series, run_loadgen, LoadgenOptions, LoadgenReport};
+pub use loadgen::{run_loadgen, LoadgenOptions, LoadgenReport};
 pub use pool::{backoff_ms, parallel_map, run_pool, JobEvent, PoolConfig};
 pub use proto::{FrameError, FrameReader, ServeError, MAX_FRAME, QUEUE_FULL};
 pub use serve::{ServeOptions, Server};

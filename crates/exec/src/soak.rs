@@ -4,7 +4,7 @@
 //! The harness owns the whole fleet as child processes: it spawns a
 //! journaled coordinator (`gcl coordinate --journal … --recover`) and N
 //! rejoin-capable workers (`gcl serve --join … --rejoin`), drives them
-//! with closed-ish loadgen-style submitter threads, and — with `--chaos`
+//! with loadgen's closed loop (`client::ClosedLoop`), and — with `--chaos`
 //! — runs a seeded chaos schedule that `kill -9`s and respawns workers
 //! *and the coordinator itself* mid-sweep. Because the children are real
 //! processes killed with real signals, this exercises exactly the failure
@@ -21,20 +21,20 @@
 //!
 //! The report also carries how many submits each path served — fresh
 //! simulations versus joins of a live or finished job — read from the
-//! final `status`.
+//! final `status`. A window that acked nothing audited nothing, and fails.
+//!
+//! Readiness, the audit, that `status` and the final `shutdown` go through
+//! one retrying [`ServeClient`] that rides out coordinator restarts.
 
+use crate::client::{ClientOptions, ClosedLoop, ServeClient};
 use crate::job::{run_job, JobSpec};
-use crate::loadgen::{dial, GOLDEN};
-use crate::proto::{error_text, result_frame, submit_frame, Conn};
+use crate::proto::error_text;
 use gcl_rng::Rng;
-use gcl_sim::GpuConfig;
 use gcl_stats::Json;
-use std::collections::{HashMap, HashSet};
-use std::net::{TcpListener, TcpStream};
+use std::collections::hash_map::{Entry, HashMap};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a soak run is shaped.
@@ -119,78 +119,6 @@ pub struct SoakReport {
     pub resumed: u64,
 }
 
-/// One distinct spec the soak traffic cycles through.
-struct Variant {
-    workload: String,
-    max_cycles: Option<u64>,
-}
-
-impl Variant {
-    fn spec(&self) -> JobSpec {
-        let mut cfg = GpuConfig::small();
-        cfg.sanitize = true;
-        if let Some(mc) = self.max_cycles {
-            cfg.max_cycles = mc;
-        }
-        JobSpec::new(&self.workload, true, cfg)
-    }
-
-    fn submit_request(&self) -> Json {
-        submit_frame(&self.workload, true, true, self.max_cycles, None)
-    }
-}
-
-fn variants(opts: &SoakOptions) -> Vec<Variant> {
-    // Variant 0 is the stock tiny config; the rest nudge max_cycles off
-    // the default to mint distinct fingerprints, loadgen-style.
-    let base = GpuConfig::small().max_cycles;
-    let mut out = Vec::new();
-    for w in &opts.workloads {
-        for v in 0..opts.distinct.max(1) as u64 {
-            out.push(Variant {
-                workload: w.clone(),
-                max_cycles: (v > 0).then_some(base + v),
-            });
-        }
-    }
-    out
-}
-
-/// Round-trip with redial: the soak client's whole job is to outlive
-/// coordinator restarts, so a dead connection is redialed until
-/// `deadline`, not reported.
-fn call_resilient(
-    line: &mut Option<Conn>,
-    addr: &str,
-    request: &Json,
-    deadline: Instant,
-) -> Result<Json, String> {
-    let mut last = String::new();
-    loop {
-        if Instant::now() >= deadline {
-            return Err(format!("coordinator unreachable: {last}"));
-        }
-        if line.is_none() {
-            match dial(addr) {
-                Ok(l) => *line = Some(l),
-                Err(e) => {
-                    last = format!("cannot connect to {addr}: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                    continue;
-                }
-            }
-        }
-        let reply_by = Instant::now() + Duration::from_secs(10);
-        match line.as_mut().expect("dialed").request(request, reply_by) {
-            Ok(r) => return Ok(r),
-            Err(e) => {
-                last = e.to_string();
-                *line = None;
-            }
-        }
-    }
-}
-
 fn resolve_bin(opts: &SoakOptions) -> Result<PathBuf, String> {
     match &opts.gcl_bin {
         Some(p) => Ok(p.clone()),
@@ -263,57 +191,6 @@ fn spawn_worker(
         .map_err(|e| format!("cannot spawn worker {idx}: {e}"))
 }
 
-fn wait_listening(addr: &str, budget: Duration) -> Result<(), String> {
-    let deadline = Instant::now() + budget;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(_) => return Ok(()),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("coordinator never listened on {addr}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-fn submitter_loop(
-    idx: usize,
-    addr: &str,
-    opts: &SoakOptions,
-    specs: &[Variant],
-    acked: &Mutex<HashMap<u64, usize>>,
-    submits: &AtomicU64,
-    stop: &AtomicBool,
-) {
-    let mut rng = Rng::new(opts.seed ^ (idx as u64).wrapping_mul(GOLDEN));
-    let mut line: Option<Conn> = None;
-    while !stop.load(Ordering::SeqCst) {
-        let think = opts.think_ms / 2 + u64::from(rng.u32_below(opts.think_ms.max(1) as u32 + 1));
-        std::thread::sleep(Duration::from_millis(think));
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let which = rng.u32_below(specs.len() as u32) as usize;
-        let request = specs[which].submit_request();
-        submits.fetch_add(1, Ordering::SeqCst);
-        // Each submit gets a few seconds to land; a coordinator mid-kill
-        // shows up as redials inside call_resilient, and a submit that
-        // never acks this round is simply retried as fresh traffic (the
-        // coordinator dedups by key, so retries cannot double-run).
-        let deadline = Instant::now() + Duration::from_millis(5_000);
-        match call_resilient(&mut line, addr, &request, deadline) {
-            Ok(r) if matches!(r.get("ok"), Some(Json::Bool(true))) => {
-                if let Some(id) = r.get("id").and_then(Json::as_u64) {
-                    acked.lock().expect("ledger poisoned").insert(id, which);
-                }
-            }
-            Ok(_) | Err(_) => {}
-        }
-    }
-}
-
 /// The chaos director's view of the fleet's children.
 struct Fleet {
     coordinator: Child,
@@ -352,13 +229,72 @@ fn write_report(opts: &SoakOptions, report: &SoakReport) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", opts.out.display()))
 }
 
+/// Drain and audit: every acked id must reach `done` with the payload a
+/// local serial run of its spec produces. Then read which path served the
+/// traffic from the final `status` and ask the fleet to shut down; `admin`
+/// is dropped on return, which lets the drained coordinator exit.
+fn audit(
+    mut admin: ServeClient,
+    acked: HashMap<u64, JobSpec>,
+    report: &mut SoakReport,
+) -> Result<(), String> {
+    let mut ledger: Vec<(u64, JobSpec)> = acked.into_iter().collect();
+    ledger.sort_unstable_by_key(|&(id, _)| id);
+    report.acked = ledger.len() as u64;
+    // A generous budget for the recovered fleet to finish everything it
+    // ever acked.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    // Serial ground truth, one local run per distinct cache key.
+    let mut serial: HashMap<u64, String> = HashMap::new();
+    for (id, spec) in &ledger {
+        let key = spec.fingerprint().map_err(|e| e.to_string())?.key();
+        if let Entry::Vacant(slot) = serial.entry(key) {
+            let out = run_job(spec, None)
+                .outcome
+                .map_err(|e| format!("serial ground-truth run failed: {e}"))?;
+            slot.insert(crate::fleet::encode_stats_payload(&out.stats).0);
+        }
+        let r = admin
+            .wait(*id, deadline.saturating_duration_since(Instant::now()))
+            .map_err(|e| format!("acknowledged job {id} was lost or never finished: {e}"))?;
+        if r.get("state").and_then(Json::as_str) == Some("failed") {
+            return Err(format!("acknowledged job {id} failed: {}", error_text(&r)));
+        }
+        let hex = r.get("stats").and_then(Json::as_str).unwrap_or("");
+        let want = &serial[&key];
+        if hex != want {
+            return Err(format!(
+                "job {id} ({}) diverged from serial: fleet payload {} bytes, serial {} bytes",
+                spec.workload,
+                hex.len() / 2,
+                want.len() / 2,
+            ));
+        }
+        report.audited += 1;
+    }
+    // Every key that got a serial run matched it, or the loop returned.
+    report.digest_matches = serial.len() as u64;
+
+    // Which path served the traffic, while the coordinator still runs.
+    let status = admin.status()?;
+    let cache = status.get("cache");
+    let counter = |name| cache.and_then(|c| c.get(name)?.as_u64()).unwrap_or(0);
+    report.sims = counter("sims");
+    report.dedup_hits = counter("dedup_hits");
+    report.resumed = counter("resumed");
+    // Graceful drain so the children exit on their own.
+    let _ = admin.shutdown();
+    Ok(())
+}
+
 /// Run one soak session: spawn the fleet, drive traffic (optionally under
 /// chaos), then drain and audit the durability invariants.
 ///
 /// # Errors
 ///
-/// A human-readable message when an invariant is violated (lost
-/// acknowledged job, serial divergence) or the fleet cannot be spawned.
+/// A human-readable message when the options are inconsistent (an unknown
+/// workload among them), the fleet cannot be spawned, nothing was acked,
+/// or an invariant is violated (lost acknowledged job, serial divergence).
 pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
     if opts.workers == 0 {
         return Err("soak needs at least one worker (--workers 1)".to_string());
@@ -366,11 +302,17 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
     if opts.duration_ms == 0 {
         return Err("soak needs a positive duration (--duration-ms)".to_string());
     }
-    if opts.workloads.is_empty() {
-        return Err("soak needs at least one workload".to_string());
-    }
     let bin = resolve_bin(opts)?;
     let addr = pick_addr(opts)?;
+    let specs = ClosedLoop::specs(&opts.workloads, true, true)?;
+    let traffic = ClosedLoop::new(
+        &addr,
+        opts.submitters,
+        opts.think_ms,
+        opts.seed,
+        opts.distinct,
+        specs,
+    )?;
     if let Some(dir) = opts.journal.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)
@@ -381,178 +323,73 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
     // previous run would make "zero lost acked jobs" unfalsifiable.
     let _ = std::fs::remove_file(&opts.journal);
 
-    let specs = variants(opts);
     let mut fleet = Fleet {
         coordinator: spawn_coordinator(&bin, &addr, opts)?,
         workers: Vec::new(),
     };
-    if let Err(e) = wait_listening(&addr, Duration::from_secs(10)) {
-        fleet.kill_all();
-        return Err(e);
-    }
-    for idx in 0..opts.workers {
-        match spawn_worker(&bin, &addr, idx, opts) {
-            Ok(w) => fleet.workers.push(w),
-            Err(e) => {
-                fleet.kill_all();
-                return Err(e);
-            }
+    // One retrying client outlives every coordinator restart: it waits
+    // here for the first listener (~11 s of backoff) and drives the audit.
+    let admin = ServeClient::connect(ClientOptions {
+        addr: addr.clone(),
+        retries: 12,
+        seed: opts.seed,
+        response_timeout_ms: 10_000,
+        max_frame: 4 * 1024 * 1024,
+        ..ClientOptions::default()
+    })
+    .and_then(|admin| {
+        for idx in 0..opts.workers {
+            fleet.workers.push(spawn_worker(&bin, &addr, idx, opts)?);
         }
-    }
+        Ok(admin)
+    });
+    let admin = match admin {
+        Ok(admin) => admin,
+        Err(e) => {
+            fleet.kill_all();
+            return Err(e);
+        }
+    };
 
-    // Traffic window: submitters in scoped threads, the chaos director on
-    // the main thread.
-    let acked: Mutex<HashMap<u64, usize>> = Mutex::new(HashMap::new());
-    let submits = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
+    // Traffic window: the submitters on their threads, the chaos director
+    // on this one.
     let mut report = SoakReport::default();
     let started = Instant::now();
     let deadline = started + Duration::from_millis(opts.duration_ms);
-    let mut chaos_rng = Rng::new(opts.seed ^ GOLDEN);
-    let mut next_worker_kill = (opts.chaos && opts.kill_worker_ms > 0)
-        .then(|| started + Duration::from_millis(opts.kill_worker_ms));
-    let mut next_coord_kill = (opts.chaos && opts.kill_coordinator_ms > 0)
-        .then(|| started + Duration::from_millis(opts.kill_coordinator_ms));
-    let spawn_err: Mutex<Option<String>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for idx in 0..opts.submitters.max(1) {
-            let (acked, submits, stop, addr, specs) = (&acked, &submits, &stop, &addr, &specs[..]);
-            scope.spawn(move || submitter_loop(idx, addr, opts, specs, acked, submits, stop));
-        }
+    // A stream no submitter draws (submitter i seeds with seed ^ i·GOLDEN).
+    let mut chaos_rng = Rng::new(!opts.seed);
+    let first = |ms: u64| (opts.chaos && ms > 0).then(|| started + Duration::from_millis(ms));
+    let mut next_worker_kill = first(opts.kill_worker_ms);
+    let mut next_coord_kill = first(opts.kill_coordinator_ms);
+    let (tally, directed) = traffic.run(|_| -> Result<(), String> {
         while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(100));
-            if let Some(t) = next_worker_kill {
-                if Instant::now() >= t {
-                    next_worker_kill = Some(t + Duration::from_millis(opts.kill_worker_ms));
-                    let victim = chaos_rng.u32_below(fleet.workers.len() as u32) as usize;
-                    let _ = fleet.workers[victim].kill();
-                    let _ = fleet.workers[victim].wait();
-                    report.worker_kills += 1;
-                    match spawn_worker(&bin, &addr, victim, opts) {
-                        Ok(w) => fleet.workers[victim] = w,
-                        Err(e) => {
-                            *spawn_err.lock().expect("spawn_err poisoned") = Some(e);
-                            break;
-                        }
-                    }
-                }
+            if let Some(t) = next_worker_kill.filter(|&t| Instant::now() >= t) {
+                next_worker_kill = Some(t + Duration::from_millis(opts.kill_worker_ms));
+                let victim = chaos_rng.usize_below(fleet.workers.len());
+                let _ = fleet.workers[victim].kill();
+                let _ = fleet.workers[victim].wait();
+                report.worker_kills += 1;
+                fleet.workers[victim] = spawn_worker(&bin, &addr, victim, opts)?;
             }
-            if let Some(t) = next_coord_kill {
-                if Instant::now() >= t {
-                    next_coord_kill = Some(t + Duration::from_millis(opts.kill_coordinator_ms));
-                    // The point of the whole exercise: SIGKILL, no
-                    // goodbye, then a --recover respawn on the same
-                    // journal.
-                    let _ = fleet.coordinator.kill();
-                    let _ = fleet.coordinator.wait();
-                    report.coordinator_kills += 1;
-                    match spawn_coordinator(&bin, &addr, opts) {
-                        Ok(c) => fleet.coordinator = c,
-                        Err(e) => {
-                            *spawn_err.lock().expect("spawn_err poisoned") = Some(e);
-                            break;
-                        }
-                    }
-                }
+            if let Some(t) = next_coord_kill.filter(|&t| Instant::now() >= t) {
+                next_coord_kill = Some(t + Duration::from_millis(opts.kill_coordinator_ms));
+                // The point of the whole exercise: SIGKILL, no goodbye,
+                // then a --recover respawn on the same journal.
+                let _ = fleet.coordinator.kill();
+                let _ = fleet.coordinator.wait();
+                report.coordinator_kills += 1;
+                fleet.coordinator = spawn_coordinator(&bin, &addr, opts)?;
             }
         }
-        stop.store(true, Ordering::SeqCst);
+        Ok(())
     });
-    if let Some(e) = spawn_err.lock().expect("spawn_err poisoned").take() {
+    if let Err(e) = directed {
         fleet.kill_all();
         return Err(e);
     }
-    report.submits = submits.load(Ordering::SeqCst);
-
-    // Audit phase. Give the recovered fleet a generous budget to finish
-    // everything it ever acked.
-    let audit = (|| -> Result<(), String> {
-        let ledger: Vec<(u64, usize)> = {
-            let a = acked.lock().expect("ledger poisoned");
-            let mut v: Vec<(u64, usize)> = a.iter().map(|(&id, &w)| (id, w)).collect();
-            v.sort_unstable();
-            v
-        };
-        report.acked = ledger.len() as u64;
-        let mut line: Option<Conn> = None;
-        let audit_deadline = Instant::now() + Duration::from_secs(120);
-
-        // Serial ground truth, one local run per distinct spec.
-        let mut serial: HashMap<usize, String> = HashMap::new();
-        for &(_, which) in &ledger {
-            if serial.contains_key(&which) {
-                continue;
-            }
-            let result = run_job(&specs[which].spec(), None);
-            match result.outcome {
-                Ok(out) => {
-                    let (hex, _) = crate::fleet::encode_stats_payload(&out.stats);
-                    serial.insert(which, hex);
-                }
-                Err(e) => return Err(format!("serial ground-truth run failed: {e}")),
-            }
-        }
-
-        let mut matched: HashSet<usize> = HashSet::new();
-        for &(id, which) in &ledger {
-            let poll = result_frame(id);
-            loop {
-                let r = call_resilient(&mut line, &addr, &poll, audit_deadline)?;
-                match r.get("state").and_then(Json::as_str) {
-                    Some("done") => {
-                        let hex = r.get("stats").and_then(Json::as_str).unwrap_or("");
-                        let want = serial.get(&which).map(String::as_str).unwrap_or("?");
-                        if hex != want {
-                            return Err(format!(
-                                "job {id} ({}) diverged from serial: fleet payload {} bytes, \
-                                 serial {} bytes",
-                                specs[which].workload,
-                                hex.len() / 2,
-                                want.len() / 2,
-                            ));
-                        }
-                        matched.insert(which);
-                        report.audited += 1;
-                        break;
-                    }
-                    Some("failed") => {
-                        let err = error_text(&r);
-                        return Err(format!("acknowledged job {id} failed: {err}"));
-                    }
-                    None if matches!(r.get("ok"), Some(Json::Bool(false))) => {
-                        let err = error_text(&r);
-                        return Err(format!("acknowledged job {id} was lost: {err}"));
-                    }
-                    _ => {
-                        if Instant::now() >= audit_deadline {
-                            return Err(format!("acknowledged job {id} never finished"));
-                        }
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                }
-            }
-        }
-        report.digest_matches = matched.len() as u64;
-
-        // Which path served the traffic, while the coordinator still runs.
-        let status = Json::obj(vec![("op", Json::Str("status".into()))]);
-        let s = call_resilient(&mut line, &addr, &status, audit_deadline)?;
-        let cache = s.get("cache");
-        let counter = |name| cache.and_then(|c| c.get(name)?.as_u64()).unwrap_or(0);
-        report.sims = counter("sims");
-        report.dedup_hits = counter("dedup_hits");
-        report.resumed = counter("resumed");
-
-        // Graceful drain so the children exit on their own.
-        let shutdown = Json::obj(vec![("op", Json::Str("shutdown".into()))]);
-        let _ = call_resilient(
-            &mut line,
-            &addr,
-            &shutdown,
-            Instant::now() + Duration::from_secs(10),
-        );
-        Ok(())
-    })();
+    report.submits = tally.submits;
+    let audited = audit(admin, tally.acked, &mut report);
 
     // Reap the fleet whether the audit passed or not.
     let reap_deadline = Instant::now() + Duration::from_secs(15);
@@ -563,7 +400,13 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
         std::thread::sleep(Duration::from_millis(100));
     }
     fleet.kill_all();
-    audit?;
+    audited?;
+    if report.acked == 0 {
+        return Err(format!(
+            "no submit was acked in {} ms: the soak audited nothing",
+            opts.duration_ms
+        ));
+    }
     write_report(opts, &report)?;
     Ok(report)
 }
@@ -571,6 +414,9 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::variant;
+    use gcl_sim::GpuConfig;
+    use std::collections::HashSet;
 
     #[test]
     fn options_are_validated() {
@@ -585,21 +431,30 @@ mod tests {
         opts.duration_ms = 100;
         opts.workloads.clear();
         assert!(run_soak(&opts).unwrap_err().contains("workload"));
+        opts.workloads = vec!["nope".to_string()];
+        let err = run_soak(&opts).unwrap_err();
+        assert!(err.contains("no workload named `nope`"), "{err}");
+        opts.workloads = vec!["bfs".to_string()];
+        opts.submitters = 0;
+        assert!(run_soak(&opts).unwrap_err().contains("submitter"));
     }
 
     #[test]
     fn variants_mint_distinct_specs() {
-        let opts = SoakOptions {
-            workloads: vec!["bfs".to_string(), "spmv".to_string()],
-            distinct: 3,
-            ..SoakOptions::default()
-        };
-        let vs = variants(&opts);
-        assert_eq!(vs.len(), 6);
-        let keys: HashSet<u64> = vs
-            .iter()
-            .map(|v| v.spec().fingerprint().expect("fingerprint").key())
-            .collect();
+        // The keys the soak has always minted: small() + sanitize, with
+        // max_cycles nudged by the variant.
+        let opts = SoakOptions::default();
+        let mut keys = HashSet::new();
+        for spec in ClosedLoop::specs(&opts.workloads, true, true).unwrap() {
+            for v in 0..opts.distinct as u64 {
+                let mut cfg = GpuConfig::small();
+                cfg.sanitize = true;
+                cfg.max_cycles += v;
+                let minted = variant(&spec, v);
+                assert_eq!(minted, JobSpec::new(&spec.workload, true, cfg));
+                keys.insert(minted.fingerprint().expect("fingerprint").key());
+            }
+        }
         assert_eq!(keys.len(), 6, "every variant must be a distinct cache key");
     }
 }

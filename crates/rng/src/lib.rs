@@ -119,6 +119,16 @@ impl Rng {
         lo + self.u32_below(span + 1)
     }
 
+    /// Uniform `u64` in `[0, bound)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` is zero.
+    pub fn u64_below(&mut self, bound: u64) -> u64 {
+        assert!(bound > 0, "u64_below(0)");
+        self.next_u64() % bound
+    }
+
     /// Uniform `usize` in `[0, bound)`.
     ///
     /// # Panics

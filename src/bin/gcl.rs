@@ -373,12 +373,15 @@ worker-side chaos layer (drop-heartbeat, stall=MS, kill-after=N,
 corrupt=N, partition-after=MS) used by the fault-tolerance tests and CI
 game days.
 `loadgen` drives a serve daemon or coordinator with N concurrent
-closed-loop submitters (seeded think-time jitter) and writes a periodic
+closed-loop submitters (each thinks with seeded jitter, cut short when
+the run ends, submits once and waits for its job) and writes a periodic
 JSON time series — p50/p99 submit latency, queue depth, cache-hit rate,
 shed and error counts — under results/load/. Sheds are data, not
 failures: an overloaded coordinator answers structured
 {\"ok\":false,\"shed\":true} responses (per-session inflight cap, queue
-cap) instead of stalling.
+cap) instead of stalling. Every failed dial, submit or poll is counted
+as an error, never retried away. Both commands check --workloads names
+before they send or spawn anything.
 `coordinate --journal PATH` appends every job-table transition and session
 attach/detach to a checksummed write-ahead journal (fsync-batched, compacted into a snapshot record once it outgrows
 --journal-compact-bytes); `--recover` replays the journal on startup —
@@ -392,13 +395,14 @@ its coordinator instead of exiting.
 The destructive chaos verb (decommission) is refused unless the
 coordinator runs with --chaos-verbs.
 `soak` is the long-haul proof: it spawns a journaled coordinator and N
-rejoin-capable workers as child processes, drives them with submitter
-threads, and with --chaos runs a seeded schedule that kill -9s workers
+rejoin-capable workers as child processes, drives them with loadgen's
+closed loop, and with --chaos runs a seeded schedule that kill -9s workers
 and the coordinator itself (respawned with --recover) mid-sweep; it then
 audits that every acknowledged job reached `done` and that every result is
 byte-identical to a serial run, and reports how many submits were served
 by a simulation and how many by joining an existing job, writing a JSON
-report under results/soak/.
+report under results/soak/. A window that acked nothing audited nothing
+and exits 1.
 `serve` and `coordinate` exit 2 when the address cannot be bound (or the
 worker cannot reach its coordinator) and 3 on a protocol failure after
 startup, so supervisors can tell configuration from runtime faults; an

@@ -126,6 +126,62 @@ fn usage_errors_exit_one() {
         "`--journal --recover` must not journal to a file named --recover"
     );
 
+    // The traffic commands check workload names and the submitter count
+    // before they spawn or send anything, and a soak that acked nothing
+    // audited nothing: it fails without a report.
+    let dir = std::env::temp_dir().join(format!("gcl-cli-traffic-{}", std::process::id()));
+    let (journal, report) = (dir.join("soak.journal"), dir.join("soak.json"));
+    let (journal, report) = (
+        journal.to_str().expect("utf8"),
+        report.to_str().expect("utf8"),
+    );
+    for (args, says) in [
+        (
+            &[
+                "loadgen",
+                "--addr",
+                "127.0.0.1:9",
+                "--workloads",
+                "bfs,nope",
+            ][..],
+            "no workload named `nope`",
+        ),
+        (
+            &["soak", "--workloads", "nope"][..],
+            "no workload named `nope`",
+        ),
+        (&["soak", "--submitters", "0"][..], "at least one submitter"),
+        (
+            &["loadgen", "--submitters", "0"][..],
+            "at least one submitter",
+        ),
+        (
+            &[
+                "soak",
+                "--workers",
+                "1",
+                "--duration-ms",
+                "300",
+                "--think-ms",
+                "60000",
+                "--journal",
+                journal,
+                "--out",
+                report,
+            ][..],
+            "no submit was acked in 300 ms",
+        ),
+    ] {
+        let out = gcl(args);
+        assert_eq!(code(&out), 1, "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+    }
+    assert!(
+        !std::path::Path::new(report).exists(),
+        "no report for a failed soak"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
     // The operand may stand anywhere among the flags.
     for args in [
         &["classify", "--json", k][..],
@@ -201,6 +257,37 @@ fn figures_usage_and_write_errors_exit_one() {
         "{}",
         stderr(&out)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Think times and key-variant counts are drawn in u64: at 2^32 and
+/// beyond, loadgen against an unreachable target runs its window and
+/// exits 0 (a think longer than the window is cut short by its end)
+/// instead of panicking with exit 101.
+#[test]
+fn traffic_flags_beyond_u32_exit_zero() {
+    let dir = std::env::temp_dir().join(format!("gcl-cli-u32-{}", std::process::id()));
+    let series = dir.join("series.json");
+    let series = series.to_str().expect("utf8 path");
+    for (flag, value) in [("--think-ms", "4294967295"), ("--distinct", "4294967296")] {
+        let args = [
+            "loadgen",
+            "--addr",
+            "127.0.0.1:9",
+            "--submitters",
+            "2",
+            "--duration-ms",
+            "300",
+            flag,
+            value,
+            "--out",
+            series,
+        ];
+        let t0 = Instant::now();
+        let out = gcl(&args);
+        assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
+        assert!(t0.elapsed() < Duration::from_secs(10), "{args:?} overran");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
