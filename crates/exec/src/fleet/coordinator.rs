@@ -95,7 +95,8 @@ pub struct CoordinatorOptions {
     /// by default: a production coordinator sheds it with a structured
     /// error.
     pub chaos_verbs: bool,
-    /// Journal size that triggers compaction into a snapshot record.
+    /// Journal size that triggers compaction: the live table rewritten as
+    /// records, again only once the file has doubled since.
     pub journal_compact_bytes: u64,
 }
 
@@ -191,7 +192,7 @@ impl Coordinator {
         let listener = TcpListener::bind(&opts.addr)
             .map_err(|e| ServeError::Bind(format!("cannot bind {}: {e}", opts.addr)))?;
         if let Some(rec) = recovered {
-            fleet.restore(rec, Instant::now() + RECOVER_GRACE);
+            fleet.recover(rec, Instant::now() + RECOVER_GRACE);
         }
         let shared = Arc::new(CoordShared {
             state: Mutex::new(fleet),
@@ -395,7 +396,7 @@ fn dispatch(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
         let Some(job) = fleet.jobs.map.get(&id) else {
             continue;
         };
-        if !matches!(job.state, FleetJobState::Queued) {
+        if !matches!(job.state, FleetJobState::Queued { .. }) {
             continue;
         }
         // Recovery grace: leave held jobs alone until the deadline so a
@@ -585,7 +586,7 @@ fn handle_inventory(frame: &Json, idx: usize, shared: &CoordShared) {
     let deadline = Instant::now() + Duration::from_millis(shared.opts.lease_ms);
     let mut resumed = 0u64;
     for id in running.iter().filter_map(Json::as_u64) {
-        let queued = |j: &FleetJob| matches!(j.state, FleetJobState::Queued);
+        let queued = |j: &FleetJob| matches!(j.state, FleetJobState::Queued { .. });
         if fleet.jobs.map.get(&id).is_some_and(queued) {
             fleet.lease(id, idx, true, deadline);
             resumed += 1;
@@ -936,7 +937,7 @@ fn handle_result(request: &Json, fleet: &Fleet) -> Json {
     };
     let mut fields = vec![("ok", Json::Bool(true)), ("id", Json::UInt(id))];
     match &job.state {
-        FleetJobState::Queued => fields.push(("state", Json::Str("queued".into()))),
+        FleetJobState::Queued { .. } => fields.push(("state", Json::Str("queued".into()))),
         FleetJobState::Leased { .. } => fields.push(("state", Json::Str("running".into()))),
         FleetJobState::Failed(msg) => {
             fields.push(("state", Json::Str("failed".into())));

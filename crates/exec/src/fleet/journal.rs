@@ -1,24 +1,27 @@
-//! Write-ahead journal for the fleet coordinator.
+//! Write-ahead journal for the fleet coordinator: a record log and
+//! nothing more.
 //!
-//! `gcl coordinate --journal PATH` appends one checksummed record per
+//! `gcl coordinate --journal PATH` appends one checksummed [`Record`] per
 //! job-table transition (submit / lease / done / failed / reclaim) and
 //! session attach/detach, so a coordinator killed at an arbitrary instant
 //! can be restarted with `--recover` and resume the sweep with zero lost
-//! acknowledged jobs. The format reuses
-//! the checkpoint wire codec ([`gcl_mem::Enc`]/[`gcl_mem::Dec`]): the file
-//! opens with an 8-byte magic and a little-endian `u16` version, then
-//! carries one [`gcl_mem::wire`] section (`length | payload | FNV`) per
-//! record.
+//! acknowledged jobs. The format reuses the checkpoint wire codec
+//! ([`gcl_mem::Enc`]/[`gcl_mem::Dec`]): the file opens with an 8-byte
+//! magic and a little-endian `u16` version, then carries one
+//! [`gcl_mem::wire`] section (`length | payload | FNV`) per record.
 //!
+//! This module frames, checks and truncates; what a record *means* is
+//! `state.rs`'s business alone (`Fleet::replay` is the one fold).
 //! Appends are fsync-batched: the coordinator calls [`Journal::sync`] once
 //! per supervisor tick (and before acknowledging a submit), not per
-//! record. Replay tolerates a torn tail — a record cut short by the crash,
-//! or one whose checksum no longer folds — by truncating the file back to
-//! the last valid record and recovering the clean prefix; only a foreign
-//! magic or an unknown format version is unrecoverable (the operator
-//! pointed the coordinator at the wrong file). Periodic compaction
-//! rewrites the journal as a single [`Record::Snapshot`] so it stays
-//! bounded no matter how long the fleet runs.
+//! record. [`Journal::open_recover`] tolerates a torn tail — a record cut
+//! short by the crash, or one whose checksum no longer folds — by
+//! truncating the file back to the last valid record and returning the
+//! clean prefix; only a foreign magic or an unknown format version is
+//! unrecoverable (the operator pointed the coordinator at the wrong
+//! file). [`Journal::compact`] replaces the file with the records the
+//! coordinator hands it (the live table, rewritten as ordinary records),
+//! so it stays bounded no matter how long the fleet runs.
 
 use gcl_mem::{write_section, Dec, Enc, WireError};
 use std::fs::{File, OpenOptions};
@@ -28,12 +31,12 @@ use std::path::{Path, PathBuf};
 /// The journal's opening magic: file format identity, checked verbatim.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"gcljrnl\n";
 
-/// Current journal format version, written after the magic. Version 1
-/// files can hold records this build has no decoder for (tags 8 and 10,
-/// below) and a wider snapshot; refusing the version keeps replay from
-/// mistaking the first such record for a torn tail and truncating every
-/// acknowledged job behind it.
-pub const JOURNAL_VERSION: u16 = 2;
+/// Current journal format version, written after the magic. Older files
+/// can hold records this build has no decoder for — tags 8 and 10 in
+/// version 1, the tag 11 snapshot a version 2 compaction wrote; refusing
+/// the version keeps replay from mistaking the first such record for a
+/// torn tail and truncating every acknowledged job behind it.
+pub const JOURNAL_VERSION: u16 = 3;
 
 /// Magic plus version: every journal starts with exactly these bytes.
 const HEADER_LEN: u64 = 10;
@@ -189,279 +192,29 @@ pub enum Record {
         /// Amount added.
         delta: u64,
     },
-    /// A compaction checkpoint: complete coordinator state at a point in
-    /// time. Replay restarts from the latest one.
-    Snapshot(SnapState),
-}
-
-/// Terminal-or-queued state of one job inside a snapshot / recovery.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapJobState {
-    /// Not finished: requeue on recovery.
-    Queued {
-        /// A worker may still hold this job (lease journaled, no reclaim
-        /// or done seen). Recovery holds it briefly so a re-joining
-        /// worker's inventory can resume the lease instead of re-running.
-        was_leased: bool,
+    /// A session's event watermark, written by compaction and recovery:
+    /// replay *sets* the session's next sequence number to `next_seq`.
+    SessionSeq {
+        /// Session id.
+        session: String,
+        /// The session's next event sequence number.
+        next_seq: u64,
     },
-    /// Finished successfully; the payload is the wire-encoded stats.
-    Done {
-        /// Served from the worker's result cache.
-        cached: bool,
-        /// Producing simulation's wall ms.
-        wall_ms: f64,
-        /// Lease-holder wall ms.
-        worker_wall_ms: f64,
-        /// Producing worker.
-        worker: String,
-        /// Wire-encoded `LaunchStats`.
-        payload: Vec<u8>,
-    },
-    /// Failed terminally with this message.
-    Failed(String),
 }
 
-/// One job in a snapshot / recovered state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapJob {
-    /// Job id.
-    pub id: u64,
-    /// Content-addressed cache key.
-    pub key: u64,
-    /// Workload name.
-    pub workload: String,
-    /// Tiny input scale.
-    pub tiny: bool,
-    /// Sanitizer on.
-    pub sanitize: bool,
-    /// Explicit cycle budget, when one was submitted.
-    pub max_cycles: Option<u64>,
-    /// Sessions subscribed to this job.
-    pub sessions: Vec<String>,
-    /// Where the job stands.
-    pub state: SnapJobState,
-}
-
-/// Counter totals inside a snapshot / recovered state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapCounters {
-    /// Fresh simulations run.
-    pub sims: u64,
-    /// Deduplicated submits.
-    pub dedup_hits: u64,
-    /// Structured sheds.
-    pub sheds: u64,
-    /// Leases resumed from inventory.
-    pub resumed: u64,
-}
-
-impl SnapCounters {
-    pub(super) fn bump(&mut self, c: JCounter, delta: u64) {
-        let slot = match c {
-            JCounter::DedupHits => &mut self.dedup_hits,
-            JCounter::Sheds => &mut self.sheds,
-            JCounter::Resumed => &mut self.resumed,
-        };
-        *slot = slot.saturating_add(delta);
-    }
-}
-
-/// One streaming session inside a snapshot / recovered state.
-///
-/// `events` counts (an upper bound on) the sequenced events the
-/// pre-crash coordinator delivered to this session. Recovery restarts
-/// the session's sequence numbering *at* this count, so a client whose
-/// replay cursor points anywhere into the lost in-memory log re-attaches
-/// cleanly: everything the recovered coordinator emits carries a `seq`
-/// at or past any cursor the client could hold. Over-counting only costs
-/// a `truncated` flag on re-attach; under-counting would make clients
-/// skip events, so the bookkeeping rounds up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapSession {
-    /// Session id (`s-N`).
-    pub id: String,
-    /// Upper bound on sequenced events delivered pre-crash.
-    pub events: u64,
-}
-
-/// Complete durable coordinator state: what a snapshot holds and what
-/// replay produces. Worker membership is deliberately absent — workers are
-/// ground truth and re-announce themselves (plus the jobs they are still
-/// running) when they rejoin.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SnapState {
-    /// Next job id to assign.
-    pub next_id: u64,
-    /// Every live-or-terminal job, in id order.
-    pub jobs: Vec<SnapJob>,
-    /// Next session number to assign.
-    pub session_next: u64,
-    /// Sessions that have been opened, with their event watermarks.
-    pub sessions: Vec<SnapSession>,
-    /// Counter totals.
-    pub counters: SnapCounters,
-}
-
-impl SnapState {
-    fn apply(&mut self, rec: Record) {
-        match rec {
-            Record::Submit {
-                id,
-                key,
-                workload,
-                tiny,
-                sanitize,
-                max_cycles,
-                session,
-            } => {
-                self.next_id = self.next_id.max(id);
-                let subscriber = session.clone();
-                self.jobs.push(SnapJob {
-                    id,
-                    key,
-                    workload,
-                    tiny,
-                    sanitize,
-                    max_cycles,
-                    sessions: session.into_iter().collect(),
-                    state: SnapJobState::Queued { was_leased: false },
-                });
-                // The subscriber saw one sequenced "queued" event.
-                if let Some(sid) = subscriber {
-                    self.bump_session(&sid, 1);
-                }
-            }
-            Record::Subscribe { id, session } => {
-                // A dedup join delivers a synthetic "queued" and, for an
-                // already-done job, a synthetic "done": count two (rounding
-                // up is safe, see [`SnapSession`]).
-                self.bump_session(&session, 2);
-                if let Some(j) = self.job_mut(id) {
-                    // An unfinished job lists a session once per join, as
-                    // the live table does: each later event reaches the
-                    // session that many times and the watermark must count
-                    // every one. A done job has nothing left to deliver, so
-                    // one listing (for the replay after recovery) is enough.
-                    let done = matches!(j.state, SnapJobState::Done { .. });
-                    if !done || !j.sessions.contains(&session) {
-                        j.sessions.push(session);
-                    }
-                }
-            }
-            Record::Lease { id, .. } => {
-                let subs = if let Some(j) = self.job_mut(id) {
-                    if matches!(j.state, SnapJobState::Queued { .. }) {
-                        j.state = SnapJobState::Queued { was_leased: true };
-                    }
-                    j.sessions.clone()
-                } else {
-                    Vec::new()
-                };
-                self.bump_each(&subs);
-            }
-            Record::Reclaim { id, .. } => {
-                let subs = if let Some(j) = self.job_mut(id) {
-                    if matches!(j.state, SnapJobState::Queued { .. }) {
-                        j.state = SnapJobState::Queued { was_leased: false };
-                    }
-                    j.sessions.clone()
-                } else {
-                    Vec::new()
-                };
-                self.bump_each(&subs);
-            }
-            Record::Done {
-                id,
-                cached,
-                wall_ms,
-                worker_wall_ms,
-                worker,
-                payload,
-            } => {
-                if !cached {
-                    self.counters.sims = self.counters.sims.saturating_add(1);
-                }
-                let subs = if let Some(j) = self.job_mut(id) {
-                    j.state = SnapJobState::Done {
-                        cached,
-                        wall_ms,
-                        worker_wall_ms,
-                        worker,
-                        payload,
-                    };
-                    j.sessions.clone()
-                } else {
-                    Vec::new()
-                };
-                self.bump_each(&subs);
-            }
-            Record::Failed { id, error } => {
-                let subs = if let Some(j) = self.job_mut(id) {
-                    j.state = SnapJobState::Failed(error);
-                    j.sessions.clone()
-                } else {
-                    Vec::new()
-                };
-                self.bump_each(&subs);
-            }
-            Record::SessionOpen { session } => {
-                if let Some(n) = session
-                    .strip_prefix("s-")
-                    .and_then(|d| d.parse::<u64>().ok())
-                {
-                    self.session_next = self.session_next.max(n);
-                }
-                if !self.sessions.iter().any(|s| s.id == session) {
-                    self.sessions.push(SnapSession {
-                        id: session,
-                        events: 0,
-                    });
-                }
-            }
-            // Sessions stay resumable after the client detaches; the
-            // record is an audit line, not a deletion.
-            Record::SessionDetach { .. } => {}
-            Record::Counter { counter, delta } => self.counters.bump(counter, delta),
-            Record::Snapshot(state) => *self = state,
-        }
-    }
-
-    fn job_mut(&mut self, id: u64) -> Option<&mut SnapJob> {
-        self.jobs.iter_mut().find(|j| j.id == id)
-    }
-
-    fn bump_session(&mut self, sid: &str, delta: u64) {
-        match self.sessions.iter_mut().find(|s| s.id == sid) {
-            Some(s) => s.events = s.events.saturating_add(delta),
-            // Subscription seen before its SessionOpen (torn prefix):
-            // materialize the session so the watermark still counts.
-            None => self.sessions.push(SnapSession {
-                id: sid.to_string(),
-                events: delta,
-            }),
-        }
-    }
-
-    fn bump_each(&mut self, sids: &[String]) {
-        for sid in sids {
-            self.bump_session(sid, 1);
-        }
-    }
-}
-
-/// What [`Journal::open_recover`] reconstructed.
-#[derive(Debug)]
-pub struct RecoveredState {
-    /// The folded state: latest snapshot plus every tail record.
-    pub state: SnapState,
+/// What [`Journal::open_recover`] read back.
+#[derive(Debug, Default)]
+pub struct Recovered {
+    /// The valid prefix's records, in file order.
+    pub log: Vec<Record>,
+    /// Records in the valid prefix.
+    pub records: u64,
     /// Whether a torn tail was truncated away.
     pub truncated: bool,
-    /// Records replayed (snapshot counts as one).
-    pub records: u64,
 }
 
-// Record tags are file format: 8 and 10 were version 1 records and stay
-// retired, so every surviving tag keeps its number.
+// Record tags are file format: 8 and 10 (version 1) and 11 (version 2's
+// snapshot) stay retired, so every surviving tag keeps its number.
 fn enc_record(rec: &Record) -> Vec<u8> {
     let mut e = Enc::new();
     match rec {
@@ -532,58 +285,13 @@ fn enc_record(rec: &Record) -> Vec<u8> {
             e.u8(counter.to_u8());
             e.u64(*delta);
         }
-        Record::Snapshot(state) => {
-            e.u8(11);
-            enc_snapshot(&mut e, state);
+        Record::SessionSeq { session, next_seq } => {
+            e.u8(12);
+            e.str(session);
+            e.u64(*next_seq);
         }
     }
     e.into_bytes()
-}
-
-fn enc_snapshot(e: &mut Enc, s: &SnapState) {
-    e.u64(s.next_id);
-    e.seq(&s.jobs, |e, j| {
-        e.u64(j.id);
-        e.u64(j.key);
-        e.str(&j.workload);
-        e.bool(j.tiny);
-        e.bool(j.sanitize);
-        e.opt(&j.max_cycles, |e, v| e.u64(*v));
-        e.seq(&j.sessions, |e, sid| e.str(sid));
-        match &j.state {
-            SnapJobState::Queued { was_leased } => {
-                e.u8(0);
-                e.bool(*was_leased);
-            }
-            SnapJobState::Done {
-                cached,
-                wall_ms,
-                worker_wall_ms,
-                worker,
-                payload,
-            } => {
-                e.u8(1);
-                e.bool(*cached);
-                e.f64(*wall_ms);
-                e.f64(*worker_wall_ms);
-                e.str(worker);
-                e.bytes(payload);
-            }
-            SnapJobState::Failed(msg) => {
-                e.u8(2);
-                e.str(msg);
-            }
-        }
-    });
-    e.u64(s.session_next);
-    e.seq(&s.sessions, |e, sess| {
-        e.str(&sess.id);
-        e.u64(sess.events);
-    });
-    let c = &s.counters;
-    for v in [c.sims, c.dedup_hits, c.sheds, c.resumed] {
-        e.u64(v);
-    }
 }
 
 fn dec_record(bytes: &[u8]) -> Result<Record, WireError> {
@@ -628,70 +336,16 @@ fn dec_record(bytes: &[u8]) -> Result<Record, WireError> {
             counter: JCounter::from_u8(d.u8()?)?,
             delta: d.u64()?,
         },
-        11 => Record::Snapshot(dec_snapshot(&mut d)?),
+        12 => Record::SessionSeq {
+            session: d.str()?,
+            next_seq: d.u64()?,
+        },
         _ => return Err(WireError::Malformed("record kind")),
     };
     if !d.is_done() {
         return Err(WireError::Malformed("trailing record bytes"));
     }
     Ok(rec)
-}
-
-fn dec_snapshot(d: &mut Dec) -> Result<SnapState, WireError> {
-    let next_id = d.u64()?;
-    let jobs = d.seq(|d| {
-        let id = d.u64()?;
-        let key = d.u64()?;
-        let workload = d.str()?;
-        let tiny = d.bool()?;
-        let sanitize = d.bool()?;
-        let max_cycles = d.opt(|d| d.u64())?;
-        let sessions = d.seq(|d| d.str())?;
-        let state = match d.u8()? {
-            0 => SnapJobState::Queued {
-                was_leased: d.bool()?,
-            },
-            1 => SnapJobState::Done {
-                cached: d.bool()?,
-                wall_ms: d.f64()?,
-                worker_wall_ms: d.f64()?,
-                worker: d.str()?,
-                payload: d.bytes()?.to_vec(),
-            },
-            2 => SnapJobState::Failed(d.str()?),
-            _ => return Err(WireError::Malformed("snapshot job state tag")),
-        };
-        Ok(SnapJob {
-            id,
-            key,
-            workload,
-            tiny,
-            sanitize,
-            max_cycles,
-            sessions,
-            state,
-        })
-    })?;
-    let session_next = d.u64()?;
-    let sessions = d.seq(|d| {
-        Ok(SnapSession {
-            id: d.str()?,
-            events: d.u64()?,
-        })
-    })?;
-    let counters = SnapCounters {
-        sims: d.u64()?,
-        dedup_hits: d.u64()?,
-        sheds: d.u64()?,
-        resumed: d.u64()?,
-    };
-    Ok(SnapState {
-        next_id,
-        jobs,
-        session_next,
-        sessions,
-        counters,
-    })
 }
 
 /// An open write-ahead journal.
@@ -701,6 +355,8 @@ pub struct Journal {
     file: File,
     len: u64,
     dirty: bool,
+    /// Size right after this handle's last compaction (0 before one).
+    compacted: u64,
 }
 
 impl Journal {
@@ -738,10 +394,11 @@ impl Journal {
             file,
             len: HEADER_LEN,
             dirty: false,
+            compacted: 0,
         })
     }
 
-    /// Open `path` and replay it. A missing (or torn-header) file becomes
+    /// Open `path` and read back its valid prefix. A missing (or torn-header) file becomes
     /// a fresh empty journal — `--recover` never refuses to start on a
     /// clean prefix, and "nothing yet" is the cleanest prefix there is. A
     /// torn tail is truncated back to the last valid record.
@@ -751,7 +408,11 @@ impl Journal {
     /// [`JournalError::Unrecoverable`] when the magic or version belongs
     /// to something other than this format, [`JournalError::Io`]
     /// otherwise.
-    pub fn open_recover(path: &Path) -> Result<(Journal, RecoveredState), JournalError> {
+    pub fn open_recover(path: &Path) -> Result<(Journal, Recovered), JournalError> {
+        let bad_magic = || JournalError::Unrecoverable {
+            path: path.to_path_buf(),
+            reason: "bad magic (not a gcl journal)".to_string(),
+        };
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -762,26 +423,17 @@ impl Journal {
             // the only valid prefix is empty — unless the bytes already
             // contradict the magic, in which case this is not our file.
             if !JOURNAL_MAGIC.starts_with(&bytes[..bytes.len().min(8)]) {
-                return Err(JournalError::Unrecoverable {
-                    path: path.to_path_buf(),
-                    reason: "bad magic (not a gcl journal)".to_string(),
-                });
+                return Err(bad_magic());
             }
-            let journal = Journal::create(path)?;
-            return Ok((
-                journal,
-                RecoveredState {
-                    state: SnapState::default(),
-                    truncated: !bytes.is_empty(),
-                    records: 0,
-                },
-            ));
+            let truncated = !bytes.is_empty();
+            let empty = Recovered {
+                truncated,
+                ..Recovered::default()
+            };
+            return Ok((Journal::create(path)?, empty));
         }
         if &bytes[..8] != JOURNAL_MAGIC {
-            return Err(JournalError::Unrecoverable {
-                path: path.to_path_buf(),
-                reason: "bad magic (not a gcl journal)".to_string(),
-            });
+            return Err(bad_magic());
         }
         let version = u16::from_le_bytes([bytes[8], bytes[9]]);
         if version != JOURNAL_VERSION {
@@ -790,9 +442,8 @@ impl Journal {
                 reason: format!("format version {version} (this build reads {JOURNAL_VERSION})"),
             });
         }
-        let mut state = SnapState::default();
+        let mut log = Vec::new();
         let mut valid = HEADER_LEN as usize;
-        let mut records = 0u64;
         // A torn or corrupt record ends the valid prefix just as clean
         // EOF does; everything past it is truncated below.
         let mut tail = Dec::new(&bytes[valid..]);
@@ -800,8 +451,7 @@ impl Journal {
             let Ok(rec) = tail.section().and_then(dec_record) else {
                 break;
             };
-            state.apply(rec);
-            records += 1;
+            log.push(rec);
             valid = bytes.len() - tail.remaining();
         }
         let truncated = valid as u64 != bytes.len() as u64;
@@ -823,11 +473,12 @@ impl Journal {
                 file,
                 len: valid as u64,
                 dirty: false,
+                compacted: 0,
             },
-            RecoveredState {
-                state,
+            Recovered {
+                records: log.len() as u64,
+                log,
                 truncated,
-                records,
             },
         ))
     }
@@ -868,43 +519,38 @@ impl Journal {
         Ok(())
     }
 
-    /// Compact: rewrite the journal as header + one snapshot record, via a
-    /// temp file and an atomic rename so a crash mid-compaction leaves the
-    /// old journal intact.
+    /// Replace the journal with header + `records`, via a temp file and
+    /// an atomic rename so a crash mid-compaction leaves the old journal
+    /// intact. Appends then go to the replacement's handle: the rename
+    /// keeps its inode, so nothing is reopened by path.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] when any step fails.
-    pub fn compact(&mut self, snap: &SnapState) -> Result<(), JournalError> {
+    /// [`JournalError::Io`] when any step fails; the journal then still
+    /// appends to the old file.
+    pub fn compact(&mut self, records: &[Record]) -> Result<(), JournalError> {
         let tmp = self.path.with_extension("journal.tmp");
-        {
-            let mut replacement = Journal::create(&tmp)?;
-            replacement.append(&Record::Snapshot(snap.clone()))?;
-            replacement.sync()?;
-        }
+        let mut replacement = Journal::create(&tmp)?;
+        records.iter().try_for_each(|rec| replacement.append(rec))?;
+        replacement.sync()?;
         std::fs::rename(&tmp, &self.path).map_err(|e| Journal::io(&self.path, e))?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| Journal::io(&self.path, e))?;
-        let len = file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| Journal::io(&self.path, e))?;
-        self.file = file;
-        self.len = len;
+        self.file = replacement.file;
+        self.len = replacement.len;
         self.dirty = false;
+        self.compacted = self.len;
         Ok(())
+    }
+
+    /// Whether the journal is over `threshold` *and* at least doubled since
+    /// this handle's last compaction: a compacted state that itself
+    /// outgrows the threshold must not be rewritten on every call.
+    pub fn due(&self, threshold: u64) -> bool {
+        self.len > threshold && self.len >= 2 * self.compacted
     }
 
     /// Current journal size in bytes (compaction trigger input).
     pub fn bytes(&self) -> u64 {
         self.len
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -951,54 +597,22 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn append_replay_round_trips() {
-        let path = tmp_path("roundtrip");
-        {
-            let mut j = Journal::create(&path).unwrap();
-            for r in sample_records() {
-                j.append(&r).unwrap();
-            }
-            j.sync().unwrap();
+    fn write(path: &Path, records: &[Record]) {
+        let mut j = Journal::create(path).unwrap();
+        for r in records {
+            j.append(r).unwrap();
         }
-        let (_, rec) = Journal::open_recover(&path).unwrap();
-        assert!(!rec.truncated);
-        assert_eq!(rec.records, 5);
-        let s = rec.state;
-        assert_eq!(s.next_id, 1);
-        assert_eq!(s.jobs.len(), 1);
-        assert!(matches!(s.jobs[0].state, SnapJobState::Done { .. }));
-        assert_eq!(s.jobs[0].sessions, vec!["s-1".to_string()]);
-        // SessionOpen, then 1 queued + 1 leased + 1 done for the one
-        // subscribed job: watermark 3.
-        assert_eq!(
-            s.sessions,
-            vec![SnapSession {
-                id: "s-1".to_string(),
-                events: 3,
-            }]
-        );
-        assert_eq!(s.counters.sims, 1);
-        assert_eq!(s.counters.dedup_hits, 1);
-        assert_eq!(s.session_next, 1);
-        std::fs::remove_file(&path).ok();
+        j.sync().unwrap();
     }
 
     #[test]
-    fn lease_without_done_recovers_as_was_leased() {
-        let path = tmp_path("leased");
-        {
-            let mut j = Journal::create(&path).unwrap();
-            for r in &sample_records()[..3] {
-                j.append(r).unwrap();
-            }
-            j.sync().unwrap();
-        }
+    fn append_replay_round_trips() {
+        let path = tmp_path("roundtrip");
+        write(&path, &sample_records());
         let (_, rec) = Journal::open_recover(&path).unwrap();
-        assert_eq!(
-            rec.state.jobs[0].state,
-            SnapJobState::Queued { was_leased: true }
-        );
+        assert!(!rec.truncated);
+        assert_eq!(rec.records, 5);
+        assert_eq!(rec.log, sample_records());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1030,32 +644,35 @@ mod tests {
         }
         j.sync().unwrap();
         let before = j.bytes();
-        let (_, rec) = Journal::open_recover(&path).unwrap();
-        j = Journal::open_recover(&path).unwrap().0;
-        j.compact(&rec.state).unwrap();
+        assert!(j.due(before - 1) && !j.due(before));
+        // The coordinator hands compaction the live table as records; any
+        // shorter list stands in for it here.
+        let kept = sample_records();
+        j.compact(&kept).unwrap();
         assert!(j.bytes() < before, "{} !< {before}", j.bytes());
+        // Not due again until the compacted size has doubled.
+        assert!(!j.due(0));
+        j.append(&kept[4]).unwrap();
+        j.sync().unwrap();
         let (_, again) = Journal::open_recover(&path).unwrap();
-        assert_eq!(again.state, rec.state);
-        assert_eq!(again.records, 1, "one snapshot record after compaction");
+        assert!(!again.truncated);
+        let mut want = kept.clone();
+        want.push(kept[4].clone());
+        assert_eq!(again.log, want, "appends land in the compacted file");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_tail_truncates_to_last_valid_record() {
         let path = tmp_path("torn");
-        {
-            let mut j = Journal::create(&path).unwrap();
-            for r in sample_records() {
-                j.append(&r).unwrap();
-            }
-            j.sync().unwrap();
-        }
+        write(&path, &sample_records());
         let full = std::fs::read(&path).unwrap();
         // Chop mid-record: replay must keep the clean prefix.
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
         let (_, rec) = Journal::open_recover(&path).unwrap();
         assert!(rec.truncated);
         assert_eq!(rec.records, 4, "last record lost, prefix kept");
+        assert_eq!(rec.log, sample_records()[..4]);
         let after = std::fs::read(&path).unwrap().len();
         assert!(after < full.len() - 5, "file physically truncated");
         // A second recovery sees a clean file.
@@ -1101,32 +718,16 @@ mod tests {
             Record::SessionDetach {
                 session: "s-1".to_string(),
             },
-            Record::Snapshot(SnapState {
-                next_id: 9,
-                jobs: vec![SnapJob {
-                    id: 9,
-                    key: 7,
-                    workload: "lu".to_string(),
-                    tiny: false,
-                    sanitize: true,
-                    max_cycles: None,
-                    sessions: vec!["s-3".to_string()],
-                    state: SnapJobState::Failed("x".to_string()),
-                }],
-                session_next: 3,
-                sessions: vec![SnapSession {
-                    id: "s-3".to_string(),
-                    events: 4,
-                }],
-                counters: SnapCounters {
-                    sims: 1,
-                    ..SnapCounters::default()
-                },
-            }),
+            Record::SessionSeq {
+                session: "s-3".to_string(),
+                next_seq: 4,
+            },
         ]);
         for rec in all {
             let bytes = enc_record(&rec);
             assert_eq!(dec_record(&bytes).unwrap(), rec, "{rec:?}");
         }
+        // Retired tags stay undecodable: 11 was version 2's snapshot.
+        assert!(dec_record(&[11]).is_err());
     }
 }

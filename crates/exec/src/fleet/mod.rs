@@ -31,11 +31,14 @@
 //! stream with resumable cursors, and the coordinator sheds structured
 //! errors under overload instead of stalling.
 //!
-//! Inside the coordinator the split is tables versus threads: `state`
-//! holds one `Fleet` (job table, workers, sessions, counters, journal)
-//! with one method per job-table edge, and `coordinator` holds the
-//! sockets, the supervisor and the verbs, which take the one mutex around
-//! the `Fleet` and call those edges.
+//! Inside the coordinator the split is tables versus threads versus
+//! bytes: `state` holds one `Fleet` (job table, workers, sessions,
+//! counters, journal) with one method per job-table edge and the one fold
+//! that replays a journal record into those tables; `coordinator` holds
+//! the sockets, the supervisor and the verbs, which take the one mutex
+//! around the `Fleet` and call those edges; and `journal` is a plain
+//! record log — framing, torn-tail truncation, fsync batching, and
+//! compaction as "replace the file with these records".
 
 mod coordinator;
 mod inject;
@@ -48,8 +51,7 @@ pub use coordinator::{
 };
 pub use inject::FleetInject;
 pub use journal::{
-    JCounter, Journal, JournalError, Record, RecoveredState, SnapCounters, SnapJob, SnapJobState,
-    SnapSession, SnapState, JOURNAL_MAGIC, JOURNAL_VERSION,
+    JCounter, Journal, JournalError, Record, Recovered, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use worker::{run_worker, WorkerOptions, WorkerReport};
 

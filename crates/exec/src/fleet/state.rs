@@ -1,32 +1,32 @@
-//! The coordinator's state: one [`Fleet`] holding every table, and one
-//! method per job-table edge.
+//! The coordinator's state: one [`Fleet`] holding every table, one
+//! method per job-table edge, and the one fold of the journal.
 //!
 //! Each edge — [`Fleet::submit`], `subscribe`, [`Fleet::lease`],
 //! [`Fleet::reclaim`], [`Fleet::complete`], [`Fleet::fail`] — performs its
 //! state change, its journal record, its session event, its counters and
 //! its worker bookkeeping exactly once; handlers and the supervisor only
-//! decide *which* edge to take (DESIGN.md §13 has the table). Recovery
-//! rests on one ordering rule, kept inside every edge: the journal record
-//! precedes the session event, so the per-session watermark a replayed
-//! journal folds to never falls below what that session's client saw. The
-//! property test at the foot of this file replays the journal cut at
-//! every edge boundary against the live state.
+//! decide *which* edge to take (DESIGN.md §13 has the table). Only this
+//! module knows what a journal record means: [`Fleet::replay`] folds one
+//! into the tables the edges write, and [`Fleet::compaction_records`]
+//! writes the tables back out as records. Recovery rests on one ordering
+//! rule, kept inside every edge: the journal record precedes the session
+//! event, so the per-session watermark a replayed journal folds to never
+//! falls below what that session's client saw. The property test at the
+//! foot of this file recovers the journal cut at every edge boundary and
+//! compares its compaction records with the live state's.
 //!
 //! Nothing here takes a lock or sees [`super::coordinator`]'s shared
 //! handle: callers hold the one mutex and pass `&mut Fleet`, so a nested
 //! lock cannot be written and the journal is innermost by construction.
 
 use super::coordinator::{CoordinatorOptions, WORKER_DEAD};
-use super::journal::{
-    JCounter, Journal, Record, RecoveredState, SnapCounters, SnapJob, SnapJobState, SnapSession,
-    SnapState,
-};
+use super::journal::{JCounter, Journal, Record, Recovered};
 use crate::job::JobSpec;
 use crate::proto::{error_response, shed_response, write_frame, QUEUE_FULL};
 use gcl_mem::{Dec, Enc};
 use gcl_sim::{GpuConfig, LaunchStats};
 use gcl_stats::{Accumulator, Json};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{Shutdown, TcpStream};
 use std::time::Instant;
 
@@ -47,10 +47,26 @@ pub(super) struct FleetResult {
     pub(super) worker: String,
 }
 
-/// Lifecycle of one fleet job.
+impl FleetResult {
+    /// The `Done` record of job `id`, whose result's wire bytes are `payload`.
+    fn done_record(&self, id: u64, payload: Vec<u8>) -> Record {
+        Record::Done {
+            id,
+            cached: self.cached,
+            wall_ms: self.wall_ms,
+            worker_wall_ms: self.worker_wall_ms,
+            worker: self.worker.clone(),
+            payload,
+        }
+    }
+}
+
+/// Lifecycle of one fleet job. `Queued::held_by` names the worker a
+/// replayed lease went to: after recovery it may still be running the job.
+/// The edges themselves always queue with `None`.
 #[derive(Debug)]
 pub(super) enum FleetJobState {
-    Queued,
+    Queued { held_by: Option<String> },
     Leased { worker: usize, deadline: Instant },
     Done(Box<FleetResult>),
     Failed(String),
@@ -75,12 +91,39 @@ pub(super) struct FleetJob {
 }
 
 impl FleetJob {
+    /// A just-submitted job, queued for dispatch.
+    fn queued(spec: JobSpec, key: u64, sessions: Vec<String>) -> FleetJob {
+        FleetJob {
+            spec,
+            key,
+            state: FleetJobState::Queued { held_by: None },
+            assigns: 0,
+            last_worker: None,
+            sessions,
+            hold_until: None,
+        }
+    }
+
+    /// The `Submit` record that recreates job `id`, with its first listed
+    /// session as the submitter.
+    fn submit_record(&self, id: u64) -> Record {
+        Record::Submit {
+            id,
+            key: self.key,
+            workload: self.spec.workload.clone(),
+            tiny: self.spec.tiny,
+            sanitize: self.spec.cfg.sanitize,
+            max_cycles: cycle_override(&self.spec),
+            session: self.sessions.first().cloned(),
+        }
+    }
+
     /// Not yet terminal: a worker's `done` or `fail` still settles it. That
     /// includes `Queued` — a reclaimed job's old holder may answer first.
     fn awaits_result(&self) -> bool {
         matches!(
             self.state,
-            FleetJobState::Leased { .. } | FleetJobState::Queued
+            FleetJobState::Leased { .. } | FleetJobState::Queued { .. }
         )
     }
 }
@@ -89,7 +132,8 @@ impl FleetJob {
 /// dedup index.
 #[derive(Default)]
 pub(super) struct JobTable {
-    pub(super) map: HashMap<u64, FleetJob>,
+    /// Every job by id; iteration runs in id order.
+    pub(super) map: BTreeMap<u64, FleetJob>,
     /// Dispatch order; reclaimed jobs go to the *front* so recovery work
     /// is not starved by a deep queue.
     pub(super) queue: VecDeque<u64>,
@@ -108,7 +152,7 @@ impl JobTable {
         let (mut queued, mut running, mut done, mut failed) = (0u64, 0u64, 0u64, 0u64);
         for job in self.map.values() {
             match job.state {
-                FleetJobState::Queued => queued += 1,
+                FleetJobState::Queued { .. } => queued += 1,
                 FleetJobState::Leased { .. } => running += 1,
                 FleetJobState::Done(_) => done += 1,
                 FleetJobState::Failed(_) => failed += 1,
@@ -171,7 +215,8 @@ pub(super) struct Session {
 
 #[derive(Default)]
 pub(super) struct SessionTable {
-    pub(super) map: HashMap<String, Session>,
+    /// Every session by id; iteration runs in id order.
+    pub(super) map: BTreeMap<String, Session>,
     pub(super) next: u64,
 }
 
@@ -227,23 +272,30 @@ impl SessionTable {
         }
     }
 
-    /// Count one more unfinished job against every subscriber.
-    fn track(&mut self, subscribers: &[String]) {
+    /// Apply `f` to every subscriber that is a known session.
+    fn each(&mut self, subscribers: &[String], mut f: impl FnMut(&mut Session)) {
         for sid in subscribers {
             if let Some(s) = self.map.get_mut(sid) {
-                s.inflight += 1;
+                f(s);
             }
         }
+    }
+
+    /// Advance every subscriber's numbering by `events` without logging
+    /// them: replay only needs the watermark.
+    fn advance(&mut self, subscribers: &[String], events: u64) {
+        self.each(subscribers, |s| s.next_seq += events);
+    }
+
+    /// Count one more unfinished job against every subscriber.
+    fn track(&mut self, subscribers: &[String]) {
+        self.each(subscribers, |s| s.inflight += 1);
     }
 
     /// Decrement the inflight count of every session subscribed to a job
     /// that just reached a terminal state.
     fn settle(&mut self, subscribers: &[String]) {
-        for sid in subscribers {
-            if let Some(s) = self.map.get_mut(sid) {
-                s.inflight = s.inflight.saturating_sub(1);
-            }
-        }
+        self.each(subscribers, |s| s.inflight = s.inflight.saturating_sub(1));
     }
 }
 
@@ -275,6 +327,27 @@ pub(super) fn cycle_override(spec: &JobSpec) -> Option<u64> {
     (spec.cfg.max_cycles != default).then_some(spec.cfg.max_cycles)
 }
 
+/// Fresh simulations, deduplicated submits, structured sheds, and leases
+/// resumed from a re-joining worker's inventory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct Counters {
+    pub(super) sims: u64,
+    pub(super) dedup_hits: u64,
+    pub(super) sheds: u64,
+    pub(super) resumed: u64,
+}
+
+impl Counters {
+    fn bump(&mut self, c: JCounter, delta: u64) {
+        let slot = match c {
+            JCounter::DedupHits => &mut self.dedup_hits,
+            JCounter::Sheds => &mut self.sheds,
+            JCounter::Resumed => &mut self.resumed,
+        };
+        *slot = slot.saturating_add(delta);
+    }
+}
+
 /// Everything the coordinator knows. The accept loop, the session
 /// handlers and the supervisor share it behind one mutex.
 #[derive(Default)]
@@ -285,7 +358,7 @@ pub(super) struct Fleet {
     /// Fleet-wide cache and admission counters, exposed by `status`,
     /// asserted on by the chaos tests (recomputation accounting) and
     /// carried across a restart by the journal.
-    pub(super) counters: SnapCounters,
+    pub(super) counters: Counters,
     /// Queue-depth samples, taken each supervisor tick.
     pub(super) depth: Accumulator,
     /// Write-ahead journal, when `--journal` is set.
@@ -383,31 +456,12 @@ impl Fleet {
         }
         self.jobs.next_id += 1;
         let id = self.jobs.next_id;
-        self.log(&Record::Submit {
-            id,
-            key,
-            workload: spec.workload.clone(),
-            tiny: spec.tiny,
-            sanitize: spec.cfg.sanitize,
-            max_cycles: cycle_override(&spec),
-            session: sid.map(str::to_string),
-        });
-        let sessions: Vec<String> = sid.map(str::to_string).into_iter().collect();
-        let queued = queued_fields(id, &spec.workload, false);
-        self.sessions.log_event(&sessions, "queued", &queued);
-        self.sessions.track(&sessions);
-        self.jobs.map.insert(
-            id,
-            FleetJob {
-                spec,
-                key,
-                state: FleetJobState::Queued,
-                assigns: 0,
-                last_worker: None,
-                hold_until: None,
-                sessions,
-            },
-        );
+        let job = FleetJob::queued(spec, key, sid.map(str::to_string).into_iter().collect());
+        self.log(&job.submit_record(id));
+        let queued = queued_fields(id, &job.spec.workload, false);
+        self.sessions.log_event(&job.sessions, "queued", &queued);
+        self.sessions.track(&job.sessions);
+        self.jobs.map.insert(id, job);
         self.jobs.queue.push_back(id);
         self.jobs.by_key.insert(key, id);
         // The ack promises durability: flush the Submit record before the
@@ -433,6 +487,10 @@ impl Fleet {
         if let FleetJobState::Done(result) = &job.state {
             let done = done_fields(id, workload, true, result);
             self.sessions.log_event(&subscriber, "done", &done);
+            // Listed once, so a recovery replays the outcome to it too.
+            if !job.sessions.contains(&subscriber[0]) {
+                job.sessions.extend(subscriber);
+            }
         } else {
             self.sessions.track(&subscriber);
             job.sessions.extend(subscriber);
@@ -487,7 +545,7 @@ impl Fleet {
         self.sessions
             .log_event(&job.sessions, "reassigned", &fields);
         if matches!(job.state, FleetJobState::Leased { .. }) {
-            job.state = FleetJobState::Queued;
+            job.state = FleetJobState::Queued { held_by: None };
             self.jobs.queue.push_front(id);
         }
     }
@@ -511,14 +569,7 @@ impl Fleet {
             cached: payload.cached,
             worker: w.name.clone(),
         };
-        self.log(&Record::Done {
-            id,
-            cached: result.cached,
-            wall_ms: result.wall_ms,
-            worker_wall_ms: result.worker_wall_ms,
-            worker: result.worker.clone(),
-            payload: payload.bytes,
-        });
+        self.log(&result.done_record(id, payload.bytes));
         if !result.cached {
             self.counters.sims += 1;
         }
@@ -589,18 +640,14 @@ impl Fleet {
         }
     }
 
-    /// One batched fsync per supervisor tick, and compaction into a
-    /// snapshot once the file outgrows `compact_bytes`.
+    /// One batched fsync per supervisor tick, and compaction once the
+    /// file outgrows `compact_bytes` and has doubled since the last one.
     pub(super) fn journal_upkeep(&mut self, compact_bytes: u64) {
-        if self
-            .journal
-            .as_ref()
-            .is_some_and(|j| j.bytes() > compact_bytes)
-        {
-            let snap = self.snapshot();
+        if self.journal.as_ref().is_some_and(|j| j.due(compact_bytes)) {
+            let records = self.compaction_records();
             let j = self.journal.as_mut().expect("checked above");
             let before = j.bytes();
-            match j.compact(&snap) {
+            match j.compact(&records) {
                 Ok(()) => eprintln!("fleet: journal compacted ({before} -> {} bytes)", j.bytes()),
                 Err(e) => eprintln!("warning: journal compaction failed: {e}"),
             }
@@ -608,163 +655,217 @@ impl Fleet {
         self.sync();
     }
 
-    /// Capture the complete durable state for a compaction snapshot.
-    pub(super) fn snapshot(&self) -> SnapState {
-        let mut jobs: Vec<SnapJob> = self
-            .jobs
-            .map
-            .iter()
-            .map(|(id, job)| {
-                let state = match &job.state {
-                    FleetJobState::Queued => SnapJobState::Queued { was_leased: false },
-                    FleetJobState::Leased { .. } => SnapJobState::Queued { was_leased: true },
-                    FleetJobState::Done(result) => {
-                        let mut enc = Enc::new();
-                        result.stats.ckpt_encode(&mut enc);
-                        SnapJobState::Done {
-                            cached: result.cached,
-                            wall_ms: result.wall_ms,
-                            worker_wall_ms: result.worker_wall_ms,
-                            worker: result.worker.clone(),
-                            payload: enc.into_bytes(),
-                        }
-                    }
-                    FleetJobState::Failed(msg) => SnapJobState::Failed(msg.clone()),
-                };
-                SnapJob {
-                    id: *id,
-                    key: job.key,
-                    workload: job.spec.workload.clone(),
-                    tiny: job.spec.tiny,
-                    sanitize: job.spec.cfg.sanitize,
-                    max_cycles: cycle_override(&job.spec),
-                    sessions: job.sessions.clone(),
-                    state,
+    /// The durable state as ordinary records, for compaction: every
+    /// session, every job in id order (its submit, its further listings,
+    /// then its lease or its outcome), the counter totals, and last each
+    /// session's exact watermark. `sims` is left to the `Done` records.
+    pub(super) fn compaction_records(&self) -> Vec<Record> {
+        let mut out: Vec<Record> = (self.sessions.map.keys())
+            .map(|sid| Record::SessionOpen {
+                session: sid.clone(),
+            })
+            .collect();
+        for (&id, job) in &self.jobs.map {
+            out.push(job.submit_record(id));
+            out.extend(job.sessions.iter().skip(1).map(|sid| Record::Subscribe {
+                id,
+                session: sid.clone(),
+            }));
+            let lease = |worker: &String| Record::Lease {
+                id,
+                worker: worker.clone(),
+            };
+            out.extend(match &job.state {
+                FleetJobState::Queued { held_by } => held_by.as_ref().map(lease),
+                FleetJobState::Leased { worker, .. } => Some(lease(&self.workers[*worker].name)),
+                FleetJobState::Done(result) => {
+                    let mut enc = Enc::new();
+                    result.stats.ckpt_encode(&mut enc);
+                    Some(result.done_record(id, enc.into_bytes()))
                 }
-            })
-            .collect();
-        jobs.sort_by_key(|j| j.id);
-        let mut sessions: Vec<SnapSession> = self
-            .sessions
-            .map
-            .iter()
-            .map(|(sid, s)| SnapSession {
-                id: sid.clone(),
-                events: s.next_seq,
-            })
-            .collect();
-        sessions.sort_by(|a, b| a.id.cmp(&b.id));
-        SnapState {
-            next_id: self.jobs.next_id,
-            jobs,
-            session_next: self.sessions.next,
-            sessions,
-            counters: self.counters,
+                FleetJobState::Failed(error) => Some(Record::Failed {
+                    id,
+                    error: error.clone(),
+                }),
+            });
+        }
+        let c = &self.counters;
+        let totals = [
+            (JCounter::DedupHits, c.dedup_hits),
+            (JCounter::Sheds, c.sheds),
+            (JCounter::Resumed, c.resumed),
+        ];
+        out.extend(totals.map(|(counter, delta)| Record::Counter { counter, delta }));
+        out.extend(self.session_seqs());
+        out
+    }
+
+    /// One `SessionSeq` per session, carrying its next sequence number.
+    fn session_seqs(&self) -> Vec<Record> {
+        let seq = |(sid, s): (&String, &Session)| Record::SessionSeq {
+            session: sid.clone(),
+            next_seq: s.next_seq,
+        };
+        self.sessions.map.iter().map(seq).collect()
+    }
+
+    /// The one fold: apply journaled record `rec` to the tables, journaling
+    /// nothing and logging no event. A replayed lease leaves its job queued,
+    /// `held_by` the worker it names. Watermarks count the events each
+    /// record delivered, rounding up where it does not say: too high costs
+    /// a re-attach its `truncated` flag, too low would skip events.
+    pub(super) fn replay(&mut self, rec: Record) {
+        match rec {
+            Record::Submit {
+                id,
+                key,
+                workload,
+                tiny,
+                sanitize,
+                max_cycles,
+                session,
+            } => {
+                let mut cfg = scale_config(tiny);
+                cfg.sanitize = sanitize;
+                cfg.max_cycles = max_cycles.unwrap_or(cfg.max_cycles);
+                let sessions: Vec<String> = session.into_iter().collect();
+                // The submitter saw one "queued" event.
+                self.sessions.advance(&sessions, 1);
+                self.jobs.next_id = self.jobs.next_id.max(id);
+                self.jobs.by_key.insert(key, id);
+                let job = FleetJob::queued(JobSpec::new(workload, tiny, cfg), key, sessions);
+                self.jobs.map.insert(id, job);
+            }
+            Record::Subscribe { id, session } => {
+                // A dedup join delivers "queued" and, for a done job,
+                // "done": count two either way.
+                self.sessions.advance(std::slice::from_ref(&session), 2);
+                if let Some(job) = self.jobs.map.get_mut(&id) {
+                    // A done job lists a session once, as `subscribe` does.
+                    let done = matches!(job.state, FleetJobState::Done(_));
+                    if !done || !job.sessions.contains(&session) {
+                        job.sessions.push(session);
+                    }
+                }
+            }
+            Record::Lease { id, worker } => self.replay_event(id, |state| {
+                if let FleetJobState::Queued { held_by } = state {
+                    *held_by = Some(worker);
+                }
+            }),
+            Record::Reclaim { id, .. } => self.replay_event(id, |state| {
+                if let FleetJobState::Queued { held_by } = state {
+                    *held_by = None;
+                }
+            }),
+            Record::Done {
+                id,
+                cached,
+                wall_ms,
+                worker_wall_ms,
+                worker,
+                payload,
+            } => {
+                self.counters.sims += u64::from(!cached);
+                let result = |stats| FleetResult {
+                    stats,
+                    wall_ms,
+                    worker_wall_ms,
+                    cached,
+                    worker,
+                };
+                // A payload the journal preserved but this build cannot
+                // decode: recompute rather than refuse.
+                let outcome = LaunchStats::ckpt_decode(&mut Dec::new(&payload))
+                    .map_or(FleetJobState::Queued { held_by: None }, |stats| {
+                        FleetJobState::Done(Box::new(result(stats)))
+                    });
+                self.replay_event(id, |state| *state = outcome);
+            }
+            Record::Failed { id, error } => {
+                self.replay_event(id, |state| *state = FleetJobState::Failed(error));
+            }
+            Record::SessionOpen { session } => {
+                if let Some(n) = session.strip_prefix("s-").and_then(|d| d.parse().ok()) {
+                    self.sessions.next = self.sessions.next.max(n);
+                }
+                self.sessions.map.entry(session).or_default();
+            }
+            // Sessions stay resumable after the client detaches; the
+            // record is an audit line, not a deletion.
+            Record::SessionDetach { .. } => {}
+            Record::Counter { counter, delta } => self.counters.bump(counter, delta),
+            Record::SessionSeq { session, next_seq } => {
+                if let Some(s) = self.sessions.map.get_mut(&session) {
+                    s.next_seq = next_seq;
+                }
+            }
         }
     }
 
-    /// Rebuild the tables from a replayed journal.
-    ///
-    /// Recovered sessions restart their event numbering at the journal's
-    /// per-session watermark (an upper bound on what was delivered
-    /// pre-crash), so any cursor a surviving client holds is ≤ `base_seq`
-    /// and a re-attach replays every post-recovery event. Each recovered job
-    /// replays its lifecycle as synthetic events ("queued" plus a terminal
-    /// event if it has one); non-terminal jobs are requeued on hold until
-    /// `hold_until`, so re-joining workers can resume still-running leases
-    /// via `inventory` instead of the coordinator re-running them.
-    pub(super) fn restore(&mut self, rec: RecoveredState, hold_until: Instant) {
-        self.sessions.next = rec.state.session_next;
-        for s in &rec.state.sessions {
-            let session = Session {
-                base_seq: s.events,
-                next_seq: s.events,
-                ..Session::default()
-            };
-            self.sessions.map.insert(s.id.clone(), session);
+    /// Replay one lifecycle event of job `id`: `change` its state, and
+    /// count the event once per listed session.
+    fn replay_event(&mut self, id: u64, change: impl FnOnce(&mut FleetJobState)) {
+        if let Some(job) = self.jobs.map.get_mut(&id) {
+            change(&mut job.state);
+            self.sessions.advance(&job.sessions, 1);
         }
-        self.jobs.next_id = rec.state.next_id;
-        let mut snap_jobs = rec.state.jobs;
-        snap_jobs.sort_by_key(|j| j.id);
+    }
+
+    /// Rebuild the tables from a journal's valid prefix.
+    ///
+    /// Recovered sessions restart their event numbering at the replayed
+    /// watermark, so any cursor a surviving client holds is ≤ `base_seq`.
+    /// Each job replays its lifecycle as synthetic events ("queued" plus a
+    /// terminal event if it has one); non-terminal jobs are requeued in id
+    /// order on hold until `hold_until`, so re-joining workers can resume
+    /// still-running leases via `inventory`. The watermarks those synthetic
+    /// events moved are journaled, so a later recovery starts past them.
+    pub(super) fn recover(&mut self, rec: Recovered, hold_until: Instant) {
+        rec.log.into_iter().for_each(|record| self.replay(record));
+        for s in self.sessions.map.values_mut() {
+            s.base_seq = s.next_seq;
+        }
         let mut resumable = 0u64;
-        for sj in snap_jobs {
-            let mut cfg = scale_config(sj.tiny);
-            cfg.sanitize = sj.sanitize;
-            if let Some(mc) = sj.max_cycles {
-                cfg.max_cycles = mc;
-            }
-            let (state, was_leased) = match sj.state {
-                SnapJobState::Queued { was_leased } => (FleetJobState::Queued, was_leased),
-                SnapJobState::Done {
-                    cached,
-                    wall_ms,
-                    worker_wall_ms,
-                    worker,
-                    payload,
-                } => match LaunchStats::ckpt_decode(&mut Dec::new(&payload)) {
-                    Ok(stats) => {
-                        let result = FleetResult {
-                            stats,
-                            wall_ms,
-                            worker_wall_ms,
-                            cached,
-                            worker,
-                        };
-                        (FleetJobState::Done(Box::new(result)), false)
-                    }
-                    // A payload the journal preserved but this build
-                    // cannot decode: recompute rather than refuse.
-                    Err(_) => (FleetJobState::Queued, false),
-                },
-                SnapJobState::Failed(msg) => (FleetJobState::Failed(msg), false),
-            };
-            resumable += u64::from(was_leased);
-            let mut queued = queued_fields(sj.id, &sj.workload, false);
+        for (&id, job) in &mut self.jobs.map {
+            let held = matches!(job.state, FleetJobState::Queued { held_by: Some(_) });
+            resumable += u64::from(held);
+            let mut queued = queued_fields(id, &job.spec.workload, false);
             queued.push(("recovered", Json::Bool(true)));
-            self.sessions.log_event(&sj.sessions, "queued", &queued);
-            let terminal = match &state {
+            self.sessions.log_event(&job.sessions, "queued", &queued);
+            let terminal = match &job.state {
                 FleetJobState::Done(result) => Some((
                     "done",
-                    done_fields(sj.id, &sj.workload, result.cached, result),
+                    done_fields(id, &job.spec.workload, result.cached, result),
                 )),
-                FleetJobState::Failed(msg) => Some(("failed", failed_fields(sj.id, msg))),
+                FleetJobState::Failed(msg) => Some(("failed", failed_fields(id, msg))),
                 _ => None,
             };
             match &terminal {
-                Some((kind, fields)) => self.sessions.log_event(&sj.sessions, kind, fields),
+                Some((kind, fields)) => self.sessions.log_event(&job.sessions, kind, fields),
                 None => {
-                    self.sessions.track(&sj.sessions);
-                    self.jobs.queue.push_back(sj.id);
+                    self.sessions.track(&job.sessions);
+                    self.jobs.queue.push_back(id);
+                    job.hold_until = Some(hold_until);
                 }
             }
-            self.jobs.by_key.insert(sj.key, sj.id);
-            self.jobs.map.insert(
-                sj.id,
-                FleetJob {
-                    spec: JobSpec::new(sj.workload, sj.tiny, cfg),
-                    key: sj.key,
-                    state,
-                    assigns: u64::from(terminal.is_some() || was_leased),
-                    last_worker: None,
-                    sessions: sj.sessions,
-                    hold_until: terminal.is_none().then_some(hold_until),
-                },
-            );
+            job.assigns = u64::from(terminal.is_some() || held);
         }
-        self.counters = rec.state.counters;
+        for seq in self.session_seqs() {
+            self.log(&seq);
+        }
+        self.sync();
+        let (jobs, pending) = (self.jobs.map.len(), self.jobs.queue.len());
+        let torn = if rec.truncated {
+            " — torn tail truncated"
+        } else {
+            ""
+        };
         eprintln!(
-            "fleet: recovered {} record(s): {} job(s) ({} pending, {} resumable), \
-             {} session(s){}",
+            "fleet: recovered {} record(s): {jobs} job(s) ({pending} pending, {resumable} \
+             resumable), {} session(s){torn}",
             rec.records,
-            self.jobs.map.len(),
-            self.jobs.queue.len(),
-            resumable,
             self.sessions.map.len(),
-            if rec.truncated {
-                " — torn tail truncated"
-            } else {
-                ""
-            }
         );
     }
 }
@@ -789,9 +890,7 @@ mod tests {
     /// Ids (ascending, so a seed replays) of the jobs satisfying `pred`.
     fn jobs_where(fleet: &Fleet, pred: impl Fn(&FleetJob) -> bool) -> Vec<u64> {
         let jobs = fleet.jobs.map.iter().filter(|(_, j)| pred(j));
-        let mut ids: Vec<u64> = jobs.map(|(id, _)| *id).collect();
-        ids.sort_unstable();
-        ids
+        jobs.map(|(id, _)| *id).collect()
     }
 
     fn alive(fleet: &Fleet) -> Vec<usize> {
@@ -810,7 +909,7 @@ mod tests {
         peers: &mut Vec<TcpStream>,
     ) -> String {
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let queued = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Queued));
+        let queued = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Queued { .. }));
         let leased = jobs_where(fleet, |j| matches!(j.state, FleetJobState::Leased { .. }));
         let held = jobs_where(fleet, |j| j.last_worker.is_some());
         let live = alive(fleet);
@@ -893,47 +992,63 @@ mod tests {
         }
     }
 
-    /// What recovery must reproduce from a journal cut where `live` was
-    /// noted: everything but the sessions' watermarks exactly, and those
-    /// never below what the live sessions had been shown.
-    fn assert_recovers(recovered: &SnapState, live: &SnapState, trace: &[String]) {
-        let ids = |s: &SnapState| s.jobs.iter().map(|j| j.id).collect::<Vec<_>>();
-        assert_eq!(ids(recovered), ids(live), "job ids after {trace:#?}");
-        for (r, l) in recovered.jobs.iter().zip(&live.jobs) {
-            // `Queued { was_leased }` exactly where the live job is leased;
-            // terminal states with the same result and payload bytes.
-            assert_eq!(r.state, l.state, "job {} after {trace:#?}", r.id);
-            assert_eq!(
-                (r.key, &r.workload, r.max_cycles),
-                (l.key, &l.workload, l.max_cycles)
-            );
-        }
+    /// What the live fleet was at an edge boundary: its compaction records,
+    /// and the totals those leave to be re-derived.
+    type Noted = (Vec<Record>, Counters, u64, u64);
+
+    fn note(fleet: &Fleet) -> Noted {
+        let totals = (fleet.counters, fleet.jobs.next_id, fleet.sessions.next);
+        (fleet.compaction_records(), totals.0, totals.1, totals.2)
+    }
+
+    /// A fresh fleet recovered from `log`.
+    fn recovered(log: Vec<Record>) -> Fleet {
+        let mut fleet = Fleet::default();
+        let records = log.len() as u64;
+        let rec = Recovered {
+            log,
+            records,
+            truncated: false,
+        };
+        fleet.recover(rec, Instant::now());
+        fleet
+    }
+
+    /// Recovery must reproduce the `live` state exactly, except that a
+    /// session may restart its numbering past the live watermark (`exact`:
+    /// at it) — never below what the live session's client had been shown.
+    fn assert_recovers(recovered: &Fleet, live: &Noted, exact: bool, trace: &[String]) {
+        let (records, counters, next_id, session_next) = live;
+        let not_seq = |r: &&Record| !matches!(r, Record::SessionSeq { .. });
+        let got = recovered.compaction_records();
         assert_eq!(
-            recovered.counters, live.counters,
+            got.iter().filter(not_seq).collect::<Vec<_>>(),
+            records.iter().filter(not_seq).collect::<Vec<_>>(),
+            "compaction records after {trace:#?}"
+        );
+        assert_eq!(
+            (&recovered.counters, &recovered.jobs.next_id),
+            (counters, next_id),
             "counters after {trace:#?}"
         );
-        assert_eq!(recovered.next_id, live.next_id);
-        assert_eq!(recovered.session_next, live.session_next);
-        assert_eq!(recovered.sessions.len(), live.sessions.len());
-        for l in &live.sessions {
-            let r = recovered
-                .sessions
-                .iter()
-                .find(|r| r.id == l.id)
-                .expect("session recovered");
+        assert_eq!(recovered.sessions.next, *session_next);
+        for rec in records {
+            let Record::SessionSeq { session, next_seq } = rec else {
+                continue;
+            };
+            let restart = recovered.sessions.map[session].base_seq;
             assert!(
-                r.events >= l.events,
-                "session {}: watermark {} below the {} events its client saw, after {trace:#?}",
-                l.id,
-                r.events,
-                l.events
+                restart == *next_seq || (!exact && restart > *next_seq),
+                "session {session} restarts at {restart}, its client saw up to {next_seq}, \
+                 after {trace:#?}"
             );
         }
     }
 
     /// Random legal edge sequences on a journaling [`Fleet`]: whatever the
-    /// journal holds at any edge boundary — a crash between edges — replays
-    /// to the live state noted at that boundary.
+    /// journal holds at any edge boundary — a crash between edges — recovers
+    /// to the live state noted at that boundary, and so do the compaction
+    /// records of that state.
     #[test]
     fn every_journal_prefix_recovers_the_live_state_of_its_edge_boundary() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -962,21 +1077,78 @@ mod tests {
                     &mut fleet, &opts, &sessions, rng, &listener, &mut peers,
                 ));
                 let bytes = fleet.journal.as_ref().unwrap().bytes();
-                boundaries.push((bytes as usize, fleet.snapshot(), trace.len()));
+                boundaries.push((bytes as usize, note(&fleet), trace.len()));
             }
             drop(fleet);
             let journal = std::fs::read(&path).unwrap();
             for (len, live, steps) in &boundaries {
                 std::fs::write(&cut, &journal[..*len]).unwrap();
-                let (_, recovered) = Journal::open_recover(&cut).unwrap();
-                assert!(
-                    !recovered.truncated,
-                    "an edge boundary is a record boundary"
-                );
-                assert_recovers(&recovered.state, live, &trace[..*steps]);
+                let (_, rec) = Journal::open_recover(&cut).unwrap();
+                assert!(!rec.truncated, "an edge boundary is a record boundary");
+                let trace = &trace[..*steps];
+                assert_recovers(&recovered(rec.log), live, false, trace);
+                assert_recovers(&recovered(live.0.clone()), live, true, trace);
             }
         });
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&cut).ok();
+    }
+
+    /// A compacted state that is still over the threshold is not rewritten
+    /// again on the next supervisor tick: with no new records, the second
+    /// upkeep leaves the file (its inode) alone.
+    #[test]
+    fn journal_upkeep_does_not_rewrite_an_unchanged_journal() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("gcl-fleet-upkeep-{}.journal", std::process::id()));
+        let mut fleet = Fleet {
+            journal: Some(Journal::create(&path).unwrap()),
+            ..Fleet::default()
+        };
+        fleet.open_session();
+        let inode = || std::fs::metadata(&path).unwrap().ino();
+        let created = inode();
+        fleet.journal_upkeep(1);
+        let compacted = inode();
+        assert_ne!(compacted, created, "the first upkeep compacts");
+        fleet.journal_upkeep(1);
+        assert_eq!(
+            inode(),
+            compacted,
+            "the second finds nothing new to compact"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Recovery journals the watermarks its synthetic events moved, so a
+    /// second recovery of the same journal restarts each session past
+    /// everything the first one's clients could have seen.
+    #[test]
+    fn a_second_recovery_restarts_sessions_past_the_first() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("gcl-fleet-epochs-{}.journal", std::process::id()));
+        let mut live = Fleet {
+            journal: Some(Journal::create(&path).unwrap()),
+            ..Fleet::default()
+        };
+        let sid = live.open_session();
+        let spec = JobSpec::new("bfs", true, GpuConfig::small());
+        let opts = CoordinatorOptions::default();
+        live.submit(&opts, spec, 1, Some(&sid)).unwrap();
+        drop(live);
+        let epoch = || {
+            let (journal, rec) = Journal::open_recover(&path).unwrap();
+            let mut fleet = Fleet {
+                journal: Some(journal),
+                ..Fleet::default()
+            };
+            fleet.recover(rec, Instant::now());
+            fleet
+        };
+        let seen = epoch().sessions.map[&sid].next_seq;
+        assert_eq!(seen, 2, "one live `queued`, one recovered `queued`");
+        assert_eq!(epoch().sessions.map[&sid].base_seq, seen);
+        std::fs::remove_file(&path).ok();
     }
 }

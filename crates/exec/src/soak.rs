@@ -156,6 +156,10 @@ fn spawn_coordinator(bin: &PathBuf, addr: &str, opts: &SoakOptions) -> Result<Ch
             "1500",
             "--queue-cap",
             "1024",
+            // Small enough that a one-minute soak compacts, so kills land
+            // on compacted journals too.
+            "--journal-compact-bytes",
+            "65536",
         ])
         .stdin(Stdio::null())
         .stdout(Stdio::null())

@@ -383,8 +383,10 @@ cap) instead of stalling. Every failed dial, submit or poll is counted
 as an error, never retried away. Both commands check --workloads names
 before they send or spawn anything.
 `coordinate --journal PATH` appends every job-table transition and session
-attach/detach to a checksummed write-ahead journal (fsync-batched, compacted into a snapshot record once it outgrows
---journal-compact-bytes); `--recover` replays the journal on startup —
+attach/detach to a checksummed write-ahead journal (fsync-batched; once it
+outgrows --journal-compact-bytes, and has doubled since the last time, it
+is rewritten as the live table's records); `--recover` replays the journal
+on startup —
 tolerating a torn tail by truncating to the last valid record — then
 reconciles with re-joining workers, which re-announce held leases so
 in-flight work resumes instead of re-running. Without a journal a
