@@ -1,6 +1,7 @@
 //! Functional pins: what every workload leaves in device memory and what
 //! the three locality reports say about it, byte for byte, plus the bytes
-//! of two mid-launch snapshots.
+//! of two mid-launch snapshots and of a snapshot stream through a whole
+//! launch.
 //!
 //! The workloads' own unit tests check results against a host `reference()`
 //! only at their test sizes; nothing else pins device memory at the default
@@ -27,7 +28,7 @@
 //! `target/tmp/functional_pins/` ready to diff against the golden file.
 
 use gcl::prelude::*;
-use gcl::sim::GlobalMem;
+use gcl::sim::{CtaSchedPolicy, GlobalMem, PrefetchFilter, WarpSchedPolicy};
 use gcl::workloads::graph_apps::Bfs;
 use gcl::workloads::linear::Mm2;
 use gcl::workloads::{all_workloads, tiny_workloads, upload_f32, upload_u32};
@@ -242,4 +243,117 @@ fn snapshot_bytes_mid_launch_bfs() {
         snapshot_digest_at(&mut gpu, &expand, 150),
         0x632b_4ba9_a1c8_3e1c
     );
+}
+
+const MIX_BLOCK: u32 = 64;
+const MIX_CTAS: u32 = 16;
+const MIX_SRC: u32 = 4096;
+
+/// Every kind of LD/ST work in one kernel: `ld.param`, a coalesced load, a
+/// shared store, `bar.sync`, a shared load of a neighbour's word, an index
+/// load and the scattered gather it feeds (non-deterministic, one request
+/// per lane), a re-load of the first line while it is likely still in the
+/// L1, and a global store.
+fn ldst_mix_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("ldst_mix");
+    let p_src = b.param("src", Type::U64);
+    let p_idx = b.param("idx", Type::U64);
+    let p_out = b.param("out", Type::U64);
+    b.shared(MIX_BLOCK * 4);
+    let src = b.ld_param(Type::U64, p_src);
+    let idx = b.ld_param(Type::U64, p_idx);
+    let out = b.ld_param(Type::U64, p_out);
+    let tid = b.sreg(Special::TidX);
+    let gid = b.thread_linear_id();
+    let mine = b.index64(src, gid, 4);
+    let a = b.ld_global(Type::U32, mine);
+    let saddr = b.mul(Type::U32, tid, 4i64);
+    b.st_shared(Type::U32, saddr, a);
+    b.bar();
+    let plus1 = b.add(Type::U32, tid, 1i64);
+    let rot = b.rem(Type::U32, plus1, i64::from(MIX_BLOCK));
+    let raddr = b.mul(Type::U32, rot, 4i64);
+    let nb = b.ld_shared(Type::U32, raddr);
+    let iaddr = b.index64(idx, gid, 4);
+    let j = b.ld_global(Type::U32, iaddr);
+    let gaddr = b.index64(src, j, 4);
+    let g = b.ld_global(Type::U32, gaddr);
+    let again = b.ld_global(Type::U32, mine);
+    let s = b.add(Type::U32, a, nb);
+    let s = b.add(Type::U32, s, g);
+    let s = b.add(Type::U32, s, again);
+    let oaddr = b.index64(out, gid, 4);
+    b.st_global(Type::U32, oaddr, s);
+    b.exit();
+    b.build().unwrap()
+}
+
+/// Run [`ldst_mix_kernel`] to completion, folding the snapshot bytes into
+/// one FNV every 8 cycles. Returns the digest and the launch's statistics.
+fn snapshot_stream(cfg: GpuConfig) -> (u64, LaunchStats) {
+    let kernel = ldst_mix_kernel();
+    let n = MIX_BLOCK * MIX_CTAS;
+    let mut gpu = Gpu::new(cfg).unwrap();
+    let src = upload_u32(
+        &mut gpu,
+        &(0..MIX_SRC)
+            .map(|v| v.wrapping_mul(2_654_435_761))
+            .collect::<Vec<_>>(),
+    )
+    .unwrap();
+    // 1057 is odd, so `i -> 1057 i mod 4096` is a permutation whose 32
+    // lanes of a warp land on 32 different lines.
+    let idx = upload_u32(
+        &mut gpu,
+        &(0..n).map(|i| i * 1057 % MIX_SRC).collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let out = gpu.mem().alloc_array(Type::U32, u64::from(n)).unwrap();
+    let params = pack_params(&kernel, &[src, idx, out]);
+    gpu.launch_begin(&kernel, Dim3::x(MIX_CTAS), Dim3::x(MIX_BLOCK), &params)
+        .unwrap();
+    let mut h = FNV_OFFSET;
+    loop {
+        if gpu.launch_cycle().expect("launch active") % 8 == 0 {
+            h = fnv_fold_bytes(h, &gpu.snapshot().to_bytes());
+        }
+        if let Some(stats) = gpu.launch_step(&kernel).expect("launch steps") {
+            return (h, stats);
+        }
+    }
+}
+
+/// Warp split, next-line prefetch on every class, L1 hits, shared and
+/// parameter loads: a snapshot every 8 cycles holds each kind of LD/ST
+/// state at some point of the launch.
+#[test]
+fn snapshot_stream_ldst_mix_split_prefetch() {
+    let mut cfg = sanitized_small();
+    cfg.warp_split_nd = Some(4);
+    cfg.prefetch = PrefetchFilter::All;
+    let (digest, stats) = snapshot_stream(cfg);
+    assert!(
+        stats.sm.prefetches_issued > 0,
+        "the stream must see prefetches"
+    );
+    assert_eq!(digest, 0x70c6_0b41_a1c5_11ef);
+}
+
+/// The same stream on `golden_counts.rs`'s pressured machine (LRR), where
+/// the L1 refuses requests for want of tags, MSHRs and miss-queue slots.
+#[test]
+fn snapshot_stream_ldst_mix_pressured() {
+    let mut cfg = sanitized_small();
+    cfg.warp_sched = WarpSchedPolicy::Lrr;
+    cfg.n_schedulers = 1;
+    cfg.cta_sched = CtaSchedPolicy::Clustered { group: 2 };
+    cfg.l1_ports = 2;
+    cfg.l1.sets = 2;
+    cfg.l1.ways = 1;
+    cfg.l1.mshr_entries = 4;
+    cfg.l1.mshr_max_merge = 1;
+    cfg.l1.miss_queue_len = 1;
+    cfg.icnt.input_queue_len = 2;
+    let (digest, _) = snapshot_stream(cfg);
+    assert_eq!(digest, 0x1f72_cd97_3a71_ab24);
 }
