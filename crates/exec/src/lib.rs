@@ -91,4 +91,4 @@ pub use pool::{backoff_ms, parallel_map, run_pool, JobEvent, PoolConfig};
 pub use proto::{FrameError, FrameReader, ServeError, MAX_FRAME, QUEUE_FULL};
 pub use serve::{ServeOptions, Server};
 pub use soak::{run_soak, SoakOptions, SoakReport};
-pub use trace_store::{TraceStore, DEFAULT_CAPTURE_BUDGET};
+pub use trace_store::TraceStore;

@@ -23,10 +23,6 @@ use gcl_trace::{read_trace, TraceError, TraceSummary, TraceWriter};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Default in-memory column-buffer budget per captured launch; past this
-/// the writer spills chunks to its scratch file.
-pub const DEFAULT_CAPTURE_BUDGET: usize = 8 << 20;
-
 /// A directory of content-addressed trace containers.
 #[derive(Debug, Clone)]
 pub struct TraceStore {
@@ -97,8 +93,7 @@ impl TraceStore {
             path: path.display().to_string(),
             error: e.to_string(),
         };
-        let writer =
-            TraceWriter::create(&path, fp.config_fp, DEFAULT_CAPTURE_BUDGET).map_err(io_err)?;
+        let writer = TraceWriter::create(&path, fp.config_fp).map_err(io_err)?;
         let sink = Arc::new(Mutex::new(writer));
         let mut gpu = Gpu::new(spec.cfg.clone())?;
         gpu.set_trace_sink(Some(Box::new(sink.clone())));

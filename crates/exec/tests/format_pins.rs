@@ -117,7 +117,7 @@ fn journal_bytes_are_pinned() {
 fn trace_container_bytes_are_pinned() {
     let dir = scratch("trace");
     let path = dir.join("pins.gcltrace");
-    let mut w = TraceWriter::create(&path, 0x0abc_def0_1234_5678, 1 << 20).unwrap();
+    let mut w = TraceWriter::create(&path, 0x0abc_def0_1234_5678).unwrap();
     let ev = |pc: u32, active: u32| TraceEvent {
         cycle: 0,
         sm: 0,

@@ -174,6 +174,35 @@ impl CacheStats {
         self.fills += other.fills;
         self.writes_forwarded += other.writes_forwarded;
     }
+
+    /// Wire-encode every counter (shared by cache checkpoints and the
+    /// simulator's launch statistics).
+    pub fn ckpt_encode(&self, e: &mut Enc) {
+        for row in &self.attempts {
+            for &v in row {
+                e.u64(v);
+            }
+        }
+        e.u64(self.fills);
+        e.u64(self.writes_forwarded);
+    }
+
+    /// Wire-decode counters written by [`ckpt_encode`](Self::ckpt_encode).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncated input.
+    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<CacheStats, WireError> {
+        let mut s = CacheStats::default();
+        for row in &mut s.attempts {
+            for v in row.iter_mut() {
+                *v = d.u64()?;
+            }
+        }
+        s.fills = d.u64()?;
+        s.writes_forwarded = d.u64()?;
+        Ok(s)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,13 +499,7 @@ impl Cache {
         self.mshr.ckpt_encode(e);
         let mq: Vec<MemRequest> = self.miss_queue.iter().copied().collect();
         e.seq(&mq, |e, r| r.ckpt_encode(e));
-        for row in &self.stats.attempts {
-            for &v in row {
-                e.u64(v);
-            }
-        }
-        e.u64(self.stats.fills);
-        e.u64(self.stats.writes_forwarded);
+        self.stats.ckpt_encode(e);
         e.u64(self.use_tick);
     }
 
@@ -507,14 +530,7 @@ impl Cache {
         if miss_queue.len() > cfg.miss_queue_len {
             return Err(WireError::Malformed("miss queue overflow"));
         }
-        let mut stats = CacheStats::default();
-        for row in &mut stats.attempts {
-            for v in row.iter_mut() {
-                *v = d.u64()?;
-            }
-        }
-        stats.fills = d.u64()?;
-        stats.writes_forwarded = d.u64()?;
+        let stats = CacheStats::ckpt_decode(d)?;
         let use_tick = d.u64()?;
         Ok(Cache {
             cfg,

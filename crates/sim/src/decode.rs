@@ -4,7 +4,7 @@
 //!
 //! One [`MicroOp`] row per instruction holds what the issue stage asks
 //! (hazard mask, execution unit, a load's D/N class) and what
-//! [`Warp::step`](crate::Warp::step) executes: the micro-op kind, each
+//! [`Warp::step`](crate::warp::Warp::step) executes: the micro-op kind, each
 //! operand resolved to a [`Src`], a guarded branch's reconvergence pc, and —
 //! for register-to-register instructions — the *lane function* mapped over a
 //! warp. The lane function is a [`value`](crate::value) `eval_*` call with
@@ -92,7 +92,7 @@ impl Src {
     }
 }
 
-/// What [`Warp::step`](crate::Warp::step) does for one static instruction.
+/// What [`Warp::step`](crate::warp::Warp::step) does for one static instruction.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Kind {
     /// Branch to `target`; lanes that fall through rejoin at `reconv`
@@ -146,11 +146,11 @@ pub(crate) struct MicroOp {
 /// A kernel decoded for one launch: per static instruction, the register
 /// hazard mask and execution unit the issue stage polls, the D/N class the
 /// LD/ST path tags a global load's requests with, and the micro-op
-/// [`Warp::step`](crate::Warp::step) executes. A pure function of the kernel
+/// [`Warp::step`](crate::warp::Warp::step) executes. A pure function of the kernel
 /// and the launch geometry, rebuilt (never serialised) when a launch starts
 /// or resumes from a snapshot.
 #[derive(Debug)]
-pub struct DecodedKernel {
+pub(crate) struct DecodedKernel {
     ops: Vec<MicroOp>,
     /// `words` scoreboard words per instruction.
     masks: Vec<u64>,
@@ -298,7 +298,7 @@ impl DecodedKernel {
     }
 
     /// Read|write register mask of the instruction at `pc`, in the
-    /// [`Scoreboard`](crate::Scoreboard)'s layout.
+    /// [`Scoreboard`](crate::scoreboard::Scoreboard)'s layout.
     pub fn mask(&self, pc: usize) -> &[u64] {
         &self.masks[pc * self.words..(pc + 1) * self.words]
     }

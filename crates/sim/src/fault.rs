@@ -104,7 +104,7 @@ impl fmt::Display for AccessKind {
 /// An out-of-bounds device access caught by memcheck at execution time
 /// (no live allocation contains the accessed bytes).
 ///
-/// Raised from [`Warp::step`](crate::Warp::step) with the per-lane facts;
+/// Raised from `Warp::step` with the per-lane facts;
 /// the SM and GPU layers wrap it into a [`MemFaultReport`] with placement
 /// and classification context attached.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,14 +4,12 @@
 use crate::ckpt::{
     config_fingerprint, kernel_fingerprint, CheckpointError, Snapshot, SNAPSHOT_VERSION,
 };
+use crate::decode::DecodedKernel;
 use crate::fault::{AllocError, ConfigError, HangReport, MemFaultReport};
 use crate::replay::{warps_per_cta, LaunchInfo, LaunchReplay, ReplayError, TraceSink};
 use crate::san::{SanRun, SanitizerReport, TickError};
-use crate::sm::TickCtx;
-use crate::{
-    BlockSummary, BlockTracker, CtaSchedPolicy, DecodedKernel, Dim3, GlobalMem, GpuConfig,
-    LaunchStats, Sm,
-};
+use crate::sm::{Sm, TickCtx};
+use crate::{BlockSummary, BlockTracker, CtaSchedPolicy, Dim3, GlobalMem, GpuConfig, LaunchStats};
 use gcl_core::{classify, Classification};
 use gcl_mem::{AddrMap, ConservationReport, Dec, Enc, Icnt, L2Partition, PartitionEvent, SanStage};
 use gcl_ptx::Kernel;

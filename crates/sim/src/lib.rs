@@ -77,6 +77,7 @@ mod fault;
 mod gmem;
 mod gpu;
 mod grid;
+mod ldst;
 mod loadtrack;
 mod replay;
 mod san;
@@ -96,7 +97,6 @@ pub use ckpt::{
 };
 pub use coalesce::coalesce;
 pub use config::{CtaSchedPolicy, GpuConfig, PrefetchFilter, WarpSchedPolicy};
-pub use decode::DecodedKernel;
 pub use fault::{
     AccessKind, AllocError, ConfigError, HangReport, MemFaultReport, MemViolation, SmSnapshot,
     WarpSnapshot,
@@ -104,23 +104,18 @@ pub use fault::{
 pub use gmem::{GlobalMem, HEAP_BASE};
 pub use gpu::{pack_params, Gpu, SimError};
 pub use grid::Dim3;
-pub use loadtrack::{ClassAgg, LoadTracker, PcReqAgg};
+pub use ldst::bank_conflict_degree;
+pub use loadtrack::{ClassAgg, PcReqAgg};
 pub use replay::{
     space_code, space_from_code, warps_per_cta, CapturedLaunch, LaunchInfo, LaunchReplay,
     MemorySink, ReplayError, ReplayKind, ReplayRecord, TraceSink,
 };
 pub use san::{
-    check_digests, DeterminismReport, RaceAccess, RaceReport, SanInject, SanRun, SanitizerReport,
-    TickError,
+    check_digests, DeterminismReport, RaceAccess, RaceReport, SanInject, SanitizerReport,
 };
-pub use scoreboard::Scoreboard;
-pub use simt::{SimtEntry, SimtStack};
-pub use sm::{bank_conflict_degree, Sm, SmStats, TickCtx};
-pub use stats::{LaunchStats, PcKey};
+pub use stats::{LaunchStats, PcKey, SmStats};
 pub use trace::{Trace, TraceEvent};
 pub use value::{canon, eval_alu, eval_atom, eval_cmp, eval_cvt, eval_mad, eval_sfu, eval_unary};
-pub use warp::{ExecCtx, MemAccess, ReplayCursor, StepResult, Warp};
-pub use warp_sched::WarpScheduler;
 
 pub use gcl_mem::{
     fnv_fold, fnv_fold_bytes, ConservationKind, ConservationReport, RequestLedger, SanStage,

@@ -189,7 +189,7 @@ struct InflightLoad {
 /// Tracks in-flight warp loads and folds finished ones into per-class and
 /// per-pc aggregates.
 #[derive(Debug, Default)]
-pub struct LoadTracker {
+pub(crate) struct LoadTracker {
     inflight: Vec<Option<InflightLoad>>,
     free: Vec<usize>,
     per_class: [ClassAgg; 2],
@@ -314,16 +314,6 @@ impl LoadTracker {
         self.inflight.iter().filter(|r| r.is_some()).count()
     }
 
-    /// Per-class aggregate.
-    pub fn class_agg(&self, class: LoadClass) -> &ClassAgg {
-        &self.per_class[class_index(class)]
-    }
-
-    /// Per-(pc, request-count) aggregates.
-    pub fn per_pc(&self) -> &HashMap<(usize, u32), PcReqAgg> {
-        &self.per_pc
-    }
-
     /// Consume the tracker, returning (per-class, per-pc) aggregates.
     pub fn into_parts(self) -> ([ClassAgg; 2], HashMap<(usize, u32), PcReqAgg>) {
         (self.per_class, self.per_pc)
@@ -439,7 +429,7 @@ mod tests {
         let done = t.complete_request(m, &req_with_stamps(105, 0), 205);
         assert!(done);
         assert_eq!(t.inflight_count(), 0);
-        let agg = t.class_agg(LoadClass::Deterministic);
+        let agg = &t.into_parts().0[0];
         assert_eq!(agg.warp_loads, 1);
         assert_eq!(agg.requests, 1);
         assert_eq!(agg.active_threads, 32);
@@ -459,14 +449,15 @@ mod tests {
         assert!(!t.complete_request(m, &req_with_stamps(10, 15), 150));
         assert!(!t.complete_request(m, &req_with_stamps(12, 16), 180));
         assert!(t.complete_request(m, &req_with_stamps(20, 30), 260));
-        let agg = t.class_agg(LoadClass::NonDeterministic);
+        let (per_class, per_pc) = t.into_parts();
+        let agg = &per_class[1];
         assert_eq!(agg.requests_per_warp(), 3.0);
         assert_eq!(agg.requests_per_active_thread(), 0.1);
         assert_eq!(agg.wait_prev_warps.mean(), 10.0);
         assert_eq!(agg.wait_current_warp.mean(), 10.0);
         assert_eq!(agg.memory_time.mean(), 240.0);
         assert_eq!(agg.turnaround.mean(), 260.0);
-        let pa = &t.per_pc()[&(0x110, 3)];
+        let pa = &per_pc[&(0x110, 3)];
         assert_eq!(pa.gap_l1d.mean(), 10.0);
         // Inject delays: 5, 4, 10 → mean 19/3.
         assert!((pa.gap_icnt_l2.mean() - 19.0 / 3.0).abs() < 1e-9);
@@ -483,7 +474,7 @@ mod tests {
         assert_eq!(a, b, "slot should be reused");
         t.note_accept(b, 4);
         t.complete_request(b, &req_with_stamps(4, 0), 5);
-        assert_eq!(t.class_agg(LoadClass::Deterministic).warp_loads, 2);
+        assert_eq!(t.into_parts().0[0].warp_loads, 2);
     }
 
     #[test]
@@ -495,7 +486,7 @@ mod tests {
         // Both requests hit in L1 (t_icnt_inject stays 0).
         t.complete_request(m, &req_with_stamps(1, 0), 2);
         t.complete_request(m, &req_with_stamps(2, 0), 3);
-        let pa = &t.per_pc()[&(0, 2)];
+        let pa = &t.into_parts().1[&(0, 2)];
         assert_eq!(pa.gap_icnt_l2.mean(), 0.0);
     }
 

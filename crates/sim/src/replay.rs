@@ -5,7 +5,7 @@
 //! ## Capture / replay contract
 //!
 //! Execution-driven simulation and replay share one issue path
-//! ([`crate::Sm`]'s `issue_warp`): the only difference is where the
+//! (`Sm::issue_warp`): the only difference is where the
 //! [`StepResult`] comes from. At capture time a [`TraceSink`] observes, per
 //! issued warp instruction, exactly the payload the timing model consumes —
 //! pc, active mask, and the step outcome (ALU destination, resolved
@@ -69,7 +69,7 @@ impl ReplayKind {
     /// Build the record payload from a successful [`StepResult`].
     /// `at_barrier` is the warp's barrier id after the step (set by a
     /// barrier instruction; the `StepResult` itself does not carry it).
-    pub fn of_step(result: &StepResult, at_barrier: Option<u32>) -> ReplayKind {
+    pub(crate) fn of_step(result: &StepResult, at_barrier: Option<u32>) -> ReplayKind {
         match result {
             StepResult::Alu { dst } => ReplayKind::Alu { dst: *dst },
             StepResult::Mem(a) => ReplayKind::Mem {

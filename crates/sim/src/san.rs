@@ -159,7 +159,7 @@ pub fn check_digests(
 /// [`SimError::MemFault`](crate::SimError::MemFault) /
 /// [`SimError::Sanitizer`](crate::SimError::Sanitizer).
 #[derive(Debug)]
-pub enum TickError {
+pub(crate) enum TickError {
     /// Memcheck caught an out-of-bounds device access.
     Mem(Box<MemFaultReport>),
     /// A sanitizer checker fired.
@@ -224,9 +224,9 @@ pub enum SanInject {
 /// Per-launch sanitizer state shared across SMs: the conservation ledger
 /// and the fault-injection counters. Created by the GPU when
 /// [`GpuConfig::sanitize`](crate::GpuConfig::sanitize) is on and handed to
-/// each SM through [`TickCtx`](crate::TickCtx).
+/// each SM through `TickCtx`.
 #[derive(Debug)]
-pub struct SanRun {
+pub(crate) struct SanRun {
     /// The request-conservation ledger.
     pub ledger: RequestLedger,
     inject: SanInject,

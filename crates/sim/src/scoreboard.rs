@@ -20,7 +20,7 @@ pub(crate) fn fill_mask(inst: &Instruction, row: &mut [u64]) {
 
 /// Scoreboard for all warps of one SM running one kernel.
 #[derive(Debug)]
-pub struct Scoreboard {
+pub(crate) struct Scoreboard {
     /// One bit per register, `words` words per warp.
     pending: Vec<u64>,
     words: usize,
@@ -42,7 +42,7 @@ impl Scoreboard {
     }
 
     /// Whether an instruction with read|write register `mask` (a
-    /// [`DecodedKernel::mask`](crate::DecodedKernel::mask) row) must wait
+    /// [`DecodedKernel::mask`](crate::decode::DecodedKernel::mask) row) must wait
     /// for `warp`'s in-flight writes (RAW or WAW hazard).
     pub fn blocked(&self, warp: usize, mask: &[u64]) -> bool {
         self.row(warp).iter().zip(mask).any(|(p, m)| p & m != 0)
@@ -80,14 +80,22 @@ impl Scoreboard {
         }
     }
 
-    /// Checkpoint-decode a scoreboard written by
+    /// Registers per warp the scoreboard can track.
+    pub fn regs(&self) -> usize {
+        self.words * 64
+    }
+
+    /// Checkpoint-decode a scoreboard of `n_warps` warps written by
     /// [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<Scoreboard, WireError> {
+    pub fn ckpt_decode(d: &mut Dec<'_>, n_warps: usize) -> Result<Scoreboard, WireError> {
         let words = d.usize()?;
         if words == 0 {
             return Err(WireError::Malformed("scoreboard word count is zero"));
         }
         let n = d.seq_len()?;
+        if n != n_warps {
+            return Err(WireError::Malformed("scoreboard warp count mismatch"));
+        }
         let mut pending = Vec::new();
         for _ in 0..n {
             let warp = d.seq(|d| d.u64())?;
@@ -149,6 +157,15 @@ mod tests {
         assert!(!can_issue(&sb, 0, &bra));
         sb.release(0, Reg(5));
         assert!(can_issue(&sb, 0, &bra));
+    }
+
+    #[test]
+    fn decode_requires_one_row_per_warp_slot() {
+        let mut e = Enc::new();
+        Scoreboard::new(2, 8).ckpt_encode(&mut e);
+        let bytes = e.into_bytes();
+        assert!(Scoreboard::ckpt_decode(&mut Dec::new(&bytes), 2).is_ok());
+        assert!(Scoreboard::ckpt_decode(&mut Dec::new(&bytes), 3).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use gcl_ptx::RECONV_EXIT;
 
 /// One stack entry: execute from `pc` with `mask` until `reconv`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimtEntry {
+pub(crate) struct SimtEntry {
     /// Next pc to execute for this entry.
     pub pc: usize,
     /// Lanes active under this entry.
@@ -19,7 +19,7 @@ pub struct SimtEntry {
 /// Lanes that execute `exit` are tracked by the *warp* in an `exited` mask;
 /// the stack prunes entries whose live lanes have all exited.
 #[derive(Debug, Clone)]
-pub struct SimtStack {
+pub(crate) struct SimtStack {
     entries: Vec<SimtEntry>,
 }
 
@@ -58,7 +58,8 @@ impl SimtStack {
         self.entries.last().map_or(0, |e| e.mask & !exited)
     }
 
-    /// Current stack depth (for divergence statistics).
+    /// Current stack depth.
+    #[cfg(test)]
     pub fn depth(&self) -> usize {
         self.entries.len()
     }

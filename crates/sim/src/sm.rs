@@ -1,152 +1,32 @@
-//! The streaming multiprocessor: warp scheduling, issue, LD/ST unit with
-//! coalescing and L1 access retry, writeback, barriers and CTA retirement.
+//! The streaming multiprocessor: warp scheduling, issue, writeback,
+//! barriers and CTA retirement. Memory instructions go to the SM's LD/ST
+//! unit ([`crate::ldst`]).
 
-use crate::coalesce::coalesce_into;
+use crate::decode::DecodedKernel;
 use crate::fault::{MemFaultReport, SmSnapshot, WarpSnapshot};
+use crate::ldst::{Bounds, Completion, LdstUnit};
+use crate::loadtrack::LoadTracker;
 use crate::replay::{warps_per_cta, LaunchReplay, ReplayKind, TraceSink};
 use crate::san::{SanRun, SmSan, TickError};
-use crate::warp::{ExecCtx, MemAccess, ReplayCursor, StepResult, Warp};
-use crate::{
-    BlockTracker, DecodedKernel, Dim3, GlobalMem, GpuConfig, LoadTracker, Scoreboard, Trace,
-    WarpScheduler,
-};
-use gcl_core::LoadClass;
-use gcl_mem::{
-    AccessOutcome, AddrMap, Cache, ClassTag, Cycle, Dec, Enc, Icnt, MemRequest, ReqInfo, SanStage,
-    WireError,
-};
+use crate::scoreboard::Scoreboard;
+use crate::warp::{ExecCtx, ReplayCursor, StepResult, Warp};
+use crate::warp_sched::WarpScheduler;
+use crate::{BlockTracker, Dim3, GlobalMem, GpuConfig, SmStats, Trace};
+use gcl_mem::{AddrMap, Cache, Cycle, Dec, Enc, Icnt, WireError};
 use gcl_ptx::{Kernel, Reg, Space, Unit};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::mem;
+use std::collections::BinaryHeap;
 
-/// Sentinel `meta` value marking prefetch requests (no load-tracker entry).
-const PREFETCH_META: u64 = u64::MAX;
-
-/// Per-SM execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SmStats {
-    /// Warp-level instructions issued.
-    pub warp_insts: u64,
-    /// Thread-level instructions (warp instructions × active lanes).
-    pub thread_insts: u64,
-    /// Dynamic global-load warp instructions by class `[D, N]`.
-    pub global_load_warps: [u64; 2],
-    /// Dynamic shared-load warp instructions (profiler `shared_load`).
-    pub shared_load_warps: u64,
-    /// Cycles each unit's first stage was occupied `[SP, SFU, LDST]`.
-    pub unit_busy: [u64; 3],
-    /// Cycles this SM was ticked.
-    pub cycles: u64,
-    /// Extra cycles spent serializing shared-memory bank conflicts.
-    pub bank_conflict_cycles: u64,
-    /// CTAs retired.
-    pub ctas_retired: u64,
-    /// Next-line prefetches issued into the L1.
-    pub prefetches_issued: u64,
-    /// Branch warp instructions executed.
-    pub branches: u64,
-    /// Branches that split the warp (control-flow divergence).
-    pub divergent_branches: u64,
-}
-
-impl SmStats {
-    /// Merge another SM's stats into this one.
-    pub fn merge(&mut self, o: &SmStats) {
-        self.warp_insts += o.warp_insts;
-        self.thread_insts += o.thread_insts;
-        self.global_load_warps[0] += o.global_load_warps[0];
-        self.global_load_warps[1] += o.global_load_warps[1];
-        self.shared_load_warps += o.shared_load_warps;
-        for u in 0..3 {
-            self.unit_busy[u] += o.unit_busy[u];
-        }
-        self.cycles += o.cycles;
-        self.bank_conflict_cycles += o.bank_conflict_cycles;
-        self.ctas_retired += o.ctas_retired;
-        self.prefetches_issued += o.prefetches_issued;
-        self.branches += o.branches;
-        self.divergent_branches += o.divergent_branches;
-    }
-}
-
-/// Shared-memory bank-conflict degree: the maximum number of distinct words
-/// mapped to one of the 32 four-byte-interleaved banks (broadcasts of the
-/// same word are conflict-free).
-pub fn bank_conflict_degree(lane_addrs: &[(u32, u64)]) -> u32 {
-    let mut per_bank = [0u32; 32];
-    for (i, &(_, addr)) in lane_addrs.iter().enumerate() {
-        let word = addr / 4;
-        if !lane_addrs[..i].iter().any(|&(_, a)| a / 4 == word) {
-            per_bank[(word % 32) as usize] += 1;
-        }
-    }
-    per_bank.into_iter().max().unwrap_or(1).max(1)
-}
+/// Pending ALU writebacks: `(due cycle, warp slot, register)`.
+pub(crate) type Writebacks = BinaryHeap<Reverse<(Cycle, usize, Reg)>>;
 
 #[derive(Debug)]
 struct CtaState {
     warp_slots: Vec<usize>,
 }
 
-#[derive(Debug)]
-enum LdstEntry {
-    /// Global-backed access: requests retried against the L1 until accepted.
-    Global {
-        warp_slot: usize,
-        /// Load-tracker handle (loads only).
-        meta: Option<u64>,
-        is_store: bool,
-        pending: VecDeque<MemRequest>,
-        /// Warp-split chunk (Section X-A): rotate to the back of the queue
-        /// after accepting this many requests.
-        split: Option<usize>,
-        accepted_since_rotate: usize,
-    },
-    /// Shared-memory access: occupies the unit for the conflict-serialized
-    /// cycles, then completes after the shared latency.
-    Shared {
-        warp_slot: usize,
-        dst: Option<Reg>,
-        cycles_left: u32,
-    },
-    /// Parameter/constant-cache access: ideal, fixed latency.
-    Const {
-        warp_slot: usize,
-        dst: Option<Reg>,
-        cycles_left: u32,
-    },
-}
-
-/// Events completing inside the SM (L1 hits, shared/const loads).
-#[derive(Debug, PartialEq, Eq)]
-struct LocalDone {
-    at: Cycle,
-    seq: u64,
-    meta: Option<u64>,
-    req: Option<MemRequestOrd>,
-    warp_slot: usize,
-    dst: Option<Reg>,
-}
-
-/// Wrapper to keep `MemRequest` out of the heap's Ord.
-#[derive(Debug, PartialEq, Eq)]
-struct MemRequestOrd(u64);
-
-impl Ord for LocalDone {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for LocalDone {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Everything an SM needs from the GPU for one cycle.
-pub struct TickCtx<'a> {
+pub(crate) struct TickCtx<'a> {
     /// Current cycle.
     pub cycle: Cycle,
     /// The running kernel.
@@ -177,9 +57,9 @@ pub struct TickCtx<'a> {
 
 /// One streaming multiprocessor.
 #[derive(Debug)]
-pub struct Sm {
+pub(crate) struct Sm {
     id: u16,
-    l1: Cache,
+    ldst: LdstUnit,
     warps: Vec<Option<Warp>>,
     warp_age: Vec<u64>,
     pending_ops: Vec<u32>,
@@ -188,25 +68,17 @@ pub struct Sm {
     smem: Vec<Vec<u8>>,
     scoreboard: Scoreboard,
     schedulers: Vec<WarpScheduler>,
-    ldst_queue: VecDeque<LdstEntry>,
-    local_done: BinaryHeap<Reverse<LocalDone>>,
-    /// Side table for requests riding `local_done` (L1 hits keep stamps).
-    local_reqs: HashMap<u64, MemRequest>,
-    writebacks: BinaryHeap<Reverse<(Cycle, usize, Reg)>>,
-    loadtrack: LoadTracker,
+    writebacks: Writebacks,
     stats: SmStats,
-    next_seq: u64,
-    issued_mem_this_cycle: bool,
     /// Per-SM sanitizer state (digest + shared-memory shadow), present when
     /// [`GpuConfig::sanitize`] is on.
     san: Option<SmSan>,
     /// Occupied CTA slots (derived from `cta_slots`).
     live_ctas: usize,
-    /// Buffers recycled from one memory instruction to the next: per-lane
-    /// addresses, coalesced blocks, and emptied request queues.
+    /// Buffers recycled from one cycle to the next: per-lane addresses of
+    /// a memory instruction, and the completions the LD/ST unit hands back.
     lane_buf: Vec<(u32, u64)>,
-    block_buf: Vec<u64>,
-    spare_pending: Vec<VecDeque<MemRequest>>,
+    done: Vec<Completion>,
 }
 
 impl Sm {
@@ -215,7 +87,7 @@ impl Sm {
         let max_warps = (cfg.max_threads_per_sm / cfg.warp_size) as usize;
         Sm {
             id,
-            l1,
+            ldst: LdstUnit::new(id, l1),
             warps: (0..max_warps).map(|_| None).collect(),
             warp_age: vec![0; max_warps],
             pending_ops: vec![0; max_warps],
@@ -228,21 +100,14 @@ impl Sm {
             schedulers: (0..cfg.n_schedulers)
                 .map(|_| WarpScheduler::new(cfg.warp_sched, max_warps))
                 .collect(),
-            ldst_queue: VecDeque::new(),
-            local_done: BinaryHeap::new(),
-            local_reqs: HashMap::new(),
             writebacks: BinaryHeap::new(),
-            loadtrack: LoadTracker::new(),
             stats: SmStats::default(),
-            next_seq: 0,
-            issued_mem_this_cycle: false,
             san: cfg
                 .sanitize
                 .then(|| SmSan::new(n_cta_slots, kernel.shared_bytes() as usize)),
             live_ctas: 0,
             lane_buf: Vec::new(),
-            block_buf: Vec::new(),
-            spare_pending: Vec::new(),
+            done: Vec::new(),
         }
     }
 
@@ -253,42 +118,17 @@ impl Sm {
 
     /// Whether this SM has any resident work.
     pub fn is_idle(&self) -> bool {
-        self.live_ctas == 0
-            && self.ldst_queue.is_empty()
-            && self.local_done.is_empty()
-            && self.writebacks.is_empty()
-            && self.l1.inflight() == 0
+        self.live_ctas == 0 && self.writebacks.is_empty() && self.ldst.is_idle()
     }
 
     /// Assert that every per-launch structure has fully drained. Called on
     /// the success path of a launch (debug builds): a completed launch with
     /// residue here means a request or op-count leaked.
     pub(crate) fn assert_drained(&self) {
-        assert!(
-            self.ldst_queue.is_empty(),
-            "SM{}: LD/ST queue not drained",
-            self.id
-        );
-        assert!(
-            self.local_done.is_empty(),
-            "SM{}: local-done heap not drained",
-            self.id
-        );
-        assert!(
-            self.local_reqs.is_empty(),
-            "SM{}: local request map not drained",
-            self.id
-        );
+        self.ldst.assert_drained();
         assert!(
             self.writebacks.is_empty(),
             "SM{}: writeback heap not drained",
-            self.id
-        );
-        assert_eq!(self.l1.inflight(), 0, "SM{}: L1 MSHRs not drained", self.id);
-        assert_eq!(
-            self.loadtrack.inflight_count(),
-            0,
-            "SM{}: load tracker not drained",
             self.id
         );
         for (slot, &n) in self.pending_ops.iter().enumerate() {
@@ -435,11 +275,16 @@ impl Sm {
         }
     }
 
-    fn class_tag(class: LoadClass) -> ClassTag {
-        match class {
-            LoadClass::Deterministic => ClassTag::Deterministic,
-            LoadClass::NonDeterministic => ClassTag::NonDeterministic,
+    /// Apply the completions the LD/ST unit handed back; returns whether
+    /// there were any.
+    fn apply_done(&mut self, decoded: &DecodedKernel) -> bool {
+        let mut done = std::mem::take(&mut self.done);
+        let any = !done.is_empty();
+        for (slot, dst) in done.drain(..) {
+            self.complete_op(slot, dst, decoded);
         }
+        self.done = done;
+        any
     }
 
     /// Advance this SM one cycle.
@@ -458,49 +303,38 @@ impl Sm {
     /// [`TickError::San`] when a sanitizer checker fires.
     pub fn tick(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
         self.stats.cycles += 1;
-        self.issued_mem_this_cycle = false;
         if self.live_ctas == 0 {
-            // No resident CTA, so no warp, pending op or LD/ST entry. Stores
-            // are fire-and-forget though: their acks (and prefetch fills)
-            // still arrive and their misses may still sit in the L1's queue.
-            debug_assert!(self.ldst_queue.is_empty() && self.writebacks.is_empty());
-            debug_assert!(self.local_done.is_empty());
-            let progress = self.process_responses(ctx)?;
-            self.drain_misses(ctx)?;
+            // No resident CTA, so no warp, pending op, writeback or LD/ST
+            // entry. Stores are fire-and-forget though: their acks (and
+            // prefetch fills) still arrive and their misses may still sit
+            // in the L1's queue.
+            let progress = self.ldst.complete(ctx, &mut self.san, &mut self.done)?;
+            self.ldst.tick(ctx, &mut self.stats, &mut self.done)?;
+            debug_assert!(self.done.is_empty() && self.writebacks.is_empty());
             return Ok(progress);
         }
         // Every stage below costs O(1) when it has nothing to do (a heap or
         // queue head not yet due, empty ready sets), so a resident but
-        // quiescent SM — all warps waiting on memory — falls straight through.
-        let mut progress = false;
-
-        progress |= self.process_writebacks(ctx);
-        progress |= self.process_responses(ctx)?;
-        progress |= self.process_local_done(ctx)?;
+        // quiescent SM — all warps waiting on memory — falls straight
+        // through.
+        let mut progress = self.process_writebacks(ctx);
+        progress |= self.ldst.complete(ctx, &mut self.san, &mut self.done)?;
+        self.apply_done(ctx.decoded);
         let (sp_issued, sfu_issued, any_issued) = self.issue(ctx)?;
         progress |= any_issued;
         if any_issued {
             // Only an issue (a warp parking or exiting) can complete a barrier.
             self.release_barriers(ctx.decoded);
         }
-        let ldst_active = !self.ldst_queue.is_empty();
-        progress |= self.process_ldst(ctx)?;
-        self.drain_misses(ctx)?;
-
-        if sp_issued {
-            self.stats.unit_busy[0] += 1;
-        }
-        if sfu_issued {
-            self.stats.unit_busy[1] += 1;
-        }
-        if ldst_active || self.issued_mem_this_cycle {
-            self.stats.unit_busy[2] += 1;
-        }
+        progress |= self.ldst.tick(ctx, &mut self.stats, &mut self.done)?;
+        let handed_off = self.apply_done(ctx.decoded);
+        self.stats.unit_busy[0] += u64::from(sp_issued);
+        self.stats.unit_busy[1] += u64::from(sfu_issued);
 
         // A CTA retires when its last warp exits or its last pending op
         // completes; every such event is an issue, a completion, or the
         // LD/ST unit handing off a store.
-        if progress || ldst_active {
+        if progress || handed_off {
             progress |= self.retire_ctas();
         }
         Ok(progress)
@@ -524,134 +358,6 @@ impl Sm {
         any
     }
 
-    /// Accept fills coming back from the interconnect.
-    fn process_responses(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
-        let cycle = ctx.cycle;
-        let mut any = false;
-        while let Some(resp) = ctx.icnt.pop_response(self.id.into(), cycle) {
-            any = true;
-            let duplicate = ctx
-                .san
-                .as_deref_mut()
-                .is_some_and(SanRun::should_duplicate_response);
-            self.accept_response(resp, ctx)?;
-            if duplicate {
-                // Injected fault: the packet arrives a second time. The
-                // conservation checker must report a double response.
-                self.accept_response(resp, ctx)?;
-            }
-        }
-        Ok(any)
-    }
-
-    /// Handle one response from the interconnect: fill the L1 and release
-    /// its waiters.
-    fn accept_response(
-        &mut self,
-        resp: MemRequest,
-        ctx: &mut TickCtx<'_>,
-    ) -> Result<(), TickError> {
-        let cycle = ctx.cycle;
-        if resp.is_write {
-            return Ok(()); // stores are fire-and-forget
-        }
-        if let Some(s) = &mut self.san {
-            s.fold(cycle);
-            s.fold(resp.block_addr);
-        }
-        if let Some(sr) = ctx.san.as_deref_mut() {
-            if resp.san != 0 {
-                sr.ledger.transition(resp.san, SanStage::Returned, cycle)?;
-            }
-            if sr.should_drop_mshr() {
-                // Injected fault: lose the MSHR bookkeeping just before the
-                // fill; the empty fill below must be reported.
-                self.l1.forget_mshr(resp.block_addr);
-            }
-        }
-        let waiters = self.l1.fill(resp.block_addr, cycle);
-        if waiters.is_empty() {
-            // A fill with no waiting request means MSHR bookkeeping was lost
-            // somewhere in the hierarchy. With the sanitizer on, the ledger
-            // attributes the violation; without it, surface a bare
-            // conservation report instead of panicking or silently dropping
-            // the response.
-            if let Some(sr) = ctx.san.as_deref_mut() {
-                return Err(sr
-                    .ledger
-                    .response_without_request(resp.san, resp.block_addr, self.id, resp.class, cycle)
-                    .into());
-            }
-            return Err(TickError::San(Box::new(
-                crate::san::SanitizerReport::Conservation(gcl_mem::ConservationReport {
-                    kind: gcl_mem::ConservationKind::ResponseWithoutRequest,
-                    san_id: resp.san,
-                    pc: None,
-                    class: resp.class,
-                    is_write: false,
-                    block_addr: resp.block_addr,
-                    sm: self.id,
-                    stage: SanStage::Returned,
-                    cycle,
-                }),
-            )));
-        }
-        for mut w in waiters {
-            w.t_icnt_inject = resp.t_icnt_inject;
-            w.t_l2_done = resp.t_l2_done;
-            w.t_returned = cycle;
-            if w.san != 0 {
-                if let Some(sr) = ctx.san.as_deref_mut() {
-                    sr.ledger.retire(w.san, cycle)?;
-                }
-            }
-            self.finish_request(w, cycle, ctx.decoded);
-        }
-        Ok(())
-    }
-
-    fn finish_request(&mut self, req: MemRequest, cycle: Cycle, decoded: &DecodedKernel) {
-        let meta = req.meta;
-        if meta == PREFETCH_META {
-            return; // prefetched data is now resident; nothing waits on it
-        }
-        if self.loadtrack.complete_request(meta, &req, cycle) {
-            // Whole warp load finished: find its record (dst/warp) via the
-            // request's packed routing info.
-            let warp_slot = (req.id >> 32) as usize;
-            let dst = Reg((req.id & 0xFFFF_FFFF) as u32);
-            self.complete_op(warp_slot, Some(dst), decoded);
-        }
-    }
-
-    fn process_local_done(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
-        let cycle = ctx.cycle;
-        let mut any = false;
-        while let Some(Reverse(head)) = self.local_done.peek() {
-            if head.at > cycle {
-                break;
-            }
-            any = true;
-            let Reverse(done) = self.local_done.pop().unwrap();
-            match (done.meta, done.req) {
-                // An L1-hit request of a tracked load.
-                (Some(_meta), Some(MemRequestOrd(key))) => {
-                    let mut req = self.local_reqs.remove(&key).expect("missing local request");
-                    req.t_returned = cycle;
-                    if req.san != 0 {
-                        if let Some(sr) = ctx.san.as_deref_mut() {
-                            sr.ledger.retire(req.san, cycle)?;
-                        }
-                    }
-                    self.finish_request(req, cycle, ctx.decoded);
-                }
-                // Shared/const load completion.
-                _ => self.complete_op(done.warp_slot, done.dst, ctx.decoded),
-            }
-        }
-        Ok(any)
-    }
-
     /// Issue up to one instruction per scheduler. Returns
     /// `(sp, sfu, any_issued)` flags for occupancy accounting and the hang
     /// watchdog.
@@ -671,7 +377,7 @@ impl Sm {
         let mut sfu = false;
         let mut any = false;
         for s in 0..n_sched {
-            let ldst_full = self.ldst_queue.len() >= ctx.cfg.ldst_queue_len;
+            let ldst_full = self.ldst.is_full(ctx.cfg);
             let (warps, ages) = (&self.warps, &self.warp_age);
             let picked = self.schedulers[s].pick(
                 ldst_full,
@@ -741,6 +447,7 @@ impl Sm {
             s.fold(((pc as u64) << 32) | u64::from(active_mask));
         }
         let linear_cta = warp.linear_cta;
+        let warp_in_cta = warp.warp_in_cta;
         if let Some(sink) = ctx.sink.as_deref_mut() {
             let ev = Trace::event(
                 cycle,
@@ -750,165 +457,62 @@ impl Sm {
                 pc as u32,
                 active_mask,
             );
-            let stream = linear_cta * warps_per_cta(ctx.ntid, ctx.cfg.warp_size)
-                + u64::from(warp.warp_in_cta);
+            let stream =
+                linear_cta * warps_per_cta(ctx.ntid, ctx.cfg.warp_size) + u64::from(warp_in_cta);
             let kind = ReplayKind::of_step(&result, warp.at_barrier);
             sink.issue(stream, &ev, &kind);
         }
         self.warps[slot] = Some(warp);
 
-        match result {
+        // Each arm counts its pending operation; the destination it names
+        // is reserved below, and `complete_op` undoes both.
+        let dst = match result {
             StepResult::Alu { dst } => {
-                let latency = match inst_unit {
-                    Unit::Sfu => ctx.cfg.sfu_latency,
-                    _ => ctx.cfg.sp_latency,
-                };
                 if let Some(d) = dst {
-                    self.scoreboard.reserve(slot, d);
-                    self.pending_ops[slot] += 1;
+                    let latency = match inst_unit {
+                        Unit::Sfu => ctx.cfg.sfu_latency,
+                        _ => ctx.cfg.sp_latency,
+                    };
                     self.writebacks
                         .push(Reverse((cycle + Cycle::from(latency), slot, d)));
+                    self.pending_ops[slot] += 1;
                 }
+                dst
             }
             StepResult::Mem(access) => {
-                self.issued_mem_this_cycle = true;
-                self.dispatch_mem(slot, linear_cta, pc, access, ctx)?;
+                if access.space == Space::Shared {
+                    if let Some(s) = &mut self.san {
+                        s.check_shared(
+                            cta_slot,
+                            self.id,
+                            linear_cta,
+                            warp_in_cta,
+                            pc,
+                            access.is_store,
+                            &access.lane_addrs,
+                            access.bytes,
+                        )?;
+                    }
+                }
+                self.ldst
+                    .dispatch(slot, linear_cta, &access, ctx, &mut self.stats);
+                self.pending_ops[slot] += 1;
+                let dst = access.dst;
+                self.lane_buf = access.lane_addrs;
+                dst
             }
             StepResult::Branch { diverged } => {
                 self.stats.branches += 1;
-                if diverged {
-                    self.stats.divergent_branches += 1;
-                }
+                self.stats.divergent_branches += u64::from(diverged);
+                None
             }
-            StepResult::Predicated | StepResult::Exit => {}
-            StepResult::Barrier => {}
+            StepResult::Predicated | StepResult::Exit | StepResult::Barrier => None,
+        };
+        if let Some(d) = dst {
+            self.scoreboard.reserve(slot, d);
         }
         self.refresh_ready(slot, ctx.decoded);
         Ok(inst_unit)
-    }
-
-    fn dispatch_mem(
-        &mut self,
-        slot: usize,
-        linear_cta: u64,
-        pc: usize,
-        access: MemAccess,
-        ctx: &mut TickCtx<'_>,
-    ) -> Result<(), TickError> {
-        let cycle = ctx.cycle;
-        match access.space {
-            Space::Param | Space::Const => {
-                if let Some(d) = access.dst {
-                    self.scoreboard.reserve(slot, d);
-                }
-                self.pending_ops[slot] += 1;
-                self.ldst_queue.push_back(LdstEntry::Const {
-                    warp_slot: slot,
-                    dst: access.dst,
-                    cycles_left: 1,
-                });
-            }
-            Space::Shared => {
-                if let Some(s) = &mut self.san {
-                    let w = self.warps[slot]
-                        .as_ref()
-                        .expect("warp resident at dispatch");
-                    s.check_shared(
-                        w.cta_slot,
-                        self.id,
-                        linear_cta,
-                        w.warp_in_cta,
-                        pc,
-                        access.is_store,
-                        &access.lane_addrs,
-                        access.bytes,
-                    )?;
-                }
-                if !access.is_store {
-                    self.stats.shared_load_warps += 1;
-                }
-                let degree = bank_conflict_degree(&access.lane_addrs);
-                self.stats.bank_conflict_cycles += u64::from(degree - 1);
-                if let Some(d) = access.dst {
-                    self.scoreboard.reserve(slot, d);
-                }
-                self.pending_ops[slot] += 1;
-                self.ldst_queue.push_back(LdstEntry::Shared {
-                    warp_slot: slot,
-                    dst: access.dst,
-                    cycles_left: degree,
-                });
-            }
-            Space::Global | Space::Local | Space::Tex => {
-                let mut blocks = mem::take(&mut self.block_buf);
-                coalesce_into(
-                    &access.lane_addrs,
-                    access.bytes,
-                    ctx.cfg.l1.line_bytes,
-                    &mut blocks,
-                );
-                let n_requests = blocks.len() as u32;
-                let is_store = access.is_store;
-                let (class_tag, meta) = if is_store {
-                    (ClassTag::Other, None)
-                } else {
-                    let class = ctx.decoded.class(pc);
-                    self.stats.global_load_warps[match class {
-                        LoadClass::Deterministic => 0,
-                        LoadClass::NonDeterministic => 1,
-                    }] += 1;
-                    let active = access.lane_addrs.len() as u32;
-                    let meta = self.loadtrack.begin(pc, class, n_requests, active, cycle);
-                    for &b in &blocks {
-                        ctx.blocktrack.record_at(b, linear_cta, pc as u64);
-                    }
-                    (Self::class_tag(class), Some(meta))
-                };
-                let dst = access.dst;
-                if let Some(d) = dst {
-                    self.scoreboard.reserve(slot, d);
-                }
-                self.pending_ops[slot] += 1;
-                let mut pending = self.spare_pending.pop().unwrap_or_default();
-                for &b in &blocks {
-                    let id = (slot as u64) << 32 | u64::from(dst.map_or(0, |d| d.0));
-                    let mut req = if is_store {
-                        MemRequest::write(id, b, self.id, cycle)
-                    } else {
-                        MemRequest::read(id, b, self.id, class_tag, meta.unwrap_or(0), cycle)
-                    };
-                    req.class = class_tag;
-                    if let Some(sr) = ctx.san.as_deref_mut() {
-                        req.san = sr.ledger.create(
-                            ReqInfo {
-                                pc: Some(pc),
-                                class: class_tag,
-                                is_write: is_store,
-                                block_addr: b,
-                                sm: self.id,
-                            },
-                            cycle,
-                        );
-                    }
-                    pending.push_back(req);
-                }
-                self.block_buf = blocks;
-                let split = match (ctx.cfg.warp_split_nd, class_tag) {
-                    (Some(k), ClassTag::NonDeterministic) => Some(k),
-                    _ => None,
-                };
-                self.ldst_queue.push_back(LdstEntry::Global {
-                    warp_slot: slot,
-                    meta,
-                    is_store,
-                    pending,
-                    split,
-                    accepted_since_rotate: 0,
-                });
-            }
-        }
-        self.lane_buf = access.lane_addrs;
-        Ok(())
     }
 
     fn release_barriers(&mut self, decoded: &DecodedKernel) {
@@ -958,230 +562,6 @@ impl Sm {
         }
     }
 
-    /// Process the head of the LD/ST queue: shared/const countdowns and L1
-    /// access attempts for global requests. Returns whether the unit moved
-    /// (countdown advanced or a request was accepted by the L1).
-    fn process_ldst(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
-        let cycle = ctx.cycle;
-        let Some(head) = self.ldst_queue.front_mut() else {
-            return Ok(false);
-        };
-        match head {
-            LdstEntry::Const {
-                warp_slot,
-                dst,
-                cycles_left,
-            } => {
-                *cycles_left -= 1;
-                if *cycles_left == 0 {
-                    let done = LocalDone {
-                        at: cycle + Cycle::from(ctx.cfg.const_latency),
-                        seq: self.next_seq,
-                        meta: None,
-                        req: None,
-                        warp_slot: *warp_slot,
-                        dst: *dst,
-                    };
-                    self.next_seq += 1;
-                    self.local_done.push(Reverse(done));
-                    self.ldst_queue.pop_front();
-                }
-                Ok(true)
-            }
-            LdstEntry::Shared {
-                warp_slot,
-                dst,
-                cycles_left,
-            } => {
-                *cycles_left -= 1;
-                if *cycles_left == 0 {
-                    let done = LocalDone {
-                        at: cycle + Cycle::from(ctx.cfg.shared_latency),
-                        seq: self.next_seq,
-                        meta: None,
-                        req: None,
-                        warp_slot: *warp_slot,
-                        dst: *dst,
-                    };
-                    self.next_seq += 1;
-                    self.local_done.push(Reverse(done));
-                    self.ldst_queue.pop_front();
-                }
-                Ok(true)
-            }
-            LdstEntry::Global { .. } => self.process_global_head(ctx),
-        }
-    }
-
-    fn process_global_head(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
-        let cycle = ctx.cycle;
-        let hit_latency = Cycle::from(ctx.cfg.l1.hit_latency);
-        let mut rotate = false;
-        let mut finished = false;
-        let mut accepted = false;
-        {
-            let Some(LdstEntry::Global {
-                meta,
-                is_store,
-                pending,
-                split,
-                accepted_since_rotate,
-                warp_slot,
-                ..
-            }) = self.ldst_queue.front_mut()
-            else {
-                unreachable!()
-            };
-            let warp_slot = *warp_slot;
-            for _port in 0..ctx.cfg.l1_ports {
-                let Some(req) = pending.front().copied() else {
-                    break;
-                };
-                let outcome = self.l1.access(req, cycle);
-                if !outcome.accepted() {
-                    break; // retry next cycle; head-of-line blocks
-                }
-                pending.pop_front();
-                accepted = true;
-                if req.san != 0 {
-                    if let Some(sr) = ctx.san.as_deref_mut() {
-                        // Stores only ever return MissIssued when accepted
-                        // (write-through), so the Hit/HitReserved arms are
-                        // load-only.
-                        let stage = match outcome {
-                            AccessOutcome::Hit => SanStage::L1Hit,
-                            AccessOutcome::HitReserved => SanStage::MshrMerged,
-                            _ => SanStage::MissQueue,
-                        };
-                        sr.ledger.transition(req.san, stage, cycle)?;
-                    }
-                }
-                if let Some(m) = meta {
-                    self.loadtrack.note_accept(*m, cycle);
-                }
-                if outcome == AccessOutcome::Hit && !*is_store {
-                    let mut r = req;
-                    r.t_l1_accepted = cycle;
-                    let key = self.next_seq;
-                    self.next_seq += 1;
-                    self.local_reqs.insert(key, r);
-                    self.local_done.push(Reverse(LocalDone {
-                        at: cycle + hit_latency,
-                        seq: key,
-                        meta: Some(r.meta),
-                        req: Some(MemRequestOrd(key)),
-                        warp_slot: 0,
-                        dst: None,
-                    }));
-                }
-                if outcome == AccessOutcome::MissIssued
-                    && !*is_store
-                    && ctx.cfg.prefetch.triggers(req.class)
-                {
-                    // Section X-A: class-selective next-line prefetch. Best
-                    // effort — reservation failures are simply dropped.
-                    let mut pf = MemRequest::read(
-                        req.id,
-                        req.block_addr + u64::from(ctx.cfg.l1.line_bytes),
-                        self.id,
-                        ClassTag::Other,
-                        PREFETCH_META,
-                        cycle,
-                    );
-                    pf.meta = PREFETCH_META;
-                    if let Some(sr) = ctx.san.as_deref_mut() {
-                        // Tag before the access: on MissIssued/HitReserved the
-                        // MSHR stores a copy of `pf`, so the id must be set now.
-                        pf.san = sr.ledger.create(
-                            ReqInfo {
-                                pc: None,
-                                class: ClassTag::Other,
-                                is_write: false,
-                                block_addr: pf.block_addr,
-                                sm: self.id,
-                            },
-                            cycle,
-                        );
-                    }
-                    let pf_outcome = self.l1.access(pf, cycle);
-                    if pf_outcome == AccessOutcome::MissIssued {
-                        self.stats.prefetches_issued += 1;
-                    }
-                    if pf.san != 0 {
-                        if let Some(sr) = ctx.san.as_deref_mut() {
-                            match pf_outcome {
-                                AccessOutcome::MissIssued => {
-                                    sr.ledger.transition(pf.san, SanStage::MissQueue, cycle)?;
-                                }
-                                // Merged into an existing MSHR entry: it will
-                                // come back with the fill, so it must stay live
-                                // or the fill would double-retire it.
-                                AccessOutcome::HitReserved => {
-                                    sr.ledger.transition(pf.san, SanStage::MshrMerged, cycle)?;
-                                }
-                                // Hit or reservation failure: dropped prefetch.
-                                _ => sr.ledger.retire(pf.san, cycle)?,
-                            }
-                        }
-                    }
-                }
-                if let Some(k) = split {
-                    *accepted_since_rotate += 1;
-                    if *accepted_since_rotate >= *k && !pending.is_empty() {
-                        *accepted_since_rotate = 0;
-                        rotate = true;
-                        break;
-                    }
-                }
-            }
-            if pending.is_empty() {
-                finished = true;
-                if *is_store {
-                    // All store requests handed to the memory system; the
-                    // LD/ST slot is free.
-                    self.pending_ops[warp_slot] -= 1;
-                }
-            }
-        }
-        if finished {
-            if let Some(LdstEntry::Global { pending, .. }) = self.ldst_queue.pop_front() {
-                self.spare_pending.push(pending);
-            }
-        } else if rotate {
-            let entry = self.ldst_queue.pop_front().unwrap();
-            self.ldst_queue.push_back(entry);
-        }
-        Ok(accepted)
-    }
-
-    /// Move L1 misses into the interconnect.
-    fn drain_misses(&mut self, ctx: &mut TickCtx<'_>) -> Result<(), TickError> {
-        let cycle = ctx.cycle;
-        while self.l1.peek_miss().is_some() && ctx.icnt.can_inject_request(self.id.into()) {
-            let mut req = self.l1.pop_miss().unwrap();
-            if ctx
-                .san
-                .as_deref_mut()
-                .is_some_and(|s| s.should_drop_store(req.is_write))
-            {
-                // Injected fault: the store vanishes between the L1 miss
-                // queue and the interconnect. Nothing waits on a store, so
-                // only the conservation ledger can notice.
-                continue;
-            }
-            if req.san != 0 {
-                if let Some(sr) = ctx.san.as_deref_mut() {
-                    sr.ledger.transition(req.san, SanStage::IcntReq, cycle)?;
-                }
-            }
-            req.t_icnt_inject = cycle;
-            let part = ctx.addrmap.partition_of(req.block_addr, self.id.into());
-            let ok = ctx.icnt.inject_request(self.id.into(), part, req);
-            debug_assert!(ok, "inject after can_inject check");
-        }
-        Ok(())
-    }
-
     /// Retire CTAs whose warps have finished and drained. Returns whether
     /// any CTA retired.
     fn retire_ctas(&mut self) -> bool {
@@ -1228,44 +608,30 @@ impl Sm {
                 })
             })
             .collect();
+        let (ldst_queue, l1_inflight) = self.ldst.occupancy();
         SmSnapshot {
             id: self.id,
-            ldst_queue: self.ldst_queue.len(),
-            l1_inflight: self.l1.inflight(),
+            ldst_queue,
+            l1_inflight,
             warps,
         }
-    }
-
-    /// This SM's L1 cache (for statistics).
-    pub fn l1(&self) -> &Cache {
-        &self.l1
-    }
-
-    /// This SM's execution statistics.
-    pub fn stats(&self) -> &SmStats {
-        &self.stats
-    }
-
-    /// This SM's load tracker.
-    pub fn loadtrack(&self) -> &LoadTracker {
-        &self.loadtrack
     }
 
     /// Consume the SM, returning (stats, the L1 cache, load tracker). The
     /// cache keeps its contents so it can stay warm across launches.
     pub fn into_parts(self) -> (SmStats, Cache, LoadTracker) {
-        (self.stats, self.l1, self.loadtrack)
+        let (l1, loadtrack) = self.ldst.into_parts();
+        (self.stats, l1, loadtrack)
     }
 
     /// Checkpoint-encode the complete mid-launch state of this SM: warps,
-    /// CTA slots, shared memory, scoreboard, schedulers, LD/ST queue, local
-    /// completion heaps, writebacks, load tracker, statistics and (when
-    /// sanitizing) the per-SM sanitizer state. Heaps are written as sorted
-    /// vectors and hash maps in sorted key order so equal states produce
+    /// CTA slots, shared memory, scoreboard, schedulers, the LD/ST unit,
+    /// writebacks, statistics and (when sanitizing) the per-SM sanitizer
+    /// state. Heaps are written as sorted vectors so equal states produce
     /// identical bytes.
     pub fn ckpt_encode(&self, e: &mut Enc) {
         e.u16(self.id);
-        self.l1.ckpt_encode(e);
+        self.ldst.ckpt_encode_l1(e);
         e.seq(&self.warps, |e, w| e.opt(w, |e, w| w.ckpt_encode(e)));
         e.seq(&self.warp_age, |e, &a| e.u64(a));
         e.seq(&self.pending_ops, |e, &p| e.u32(p));
@@ -1278,68 +644,7 @@ impl Sm {
         e.seq(&self.smem, |e, mem| e.bytes(mem));
         self.scoreboard.ckpt_encode(e);
         e.seq(&self.schedulers, |e, s| s.ckpt_encode(e));
-        e.usize(self.ldst_queue.len());
-        for entry in &self.ldst_queue {
-            match entry {
-                LdstEntry::Global {
-                    warp_slot,
-                    meta,
-                    is_store,
-                    pending,
-                    split,
-                    accepted_since_rotate,
-                } => {
-                    e.u8(0);
-                    e.usize(*warp_slot);
-                    e.opt(meta, |e, &m| e.u64(m));
-                    e.bool(*is_store);
-                    e.usize(pending.len());
-                    for req in pending {
-                        req.ckpt_encode(e);
-                    }
-                    e.opt(split, |e, &k| e.usize(k));
-                    e.usize(*accepted_since_rotate);
-                }
-                LdstEntry::Shared {
-                    warp_slot,
-                    dst,
-                    cycles_left,
-                } => {
-                    e.u8(1);
-                    e.usize(*warp_slot);
-                    e.opt(dst, |e, d| e.u32(d.0));
-                    e.u32(*cycles_left);
-                }
-                LdstEntry::Const {
-                    warp_slot,
-                    dst,
-                    cycles_left,
-                } => {
-                    e.u8(2);
-                    e.usize(*warp_slot);
-                    e.opt(dst, |e, d| e.u32(d.0));
-                    e.u32(*cycles_left);
-                }
-            }
-        }
-        let mut done: Vec<&LocalDone> = self.local_done.iter().map(|r| &r.0).collect();
-        done.sort_unstable_by_key(|d| (d.at, d.seq));
-        e.usize(done.len());
-        for ld in done {
-            e.u64(ld.at);
-            e.u64(ld.seq);
-            e.opt(&ld.meta, |e, &m| e.u64(m));
-            e.opt(&ld.req, |e, r| e.u64(r.0));
-            e.usize(ld.warp_slot);
-            e.opt(&ld.dst, |e, d| e.u32(d.0));
-        }
-        let mut keys: Vec<&u64> = self.local_reqs.keys().collect();
-        keys.sort_unstable();
-        e.usize(keys.len());
-        for k in keys {
-            e.u64(*k);
-            self.local_reqs[k].ckpt_encode(e);
-        }
+        self.ldst.ckpt_encode_queues(e);
         let mut wbs: Vec<(Cycle, usize, Reg)> = self.writebacks.iter().map(|r| r.0).collect();
         wbs.sort_unstable();
         e.usize(wbs.len());
@@ -1348,23 +653,7 @@ impl Sm {
             e.usize(slot);
             e.u32(reg.0);
         }
-        self.loadtrack.ckpt_encode(e);
-        e.u64(self.stats.warp_insts);
-        e.u64(self.stats.thread_insts);
-        e.u64(self.stats.global_load_warps[0]);
-        e.u64(self.stats.global_load_warps[1]);
-        e.u64(self.stats.shared_load_warps);
-        for u in self.stats.unit_busy {
-            e.u64(u);
-        }
-        e.u64(self.stats.cycles);
-        e.u64(self.stats.bank_conflict_cycles);
-        e.u64(self.stats.ctas_retired);
-        e.u64(self.stats.prefetches_issued);
-        e.u64(self.stats.branches);
-        e.u64(self.stats.divergent_branches);
-        e.u64(self.next_seq);
-        e.bool(self.issued_mem_this_cycle);
+        self.ldst.ckpt_encode_tail(e, &self.stats);
         e.opt(&self.san, |e, s| s.ckpt_encode(e));
     }
 
@@ -1379,7 +668,7 @@ impl Sm {
     ) -> Result<Sm, WireError> {
         let max_warps = (cfg.max_threads_per_sm / cfg.warp_size) as usize;
         let id = d.u16()?;
-        let l1 = Cache::ckpt_decode(d, cfg.l1)?;
+        let mut ldst = LdstUnit::ckpt_decode_l1(d, id, cfg)?;
         let warps = d.seq(|d| d.opt(Warp::ckpt_decode))?;
         if warps.len() != max_warps {
             return Err(WireError::Malformed("warp slot count mismatch"));
@@ -1406,94 +695,16 @@ impl Sm {
         if smem.iter().any(|m| m.len() != shared_bytes) {
             return Err(WireError::Malformed("shared-memory size mismatch"));
         }
-        let scoreboard = Scoreboard::ckpt_decode(d)?;
+        let scoreboard = Scoreboard::ckpt_decode(d, max_warps)?;
         let schedulers = d.seq(|d| WarpScheduler::ckpt_decode(d, cfg.warp_sched, max_warps))?;
         if schedulers.len() != cfg.n_schedulers {
             return Err(WireError::Malformed("scheduler count mismatch"));
         }
-        let n_ldst = d.seq_len()?;
-        let mut ldst_queue = VecDeque::with_capacity(n_ldst);
-        for _ in 0..n_ldst {
-            let entry = match d.u8()? {
-                0 => {
-                    let warp_slot = d.usize()?;
-                    let meta = d.opt(|d| d.u64())?;
-                    let is_store = d.bool()?;
-                    let n = d.seq_len()?;
-                    let mut pending = VecDeque::with_capacity(n);
-                    for _ in 0..n {
-                        pending.push_back(MemRequest::ckpt_decode(d)?);
-                    }
-                    let split = d.opt(|d| d.usize())?;
-                    let accepted_since_rotate = d.usize()?;
-                    LdstEntry::Global {
-                        warp_slot,
-                        meta,
-                        is_store,
-                        pending,
-                        split,
-                        accepted_since_rotate,
-                    }
-                }
-                1 => LdstEntry::Shared {
-                    warp_slot: d.usize()?,
-                    dst: d.opt(|d| Ok(Reg(d.u32()?)))?,
-                    cycles_left: d.u32()?,
-                },
-                2 => LdstEntry::Const {
-                    warp_slot: d.usize()?,
-                    dst: d.opt(|d| Ok(Reg(d.u32()?)))?,
-                    cycles_left: d.u32()?,
-                },
-                _ => return Err(WireError::Malformed("bad LD/ST entry tag")),
-            };
-            let slot = match &entry {
-                LdstEntry::Global { warp_slot, .. }
-                | LdstEntry::Shared { warp_slot, .. }
-                | LdstEntry::Const { warp_slot, .. } => *warp_slot,
-            };
-            if slot >= max_warps {
-                return Err(WireError::Malformed("LD/ST warp slot out of range"));
-            }
-            ldst_queue.push_back(entry);
-        }
-        let n_done = d.seq_len()?;
-        let mut local_done = BinaryHeap::with_capacity(n_done);
-        let mut done_keys = Vec::new();
-        for _ in 0..n_done {
-            let at = d.u64()?;
-            let seq = d.u64()?;
-            let meta = d.opt(|d| d.u64())?;
-            let req = d.opt(|d| Ok(MemRequestOrd(d.u64()?)))?;
-            let warp_slot = d.usize()?;
-            let dst = d.opt(|d| Ok(Reg(d.u32()?)))?;
-            if warp_slot >= max_warps {
-                return Err(WireError::Malformed("local-done warp slot out of range"));
-            }
-            if let Some(MemRequestOrd(k)) = req {
-                done_keys.push(k);
-            }
-            local_done.push(Reverse(LocalDone {
-                at,
-                seq,
-                meta,
-                req,
-                warp_slot,
-                dst,
-            }));
-        }
-        let n_reqs = d.seq_len()?;
-        let mut local_reqs = HashMap::with_capacity(n_reqs);
-        for _ in 0..n_reqs {
-            let k = d.u64()?;
-            let req = MemRequest::ckpt_decode(d)?;
-            if local_reqs.insert(k, req).is_some() {
-                return Err(WireError::Malformed("duplicate local request key"));
-            }
-        }
-        if done_keys.iter().any(|k| !local_reqs.contains_key(k)) {
-            return Err(WireError::Malformed("dangling local request key"));
-        }
+        let bounds = Bounds {
+            warps: max_warps,
+            regs: scoreboard.regs(),
+        };
+        ldst.ckpt_decode_queues(d, bounds)?;
         let n_wb = d.seq_len()?;
         let mut writebacks = BinaryHeap::with_capacity(n_wb);
         for _ in 0..n_wb {
@@ -1503,24 +714,12 @@ impl Sm {
             if slot >= max_warps {
                 return Err(WireError::Malformed("writeback warp slot out of range"));
             }
+            if reg.index() >= bounds.regs {
+                return Err(WireError::Malformed("writeback register out of range"));
+            }
             writebacks.push(Reverse((at, slot, reg)));
         }
-        let loadtrack = LoadTracker::ckpt_decode(d)?;
-        let stats = SmStats {
-            warp_insts: d.u64()?,
-            thread_insts: d.u64()?,
-            global_load_warps: [d.u64()?, d.u64()?],
-            shared_load_warps: d.u64()?,
-            unit_busy: [d.u64()?, d.u64()?, d.u64()?],
-            cycles: d.u64()?,
-            bank_conflict_cycles: d.u64()?,
-            ctas_retired: d.u64()?,
-            prefetches_issued: d.u64()?,
-            branches: d.u64()?,
-            divergent_branches: d.u64()?,
-        };
-        let next_seq = d.u64()?;
-        let issued_mem_this_cycle = d.bool()?;
+        let stats = ldst.ckpt_decode_tail(d)?;
         let n_cta_slots = cta_slots.len();
         let live_ctas = cta_slots.iter().flatten().count();
         let san = d.opt(|d| SmSan::ckpt_decode(d, n_cta_slots, shared_bytes))?;
@@ -1529,7 +728,7 @@ impl Sm {
         }
         Ok(Sm {
             id,
-            l1,
+            ldst,
             warps,
             warp_age,
             pending_ops,
@@ -1538,38 +737,20 @@ impl Sm {
             smem,
             scoreboard,
             schedulers,
-            ldst_queue,
-            local_done,
-            local_reqs,
             writebacks,
-            loadtrack,
             stats,
-            next_seq,
-            issued_mem_this_cycle,
             san,
             live_ctas,
             lane_buf: Vec::new(),
-            block_buf: Vec::new(),
-            spare_pending: Vec::new(),
+            done: Vec::new(),
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bank_conflicts_counted() {
-        // All lanes hit the same bank, different words: degree 4.
-        let addrs: Vec<(u32, u64)> = (0..4).map(|l| (l, u64::from(l) * 128)).collect();
-        assert_eq!(bank_conflict_degree(&addrs), 4);
-        // Conflict-free: consecutive words.
-        let addrs: Vec<(u32, u64)> = (0..32).map(|l| (l, u64::from(l) * 4)).collect();
-        assert_eq!(bank_conflict_degree(&addrs), 1);
-        // Broadcast: same word everywhere.
-        let addrs: Vec<(u32, u64)> = (0..32).map(|l| (l, 64)).collect();
-        assert_eq!(bank_conflict_degree(&addrs), 1);
-        assert_eq!(bank_conflict_degree(&[]), 1);
+impl Sm {
+    /// The LD/ST unit and the writeback heap, for tests that plant state.
+    pub(crate) fn planted(&mut self) -> (&mut LdstUnit, &mut Writebacks) {
+        (&mut self.ldst, &mut self.writebacks)
     }
 }

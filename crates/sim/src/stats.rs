@@ -2,31 +2,95 @@
 //! several).
 
 use crate::loadtrack::{ClassAgg, PcReqAgg};
-use crate::SmStats;
 use gcl_core::LoadClass;
 use gcl_mem::{AccessOutcome, CacheStats, ClassTag, Dec, DramStats, Enc, WireError};
 use gcl_stats::ProfilerCounters;
 
-fn enc_cache_stats(e: &mut Enc, s: &CacheStats) {
-    for row in &s.attempts {
-        for &v in row {
-            e.u64(v);
-        }
-    }
-    e.u64(s.fills);
-    e.u64(s.writes_forwarded);
+/// Per-SM execution statistics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SmStats {
+    /// Warp-level instructions issued.
+    pub warp_insts: u64,
+    /// Thread-level instructions (warp instructions × active lanes).
+    pub thread_insts: u64,
+    /// Dynamic global-load warp instructions by class `[D, N]`.
+    pub global_load_warps: [u64; 2],
+    /// Dynamic shared-load warp instructions (profiler `shared_load`).
+    pub shared_load_warps: u64,
+    /// Cycles each unit's first stage was occupied `[SP, SFU, LDST]`.
+    pub unit_busy: [u64; 3],
+    /// Cycles this SM was ticked.
+    pub cycles: u64,
+    /// Extra cycles spent serializing shared-memory bank conflicts.
+    pub bank_conflict_cycles: u64,
+    /// CTAs retired.
+    pub ctas_retired: u64,
+    /// Next-line prefetches issued into the L1.
+    pub prefetches_issued: u64,
+    /// Branch warp instructions executed.
+    pub branches: u64,
+    /// Branches that split the warp (control-flow divergence).
+    pub divergent_branches: u64,
 }
 
-fn dec_cache_stats(d: &mut Dec<'_>) -> Result<CacheStats, WireError> {
-    let mut s = CacheStats::default();
-    for row in &mut s.attempts {
-        for v in row.iter_mut() {
-            *v = d.u64()?;
+impl SmStats {
+    /// Merge another SM's stats into this one.
+    pub fn merge(&mut self, o: &SmStats) {
+        self.warp_insts += o.warp_insts;
+        self.thread_insts += o.thread_insts;
+        self.global_load_warps[0] += o.global_load_warps[0];
+        self.global_load_warps[1] += o.global_load_warps[1];
+        self.shared_load_warps += o.shared_load_warps;
+        for u in 0..3 {
+            self.unit_busy[u] += o.unit_busy[u];
         }
+        self.cycles += o.cycles;
+        self.bank_conflict_cycles += o.bank_conflict_cycles;
+        self.ctas_retired += o.ctas_retired;
+        self.prefetches_issued += o.prefetches_issued;
+        self.branches += o.branches;
+        self.divergent_branches += o.divergent_branches;
     }
-    s.fills = d.u64()?;
-    s.writes_forwarded = d.u64()?;
-    Ok(s)
+
+    /// Wire-encode every field (shared by SM checkpoints and
+    /// [`LaunchStats::ckpt_encode`]).
+    pub fn ckpt_encode(&self, e: &mut Enc) {
+        e.u64(self.warp_insts);
+        e.u64(self.thread_insts);
+        e.u64(self.global_load_warps[0]);
+        e.u64(self.global_load_warps[1]);
+        e.u64(self.shared_load_warps);
+        for u in self.unit_busy {
+            e.u64(u);
+        }
+        e.u64(self.cycles);
+        e.u64(self.bank_conflict_cycles);
+        e.u64(self.ctas_retired);
+        e.u64(self.prefetches_issued);
+        e.u64(self.branches);
+        e.u64(self.divergent_branches);
+    }
+
+    /// Wire-decode stats written by [`ckpt_encode`](Self::ckpt_encode).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncated input.
+    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<SmStats, WireError> {
+        Ok(SmStats {
+            warp_insts: d.u64()?,
+            thread_insts: d.u64()?,
+            global_load_warps: [d.u64()?, d.u64()?],
+            shared_load_warps: d.u64()?,
+            unit_busy: [d.u64()?, d.u64()?, d.u64()?],
+            cycles: d.u64()?,
+            bank_conflict_cycles: d.u64()?,
+            ctas_retired: d.u64()?,
+            prefetches_issued: d.u64()?,
+            branches: d.u64()?,
+            divergent_branches: d.u64()?,
+        })
+    }
 }
 
 /// Identifies one static load at one dynamic request count, across merged
@@ -188,22 +252,9 @@ impl LaunchStats {
         e.str(&self.name);
         e.u64(self.launches);
         e.u64(self.cycles);
-        e.u64(self.sm.warp_insts);
-        e.u64(self.sm.thread_insts);
-        e.u64(self.sm.global_load_warps[0]);
-        e.u64(self.sm.global_load_warps[1]);
-        e.u64(self.sm.shared_load_warps);
-        for u in self.sm.unit_busy {
-            e.u64(u);
-        }
-        e.u64(self.sm.cycles);
-        e.u64(self.sm.bank_conflict_cycles);
-        e.u64(self.sm.ctas_retired);
-        e.u64(self.sm.prefetches_issued);
-        e.u64(self.sm.branches);
-        e.u64(self.sm.divergent_branches);
-        enc_cache_stats(e, &self.l1);
-        enc_cache_stats(e, &self.l2);
+        self.sm.ckpt_encode(e);
+        self.l1.ckpt_encode(e);
+        self.l2.ckpt_encode(e);
         e.u64(self.dram_serviced);
         e.u64(self.dram_total_latency);
         for agg in &self.class_agg {
@@ -234,21 +285,9 @@ impl LaunchStats {
         let name = d.str()?;
         let launches = d.u64()?;
         let cycles = d.u64()?;
-        let sm = SmStats {
-            warp_insts: d.u64()?,
-            thread_insts: d.u64()?,
-            global_load_warps: [d.u64()?, d.u64()?],
-            shared_load_warps: d.u64()?,
-            unit_busy: [d.u64()?, d.u64()?, d.u64()?],
-            cycles: d.u64()?,
-            bank_conflict_cycles: d.u64()?,
-            ctas_retired: d.u64()?,
-            prefetches_issued: d.u64()?,
-            branches: d.u64()?,
-            divergent_branches: d.u64()?,
-        };
-        let l1 = dec_cache_stats(d)?;
-        let l2 = dec_cache_stats(d)?;
+        let sm = SmStats::ckpt_decode(d)?;
+        let l1 = CacheStats::ckpt_decode(d)?;
+        let l2 = CacheStats::ckpt_decode(d)?;
         let dram_serviced = d.u64()?;
         let dram_total_latency = d.u64()?;
         let mut class_agg: [ClassAgg; 2] = Default::default();

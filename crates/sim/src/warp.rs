@@ -11,11 +11,12 @@
 use crate::decode::{for_lanes, DecodedKernel, Kind, Lanes, Map, Src, MAX_LANES};
 use crate::fault::{AccessKind, MemViolation};
 use crate::replay::{mem_access_of_record, ReplayKind, ReplayRecord};
-use crate::{Dim3, GlobalMem, SimtStack};
+use crate::simt::SimtStack;
+use crate::{Dim3, GlobalMem};
 use gcl_ptx::{Address, Guard, Reg, Space, Special, Type};
 
 /// Execution context shared by the warps of one CTA during one step.
-pub struct ExecCtx<'a> {
+pub(crate) struct ExecCtx<'a> {
     /// The running kernel, decoded for this launch.
     pub decoded: &'a DecodedKernel,
     /// The launch's parameter block.
@@ -42,7 +43,7 @@ fn memchecked_space(space: Space) -> bool {
 
 /// A memory access produced by one warp instruction, for the LD/ST unit.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MemAccess {
+pub(crate) struct MemAccess {
     /// Instruction index.
     pub pc: usize,
     /// Space accessed.
@@ -60,7 +61,7 @@ pub struct MemAccess {
 
 /// Outcome of issuing one instruction for a warp.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StepResult {
+pub(crate) enum StepResult {
     /// Arithmetic/move executed; if `dst` is set, a writeback should be
     /// scheduled on the instruction's unit latency.
     Alu {
@@ -86,7 +87,7 @@ pub enum StepResult {
 
 /// One warp's architectural state.
 #[derive(Debug)]
-pub struct Warp {
+pub(crate) struct Warp {
     /// Warp index within the SM (slot id).
     pub slot: usize,
     /// Resident-CTA slot this warp belongs to.
@@ -117,7 +118,7 @@ pub struct Warp {
 
 /// Position of a replaying warp within its recorded stream.
 #[derive(Debug, Clone)]
-pub struct ReplayCursor {
+pub(crate) struct ReplayCursor {
     /// Stream index within the launch's trace
     /// (`linear_cta * warps_per_cta + warp_in_cta`).
     pub stream: u64,
@@ -208,13 +209,9 @@ impl Warp {
     }
 
     /// Read a register for one lane.
+    #[cfg(test)]
     pub fn reg(&self, lane: u32, r: Reg) -> u64 {
         self.regs[r.index() * self.warp_size as usize + lane as usize]
-    }
-
-    /// Write a register for one lane.
-    pub fn set_reg(&mut self, lane: u32, r: Reg, v: u64) {
-        self.regs[r.index() * self.warp_size as usize + lane as usize] = v;
     }
 
     /// Checkpoint-encode the full architectural state of this warp.

@@ -9,7 +9,7 @@ use gcl_mem::{Dec, Enc, WireError};
 /// ([`set_ready`](Self::set_ready)), and asks it to pick among the ready
 /// ones.
 #[derive(Debug)]
-pub struct WarpScheduler {
+pub(crate) struct WarpScheduler {
     policy: WarpSchedPolicy,
     /// Last warp slot issued (for LRR rotation / GTO greediness).
     last: Option<usize>,

@@ -1,6 +1,6 @@
 //! Columnar record codec: one warp stream's records split into four
 //! delta-compressed columns (pcs, masks, kind tags, kind payloads), with
-//! per-stream predictor state that survives chunked spills — concatenating
+//! per-stream predictor state kept apart from the buffers — concatenating
 //! a stream's chunk columns in order yields exactly the encoding of the
 //! whole stream.
 
@@ -17,8 +17,8 @@ const TAG_BARRIER: u8 = 3;
 const TAG_EXIT: u8 = 4;
 const TAG_PREDICATED: u8 = 5;
 
-/// Per-stream delta predictors. Persist across chunk spills so chunk
-/// columns concatenate seamlessly.
+/// Per-stream delta predictors. Chunks encoded under one state
+/// concatenate seamlessly.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ColState {
     prev_pc: i64,
@@ -42,6 +42,7 @@ pub(crate) struct ColBufs {
 
 impl ColBufs {
     /// Total bytes currently buffered across the four columns.
+    #[cfg(test)]
     pub fn bytes(&self) -> usize {
         self.pc.len() + self.mask.len() + self.tag.len() + self.payload.len()
     }

@@ -1,8 +1,7 @@
-//! Capacity-bounded trace capture: a [`TraceSink`] that encodes issued
-//! instructions straight into per-stream columns, spills column chunks to a
-//! scratch file when the in-memory budget is exceeded, seals each completed
-//! launch into a checksummed section on disk, and atomically publishes the
-//! final container on [`TraceWriter::finish`].
+//! Trace capture: a [`TraceSink`] that encodes issued instructions straight
+//! into per-stream columns, seals each completed launch into a checksummed
+//! section on disk, and atomically publishes the final container on
+//! [`TraceWriter::finish`].
 
 use crate::codec::{encode_record, ColBufs, ColState};
 use crate::{TraceError, TRACE_MAGIC, TRACE_VERSION};
@@ -35,22 +34,15 @@ struct CurLaunch {
     info: LaunchInfo,
     bufs: Vec<ColBufs>,
     states: Vec<ColState>,
-    /// Records per stream, across spills.
-    totals: Vec<u64>,
-    buffered: usize,
-    spill: Option<BufWriter<File>>,
 }
 
 /// A [`TraceSink`] writing the `GCLTRACE1` container.
 ///
-/// Memory is bounded during capture: when the per-launch column buffers
-/// exceed the configured capacity, they are spilled as chunks to a scratch
-/// file (`<out>.spill`); the per-stream delta predictors persist across
-/// spills, so sealing a launch only concatenates chunk columns. Completed
-/// launch sections stream to a second scratch file (`<out>.sections`), and
-/// [`finish`](TraceWriter::finish) assembles the final container next to it
-/// and renames it into place — a crash mid-capture never leaves a
-/// half-written container at the destination.
+/// Memory is bounded by one launch: the open launch's columns live in
+/// memory, and each completed launch is sealed to a scratch file
+/// (`<out>.sections`). [`finish`](TraceWriter::finish) assembles the final
+/// container next to it and renames it into place — a crash mid-capture
+/// never leaves a half-written container at the destination.
 ///
 /// The [`TraceSink`] methods cannot return errors, so I/O failures are
 /// latched and surfaced by `finish` (subsequent events are dropped).
@@ -58,10 +50,8 @@ struct CurLaunch {
 pub struct TraceWriter {
     out_path: PathBuf,
     sections_path: PathBuf,
-    spill_path: PathBuf,
     sections: Option<BufWriter<File>>,
     config_fp: u64,
-    cap_bytes: usize,
     launches: u64,
     records: u64,
     cur: Option<CurLaunch>,
@@ -73,28 +63,19 @@ impl TraceWriter {
     ///
     /// `config_fp` is the capturing GPU's configuration fingerprint
     /// ([`gcl_sim::config_fingerprint`]); replay validates against it.
-    /// `cap_bytes` bounds the in-memory column buffers per launch (the
-    /// spill threshold); 0 spills after every event.
     ///
     /// # Errors
     ///
     /// [`TraceError::Io`] when the scratch file cannot be created.
-    pub fn create(
-        path: impl Into<PathBuf>,
-        config_fp: u64,
-        cap_bytes: usize,
-    ) -> Result<TraceWriter, TraceError> {
+    pub fn create(path: impl Into<PathBuf>, config_fp: u64) -> Result<TraceWriter, TraceError> {
         let out_path = path.into();
         let sections_path = scratch_path(&out_path, "sections");
-        let spill_path = scratch_path(&out_path, "spill");
         let sections = Some(BufWriter::new(rw_create(&sections_path)?));
         Ok(TraceWriter {
             out_path,
             sections_path,
-            spill_path,
             sections,
             config_fp,
-            cap_bytes,
             launches: 0,
             records: 0,
             cur: None,
@@ -102,51 +83,9 @@ impl TraceWriter {
         })
     }
 
-    /// Spill every non-empty stream's columns as one chunk each, keeping
-    /// predictor state.
-    fn spill(&mut self) -> std::io::Result<()> {
-        let cur = self.cur.as_mut().expect("spill without open launch");
-        let spill = match cur.spill.as_mut() {
-            Some(s) => s,
-            None => {
-                cur.spill = Some(BufWriter::new(rw_create(&self.spill_path)?));
-                cur.spill.as_mut().expect("just created")
-            }
-        };
-        for (stream, bufs) in cur.bufs.iter_mut().enumerate() {
-            if bufs.n == 0 {
-                continue;
-            }
-            let taken = std::mem::take(bufs);
-            spill.write_all(&(stream as u64).to_le_bytes())?;
-            spill.write_all(&taken.n.to_le_bytes())?;
-            for col in [
-                taken.pc.into_bytes(),
-                taken.mask.into_bytes(),
-                taken.tag.into_bytes(),
-                taken.payload.into_bytes(),
-            ] {
-                spill.write_all(&(col.len() as u64).to_le_bytes())?;
-                spill.write_all(&col)?;
-            }
-        }
-        cur.buffered = 0;
-        Ok(())
-    }
-
     /// Seal the open launch into one checksummed section on the sections
     /// scratch file.
     fn seal_launch(&mut self) -> std::io::Result<()> {
-        let spilled = self
-            .cur
-            .as_ref()
-            .expect("seal without open launch")
-            .spill
-            .is_some();
-        if spilled {
-            // Flush the tail, then regroup chunk columns per stream.
-            self.spill()?;
-        }
         let cur = self.cur.take().expect("seal without open launch");
         let mut e = Enc::new();
         e.u64(cur.info.kernel_fp);
@@ -162,68 +101,23 @@ impl TraceWriter {
             e.u32(v);
         }
         e.u64(cur.info.n_streams);
-        if let Some(spill) = cur.spill {
-            let mut file = spill.into_inner().map_err(|e| e.into_error())?;
-            file.flush()?;
-            // Index the chunk file: per stream, the (offset, len) of each
-            // chunk's four columns, in chunk order.
-            let n_streams = cur.bufs.len();
-            let mut index: Vec<Vec<[(u64, u64); 4]>> = vec![Vec::new(); n_streams];
-            let end = file.seek(SeekFrom::End(0))?;
-            let mut pos = file.seek(SeekFrom::Start(0))?;
-            let mut head = [0u8; 16];
-            while pos < end {
-                file.read_exact(&mut head)?;
-                let stream = u64::from_le_bytes(head[..8].try_into().expect("slice"));
-                pos += 16;
-                let mut cols = [(0u64, 0u64); 4];
-                for c in &mut cols {
-                    let mut lenb = [0u8; 8];
-                    file.read_exact(&mut lenb)?;
-                    let len = u64::from_le_bytes(lenb);
-                    pos += 8;
-                    *c = (pos, len);
-                    pos = file.seek(SeekFrom::Start(pos + len))?;
-                }
-                index[usize::try_from(stream).expect("stream index")].push(cols);
-            }
-            // Emit each stream: record count, then the four columns as the
-            // in-order concatenation of its chunks — one column blob in
-            // memory at a time.
-            for (stream, chunks) in index.iter().enumerate() {
-                e.varint(cur.totals[stream]);
-                for col in 0..4 {
-                    let total: u64 = chunks.iter().map(|c| c[col].1).sum();
-                    e.usize(usize::try_from(total).expect("column size"));
-                    for c in chunks {
-                        let (off, len) = c[col];
-                        file.seek(SeekFrom::Start(off))?;
-                        let mut blob = vec![0u8; usize::try_from(len).expect("chunk size")];
-                        file.read_exact(&mut blob)?;
-                        e.raw(&blob);
-                    }
-                }
-            }
-            drop(file);
-            std::fs::remove_file(&self.spill_path)?;
-        } else {
-            for (stream, bufs) in cur.bufs.into_iter().enumerate() {
-                e.varint(cur.totals[stream]);
-                debug_assert_eq!(bufs.n, cur.totals[stream]);
-                for col in [
-                    bufs.pc.into_bytes(),
-                    bufs.mask.into_bytes(),
-                    bufs.tag.into_bytes(),
-                    bufs.payload.into_bytes(),
-                ] {
-                    e.bytes(&col);
-                }
+        let mut records = 0;
+        for bufs in cur.bufs {
+            e.varint(bufs.n);
+            records += bufs.n;
+            for col in [
+                bufs.pc.into_bytes(),
+                bufs.mask.into_bytes(),
+                bufs.tag.into_bytes(),
+                bufs.payload.into_bytes(),
+            ] {
+                e.bytes(&col);
             }
         }
         let sections = self.sections.as_mut().expect("sections live until finish");
         write_section(sections, &e.into_bytes())?;
         self.launches += 1;
-        self.records += cur.totals.iter().sum::<u64>();
+        self.records += records;
         Ok(())
     }
 
@@ -305,9 +199,6 @@ impl TraceSink for TraceWriter {
             info: info.clone(),
             bufs: (0..n).map(|_| ColBufs::default()).collect(),
             states: vec![ColState::default(); n],
-            totals: vec![0; n],
-            buffered: 0,
-            spill: None,
         });
     }
 
@@ -315,19 +206,9 @@ impl TraceSink for TraceWriter {
         if self.err.is_some() {
             return;
         }
-        let cap = self.cap_bytes;
-        let over = {
-            let cur = self.cur.as_mut().expect("issue without a launch");
-            let s = usize::try_from(stream).expect("stream index");
-            let before = cur.bufs[s].bytes();
-            encode_record(&mut cur.bufs[s], &mut cur.states[s], ev.pc, ev.active, kind);
-            cur.totals[s] += 1;
-            cur.buffered += cur.bufs[s].bytes() - before;
-            cur.buffered > cap
-        };
-        if over {
-            self.guard(TraceWriter::spill);
-        }
+        let cur = self.cur.as_mut().expect("issue without a launch");
+        let s = usize::try_from(stream).expect("stream index");
+        encode_record(&mut cur.bufs[s], &mut cur.states[s], ev.pc, ev.active, kind);
     }
 
     fn end_launch(&mut self) {
@@ -335,18 +216,15 @@ impl TraceSink for TraceWriter {
     }
 
     fn abort_launch(&mut self) {
-        if self.cur.take().is_some() {
-            let _ = std::fs::remove_file(&self.spill_path);
-        }
+        self.cur = None;
     }
 }
 
 impl Drop for TraceWriter {
     fn drop(&mut self) {
-        // `finish` renames the scratch files away; if the writer is
-        // dropped without finishing, don't leave them behind.
+        // `finish` removes the scratch file; if the writer is dropped
+        // without finishing, don't leave it behind.
         let _ = std::fs::remove_file(&self.sections_path);
-        let _ = std::fs::remove_file(&self.spill_path);
     }
 }
 

@@ -30,14 +30,10 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
 
 /// Capture one workload into a container file; returns its execution-driven
 /// reference (merged stats + locality observations).
-fn capture(
-    w: &dyn Workload,
-    path: &std::path::Path,
-    cap_bytes: usize,
-) -> (LaunchStats, Vec<PcSharing>) {
+fn capture(w: &dyn Workload, path: &std::path::Path) -> (LaunchStats, Vec<PcSharing>) {
     let cfg = san_cfg();
     let mut gpu = Gpu::new(cfg.clone()).unwrap();
-    let writer = TraceWriter::create(path, config_fingerprint(&cfg), cap_bytes).unwrap();
+    let writer = TraceWriter::create(path, config_fingerprint(&cfg)).unwrap();
     let sink = Arc::new(Mutex::new(writer));
     gpu.set_trace_sink(Some(Box::new(sink.clone())));
     let result = w.run(&mut gpu).unwrap();
@@ -88,7 +84,7 @@ fn replay(w: &dyn Workload, path: &std::path::Path) -> (LaunchStats, Vec<PcShari
 fn replay_reproduces_all_tiny_workloads() {
     for w in tiny_workloads() {
         let path = tmp_path(w.name());
-        let (exec_stats, exec_sharing) = capture(w.as_ref(), &path, 1 << 20);
+        let (exec_stats, exec_sharing) = capture(w.as_ref(), &path);
         let (mut rep_stats, rep_sharing) = replay(w.as_ref(), &path);
         assert_eq!(
             rep_stats.digest,
@@ -105,27 +101,6 @@ fn replay_reproduces_all_tiny_workloads() {
     }
 }
 
-/// A capacity of zero forces a spill after every issued instruction; the
-/// container must come out byte-identical to the unspilled one.
-#[test]
-fn spilled_capture_is_byte_identical() {
-    let workloads = tiny_workloads();
-    let w = workloads
-        .iter()
-        .find(|w| w.name() == "bfs")
-        .expect("bfs in tiny set");
-    let big = tmp_path("bfs-unspilled");
-    let small = tmp_path("bfs-spilled");
-    capture(w.as_ref(), &big, usize::MAX);
-    capture(w.as_ref(), &small, 0);
-    let a = std::fs::read(&big).unwrap();
-    let b = std::fs::read(&small).unwrap();
-    assert_eq!(a, b, "spill path must not change the container");
-    assert!(!a.is_empty());
-    std::fs::remove_file(&big).unwrap();
-    std::fs::remove_file(&small).unwrap();
-}
-
 /// Corruption matrix: truncations at every stride, bit flips at every
 /// stride, a version-skewed header, and a geometry-mismatched replay all
 /// fail with structured errors.
@@ -137,7 +112,7 @@ fn corruption_matrix_fails_structured() {
         .find(|w| w.name() == "spmv")
         .expect("spmv in tiny set");
     let path = tmp_path("spmv-corrupt");
-    capture(w.as_ref(), &path, 1 << 20);
+    capture(w.as_ref(), &path);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     parse_trace(&bytes).expect("pristine container parses");
@@ -248,7 +223,7 @@ fn aborted_launch_discarded_from_container() {
     let mut cfg = san_cfg();
     cfg.memcheck = true;
     let path = tmp_path("abort");
-    let writer = TraceWriter::create(&path, config_fingerprint(&cfg), 1 << 20).unwrap();
+    let writer = TraceWriter::create(&path, config_fingerprint(&cfg)).unwrap();
     let sink = Arc::new(Mutex::new(writer));
     let mut gpu = Gpu::new(cfg).unwrap();
     gpu.set_trace_sink(Some(Box::new(sink.clone())));
