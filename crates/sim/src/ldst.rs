@@ -344,7 +344,7 @@ impl LdstUnit {
         self.dispatched = false;
         let cycle = ctx.cycle;
         let mut any = false;
-        while let Some(resp) = ctx.icnt.pop_response(self.sm.into(), cycle) {
+        while let Some(resp) = ctx.mem.pop_response(self.sm.into(), cycle) {
             any = true;
             let duplicate = ctx
                 .san
@@ -634,7 +634,7 @@ impl LdstUnit {
     /// Move L1 misses into the interconnect.
     fn drain_misses(&mut self, ctx: &mut TickCtx<'_>) -> Result<(), TickError> {
         let cycle = ctx.cycle;
-        while self.l1.peek_miss().is_some() && ctx.icnt.can_inject_request(self.sm.into()) {
+        while self.l1.peek_miss().is_some() && ctx.mem.can_inject_request(self.sm.into()) {
             let mut req = self.l1.pop_miss().expect("peeked above");
             if ctx
                 .san
@@ -652,8 +652,7 @@ impl LdstUnit {
                 }
             }
             req.t_icnt_inject = cycle;
-            let part = ctx.addrmap.partition_of(req.block_addr, self.sm.into());
-            let ok = ctx.icnt.inject_request(self.sm.into(), part, req);
+            let ok = ctx.mem.inject_request(self.sm.into(), req);
             debug_assert!(ok, "inject after can_inject check");
         }
         Ok(())

@@ -77,8 +77,10 @@ mod fault;
 mod gmem;
 mod gpu;
 mod grid;
+mod launch;
 mod ldst;
 mod loadtrack;
+mod memsys;
 mod replay;
 mod san;
 mod scoreboard;

@@ -283,8 +283,9 @@ pub enum ReplayError {
         /// Fingerprint recorded in the snapshot.
         expected: u64,
     },
-    /// The active launch is a replay but was stepped without its trace
-    /// (e.g. [`Gpu::launch_step`](crate::Gpu::launch_step) on a replay).
+    /// A replay launch restored from a snapshot was stepped before
+    /// [`Gpu::launch_replay_resume`](crate::Gpu::launch_replay_resume) gave
+    /// it its trace back.
     MissingReplay,
     /// A trace was supplied but the active launch is execution-driven.
     NotReplayLaunch,

@@ -6,16 +6,18 @@ use crate::decode::DecodedKernel;
 use crate::fault::{MemFaultReport, SmSnapshot, WarpSnapshot};
 use crate::ldst::{Bounds, Completion, LdstUnit};
 use crate::loadtrack::LoadTracker;
-use crate::replay::{warps_per_cta, LaunchReplay, ReplayKind, TraceSink};
+use crate::memsys::MemSys;
+use crate::replay::{warps_per_cta, LaunchReplay, ReplayKind, ReplayRecord, TraceSink};
 use crate::san::{SanRun, SmSan, TickError};
 use crate::scoreboard::Scoreboard;
 use crate::warp::{ExecCtx, ReplayCursor, StepResult, Warp};
 use crate::warp_sched::WarpScheduler;
 use crate::{BlockTracker, Dim3, GlobalMem, GpuConfig, SmStats, Trace};
-use gcl_mem::{AddrMap, Cache, Cycle, Dec, Enc, Icnt, WireError};
+use gcl_mem::{Cache, Cycle, Dec, Enc, WireError};
 use gcl_ptx::{Kernel, Reg, Space, Unit};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Pending ALU writebacks: `(due cycle, warp slot, register)`.
 pub(crate) type Writebacks = BinaryHeap<Reverse<(Cycle, usize, Reg)>>;
@@ -29,8 +31,6 @@ struct CtaState {
 pub(crate) struct TickCtx<'a> {
     /// Current cycle.
     pub cycle: Cycle,
-    /// The running kernel.
-    pub kernel: &'a Kernel,
     /// The running kernel decoded for this launch: hazard masks, units, load
     /// classes and the micro-ops warps execute.
     pub decoded: &'a DecodedKernel,
@@ -38,10 +38,8 @@ pub(crate) struct TickCtx<'a> {
     pub params: &'a [u8],
     /// Device memory.
     pub gmem: &'a mut GlobalMem,
-    /// Interconnect.
-    pub icnt: &'a mut Icnt,
-    /// Address-to-partition mapping.
-    pub addrmap: &'a AddrMap,
+    /// The memory side: crossbar, partitions and address map.
+    pub mem: &'a mut MemSys,
     /// Cross-SM block locality tracker.
     pub blocktrack: &'a mut BlockTracker,
     /// GPU configuration.
@@ -151,9 +149,6 @@ impl Sm {
         use crate::ckpt::CheckpointError;
         for warp in self.warps.iter_mut().flatten() {
             let Some(c) = &mut warp.replay else { continue };
-            if c.recs.is_some() {
-                continue;
-            }
             let stream = rep
                 .streams
                 .get(c.stream as usize)
@@ -168,7 +163,8 @@ impl Sm {
         Ok(())
     }
 
-    /// Place one CTA onto this SM.
+    /// Place one CTA onto this SM. `streams` is a replay launch's table of
+    /// per-warp recorded streams (empty when executing).
     ///
     /// # Panics
     ///
@@ -183,7 +179,7 @@ impl Sm {
         cfg: &GpuConfig,
         kernel: &Kernel,
         decoded: &DecodedKernel,
-        replay: Option<&LaunchReplay>,
+        streams: &[Arc<[ReplayRecord]>],
     ) {
         let cta_slot = self
             .cta_slots
@@ -211,12 +207,12 @@ impl Sm {
                 cfg.warp_size,
                 kernel.num_regs(),
             );
-            if let Some(rep) = replay {
-                let stream = linear_cta * warps_per_cta(ntid, cfg.warp_size) + w as u64;
+            let stream = linear_cta * n_warps as u64 + w as u64;
+            if let Some(recs) = streams.get(stream as usize) {
                 warp.replay = Some(ReplayCursor {
                     stream,
                     pos: 0,
-                    recs: Some(rep.streams[stream as usize].clone()),
+                    recs: Some(Arc::clone(recs)),
                 });
             }
             self.warps[slot] = Some(warp);
@@ -291,14 +287,14 @@ impl Sm {
     ///
     /// Returns whether the SM made forward progress this cycle (issued an
     /// instruction, completed a writeback or memory response, accepted a
-    /// request into the L1, or retired a CTA) — the signal the GPU's hang
+    /// request into the L1, or retired a CTA) — the signal the launch's hang
     /// watchdog integrates.
     ///
     /// # Errors
     ///
     /// Under [`GpuConfig::memcheck`], returns [`TickError::Mem`] with a
-    /// partially attributed [`MemFaultReport`] (placement filled in;
-    /// classification context is added by the GPU) on the first
+    /// partially attributed [`MemFaultReport`] (placement filled in; the
+    /// launch adds the kernel's name and classification) on the first
     /// out-of-bounds device access. Under [`GpuConfig::sanitize`], returns
     /// [`TickError::San`] when a sanitizer checker fires.
     pub fn tick(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
@@ -425,12 +421,12 @@ impl Sm {
             Err(violation) => {
                 // Leave the warp in place (pc still at the faulting
                 // instruction) so the state is inspectable, and hand the
-                // placement-attributed report up; the GPU attaches the
-                // classification context.
+                // placement-attributed report up; the launch attaches the
+                // kernel's name and classification.
                 let cta = warp.linear_cta;
                 self.warps[slot] = Some(warp);
                 return Err(TickError::Mem(Box::new(MemFaultReport {
-                    kernel: ctx.kernel.name().to_string(),
+                    kernel: String::new(),
                     sm: self.id,
                     warp_slot: slot,
                     cta,

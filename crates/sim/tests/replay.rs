@@ -243,8 +243,8 @@ fn replay_validation_rejects_mismatches() {
     gpu.launch_replay(&kernel, &rep).unwrap();
 }
 
-/// Driving a replay launch without its trace (or an execution launch with
-/// one) is a structured error.
+/// A replay launch restored from a snapshot stepped without its trace, or
+/// an execution launch handed a trace, is a structured error.
 #[test]
 fn replay_mode_confusion_rejected() {
     let (_, mut replays) = capture_gather(1);
@@ -253,6 +253,10 @@ fn replay_mode_confusion_rejected() {
 
     let mut gpu = Gpu::new(san_cfg()).unwrap();
     gpu.launch_replay_begin(&kernel, &rep).unwrap();
+    assert!(gpu.launch_step(&kernel).unwrap().is_none());
+    let snap = Snapshot::from_bytes(&gpu.snapshot().to_bytes()).unwrap();
+    let mut gpu = Gpu::new(san_cfg()).unwrap();
+    gpu.restore(&snap).unwrap();
     match gpu.launch_step(&kernel) {
         Err(SimError::Replay(ReplayError::MissingReplay)) => {}
         other => panic!("expected MissingReplay, got {other:?}"),
@@ -263,7 +267,7 @@ fn replay_mode_confusion_rejected() {
     let params = setup_gather(&mut gpu);
     gpu.launch_begin(&kernel, Dim3::x(4), Dim3::x(64), &params)
         .unwrap();
-    match gpu.launch_replay_step(&kernel, &rep) {
+    match gpu.launch_replay_resume(&kernel, &rep) {
         Err(SimError::Replay(ReplayError::NotReplayLaunch)) => {}
         other => panic!("expected NotReplayLaunch, got {other:?}"),
     }
@@ -288,7 +292,7 @@ fn replay_composes_with_checkpoint() {
         gpu.launch_replay_begin(&kernel, &rep).unwrap();
         while gpu.launch_cycle() != Some(off) {
             assert!(
-                gpu.launch_replay_step(&kernel, &rep).unwrap().is_none(),
+                gpu.launch_step(&kernel).unwrap().is_none(),
                 "replay completed before offset {off}"
             );
         }
