@@ -1,9 +1,9 @@
 //! SM-level integration tests: barriers across warps, divergence inside
-//! loops, atomics across CTAs, LD/ST backpressure, prefetching, and
-//! scheduler equivalence.
+//! loops, atomics across CTAs, LD/ST backpressure, prefetching, scheduler
+//! equivalence, and launches rejected before they start.
 
 use gcl_ptx::{CmpOp, KernelBuilder, Special, Type};
-use gcl_sim::{pack_params, Dim3, Gpu, GpuConfig, PrefetchFilter, Trace};
+use gcl_sim::{pack_params, Dim3, Gpu, GpuConfig, MemorySink, PrefetchFilter, SimError, Trace};
 use std::sync::{Arc, Mutex};
 
 fn small_gpu() -> Gpu {
@@ -452,4 +452,49 @@ fn traced_launch_records_issues() {
     let (stats2, trace2) = launch_traced(2);
     assert_eq!(trace2.events().len(), 2);
     assert_eq!(trace2.dropped(), stats2.sm.warp_insts - 2);
+}
+
+/// A block with a zero dimension and a parameter block shorter than the
+/// kernel's are structured errors raised before anything is queued: no
+/// trace-sink bracket opens, and the GPU runs the next launch normally.
+#[test]
+fn malformed_launches_rejected_before_anything_is_queued() {
+    let mut b = KernelBuilder::new("iota");
+    let p = b.param("out", Type::U64);
+    let base = b.ld_param(Type::U64, p);
+    let tid = b.thread_linear_id();
+    let a = b.index64(base, tid, 4);
+    b.st_global(Type::U32, a, tid);
+    b.exit();
+    let k = b.build().unwrap();
+
+    let mut gpu = small_gpu();
+    let sink = Arc::new(Mutex::new(MemorySink::new()));
+    gpu.set_trace_sink(Some(Box::new(sink.clone())));
+    let out = gpu.mem().alloc_array(Type::U32, 64).unwrap();
+    let params = pack_params(&k, &[out]);
+    for block in [
+        Dim3 { x: 0, y: 1, z: 1 },
+        Dim3 { x: 32, y: 0, z: 1 },
+        Dim3 { x: 32, y: 1, z: 0 },
+    ] {
+        match gpu.launch(&k, Dim3::x(2), block, &params) {
+            Err(SimError::InvalidLaunch(why)) => assert!(why.contains("zero dimension"), "{why}"),
+            other => panic!("block {block:?}: expected InvalidLaunch, got {other:?}"),
+        }
+        assert!(!gpu.launch_active());
+    }
+    for short in [&params[..0], &params[..params.len() - 1]] {
+        match gpu.launch_begin(&k, Dim3::x(2), Dim3::x(32), short) {
+            Err(SimError::InvalidLaunch(why)) => assert!(why.contains("parameter block"), "{why}"),
+            other => panic!("{} parameter bytes: got {other:?}", short.len()),
+        }
+        assert!(!gpu.launch_active());
+    }
+
+    gpu.launch(&k, Dim3::x(2), Dim3::x(32), &params).unwrap();
+    assert_eq!(gpu.mem().read_u32_slice(out, 4), vec![0, 1, 2, 3]);
+    gpu.set_trace_sink(None);
+    let captured = Arc::try_unwrap(sink).unwrap().into_inner().unwrap();
+    assert_eq!(captured.into_launches().len(), 1, "only the clean launch");
 }

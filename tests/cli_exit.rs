@@ -112,6 +112,13 @@ fn usage_errors_exit_one() {
         ),
         (&["run", k, "--grid"][..], "--grid needs a value (G)"),
         (
+            &[
+                "run", k, "--grid", "1", "--block", "0", "--alloc", "128", "--alloc", "128",
+                "--param", "32",
+            ][..],
+            "block 0x1x1 has a zero dimension",
+        ),
+        (
             &["coordinate", "--journal", "--recover"][..],
             "--journal needs a value (PATH)",
         ),
@@ -191,6 +198,41 @@ fn usage_errors_exit_one() {
         let out = gcl(args);
         assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
     }
+}
+
+/// `run --resume` of a checksum-valid snapshot whose launch carries a
+/// parameter block shorter than the kernel's: exit 1 naming the parameter
+/// block, not a panic at the first `ld.param`.
+#[test]
+fn resume_with_short_parameter_block_exits_one() {
+    use gcl::prelude::*;
+    let k = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/gather.ptx");
+    let kernel = parse_kernel(&std::fs::read_to_string(k).expect("read kernel")).unwrap();
+    let mut gpu = Gpu::new(GpuConfig::fermi()).unwrap();
+    let idx = gpu.mem().alloc(128, 128).unwrap();
+    let data = gpu.mem().alloc(128, 128).unwrap();
+    let params = pack_params(&kernel, &[idx, data, 32]);
+    gpu.launch_begin(&kernel, Dim3::x(1), Dim3::x(32), &params)
+        .unwrap();
+    // Cut the launch's parameter block (a u64 length, then the bytes) to
+    // nothing; writing the file reseals the container.
+    let mut snap = gpu.snapshot();
+    let mut field = (params.len() as u64).to_le_bytes().to_vec();
+    field.extend_from_slice(&params);
+    let at = snap
+        .payload
+        .windows(field.len())
+        .position(|w| w == field)
+        .expect("the parameter block is in the payload");
+    snap.payload
+        .splice(at..at + field.len(), 0u64.to_le_bytes());
+    let path = std::env::temp_dir().join(format!("gcl-short-params-{}.ckpt", std::process::id()));
+    snap.write_file(&path).expect("write snapshot");
+
+    let out = gcl(&["run", k, "--resume", path.to_str().expect("utf8")]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert!(stderr(&out).contains("parameter block"), "{}", stderr(&out));
 }
 
 /// `gcl figures`: a bad operand or flag is a usage error that says what
