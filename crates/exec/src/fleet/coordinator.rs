@@ -38,10 +38,12 @@ use crate::proto::{
 use gcl_mem::fnv_fold;
 use gcl_stats::Json;
 use std::collections::VecDeque;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Reason logged when a heartbeat deadline declares a worker dead.
@@ -58,6 +60,10 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Per-connection write deadline.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Period of the supervisor's upkeep: heartbeats, lease expiry, the
+/// queue-depth sample and the journal's batched fsync.
+const UPKEEP: Duration = Duration::from_millis(20);
 
 /// After `--recover`, hold recovered non-terminal jobs this long before
 /// dispatching, so re-joining workers can reconcile running leases instead
@@ -120,22 +126,102 @@ impl Default for CoordinatorOptions {
 }
 
 /// Everything the accept loop, session handlers, and supervisor share:
-/// the whole [`Fleet`] behind one mutex, and two flags the accept and read
-/// loops poll without it.
+/// the whole [`Fleet`] behind one mutex, the condvar its waiters sleep on,
+/// and two flags the read loops check without the lock. Both flags are
+/// set under the lock, so a waiter cannot miss them.
 struct CoordShared {
     opts: CoordinatorOptions,
     state: Mutex<Fleet>,
+    /// Paired with `state`. The supervisor and every session stream wait
+    /// on it; [`Locked`] notifies it when an edge sets [`Fleet::wake`].
+    wake: Condvar,
+    /// The listener's address, which [`CoordShared::finish`] dials to wake
+    /// the blocking accept.
+    addr: SocketAddr,
     draining: AtomicBool,
     /// Set once the drain completes; accept and supervisor loops exit.
-    /// Shared on its own so a [`Coordinator::stopper`] holds only the flag,
-    /// never the worker sockets it is waiting to see closed.
-    finished: Arc<AtomicBool>,
+    finished: AtomicBool,
 }
 
 impl CoordShared {
-    fn fleet(&self) -> MutexGuard<'_, Fleet> {
-        self.state.lock().expect("fleet state poisoned")
+    fn fleet(&self) -> Locked<'_> {
+        let guard = self.state.lock().expect("fleet state poisoned");
+        Locked {
+            guard: Some(guard),
+            condvar: &self.wake,
+        }
     }
+
+    /// End the run: set `finished`, wake every waiter, then dial the
+    /// listener so the accept loop sees the flag. Only the first call acts.
+    fn finish(&self, mut fleet: Locked<'_>) {
+        if self.finished.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        fleet.wake = true;
+        drop(fleet);
+        if let Err(e) = TcpStream::connect_timeout(&self.addr, WRITE_TIMEOUT) {
+            eprintln!("warning: cannot wake the accept loop: {e}");
+        }
+    }
+}
+
+/// The fleet lock. Releasing it — dropping the guard, or waiting — wakes
+/// every thread waiting on the fleet if an edge taken under it set
+/// [`Fleet::wake`]; a read, a pong or a dedup join without a session
+/// wakes nobody.
+struct Locked<'a> {
+    /// `None` only inside [`Locked::wait`].
+    guard: Option<MutexGuard<'a, Fleet>>,
+    condvar: &'a Condvar,
+}
+
+impl Locked<'_> {
+    fn notify(&mut self) {
+        if let Some(fleet) = &mut self.guard {
+            if std::mem::take(&mut fleet.wake) {
+                self.condvar.notify_all();
+            }
+        }
+    }
+
+    /// Release the lock until an edge wakes the fleet or `timeout` passes.
+    fn wait(&mut self, timeout: Duration) {
+        self.notify();
+        let guard = self.guard.take().expect("fleet lock held");
+        let (guard, _) = (self.condvar.wait_timeout(guard, timeout)).expect("fleet state poisoned");
+        self.guard = Some(guard);
+    }
+}
+
+impl Deref for Locked<'_> {
+    type Target = Fleet;
+    fn deref(&self) -> &Fleet {
+        self.guard.as_ref().expect("fleet lock held")
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Fleet {
+        self.guard.as_mut().expect("fleet lock held")
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        self.notify();
+    }
+}
+
+/// The address that reaches `bound` from this host: an unspecified bind
+/// address is dialled on loopback.
+fn dialable(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+        _ => bound.ip(),
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A bound, not-yet-running coordinator. Binding is separated from running
@@ -191,13 +277,16 @@ impl Coordinator {
         }
         let listener = TcpListener::bind(&opts.addr)
             .map_err(|e| ServeError::Bind(format!("cannot bind {}: {e}", opts.addr)))?;
+        let addr = bound_addr(&listener)?;
         if let Some(rec) = recovered {
             fleet.recover(rec, Instant::now() + RECOVER_GRACE);
         }
         let shared = Arc::new(CoordShared {
             state: Mutex::new(fleet),
+            wake: Condvar::new(),
+            addr: dialable(addr),
             draining: AtomicBool::new(false),
-            finished: Arc::new(AtomicBool::new(false)),
+            finished: AtomicBool::new(false),
             opts,
         });
         Ok(Coordinator { listener, shared })
@@ -208,10 +297,8 @@ impl Coordinator {
     /// # Errors
     ///
     /// [`ServeError::Bind`] if the socket address cannot be read.
-    pub fn addr(&self) -> Result<std::net::SocketAddr, ServeError> {
-        self.listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind(format!("cannot read bound address: {e}")))
+    pub fn addr(&self) -> Result<SocketAddr, ServeError> {
+        bound_addr(&self.listener)
     }
 
     /// Run until a `shutdown` request drains every job to a terminal
@@ -223,25 +310,22 @@ impl Coordinator {
     /// [`ServeError::Net`] on listener failure, or when a
     /// [`Coordinator::stopper`] ended the run before the drain did.
     pub fn run(self) -> Result<(), ServeError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Net(format!("cannot set nonblocking accept: {e}")))?;
         std::thread::scope(|scope| {
             {
                 let shared = Arc::clone(&self.shared);
                 scope.spawn(move || supervisor_loop(&shared));
             }
             loop {
+                let accepted = self.listener.accept();
+                // `finish` sets the flag before it dials: whatever woke
+                // the accept, a finished coordinator takes nothing more.
                 if self.shared.finished.load(Ordering::SeqCst) {
                     break;
                 }
-                match self.listener.accept() {
+                match accepted {
                     Ok((stream, _peer)) => {
                         let shared = Arc::clone(&self.shared);
                         scope.spawn(move || handle_session(stream, &shared));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
                     }
                     Err(e) => eprintln!("warning: accept failed: {e}"),
                 }
@@ -262,11 +346,23 @@ impl Coordinator {
 
     /// A handle that ends [`Coordinator::run`] without waiting for a
     /// drain, for an owner whose in-process worker has exited and left
-    /// nothing to run the queue.
+    /// nothing to run the queue. It holds the shared state weakly, so it
+    /// never keeps alive the worker sockets that owner waits to see closed.
     pub fn stopper(&self) -> impl Fn() + Send + 'static {
-        let finished = Arc::clone(&self.shared.finished);
-        move || finished.store(true, Ordering::SeqCst)
+        let shared = Arc::downgrade(&self.shared);
+        move || {
+            if let Some(shared) = shared.upgrade() {
+                shared.finish(shared.fleet());
+            }
+        }
     }
+}
+
+/// The listener's bound address.
+fn bound_addr(listener: &TcpListener) -> Result<SocketAddr, ServeError> {
+    listener
+        .local_addr()
+        .map_err(|e| ServeError::Bind(format!("cannot read bound address: {e}")))
 }
 
 /// Map a journal failure onto the exit-code scheme: a journal this build
@@ -311,35 +407,46 @@ fn print_outcome_table(fleet: &Fleet) {
     );
 }
 
-/// The supervisor: heartbeats, deadline enforcement, assignment, journal
-/// upkeep, drain — one pass per tick, under the lock.
+/// The supervisor, under the lock and asleep on the fleet's condvar
+/// between passes. Every wake-up assigns what it can and checks the
+/// drain. Every [`UPKEEP`] it also pings and buries workers, reclaims
+/// expired leases (which picks up a lapsed recovery hold too), samples the
+/// queue depth and fsyncs the journal: `expire` scans the whole job table
+/// and the fsync holds the lock, so neither may run once per event.
 fn supervisor_loop(shared: &CoordShared) {
     let opts = &shared.opts;
-    let tick = Duration::from_millis(20);
+    let mut fleet = shared.fleet();
+    let mut next_upkeep = Instant::now();
     while !shared.finished.load(Ordering::SeqCst) {
         let now = Instant::now();
-        {
-            let mut fleet = shared.fleet();
+        let upkeep = now >= next_upkeep;
+        if upkeep {
             heartbeat(&mut fleet, opts, now);
             expire(&mut fleet, now);
-            dispatch(&mut fleet, opts, now);
+        }
+        dispatch(&mut fleet, opts, now);
+        if upkeep {
             let depth = fleet.jobs.queue.len() as f64;
             fleet.depth.add(depth);
+        }
 
-            // Drain: once every job is terminal, dismiss the fleet.
-            if shared.draining.load(Ordering::SeqCst) && fleet.jobs.all_terminal() {
-                let close = Json::obj(vec![("op", Json::Str("close".into()))]);
-                for w in &mut fleet.workers {
-                    if let Some(mut writer) = w.writer.take() {
-                        let _ = write_frame(&mut writer, &close);
-                        let _ = writer.shutdown(Shutdown::Both);
-                    }
+        // Drain: once every job is terminal, dismiss the fleet.
+        if shared.draining.load(Ordering::SeqCst) && fleet.jobs.all_terminal() {
+            let close = Json::obj(vec![("op", Json::Str("close".into()))]);
+            for w in &mut fleet.workers {
+                if let Some(mut writer) = w.writer.take() {
+                    let _ = write_frame(&mut writer, &close);
+                    let _ = writer.shutdown(Shutdown::Both);
                 }
-                shared.finished.store(true, Ordering::SeqCst);
             }
             fleet.journal_upkeep(opts.journal_compact_bytes);
+            return shared.finish(fleet);
         }
-        std::thread::sleep(tick);
+        if upkeep {
+            fleet.journal_upkeep(opts.journal_compact_bytes);
+            next_upkeep = now + UPKEEP;
+        }
+        fleet.wait(next_upkeep.saturating_duration_since(Instant::now()));
     }
 }
 
@@ -543,13 +650,9 @@ fn worker_session(
     if write_frame(&mut writer, &Json::obj(vec![("ok", Json::Bool(true))])).is_err() {
         return;
     }
-    let idx = {
-        let mut fleet = shared.fleet();
-        fleet
-            .workers
-            .push(WorkerEntry::new(name.clone(), slots, entry_writer));
-        fleet.workers.len() - 1
-    };
+    let idx = shared
+        .fleet()
+        .join(WorkerEntry::new(name.clone(), slots, entry_writer));
     eprintln!("fleet: worker `{name}` joined with {slots} slot(s)");
     loop {
         let line = match reader.next_frame() {
@@ -736,65 +839,122 @@ fn depth_event(fleet: &Fleet, draining: bool) -> Json {
 
 /// Stream a session's events over this connection while still answering
 /// interleaved requests (responses carry `"ok"`, events carry `"event"`).
-/// Replays the log from `cursor`, then follows it live with queue-depth
-/// heartbeats; returns when the client disconnects (the session and its
-/// log survive for a later re-attach) or the coordinator finishes.
+/// A pusher thread replays the log from `cursor`, then follows it live
+/// with queue-depth heartbeats; this thread answers requests. Both write
+/// through one writer. Returns when the client disconnects (the session
+/// and its log survive for a later re-attach), or once the coordinator has
+/// finished and every event is delivered.
 fn session_stream(
     sid: &str,
-    mut cursor: u64,
+    cursor: u64,
     reader: &mut FrameReader<TcpStream>,
     writer: &mut TcpStream,
     shared: &CoordShared,
 ) {
-    let hb = Duration::from_millis(shared.opts.heartbeat_ms.max(100));
-    let mut last_beat = Instant::now();
-    let mut first_beat = true;
-    loop {
-        // Observe `finished` before draining the log: events are logged
-        // before the flag is set, so finished + an empty drain means the
-        // stream is complete.
-        let finished = shared.finished.load(Ordering::SeqCst);
-        let beat = first_beat || last_beat.elapsed() >= hb;
-        let (pending, depth) = {
-            let fleet = shared.fleet();
-            let Some(s) = fleet.sessions.map.get(sid) else {
-                return;
-            };
-            cursor = cursor.max(s.base_seq);
-            let skip = (cursor - s.base_seq) as usize;
-            let out: Vec<Json> = s.log.iter().skip(skip).cloned().collect();
-            cursor = s.next_seq;
-            let draining = shared.draining.load(Ordering::SeqCst);
-            (out, beat.then(|| depth_event(&fleet, draining)))
-        };
-        if beat {
-            first_beat = false;
-            last_beat = Instant::now();
+    let writer = Mutex::new(writer);
+    let gone = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| push_events(sid, cursor, &writer, &gone, shared));
+        if answer_requests(reader, &writer, shared) {
+            // The pusher sleeps on the fleet: set the flag under the lock
+            // and wake it.
+            let mut fleet = shared.fleet();
+            gone.store(true, Ordering::SeqCst);
+            fleet.wake = true;
         }
-        for event in pending.iter().chain(&depth) {
-            if write_frame(writer, event).is_err() {
-                return;
+    });
+}
+
+/// Answer the requests of a streaming connection. Each response is
+/// written under the writer lock taken before its request is handled, so
+/// it precedes every event the request causes. Returns `true` when the
+/// client is gone, `false` when the coordinator finished.
+fn answer_requests(
+    reader: &mut FrameReader<TcpStream>,
+    writer: &Mutex<&mut TcpStream>,
+    shared: &CoordShared,
+) -> bool {
+    while !shared.finished.load(Ordering::SeqCst) {
+        let line = reader.next_frame();
+        let mut w = writer.lock().expect("session writer poisoned");
+        let line = match line {
+            Ok(line) => line,
+            Err(FrameError::Timeout) => continue,
+            Err(e @ FrameError::TooLarge { .. }) => {
+                let _ = write_frame(&mut **w, &error_response(e.to_string()));
+                return true;
             }
+            Err(_) => return true,
+        };
+        let response = match Json::parse(&line) {
+            Ok(request) => handle_client_request(&request, shared),
+            Err(e) => error_response(format!("bad request: {e}")),
+        };
+        if write_frame(&mut **w, &response).is_err() {
+            return true;
         }
-        if finished && pending.is_empty() {
-            return;
-        }
-        match reader.next_frame() {
-            Ok(line) => {
-                let response = match Json::parse(&line) {
-                    Ok(request) => handle_client_request(&request, shared),
-                    Err(e) => error_response(format!("bad request: {e}")),
-                };
-                if write_frame(writer, &response).is_err() {
+    }
+    false
+}
+
+/// Push session `sid`'s events from `cursor` as they are logged, and a
+/// queue-depth heartbeat on attach and every heartbeat interval after,
+/// sleeping on the fleet in between. Ends when the client is `gone`, a
+/// write fails (the socket is then shut so the request side ends too), or
+/// the coordinator finished and everything logged has been written.
+fn push_events(
+    sid: &str,
+    mut cursor: u64,
+    writer: &Mutex<&mut TcpStream>,
+    gone: &AtomicBool,
+    shared: &CoordShared,
+) {
+    let hb = Duration::from_millis(shared.opts.heartbeat_ms.max(100));
+    let mut next_beat = Instant::now();
+    loop {
+        // Every frame due, newline-terminated, for one write.
+        let mut frames = String::new();
+        let finished = {
+            let mut fleet = shared.fleet();
+            loop {
+                if gone.load(Ordering::SeqCst) {
                     return;
                 }
+                // Every event is logged before `finished` is set, and both
+                // happen under the lock: finished + this drain is the
+                // whole stream.
+                let finished = shared.finished.load(Ordering::SeqCst);
+                let Some(s) = fleet.sessions.map.get(sid) else {
+                    return;
+                };
+                let now = Instant::now();
+                let beat = now >= next_beat;
+                if cursor < s.next_seq || beat || finished {
+                    cursor = cursor.max(s.base_seq);
+                    let skip = (cursor - s.base_seq) as usize;
+                    for event in s.log.iter().skip(skip) {
+                        frames.push_str(event);
+                        frames.push('\n');
+                    }
+                    cursor = s.next_seq;
+                    if beat {
+                        let draining = shared.draining.load(Ordering::SeqCst);
+                        frames.push_str(&depth_event(&fleet, draining).render_compact());
+                        frames.push('\n');
+                        next_beat = now + hb;
+                    }
+                    break finished;
+                }
+                fleet.wait(next_beat - now);
             }
-            Err(FrameError::Timeout) => {}
-            Err(e @ FrameError::TooLarge { .. }) => {
-                let _ = write_frame(writer, &error_response(e.to_string()));
-                return;
-            }
-            Err(_) => return,
+        };
+        let mut w = writer.lock().expect("session writer poisoned");
+        if w.write_all(frames.as_bytes()).is_err() {
+            let _ = w.shutdown(Shutdown::Both);
+            return;
+        }
+        if finished {
+            return;
         }
     }
 }
@@ -813,8 +973,11 @@ fn handle_client_request(request: &Json, shared: &CoordShared) -> Json {
         // stream loop dispatches here) cannot re-upgrade.
         Some("session") => error_response("session already active on this connection"),
         Some("shutdown") => {
+            let mut fleet = shared.fleet();
             shared.draining.store(true, Ordering::SeqCst);
-            let pending = shared.fleet().jobs.queue.len();
+            // The supervisor checks the drain on its next wake-up.
+            fleet.wake = true;
+            let pending = fleet.jobs.queue.len();
             Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("draining", Json::Bool(true)),
@@ -944,17 +1107,21 @@ fn handle_result(request: &Json, fleet: &Fleet) -> Json {
             fields.push(("error", Json::Str(msg.clone())));
         }
         FleetJobState::Done(result) => {
-            let (hex, sum) = super::encode_stats_payload(&result.stats);
+            let stats = match fleet.stats(result) {
+                Ok(stats) => stats,
+                Err(e) => return error_response(format!("job {id}: cannot read its result: {e}")),
+            };
+            let (hex, sum) = super::encode_stats_payload(&stats);
             fields.push(("state", Json::Str("done".into())));
             fields.push(("workload", Json::Str(job.spec.workload.clone())));
             fields.push(("cached", Json::Bool(result.cached)));
-            fields.push(("cycles", Json::UInt(result.stats.cycles)));
-            fields.push(("warp_insts", Json::UInt(result.stats.sm.warp_insts)));
+            fields.push(("cycles", Json::UInt(stats.cycles)));
+            fields.push(("warp_insts", Json::UInt(stats.sm.warp_insts)));
             fields.push(("wall_ms", Json::Float(result.wall_ms)));
             fields.push(("worker_wall_ms", Json::Float(result.worker_wall_ms)));
             fields.push((
                 "digest",
-                match result.stats.digest {
+                match stats.digest {
                     Some(d) => Json::Str(format!("0x{d:016x}")),
                     None => Json::Null,
                 },

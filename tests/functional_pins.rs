@@ -322,7 +322,7 @@ fn fold_snapshots(
 ) -> (u64, LaunchStats) {
     let mut h = FNV_OFFSET;
     loop {
-        if gpu.launch_cycle().expect("launch active") % 8 == 0 {
+        if gpu.launch_cycle().expect("launch active").is_multiple_of(8) {
             h = fnv_fold_bytes(h, &gpu.snapshot().to_bytes());
         }
         if let Some(stats) = step(gpu).expect("launch steps") {
