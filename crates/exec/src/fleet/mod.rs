@@ -115,6 +115,12 @@ mod payload_tests {
         let (hex, sum) = encode_stats_payload(&stats);
         let back = decode_stats_payload(&hex, &sum).unwrap();
         assert_eq!(back, stats);
+        // A signed pair is not a hex byte, even when it folds to the same
+        // bytes: "+0" would otherwise decode as 0x00 and pass the checksum.
+        assert!(hex.starts_with("00"), "{hex}");
+        let signed = format!("+0{}", &hex[2..]);
+        let err = decode_stats_payload(&signed, &sum).unwrap_err();
+        assert_eq!(err, "bad hex byte `+0`");
         // Flip one payload byte: the checksum must catch it.
         let mut corrupt = hex.into_bytes();
         corrupt[0] = if corrupt[0] == b'0' { b'1' } else { b'0' };
