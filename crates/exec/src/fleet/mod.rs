@@ -56,7 +56,7 @@ pub use journal::{
 };
 pub use worker::{run_worker, WorkerOptions, WorkerReport};
 
-use crate::proto::{hex_decode, hex_encode};
+use crate::proto::{decode_key, hex_decode, hex_encode};
 use gcl_mem::{fnv_fold_bytes, Dec, Enc, FNV_OFFSET};
 use gcl_sim::LaunchStats;
 
@@ -87,8 +87,7 @@ pub fn decode_stats_payload(hex: &str, sum_text: &str) -> Result<LaunchStats, St
 /// verified over, so a caller that must keep them (the journal) holds
 /// exactly what was checked and decodes the hex once.
 fn decode_stats_bytes(hex: &str, sum_text: &str) -> Result<(LaunchStats, Vec<u8>), String> {
-    let sum = u64::from_str_radix(sum_text.trim_start_matches("0x"), 16)
-        .map_err(|e| format!("bad checksum field: {e}"))?;
+    let sum = decode_key(sum_text).map_err(|_| format!("bad checksum field `{sum_text}`"))?;
     let bytes = hex_decode(hex)?;
     let actual = fnv_fold_bytes(FNV_OFFSET, &bytes);
     if actual != sum {
@@ -129,5 +128,13 @@ mod payload_tests {
         assert!(err.contains("checksum mismatch"), "{err}");
         assert!(decode_stats_payload("zz", &sum).is_err());
         assert!(decode_stats_payload("", "0xnope").is_err());
+    }
+
+    #[test]
+    fn a_signed_checksum_is_a_bad_field() {
+        let (hex, sum) = encode_stats_payload(&LaunchStats::default());
+        let signed = format!("0x+{}", &sum[3..]);
+        let err = decode_stats_payload(&hex, &signed).unwrap_err();
+        assert_eq!(err, format!("bad checksum field `{signed}`"));
     }
 }

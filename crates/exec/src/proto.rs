@@ -405,7 +405,8 @@ pub fn encode_key(key: u64) -> String {
     format!("0x{key:016x}")
 }
 
-/// Decode [`encode_key`] output.
+/// Decode [`encode_key`] output, the form every 64-bit key, digest and
+/// checksum takes in a frame or a manifest.
 ///
 /// # Errors
 ///
@@ -414,7 +415,12 @@ pub fn decode_key(text: &str) -> Result<u64, String> {
     let digits = text
         .strip_prefix("0x")
         .ok_or_else(|| format!("cache key `{text}` missing 0x prefix"))?;
-    u64::from_str_radix(digits, 16).map_err(|_| format!("bad cache key `{text}`"))
+    let bad = || format!("bad cache key `{text}`");
+    // Digits only: `from_str_radix` would also take a leading `+`.
+    if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(bad());
+    }
+    u64::from_str_radix(digits, 16).map_err(|_| bad())
 }
 
 /// An `inventory` frame: a worker re-announcing, right after a (re-)join
@@ -620,6 +626,7 @@ mod tests {
         assert!(decode_key("12ab").is_err(), "missing prefix");
         assert!(decode_key("0xzz").is_err(), "non-hex");
         assert!(decode_key("0x").is_err(), "empty digits");
+        assert!(decode_key("0x+1").is_err(), "signed digits");
     }
 
     #[test]

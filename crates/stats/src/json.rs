@@ -425,8 +425,11 @@ impl Parser<'_> {
                     }
                     let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
                         .map_err(|_| self.err("non-ascii \\u escape"))?;
-                    let code =
-                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                    // Digits only: `from_str_radix` would also read "+041".
+                    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                        return Err(self.err("invalid \\u escape"));
+                    }
+                    let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                     self.pos += 4;
                     // Surrogate pairs are not needed by our exports;
                     // map lone surrogates to the replacement char.
@@ -615,6 +618,7 @@ mod tests {
         assert_eq!(err(r#""a\qb""#), ("unknown escape".to_string(), 4));
         assert_eq!(err(r#""\u12""#), ("truncated \\u escape".to_string(), 3));
         assert_eq!(err(r#""\u12zz""#), ("invalid \\u escape".to_string(), 3));
+        assert_eq!(err(r#""\u+041""#), ("invalid \\u escape".to_string(), 3));
     }
 
     #[test]

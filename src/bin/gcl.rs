@@ -887,7 +887,7 @@ impl Manifest {
         for w in j.get("workloads").and_then(Json::as_arr).ok_or_else(bad)? {
             let digest = match w.get("digest").and_then(Json::as_str) {
                 Some(s) => Some(
-                    u64::from_str_radix(s.trim_start_matches("0x"), 16)
+                    gcl::exec::proto::decode_key(s)
                         .map_err(|_| format!("{}: bad digest `{s}`", path.display()))?,
                 ),
                 None => None,
@@ -1847,6 +1847,24 @@ mod tests {
             format!("{:?}", parse_loadgen_args(&[]).unwrap()),
             r#"LoadgenOptions { addr: "127.0.0.1:7177", submitters: 100, duration_ms: 5000, think_ms: 10, seed: 465725121536, tiny: true, distinct: 8, sample_ms: 500, workloads: ["bfs", "spmv", "2mm", "dwt"], out: "results/load/loadgen.json" }"#
         );
+    }
+
+    /// A manifest digest is `0x` and hex digits: a signed one is refused.
+    #[test]
+    fn manifest_with_a_signed_digest_is_refused() {
+        let path = std::env::temp_dir().join(format!("gcl-manifest-{}.json", std::process::id()));
+        let manifest = |digest: &str| {
+            format!(
+                r#"{{"version": {MANIFEST_VERSION}, "scale": "tiny", "sanitize": true,
+                    "workloads": [{{"name": "bfs", "status": "ok", "digest": "{digest}"}}]}}"#
+            )
+        };
+        std::fs::write(&path, manifest("0x00000000000000ff")).unwrap();
+        assert_eq!(Manifest::load(&path).unwrap().entries[0].digest, Some(0xff));
+        std::fs::write(&path, manifest("0x+0000000000000ff")).unwrap();
+        let err = Manifest::load(&path).err().expect("signed digest refused");
+        assert!(err.ends_with("bad digest `0x+0000000000000ff`"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
