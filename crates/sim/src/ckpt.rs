@@ -118,10 +118,11 @@ pub fn config_fingerprint(cfg: &GpuConfig) -> u64 {
 }
 
 /// Fingerprint of a kernel (FNV-1a over its `Debug` form, covering name,
-/// parameters, and every instruction). Stored in mid-launch snapshots;
-/// resume requires an exact match.
+/// parameters, and every instruction): [`Kernel::fingerprint`], computed
+/// once per kernel value. Stored in mid-launch snapshots; resume requires
+/// an exact match.
 pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
-    fnv_fold_bytes(FNV_OFFSET, format!("{kernel:?}").as_bytes())
+    kernel.fingerprint()
 }
 
 /// One checkpoint image: the versioned, fingerprinted, wire-encoded

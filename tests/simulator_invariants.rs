@@ -1,6 +1,6 @@
 //! Cross-crate invariants: determinism, cache warmth, and functional
 //! correctness under every microarchitectural configuration the ablations
-//! exercise.
+//! exercise, and the kernel fingerprint those results are keyed by.
 
 use gcl::prelude::*;
 use gcl::sim::CtaSchedPolicy;
@@ -169,4 +169,31 @@ fn oversized_cta_is_rejected() {
         matches!(err, gcl::sim::SimError::CtaTooLarge { .. }),
         "{err}"
     );
+}
+
+/// A kernel's fingerprint is stored in the kernel after the first call.
+/// Both calls must equal the FNV-1a fold of the kernel's `Debug` text, which
+/// snapshots, trace containers and job keys have always recorded.
+#[test]
+fn memoised_kernel_fingerprint_is_the_debug_fold() {
+    let mut kernels = Vec::new();
+    for w in gcl_workloads::all_workloads() {
+        for k in w.kernels() {
+            if !kernels
+                .iter()
+                .any(|seen: &gcl_ptx::Kernel| seen.name() == k.name())
+            {
+                kernels.push(k);
+            }
+        }
+    }
+    assert_eq!(kernels.len(), 25, "distinct workload kernels");
+    for k in &kernels {
+        let uncached = gcl_mem::fnv_fold_bytes(gcl_mem::FNV_OFFSET, format!("{k:?}").as_bytes());
+        for _ in 0..2 {
+            assert_eq!(gcl_sim::kernel_fingerprint(k), uncached, "{}", k.name());
+        }
+        assert_eq!(k.clone().fingerprint(), uncached, "clone of {}", k.name());
+        assert_eq!(format!("{:?}", k.clone()), format!("{k:?}"));
+    }
 }
