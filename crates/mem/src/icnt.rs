@@ -319,6 +319,12 @@ impl Icnt {
         self.resp.pop_ready(sm, cycle)
     }
 
+    /// The cycle from which SM `sm`'s next response can be popped, if one
+    /// is on its way out of the crossbar.
+    pub fn next_response_at(&self, sm: usize) -> Option<Cycle> {
+        self.resp.outputs[sm].front().map(|&(at, _)| at)
+    }
+
     /// Advance both directions one cycle.
     pub fn tick(&mut self, cycle: Cycle) {
         self.req.tick(cycle);

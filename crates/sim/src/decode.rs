@@ -1,6 +1,7 @@
 //! Decode once: everything about a static instruction that is a pure
-//! function of the kernel and the launch geometry, computed when the launch
-//! starts and indexed by pc afterwards.
+//! function of the kernel and the launch geometry, computed once per kernel
+//! per [`Gpu`](crate::Gpu) and indexed by pc afterwards; a launch of another
+//! shape re-decodes only the rows that read the geometry.
 //!
 //! One [`MicroOp`] row per instruction holds what the issue stage asks
 //! (hazard mask, execution unit, a load's D/N class) and what
@@ -19,8 +20,8 @@ use crate::value::{
 use crate::Dim3;
 use gcl_core::{Classification, LoadClass};
 use gcl_ptx::{
-    Address, AluOp, AtomOp, Cfg, CmpOp, Guard, Kernel, Op, Operand, Reg, SfuOp, Space, Special,
-    Type, UnaryOp, Unit, RECONV_EXIT,
+    Address, AluOp, AtomOp, Cfg, CmpOp, Guard, Instruction, Kernel, Op, Operand, Reg, SfuOp, Space,
+    Special, Type, UnaryOp, Unit, RECONV_EXIT,
 };
 
 /// Lanes in the widest warp ([`GpuConfig::validate`](crate::GpuConfig::validate)
@@ -143,18 +144,24 @@ pub(crate) struct MicroOp {
     class: LoadClass,
 }
 
-/// A kernel decoded for one launch: per static instruction, the register
-/// hazard mask and execution unit the issue stage polls, the D/N class the
-/// LD/ST path tags a global load's requests with, and the micro-op
-/// [`Warp::step`](crate::warp::Warp::step) executes. A pure function of the kernel
-/// and the launch geometry, rebuilt (never serialised) when a launch starts
-/// or resumes from a snapshot.
-#[derive(Debug)]
+/// A kernel decoded for one launch geometry: per static instruction, the
+/// register hazard mask and execution unit the issue stage polls, the D/N
+/// class the LD/ST path tags a global load's requests with, and the
+/// micro-op [`Warp::step`](crate::warp::Warp::step) executes. A pure
+/// function of the kernel and the geometry, never serialised: a
+/// [`Gpu`](crate::Gpu) decodes each kernel once and
+/// [`at_geometry`](Self::at_geometry) re-decodes only the rows that read
+/// `%ntid.*` or `%nctaid.*` for a launch of another shape.
+#[derive(Debug, Clone)]
 pub(crate) struct DecodedKernel {
     ops: Vec<MicroOp>,
     /// `words` scoreboard words per instruction.
     masks: Vec<u64>,
     words: usize,
+    /// `(ntid, nctaid)` the rows were decoded for.
+    geometry: (Dim3, Dim3),
+    /// The pcs whose rows bake in a `%ntid.*` or `%nctaid.*` value.
+    geometric_pcs: Vec<usize>,
 }
 
 impl DecodedKernel {
@@ -172,118 +179,23 @@ impl DecodedKernel {
         for (inst, row) in kernel.insts().iter().zip(masks.chunks_exact_mut(words)) {
             fill_mask(inst, row);
         }
+        let mut geometric_pcs = Vec::new();
         let ops = kernel
             .insts()
             .iter()
             .enumerate()
             .map(|(pc, inst)| {
-                let src = |op: Operand, ty: Type| Src::new(op, ty, ntid, nctaid);
-                let kind = match inst.op {
-                    Op::Bra { target } => Kind::Bra {
-                        target,
-                        reconv: match inst.guard {
-                            Some(_) => *reconv
-                                .get(&pc)
-                                .expect("missing reconvergence pc for branch"),
-                            None => RECONV_EXIT,
-                        },
-                    },
-                    Op::Exit => Kind::Exit,
-                    Op::Bar { id } => Kind::Bar { id },
-                    Op::Mov { ty, dst, src: a } => Kind::Map1 {
-                        dst,
-                        srcs: [src(a, ty)],
-                        f: mov_fn(ty),
-                    },
-                    Op::Cvt {
-                        dst_ty,
-                        src_ty,
-                        dst,
-                        src: a,
-                    } => Kind::Map1 {
-                        dst,
-                        srcs: [src(a, src_ty)],
-                        f: cvt_fn(dst_ty, src_ty),
-                    },
-                    Op::Unary { op, ty, dst, a } => Kind::Map1 {
-                        dst,
-                        srcs: [src(a, ty)],
-                        f: unary_fn(op, ty),
-                    },
-                    Op::Sfu { op, ty, dst, a } => Kind::Map1 {
-                        dst,
-                        srcs: [src(a, ty)],
-                        f: sfu_fn(op, ty),
-                    },
-                    Op::Alu { op, ty, dst, a, b } => Kind::Map2 {
-                        dst,
-                        srcs: [src(a, ty), src(b, ty)],
-                        f: alu_fn(op, ty),
-                    },
-                    Op::Setp { cmp, ty, dst, a, b } => Kind::Map2 {
-                        dst,
-                        srcs: [src(a, ty), src(b, ty)],
-                        f: cmp_fn(cmp, ty),
-                    },
-                    Op::Mad {
-                        ty,
-                        dst,
-                        a,
-                        b,
-                        c,
-                        wide,
-                    } => Kind::Map3 {
-                        dst,
-                        srcs: [src(a, ty), src(b, ty), src(c, ty)],
-                        f: mad_fn(ty, wide),
-                    },
-                    Op::Selp {
-                        ty,
-                        dst,
-                        a,
-                        b,
-                        pred,
-                    } => Kind::Map3 {
-                        dst,
-                        srcs: [Src::Reg(pred), src(a, ty), src(b, ty)],
-                        f: selp_fn(ty),
-                    },
-                    Op::Ld {
-                        space,
-                        ty,
-                        dst,
-                        addr,
-                    } => Kind::Ld {
-                        space,
-                        ty,
-                        dst,
-                        addr,
-                    },
-                    Op::St {
-                        space,
-                        ty,
-                        addr,
-                        src: v,
-                    } => Kind::St {
-                        space,
-                        ty,
-                        addr,
-                        src: src(v, ty),
-                    },
-                    Op::Atom {
-                        op,
-                        ty,
-                        dst,
-                        addr,
-                        src: v,
-                    } => Kind::Atom {
-                        ty,
-                        dst,
-                        addr,
-                        src: src(v, ty),
-                        f: atom_fn(op, ty),
-                    },
+                let reconv = match (&inst.op, inst.guard) {
+                    (Op::Bra { .. }, Some(_)) => *reconv
+                        .get(&pc)
+                        .expect("missing reconvergence pc for branch"),
+                    _ => RECONV_EXIT,
                 };
+                let mut geometric = false;
+                let kind = kind(inst, reconv, ntid, nctaid, &mut geometric);
+                if geometric {
+                    geometric_pcs.push(pc);
+                }
                 MicroOp {
                     guard: inst.guard,
                     kind,
@@ -294,7 +206,36 @@ impl DecodedKernel {
                 }
             })
             .collect();
-        DecodedKernel { ops, masks, words }
+        DecodedKernel {
+            ops,
+            masks,
+            words,
+            geometry: (ntid, nctaid),
+            geometric_pcs,
+        }
+    }
+
+    /// Whether these rows hold for a launch of `nctaid` CTAs of `ntid`
+    /// threads as they stand.
+    pub fn fits(&self, ntid: Dim3, nctaid: Dim3) -> bool {
+        self.geometric_pcs.is_empty() || self.geometry == (ntid, nctaid)
+    }
+
+    /// `kernel` (the kernel these rows were decoded from) decoded for a
+    /// launch of `nctaid` CTAs of `ntid` threads: a copy of these rows with
+    /// only the geometry-reading ones decoded again.
+    pub fn at_geometry(&self, kernel: &Kernel, ntid: Dim3, nctaid: Dim3) -> DecodedKernel {
+        let mut decoded = self.clone();
+        for &pc in &self.geometric_pcs {
+            let op = &mut decoded.ops[pc];
+            let reconv = match op.kind {
+                Kind::Bra { reconv, .. } => reconv,
+                _ => RECONV_EXIT,
+            };
+            op.kind = kind(&kernel.insts()[pc], reconv, ntid, nctaid, &mut false);
+        }
+        decoded.geometry = (ntid, nctaid);
+        decoded
     }
 
     /// Read|write register mask of the instruction at `pc`, in the
@@ -316,6 +257,125 @@ impl DecodedKernel {
 
     pub(crate) fn op(&self, pc: usize) -> &MicroOp {
         &self.ops[pc]
+    }
+}
+
+/// The micro-op kind of `inst` in a launch of `nctaid` CTAs of `ntid`
+/// threads; `reconv` is a guarded branch's reconvergence pc. Sets
+/// `*geometric` when an operand resolves to a `%ntid.*` or `%nctaid.*`
+/// constant.
+fn kind(inst: &Instruction, reconv: usize, ntid: Dim3, nctaid: Dim3, geometric: &mut bool) -> Kind {
+    let mut src = |op: Operand, ty: Type| {
+        *geometric |= matches!(
+            op,
+            Operand::Special(
+                Special::NTidX
+                    | Special::NTidY
+                    | Special::NTidZ
+                    | Special::NCtaIdX
+                    | Special::NCtaIdY
+                    | Special::NCtaIdZ
+            )
+        );
+        Src::new(op, ty, ntid, nctaid)
+    };
+    match inst.op {
+        Op::Bra { target } => Kind::Bra { target, reconv },
+        Op::Exit => Kind::Exit,
+        Op::Bar { id } => Kind::Bar { id },
+        Op::Mov { ty, dst, src: a } => Kind::Map1 {
+            dst,
+            srcs: [src(a, ty)],
+            f: mov_fn(ty),
+        },
+        Op::Cvt {
+            dst_ty,
+            src_ty,
+            dst,
+            src: a,
+        } => Kind::Map1 {
+            dst,
+            srcs: [src(a, src_ty)],
+            f: cvt_fn(dst_ty, src_ty),
+        },
+        Op::Unary { op, ty, dst, a } => Kind::Map1 {
+            dst,
+            srcs: [src(a, ty)],
+            f: unary_fn(op, ty),
+        },
+        Op::Sfu { op, ty, dst, a } => Kind::Map1 {
+            dst,
+            srcs: [src(a, ty)],
+            f: sfu_fn(op, ty),
+        },
+        Op::Alu { op, ty, dst, a, b } => Kind::Map2 {
+            dst,
+            srcs: [src(a, ty), src(b, ty)],
+            f: alu_fn(op, ty),
+        },
+        Op::Setp { cmp, ty, dst, a, b } => Kind::Map2 {
+            dst,
+            srcs: [src(a, ty), src(b, ty)],
+            f: cmp_fn(cmp, ty),
+        },
+        Op::Mad {
+            ty,
+            dst,
+            a,
+            b,
+            c,
+            wide,
+        } => Kind::Map3 {
+            dst,
+            srcs: [src(a, ty), src(b, ty), src(c, ty)],
+            f: mad_fn(ty, wide),
+        },
+        Op::Selp {
+            ty,
+            dst,
+            a,
+            b,
+            pred,
+        } => Kind::Map3 {
+            dst,
+            srcs: [Src::Reg(pred), src(a, ty), src(b, ty)],
+            f: selp_fn(ty),
+        },
+        Op::Ld {
+            space,
+            ty,
+            dst,
+            addr,
+        } => Kind::Ld {
+            space,
+            ty,
+            dst,
+            addr,
+        },
+        Op::St {
+            space,
+            ty,
+            addr,
+            src: v,
+        } => Kind::St {
+            space,
+            ty,
+            addr,
+            src: src(v, ty),
+        },
+        Op::Atom {
+            op,
+            ty,
+            dst,
+            addr,
+            src: v,
+        } => Kind::Atom {
+            ty,
+            dst,
+            addr,
+            src: src(v, ty),
+            f: atom_fn(op, ty),
+        },
     }
 }
 

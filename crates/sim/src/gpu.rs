@@ -3,7 +3,7 @@
 
 use crate::ckpt::{config_fingerprint, CheckpointError, Snapshot, SNAPSHOT_VERSION};
 use crate::fault::{AllocError, ConfigError, HangReport, MemFaultReport};
-use crate::launch::Launch;
+use crate::launch::{KernelCache, Launch};
 use crate::memsys::MemSys;
 use crate::replay::{LaunchReplay, ReplayError, TraceSink};
 use crate::san::SanitizerReport;
@@ -188,6 +188,10 @@ pub struct Gpu {
     /// The launch currently in flight (between [`Gpu::launch_begin`] and
     /// completion), if any.
     active: Option<Launch>,
+    /// What launches derive from each kernel run on this GPU (its
+    /// classification and decoded rows), keyed by kernel fingerprint: a
+    /// repeat launch of a kernel rebuilds none of it.
+    kernels: KernelCache,
     /// Snapshot captured by the hang watchdog just before the launch was
     /// torn down, retrievable via [`Gpu::take_hang_snapshot`].
     hang_snapshot: Option<Snapshot>,
@@ -217,6 +221,7 @@ impl Gpu {
             cfg,
             now: 0,
             active: None,
+            kernels: KernelCache::new(),
             hang_snapshot: None,
             resume_selftest: None,
             selftest_done: false,
@@ -464,7 +469,7 @@ impl Gpu {
         let Some(launch) = self.active.as_mut() else {
             return Err(CheckpointError::Malformed("no active launch to step").into());
         };
-        launch.prepare(kernel)?;
+        launch.prepare(kernel, &mut self.kernels)?;
         let done = launch.step(
             kernel,
             &self.cfg,

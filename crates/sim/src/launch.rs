@@ -16,7 +16,8 @@ use crate::{
 use gcl_core::{classify, Classification, LoadClass};
 use gcl_mem::{Cache, ConservationReport, Dec, Enc, WireError};
 use gcl_ptx::Kernel;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, OnceLock};
 
 /// Everything belonging to one in-flight launch. Serialized wholesale into
 /// mid-launch snapshots, except `derived` and `replay`.
@@ -39,19 +40,28 @@ pub(crate) struct Launch {
     last_progress: u64,
     /// Built by [`prepare`](Self::prepare) on the first step.
     derived: Option<Derived>,
-    /// `Some(trace fingerprint)` when this launch is a trace-driven replay.
-    replay_fp: Option<u64>,
+    /// Whether this launch is a trace-driven replay.
+    replaying: bool,
+    /// A replay launch's trace fingerprint: the snapshot's value for a
+    /// restored launch, otherwise folded from the held trace the first time
+    /// a snapshot or [`attach_replay`](Self::attach_replay) asks for it.
+    replay_fp: OnceLock<u64>,
     /// The trace itself: a restored replay launch has none until
     /// [`attach_replay`](Self::attach_replay).
     replay: Option<LaunchReplay>,
 }
 
-/// A pure function of the kernel and the launch geometry.
-#[derive(Debug)]
-struct Derived {
-    classification: Classification,
-    decoded: DecodedKernel,
+/// What a launch derives from its kernel and geometry. The first launch of
+/// a kernel on a [`Gpu`](crate::Gpu) builds it; later launches share it,
+/// re-decoding only the geometry-reading rows when their shape differs.
+#[derive(Debug, Clone)]
+pub(crate) struct Derived {
+    classification: Arc<Classification>,
+    decoded: Arc<DecodedKernel>,
 }
+
+/// Each kernel's [`Derived`] state, keyed by its fingerprint.
+pub(crate) type KernelCache = HashMap<u64, Derived>;
 
 /// Resident CTAs per SM for this kernel and block.
 fn occupancy(cfg: &GpuConfig, kernel: &Kernel, block: Dim3) -> Result<usize, SimError> {
@@ -158,7 +168,8 @@ impl Launch {
             cycle: now,
             last_progress: now,
             derived: None,
-            replay_fp: replay.map(LaunchReplay::fingerprint),
+            replaying: replay.is_some(),
+            replay_fp: OnceLock::new(),
             replay: replay.cloned(),
         })
     }
@@ -190,11 +201,22 @@ impl Launch {
         self.replay.as_ref()
     }
 
+    /// The trace fingerprint of a replay launch.
+    fn replay_fingerprint(&self) -> Option<u64> {
+        self.replaying.then(|| {
+            *self.replay_fp.get_or_init(|| {
+                let held = self.replay.as_ref();
+                held.expect("a launch not restored holds its trace")
+                    .fingerprint()
+            })
+        })
+    }
+
     /// Give a replay launch its trace back after a restore (a snapshot
     /// keeps only the fingerprint), or check the one it holds. Fails with
     /// `NotReplayLaunch` or `TraceMismatch`, leaving the launch as it was.
     pub(crate) fn attach_replay(&mut self, rep: &LaunchReplay) -> Result<(), SimError> {
-        let Some(expected) = self.replay_fp else {
+        let Some(expected) = self.replay_fingerprint() else {
             return Err(ReplayError::NotReplayLaunch.into());
         };
         let found = rep.fingerprint();
@@ -212,13 +234,17 @@ impl Launch {
 
     /// On the first step since the begin or a restore, check the caller's
     /// kernel against the launch's (and the parameter block against the
-    /// kernel) and derive the per-kernel state. Only then: the fingerprint
-    /// is a Debug-format of the whole kernel.
-    pub(crate) fn prepare(&mut self, kernel: &Kernel) -> Result<(), SimError> {
+    /// kernel) and take the derived state from `kernels`, building it on
+    /// the kernel's first launch.
+    pub(crate) fn prepare(
+        &mut self,
+        kernel: &Kernel,
+        kernels: &mut KernelCache,
+    ) -> Result<(), SimError> {
         if self.derived.is_some() {
             return Ok(());
         }
-        if self.replay_fp.is_some() && self.replay.is_none() {
+        if self.replaying && self.replay.is_none() {
             return Err(ReplayError::MissingReplay.into());
         }
         let (found, expected) = (self.kernel_fp, kernel_fingerprint(kernel));
@@ -227,21 +253,29 @@ impl Launch {
         }
         // Checked at begin for a fresh launch; a restored one carries the
         // snapshot's bytes.
-        if self.replay_fp.is_none() && self.params.len() < kernel.param_bytes() as usize {
+        if !self.replaying && self.params.len() < kernel.param_bytes() as usize {
             let why = "parameter block shorter than the kernel's parameters";
             return Err(CheckpointError::Malformed(why).into());
         }
-        let classification = classify(kernel);
-        let decoded = DecodedKernel::new(kernel, &classification, self.block, self.grid);
+        let (ntid, nctaid) = (self.block, self.grid);
+        let first = kernels.entry(self.kernel_fp).or_insert_with(|| {
+            let classification = classify(kernel);
+            let decoded = DecodedKernel::new(kernel, &classification, ntid, nctaid);
+            Derived {
+                classification: Arc::new(classification),
+                decoded: Arc::new(decoded),
+            }
+        });
+        let mut derived = first.clone();
+        if !derived.decoded.fits(ntid, nctaid) {
+            derived.decoded = Arc::new(derived.decoded.at_geometry(kernel, ntid, nctaid));
+        }
         // The schedulers' ready sets are derived state too: empty after a
         // begin or a restore, rebuilt here by polling every warp slot once.
         for sm in &mut self.sms {
-            sm.rebuild_ready(&decoded);
+            sm.rebuild_ready(&derived.decoded);
         }
-        self.derived = Some(Derived {
-            classification,
-            decoded,
-        });
+        self.derived = Some(derived);
         Ok(())
     }
 
@@ -437,7 +471,7 @@ impl Launch {
         }
         e.bytes(&self.params);
         e.u32(self.shared_bytes);
-        e.opt(&self.replay_fp, |e, &v| e.u64(v));
+        e.opt(&self.replay_fingerprint(), |e, &v| e.u64(v));
         e.u64(self.start_cycle);
         e.u64(self.cycle);
         e.u64(self.last_progress);
@@ -495,7 +529,8 @@ impl Launch {
             cycle,
             last_progress,
             derived: None,
-            replay_fp,
+            replaying: replay_fp.is_some(),
+            replay_fp: replay_fp.map_or_else(OnceLock::new, OnceLock::from),
             replay: None,
         })
     }

@@ -20,8 +20,8 @@ use crate::warp::MemAccess;
 use crate::{GpuConfig, SmStats};
 use gcl_core::LoadClass;
 use gcl_mem::{
-    AccessOutcome, Cache, ClassTag, ConservationKind, ConservationReport, Cycle, Dec, Enc,
-    MemRequest, ReqInfo, SanStage, WireError,
+    AccessOutcome, Cache, CacheStats, ClassTag, ConservationKind, ConservationReport, Cycle, Dec,
+    Enc, MemRequest, ReqInfo, SanStage, WireError,
 };
 use gcl_ptx::{Reg, Space};
 use std::cmp::Reverse;
@@ -192,6 +192,31 @@ impl LdstUnit {
     /// Whether nothing is queued, pending completion or in the L1's MSHRs.
     pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.local_done.is_empty() && self.l1.inflight() == 0
+    }
+
+    /// Whether the next tick has work that does not wait on the clock: a
+    /// queued instruction, a miss waiting for the crossbar, or this cycle's
+    /// dispatch flag to clear.
+    pub(crate) fn busy(&self) -> bool {
+        !self.queue.is_empty() || self.dispatched || self.l1.peek_miss().is_some()
+    }
+
+    /// When the earliest local completion falls due, if any is pending.
+    pub(crate) fn next_done(&self) -> Option<Cycle> {
+        self.local_done.peek().map(|d| d.0.at)
+    }
+
+    /// What a tick that finds nothing to do must leave unchanged.
+    pub(crate) fn sleep_probe(&self) -> (CacheStats, [u64; 6]) {
+        let sizes = [
+            u64::from(self.dispatched),
+            self.queue.len() as u64,
+            self.local_done.len() as u64,
+            self.next_seq,
+            self.l1.inflight() as u64,
+            self.loadtrack.inflight_count() as u64,
+        ];
+        (self.l1.stats().clone(), sizes)
     }
 
     /// `(queued instructions, L1 MSHRs in flight)`, for a hang report.

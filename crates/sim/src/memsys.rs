@@ -46,6 +46,11 @@ impl MemSys {
         self.icnt.pop_response(sm, now)
     }
 
+    /// Whether a response for SM `sm` can be popped at `now`.
+    pub(crate) fn response_due(&self, sm: usize, now: Cycle) -> bool {
+        self.icnt.next_response_at(sm).is_some_and(|at| at <= now)
+    }
+
     /// One cycle: the crossbar, then each partition (take one request, tick
     /// L2 and DRAM, return responses while the crossbar has room). Every hop
     /// of a tagged request is a ledger transition; the first violation is

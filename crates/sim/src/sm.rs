@@ -13,7 +13,7 @@ use crate::scoreboard::Scoreboard;
 use crate::warp::{ExecCtx, ReplayCursor, StepResult, Warp};
 use crate::warp_sched::WarpScheduler;
 use crate::{BlockTracker, Dim3, GlobalMem, GpuConfig, SmStats, Trace};
-use gcl_mem::{Cache, Cycle, Dec, Enc, WireError};
+use gcl_mem::{Cache, CacheStats, Cycle, Dec, Enc, WireError};
 use gcl_ptx::{Kernel, Reg, Space, Unit};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -77,6 +77,11 @@ pub(crate) struct Sm {
     /// a memory instruction, and the completions the LD/ST unit hands back.
     lane_buf: Vec<(u32, u64)>,
     done: Vec<Completion>,
+    /// The first cycle whose tick can do more than count itself, unless a
+    /// crossbar response arrives first (see [`tick`](Self::tick)). Derived,
+    /// never serialised: 0, so the next tick runs, after a CTA dispatch or
+    /// a restore.
+    wake: Cycle,
 }
 
 impl Sm {
@@ -106,6 +111,7 @@ impl Sm {
             live_ctas: 0,
             lane_buf: Vec::new(),
             done: Vec::new(),
+            wake: 0,
         }
     }
 
@@ -229,6 +235,7 @@ impl Sm {
             warp_slots: free_slots,
         });
         self.live_ctas += 1;
+        self.wake = 0;
     }
 
     /// Whether the warp in `slot` could issue its next instruction: `None`
@@ -290,6 +297,12 @@ impl Sm {
     /// request into the L1, or retired a CTA) — the signal the launch's hang
     /// watchdog integrates.
     ///
+    /// A quiescent SM sleeps: until its wake cycle, and while no crossbar
+    /// response for it is due, a tick only counts the cycle. Debug builds
+    /// run the full tick anyway and assert that it made no progress and
+    /// changed nothing but the cycle count, so every simulation checks the
+    /// wake predicate.
+    ///
     /// # Errors
     ///
     /// Under [`GpuConfig::memcheck`], returns [`TickError::Mem`] with a
@@ -298,6 +311,52 @@ impl Sm {
     /// out-of-bounds device access. Under [`GpuConfig::sanitize`], returns
     /// [`TickError::San`] when a sanitizer checker fires.
     pub fn tick(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
+        let cycle = ctx.cycle;
+        if self.wake <= cycle || ctx.mem.response_due(self.id.into(), cycle) {
+            let progress = self.tick_awake(ctx)?;
+            self.wake = self.next_wake(cycle);
+            return Ok(progress);
+        }
+        if !cfg!(debug_assertions) {
+            self.stats.cycles += 1;
+            return Ok(false);
+        }
+        let mut expected = self.sleep_probe();
+        expected.0.cycles += 1;
+        let moved = self.tick_awake(ctx)?;
+        assert!(
+            !moved && self.sleep_probe() == expected,
+            "SM{}: a tick at cycle {cycle} did work although the SM sleeps until {}",
+            self.id,
+            self.wake
+        );
+        Ok(false)
+    }
+
+    /// The wake cycle after a tick at `cycle`: the next cycle while a warp
+    /// is ready or the LD/ST unit has work that does not wait on time,
+    /// otherwise the earliest pending writeback or local completion.
+    fn next_wake(&self, cycle: Cycle) -> Cycle {
+        if self.ldst.busy() || self.schedulers.iter().any(WarpScheduler::any_ready) {
+            return cycle + 1;
+        }
+        let writeback = self.writebacks.peek().map(|r| r.0 .0);
+        writeback
+            .into_iter()
+            .chain(self.ldst.next_done())
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// What a tick that finds nothing to do must leave unchanged (debug
+    /// builds' check of a sleeping SM's tick).
+    fn sleep_probe(&self) -> (SmStats, [usize; 3], (CacheStats, [u64; 6])) {
+        let sizes = [self.writebacks.len(), self.live_ctas, self.done.len()];
+        (self.stats, sizes, self.ldst.sleep_probe())
+    }
+
+    /// The full cycle [`tick`](Self::tick) runs unless the SM sleeps.
+    fn tick_awake(&mut self, ctx: &mut TickCtx<'_>) -> Result<bool, TickError> {
         self.stats.cycles += 1;
         if self.live_ctas == 0 {
             // No resident CTA, so no warp, pending op, writeback or LD/ST
@@ -310,9 +369,7 @@ impl Sm {
             return Ok(progress);
         }
         // Every stage below costs O(1) when it has nothing to do (a heap or
-        // queue head not yet due, empty ready sets), so a resident but
-        // quiescent SM — all warps waiting on memory — falls straight
-        // through.
+        // queue head not yet due, empty ready sets).
         let mut progress = self.process_writebacks(ctx);
         progress |= self.ldst.complete(ctx, &mut self.san, &mut self.done)?;
         self.apply_done(ctx.decoded);
@@ -395,10 +452,13 @@ impl Sm {
     /// occupies.
     fn issue_warp(&mut self, slot: usize, ctx: &mut TickCtx<'_>) -> Result<Unit, TickError> {
         let cycle = ctx.cycle;
-        let mut warp = self.warps[slot].take().expect("issuing empty warp slot");
+        // The warp steps where it sits; everything else it touches is a
+        // different field of the SM.
+        let warp = self.warps[slot].as_mut().expect("issuing empty warp slot");
         let active_mask = warp.active_mask();
         let active = active_mask.count_ones();
-        let cta_slot = warp.cta_slot;
+        let (cta_slot, linear_cta, warp_in_cta) =
+            (warp.cta_slot, warp.linear_cta, warp.warp_in_cta);
         let pc = warp.pc();
         let inst_unit = ctx.decoded.unit(pc);
         let result = if warp.replay.is_some() {
@@ -419,17 +479,15 @@ impl Sm {
         let result = match result {
             Ok(r) => r,
             Err(violation) => {
-                // Leave the warp in place (pc still at the faulting
-                // instruction) so the state is inspectable, and hand the
-                // placement-attributed report up; the launch attaches the
-                // kernel's name and classification.
-                let cta = warp.linear_cta;
-                self.warps[slot] = Some(warp);
+                // The warp stays as it is (pc still at the faulting
+                // instruction) so the state is inspectable; hand the
+                // placement-attributed report up, and the launch attaches
+                // the kernel's name and classification.
                 return Err(TickError::Mem(Box::new(MemFaultReport {
                     kernel: String::new(),
                     sm: self.id,
                     warp_slot: slot,
-                    cta,
+                    cta: linear_cta,
                     violation,
                     class: None,
                     witness: Vec::new(),
@@ -442,8 +500,6 @@ impl Sm {
             s.fold(cycle);
             s.fold(((pc as u64) << 32) | u64::from(active_mask));
         }
-        let linear_cta = warp.linear_cta;
-        let warp_in_cta = warp.warp_in_cta;
         if let Some(sink) = ctx.sink.as_deref_mut() {
             let ev = Trace::event(
                 cycle,
@@ -458,7 +514,6 @@ impl Sm {
             let kind = ReplayKind::of_step(&result, warp.at_barrier);
             sink.issue(stream, &ev, &kind);
         }
-        self.warps[slot] = Some(warp);
 
         // Each arm counts its pending operation; the destination it names
         // is reserved below, and `complete_op` undoes both.
@@ -739,6 +794,7 @@ impl Sm {
             live_ctas,
             lane_buf: Vec::new(),
             done: Vec::new(),
+            wake: 0,
         })
     }
 }
@@ -747,6 +803,7 @@ impl Sm {
 impl Sm {
     /// The LD/ST unit and the writeback heap, for tests that plant state.
     pub(crate) fn planted(&mut self) -> (&mut LdstUnit, &mut Writebacks) {
+        self.wake = 0;
         (&mut self.ldst, &mut self.writebacks)
     }
 }

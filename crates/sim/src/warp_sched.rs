@@ -55,6 +55,11 @@ impl WarpScheduler {
         (self.ready[w] & bit != 0).then(|| self.ldst[w] & bit != 0)
     }
 
+    /// Whether any supervised slot could issue.
+    pub fn any_ready(&self) -> bool {
+        self.ready.iter().any(|&w| w != 0)
+    }
+
     /// Word `w` of the set a pick may choose from.
     fn eligible(&self, w: usize, ldst_full: bool) -> u64 {
         if ldst_full {

@@ -1,6 +1,7 @@
 //! SM-level integration tests: barriers across warps, divergence inside
 //! loops, atomics across CTAs, LD/ST backpressure, prefetching, scheduler
-//! equivalence, and launches rejected before they start.
+//! equivalence, launches rejected before they start, and repeat launches
+//! that reuse what a GPU derived from a kernel.
 
 use gcl_ptx::{CmpOp, KernelBuilder, Special, Type};
 use gcl_sim::{pack_params, Dim3, Gpu, GpuConfig, MemorySink, PrefetchFilter, SimError, Trace};
@@ -497,4 +498,98 @@ fn malformed_launches_rejected_before_anything_is_queued() {
     gpu.set_trace_sink(None);
     let captured = Arc::try_unwrap(sink).unwrap().into_inner().unwrap();
     assert_eq!(captured.into_launches().len(), 1, "only the clean launch");
+}
+
+/// `out[i] = (i + ntid.x * nctaid.x) * scale` for every `i < n`, by a
+/// grid-stride loop: the stride and the stored value read the geometry.
+fn grid_stride(name: &str, scale: i64) -> gcl_ptx::Kernel {
+    let mut b = KernelBuilder::new(name);
+    let pout = b.param("out", Type::U64);
+    let pn = b.param("n", Type::U32);
+    let out = b.ld_param(Type::U64, pout);
+    let n = b.ld_param(Type::U32, pn);
+    let ntid = b.sreg(Special::NTidX);
+    let nctaid = b.sreg(Special::NCtaIdX);
+    let stride = b.mul(Type::U32, ntid, nctaid);
+    let i = b.thread_linear_id();
+    let (top, done) = (b.new_label(), b.new_label());
+    b.place(top);
+    let past = b.setp(CmpOp::Ge, Type::U32, i, n);
+    b.bra_if(past, done);
+    let v = b.add(Type::U32, i, stride);
+    let v = b.mul(Type::U32, v, scale);
+    let a = b.index64(out, i, 4);
+    b.st_global(Type::U32, a, v);
+    b.push(gcl_ptx::Op::Alu {
+        op: gcl_ptx::AluOp::Add,
+        ty: Type::U32,
+        dst: i,
+        a: i.into(),
+        b: stride.into(),
+    });
+    b.bra(top);
+    b.place(done);
+    b.exit();
+    b.build().unwrap()
+}
+
+/// One GPU runs kernel A at three geometries, then kernel B, then A' (A's
+/// name, another body). Each launch must produce the statistics and memory
+/// a fresh GPU restored to the same state produces: reusing what the GPU
+/// derived from an earlier launch (the classification, the decoded rows,
+/// the fingerprint) must not change a result.
+#[test]
+fn repeat_launches_match_a_fresh_gpu() {
+    let a = grid_stride("stride", 1);
+    let b = {
+        let mut b = KernelBuilder::new("other");
+        let pout = b.param("out", Type::U64);
+        let out = b.ld_param(Type::U64, pout);
+        let tid = b.thread_linear_id();
+        let addr = b.index64(out, tid, 4);
+        let v = b.ld_global(Type::U32, addr);
+        let w = b.add(Type::U32, v, 7i64);
+        b.st_global(Type::U32, addr, w);
+        b.exit();
+        b.build().unwrap()
+    };
+    let a2 = grid_stride("stride", 3);
+    assert_eq!(a.name(), a2.name());
+    assert_ne!(a.fingerprint(), a2.fingerprint());
+
+    let n = 1000u32;
+    let mut gpu = small_gpu();
+    let out = gpu.mem().alloc_array(Type::U32, u64::from(n)).unwrap();
+    let runs = [
+        (&a, 2, 64),
+        (&a, 3, 96),
+        (&a, 2, 64),
+        (&a, 5, 32),
+        (&b, 4, 64),
+        (&a2, 3, 96),
+    ];
+    for (k, grid, block) in runs {
+        let params = if k.params().len() == 2 {
+            pack_params(k, &[out, u64::from(n)])
+        } else {
+            pack_params(k, &[out])
+        };
+        let before = gpu.snapshot();
+        let got = gpu
+            .launch(k, Dim3::x(grid), Dim3::x(block), &params)
+            .unwrap();
+        let mut fresh = small_gpu();
+        fresh.restore(&before).unwrap();
+        let want = fresh
+            .launch(k, Dim3::x(grid), Dim3::x(block), &params)
+            .unwrap();
+        let what = format!("{} at grid {grid} x block {block}", k.name());
+        assert_eq!(got, want, "{what}");
+        assert_eq!(gpu.snapshot(), fresh.snapshot(), "{what}");
+    }
+    let vals = gpu.mem().read_u32_slice(out, n as usize);
+    let stride = 3 * 96;
+    for (i, v) in vals.iter().enumerate() {
+        assert_eq!(*v, (i as u32 + stride) * 3, "out[{i}]");
+    }
 }
