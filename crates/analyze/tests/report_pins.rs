@@ -11,9 +11,10 @@
 //! `<set>.<geometry>.txt` is the reports as `gcl analyze` prints them
 //! (blank line between kernels), `<set>.<geometry>.csv` is the schema
 //! line, the header and the rows — `workloads.b64-g4.csv` is byte for byte
-//! the stdout of `gcl analyze all --locality --critical --csv`, which CI
-//! diffs against it. The workload kernels do not depend on the input
-//! scale, so both scales are held to the one `workloads` set.
+//! the stdout of `gcl analyze all --locality --critical --csv`, which
+//! `tests/cli_analyze.rs` compares with it. The workload kernels do not
+//! depend on the input scale, so both scales are held to the one
+//! `workloads` set.
 //!
 //! On a mismatch the actual text is written under `CARGO_TARGET_TMPDIR`
 //! and the failure names both files; copying the actual file over the

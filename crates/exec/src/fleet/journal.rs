@@ -530,7 +530,7 @@ impl Journal {
     /// an atomic rename so a crash mid-compaction leaves the old journal
     /// intact. Appends then go to the replacement's handle: the rename
     /// keeps its inode, so nothing is reopened by path. Returns the byte
-    /// offset each record landed at, for [`Journal::read_at`].
+    /// offset each record landed at, for reading it back later.
     ///
     /// # Errors
     ///

@@ -27,8 +27,8 @@ use std::fmt;
 use std::sync::Arc;
 
 /// The step outcome of one issued warp instruction, as recorded at capture
-/// and re-injected at replay. Mirrors [`StepResult`] minus anything the
-/// timing model does not consume.
+/// and re-injected at replay. Mirrors the executing warp's step result
+/// minus anything the timing model does not consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayKind {
     /// Arithmetic/move: schedule a writeback for `dst` on the unit latency.
