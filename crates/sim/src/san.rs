@@ -391,7 +391,14 @@ impl SmSan {
     ) -> Result<(), Box<RaceReport>> {
         let shadow = &mut self.shadows[cta_slot];
         let pc32 = pc as u32;
+        let mut prev = None;
         for &(_lane, addr) in lane_addrs {
+            // A lane repeating the previous lane's address (a broadcast)
+            // finds the bytes as that lane left them: checking them again
+            // can neither fail nor change them.
+            if prev.replace(addr) == Some(addr) {
+                continue;
+            }
             let lo = addr as usize;
             let hi = (lo + bytes as usize).min(shadow.bytes.len());
             for off in lo..hi {
