@@ -32,8 +32,8 @@
 use super::journal::{Journal, JournalError, Record};
 use super::state::{cycle_override, Fleet, FleetJob, FleetJobState, Payload, WorkerEntry};
 use crate::proto::{
-    encode_key, error_response, error_text, parse_submit, write_frame, Conn, FrameError,
-    FrameReader, ServeError,
+    encode_key, error_response, error_text, hex_encode, parse_submit, write_frame, Conn,
+    FrameError, FrameReader, ServeError,
 };
 use gcl_mem::fnv_fold;
 use gcl_stats::Json;
@@ -703,16 +703,16 @@ fn handle_inventory(frame: &Json, idx: usize, shared: &CoordShared) {
 
 /// Decode and checksum-verify the `stats` payload a `done` frame carries —
 /// outside the lock, and exactly once: the bytes that were checksummed are
-/// the bytes the journal will hold.
+/// the bytes the journal and every later `result` frame will carry.
 fn verified_payload(frame: &Json) -> Result<Payload, String> {
     let text = |field| frame.get(field).and_then(Json::as_str);
     let hex = text("stats").ok_or("missing stats payload")?;
     let sum = text("sum").ok_or("missing checksum")?;
-    let (stats, bytes) = super::decode_stats_bytes(hex, sum)?;
+    let (bytes, summary) = super::verify_stats_payload(hex, sum)?;
     let ms = |field| frame.get(field).and_then(Json::as_f64).unwrap_or(0.0);
     Ok(Payload {
-        stats,
         bytes,
+        summary,
         wall_ms: ms("wall_ms"),
         worker_wall_ms: ms("worker_wall_ms"),
         cached: frame.get("cached").and_then(Json::as_bool).unwrap_or(false),
@@ -1107,30 +1107,25 @@ fn handle_result(request: &Json, fleet: &Fleet) -> Json {
             fields.push(("error", Json::Str(msg.clone())));
         }
         FleetJobState::Done(result) => {
-            let stats = match fleet.stats(result) {
-                Ok(stats) => stats,
+            let bytes = match fleet.payload(result) {
+                Ok(bytes) => bytes,
                 Err(e) => return error_response(format!("job {id}: cannot read its result: {e}")),
             };
-            let (hex, sum) = super::encode_stats_payload(&stats);
+            let summary = &result.summary;
             fields.push(("state", Json::Str("done".into())));
             fields.push(("workload", Json::Str(job.spec.workload.clone())));
             fields.push(("cached", Json::Bool(result.cached)));
-            fields.push(("cycles", Json::UInt(stats.cycles)));
-            fields.push(("warp_insts", Json::UInt(stats.sm.warp_insts)));
+            fields.push(("cycles", Json::UInt(summary.cycles)));
+            fields.push(("warp_insts", Json::UInt(summary.warp_insts)));
             fields.push(("wall_ms", Json::Float(result.wall_ms)));
             fields.push(("worker_wall_ms", Json::Float(result.worker_wall_ms)));
-            fields.push((
-                "digest",
-                match stats.digest {
-                    Some(d) => Json::Str(format!("0x{d:016x}")),
-                    None => Json::Null,
-                },
-            ));
+            let digest = summary.digest.map(|d| Json::Str(encode_key(d)));
+            fields.push(("digest", digest.unwrap_or(Json::Null)));
             fields.push(("worker", Json::Str(result.worker.clone())));
             fields.push(("assigns", Json::UInt(job.assigns)));
             fields.push(("key", Json::Str(encode_key(job.key))));
-            fields.push(("stats", Json::Str(hex)));
-            fields.push(("sum", Json::Str(sum)));
+            fields.push(("stats", Json::Str(hex_encode(&bytes))));
+            fields.push(("sum", Json::Str(encode_key(summary.sum))));
         }
     }
     Json::obj(fields)

@@ -80,13 +80,22 @@ pub fn encode_stats_payload(stats: &LaunchStats) -> (String, String) {
 /// A human-readable message on a checksum mismatch, bad hex, or an
 /// undecodable stats body — all treated by callers as frame corruption.
 pub fn decode_stats_payload(hex: &str, sum_text: &str) -> Result<LaunchStats, String> {
-    decode_stats_bytes(hex, sum_text).map(|(stats, _)| stats)
+    decode_stats(&checked_bytes(hex, sum_text)?.0)
 }
 
-/// [`decode_stats_payload`], also handing back the bytes the checksum was
-/// verified over, so a caller that must keep them (the journal) holds
-/// exactly what was checked and decodes the hex once.
-fn decode_stats_bytes(hex: &str, sum_text: &str) -> Result<(LaunchStats, Vec<u8>), String> {
+/// [`decode_stats_payload`], keeping what a finished job holds instead of
+/// the stats: the bytes the checksum was verified over (the journal's and
+/// every later `result` frame's), and their [`Summary`]. The hex is
+/// decoded and the stats body checked once.
+fn verify_stats_payload(hex: &str, sum_text: &str) -> Result<(Vec<u8>, Summary), String> {
+    let (bytes, sum) = checked_bytes(hex, sum_text)?;
+    let summary = Summary::of(&decode_stats(&bytes)?, sum);
+    Ok((bytes, summary))
+}
+
+/// The bytes `hex` carries and the checksum `sum_text` names, once the
+/// two agree.
+fn checked_bytes(hex: &str, sum_text: &str) -> Result<(Vec<u8>, u64), String> {
     let sum = decode_key(sum_text).map_err(|_| format!("bad checksum field `{sum_text}`"))?;
     let bytes = hex_decode(hex)?;
     let actual = fnv_fold_bytes(FNV_OFFSET, &bytes);
@@ -95,13 +104,47 @@ fn decode_stats_bytes(hex: &str, sum_text: &str) -> Result<(LaunchStats, Vec<u8>
             "checksum mismatch (frame says 0x{sum:016x}, payload folds to 0x{actual:016x})"
         ));
     }
-    let mut dec = Dec::new(&bytes);
+    Ok((bytes, sum))
+}
+
+/// Decode wire bytes that must hold exactly one [`LaunchStats`].
+fn decode_stats(bytes: &[u8]) -> Result<LaunchStats, String> {
+    let mut dec = Dec::new(bytes);
     let stats =
         LaunchStats::ckpt_decode(&mut dec).map_err(|e| format!("undecodable stats: {e}"))?;
     if !dec.is_done() {
         return Err("trailing bytes after stats payload".to_string());
     }
-    Ok((stats, bytes))
+    Ok(stats)
+}
+
+/// What a `result` frame reports beside a finished job's payload bytes:
+/// their checksum and three fields of the stats they encode, read once
+/// when the bytes are verified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Summary {
+    sum: u64,
+    cycles: u64,
+    warp_insts: u64,
+    digest: Option<u64>,
+}
+
+impl Summary {
+    fn of(stats: &LaunchStats, sum: u64) -> Summary {
+        Summary {
+            sum,
+            cycles: stats.cycles,
+            warp_insts: stats.sm.warp_insts,
+            digest: stats.digest,
+        }
+    }
+
+    /// The summary of payload bytes the journal kept: they must still
+    /// decode, and their checksum is folded here, once.
+    fn of_payload(bytes: &[u8]) -> Result<Summary, String> {
+        let stats = decode_stats(bytes)?;
+        Ok(Summary::of(&stats, fnv_fold_bytes(FNV_OFFSET, bytes)))
+    }
 }
 
 #[cfg(test)]

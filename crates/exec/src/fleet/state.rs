@@ -6,8 +6,9 @@
 //! state change, its journal record, its session event, its counters, its
 //! worker bookkeeping and its wake-up ([`Fleet::wake`]) exactly once;
 //! handlers and the supervisor only decide *which* edge to take
-//! (DESIGN.md §13 has the table). With a journal, a finished job's
-//! statistics live only in its `Done` record ([`Stats`]). Only this
+//! (DESIGN.md §13 has the table). A finished job keeps its result as the
+//! checksummed bytes the worker sent, plus their [`Summary`]; with a
+//! journal the bytes live only in its `Done` record ([`Stats`]). Only this
 //! module knows what a journal record means: [`Fleet::replay`] folds one
 //! into the tables the edges write, and [`Fleet::compaction_records`]
 //! writes the tables back out as records. Recovery rests on one ordering
@@ -23,10 +24,10 @@
 
 use super::coordinator::{CoordinatorOptions, WORKER_DEAD};
 use super::journal::{JCounter, Journal, Record, Recovered};
+use super::Summary;
 use crate::job::JobSpec;
 use crate::proto::{error_response, shed_response, write_frame, QUEUE_FULL};
-use gcl_mem::{Dec, Enc};
-use gcl_sim::{GpuConfig, LaunchStats};
+use gcl_sim::GpuConfig;
 use gcl_stats::{Accumulator, Json};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -41,6 +42,9 @@ const EVENT_LOG_CAP: usize = 8192;
 #[derive(Debug)]
 pub(super) struct FleetResult {
     pub(super) stats: Stats,
+    /// The checksum and the fields a `result` frame reports beside the
+    /// bytes.
+    pub(super) summary: Summary,
     pub(super) wall_ms: f64,
     /// Wall time measured on the worker that executed the job, including
     /// any stall injection — the fleet-side counterpart of the local
@@ -50,12 +54,13 @@ pub(super) struct FleetResult {
     pub(super) worker: String,
 }
 
-/// A finished job's statistics. With a journal they stay only in the
-/// journal's `Done` record, so the table of a long run holds no payloads
-/// (`result` and compaction read them back); without one, in memory.
+/// A finished job's statistics, as the wire bytes the worker sent. With a
+/// journal they stay only in the journal's `Done` record, so the table of
+/// a long run holds no payloads (`result` and compaction read them back);
+/// without one, and after recovery, in memory.
 #[derive(Debug)]
 pub(super) enum Stats {
-    Held(Box<LaunchStats>),
+    Held(Box<[u8]>),
     /// The payload of the `Done` record at this journal byte offset.
     Journaled(u64),
 }
@@ -315,11 +320,11 @@ impl SessionTable {
     }
 }
 
-/// A worker's checksum-verified `done` frame: the stats decoded for the
-/// job table, and the verified bytes for the journal.
+/// A worker's checksum-verified `done` frame: the verified bytes, and
+/// their summary for the job table.
 pub(super) struct Payload {
-    pub(super) stats: LaunchStats,
     pub(super) bytes: Vec<u8>,
+    pub(super) summary: Summary,
     pub(super) wall_ms: f64,
     pub(super) worker_wall_ms: f64,
     /// The worker served the job from its own result cache.
@@ -403,38 +408,16 @@ impl Fleet {
         }
     }
 
-    /// The statistics of finished job `result`, read back from the journal
-    /// when [`Fleet::complete`] left them there.
-    pub(super) fn stats<'a>(
-        &self,
-        result: &'a FleetResult,
-    ) -> Result<Cow<'a, LaunchStats>, String> {
-        match &result.stats {
-            Stats::Held(stats) => Ok(Cow::Borrowed(stats)),
-            Stats::Journaled(at) => {
-                let payload = self.journaled_payload(*at)?;
-                let stats = LaunchStats::ckpt_decode(&mut Dec::new(&payload));
-                stats.map(Cow::Owned).map_err(|e| e.to_string())
-            }
-        }
-    }
-
-    /// The wire bytes of finished job `result`'s statistics.
-    fn payload(&self, result: &FleetResult) -> Result<Vec<u8>, String> {
-        match &result.stats {
-            Stats::Held(stats) => {
-                let mut enc = Enc::new();
-                stats.ckpt_encode(&mut enc);
-                Ok(enc.into_bytes())
-            }
-            Stats::Journaled(at) => self.journaled_payload(*at),
-        }
-    }
-
-    fn journaled_payload(&self, at: u64) -> Result<Vec<u8>, String> {
+    /// The wire bytes of finished job `result`'s statistics, read back from
+    /// the journal when [`Fleet::complete`] left them there.
+    pub(super) fn payload<'a>(&self, result: &'a FleetResult) -> Result<Cow<'a, [u8]>, String> {
+        let at = match &result.stats {
+            Stats::Held(bytes) => return Ok(Cow::Borrowed(bytes)),
+            Stats::Journaled(at) => *at,
+        };
         let journal = self.journal.as_ref().ok_or("the journal is gone")?;
         match journal.read_at(at).map_err(|e| e.to_string())? {
-            Record::Done { payload, .. } => Ok(payload),
+            Record::Done { payload, .. } => Ok(Cow::Owned(payload)),
             _ => Err(format!("journal byte {at} holds no result")),
         }
     }
@@ -629,14 +612,17 @@ impl Fleet {
         }
         w.done += 1;
         let mut result = FleetResult {
-            stats: Stats::Held(Box::new(payload.stats)),
+            stats: Stats::Held(payload.bytes.into_boxed_slice()),
+            summary: payload.summary,
             wall_ms: payload.wall_ms,
             worker_wall_ms: payload.worker_wall_ms,
             cached: payload.cached,
             worker: w.name.clone(),
         };
-        if let Some(at) = self.log(&result.done_record(id, payload.bytes)) {
-            result.stats = Stats::Journaled(at);
+        if let (Some(_), Stats::Held(bytes)) = (&self.journal, &result.stats) {
+            if let Some(at) = self.log(&result.done_record(id, bytes.to_vec())) {
+                result.stats = Stats::Journaled(at);
+            }
         }
         if !result.cached {
             self.counters.sims += 1;
@@ -783,7 +769,9 @@ impl Fleet {
             out.extend(match &job.state {
                 FleetJobState::Queued { held_by } => held_by.as_ref().map(lease),
                 FleetJobState::Leased { worker, .. } => Some(lease(&self.workers[*worker].name)),
-                FleetJobState::Done(result) => Some(result.done_record(id, self.payload(result)?)),
+                FleetJobState::Done(result) => {
+                    Some(result.done_record(id, self.payload(result)?.into_owned()))
+                }
                 FleetJobState::Failed(error) => Some(Record::Failed {
                     id,
                     error: error.clone(),
@@ -868,19 +856,19 @@ impl Fleet {
                 payload,
             } => {
                 self.counters.sims += u64::from(!cached);
-                let result = |stats| FleetResult {
-                    stats: Stats::Held(Box::new(stats)),
-                    wall_ms,
-                    worker_wall_ms,
-                    cached,
-                    worker,
-                };
                 // A payload the journal preserved but this build cannot
                 // decode: recompute rather than refuse.
-                let outcome = LaunchStats::ckpt_decode(&mut Dec::new(&payload))
-                    .map_or(FleetJobState::Queued { held_by: None }, |stats| {
-                        FleetJobState::Done(Box::new(result(stats)))
-                    });
+                let outcome = match Summary::of_payload(&payload) {
+                    Ok(summary) => FleetJobState::Done(Box::new(FleetResult {
+                        stats: Stats::Held(payload.into_boxed_slice()),
+                        summary,
+                        wall_ms,
+                        worker_wall_ms,
+                        cached,
+                        worker,
+                    })),
+                    Err(_) => FleetJobState::Queued { held_by: None },
+                };
                 self.replay_event(id, |state| *state = outcome);
             }
             Record::Failed { id, error } => {
@@ -974,8 +962,9 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{decode_stats_bytes, encode_stats_payload};
+    use crate::fleet::{encode_stats_payload, verify_stats_payload};
     use gcl_rng::{cases, Rng};
+    use gcl_sim::LaunchStats;
     use std::net::TcpListener;
 
     /// Register a worker over a real loopback socket; the test keeps the
@@ -1021,10 +1010,10 @@ mod tests {
             };
             encode_stats_payload(&stats)
         };
-        let (stats, bytes) = decode_stats_bytes(&hex, &sum).unwrap();
+        let (bytes, summary) = verify_stats_payload(&hex, &sum).unwrap();
         let payload = Payload {
-            stats,
             bytes,
+            summary,
             wall_ms: 1.5,
             worker_wall_ms: 2.5,
             cached: rng.chance(0.2),
@@ -1254,9 +1243,52 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// With a journal, a finished job's statistics live only in its `Done`
-    /// record. They read back whole, and still do after a compaction has
-    /// moved that record.
+    /// A replayed `Done` record keeps the journal's bytes as they are and
+    /// summarises them once; bytes this build cannot decode requeue the
+    /// job instead.
+    #[test]
+    fn a_replayed_result_keeps_its_bytes_or_requeues_its_job() {
+        let stats = LaunchStats {
+            cycles: 99,
+            digest: Some(3),
+            ..LaunchStats::default()
+        };
+        let (hex, sum) = encode_stats_payload(&stats);
+        let (bytes, summary) = verify_stats_payload(&hex, &sum).unwrap();
+        let mut fleet = Fleet::default();
+        for (id, payload) in [(1, bytes.clone()), (2, vec![0xff; 5])] {
+            fleet.replay(Record::Submit {
+                id,
+                key: id,
+                workload: "bfs".to_string(),
+                tiny: true,
+                sanitize: false,
+                max_cycles: None,
+                session: None,
+            });
+            fleet.replay(Record::Done {
+                id,
+                cached: false,
+                wall_ms: 1.0,
+                worker_wall_ms: 1.0,
+                worker: "w0".to_string(),
+                payload,
+            });
+        }
+        let FleetJobState::Done(result) = &fleet.jobs.map[&1].state else {
+            panic!("job 1 replays as done");
+        };
+        assert_eq!(result.summary, summary);
+        assert_eq!(fleet.payload(result).unwrap().as_ref(), bytes.as_slice());
+        assert!(matches!(
+            fleet.jobs.map[&2].state,
+            FleetJobState::Queued { held_by: None }
+        ));
+    }
+
+    /// With a journal, a finished job's payload bytes live only in its
+    /// `Done` record. They read back whole, and still do after a compaction
+    /// has moved that record; the summary stays in the job table.
     #[test]
     fn a_journaled_result_reads_back_across_a_compaction() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1276,15 +1308,17 @@ mod tests {
             ..LaunchStats::default()
         };
         let (hex, sum) = encode_stats_payload(&stats);
-        let (decoded, bytes) = decode_stats_bytes(&hex, &sum).unwrap();
+        let (bytes, summary) = verify_stats_payload(&hex, &sum).unwrap();
+        assert_eq!(format!("0x{:016x}", summary.sum), sum);
+        assert_eq!((summary.cycles, summary.digest), (4242, Some(7)));
         let spec = JobSpec::new("bfs", true, GpuConfig::small());
         let opts = CoordinatorOptions::default();
         let (id, _) = fleet.submit(&opts, spec, 1, None).unwrap();
         fleet.jobs.queue.clear();
         fleet.lease(id, 0, false, Instant::now());
         let payload = Payload {
-            stats: decoded,
-            bytes,
+            bytes: bytes.clone(),
+            summary,
             wall_ms: 1.5,
             worker_wall_ms: 2.5,
             cached: false,
@@ -1297,17 +1331,18 @@ mod tests {
             let Stats::Journaled(at) = result.stats else {
                 panic!("a journaling fleet holds no payload");
             };
-            (at, fleet.stats(result).unwrap().into_owned())
+            assert_eq!(result.summary, summary);
+            (at, fleet.payload(result).unwrap().into_owned())
         };
         let (before, read_back) = read(&fleet);
-        assert_eq!(read_back, stats);
+        assert_eq!(read_back, bytes);
         fleet.journal_upkeep(1);
         let (after, read_back) = read(&fleet);
         assert_ne!(
             after, before,
             "compaction drops the lease: the record moves"
         );
-        assert_eq!(read_back, stats);
+        assert_eq!(read_back, bytes);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -437,16 +437,25 @@ pub fn inventory_frame(running: &[u64]) -> Json {
     ])
 }
 
-/// The lower-hex digit of each nibble value.
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+/// The two lower-hex digits of each byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0x0f]];
+        b += 1;
+    }
+    pairs
+};
 
 /// Lower-hex encoding of arbitrary bytes, for carrying wire-encoded
-/// payloads (e.g. `LaunchStats`) inside a JSON frame.
+/// payloads (e.g. `LaunchStats`) inside a JSON frame. Each byte's digit
+/// pair is written into a buffer sized up front.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX_DIGITS[usize::from(b >> 4)]);
-        out.push(HEX_DIGITS[usize::from(b & 0x0f)]);
+    let mut out = vec![0; bytes.len() * 2];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX_PAIRS[usize::from(b)]);
     }
     String::from_utf8(out).expect("hex digits are ascii")
 }
@@ -666,6 +675,16 @@ mod tests {
         }
         assert_eq!(hex_decode(&text).unwrap(), bytes);
         assert_eq!(hex_decode(&text.to_uppercase()).unwrap(), bytes);
+    }
+
+    #[test]
+    fn hex_decode_inverts_hex_encode_at_every_length_to_64() {
+        let bytes: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(0x9d) ^ 0x5a).collect();
+        for len in 0..=64 {
+            let text = hex_encode(&bytes[..len]);
+            assert_eq!(text.len(), 2 * len);
+            assert_eq!(hex_decode(&text).unwrap(), &bytes[..len], "length {len}");
+        }
     }
 
     #[test]

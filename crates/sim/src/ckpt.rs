@@ -23,6 +23,7 @@
 use crate::GpuConfig;
 use gcl_mem::{fnv_fold_bytes, open, seal, WireError, FNV_OFFSET};
 use gcl_ptx::Kernel;
+use std::cell::RefCell;
 use std::fmt;
 use std::path::Path;
 
@@ -111,9 +112,34 @@ impl From<WireError> for CheckpointError {
     }
 }
 
+thread_local! {
+    /// The last configuration this thread fingerprinted, and its fold.
+    static LAST_CONFIG: RefCell<Option<(GpuConfig, u64)>> = const { RefCell::new(None) };
+}
+
 /// Fingerprint of a GPU configuration (FNV-1a over its `Debug` form).
 /// Stored in every snapshot; restore requires an exact match.
+///
+/// Each thread keeps the last configuration it folded and answers an equal
+/// one without formatting it. Every field of [`GpuConfig`] is an integer, a
+/// `bool` or an enum of those, so equal configurations print alike; debug
+/// builds fold anyway and check the answer.
 pub fn config_fingerprint(cfg: &GpuConfig) -> u64 {
+    LAST_CONFIG.with_borrow_mut(|last| match last {
+        Some((seen, fp)) if seen == cfg => {
+            debug_assert_eq!(*fp, debug_fold(cfg), "equal configs print alike");
+            *fp
+        }
+        _ => {
+            let fp = debug_fold(cfg);
+            *last = Some((cfg.clone(), fp));
+            fp
+        }
+    })
+}
+
+/// The FNV-1a fold of `cfg`'s `Debug` form.
+fn debug_fold(cfg: &GpuConfig) -> u64 {
     fnv_fold_bytes(FNV_OFFSET, format!("{cfg:?}").as_bytes())
 }
 
@@ -197,6 +223,29 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two threads alternate three configurations, two of them one cycle
+    /// apart: every answer is the plain `Debug` fold.
+    #[test]
+    fn config_fingerprint_is_the_debug_fold_across_threads_and_configs() {
+        let mut near = GpuConfig::small();
+        near.max_cycles -= 1;
+        let configs = [GpuConfig::small(), near, GpuConfig::fermi()];
+        let want: Vec<u64> = configs.iter().map(debug_fold).collect();
+        assert_ne!(want[0], want[1], "one cycle apart folds apart");
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (configs, want) = (&configs, &want);
+                scope.spawn(move || {
+                    for round in 0..30 {
+                        let i = (round + t) % 3;
+                        assert_eq!(config_fingerprint(&configs[i]), want[i], "thread {t}");
+                        assert_eq!(config_fingerprint(&configs[i]), want[i], "repeat");
+                    }
+                });
+            }
+        });
+    }
 
     fn sample() -> Snapshot {
         Snapshot {

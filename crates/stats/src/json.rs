@@ -228,16 +228,44 @@ fn push_indent(out: &mut String, n: usize) {
     }
 }
 
+/// Whether a JSON string literal must escape byte `b`.
+fn must_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The index of the first byte of `s` that [`must_escape`]. Eight bytes are
+/// tested at once, as one word; only a word that holds such a byte is
+/// scanned byte by byte.
+fn next_escape(s: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    // Nonzero iff some byte of `w` is below `n` (n <= 0x80): a byte below
+    // `n` borrows into its own high bit, and `!w` masks bytes that had one.
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS;
+    let mut words = s.chunks_exact(8);
+    for (k, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hit = below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1)
+            | below(w, 0x20);
+        if hit != 0 {
+            if let Some(i) = word.iter().position(|&b| must_escape(b)) {
+                return Some(8 * k + i);
+            }
+        }
+    }
+    let tail = s.len() - words.remainder().len();
+    (words.remainder().iter().position(|&b| must_escape(b))).map(|i| tail + i)
+}
+
 /// Write `s` as a JSON string literal. Every escaped character is ASCII, so
 /// the text between two of them is pushed whole: a string that needs no
 /// escaping is one `push_str`.
 fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
     let mut rest = s;
-    while let Some(i) = rest
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-    {
+    while let Some(i) = next_escape(rest.as_bytes()) {
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
@@ -389,19 +417,22 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash in one go. Both
-            // are ASCII, so the run is whole UTF-8 and `pos` stays on a char
-            // boundary.
+            // Copy the run up to the next quote, backslash or control byte in
+            // one go. All are ASCII, so the run is whole UTF-8 and `pos`
+            // stays on a char boundary.
             let rest = &self.bytes[self.pos..];
             let run = rest
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(rest.len());
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
+            if b < 0x20 {
+                return Err(self.err("unescaped control character in string"));
+            }
             self.pos += 1;
             if b == b'"' {
                 return Ok(out);
@@ -440,20 +471,31 @@ impl Parser<'_> {
         }
     }
 
+    /// Skip a run of decimal digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        if self.digits() > 1 && self.bytes[int_start] == b'0' {
+            self.pos = int_start + 1;
+            return Err(self.err("leading zero in number"));
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after `.`"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -462,9 +504,7 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         let text = &self.text[start..self.pos];
         if !is_float {
@@ -606,8 +646,8 @@ mod tests {
         );
         // A lone surrogate becomes the replacement character.
         assert_eq!(read(r#""x\ud800y""#), Json::Str("x\u{fffd}y".into()));
-        // Raw control bytes inside a string are accepted as they are.
-        assert_eq!(read("\"a\u{1}\tb\nc\""), Json::Str("a\u{1}\tb\nc".into()));
+        // Raw control bytes inside a string are rejected (RFC 8259 §7).
+        assert!(Json::parse("\"a\u{1}\tb\nc\"").is_err());
 
         let err = |text: &str| {
             let e = Json::parse(text).unwrap_err();
@@ -619,6 +659,90 @@ mod tests {
         assert_eq!(err(r#""\u12""#), ("truncated \\u escape".to_string(), 3));
         assert_eq!(err(r#""\u12zz""#), ("invalid \\u escape".to_string(), 3));
         assert_eq!(err(r#""\u+041""#), ("invalid \\u escape".to_string(), 3));
+    }
+
+    fn parse_err(text: &str) -> (String, usize) {
+        let e = Json::parse(text).unwrap_err();
+        (e.message, e.offset)
+    }
+
+    #[test]
+    fn a_raw_control_character_in_a_string_is_rejected() {
+        let msg = "unescaped control character in string".to_string();
+        assert_eq!(parse_err("\"a\tb\""), (msg.clone(), 2));
+        for b in 0u8..0x20 {
+            let text = format!("{{\"k\u{e9}y\":\"ab{}\"}}", char::from(b));
+            assert_eq!(parse_err(&text), (msg.clone(), 11), "byte {b:#04x}");
+            let key = format!("{{\"k{}\":1}}", char::from(b));
+            assert_eq!(parse_err(&key), (msg.clone(), 3), "byte {b:#04x}");
+        }
+        // Escaped, each is fine; so is DEL, which is not a control byte here.
+        assert_eq!(Json::parse(r#""a\tb""#).unwrap(), Json::Str("a\tb".into()));
+        assert_eq!(
+            Json::parse("\"\u{7f}\"").unwrap(),
+            Json::Str("\u{7f}".into())
+        );
+    }
+
+    #[test]
+    fn a_leading_zero_is_rejected() {
+        let msg = "leading zero in number".to_string();
+        assert_eq!(parse_err("01"), (msg.clone(), 1));
+        assert_eq!(parse_err("-007"), (msg.clone(), 2));
+        assert_eq!(parse_err("[1,00]"), (msg.clone(), 4));
+        assert_eq!(parse_err("0123.5"), (msg, 1));
+        for (text, v) in [
+            ("0", Json::UInt(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::UInt(10)),
+            ("0.5", Json::Float(0.5)),
+            ("0e2", Json::Float(0.0)),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), v, "{text}");
+        }
+    }
+
+    #[test]
+    fn a_fraction_needs_a_digit() {
+        let msg = "expected a digit after `.`".to_string();
+        assert_eq!(parse_err("1."), (msg.clone(), 2));
+        assert_eq!(parse_err("-3.e5"), (msg.clone(), 3));
+        assert_eq!(parse_err("[0.,1]"), (msg, 3));
+        assert_eq!(Json::parse("1.0").unwrap(), Json::Float(1.0));
+        assert_eq!(Json::parse("-3.25e1").unwrap(), Json::Float(-32.5));
+    }
+
+    /// [`next_escape`]'s word test against a plain byte scan: every byte
+    /// value at every offset 0–16 of every length 0–40, over a filler of
+    /// one-, two-, three- and four-byte UTF-8.
+    #[test]
+    fn the_word_escape_scan_finds_what_the_byte_scan_finds() {
+        let filler = "a\u{e9}\u{20ac}\u{1d11e}".repeat(6).into_bytes();
+        for b in 0..=255u8 {
+            for len in 0..=40 {
+                for at in 0..=16.min(len) {
+                    let mut bytes = filler[..len].to_vec();
+                    if at < len {
+                        bytes[at] = b;
+                    }
+                    let want = bytes.iter().position(|&x| must_escape(x));
+                    assert_eq!(next_escape(&bytes), want, "byte {b:#04x} at {at} of {len}");
+                }
+            }
+        }
+        // Rendered and parsed back, with the byte's char among the filler's.
+        let chars: Vec<char> = "a\u{e9}\u{20ac}\u{1d11e}".repeat(10).chars().collect();
+        for b in 0..=255u8 {
+            for len in 0..=40 {
+                for at in 0..=16.min(len) {
+                    let mut text: String = chars[..len].iter().collect();
+                    let byte_at = text.char_indices().nth(at).map_or(text.len(), |(i, _)| i);
+                    text.insert(byte_at, char::from(b));
+                    let v = Json::Str(text);
+                    assert_eq!(Json::parse(&v.render_compact()).unwrap(), v);
+                }
+            }
+        }
     }
 
     #[test]
