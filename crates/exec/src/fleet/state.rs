@@ -619,6 +619,8 @@ impl Fleet {
             cached: payload.cached,
             worker: w.name.clone(),
         };
+        // With a journal the bytes move to the `Done` record; a failed
+        // append leaves them held here.
         if let (Some(_), Stats::Held(bytes)) = (&self.journal, &result.stats) {
             if let Some(at) = self.log(&result.done_record(id, bytes.to_vec())) {
                 result.stats = Stats::Journaled(at);
