@@ -39,11 +39,16 @@ impl DramConfig {
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
+/// A scheduled request, waiting in the completion heap until its data
+/// returns.
+#[derive(Debug)]
 struct Completion {
     ready: Cycle,
     seq: u64,
+    /// Position in the checkpoint's request table (the count of requests
+    /// scheduled before this one).
     req_index: usize,
+    req: MemRequest,
 }
 
 impl Ord for Completion {
@@ -58,6 +63,14 @@ impl PartialOrd for Completion {
         Some(self.cmp(other))
     }
 }
+
+impl PartialEq for Completion {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Completion {}
 
 /// Per-channel statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -85,7 +98,9 @@ impl DramStats {
 ///
 /// Push requests with [`DramChannel::try_push`]; each call to
 /// [`DramChannel::tick`] schedules newly-arrived requests onto banks; pull
-/// finished requests with [`DramChannel::pop_ready`].
+/// finished requests with [`DramChannel::pop_ready`]. A request is held only
+/// while it is queued or in flight: the completion heap owns it until
+/// `pop_ready` hands it back.
 #[derive(Debug)]
 pub struct DramChannel {
     cfg: DramConfig,
@@ -93,7 +108,9 @@ pub struct DramChannel {
     bank_free_at: Vec<Cycle>,
     bus_free_at: Cycle,
     completions: BinaryHeap<Completion>,
-    finished: Vec<Option<MemRequest>>,
+    /// Requests ever scheduled: the length of the checkpoint's request
+    /// table.
+    scheduled: usize,
     seq: u64,
     stats: DramStats,
 }
@@ -112,7 +129,7 @@ impl DramChannel {
             bank_free_at: vec![0; cfg.banks],
             bus_free_at: 0,
             completions: BinaryHeap::new(),
-            finished: Vec::new(),
+            scheduled: 0,
             seq: 0,
             stats: DramStats::default(),
         }
@@ -148,13 +165,13 @@ impl DramChannel {
             self.bank_free_at[bank] = start + Cycle::from(self.cfg.bank_busy);
             self.bus_free_at = self.bus_free_at.max(start) + Cycle::from(self.cfg.data_bus_gap);
             self.queue.pop_front();
-            let idx = self.finished.len();
-            self.finished.push(Some(req));
             self.completions.push(Completion {
                 ready: done,
                 seq: self.seq,
-                req_index: idx,
+                req_index: self.scheduled,
+                req,
             });
+            self.scheduled += 1;
             self.seq += 1;
             self.stats.serviced += 1;
             self.stats.total_latency += done - arrival;
@@ -165,8 +182,7 @@ impl DramChannel {
     pub fn pop_ready(&mut self, cycle: Cycle) -> Option<MemRequest> {
         if let Some(c) = self.completions.peek() {
             if c.ready <= cycle {
-                let c = self.completions.pop().unwrap();
-                return self.finished[c.req_index].take();
+                return self.completions.pop().map(|c| c.req);
             }
         }
         None
@@ -188,9 +204,10 @@ impl DramChannel {
     }
 
     /// Checkpoint-encode the channel. The completion heap is written as a
-    /// vector sorted by `(ready, seq)` so the encoding is byte-stable; the
-    /// `finished` side table keeps its holes (completions reference entries
-    /// by index).
+    /// vector sorted by `(ready, seq)` so the encoding is byte-stable. The
+    /// in-flight requests follow as a table with one entry per request ever
+    /// scheduled, indexed by `req_index`: every entry a completion does not
+    /// reference is an empty option (one byte), written without being held.
     pub fn ckpt_encode(&self, e: &mut Enc) {
         let q: Vec<(Cycle, MemRequest)> = self.queue.iter().copied().collect();
         e.seq(&q, |e, (at, r)| {
@@ -202,14 +219,25 @@ impl DramChannel {
         let mut comps: Vec<&Completion> = self.completions.iter().collect();
         comps.sort_unstable_by_key(|c| (c.ready, c.seq));
         e.usize(comps.len());
-        for c in comps {
+        for c in &comps {
             e.u64(c.ready);
             e.u64(c.seq);
             e.usize(c.req_index);
         }
-        e.seq(&self.finished, |e, f| {
-            e.opt(f, |e, r| r.ckpt_encode(e));
-        });
+        comps.sort_unstable_by_key(|c| c.req_index);
+        e.usize(self.scheduled);
+        let mut next = 0;
+        for c in comps {
+            for _ in next..c.req_index {
+                e.u8(0);
+            }
+            e.u8(1);
+            c.req.ckpt_encode(e);
+            next = c.req_index + 1;
+        }
+        for _ in next..self.scheduled {
+            e.u8(0);
+        }
         e.u64(self.seq);
         e.u64(self.stats.serviced);
         e.u64(self.stats.total_latency);
@@ -218,6 +246,11 @@ impl DramChannel {
 
     /// Checkpoint-decode a channel written by
     /// [`ckpt_encode`](Self::ckpt_encode) against configuration `cfg`.
+    ///
+    /// The request table is read as a stream, each entry handed to the
+    /// completion that references it. A completion whose entry is empty or
+    /// missing is rejected, and so is an entry no completion references:
+    /// an encode never writes one, and the channel could not write it back.
     pub fn ckpt_decode(d: &mut Dec<'_>, cfg: DramConfig) -> Result<DramChannel, WireError> {
         let queue: VecDeque<(Cycle, MemRequest)> = d
             .seq(|d| {
@@ -234,25 +267,32 @@ impl DramChannel {
             return Err(WireError::Malformed("DRAM bank count mismatch"));
         }
         let bus_free_at = d.u64()?;
-        let n_comps = d.seq_len()?;
-        let mut completions = BinaryHeap::with_capacity(n_comps);
-        let mut comp_indices = Vec::with_capacity(n_comps);
-        for _ in 0..n_comps {
-            let ready = d.u64()?;
-            let seq = d.u64()?;
-            let req_index = d.usize()?;
-            comp_indices.push(req_index);
-            completions.push(Completion {
-                ready,
-                seq,
-                req_index,
-            });
-        }
-        let finished = d.seq(|d| d.opt(MemRequest::ckpt_decode))?;
-        for &i in &comp_indices {
-            if finished.get(i).is_none_or(Option::is_none) {
-                return Err(WireError::Malformed("DRAM completion index dangling"));
+        const DANGLING: WireError = WireError::Malformed("DRAM completion index dangling");
+        let mut pending = d.seq(|d| Ok((d.u64()?, d.u64()?, d.usize()?)))?;
+        pending.sort_unstable_by_key(|&(_, _, req_index)| req_index);
+        let scheduled = d.seq_len()?;
+        let mut completions = BinaryHeap::with_capacity(pending.len());
+        let mut waiting = pending.into_iter().peekable();
+        for i in 0..scheduled {
+            let entry = d.opt(MemRequest::ckpt_decode)?;
+            match (entry, waiting.next_if(|&(_, _, at)| at == i)) {
+                (Some(req), Some((ready, seq, req_index))) => completions.push(Completion {
+                    ready,
+                    seq,
+                    req_index,
+                    req,
+                }),
+                (None, Some(_)) => return Err(DANGLING),
+                (Some(_), None) => {
+                    return Err(WireError::Malformed("DRAM table entry unreferenced"))
+                }
+                (None, None) => {}
             }
+        }
+        // Left over: a completion past the table, or a second one on an
+        // entry an earlier completion took.
+        if waiting.next().is_some() {
+            return Err(DANGLING);
         }
         let seq = d.u64()?;
         let stats = DramStats {
@@ -266,7 +306,7 @@ impl DramChannel {
             bank_free_at,
             bus_free_at,
             completions,
-            finished,
+            scheduled,
             seq,
             stats,
         })
@@ -399,5 +439,265 @@ mod tests {
         // Second request waited ~100 cycles behind the first.
         assert!(ch.stats().mean_latency() > 100.0);
         assert_eq!(ch.stats().serviced, 2);
+    }
+
+    /// The table-based channel this one replaced, kept as the oracle the
+    /// new layout is tested against: every scheduled request keeps a slot in
+    /// `finished` for the channel's whole life, and `pop_ready` only empties
+    /// it.
+    struct TableChannel {
+        cfg: DramConfig,
+        queue: VecDeque<(Cycle, MemRequest)>,
+        bank_free_at: Vec<Cycle>,
+        bus_free_at: Cycle,
+        completions: BinaryHeap<(std::cmp::Reverse<(Cycle, u64)>, usize)>,
+        finished: Vec<Option<MemRequest>>,
+        seq: u64,
+        stats: DramStats,
+    }
+
+    impl TableChannel {
+        fn new(cfg: DramConfig) -> TableChannel {
+            TableChannel {
+                cfg,
+                queue: VecDeque::new(),
+                bank_free_at: vec![0; cfg.banks],
+                bus_free_at: 0,
+                completions: BinaryHeap::new(),
+                finished: Vec::new(),
+                seq: 0,
+                stats: DramStats::default(),
+            }
+        }
+
+        fn try_push(&mut self, req: MemRequest, cycle: Cycle) -> bool {
+            if self.queue.len() >= self.cfg.queue_len {
+                return false;
+            }
+            self.queue.push_back((cycle, req));
+            self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
+            true
+        }
+
+        fn tick(&mut self, cycle: Cycle) {
+            if let Some((arrival, req)) = self.queue.pop_front() {
+                let bank = ((req.block_addr >> 7) % self.cfg.banks as u64) as usize;
+                let start = cycle.max(self.bank_free_at[bank]).max(arrival);
+                let done = start.max(self.bus_free_at) + Cycle::from(self.cfg.access_latency);
+                self.bank_free_at[bank] = start + Cycle::from(self.cfg.bank_busy);
+                self.bus_free_at = self.bus_free_at.max(start) + Cycle::from(self.cfg.data_bus_gap);
+                self.completions
+                    .push((std::cmp::Reverse((done, self.seq)), self.finished.len()));
+                self.finished.push(Some(req));
+                self.seq += 1;
+                self.stats.serviced += 1;
+                self.stats.total_latency += done - arrival;
+            }
+        }
+
+        fn pop_ready(&mut self, cycle: Cycle) -> Option<MemRequest> {
+            let &(std::cmp::Reverse((ready, _)), _) = self.completions.peek()?;
+            if ready > cycle {
+                return None;
+            }
+            let (_, idx) = self.completions.pop().unwrap();
+            self.finished[idx].take()
+        }
+
+        fn ckpt_encode(&self, e: &mut Enc) {
+            let q: Vec<(Cycle, MemRequest)> = self.queue.iter().copied().collect();
+            e.seq(&q, |e, (at, r)| {
+                e.u64(*at);
+                r.ckpt_encode(e);
+            });
+            e.seq(&self.bank_free_at, |e, &c| e.u64(c));
+            e.u64(self.bus_free_at);
+            let mut comps: Vec<_> = self.completions.iter().collect();
+            comps.sort_unstable_by_key(|(std::cmp::Reverse(key), _)| *key);
+            e.usize(comps.len());
+            for (std::cmp::Reverse((ready, seq)), idx) in comps {
+                e.u64(*ready);
+                e.u64(*seq);
+                e.usize(*idx);
+            }
+            e.seq(&self.finished, |e, f| {
+                e.opt(f, |e, r| r.ckpt_encode(e));
+            });
+            e.u64(self.seq);
+            e.u64(self.stats.serviced);
+            e.u64(self.stats.total_latency);
+            e.usize(self.stats.peak_queue);
+        }
+    }
+
+    fn encoded(f: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        f(&mut e);
+        e.into_bytes()
+    }
+
+    /// The channel returns the same requests at the same cycles as the
+    /// table it replaced, and writes the same checkpoint bytes every cycle,
+    /// under bursts, bank conflicts, full queues, requests left unpopped
+    /// and long idle gaps. Now and then the channel is rebuilt from the
+    /// oracle's bytes, so the decoder is held to the table layout too.
+    #[test]
+    fn in_flight_channel_matches_the_table_oracle() {
+        gcl_rng::cases(0xD7A4, 100, |rng| {
+            let cfg = DramConfig {
+                banks: 1 + rng.usize_below(8),
+                access_latency: rng.u32_below(120),
+                data_bus_gap: rng.u32_below(8),
+                bank_busy: rng.u32_below(24),
+                queue_len: 1 + rng.usize_below(8),
+            };
+            let mut new = DramChannel::new(cfg);
+            let mut old = TableChannel::new(cfg);
+            let conflict_stride = cfg.banks as u64 * 128;
+            let mut cycle: Cycle = 0;
+            let mut id = 0;
+            for _ in 0..300 {
+                if rng.chance(0.05) {
+                    // A long idle gap: the clock jumps with nothing ticked.
+                    cycle += 50 + rng.u64_below(400);
+                }
+                let burst = if rng.chance(0.2) {
+                    // Overfill the queue so some pushes are refused.
+                    cfg.queue_len + 1 + rng.usize_below(4)
+                } else {
+                    usize::from(rng.chance(0.3))
+                };
+                for _ in 0..burst {
+                    id += 1;
+                    let addr = if rng.chance(0.5) {
+                        rng.u64_below(4) * conflict_stride
+                    } else {
+                        rng.u64_below(1 << 20) * 128
+                    };
+                    let req = MemRequest {
+                        is_write: rng.chance(0.2),
+                        sm_id: rng.u32_below(16) as u16,
+                        ..rd(id, addr)
+                    };
+                    assert_eq!(new.try_push(req, cycle), old.try_push(req, cycle));
+                }
+                new.tick(cycle);
+                old.tick(cycle);
+                // Drain only sometimes, so finished requests wait too.
+                while rng.chance(0.8) {
+                    let got = new.pop_ready(cycle);
+                    assert_eq!(got, old.pop_ready(cycle), "cycle {cycle}");
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                let want = encoded(|e| old.ckpt_encode(e));
+                assert_eq!(encoded(|e| new.ckpt_encode(e)), want, "cycle {cycle}");
+                if rng.chance(0.1) {
+                    let mut d = Dec::new(&want);
+                    new = DramChannel::ckpt_decode(&mut d, cfg).unwrap();
+                    assert!(d.is_done());
+                }
+                assert_eq!(new.stats(), &old.stats);
+                cycle += 1;
+            }
+        });
+    }
+
+    /// A checkpoint of an otherwise idle one-bank channel whose completions
+    /// reference `comps` in ready order, over a request table spelled one
+    /// character an entry: `-` a hole, a letter a request.
+    fn snapshot(comps: &[usize], table: &str) -> Vec<u8> {
+        encoded(|e| {
+            e.usize(0);
+            e.seq(&[0u64], |e, &c| e.u64(c));
+            e.u64(0);
+            e.usize(comps.len());
+            for (k, &idx) in comps.iter().enumerate() {
+                e.u64(10 + k as u64);
+                e.u64(idx as u64);
+                e.usize(idx);
+            }
+            e.usize(table.len());
+            for (id, entry) in table.bytes().enumerate() {
+                let req = (entry != b'-').then(|| rd(id as u64, u64::from(entry) * 128));
+                e.opt(&req, |e, r| r.ckpt_encode(e));
+            }
+            e.u64(table.len() as u64);
+            e.u64(0);
+            e.u64(0);
+            e.usize(0);
+        })
+    }
+
+    /// Each row is a table and the completions that reference it; the
+    /// decoder accepts exactly the ones an encode can write, and writes
+    /// those back byte for byte.
+    #[test]
+    fn decode_rejects_tables_an_encode_cannot_write() {
+        let cfg = DramConfig {
+            banks: 1,
+            ..DramConfig::fermi()
+        };
+        let dangling = Err(WireError::Malformed("DRAM completion index dangling"));
+        let unreferenced = Err(WireError::Malformed("DRAM table entry unreferenced"));
+        type Row<'a> = (&'a str, &'a [usize], &'a str, Result<(), WireError>);
+        let rows: [Row; 9] = [
+            ("empty", &[], "", Ok(())),
+            ("holes only", &[], "---", Ok(())),
+            ("two live among holes", &[1, 3], "-a-b", Ok(())),
+            ("live entry at the end", &[2], "--a", Ok(())),
+            ("completion on a hole", &[0], "-a", dangling),
+            ("completion past the table", &[2], "--", dangling),
+            ("two completions on one entry", &[1, 1], "-a", dangling),
+            ("entry no completion references", &[], "-a", unreferenced),
+            ("entry beside a referenced one", &[0], "ab", unreferenced),
+        ];
+        for (name, comps, table, want) in rows {
+            let bytes = snapshot(comps, table);
+            let mut d = Dec::new(&bytes);
+            match (DramChannel::ckpt_decode(&mut d, cfg), want) {
+                (Ok(ch), Ok(())) => {
+                    assert!(d.is_done(), "{name}");
+                    assert_eq!(encoded(|e| ch.ckpt_encode(e)), bytes, "{name}");
+                }
+                (got, want) => assert_eq!(got.map(drop), want, "{name}"),
+            }
+        }
+    }
+
+    /// The channel holds a request only while it is queued or in flight:
+    /// after 100,000 requests in bursts and a drain, what it keeps does not
+    /// grow with the count.
+    #[test]
+    fn a_drained_channel_holds_no_returned_request() {
+        const REQUESTS: u64 = 100_000;
+        let mut ch = DramChannel::new(DramConfig::fermi());
+        let (mut pushed, mut returned) = (0, 0);
+        let mut cycle = 0;
+        while pushed < REQUESTS || !ch.is_empty() {
+            // A burst fills the queue every 256 cycles, which is time
+            // enough for the bus to drain it.
+            if cycle % 256 == 0 {
+                while pushed < REQUESTS && ch.try_push(rd(pushed, pushed * 128), cycle) {
+                    pushed += 1;
+                }
+                assert!(!ch.can_push() || pushed == REQUESTS);
+            }
+            ch.tick(cycle);
+            while let Some(r) = ch.pop_ready(cycle) {
+                assert_eq!(r.id, returned);
+                returned += 1;
+            }
+            cycle += 1;
+        }
+        assert_eq!(returned, REQUESTS);
+        assert_eq!(ch.stats().serviced, REQUESTS);
+        // Neither what the channel holds nor the buffers it keeps for it
+        // depend on how many requests went through.
+        let shown = format!("{ch:?}");
+        assert!(shown.len() < 1024, "{} bytes of Debug", shown.len());
+        let slots = ch.queue.capacity() + ch.completions.capacity();
+        assert!(slots <= 256, "{slots} request slots held");
     }
 }
