@@ -308,16 +308,48 @@ impl SanRun {
     }
 }
 
+/// One shared-memory access `(warp_in_cta, pc)` packed as
+/// `warp_in_cta << 32 | pc`, or [`NO_ACCESS`].
+type Access = u64;
+
+/// The empty access slot. `warp_in_cta` indexes the warps of one CTA, whose
+/// thread count is at most `max_threads_per_sm` (a `u32`): a CTA has at most
+/// `u32::MAX` warps, so no warp index is `u32::MAX` and no real access packs
+/// to a word whose high half is all ones. [`warp_of`] therefore reads an
+/// empty slot as a warp that matches no real one.
+const NO_ACCESS: Access = u64::MAX;
+
+fn pack(warp_in_cta: u32, pc: u32) -> Access {
+    u64::from(warp_in_cta) << 32 | u64::from(pc)
+}
+
+fn warp_of(a: Access) -> u32 {
+    (a >> 32) as u32
+}
+
+fn unpack(a: Access) -> Option<(u32, u32)> {
+    (a != NO_ACCESS).then_some((warp_of(a), a as u32))
+}
+
 /// Per-byte shadow record of one CTA's shared memory within the current
-/// barrier epoch. Two reader slots are enough: the detector only needs to
-/// know *some* other-warp reader exists, and a warp already recorded never
-/// evicts another.
-#[derive(Debug, Clone, Copy, Default)]
+/// barrier epoch: 24 bytes. Two reader slots are enough: the detector only
+/// needs to know *some* other-warp reader exists, and a warp already
+/// recorded never evicts another.
+#[derive(Debug, Clone, Copy)]
 struct ShadowByte {
-    /// Last writer `(warp_in_cta, pc)` this epoch.
-    writer: Option<(u32, u32)>,
-    /// Up to two distinct-warp readers `(warp_in_cta, pc)` this epoch.
-    readers: [Option<(u32, u32)>; 2],
+    /// Last writer this epoch.
+    writer: Access,
+    /// Up to two distinct-warp readers this epoch.
+    readers: [Access; 2],
+}
+
+impl Default for ShadowByte {
+    fn default() -> ShadowByte {
+        ShadowByte {
+            writer: NO_ACCESS,
+            readers: [NO_ACCESS; 2],
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -390,7 +422,8 @@ impl SmSan {
         bytes: u32,
     ) -> Result<(), Box<RaceReport>> {
         let shadow = &mut self.shadows[cta_slot];
-        let pc32 = pc as u32;
+        let this = pack(warp_in_cta, pc as u32);
+        let other_warp = |a: Access| a != NO_ACCESS && warp_of(a) != warp_in_cta;
         let mut prev = None;
         for &(_lane, addr) in lane_addrs {
             // A lane repeating the previous lane's address (a broadcast)
@@ -403,23 +436,17 @@ impl SmSan {
             let hi = (lo + bytes as usize).min(shadow.bytes.len());
             for off in lo..hi {
                 let b = &mut shadow.bytes[off];
-                let conflict = if is_store {
-                    b.writer
-                        .filter(|&(w, _)| w != warp_in_cta)
-                        .map(|prev| (prev, true))
-                        .or_else(|| {
-                            b.readers
-                                .iter()
-                                .flatten()
-                                .find(|&&(w, _)| w != warp_in_cta)
-                                .map(|&prev| (prev, false))
-                        })
+                let conflict = if other_warp(b.writer) {
+                    Some((b.writer, true))
+                } else if is_store {
+                    b.readers
+                        .iter()
+                        .find(|&&r| other_warp(r))
+                        .map(|&r| (r, false))
                 } else {
-                    b.writer
-                        .filter(|&(w, _)| w != warp_in_cta)
-                        .map(|prev| (prev, true))
+                    None
                 };
-                if let Some(((pw, ppc), prev_write)) = conflict {
+                if let Some((prev, prev_write)) = conflict {
                     return Err(Box::new(RaceReport {
                         sm,
                         cta,
@@ -428,8 +455,8 @@ impl SmSan {
                         byte_lo: addr,
                         byte_hi: addr + u64::from(bytes),
                         prev: RaceAccess {
-                            warp_in_cta: pw,
-                            pc: ppc as usize,
+                            warp_in_cta: warp_of(prev),
+                            pc: prev as u32 as usize,
                             is_write: prev_write,
                         },
                         curr: RaceAccess {
@@ -440,10 +467,10 @@ impl SmSan {
                     }));
                 }
                 if is_store {
-                    b.writer = Some((warp_in_cta, pc32));
-                } else if !b.readers.iter().flatten().any(|&(w, _)| w == warp_in_cta) {
-                    if let Some(slot) = b.readers.iter_mut().find(|r| r.is_none()) {
-                        *slot = Some((warp_in_cta, pc32));
+                    b.writer = this;
+                } else if !b.readers.iter().any(|&r| warp_of(r) == warp_in_cta) {
+                    if let Some(slot) = b.readers.iter_mut().find(|r| **r == NO_ACCESS) {
+                        *slot = this;
                     }
                 }
             }
@@ -458,12 +485,8 @@ impl SmSan {
             e.u64(shadow.epoch);
             e.opt(&shadow.barrier, |e, &b| e.u32(b));
             e.seq(&shadow.bytes, |e, b| {
-                e.opt(&b.writer, |e, &(w, pc)| {
-                    e.u32(w);
-                    e.u32(pc);
-                });
-                for r in &b.readers {
-                    e.opt(r, |e, &(w, pc)| {
+                for a in [b.writer, b.readers[0], b.readers[1]] {
+                    e.opt(&unpack(a), |e, &(w, pc)| {
                         e.u32(w);
                         e.u32(pc);
                     });
@@ -481,21 +504,23 @@ impl SmSan {
         shared_bytes: usize,
     ) -> Result<SmSan, WireError> {
         let digest = d.u64()?;
-        let pair = |d: &mut Dec<'_>| -> Result<(u32, u32), WireError> {
-            let w = d.u32()?;
-            let pc = d.u32()?;
-            Ok((w, pc))
+        let access = |d: &mut Dec<'_>| -> Result<Access, WireError> {
+            let Some(a) = d.opt(|d| Ok(pack(d.u32()?, d.u32()?)))? else {
+                return Ok(NO_ACCESS);
+            };
+            if warp_of(a) == u32::MAX {
+                return Err(WireError::Malformed("shadow warp index out of range"));
+            }
+            Ok(a)
         };
         let shadows = d.seq(|d| {
             let epoch = d.u64()?;
             let barrier = d.opt(|d| d.u32())?;
             let bytes = d.seq(|d| {
-                let writer = d.opt(pair)?;
-                let mut readers = [None; 2];
-                for r in &mut readers {
-                    *r = d.opt(pair)?;
-                }
-                Ok(ShadowByte { writer, readers })
+                Ok(ShadowByte {
+                    writer: access(d)?,
+                    readers: [access(d)?, access(d)?],
+                })
             })?;
             if bytes.len() != shared_bytes {
                 return Err(WireError::Malformed("shadow byte count mismatch"));
@@ -589,6 +614,52 @@ mod tests {
             .check_shared(0, 0, 0, 9, 50, true, &lanes(0), 4)
             .unwrap_err();
         assert!(!r.prev.is_write);
+    }
+
+    /// The packed shadow writes the bytes the `Option<(u32, u32)>` slots
+    /// did: a tag byte, then `warp_in_cta` and `pc` for a recorded access.
+    /// The largest real warp index and pc survive a round trip; a snapshot
+    /// naming warp `u32::MAX`, which no CTA has, is refused.
+    #[test]
+    fn packed_shadow_keeps_its_bytes_and_refuses_the_empty_word() {
+        assert_eq!(std::mem::size_of::<ShadowByte>(), 24);
+        let mut s = SmSan::new(1, 2);
+        let top = u32::MAX - 1;
+        s.check_shared(0, 0, 0, top, u32::MAX as usize, true, &lanes(0), 1)
+            .unwrap();
+        s.check_shared(0, 0, 0, 0, 7, false, &lanes(1), 1).unwrap();
+        let mut e = Enc::new();
+        s.ckpt_encode(&mut e);
+        let bytes = e.into_bytes();
+        let mut want = Enc::new();
+        want.u64(s.digest);
+        want.usize(1); // one CTA slot
+        want.u64(0); // epoch
+        want.u8(0); // no barrier yet
+        want.usize(2); // shared bytes
+        let slots = [
+            [Some((top, u32::MAX)), None, None],
+            [None, Some((0, 7)), None],
+        ];
+        for slot in slots.iter().flatten() {
+            want.opt(slot, |e, &(w, pc)| {
+                e.u32(w);
+                e.u32(pc);
+            });
+        }
+        assert_eq!(bytes, want.into_bytes());
+        let back = SmSan::ckpt_decode(&mut Dec::new(&bytes), 1, 2).unwrap();
+        let mut e = Enc::new();
+        back.ckpt_encode(&mut e);
+        assert_eq!(e.into_bytes(), bytes);
+        let mut bad = bytes.clone();
+        // Byte 0's writer: its warp follows the header and the tag byte.
+        let at = 8 + 8 + 8 + 1 + 8 + 1;
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            SmSan::ckpt_decode(&mut Dec::new(&bad), 1, 2).unwrap_err(),
+            WireError::Malformed("shadow warp index out of range")
+        );
     }
 
     #[test]
