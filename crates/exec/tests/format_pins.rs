@@ -1,15 +1,17 @@
 //! Byte-level pins for the four on-disk containers: one checkpoint image,
 //! one result-cache entry, one journal, one trace container — each built
-//! from fixed inputs and compared by length and FNV of its bytes. A
+//! from fixed inputs and compared by length and FNV of its bytes — and for
+//! the result payload two real runs produce. A
 //! refactor of the framing code must leave every pin untouched; a change
 //! here is a format change and needs a version bump to go with it.
 
 use gcl_exec::fleet::{Journal, Record};
-use gcl_exec::{ResultCache, SpecFingerprint};
+use gcl_exec::{run_job, JobSpec, ResultCache, SpecFingerprint};
+use gcl_mem::{Dec, Enc};
 use gcl_ptx::{Reg, Space};
 use gcl_sim::{
-    fnv_fold_bytes, Dim3, LaunchInfo, LaunchStats, ReplayKind, Snapshot, TraceEvent, TraceSink,
-    FNV_OFFSET, SNAPSHOT_VERSION,
+    fnv_fold_bytes, Dim3, GpuConfig, LaunchInfo, LaunchStats, ReplayKind, Snapshot, TraceEvent,
+    TraceSink, FNV_OFFSET, SNAPSHOT_VERSION,
 };
 use gcl_trace::{parse_trace, TraceWriter};
 use std::path::PathBuf;
@@ -72,6 +74,32 @@ fn cache_entry_bytes_are_pinned() {
     let back = cache.load_checked(&fp).unwrap();
     assert_eq!((back.stats, back.wall_ms), (stats, 12.5));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The result payload of a real run: the bytes every cache entry and fleet
+/// `done` frame carry, with populated per-pc rows, histograms and a
+/// sanitizer digest. `2mm` is mostly D loads, `bfs` mostly N loads.
+#[test]
+fn launch_stats_of_real_runs_are_pinned() {
+    for (workload, want) in [
+        ("2mm", (2178, 0xca9e_1d1d_09e9_667a)),
+        ("bfs", (3609, 0x5ae6_95f9_efe5_f924)),
+    ] {
+        let mut cfg = GpuConfig::small();
+        cfg.sanitize = true;
+        let stats = run_job(&JobSpec::new(workload, true, cfg), None)
+            .outcome
+            .expect("tiny run")
+            .stats;
+        assert!(stats.digest.is_some(), "{workload}: sanitizer digest");
+        assert!(!stats.per_pc.is_empty(), "{workload}: per-pc rows");
+        let mut e = Enc::new();
+        stats.ckpt_encode(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(pin(&bytes), want, "{workload}");
+        let back = LaunchStats::ckpt_decode(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(back, stats, "{workload}: round trip");
+    }
 }
 
 #[test]
