@@ -6,8 +6,9 @@
 //! or a reservation failure by *tags*, *MSHRs* or *interconnect* (miss-queue
 //! space). Failed accesses are retried by the caller on a later cycle.
 
-use crate::wire::{Dec, Enc, WireError};
+use crate::wire::{Dec, Enc, Wire, WireError};
 use crate::{ClassTag, Cycle, MemRequest, Mshr};
+use std::collections::VecDeque;
 
 /// Geometry and resource limits of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,36 +175,10 @@ impl CacheStats {
         self.fills += other.fills;
         self.writes_forwarded += other.writes_forwarded;
     }
-
-    /// Wire-encode every counter (shared by cache checkpoints and the
-    /// simulator's launch statistics).
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        for row in &self.attempts {
-            for &v in row {
-                e.u64(v);
-            }
-        }
-        e.u64(self.fills);
-        e.u64(self.writes_forwarded);
-    }
-
-    /// Wire-decode counters written by [`ckpt_encode`](Self::ckpt_encode).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on truncated input.
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<CacheStats, WireError> {
-        let mut s = CacheStats::default();
-        for row in &mut s.attempts {
-            for v in row.iter_mut() {
-                *v = d.u64()?;
-            }
-        }
-        s.fills = d.u64()?;
-        s.writes_forwarded = d.u64()?;
-        Ok(s)
-    }
 }
+
+// Shared by cache checkpoints and the simulator's launch statistics.
+crate::declare_wire! { CacheStats { attempts, fills, writes_forwarded } }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LineState {
@@ -213,12 +188,16 @@ enum LineState {
     Valid,
 }
 
+crate::declare_wire! { enum LineState "line state tag" { Invalid = 0, Reserved = 1, Valid = 2 } }
+
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
     state: LineState,
     last_use: u64,
 }
+
+crate::declare_wire! { Line { tag, state, last_use } }
 
 /// A set-associative, LRU, write-through/no-write-allocate cache with
 /// reservation semantics.
@@ -232,7 +211,7 @@ pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     mshr: Mshr,
-    miss_queue: std::collections::VecDeque<MemRequest>,
+    miss_queue: VecDeque<MemRequest>,
     stats: CacheStats,
     use_tick: u64,
 }
@@ -262,7 +241,7 @@ impl Cache {
                 cfg.sets * cfg.ways
             ],
             mshr: Mshr::new(cfg.mshr_entries, cfg.mshr_max_merge),
-            miss_queue: std::collections::VecDeque::new(),
+            miss_queue: VecDeque::new(),
             stats: CacheStats::default(),
             use_tick: 0,
         }
@@ -487,51 +466,26 @@ impl Cache {
     /// Checkpoint-encode the full cache state: tag array (with LRU stamps),
     /// MSHRs, miss queue, statistics and the use tick.
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.seq(&self.lines, |e, line| {
-            e.u64(line.tag);
-            e.u8(match line.state {
-                LineState::Invalid => 0,
-                LineState::Reserved => 1,
-                LineState::Valid => 2,
-            });
-            e.u64(line.last_use);
-        });
+        self.lines.put(e);
         self.mshr.ckpt_encode(e);
-        let mq: Vec<MemRequest> = self.miss_queue.iter().copied().collect();
-        e.seq(&mq, |e, r| r.ckpt_encode(e));
-        self.stats.ckpt_encode(e);
-        e.u64(self.use_tick);
+        self.miss_queue.put(e);
+        self.stats.put(e);
+        self.use_tick.put(e);
     }
 
     /// Checkpoint-decode a cache written by [`ckpt_encode`](Self::ckpt_encode)
     /// against the (already validated) configuration `cfg`.
     pub fn ckpt_decode(d: &mut Dec<'_>, cfg: CacheConfig) -> Result<Cache, WireError> {
-        let lines = d.seq(|d| {
-            let tag = d.u64()?;
-            let state = match d.u8()? {
-                0 => LineState::Invalid,
-                1 => LineState::Reserved,
-                2 => LineState::Valid,
-                _ => return Err(WireError::Malformed("line state tag")),
-            };
-            let last_use = d.u64()?;
-            Ok(Line {
-                tag,
-                state,
-                last_use,
-            })
-        })?;
+        let lines: Vec<Line> = Wire::get(d)?;
         if lines.len() != cfg.sets * cfg.ways {
             return Err(WireError::Malformed("tag array size mismatch"));
         }
         let mshr = Mshr::ckpt_decode(d, cfg.mshr_entries, cfg.mshr_max_merge)?;
-        let miss_queue: std::collections::VecDeque<MemRequest> =
-            d.seq(MemRequest::ckpt_decode)?.into();
+        let miss_queue: VecDeque<MemRequest> = Wire::get(d)?;
         if miss_queue.len() > cfg.miss_queue_len {
             return Err(WireError::Malformed("miss queue overflow"));
         }
-        let stats = CacheStats::ckpt_decode(d)?;
-        let use_tick = d.u64()?;
+        let (stats, use_tick) = Wire::get(d)?;
         Ok(Cache {
             cfg,
             lines,

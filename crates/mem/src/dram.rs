@@ -6,7 +6,7 @@
 //! latency and (b) bursty traffic queues behind busy banks and a
 //! bandwidth-limited bus, stretching the tail of multi-request loads.
 
-use crate::wire::{Dec, Enc, WireError};
+use crate::wire::{Dec, Enc, Wire, WireError};
 use crate::{Cycle, MemRequest};
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -82,6 +82,8 @@ pub struct DramStats {
     /// Peak queue occupancy observed.
     pub peak_queue: usize,
 }
+
+crate::declare_wire! { DramStats { serviced, total_latency, peak_queue } }
 
 impl DramStats {
     /// Mean service latency, or `NaN` when nothing was serviced.
@@ -209,21 +211,12 @@ impl DramChannel {
     /// scheduled, indexed by `req_index`: every entry a completion does not
     /// reference is an empty option (one byte), written without being held.
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        let q: Vec<(Cycle, MemRequest)> = self.queue.iter().copied().collect();
-        e.seq(&q, |e, (at, r)| {
-            e.u64(*at);
-            r.ckpt_encode(e);
-        });
-        e.seq(&self.bank_free_at, |e, &c| e.u64(c));
-        e.u64(self.bus_free_at);
+        self.queue.put(e);
+        self.bank_free_at.put(e);
+        self.bus_free_at.put(e);
         let mut comps: Vec<&Completion> = self.completions.iter().collect();
         comps.sort_unstable_by_key(|c| (c.ready, c.seq));
-        e.usize(comps.len());
-        for c in &comps {
-            e.u64(c.ready);
-            e.u64(c.seq);
-            e.usize(c.req_index);
-        }
+        e.seq(&comps, |e, c| (c.ready, c.seq, c.req_index).put(e));
         comps.sort_unstable_by_key(|c| c.req_index);
         e.usize(self.scheduled);
         let mut next = 0;
@@ -232,16 +225,13 @@ impl DramChannel {
                 e.u8(0);
             }
             e.u8(1);
-            c.req.ckpt_encode(e);
+            c.req.put(e);
             next = c.req_index + 1;
         }
         for _ in next..self.scheduled {
             e.u8(0);
         }
-        e.u64(self.seq);
-        e.u64(self.stats.serviced);
-        e.u64(self.stats.total_latency);
-        e.usize(self.stats.peak_queue);
+        (self.seq, self.stats).put(e);
     }
 
     /// Checkpoint-decode a channel written by
@@ -252,29 +242,23 @@ impl DramChannel {
     /// missing is rejected, and so is an entry no completion references:
     /// an encode never writes one, and the channel could not write it back.
     pub fn ckpt_decode(d: &mut Dec<'_>, cfg: DramConfig) -> Result<DramChannel, WireError> {
-        let queue: VecDeque<(Cycle, MemRequest)> = d
-            .seq(|d| {
-                let at = d.u64()?;
-                let r = MemRequest::ckpt_decode(d)?;
-                Ok((at, r))
-            })?
-            .into();
+        let queue: VecDeque<(Cycle, MemRequest)> = Wire::get(d)?;
         if queue.len() > cfg.queue_len {
             return Err(WireError::Malformed("DRAM queue overflow"));
         }
-        let bank_free_at = d.seq(|d| d.u64())?;
+        let bank_free_at: Vec<Cycle> = Wire::get(d)?;
         if bank_free_at.len() != cfg.banks {
             return Err(WireError::Malformed("DRAM bank count mismatch"));
         }
-        let bus_free_at = d.u64()?;
+        let bus_free_at = Cycle::get(d)?;
         const DANGLING: WireError = WireError::Malformed("DRAM completion index dangling");
-        let mut pending = d.seq(|d| Ok((d.u64()?, d.u64()?, d.usize()?)))?;
+        let mut pending: Vec<(Cycle, u64, usize)> = Wire::get(d)?;
         pending.sort_unstable_by_key(|&(_, _, req_index)| req_index);
         let scheduled = d.seq_len()?;
         let mut completions = BinaryHeap::with_capacity(pending.len());
         let mut waiting = pending.into_iter().peekable();
         for i in 0..scheduled {
-            let entry = d.opt(MemRequest::ckpt_decode)?;
+            let entry = Option::<MemRequest>::get(d)?;
             match (entry, waiting.next_if(|&(_, _, at)| at == i)) {
                 (Some(req), Some((ready, seq, req_index))) => completions.push(Completion {
                     ready,
@@ -294,12 +278,7 @@ impl DramChannel {
         if waiting.next().is_some() {
             return Err(DANGLING);
         }
-        let seq = d.u64()?;
-        let stats = DramStats {
-            serviced: d.u64()?,
-            total_latency: d.u64()?,
-            peak_queue: d.usize()?,
-        };
+        let (seq, stats) = Wire::get(d)?;
         Ok(DramChannel {
             cfg,
             queue,
@@ -508,7 +487,7 @@ mod tests {
             let q: Vec<(Cycle, MemRequest)> = self.queue.iter().copied().collect();
             e.seq(&q, |e, (at, r)| {
                 e.u64(*at);
-                r.ckpt_encode(e);
+                r.put(e);
             });
             e.seq(&self.bank_free_at, |e, &c| e.u64(c));
             e.u64(self.bus_free_at);
@@ -521,7 +500,7 @@ mod tests {
                 e.usize(*idx);
             }
             e.seq(&self.finished, |e, f| {
-                e.opt(f, |e, r| r.ckpt_encode(e));
+                e.opt(f, |e, r| r.put(e));
             });
             e.u64(self.seq);
             e.u64(self.stats.serviced);
@@ -621,7 +600,7 @@ mod tests {
             e.usize(table.len());
             for (id, entry) in table.bytes().enumerate() {
                 let req = (entry != b'-').then(|| rd(id as u64, u64::from(entry) * 128));
-                e.opt(&req, |e, r| r.ckpt_encode(e));
+                e.opt(&req, |e, r| r.put(e));
             }
             e.u64(table.len() as u64);
             e.u64(0);

@@ -7,7 +7,7 @@
 //! *reservation fail by interconnection* back-pressure, and the per-output
 //! serialization produces the Figure 7 "gap at L2-icnt" spread.
 
-use crate::wire::{Dec, Enc, WireError};
+use crate::wire::{Dec, Enc, Wire, WireError};
 use crate::{Cycle, MemRequest};
 use std::collections::VecDeque;
 
@@ -183,24 +183,10 @@ impl Xbar {
     }
 
     fn ckpt_encode(&self, e: &mut Enc) {
-        e.usize(self.inputs.len());
-        for q in &self.inputs {
-            let v: Vec<(usize, MemRequest)> = q.iter().copied().collect();
-            e.seq(&v, |e, (dest, r)| {
-                e.usize(*dest);
-                r.ckpt_encode(e);
-            });
-        }
-        e.usize(self.outputs.len());
-        for q in &self.outputs {
-            let v: Vec<(Cycle, MemRequest)> = q.iter().copied().collect();
-            e.seq(&v, |e, (at, r)| {
-                e.u64(*at);
-                r.ckpt_encode(e);
-            });
-        }
-        e.seq(&self.rr, |e, &p| e.usize(p));
-        e.u64(self.transferred);
+        self.inputs.put(e);
+        self.outputs.put(e);
+        self.rr.put(e);
+        self.transferred.put(e);
     }
 
     fn ckpt_decode(
@@ -209,47 +195,24 @@ impl Xbar {
         n_in: usize,
         n_out: usize,
     ) -> Result<Xbar, WireError> {
-        let ni = d.seq_len()?;
-        if ni != n_in {
+        let inputs: Vec<VecDeque<(usize, MemRequest)>> = Wire::get(d)?;
+        if inputs.len() != n_in {
             return Err(WireError::Malformed("xbar input port count mismatch"));
         }
-        let mut inputs = Vec::with_capacity(ni);
-        for _ in 0..ni {
-            let q: VecDeque<(usize, MemRequest)> = d
-                .seq(|d| {
-                    let dest = d.usize()?;
-                    if dest >= n_out {
-                        return Err(WireError::Malformed("xbar destination out of range"));
-                    }
-                    let r = MemRequest::ckpt_decode(d)?;
-                    Ok((dest, r))
-                })?
-                .into();
-            if q.len() > cfg.input_queue_len {
-                return Err(WireError::Malformed("xbar input queue overflow"));
-            }
-            inputs.push(q);
+        if inputs.iter().flatten().any(|&(dest, _)| dest >= n_out) {
+            return Err(WireError::Malformed("xbar destination out of range"));
         }
-        let no = d.seq_len()?;
-        if no != n_out {
+        if inputs.iter().any(|q| q.len() > cfg.input_queue_len) {
+            return Err(WireError::Malformed("xbar input queue overflow"));
+        }
+        let outputs: Vec<VecDeque<(Cycle, MemRequest)>> = Wire::get(d)?;
+        if outputs.len() != n_out {
             return Err(WireError::Malformed("xbar output port count mismatch"));
         }
-        let mut outputs = Vec::with_capacity(no);
-        for _ in 0..no {
-            let q: VecDeque<(Cycle, MemRequest)> = d
-                .seq(|d| {
-                    let at = d.u64()?;
-                    let r = MemRequest::ckpt_decode(d)?;
-                    Ok((at, r))
-                })?
-                .into();
-            outputs.push(q);
-        }
-        let rr = d.seq(|d| d.usize())?;
+        let (rr, transferred): (Vec<usize>, u64) = Wire::get(d)?;
         if rr.len() != n_out || rr.iter().any(|&p| p >= n_in) {
             return Err(WireError::Malformed("xbar round-robin state invalid"));
         }
-        let transferred = d.u64()?;
         Ok(Xbar::from_parts(cfg, inputs, outputs, rr, transferred))
     }
 }

@@ -1,6 +1,6 @@
 //! A memory partition: one L2 cache slice fronting one DRAM channel.
 
-use crate::wire::{Dec, Enc, WireError};
+use crate::wire::{Dec, Enc, Wire, WireError};
 use crate::{
     AccessOutcome, Cache, CacheConfig, CacheStats, Cycle, DramChannel, DramConfig, DramStats,
     MemRequest,
@@ -45,6 +45,10 @@ pub enum PartitionEvent {
     DramEntered,
     /// A write-through store finished at DRAM (its final stage).
     WriteRetired,
+}
+
+crate::declare_wire! {
+    enum PartitionEvent "partition event tag" { DramEntered = 0, WriteRetired = 1 }
 }
 
 /// One L2-slice + DRAM-channel memory partition.
@@ -207,23 +211,11 @@ impl L2Partition {
     pub fn ckpt_encode(&self, e: &mut Enc) {
         self.cache.ckpt_encode(e);
         self.dram.ckpt_encode(e);
-        let input: Vec<MemRequest> = self.input.iter().copied().collect();
-        e.seq(&input, |e, r| r.ckpt_encode(e));
-        e.opt(&self.retry, |e, r| r.ckpt_encode(e));
-        e.opt(&self.miss_retry, |e, r| r.ckpt_encode(e));
-        let responses: Vec<(Cycle, MemRequest)> = self.responses.iter().copied().collect();
-        e.seq(&responses, |e, (at, r)| {
-            e.u64(*at);
-            r.ckpt_encode(e);
-        });
-        let events: Vec<(u64, PartitionEvent)> = self.events.iter().copied().collect();
-        e.seq(&events, |e, (san, ev)| {
-            e.u64(*san);
-            e.u8(match ev {
-                PartitionEvent::DramEntered => 0,
-                PartitionEvent::WriteRetired => 1,
-            });
-        });
+        self.input.put(e);
+        self.retry.put(e);
+        self.miss_retry.put(e);
+        self.responses.put(e);
+        self.events.put(e);
     }
 
     /// Checkpoint-decode a partition written by
@@ -231,30 +223,11 @@ impl L2Partition {
     pub fn ckpt_decode(d: &mut Dec<'_>, cfg: PartitionConfig) -> Result<L2Partition, WireError> {
         let cache = Cache::ckpt_decode(d, cfg.l2)?;
         let dram = DramChannel::ckpt_decode(d, cfg.dram)?;
-        let input: VecDeque<MemRequest> = d.seq(MemRequest::ckpt_decode)?.into();
+        let input: VecDeque<MemRequest> = Wire::get(d)?;
         if input.len() > cfg.input_queue_len {
             return Err(WireError::Malformed("partition input queue overflow"));
         }
-        let retry = d.opt(MemRequest::ckpt_decode)?;
-        let miss_retry = d.opt(MemRequest::ckpt_decode)?;
-        let responses: VecDeque<(Cycle, MemRequest)> = d
-            .seq(|d| {
-                let at = d.u64()?;
-                let r = MemRequest::ckpt_decode(d)?;
-                Ok((at, r))
-            })?
-            .into();
-        let events: VecDeque<(u64, PartitionEvent)> = d
-            .seq(|d| {
-                let san = d.u64()?;
-                let ev = match d.u8()? {
-                    0 => PartitionEvent::DramEntered,
-                    1 => PartitionEvent::WriteRetired,
-                    _ => return Err(WireError::Malformed("partition event tag")),
-                };
-                Ok((san, ev))
-            })?
-            .into();
+        let (retry, miss_retry, responses, events) = Wire::get(d)?;
         Ok(L2Partition {
             cache,
             dram,

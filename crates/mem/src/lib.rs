@@ -46,6 +46,6 @@ pub use mshr::Mshr;
 pub use request::{ClassTag, Cycle, MemRequest};
 pub use san::{ConservationKind, ConservationReport, ReqInfo, RequestLedger, SanStage};
 pub use wire::{
-    fnv_fold, fnv_fold_bytes, open, publish, seal, unzigzag, write_section, zigzag, Dec, Enc,
-    Envelope, WireError, FNV_OFFSET,
+    fnv_fold, fnv_fold_bytes, open, publish, seal, unzigzag, write_section, zigzag, Codec, Dec,
+    Enc, Envelope, Wire, WireError, FNV_OFFSET,
 };

@@ -1,6 +1,6 @@
 //! Miss-status holding registers with request merging.
 
-use crate::wire::{Dec, Enc, WireError};
+use crate::wire::{get_map, put_sorted, Dec, Enc, WireError};
 use crate::{Cycle, MemRequest};
 use std::collections::HashMap;
 
@@ -114,17 +114,11 @@ impl Mshr {
             .min()
     }
 
-    /// Checkpoint-encode the live entries. Entries are written in sorted
-    /// block-address order so the encoding is byte-stable; the merged-request
-    /// order inside each entry (the fill release order) is preserved as-is.
+    /// Checkpoint-encode the live entries in sorted block-address order;
+    /// the merged-request order inside each entry (the fill release order)
+    /// is preserved as-is.
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        let mut blocks: Vec<&u64> = self.entries.keys().collect();
-        blocks.sort_unstable();
-        e.usize(blocks.len());
-        for b in blocks {
-            e.u64(*b);
-            e.seq(&self.entries[b], |e, r| r.ckpt_encode(e));
-        }
+        put_sorted(&self.entries, e);
     }
 
     /// Checkpoint-decode an MSHR file written by
@@ -135,20 +129,15 @@ impl Mshr {
         capacity: usize,
         max_merged: usize,
     ) -> Result<Mshr, WireError> {
-        let n = d.seq_len()?;
-        if n > capacity {
+        let entries: HashMap<u64, Vec<MemRequest>> = get_map(d, "duplicate MSHR block")?;
+        if entries.len() > capacity {
             return Err(WireError::Malformed("MSHR entries exceed capacity"));
         }
-        let mut entries = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let block = d.u64()?;
-            let reqs = d.seq(MemRequest::ckpt_decode)?;
-            if reqs.is_empty() || reqs.len() > max_merged {
-                return Err(WireError::Malformed("MSHR entry size out of range"));
-            }
-            if entries.insert(block, reqs).is_some() {
-                return Err(WireError::Malformed("duplicate MSHR block"));
-            }
+        if entries
+            .values()
+            .any(|r| r.is_empty() || r.len() > max_merged)
+        {
+            return Err(WireError::Malformed("MSHR entry size out of range"));
         }
         Ok(Mshr {
             entries,

@@ -1,7 +1,5 @@
 //! Memory requests flowing through the hierarchy.
 
-use crate::wire::{Dec, Enc, WireError};
-
 /// Simulation time, in GPU core cycles.
 pub type Cycle = u64;
 
@@ -35,19 +33,10 @@ impl ClassTag {
         ClassTag::NonDeterministic,
         ClassTag::Other,
     ];
+}
 
-    /// Checkpoint-encode this tag as one byte.
-    pub fn ckpt_encode(self, e: &mut Enc) {
-        e.u8(self.index() as u8);
-    }
-
-    /// Checkpoint-decode a tag written by [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<ClassTag, WireError> {
-        ClassTag::ALL
-            .get(d.u8()? as usize)
-            .copied()
-            .ok_or(WireError::Malformed("class tag"))
-    }
+crate::declare_wire! {
+    enum ClassTag "class tag" { Deterministic = 0, NonDeterministic = 1, Other = 2 }
 }
 
 /// One cache-line-granular memory request.
@@ -120,40 +109,12 @@ impl MemRequest {
             ..MemRequest::read(id, block_addr, sm_id, ClassTag::Other, 0, cycle)
         }
     }
+}
 
-    /// Checkpoint-encode every field.
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.u64(self.id);
-        e.u64(self.block_addr);
-        e.bool(self.is_write);
-        e.u16(self.sm_id);
-        self.class.ckpt_encode(e);
-        e.u64(self.meta);
-        e.u64(self.san);
-        e.u64(self.t_created);
-        e.u64(self.t_l1_accepted);
-        e.u64(self.t_icnt_inject);
-        e.u64(self.t_l2_done);
-        e.u64(self.t_returned);
-    }
-
-    /// Checkpoint-decode a request written by
-    /// [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<MemRequest, WireError> {
-        Ok(MemRequest {
-            id: d.u64()?,
-            block_addr: d.u64()?,
-            is_write: d.bool()?,
-            sm_id: d.u16()?,
-            class: ClassTag::ckpt_decode(d)?,
-            meta: d.u64()?,
-            san: d.u64()?,
-            t_created: d.u64()?,
-            t_l1_accepted: d.u64()?,
-            t_icnt_inject: d.u64()?,
-            t_l2_done: d.u64()?,
-            t_returned: d.u64()?,
-        })
+crate::declare_wire! {
+    MemRequest {
+        id, block_addr, is_write, sm_id, class, meta, san,
+        t_created, t_l1_accepted, t_icnt_inject, t_l2_done, t_returned,
     }
 }
 

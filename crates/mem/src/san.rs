@@ -18,7 +18,7 @@
 //! surfaces its two internal transitions — DRAM entry and write
 //! retirement — as [`PartitionEvent`](crate::PartitionEvent)s.
 
-use crate::wire::{Dec, Enc, WireError};
+use crate::wire::{get_map, put_sorted, Codec};
 use crate::{ClassTag, Cycle};
 use std::collections::HashMap;
 use std::fmt;
@@ -68,31 +68,12 @@ impl SanStage {
         // writes retire at DRAM; dropped prefetches retire unaccepted.
         matches!(self, Coalesced | L1Hit | MshrMerged | Returned | Dram)
     }
+}
 
-    /// All stages, in the order used by the checkpoint encoding.
-    const ALL: [SanStage; 9] = [
-        SanStage::Coalesced,
-        SanStage::L1Hit,
-        SanStage::MshrMerged,
-        SanStage::MissQueue,
-        SanStage::IcntReq,
-        SanStage::L2,
-        SanStage::Dram,
-        SanStage::IcntResp,
-        SanStage::Returned,
-    ];
-
-    /// Checkpoint-encode this stage as one byte.
-    pub fn ckpt_encode(self, e: &mut Enc) {
-        e.u8(SanStage::ALL.iter().position(|s| *s == self).unwrap() as u8);
-    }
-
-    /// Checkpoint-decode a stage written by [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<SanStage, WireError> {
-        SanStage::ALL
-            .get(d.u8()? as usize)
-            .copied()
-            .ok_or(WireError::Malformed("sanitizer stage tag"))
+crate::declare_wire! {
+    enum SanStage "sanitizer stage tag" {
+        Coalesced = 0, L1Hit = 1, MshrMerged = 2, MissQueue = 3, IcntReq = 4,
+        L2 = 5, Dram = 6, IcntResp = 7, Returned = 8,
     }
 }
 
@@ -219,12 +200,16 @@ pub struct ReqInfo {
     pub sm: u16,
 }
 
+crate::declare_wire! { ReqInfo { pc, class, is_write, block_addr, sm } }
+
 #[derive(Debug, Clone, Copy)]
 struct Tracked {
     info: ReqInfo,
     stage: SanStage,
     last_cycle: Cycle,
 }
+
+crate::declare_wire! { Tracked { info, stage, last_cycle } }
 
 /// The conservation checker: every tracked request's current stage, with
 /// legality enforced on each transition and a drainage proof at launch end.
@@ -235,6 +220,14 @@ pub struct RequestLedger {
     created: u64,
     retired: u64,
 }
+
+/// Live requests in sorted tag order, for byte stability.
+const LIVE: Codec<HashMap<u64, Tracked>> = Codec {
+    put: put_sorted,
+    get: |d| get_map(d, "duplicate ledger id"),
+};
+
+crate::declare_wire! { RequestLedger { live: LIVE, next_id, created, retired } }
 
 impl RequestLedger {
     /// Create an empty ledger.
@@ -397,68 +390,6 @@ impl RequestLedger {
             stage: t.stage,
             cycle: t.last_cycle,
         }))
-    }
-
-    /// Checkpoint-encode the ledger: live requests (in sorted tag order for
-    /// byte stability) plus the id and totals counters.
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        let mut ids: Vec<&u64> = self.live.keys().collect();
-        ids.sort_unstable();
-        e.usize(ids.len());
-        for id in ids {
-            let t = &self.live[id];
-            e.u64(*id);
-            e.opt(&t.info.pc, |e, &pc| e.usize(pc));
-            t.info.class.ckpt_encode(e);
-            e.bool(t.info.is_write);
-            e.u64(t.info.block_addr);
-            e.u16(t.info.sm);
-            t.stage.ckpt_encode(e);
-            e.u64(t.last_cycle);
-        }
-        e.u64(self.next_id);
-        e.u64(self.created);
-        e.u64(self.retired);
-    }
-
-    /// Checkpoint-decode a ledger written by
-    /// [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<RequestLedger, WireError> {
-        let n = d.seq_len()?;
-        let mut live = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = d.u64()?;
-            let pc = d.opt(|d| d.usize())?;
-            let class = ClassTag::ckpt_decode(d)?;
-            let is_write = d.bool()?;
-            let block_addr = d.u64()?;
-            let sm = d.u16()?;
-            let stage = SanStage::ckpt_decode(d)?;
-            let last_cycle = d.u64()?;
-            let tracked = Tracked {
-                info: ReqInfo {
-                    pc,
-                    class,
-                    is_write,
-                    block_addr,
-                    sm,
-                },
-                stage,
-                last_cycle,
-            };
-            if live.insert(id, tracked).is_some() {
-                return Err(WireError::Malformed("duplicate ledger id"));
-            }
-        }
-        let next_id = d.u64()?;
-        let created = d.u64()?;
-        let retired = d.u64()?;
-        Ok(RequestLedger {
-            live,
-            next_id,
-            created,
-            retired,
-        })
     }
 }
 

@@ -1,8 +1,11 @@
 //! Minimal little-endian binary wire format for checkpoints, and the one
 //! place a checksummed binary record is framed for a file.
 //!
-//! The simulator is dependency-free, so checkpoint serialization is a
-//! hand-rolled encoder/decoder pair. The format is deliberately simple:
+//! The simulator is dependency-free, so checkpoint serialization is an
+//! encoder/decoder pair ([`Enc`] / [`Dec`]) plus the [`Wire`] trait, which
+//! each simulator unit implements through one
+//! [`declare_wire!`](crate::declare_wire!) declaration of its fields
+//! (DESIGN.md §10). The format is deliberately simple:
 //! fixed-width little-endian integers, `u64` length prefixes for sequences,
 //! one tag byte for enums and `Option`s. Byte-stability matters more than
 //! compactness — two encodings of the same logical state must be identical
@@ -21,6 +24,8 @@
 //! uniquely named sibling and renamed into place, so a reader sees the old
 //! file, the new file or no file — never a mix.
 
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -498,6 +503,232 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// A value with one wire encoding: [`put`](Wire::put) writes it and
+/// [`get`](Wire::get) reads it back, rejecting bad tags. The impls below
+/// write exactly what the matching [`Enc`] method writes: scalars and
+/// `String` by name, `Option` as [`Enc::opt`], `Vec` and `VecDeque` as
+/// [`Enc::seq`], arrays and tuples as their elements in order, and a
+/// `BTreeMap` as the sequence of its `(key, value)` pairs. A struct or
+/// tag enum declares its encoding once with
+/// [`declare_wire!`](crate::declare_wire!).
+pub trait Wire: Sized {
+    /// Write `self`.
+    fn put(&self, e: &mut Enc);
+    /// Read a value written by [`put`](Wire::put).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncated or malformed input.
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! scalar_wire {
+    ($($t:ident)*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                e.$t(*self);
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Result<$t, WireError> {
+                d.$t()
+            }
+        }
+    )*};
+}
+
+scalar_wire!(u8 u16 u32 u64 usize bool f64);
+
+impl Wire for String {
+    fn put(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<String, WireError> {
+        d.str()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        e.opt(self, |e, v| v.put(e));
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Option<T>, WireError> {
+        d.opt(T::get)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        e.seq(self, |e, v| v.put(e));
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Vec<T>, WireError> {
+        d.seq(T::get)
+    }
+}
+
+impl<T: Wire> Wire for VecDeque<T> {
+    fn put(&self, e: &mut Enc) {
+        e.usize(self.len());
+        self.iter().for_each(|v| v.put(e));
+    }
+    fn get(d: &mut Dec<'_>) -> Result<VecDeque<T>, WireError> {
+        Ok(d.seq(T::get)?.into())
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn put(&self, e: &mut Enc) {
+        self.iter().for_each(|v| v.put(e));
+    }
+    fn get(d: &mut Dec<'_>) -> Result<[T; N], WireError> {
+        // Reads past a failed element fail too; the first error is returned.
+        let read: [Result<T, WireError>; N] = std::array::from_fn(|_| T::get(d));
+        if let Some(&e) = read.iter().find_map(|r| r.as_ref().err()) {
+            return Err(e);
+        }
+        Ok(read.map(|r| r.unwrap_or_else(|_| unreachable!("errors returned above"))))
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, e: &mut Enc) {
+        e.usize(self.len());
+        for (k, v) in self {
+            k.put(e);
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<BTreeMap<K, V>, WireError> {
+        Ok(Vec::<(K, V)>::get(d)?.into_iter().collect())
+    }
+}
+
+macro_rules! tuple_wire {
+    ($(($($t:ident $i:tt),*))*) => {$(
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            fn put(&self, e: &mut Enc) {
+                $(self.$i.put(e);)*
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(($($t::get(d)?,)*))
+            }
+        }
+    )*};
+}
+
+tuple_wire!((A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3));
+
+/// Both directions of one field's encoding, for a field whose type has no
+/// [`Wire`] impl: a type from another crate, or a map whose decode names
+/// its own duplicate-key rejection. A [`declare_wire!`](crate::declare_wire!)
+/// declaration names it after the field (`turnaround: ACC`).
+pub struct Codec<T> {
+    /// Write the value.
+    pub put: fn(&T, &mut Enc),
+    /// Read a value written by `put`.
+    pub get: fn(&mut Dec<'_>) -> Result<T, WireError>,
+}
+
+/// Write a hash map as a `u64` count and its `(key, value)` pairs in
+/// ascending key order, so equal maps always produce identical bytes.
+pub fn put_sorted<K: Wire + Ord, V: Wire>(map: &HashMap<K, V>, e: &mut Enc) {
+    let mut pairs: Vec<(&K, &V)> = map.iter().collect();
+    pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    e.usize(pairs.len());
+    for (k, v) in pairs {
+        k.put(e);
+        v.put(e);
+    }
+}
+
+/// Read a map written by [`put_sorted`], rejecting a repeated key as
+/// [`WireError::Malformed`]`(dup)`.
+///
+/// # Errors
+///
+/// [`WireError`] on truncated or malformed input.
+pub fn get_map<K: Wire + Eq + Hash, V: Wire>(
+    d: &mut Dec<'_>,
+    dup: &'static str,
+) -> Result<HashMap<K, V>, WireError> {
+    let n = d.seq_len()?;
+    let mut map = HashMap::with_capacity(n);
+    for _ in 0..n {
+        if map.insert(K::get(d)?, V::get(d)?).is_some() {
+            return Err(WireError::Malformed(dup));
+        }
+    }
+    Ok(map)
+}
+
+/// Declare a type's wire encoding once and get both directions: an
+/// [`Wire`](crate::wire::Wire) impl that writes, and reads back, the
+/// listed fields in the listed order.
+///
+/// ```
+/// use gcl_mem::wire::{Dec, Enc, Wire, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span { lo: u64, hi: u64, seen: u32 }
+/// gcl_mem::declare_wire!(Span { lo, hi } default { seen: 0 } check |s: &Span| {
+///     if s.lo <= s.hi { Ok(()) } else { Err(WireError::Malformed("span order")) }
+/// });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Side { Left, Right }
+/// gcl_mem::declare_wire!(enum Side "side tag" { Left = 0, Right = 1 });
+///
+/// let mut e = Enc::new();
+/// Span { lo: 1, hi: 2, seen: 9 }.put(&mut e);
+/// Side::Right.put(&mut e);
+/// let bytes = e.into_bytes();
+/// let mut d = Dec::new(&bytes);
+/// assert_eq!(Span::get(&mut d), Ok(Span { lo: 1, hi: 2, seen: 0 }));
+/// assert_eq!(Side::get(&mut d), Ok(Side::Right));
+/// assert_eq!(Side::get(&mut Dec::new(&[2])), Err(WireError::Malformed("side tag")));
+/// ```
+///
+/// A struct lists its encoded fields; a field whose type has no `Wire`
+/// impl names a [`Codec`](crate::wire::Codec) after a colon. Fields left
+/// off the wire are filled on decode from `default { field: expr, .. }`,
+/// and `check f` runs `f(&value)` on every decoded value. An `enum` of
+/// unit variants writes each variant's tag byte and rejects any other byte
+/// as `Malformed` with the given message. Editing a declaration changes
+/// the format (DESIGN.md §10).
+#[macro_export]
+macro_rules! declare_wire {
+    (enum $ty:ident $what:literal { $($v:ident = $n:literal),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, e: &mut $crate::wire::Enc) {
+                e.u8(match self { $($ty::$v => $n,)* });
+            }
+            fn get(d: &mut $crate::wire::Dec<'_>) -> Result<$ty, $crate::wire::WireError> {
+                match d.u8()? {
+                    $($n => Ok($ty::$v),)*
+                    _ => Err($crate::wire::WireError::Malformed($what)),
+                }
+            }
+        }
+    };
+    ($ty:ident { $($f:ident $(: $c:path)?),* $(,)? }
+     $(default { $($g:ident: $gv:expr),* $(,)? })? $(check $check:expr)?) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, e: &mut $crate::wire::Enc) {
+                $($crate::declare_wire!(@put e, self.$f $(, $c)?);)*
+            }
+            fn get(d: &mut $crate::wire::Dec<'_>) -> Result<$ty, $crate::wire::WireError> {
+                let v = $ty { $($f: $crate::declare_wire!(@get d $(, $c)?),)* $($($g: $gv,)*)? };
+                $(($check)(&v)?;)?
+                Ok(v)
+            }
+        }
+    };
+    (@put $e:ident, $v:expr) => { $crate::wire::Wire::put(&$v, $e) };
+    (@put $e:ident, $v:expr, $c:path) => { ($c.put)(&$v, $e) };
+    (@get $d:ident) => { $crate::wire::Wire::get($d)? };
+    (@get $d:ident, $c:path) => { ($c.get)($d)? };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,6 +860,53 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, FNV_OFFSET);
+    }
+
+    /// Each `Wire` impl writes what the `Enc` method it stands for writes.
+    #[test]
+    fn wire_impls_write_what_the_enc_methods_write() {
+        let bytes = |f: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            f(&mut e);
+            e.into_bytes()
+        };
+        let some: Option<u32> = Some(7);
+        assert_eq!(
+            bytes(&|e| some.put(e)),
+            bytes(&|e| e.opt(&some, |e, v| e.u32(*v)))
+        );
+        let v = vec![1u64, 2, 3];
+        assert_eq!(
+            bytes(&|e| v.put(e)),
+            bytes(&|e| e.seq(&v, |e, x| e.u64(*x)))
+        );
+        let q: VecDeque<u64> = v.clone().into();
+        assert_eq!(bytes(&|e| q.put(e)), bytes(&|e| v.put(e)));
+        let name = String::from("k");
+        assert_eq!(bytes(&|e| name.put(e)), bytes(&|e| e.str("k")));
+        assert_eq!(
+            bytes(&|e| [1u16, 2].put(e)),
+            bytes(&|e| (1u16, 2u16).put(e))
+        );
+        let map = BTreeMap::from([(2u32, true), (1, false)]);
+        let pairs = vec![(1u32, false), (2, true)];
+        assert_eq!(bytes(&|e| map.put(e)), bytes(&|e| pairs.put(e)));
+        let hashed: HashMap<u32, bool> = map.clone().into_iter().collect();
+        assert_eq!(bytes(&|e| put_sorted(&hashed, e)), bytes(&|e| map.put(e)));
+        let b = bytes(&|e| map.put(e));
+        assert_eq!(Wire::get(&mut Dec::new(&b)), Ok(map));
+        assert_eq!(get_map(&mut Dec::new(&b), "dup"), Ok(hashed));
+    }
+
+    #[test]
+    fn get_map_rejects_a_repeated_key() {
+        let b = {
+            let mut e = Enc::new();
+            vec![(1u32, 5u8), (1, 6)].put(&mut e);
+            e.into_bytes()
+        };
+        let got: Result<HashMap<u32, u8>, _> = get_map(&mut Dec::new(&b), "duplicate key");
+        assert_eq!(got, Err(WireError::Malformed("duplicate key")));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! everything a record updates. Blocks outside the heap keep a side map.
 
 use crate::HEAP_BASE;
-use gcl_mem::{Dec, Enc, WireError};
+use gcl_mem::{Dec, Enc, Wire, WireError};
 use std::collections::{BTreeMap, HashMap};
 
 /// Summary statistics extracted from a [`BlockTracker`].
@@ -99,6 +99,15 @@ struct PcAgg {
     max_ctas_per_block: u64,
     pairs: BTreeMap<(u64, u64), u64>,
 }
+
+gcl_mem::declare_wire! { PcAgg { accesses, blocks, shared_blocks, max_ctas_per_block, pairs } }
+
+/// A block as written: address, count, `(cta, accesses)` pairs, last CTA.
+type BlockRow = (u64, u64, Vec<(u64, u64)>, u64);
+
+/// The launch in flight as written: a pc and, per block it touched, the
+/// block's address and CTAs.
+type LiveRow = (u64, Vec<(u64, Vec<u64>)>);
 
 /// Measured inter-CTA sharing for one static load (one pc of one kernel),
 /// aggregated over launches but with CTA sets scoped *per launch* — two
@@ -349,63 +358,35 @@ impl BlockTracker {
     pub fn ckpt_encode(&self, e: &mut Enc) {
         let mut blocks: Vec<(u64, &Block)> = self.blocks().collect();
         blocks.sort_unstable_by_key(|&(addr, _)| addr);
-        e.usize(blocks.len());
-        for (addr, block) in blocks {
-            e.u64(addr);
-            e.u64(block.count);
-            e.seq(&block.ctas, |e, &(c, n)| {
-                e.u64(c);
-                e.u64(n);
-            });
-            e.u64(block.last_cta);
-        }
-        e.u64(self.total_accesses);
-        e.usize(self.distances().count());
-        for (d, c) in self.distances() {
-            e.u64(d);
-            e.u64(c);
-        }
-        e.usize(self.kernels.len());
-        for k in &self.kernels {
-            e.str(k);
-        }
-        e.u32(self.current_kernel.map_or(u32::MAX, |k| k));
+        e.seq(&blocks, |e, (addr, block)| {
+            (*addr, block.count).put(e);
+            block.ctas.put(e);
+            block.last_cta.put(e);
+        });
+        self.total_accesses.put(e);
+        self.distances().collect::<Vec<_>>().put(e);
+        self.kernels.put(e);
+        self.current_kernel.unwrap_or(u32::MAX).put(e);
         let mut live: Vec<(u64, u64, u64)> = Vec::new();
         for &addr in &self.touched {
             let block = self.block(addr).expect("touched blocks exist");
             live.extend(block.live.iter().map(|&(pc, cta)| (pc, addr, cta)));
         }
         live.sort_unstable();
-        let by_pc = live.chunk_by(|a, b| a.0 == b.0);
-        e.usize(by_pc.clone().count());
-        for blocks in by_pc {
-            e.u64(blocks[0].0);
-            let by_block = blocks.chunk_by(|a, b| a.1 == b.1);
-            e.usize(by_block.clone().count());
-            for ctas in by_block {
-                e.u64(ctas[0].1);
-                e.seq(ctas, |e, &(_, _, cta)| e.u64(cta));
-            }
-        }
+        let by_pc: Vec<&[(u64, u64, u64)]> = live.chunk_by(|a, b| a.0 == b.0).collect();
+        e.seq(&by_pc, |e, blocks| {
+            blocks[0].0.put(e);
+            let by_block: Vec<&[(u64, u64, u64)]> = blocks.chunk_by(|a, b| a.1 == b.1).collect();
+            e.seq(&by_block, |e, ctas| {
+                ctas[0].1.put(e);
+                e.seq(ctas, |e, &(_, _, cta)| cta.put(e));
+            });
+        });
         let mut per_pc = self.per_pc.clone();
         if let Some(k) = self.current_kernel {
             fold_accesses(&mut per_pc, k, &self.live_accesses);
         }
-        e.usize(per_pc.len());
-        for ((k, pc), a) in &per_pc {
-            e.u32(*k);
-            e.u64(*pc);
-            e.u64(a.accesses);
-            e.u64(a.blocks);
-            e.u64(a.shared_blocks);
-            e.u64(a.max_ctas_per_block);
-            e.usize(a.pairs.len());
-            for ((i, j), n) in &a.pairs {
-                e.u64(*i);
-                e.u64(*j);
-                e.u64(*n);
-            }
-        }
+        per_pc.put(e);
     }
 
     /// Checkpoint-decode a tracker of `line_bytes`-sized blocks written by
@@ -418,12 +399,9 @@ impl BlockTracker {
     ) -> Result<BlockTracker, WireError> {
         let mut t = BlockTracker::new(line_bytes);
         t.set_heap_end(heap_end);
-        for _ in 0..d.seq_len()? {
-            let addr = d.u64()?;
-            let count = d.u64()?;
-            let mut ctas = d.seq(|d| Ok((d.u64()?, d.u64()?)))?;
+        let blocks: Vec<BlockRow> = Wire::get(d)?;
+        for (addr, count, mut ctas, last_cta) in blocks {
             ctas.sort_unstable_by_key(|&(c, _)| c);
-            let last_cta = d.u64()?;
             *t.block_mut(addr) = Block {
                 count,
                 last_cta,
@@ -431,27 +409,22 @@ impl BlockTracker {
                 live: Vec::new(),
             };
         }
-        t.total_accesses = d.u64()?;
-        for _ in 0..d.seq_len()? {
-            let distance = d.u64()?;
-            let samples = d.u64()?;
+        let distances: Vec<(u64, u64)>;
+        (t.total_accesses, distances, t.kernels) = Wire::get(d)?;
+        for (distance, samples) in distances {
             if distance < NEAR_DISTANCES {
                 bump(&mut t.near_distances, distance, samples);
             } else {
                 *t.far_distances.entry(distance).or_insert(0) += samples;
             }
         }
-        t.kernels = d.seq(|d| d.str())?;
-        let ck = d.u32()?;
+        let ck = u32::get(d)?;
         t.current_kernel = (ck != u32::MAX).then_some(ck);
+        let by_pc: Vec<LiveRow> = Wire::get(d)?;
         let mut live = Vec::new();
-        for _ in 0..d.seq_len()? {
-            let pc = d.u64()?;
-            for _ in 0..d.seq_len()? {
-                let addr = d.u64()?;
-                for cta in d.seq(|d| d.u64())? {
-                    live.push((addr, pc, cta));
-                }
+        for (pc, blocks) in by_pc {
+            for (addr, ctas) in blocks {
+                live.extend(ctas.into_iter().map(|cta| (addr, pc, cta)));
             }
         }
         live.sort_unstable();
@@ -464,31 +437,7 @@ impl BlockTracker {
             }
             block.live.push((pc, cta));
         }
-        for _ in 0..d.seq_len()? {
-            let k = d.u32()?;
-            let pc = d.u64()?;
-            let accesses = d.u64()?;
-            let blocks = d.u64()?;
-            let shared_blocks = d.u64()?;
-            let max_ctas_per_block = d.u64()?;
-            let mut pairs = BTreeMap::new();
-            for _ in 0..d.seq_len()? {
-                let i = d.u64()?;
-                let j = d.u64()?;
-                let n = d.u64()?;
-                pairs.insert((i, j), n);
-            }
-            t.per_pc.insert(
-                (k, pc),
-                PcAgg {
-                    accesses,
-                    blocks,
-                    shared_blocks,
-                    max_ctas_per_block,
-                    pairs,
-                },
-            );
-        }
+        t.per_pc = Wire::get(d)?;
         Ok(t)
     }
 }

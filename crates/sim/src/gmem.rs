@@ -13,7 +13,7 @@
 
 use crate::decode::{for_lanes, Lanes};
 use crate::fault::AllocError;
-use gcl_mem::{Dec, Enc, WireError};
+use gcl_mem::{Dec, Enc, Wire, WireError};
 use gcl_ptx::Type;
 use std::collections::BTreeMap;
 
@@ -402,11 +402,8 @@ impl GlobalMem {
             e.u64(id);
             e.bytes(page);
         }
-        e.u64(self.next_alloc);
-        e.seq(&self.allocs, |e, &(base, len)| {
-            e.u64(base);
-            e.u64(len);
-        });
+        self.next_alloc.put(e);
+        self.allocs.put(e);
     }
 
     /// Checkpoint-decode a memory image written by
@@ -424,12 +421,7 @@ impl GlobalMem {
                 .map_err(|_| WireError::Malformed("page size mismatch"))?;
             pages.push((id, page));
         }
-        let next_alloc = d.u64()?;
-        let allocs = d.seq(|d| {
-            let base = d.u64()?;
-            let len = d.u64()?;
-            Ok((base, len))
-        })?;
+        let (next_alloc, allocs) = Wire::get(d)?;
         let mut mem = GlobalMem {
             heap: Vec::new(),
             stray: BTreeMap::new(),

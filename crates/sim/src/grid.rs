@@ -11,6 +11,8 @@ pub struct Dim3 {
     pub z: u32,
 }
 
+gcl_mem::declare_wire! { Dim3 { x, y, z } }
+
 impl Dim3 {
     /// A 1-D dimension.
     pub fn x(x: u32) -> Dim3 {

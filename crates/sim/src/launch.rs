@@ -14,7 +14,7 @@ use crate::{
     BlockTracker, CtaSchedPolicy, Dim3, GlobalMem, GpuConfig, LaunchStats, PcKey, SimError,
 };
 use gcl_core::{classify, Classification, LoadClass};
-use gcl_mem::{Cache, ConservationReport, Dec, Enc, WireError};
+use gcl_mem::{Cache, ConservationReport, Dec, Enc, Wire};
 use gcl_ptx::Kernel;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -82,13 +82,6 @@ fn occupancy(cfg: &GpuConfig, kernel: &Kernel, block: Dim3) -> Result<usize, Sim
 
 fn conservation(report: ConservationReport) -> SimError {
     SimError::Sanitizer(Box::new(SanitizerReport::Conservation(report)))
-}
-
-fn enc_queue(e: &mut Enc, q: &VecDeque<u64>) {
-    e.usize(q.len());
-    for &c in q {
-        e.u64(c);
-    }
 }
 
 impl Launch {
@@ -463,44 +456,26 @@ impl Launch {
 
     /// Checkpoint-encode everything but the derived state and the trace.
     pub(crate) fn ckpt_encode(&self, e: &mut Enc) {
-        e.str(&self.kernel_name);
-        e.u64(self.kernel_fp);
-        let (g, b) = (self.grid, self.block);
-        for v in [g.x, g.y, g.z, b.x, b.y, b.z] {
-            e.u32(v);
-        }
-        e.bytes(&self.params);
-        e.u32(self.shared_bytes);
-        e.opt(&self.replay_fingerprint(), |e, &v| e.u64(v));
-        e.u64(self.start_cycle);
-        e.u64(self.cycle);
-        e.u64(self.last_progress);
-        enc_queue(e, &self.global_queue);
-        e.seq(&self.per_sm_queue, enc_queue);
+        self.kernel_name.put(e);
+        (self.kernel_fp, self.grid, self.block).put(e);
+        self.params.put(e);
+        (self.shared_bytes, self.replay_fingerprint()).put(e);
+        (self.start_cycle, self.cycle, self.last_progress).put(e);
+        self.global_queue.put(e);
+        self.per_sm_queue.put(e);
         e.seq(&self.sms, |e, sm| sm.ckpt_encode(e));
         e.opt(&self.san_run, |e, s| s.ckpt_encode(e));
     }
 
     /// Decode a launch written by [`ckpt_encode`](Self::ckpt_encode).
     pub(crate) fn ckpt_decode(d: &mut Dec<'_>, cfg: &GpuConfig) -> Result<Launch, CheckpointError> {
-        let kernel_name = d.str()?;
-        let kernel_fp = d.u64()?;
-        let mut dim = || -> Result<Dim3, WireError> {
-            let [x, y, z] = [d.u32()?, d.u32()?, d.u32()?];
-            Ok(Dim3 { x, y, z })
-        };
-        let (grid, block) = (dim()?, dim()?);
-        let params = d.bytes()?.to_vec();
-        let shared_bytes = d.u32()?;
-        let replay_fp = d.opt(|d| d.u64())?;
-        let start_cycle = d.u64()?;
-        let cycle = d.u64()?;
-        let last_progress = d.u64()?;
+        let (kernel_name, kernel_fp, grid, block) = Wire::get(d)?;
+        let (params, shared_bytes, replay_fp): (_, u32, Option<u64>) = Wire::get(d)?;
+        let (start_cycle, cycle, last_progress): (u64, u64, u64) = Wire::get(d)?;
         if cycle < start_cycle || last_progress < start_cycle || last_progress > cycle {
             return Err(CheckpointError::Malformed("launch cycle ordering"));
         }
-        let global_queue = d.seq(|d| d.u64())?.into();
-        let per_sm_queue: Vec<_> = d.seq(|d| Ok(d.seq(|d| d.u64())?.into()))?;
+        let (global_queue, per_sm_queue): (_, Vec<_>) = Wire::get(d)?;
         if per_sm_queue.len() != cfg.n_sms {
             return Err(CheckpointError::Malformed("per-SM queue count mismatch"));
         }

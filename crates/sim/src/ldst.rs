@@ -21,7 +21,7 @@ use crate::{GpuConfig, SmStats};
 use gcl_core::LoadClass;
 use gcl_mem::{
     AccessOutcome, Cache, CacheStats, ClassTag, ConservationKind, ConservationReport, Cycle, Dec,
-    Enc, MemRequest, ReqInfo, SanStage, WireError,
+    Enc, MemRequest, ReqInfo, SanStage, Wire, WireError,
 };
 use gcl_ptx::{Reg, Space};
 use std::cmp::Reverse;
@@ -39,6 +39,15 @@ pub(crate) type Completion = (usize, Option<Reg>);
 /// register (0 for a store), which is how a fill finds its warp.
 fn pack_id(slot: usize, dst: Option<Reg>) -> u64 {
     (slot as u64) << 32 | u64::from(dst.map_or(0, |d| d.0))
+}
+
+/// A local completion as written: `at`, `seq`, an L1 hit's `meta` and key
+/// (its `seq`), and an operation's warp slot and register.
+type DoneRow = ((Cycle, u64, Option<u64>, Option<u64>), (usize, Option<u32>));
+
+/// A register as its wire number.
+fn reg_no(r: Option<Reg>) -> Option<u32> {
+    r.map(|r| r.0)
 }
 
 fn unpack_id(id: u64) -> (usize, Reg) {
@@ -718,16 +727,9 @@ impl LdstUnit {
                     split,
                     accepted_since_rotate,
                 } => {
-                    e.u8(0);
-                    e.usize(*warp_slot);
-                    e.opt(meta, |e, &m| e.u64(m));
-                    e.bool(*is_store);
-                    e.usize(pending.len());
-                    for req in pending {
-                        req.ckpt_encode(e);
-                    }
-                    e.opt(split, |e, &k| e.usize(k));
-                    e.usize(*accepted_since_rotate);
+                    (0u8, *warp_slot, *meta, *is_store).put(e);
+                    pending.put(e);
+                    (*split, *accepted_since_rotate).put(e);
                 }
                 LdstEntry::Fixed {
                     shared,
@@ -735,41 +737,29 @@ impl LdstUnit {
                     dst,
                     cycles_left,
                 } => {
-                    e.u8(if *shared { 1 } else { 2 });
-                    e.usize(*warp_slot);
-                    e.opt(dst, |e, d| e.u32(d.0));
-                    e.u32(*cycles_left);
+                    let tag: u8 = if *shared { 1 } else { 2 };
+                    (tag, *warp_slot, reg_no(*dst), *cycles_left).put(e);
                 }
             }
         }
         let mut done: Vec<&LocalDone> = self.local_done.iter().map(|r| &r.0).collect();
         done.sort_unstable();
-        e.usize(done.len());
-        for ld in &done {
+        e.seq(&done, |e, ld| {
             let (meta, key, (warp_slot, dst)) = match &ld.what {
                 Done::Hit(req) => (Some(req.meta), Some(ld.seq), (0, None)),
                 Done::Op(op) => (None, None, *op),
             };
-            e.u64(ld.at);
-            e.u64(ld.seq);
-            e.opt(&meta, |e, &m| e.u64(m));
-            e.opt(&key, |e, &k| e.u64(k));
-            e.usize(warp_slot);
-            e.opt(&dst, |e, d| e.u32(d.0));
-        }
+            ((ld.at, ld.seq, meta, key), (warp_slot, reg_no(dst))).put(e);
+        });
         done.sort_unstable_by_key(|ld| ld.seq);
-        let hits: Vec<(u64, &MemRequest)> = done
+        let hits: Vec<(u64, MemRequest)> = done
             .iter()
             .filter_map(|ld| match &ld.what {
-                Done::Hit(req) => Some((ld.seq, req)),
+                Done::Hit(req) => Some((ld.seq, *req)),
                 Done::Op(_) => None,
             })
             .collect();
-        e.usize(hits.len());
-        for (key, req) in hits {
-            e.u64(key);
-            req.ckpt_encode(e);
-        }
+        hits.put(e);
     }
 
     /// Decode what [`ckpt_encode_queues`](Self::ckpt_encode_queues) wrote,
@@ -785,33 +775,26 @@ impl LdstUnit {
         let n_queue = d.seq_len()?;
         let mut queue = VecDeque::with_capacity(n_queue);
         for _ in 0..n_queue {
-            let tag = d.u8()?;
-            let warp_slot = d.usize()?;
+            let (tag, warp_slot) = <(u8, usize)>::get(d)?;
             bounds.slot(warp_slot, "LD/ST warp slot out of range")?;
             let entry = match tag {
                 0 => {
-                    let meta = d.opt(|d| d.u64())?;
-                    let is_store = d.bool()?;
-                    let n = d.seq_len()?;
-                    let mut pending = VecDeque::with_capacity(n);
-                    for _ in 0..n {
-                        let req = MemRequest::ckpt_decode(d)?;
-                        bounds.request(&req)?;
-                        pending.push_back(req);
-                    }
+                    let (meta, is_store, pending) = <(_, _, VecDeque<MemRequest>)>::get(d)?;
+                    pending.iter().try_for_each(|r| bounds.request(r))?;
+                    let (split, accepted_since_rotate) = Wire::get(d)?;
                     LdstEntry::Global {
                         warp_slot,
                         meta,
                         is_store,
                         pending,
-                        split: d.opt(|d| d.usize())?,
-                        accepted_since_rotate: d.usize()?,
+                        split,
+                        accepted_since_rotate,
                     }
                 }
                 1 | 2 => {
-                    let dst = d.opt(|d| Ok(Reg(d.u32()?)))?;
+                    let (dst, cycles_left) = <(Option<u32>, u32)>::get(d)?;
+                    let dst = dst.map(Reg);
                     bounds.reg(dst, "LD/ST destination register out of range")?;
-                    let cycles_left = d.u32()?;
                     if cycles_left == 0 {
                         return Err(WireError::Malformed("LD/ST countdown at zero"));
                     }
@@ -826,15 +809,10 @@ impl LdstUnit {
             };
             queue.push_back(entry);
         }
-        let n_done = d.seq_len()?;
-        let mut done = Vec::with_capacity(n_done);
-        for _ in 0..n_done {
-            let at = d.u64()?;
-            let seq = d.u64()?;
-            let meta = d.opt(|d| d.u64())?;
-            let key = d.opt(|d| d.u64())?;
-            let warp_slot = d.usize()?;
-            let dst = d.opt(|d| Ok(Reg(d.u32()?)))?;
+        let rows: Vec<DoneRow> = Wire::get(d)?;
+        let mut done = Vec::with_capacity(rows.len());
+        for ((at, seq, meta, key), (warp_slot, dst)) in rows {
+            let dst = dst.map(Reg);
             let what = match (meta, key) {
                 (None, None) => {
                     bounds.slot(warp_slot, "local-done warp slot out of range")?;
@@ -860,8 +838,7 @@ impl LdstUnit {
         }
         let mut prev_key = None;
         for ld in hits {
-            let key = d.u64()?;
-            let req = MemRequest::ckpt_decode(d)?;
+            let (key, req) = <(u64, MemRequest)>::get(d)?;
             bounds.request(&req)?;
             let Done::Hit(slot) = &mut ld.what else {
                 unreachable!("filtered to hits above")
@@ -881,19 +858,16 @@ impl LdstUnit {
     /// the rest of the unit), the completion sequence counter and the
     /// dispatch flag.
     pub(crate) fn ckpt_encode_tail(&self, e: &mut Enc, stats: &SmStats) {
-        self.loadtrack.ckpt_encode(e);
-        stats.ckpt_encode(e);
-        e.u64(self.next_seq);
-        e.bool(self.dispatched);
+        self.loadtrack.put(e);
+        stats.put(e);
+        (self.next_seq, self.dispatched).put(e);
     }
 
     /// Decode what [`ckpt_encode_tail`](Self::ckpt_encode_tail) wrote,
     /// returning the SM's statistics.
     pub(crate) fn ckpt_decode_tail(&mut self, d: &mut Dec<'_>) -> Result<SmStats, WireError> {
-        self.loadtrack = LoadTracker::ckpt_decode(d)?;
-        let stats = SmStats::ckpt_decode(d)?;
-        self.next_seq = d.u64()?;
-        self.dispatched = d.bool()?;
+        let stats;
+        (self.loadtrack, stats, self.next_seq, self.dispatched) = Wire::get(d)?;
         Ok(stats)
     }
 }

@@ -2,34 +2,42 @@
 //! (the paper's Figures 2, 5, 6 and 7).
 
 use gcl_core::LoadClass;
-use gcl_mem::{Cycle, Dec, Enc, MemRequest, WireError};
+use gcl_mem::wire::{get_map, put_sorted};
+use gcl_mem::{Codec, Cycle, MemRequest, Wire, WireError};
 use gcl_stats::{Accumulator, Histogram};
 use std::collections::HashMap;
 
-fn enc_acc(e: &mut Enc, a: &Accumulator) {
-    e.u64(a.count);
-    e.f64(a.sum);
-    e.f64(a.min);
-    e.f64(a.max);
-}
+/// The codecs of the `gcl-stats` and `gcl-core` types the statistics carry.
+const ACC: Codec<Accumulator> = Codec {
+    put: |a, e| (a.count, a.sum, a.min, a.max).put(e),
+    get: |d| {
+        let (count, sum, min, max) = Wire::get(d)?;
+        Ok(Accumulator {
+            count,
+            sum,
+            min,
+            max,
+        })
+    },
+};
 
-fn dec_acc(d: &mut Dec<'_>) -> Result<Accumulator, WireError> {
-    Ok(Accumulator {
-        count: d.u64()?,
-        sum: d.f64()?,
-        min: d.f64()?,
-        max: d.f64()?,
-    })
-}
+const HIST: Codec<Histogram> = Codec {
+    put: |h, e| e.seq(h.raw_buckets(), |e, b| b.put(e)),
+    get: |d| {
+        Histogram::from_raw_buckets(Wire::get(d)?)
+            .ok_or(WireError::Malformed("bad histogram bucket count"))
+    },
+};
 
-fn enc_hist(e: &mut Enc, h: &Histogram) {
-    e.seq(h.raw_buckets(), |e, &b| e.u64(b));
-}
-
-fn dec_hist(d: &mut Dec<'_>) -> Result<Histogram, WireError> {
-    let buckets = d.seq(|d| d.u64())?;
-    Histogram::from_raw_buckets(buckets).ok_or(WireError::Malformed("bad histogram bucket count"))
-}
+/// The one load-class tag: `0` deterministic, `1` non-deterministic.
+pub(crate) const LOAD_CLASS: Codec<LoadClass> = Codec {
+    put: |c, e| e.u8(class_index(*c) as u8),
+    get: |d| match d.u8()? {
+        0 => Ok(LoadClass::Deterministic),
+        1 => Ok(LoadClass::NonDeterministic),
+        _ => Err(WireError::Malformed("bad load class tag")),
+    },
+};
 
 /// Aggregated behavior of one load class (Figure 2 + Figure 5).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,40 +63,16 @@ pub struct ClassAgg {
     pub turnaround_hist: Histogram,
 }
 
+// Shared by SM checkpoints and the `gcl-exec` result cache, so equal
+// aggregates always produce identical bytes.
+gcl_mem::declare_wire! {
+    ClassAgg {
+        warp_loads, requests, active_threads, turnaround: ACC, wait_prev_warps: ACC,
+        wait_current_warp: ACC, memory_time: ACC, turnaround_hist: HIST,
+    }
+}
+
 impl ClassAgg {
-    /// Wire-encode this aggregate (used by both SM checkpoints and the
-    /// `gcl-exec` result cache; the byte layout is shared so equal
-    /// aggregates always produce identical bytes).
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.u64(self.warp_loads);
-        e.u64(self.requests);
-        e.u64(self.active_threads);
-        enc_acc(e, &self.turnaround);
-        enc_acc(e, &self.wait_prev_warps);
-        enc_acc(e, &self.wait_current_warp);
-        enc_acc(e, &self.memory_time);
-        enc_hist(e, &self.turnaround_hist);
-    }
-
-    /// Wire-decode an aggregate written by
-    /// [`ckpt_encode`](Self::ckpt_encode).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on truncated or malformed input.
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<ClassAgg, WireError> {
-        Ok(ClassAgg {
-            warp_loads: d.u64()?,
-            requests: d.u64()?,
-            active_threads: d.u64()?,
-            turnaround: dec_acc(d)?,
-            wait_prev_warps: dec_acc(d)?,
-            wait_current_warp: dec_acc(d)?,
-            memory_time: dec_acc(d)?,
-            turnaround_hist: dec_hist(d)?,
-        })
-    }
-
     /// Mean memory requests per warp-level load.
     pub fn requests_per_warp(&self) -> f64 {
         if self.warp_loads == 0 {
@@ -135,31 +119,11 @@ pub struct PcReqAgg {
     pub gap_l2_icnt: Accumulator,
 }
 
+gcl_mem::declare_wire! {
+    PcReqAgg { turnaround: ACC, gap_l1d: ACC, gap_icnt_l2: ACC, gap_l2_icnt: ACC }
+}
+
 impl PcReqAgg {
-    /// Wire-encode this aggregate (shared by SM checkpoints and the
-    /// `gcl-exec` result cache).
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        enc_acc(e, &self.turnaround);
-        enc_acc(e, &self.gap_l1d);
-        enc_acc(e, &self.gap_icnt_l2);
-        enc_acc(e, &self.gap_l2_icnt);
-    }
-
-    /// Wire-decode an aggregate written by
-    /// [`ckpt_encode`](Self::ckpt_encode).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on truncated or malformed input.
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<PcReqAgg, WireError> {
-        Ok(PcReqAgg {
-            turnaround: dec_acc(d)?,
-            gap_l1d: dec_acc(d)?,
-            gap_icnt_l2: dec_acc(d)?,
-            gap_l2_icnt: dec_acc(d)?,
-        })
-    }
-
     /// Merge another aggregate into this one.
     pub fn merge(&mut self, other: &PcReqAgg) {
         self.turnaround.merge(&other.turnaround);
@@ -186,6 +150,13 @@ struct InflightLoad {
     accepted: u32,
 }
 
+gcl_mem::declare_wire! {
+    InflightLoad {
+        pc, class: LOAD_CLASS, n_requests, t_issue, completed, first_accept, last_accept,
+        first_done, last_done, inject_delay_sum, injected, accepted,
+    }
+}
+
 /// Tracks in-flight warp loads and folds finished ones into per-class and
 /// per-pc aggregates.
 #[derive(Debug, Default)]
@@ -194,6 +165,18 @@ pub(crate) struct LoadTracker {
     free: Vec<usize>,
     per_class: [ClassAgg; 2],
     per_pc: HashMap<(usize, u32), PcReqAgg>,
+}
+
+/// The per-pc aggregate in sorted key order.
+const PER_PC: Codec<HashMap<(usize, u32), PcReqAgg>> = Codec {
+    put: put_sorted,
+    get: |d| get_map(d, "duplicate per-pc key"),
+};
+
+// Slot holes and free-list order are kept verbatim: slot indices live in
+// in-flight requests' `meta` fields.
+gcl_mem::declare_wire! {
+    LoadTracker { inflight, free, per_class, per_pc: PER_PC } check LoadTracker::check
 }
 
 fn class_index(c: LoadClass) -> usize {
@@ -319,93 +302,14 @@ impl LoadTracker {
         (self.per_class, self.per_pc)
     }
 
-    /// Checkpoint-encode the tracker. Slot holes and free-list order are
-    /// preserved verbatim (slot indices live inside in-flight request
-    /// `meta` fields); maps are written in sorted key order.
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.seq(&self.inflight, |e, slot| {
-            e.opt(slot, |e, rec| {
-                e.usize(rec.pc);
-                e.u8(class_index(rec.class) as u8);
-                e.u32(rec.n_requests);
-                e.u64(rec.t_issue);
-                e.u32(rec.completed);
-                e.u64(rec.first_accept);
-                e.u64(rec.last_accept);
-                e.u64(rec.first_done);
-                e.u64(rec.last_done);
-                e.u64(rec.inject_delay_sum);
-                e.u32(rec.injected);
-                e.u32(rec.accepted);
-            });
-        });
-        e.seq(&self.free, |e, &i| e.usize(i));
-        for agg in &self.per_class {
-            agg.ckpt_encode(e);
-        }
-        let mut keys: Vec<&(usize, u32)> = self.per_pc.keys().collect();
-        keys.sort_unstable();
-        e.usize(keys.len());
-        for k in keys {
-            e.usize(k.0);
-            e.u32(k.1);
-            self.per_pc[k].ckpt_encode(e);
-        }
-    }
-
-    /// Checkpoint-decode a tracker written by
-    /// [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<LoadTracker, WireError> {
-        let inflight = d.seq(|d| {
-            d.opt(|d| {
-                let pc = d.usize()?;
-                let class = match d.u8()? {
-                    0 => LoadClass::Deterministic,
-                    1 => LoadClass::NonDeterministic,
-                    _ => return Err(WireError::Malformed("bad load class tag")),
-                };
-                Ok(InflightLoad {
-                    pc,
-                    class,
-                    n_requests: d.u32()?,
-                    t_issue: d.u64()?,
-                    completed: d.u32()?,
-                    first_accept: d.u64()?,
-                    last_accept: d.u64()?,
-                    first_done: d.u64()?,
-                    last_done: d.u64()?,
-                    inject_delay_sum: d.u64()?,
-                    injected: d.u32()?,
-                    accepted: d.u32()?,
-                })
-            })
-        })?;
-        let free = d.seq(|d| d.usize())?;
-        for &f in &free {
-            if f >= inflight.len() || inflight[f].is_some() {
+    /// Reject a free slot that is out of range or still in flight.
+    fn check(&self) -> Result<(), WireError> {
+        for &f in &self.free {
+            if self.inflight.get(f).is_none_or(Option::is_some) {
                 return Err(WireError::Malformed("bad load-tracker free slot"));
             }
         }
-        let mut per_class: [ClassAgg; 2] = Default::default();
-        for agg in &mut per_class {
-            *agg = ClassAgg::ckpt_decode(d)?;
-        }
-        let n = d.seq_len()?;
-        let mut per_pc = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let pc = d.usize()?;
-            let nr = d.u32()?;
-            let pa = PcReqAgg::ckpt_decode(d)?;
-            if per_pc.insert((pc, nr), pa).is_some() {
-                return Err(WireError::Malformed("duplicate per-pc key"));
-            }
-        }
-        Ok(LoadTracker {
-            inflight,
-            free,
-            per_class,
-            per_pc,
-        })
+        Ok(())
     }
 }
 

@@ -28,7 +28,9 @@
 //! [`GpuConfig::sanitize`]: crate::GpuConfig::sanitize
 
 use crate::fault::MemFaultReport;
-use gcl_mem::{fnv_fold, ConservationReport, Dec, Enc, RequestLedger, WireError, FNV_OFFSET};
+use gcl_mem::{
+    fnv_fold, Codec, ConservationReport, Dec, Enc, RequestLedger, Wire, WireError, FNV_OFFSET,
+};
 use std::fmt;
 
 /// One side of a shared-memory race: who touched the bytes, from where.
@@ -287,18 +289,15 @@ impl SanRun {
     /// setting comes from the configuration, so only the ledger and the
     /// injection counters are written.
     pub(crate) fn ckpt_encode(&self, e: &mut Enc) {
-        self.ledger.ckpt_encode(e);
-        e.u64(self.seen);
-        e.bool(self.fired);
+        self.ledger.put(e);
+        (self.seen, self.fired).put(e);
     }
 
     /// Checkpoint-decode sanitizer state written by
     /// [`ckpt_encode`](Self::ckpt_encode), with the injection setting
     /// supplied by the configuration.
     pub(crate) fn ckpt_decode(d: &mut Dec<'_>, inject: SanInject) -> Result<SanRun, WireError> {
-        let ledger = RequestLedger::ckpt_decode(d)?;
-        let seen = d.u64()?;
-        let fired = d.bool()?;
+        let (ledger, seen, fired) = Wire::get(d)?;
         Ok(SanRun {
             ledger,
             inject,
@@ -343,6 +342,23 @@ struct ShadowByte {
     readers: [Access; 2],
 }
 
+/// An access slot on the wire: `None` when empty, else `(warp_in_cta, pc)`.
+const ACCESS: Codec<Access> = Codec {
+    put: |&a, e| unpack(a).put(e),
+    get: |d| match Wire::get(d)? {
+        None => Ok(NO_ACCESS),
+        Some((u32::MAX, _)) => Err(WireError::Malformed("shadow warp index out of range")),
+        Some((w, pc)) => Ok(pack(w, pc)),
+    },
+};
+
+const READERS: Codec<[Access; 2]> = Codec {
+    put: |r, e| r.iter().for_each(|a| (ACCESS.put)(a, e)),
+    get: |d| Ok([(ACCESS.get)(d)?, (ACCESS.get)(d)?]),
+};
+
+gcl_mem::declare_wire! { ShadowByte { writer: ACCESS, readers: READERS } }
+
 impl Default for ShadowByte {
     fn default() -> ShadowByte {
         ShadowByte {
@@ -358,6 +374,8 @@ struct SmemShadow {
     barrier: Option<u32>,
     bytes: Vec<ShadowByte>,
 }
+
+gcl_mem::declare_wire! { SmemShadow { epoch, barrier, bytes } }
 
 /// Per-SM sanitizer state: the determinism digest and the shared-memory
 /// shadow of each resident CTA.
@@ -480,19 +498,8 @@ impl SmSan {
 
     /// Checkpoint-encode the per-SM sanitizer state.
     pub(crate) fn ckpt_encode(&self, e: &mut Enc) {
-        e.u64(self.digest);
-        e.seq(&self.shadows, |e, shadow| {
-            e.u64(shadow.epoch);
-            e.opt(&shadow.barrier, |e, &b| e.u32(b));
-            e.seq(&shadow.bytes, |e, b| {
-                for a in [b.writer, b.readers[0], b.readers[1]] {
-                    e.opt(&unpack(a), |e, &(w, pc)| {
-                        e.u32(w);
-                        e.u32(pc);
-                    });
-                }
-            });
-        });
+        self.digest.put(e);
+        self.shadows.put(e);
     }
 
     /// Checkpoint-decode per-SM sanitizer state written by
@@ -503,34 +510,10 @@ impl SmSan {
         n_cta_slots: usize,
         shared_bytes: usize,
     ) -> Result<SmSan, WireError> {
-        let digest = d.u64()?;
-        let access = |d: &mut Dec<'_>| -> Result<Access, WireError> {
-            let Some(a) = d.opt(|d| Ok(pack(d.u32()?, d.u32()?)))? else {
-                return Ok(NO_ACCESS);
-            };
-            if warp_of(a) == u32::MAX {
-                return Err(WireError::Malformed("shadow warp index out of range"));
-            }
-            Ok(a)
-        };
-        let shadows = d.seq(|d| {
-            let epoch = d.u64()?;
-            let barrier = d.opt(|d| d.u32())?;
-            let bytes = d.seq(|d| {
-                Ok(ShadowByte {
-                    writer: access(d)?,
-                    readers: [access(d)?, access(d)?],
-                })
-            })?;
-            if bytes.len() != shared_bytes {
-                return Err(WireError::Malformed("shadow byte count mismatch"));
-            }
-            Ok(SmemShadow {
-                epoch,
-                barrier,
-                bytes,
-            })
-        })?;
+        let (digest, shadows): (u64, Vec<SmemShadow>) = Wire::get(d)?;
+        if shadows.iter().any(|s| s.bytes.len() != shared_bytes) {
+            return Err(WireError::Malformed("shadow byte count mismatch"));
+        }
         if shadows.len() != n_cta_slots {
             return Err(WireError::Malformed("shadow CTA slot count mismatch"));
         }

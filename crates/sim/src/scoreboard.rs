@@ -1,7 +1,7 @@
 //! Per-warp register scoreboard: blocks issue of instructions whose source
 //! or destination registers have writes in flight.
 
-use gcl_mem::{Dec, Enc, WireError};
+use gcl_mem::{Dec, Enc, Wire, WireError};
 use gcl_ptx::{Instruction, Reg};
 
 /// Scoreboard words per warp (and per hazard mask) for `num_regs` registers.
@@ -71,12 +71,12 @@ impl Scoreboard {
         self.pending[warp * words..(warp + 1) * words].fill(0);
     }
 
-    /// Checkpoint-encode the pending-write bitsets.
+    /// Checkpoint-encode the pending-write bitsets, one row per warp.
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.usize(self.words);
+        self.words.put(e);
         e.usize(self.pending.len() / self.words);
         for warp in self.pending.chunks_exact(self.words) {
-            e.seq(warp, |e, &w| e.u64(w));
+            e.seq(warp, |e, w| w.put(e));
         }
     }
 
@@ -88,23 +88,20 @@ impl Scoreboard {
     /// Checkpoint-decode a scoreboard of `n_warps` warps written by
     /// [`ckpt_encode`](Self::ckpt_encode).
     pub fn ckpt_decode(d: &mut Dec<'_>, n_warps: usize) -> Result<Scoreboard, WireError> {
-        let words = d.usize()?;
+        let (words, rows): (usize, Vec<Vec<u64>>) = Wire::get(d)?;
         if words == 0 {
             return Err(WireError::Malformed("scoreboard word count is zero"));
         }
-        let n = d.seq_len()?;
-        if n != n_warps {
+        if rows.len() != n_warps {
             return Err(WireError::Malformed("scoreboard warp count mismatch"));
         }
-        let mut pending = Vec::new();
-        for _ in 0..n {
-            let warp = d.seq(|d| d.u64())?;
-            if warp.len() != words {
-                return Err(WireError::Malformed("scoreboard word count mismatch"));
-            }
-            pending.extend(warp);
+        if rows.iter().any(|r| r.len() != words) {
+            return Err(WireError::Malformed("scoreboard word count mismatch"));
         }
-        Ok(Scoreboard { pending, words })
+        Ok(Scoreboard {
+            pending: rows.concat(),
+            words,
+        })
     }
 }
 

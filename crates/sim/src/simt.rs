@@ -1,6 +1,6 @@
 //! Per-warp SIMT divergence stack with ipdom reconvergence.
 
-use gcl_mem::{Dec, Enc, WireError};
+use gcl_mem::WireError;
 use gcl_ptx::RECONV_EXIT;
 
 /// One stack entry: execute from `pc` with `mask` until `reconv`.
@@ -14,6 +14,8 @@ pub(crate) struct SimtEntry {
     pub reconv: usize,
 }
 
+gcl_mem::declare_wire! { SimtEntry { pc, mask, reconv } }
+
 /// The per-warp SIMT stack (the standard immediate-post-dominator scheme).
 ///
 /// Lanes that execute `exit` are tracked by the *warp* in an `exited` mask;
@@ -26,6 +28,14 @@ pub(crate) struct SimtStack {
 /// Generous divergence-depth bound; exceeding it indicates runaway
 /// divergence (or a simulator bug).
 const MAX_DEPTH: usize = 64;
+
+// The entries, bottom to top.
+gcl_mem::declare_wire! {
+    SimtStack { entries } check |s: &SimtStack| match s.entries.len() {
+        0..=MAX_DEPTH => Ok(()),
+        _ => Err(WireError::Malformed("SIMT stack too deep")),
+    }
+}
 
 impl SimtStack {
     /// A fresh stack: all `mask` lanes at pc 0, reconverging only at exit.
@@ -127,30 +137,6 @@ impl SimtStack {
             }
         }
         self.pop_reconverged();
-    }
-
-    /// Checkpoint-encode the stack entries, bottom to top.
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.seq(&self.entries, |e, entry| {
-            e.usize(entry.pc);
-            e.u32(entry.mask);
-            e.usize(entry.reconv);
-        });
-    }
-
-    /// Checkpoint-decode a stack written by
-    /// [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<SimtStack, WireError> {
-        let entries = d.seq(|d| {
-            let pc = d.usize()?;
-            let mask = d.u32()?;
-            let reconv = d.usize()?;
-            Ok(SimtEntry { pc, mask, reconv })
-        })?;
-        if entries.len() > MAX_DEPTH {
-            return Err(WireError::Malformed("SIMT stack too deep"));
-        }
-        Ok(SimtStack { entries })
     }
 
     fn pop_reconverged(&mut self) {

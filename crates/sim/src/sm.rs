@@ -13,7 +13,7 @@ use crate::scoreboard::Scoreboard;
 use crate::warp::{ExecCtx, ReplayCursor, StepResult, Warp};
 use crate::warp_sched::WarpScheduler;
 use crate::{BlockTracker, Dim3, GlobalMem, GpuConfig, SmStats, Trace};
-use gcl_mem::{Cache, CacheStats, Cycle, Dec, Enc, WireError};
+use gcl_mem::{Cache, CacheStats, Cycle, Dec, Enc, Wire, WireError};
 use gcl_ptx::{Kernel, Reg, Space, Unit};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,6 +26,8 @@ pub(crate) type Writebacks = BinaryHeap<Reverse<(Cycle, usize, Reg)>>;
 struct CtaState {
     warp_slots: Vec<usize>,
 }
+
+gcl_mem::declare_wire! { CtaState { warp_slots } }
 
 /// Everything an SM needs from the GPU for one cycle.
 pub(crate) struct TickCtx<'a> {
@@ -681,29 +683,24 @@ impl Sm {
     /// state. Heaps are written as sorted vectors so equal states produce
     /// identical bytes.
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.u16(self.id);
+        self.id.put(e);
         self.ldst.ckpt_encode_l1(e);
-        e.seq(&self.warps, |e, w| e.opt(w, |e, w| w.ckpt_encode(e)));
-        e.seq(&self.warp_age, |e, &a| e.u64(a));
-        e.seq(&self.pending_ops, |e, &p| e.u32(p));
-        e.u64(self.next_age);
-        e.seq(&self.cta_slots, |e, slot| {
-            e.opt(slot, |e, cta| {
-                e.seq(&cta.warp_slots, |e, &s| e.usize(s));
-            });
-        });
+        self.warps.put(e);
+        self.warp_age.put(e);
+        self.pending_ops.put(e);
+        self.next_age.put(e);
+        self.cta_slots.put(e);
         e.seq(&self.smem, |e, mem| e.bytes(mem));
         self.scoreboard.ckpt_encode(e);
         e.seq(&self.schedulers, |e, s| s.ckpt_encode(e));
         self.ldst.ckpt_encode_queues(e);
-        let mut wbs: Vec<(Cycle, usize, Reg)> = self.writebacks.iter().map(|r| r.0).collect();
+        let mut wbs: Vec<(Cycle, usize, u32)> = self
+            .writebacks
+            .iter()
+            .map(|&Reverse((at, slot, reg))| (at, slot, reg.0))
+            .collect();
         wbs.sort_unstable();
-        e.usize(wbs.len());
-        for (at, slot, reg) in wbs {
-            e.u64(at);
-            e.usize(slot);
-            e.u32(reg.0);
-        }
+        wbs.put(e);
         self.ldst.ckpt_encode_tail(e, &self.stats);
         e.opt(&self.san, |e, s| s.ckpt_encode(e));
     }
@@ -718,27 +715,25 @@ impl Sm {
         shared_bytes: usize,
     ) -> Result<Sm, WireError> {
         let max_warps = (cfg.max_threads_per_sm / cfg.warp_size) as usize;
-        let id = d.u16()?;
+        let id = u16::get(d)?;
         let mut ldst = LdstUnit::ckpt_decode_l1(d, id, cfg)?;
-        let warps = d.seq(|d| d.opt(Warp::ckpt_decode))?;
+        let warps: Vec<Option<Warp>> = Wire::get(d)?;
         if warps.len() != max_warps {
             return Err(WireError::Malformed("warp slot count mismatch"));
         }
-        let warp_age = d.seq(|d| d.u64())?;
-        let pending_ops = d.seq(|d| d.u32())?;
+        let (warp_age, pending_ops, next_age): (Vec<u64>, Vec<u32>, u64) = Wire::get(d)?;
         if warp_age.len() != max_warps || pending_ops.len() != max_warps {
             return Err(WireError::Malformed("warp side-table size mismatch"));
         }
-        let next_age = d.u64()?;
-        let cta_slots = d.seq(|d| {
-            d.opt(|d| {
-                let warp_slots = d.seq(|d| d.usize())?;
-                if warp_slots.iter().any(|&s| s >= max_warps) {
-                    return Err(WireError::Malformed("CTA warp slot out of range"));
-                }
-                Ok(CtaState { warp_slots })
-            })
-        })?;
+        let cta_slots: Vec<Option<CtaState>> = Wire::get(d)?;
+        if cta_slots
+            .iter()
+            .flatten()
+            .flat_map(|c| &c.warp_slots)
+            .any(|&s| s >= max_warps)
+        {
+            return Err(WireError::Malformed("CTA warp slot out of range"));
+        }
         let smem = d.seq(|d| Ok(d.bytes()?.to_vec()))?;
         if smem.len() != cta_slots.len() {
             return Err(WireError::Malformed("shared-memory slot count mismatch"));
@@ -756,20 +751,17 @@ impl Sm {
             regs: scoreboard.regs(),
         };
         ldst.ckpt_decode_queues(d, bounds)?;
-        let n_wb = d.seq_len()?;
-        let mut writebacks = BinaryHeap::with_capacity(n_wb);
-        for _ in 0..n_wb {
-            let at = d.u64()?;
-            let slot = d.usize()?;
-            let reg = Reg(d.u32()?);
-            if slot >= max_warps {
-                return Err(WireError::Malformed("writeback warp slot out of range"));
-            }
-            if reg.index() >= bounds.regs {
-                return Err(WireError::Malformed("writeback register out of range"));
-            }
-            writebacks.push(Reverse((at, slot, reg)));
+        let wbs: Vec<(Cycle, usize, u32)> = Wire::get(d)?;
+        if wbs.iter().any(|&(_, slot, _)| slot >= max_warps) {
+            return Err(WireError::Malformed("writeback warp slot out of range"));
         }
+        if wbs.iter().any(|&(_, _, reg)| reg as usize >= bounds.regs) {
+            return Err(WireError::Malformed("writeback register out of range"));
+        }
+        let writebacks = wbs
+            .into_iter()
+            .map(|(at, slot, reg)| Reverse((at, slot, Reg(reg))))
+            .collect();
         let stats = ldst.ckpt_decode_tail(d)?;
         let n_cta_slots = cta_slots.len();
         let live_ctas = cta_slots.iter().flatten().count();

@@ -1,9 +1,9 @@
 //! Aggregated simulation statistics for one kernel launch (or a merge of
 //! several).
 
-use crate::loadtrack::{ClassAgg, PcReqAgg};
+use crate::loadtrack::{ClassAgg, PcReqAgg, LOAD_CLASS};
 use gcl_core::LoadClass;
-use gcl_mem::{AccessOutcome, CacheStats, ClassTag, Dec, DramStats, Enc, WireError};
+use gcl_mem::{AccessOutcome, CacheStats, ClassTag, Dec, DramStats, Enc, Wire, WireError};
 use gcl_stats::ProfilerCounters;
 
 /// Per-SM execution statistics.
@@ -51,45 +51,13 @@ impl SmStats {
         self.branches += o.branches;
         self.divergent_branches += o.divergent_branches;
     }
+}
 
-    /// Wire-encode every field (shared by SM checkpoints and
-    /// [`LaunchStats::ckpt_encode`]).
-    pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.u64(self.warp_insts);
-        e.u64(self.thread_insts);
-        e.u64(self.global_load_warps[0]);
-        e.u64(self.global_load_warps[1]);
-        e.u64(self.shared_load_warps);
-        for u in self.unit_busy {
-            e.u64(u);
-        }
-        e.u64(self.cycles);
-        e.u64(self.bank_conflict_cycles);
-        e.u64(self.ctas_retired);
-        e.u64(self.prefetches_issued);
-        e.u64(self.branches);
-        e.u64(self.divergent_branches);
-    }
-
-    /// Wire-decode stats written by [`ckpt_encode`](Self::ckpt_encode).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on truncated input.
-    pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<SmStats, WireError> {
-        Ok(SmStats {
-            warp_insts: d.u64()?,
-            thread_insts: d.u64()?,
-            global_load_warps: [d.u64()?, d.u64()?],
-            shared_load_warps: d.u64()?,
-            unit_busy: [d.u64()?, d.u64()?, d.u64()?],
-            cycles: d.u64()?,
-            bank_conflict_cycles: d.u64()?,
-            ctas_retired: d.u64()?,
-            prefetches_issued: d.u64()?,
-            branches: d.u64()?,
-            divergent_branches: d.u64()?,
-        })
+// Shared by SM checkpoints and `LaunchStats::ckpt_encode`.
+gcl_mem::declare_wire! {
+    SmStats {
+        warp_insts, thread_insts, global_load_warps, shared_load_warps, unit_busy, cycles,
+        bank_conflict_cycles, ctas_retired, prefetches_issued, branches, divergent_branches,
     }
 }
 
@@ -106,6 +74,8 @@ pub struct PcKey {
     /// The number of memory requests the warp load generated.
     pub n_requests: u32,
 }
+
+gcl_mem::declare_wire! { PcKey { kernel, pc, class: LOAD_CLASS, n_requests } }
 
 /// Statistics of one kernel launch; merge several with
 /// [`LaunchStats::merge`] to get whole-application numbers.
@@ -144,6 +114,13 @@ pub struct LaunchStats {
     /// the count is cumulative; merging keeps the maximum, which is the
     /// final total.
     pub trace_dropped: u64,
+}
+
+gcl_mem::declare_wire! {
+    LaunchStats {
+        name, launches, cycles, sm, l1, l2, dram_serviced, dram_total_latency, class_agg,
+        per_pc, static_loads, digest, trace_dropped,
+    }
 }
 
 impl LaunchStats {
@@ -249,31 +226,7 @@ impl LaunchStats {
     /// which is deterministic because the simulator itself is — so the
     /// `gcl-exec` result cache can checksum entries meaningfully.
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.str(&self.name);
-        e.u64(self.launches);
-        e.u64(self.cycles);
-        self.sm.ckpt_encode(e);
-        self.l1.ckpt_encode(e);
-        self.l2.ckpt_encode(e);
-        e.u64(self.dram_serviced);
-        e.u64(self.dram_total_latency);
-        for agg in &self.class_agg {
-            agg.ckpt_encode(e);
-        }
-        e.seq(&self.per_pc, |e, (k, v)| {
-            e.str(&k.kernel);
-            e.usize(k.pc);
-            e.u8(match k.class {
-                LoadClass::Deterministic => 0,
-                LoadClass::NonDeterministic => 1,
-            });
-            e.u32(k.n_requests);
-            v.ckpt_encode(e);
-        });
-        e.usize(self.static_loads.0);
-        e.usize(self.static_loads.1);
-        e.opt(&self.digest, |e, &d| e.u64(d));
-        e.u64(self.trace_dropped);
+        self.put(e);
     }
 
     /// Wire-decode stats written by [`ckpt_encode`](Self::ckpt_encode).
@@ -282,56 +235,7 @@ impl LaunchStats {
     ///
     /// [`WireError`] on truncated or malformed input.
     pub fn ckpt_decode(d: &mut Dec<'_>) -> Result<LaunchStats, WireError> {
-        let name = d.str()?;
-        let launches = d.u64()?;
-        let cycles = d.u64()?;
-        let sm = SmStats::ckpt_decode(d)?;
-        let l1 = CacheStats::ckpt_decode(d)?;
-        let l2 = CacheStats::ckpt_decode(d)?;
-        let dram_serviced = d.u64()?;
-        let dram_total_latency = d.u64()?;
-        let mut class_agg: [ClassAgg; 2] = Default::default();
-        for agg in &mut class_agg {
-            *agg = ClassAgg::ckpt_decode(d)?;
-        }
-        let per_pc = d.seq(|d| {
-            let kernel = d.str()?;
-            let pc = d.usize()?;
-            let class = match d.u8()? {
-                0 => LoadClass::Deterministic,
-                1 => LoadClass::NonDeterministic,
-                _ => return Err(WireError::Malformed("bad load class tag")),
-            };
-            let n_requests = d.u32()?;
-            let agg = PcReqAgg::ckpt_decode(d)?;
-            Ok((
-                PcKey {
-                    kernel,
-                    pc,
-                    class,
-                    n_requests,
-                },
-                agg,
-            ))
-        })?;
-        let static_loads = (d.usize()?, d.usize()?);
-        let digest = d.opt(|d| d.u64())?;
-        let trace_dropped = d.u64()?;
-        Ok(LaunchStats {
-            name,
-            launches,
-            cycles,
-            sm,
-            l1,
-            l2,
-            dram_serviced,
-            dram_total_latency,
-            class_agg,
-            per_pc,
-            static_loads,
-            digest,
-            trace_dropped,
-        })
+        LaunchStats::get(d)
     }
 
     /// Merge another launch's stats into this one.

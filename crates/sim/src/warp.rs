@@ -13,6 +13,7 @@ use crate::fault::{AccessKind, MemViolation};
 use crate::replay::{mem_access_of_record, ReplayKind, ReplayRecord};
 use crate::simt::SimtStack;
 use crate::{Dim3, GlobalMem};
+use gcl_mem::WireError;
 use gcl_ptx::{Address, Guard, Reg, Space, Special, Type};
 
 /// Execution context shared by the warps of one CTA during one step.
@@ -116,6 +117,14 @@ pub(crate) struct Warp {
     pub replay: Option<ReplayCursor>,
 }
 
+gcl_mem::declare_wire! {
+    Warp {
+        slot, cta_slot, linear_cta, warp_in_cta, stack, exited, valid, regs, lane_tid, ctaid,
+        at_barrier, warp_size, replay,
+    }
+    check Warp::check
+}
+
 /// Position of a replaying warp within its recorded stream.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayCursor {
@@ -130,6 +139,10 @@ pub(crate) struct ReplayCursor {
     /// validated by fingerprint).
     pub recs: Option<std::sync::Arc<[ReplayRecord]>>,
 }
+
+// The position only: the stream is re-supplied (and fingerprint-validated)
+// at resume, then relinked.
+gcl_mem::declare_wire! { ReplayCursor { stream, pos } default { recs: None } }
 
 impl ReplayCursor {
     fn recs(&self) -> &[ReplayRecord] {
@@ -214,84 +227,15 @@ impl Warp {
         self.regs[r.index() * self.warp_size as usize + lane as usize]
     }
 
-    /// Checkpoint-encode the full architectural state of this warp.
-    pub fn ckpt_encode(&self, e: &mut gcl_mem::Enc) {
-        e.usize(self.slot);
-        e.usize(self.cta_slot);
-        e.u64(self.linear_cta);
-        e.u32(self.warp_in_cta);
-        self.stack.ckpt_encode(e);
-        e.u32(self.exited);
-        e.u32(self.valid);
-        e.seq(&self.regs, |e, &r| e.u64(r));
-        e.seq(&self.lane_tid, |e, &(x, y, z)| {
-            e.u32(x);
-            e.u32(y);
-            e.u32(z);
-        });
-        e.u32(self.ctaid.0);
-        e.u32(self.ctaid.1);
-        e.u32(self.ctaid.2);
-        e.opt(&self.at_barrier, |e, &b| e.u32(b));
-        e.u32(self.warp_size);
-        // Replay cursor position only; the stream contents are re-supplied
-        // (and fingerprint-validated) at resume, then relinked.
-        e.opt(&self.replay, |e, c| {
-            e.u64(c.stream);
-            e.u64(c.pos as u64);
-        });
-    }
-
-    /// Checkpoint-decode a warp written by
-    /// [`ckpt_encode`](Self::ckpt_encode).
-    pub fn ckpt_decode(d: &mut gcl_mem::Dec<'_>) -> Result<Warp, gcl_mem::WireError> {
-        let slot = d.usize()?;
-        let cta_slot = d.usize()?;
-        let linear_cta = d.u64()?;
-        let warp_in_cta = d.u32()?;
-        let stack = SimtStack::ckpt_decode(d)?;
-        let exited = d.u32()?;
-        let valid = d.u32()?;
-        let regs = d.seq(|d| d.u64())?;
-        let lane_tid = d.seq(|d| {
-            let x = d.u32()?;
-            let y = d.u32()?;
-            let z = d.u32()?;
-            Ok((x, y, z))
-        })?;
-        let ctaid = (d.u32()?, d.u32()?, d.u32()?);
-        let at_barrier = d.opt(|d| d.u32())?;
-        let warp_size = d.u32()?;
-        let replay = d.opt(|d| {
-            let stream = d.u64()?;
-            let pos = d.u64()? as usize;
-            Ok(ReplayCursor {
-                stream,
-                pos,
-                recs: None,
-            })
-        })?;
-        if warp_size == 0 || lane_tid.len() != warp_size as usize {
-            return Err(gcl_mem::WireError::Malformed("warp lane table size"));
+    /// Reject a lane table or register file that does not fit the warp size.
+    fn check(&self) -> Result<(), WireError> {
+        if self.warp_size == 0 || self.lane_tid.len() != self.warp_size as usize {
+            return Err(WireError::Malformed("warp lane table size"));
         }
-        if regs.len() % warp_size as usize != 0 {
-            return Err(gcl_mem::WireError::Malformed("warp register file size"));
+        if !self.regs.len().is_multiple_of(self.warp_size as usize) {
+            return Err(WireError::Malformed("warp register file size"));
         }
-        Ok(Warp {
-            slot,
-            cta_slot,
-            linear_cta,
-            warp_in_cta,
-            stack,
-            exited,
-            valid,
-            regs,
-            lane_tid,
-            ctaid,
-            at_barrier,
-            warp_size,
-            replay,
-        })
+        Ok(())
     }
 
     /// The row of `r` in the register file: one value per lane.

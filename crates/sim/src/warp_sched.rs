@@ -2,7 +2,7 @@
 //! from an event-maintained ready set instead of polling every warp.
 
 use crate::WarpSchedPolicy;
-use gcl_mem::{Dec, Enc, WireError};
+use gcl_mem::{Dec, Enc, Wire, WireError};
 
 /// One warp scheduler's selection state. The SM owns one per scheduler,
 /// tells it whenever a supervised warp becomes or stops being issuable
@@ -174,7 +174,7 @@ impl WarpScheduler {
     /// configuration and the ready set is derived, so only `last` is
     /// written).
     pub fn ckpt_encode(&self, e: &mut Enc) {
-        e.opt(&self.last, |e, &l| e.usize(l));
+        self.last.put(e);
     }
 
     /// Checkpoint-decode a scheduler written by
@@ -186,9 +186,8 @@ impl WarpScheduler {
         policy: WarpSchedPolicy,
         n_slots: usize,
     ) -> Result<WarpScheduler, WireError> {
-        let last = d.opt(|d| d.usize())?;
         Ok(WarpScheduler {
-            last,
+            last: Wire::get(d)?,
             ..WarpScheduler::new(policy, n_slots)
         })
     }
