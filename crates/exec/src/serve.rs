@@ -16,8 +16,9 @@
 //! ← {"ok":true,"draining":true,"pending":2}     graceful drain, then exit
 //! ```
 //!
-//! The price of one code path is latency: a job waits for the next 20 ms
-//! supervisor tick and crosses loopback (`assign`, then `done`).
+//! The price of one code path is latency: a submit wakes the coordinator's
+//! supervisor, which assigns the job at once, and the job crosses loopback
+//! (`assign`, then `done`).
 
 use crate::cache::ResultCache;
 use crate::fleet::{run_worker, Coordinator, CoordinatorOptions, WorkerOptions};
