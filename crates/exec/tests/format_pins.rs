@@ -7,7 +7,7 @@
 
 use gcl_exec::fleet::{Journal, Record};
 use gcl_exec::{run_job, JobSpec, ResultCache, SpecFingerprint};
-use gcl_mem::{Dec, Enc};
+use gcl_mem::{ClassTag, Dec, Enc, L2Partition, MemRequest, PartitionConfig, PartitionEvent};
 use gcl_ptx::{Reg, Space};
 use gcl_sim::{
     fnv_fold_bytes, Dim3, GpuConfig, LaunchInfo, LaunchStats, ReplayKind, Snapshot, TraceEvent,
@@ -100,6 +100,39 @@ fn launch_stats_of_real_runs_are_pinned() {
         let back = LaunchStats::ckpt_decode(&mut Dec::new(&bytes)).unwrap();
         assert_eq!(back, stats, "{workload}: round trip");
     }
+}
+
+/// An L2 partition's checkpoint image while it holds pending sanitizer
+/// events of both kinds, so the event tags are held by bytes. A whole-GPU
+/// snapshot never shows one: the memory system drains every event in the
+/// tick that raised it.
+#[test]
+fn pending_partition_events_are_pinned() {
+    let mut part = L2Partition::new(PartitionConfig::fermi());
+    let mut read = MemRequest::read(1, 0x80, 0, ClassTag::NonDeterministic, 1, 0);
+    read.san = 11;
+    let mut write = MemRequest::write(2, 0x1000, 0, 0);
+    write.san = 12;
+    assert!(part.enqueue(read) && part.enqueue(write));
+    for cycle in 0..300 {
+        part.tick(cycle);
+        while part.pop_response(cycle).is_some() {}
+    }
+    let mut e = Enc::new();
+    part.ckpt_encode(&mut e);
+    let bytes = e.into_bytes();
+    assert_eq!(pin(&bytes), (17791, 0x6faf_761b_5f06_1849));
+    let mut back = L2Partition::ckpt_decode(&mut Dec::new(&bytes), PartitionConfig::fermi())
+        .expect("partition image decodes");
+    let events: Vec<_> = std::iter::from_fn(|| back.pop_event()).collect();
+    assert_eq!(
+        events,
+        [
+            (11, PartitionEvent::DramEntered),
+            (12, PartitionEvent::DramEntered),
+            (12, PartitionEvent::WriteRetired),
+        ]
+    );
 }
 
 #[test]
