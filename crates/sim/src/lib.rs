@@ -109,8 +109,8 @@ pub use grid::Dim3;
 pub use ldst::bank_conflict_degree;
 pub use loadtrack::{ClassAgg, PcReqAgg};
 pub use replay::{
-    space_code, space_from_code, warps_per_cta, CapturedLaunch, LaunchInfo, LaunchReplay,
-    MemorySink, ReplayError, ReplayKind, ReplayRecord, TraceSink,
+    warps_per_cta, write_launch, ColBufs, LaunchInfo, LaunchReplay, MemorySink, ReplayError,
+    ReplayKind, ReplayRecord, ReplayStream, TraceSink,
 };
 pub use san::{
     check_digests, DeterminismReport, RaceAccess, RaceReport, SanInject, SanitizerReport,

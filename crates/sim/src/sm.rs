@@ -7,7 +7,9 @@ use crate::fault::{MemFaultReport, SmSnapshot, WarpSnapshot};
 use crate::ldst::{Bounds, Completion, LdstUnit};
 use crate::loadtrack::LoadTracker;
 use crate::memsys::MemSys;
-use crate::replay::{warps_per_cta, LaunchReplay, ReplayKind, ReplayRecord, TraceSink};
+use crate::replay::{
+    warps_per_cta, LaunchReplay, ReplayKind, ReplayStream, StreamReader, TraceSink,
+};
 use crate::san::{SanRun, SmSan, TickError};
 use crate::scoreboard::Scoreboard;
 use crate::warp::{ExecCtx, ReplayCursor, StepResult, Warp};
@@ -17,7 +19,6 @@ use gcl_mem::{Cache, CacheStats, Cycle, Dec, Enc, Wire, WireError};
 use gcl_ptx::{Kernel, Reg, Space, Unit};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Pending ALU writebacks: `(due cycle, warp slot, register)`.
 pub(crate) type Writebacks = BinaryHeap<Reverse<(Cycle, usize, Reg)>>;
@@ -148,8 +149,8 @@ impl Sm {
     }
 
     /// Re-attach stream contents to replay cursors decoded from a snapshot
-    /// (only the cursor position is serialized). Validates each cursor
-    /// against the supplied trace.
+    /// (only the cursor position is serialized), reading each stream up to
+    /// its cursor. Validates each cursor against the supplied trace.
     pub(crate) fn relink_replay(
         &mut self,
         rep: &LaunchReplay,
@@ -166,7 +167,7 @@ impl Sm {
                     "replay cursor past end of stream",
                 ));
             }
-            c.recs = Some(stream.clone());
+            c.reader = Some(StreamReader::seek(stream.clone(), c.pos));
         }
         Ok(())
     }
@@ -187,7 +188,7 @@ impl Sm {
         cfg: &GpuConfig,
         kernel: &Kernel,
         decoded: &DecodedKernel,
-        streams: &[Arc<[ReplayRecord]>],
+        streams: &[ReplayStream],
     ) {
         let cta_slot = self
             .cta_slots
@@ -216,11 +217,11 @@ impl Sm {
                 kernel.num_regs(),
             );
             let stream = linear_cta * n_warps as u64 + w as u64;
-            if let Some(recs) = streams.get(stream as usize) {
+            if let Some(s) = streams.get(stream as usize) {
                 warp.replay = Some(ReplayCursor {
                     stream,
                     pos: 0,
-                    recs: Some(Arc::clone(recs)),
+                    reader: Some(StreamReader::seek(s.clone(), 0)),
                 });
             }
             self.warps[slot] = Some(warp);

@@ -10,7 +10,7 @@
 
 use crate::decode::{for_lanes, DecodedKernel, Kind, Lanes, Map, Src, MAX_LANES};
 use crate::fault::{AccessKind, MemViolation};
-use crate::replay::{mem_access_of_record, ReplayKind, ReplayRecord};
+use crate::replay::{ReplayKind, StreamReader};
 use crate::simt::SimtStack;
 use crate::{Dim3, GlobalMem};
 use gcl_mem::WireError;
@@ -133,22 +133,25 @@ pub(crate) struct ReplayCursor {
     pub stream: u64,
     /// Next record to issue.
     pub pos: usize,
-    /// The records. `None` only between checkpoint restore and the relink
-    /// performed on the first subsequent step (the stream contents are not
-    /// serialized into snapshots; the trace is re-supplied at resume and
-    /// validated by fingerprint).
-    pub recs: Option<std::sync::Arc<[ReplayRecord]>>,
+    /// The stream, read up to `pos`. `None` only between checkpoint
+    /// restore and the relink performed on the first subsequent step (the
+    /// stream contents are not serialized into snapshots; the trace is
+    /// re-supplied at resume, validated by fingerprint, and re-read up to
+    /// `pos`).
+    pub reader: Option<StreamReader>,
 }
 
 // The position only: the stream is re-supplied (and fingerprint-validated)
 // at resume, then relinked.
-gcl_mem::declare_wire! { ReplayCursor { stream, pos } default { recs: None } }
+gcl_mem::declare_wire! { ReplayCursor { stream, pos } default { reader: None } }
 
 impl ReplayCursor {
-    fn recs(&self) -> &[ReplayRecord] {
-        self.recs
-            .as_deref()
+    /// The next record's `(pc, mask)`, `None` once the stream is exhausted.
+    fn head(&self) -> Option<(u32, u32)> {
+        self.reader
+            .as_ref()
             .expect("replay cursor used before relink")
+            .head()
     }
 }
 
@@ -200,7 +203,7 @@ impl Warp {
     /// Whether every lane has retired (replay: the stream is exhausted).
     pub fn is_finished(&self) -> bool {
         match &self.replay {
-            Some(c) => c.pos >= c.recs().len(),
+            Some(c) => c.head().is_none(),
             None => self.stack.is_empty(),
         }
     }
@@ -208,7 +211,7 @@ impl Warp {
     /// Current pc (only valid while not finished).
     pub fn pc(&self) -> usize {
         match &self.replay {
-            Some(c) => c.recs()[c.pos].pc as usize,
+            Some(c) => c.head().expect("pc of a finished replay warp").0 as usize,
             None => self.stack.pc(),
         }
     }
@@ -216,7 +219,7 @@ impl Warp {
     /// Lanes that would execute the next instruction.
     pub fn active_mask(&self) -> u32 {
         match &self.replay {
-            Some(c) => c.recs()[c.pos].mask,
+            Some(c) => c.head().expect("mask of a finished replay warp").1,
             None => self.stack.active_mask(self.exited),
         }
     }
@@ -485,13 +488,13 @@ impl Warp {
         Ok(result)
     }
 
-    /// Issue the next recorded instruction of a replaying warp: consume one
-    /// [`ReplayRecord`] and rebuild the [`StepResult`] the SM's issue path
-    /// expects. No functional execution happens — registers and device
-    /// memory are untouched; only the timing-relevant payload (destination
-    /// register, resolved lane addresses, barrier id) is re-injected. A
-    /// memory record's lane addresses are copied into `lane_buf`'s
-    /// allocation (see [`ExecCtx::lane_buf`]).
+    /// Issue the next recorded instruction of a replaying warp: decode one
+    /// record from the stream's columns and rebuild the [`StepResult`] the
+    /// SM's issue path expects. No functional execution happens — registers
+    /// and device memory are untouched; only the timing-relevant payload
+    /// (destination register, resolved lane addresses, barrier id) is
+    /// re-injected. A memory record's lane addresses are decoded into
+    /// `lane_buf`'s allocation (see [`ExecCtx::lane_buf`]).
     ///
     /// # Panics
     ///
@@ -499,20 +502,28 @@ impl Warp {
     /// relinked after a restore, or the stream is exhausted.
     pub fn step_replay(&mut self, lane_buf: &mut Vec<(u32, u64)>) -> StepResult {
         let c = self.replay.as_mut().expect("step_replay without a cursor");
-        let recs = c.recs.as_deref().expect("replay cursor used before relink");
-        let rec = &recs[c.pos];
+        let reader = c.reader.as_mut().expect("replay cursor used before relink");
+        let rec = reader.next(lane_buf);
         c.pos += 1;
-        match &rec.kind {
-            ReplayKind::Alu { dst } => StepResult::Alu { dst: *dst },
-            ReplayKind::Mem { .. } => StepResult::Mem(
-                mem_access_of_record(rec.pc, &rec.kind, take_cleared(lane_buf))
-                    .expect("Mem record reconstructs"),
-            ),
-            ReplayKind::Branch { diverged } => StepResult::Branch {
-                diverged: *diverged,
-            },
+        match rec.kind {
+            ReplayKind::Alu { dst } => StepResult::Alu { dst },
+            ReplayKind::Mem {
+                space,
+                is_store,
+                dst,
+                bytes,
+                lane_addrs,
+            } => StepResult::Mem(MemAccess {
+                pc: rec.pc as usize,
+                space,
+                is_store,
+                dst,
+                lane_addrs,
+                bytes,
+            }),
+            ReplayKind::Branch { diverged } => StepResult::Branch { diverged },
             ReplayKind::Barrier { id } => {
-                self.at_barrier = Some(*id);
+                self.at_barrier = Some(id);
                 StepResult::Barrier
             }
             ReplayKind::Exit => StepResult::Exit,

@@ -497,7 +497,7 @@ fn malformed_launches_rejected_before_anything_is_queued() {
     assert_eq!(gpu.mem().read_u32_slice(out, 4), vec![0, 1, 2, 3]);
     gpu.set_trace_sink(None);
     let captured = Arc::try_unwrap(sink).unwrap().into_inner().unwrap();
-    assert_eq!(captured.into_launches().len(), 1, "only the clean launch");
+    assert_eq!(captured.into_replays().len(), 1, "only the clean launch");
 }
 
 /// `out[i] = (i + ntid.x * nctaid.x) * scale` for every `i < n`, by a

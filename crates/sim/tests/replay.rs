@@ -10,8 +10,8 @@ use std::sync::{Arc, Mutex};
 
 use gcl_ptx::{CmpOp, Kernel, KernelBuilder, Special, Type};
 use gcl_sim::{
-    pack_params, Dim3, Gpu, GpuConfig, LaunchReplay, LaunchStats, MemorySink, ReplayError,
-    SimError, Snapshot, Trace,
+    pack_params, Dim3, Gpu, GpuConfig, LaunchInfo, LaunchReplay, LaunchStats, MemorySink,
+    ReplayError, ReplayRecord, ReplayStream, SimError, Snapshot, Trace, TraceSink,
 };
 
 const N: u32 = 256;
@@ -101,6 +101,24 @@ fn setup_gather(gpu: &mut Gpu) -> Vec<u8> {
         &(0..N).map(|v| v.wrapping_mul(31) ^ 7).collect::<Vec<_>>(),
     );
     pack_params(&kernel, &[src, out])
+}
+
+/// `records` re-encoded as the one stream of a launch a [`MemorySink`]
+/// captured.
+fn stream_of(records: &[ReplayRecord]) -> ReplayStream {
+    let mut sink = MemorySink::new();
+    sink.begin_launch(&LaunchInfo {
+        kernel_fp: 0,
+        kernel_name: String::new(),
+        grid: Dim3::x(1),
+        block: Dim3::x(32),
+        n_streams: 1,
+    });
+    for r in records {
+        sink.issue(0, &Trace::event(0, 0, 0, 0, r.pc, r.mask), &r.kind);
+    }
+    sink.end_launch();
+    sink.into_replays().remove(0).streams.remove(0)
 }
 
 /// Capture `launches` launches of the gather kernel on one GPU and return
@@ -304,9 +322,9 @@ fn replay_composes_with_checkpoint() {
 
         // Wrong trace at resume: one flipped record must be caught.
         let mut wrong = rep.clone();
-        let mut s0: Vec<_> = wrong.streams[0].to_vec();
+        let mut s0: Vec<_> = wrong.streams[0].records().collect();
         s0[0].mask ^= 1;
-        wrong.streams[0] = s0.into();
+        wrong.streams[0] = stream_of(&s0);
         match fresh.launch_replay_resume(&kernel, &wrong) {
             Err(SimError::Replay(ReplayError::TraceMismatch { .. })) => {}
             other => panic!("expected TraceMismatch at offset {off}, got {other:?}"),

@@ -40,11 +40,14 @@
 //! addresses (zigzag varints against a per-stream running predictor), which
 //! is where the bulk of the compression comes from: sequential access
 //! streams collapse to one or two bytes per lane.
+//!
+//! The column codec is [`gcl_sim`]'s, shared with
+//! [`MemorySink`](gcl_sim::MemorySink); a parsed container's streams are
+//! [`ReplayStream`](gcl_sim::ReplayStream) handles into its bytes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod codec;
 mod reader;
 mod writer;
 

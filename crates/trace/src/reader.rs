@@ -1,11 +1,15 @@
 //! Trace container reading: full structural validation — magic, version,
 //! whole-file checksum, per-section checksums, and every column decoded and
-//! bounds-checked — before any launch is handed to replay.
+//! bounds-checked — before any launch is handed to replay. Validation keeps
+//! no decoded record: a launch's streams are
+//! [`ReplayStream`](gcl_sim::ReplayStream) handles into the container's
+//! bytes, held once.
 
-use crate::codec::decode_stream;
 use crate::{TraceError, TRACE_MAGIC, TRACE_VERSION};
 use gcl_mem::{fnv_fold_bytes, Dec, FNV_OFFSET};
-use gcl_sim::{Dim3, LaunchReplay};
+use gcl_sim::LaunchReplay;
+use std::fs::File;
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -46,7 +50,17 @@ pub struct TraceLaunch {
 /// [`TraceError::Io`] when the file cannot be read; otherwise as
 /// [`parse_trace`].
 pub fn read_trace(path: impl AsRef<Path>) -> Result<TraceFile, TraceError> {
-    parse_trace(&std::fs::read(path)?)
+    parse_shared(read_shared(path.as_ref())?)
+}
+
+/// Read a whole file straight into shared bytes, with no second copy.
+fn read_shared(path: &Path) -> std::io::Result<Arc<[u8]>> {
+    let mut f = File::open(path)?;
+    let len = usize::try_from(f.metadata()?.len())
+        .map_err(|_| std::io::Error::other("trace file larger than the address space"))?;
+    let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    f.read_exact(Arc::get_mut(&mut bytes).expect("fresh buffer"))?;
+    Ok(bytes)
 }
 
 /// Validate and decode a trace container from bytes.
@@ -59,6 +73,11 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<TraceFile, TraceError> {
 /// * [`TraceError::ChecksumMismatch`] — file or section checksum failed.
 /// * [`TraceError::Malformed`] — a structural invariant did not hold.
 pub fn parse_trace(bytes: &[u8]) -> Result<TraceFile, TraceError> {
+    parse_shared(bytes.into())
+}
+
+fn parse_shared(file: Arc<[u8]>) -> Result<TraceFile, TraceError> {
+    let bytes = &file[..];
     if bytes.len() < 8 {
         return Err(TraceError::Truncated);
     }
@@ -89,7 +108,11 @@ pub fn parse_trace(bytes: &[u8]) -> Result<TraceFile, TraceError> {
     let mut sections = Dec::new(&body[HEADER..]);
     let mut launches = Vec::new();
     for _ in 0..n_launches {
-        launches.push(decode_launch(sections.section()?)?);
+        let (kernel_name, replay) = LaunchReplay::read_launch(&file, sections.section()?)?;
+        launches.push(TraceLaunch {
+            kernel_name,
+            replay,
+        });
     }
     if !sections.is_done() {
         return Err(TraceError::Malformed("trailing bytes after last section"));
@@ -98,56 +121,5 @@ pub fn parse_trace(bytes: &[u8]) -> Result<TraceFile, TraceError> {
         config_fp,
         file_fp,
         launches,
-    })
-}
-
-fn decode_launch(payload: &[u8]) -> Result<TraceLaunch, TraceError> {
-    let mut d = Dec::new(payload);
-    let kernel_fp = d.u64()?;
-    let kernel_name = d.str()?;
-    let grid = Dim3 {
-        x: d.u32()?,
-        y: d.u32()?,
-        z: d.u32()?,
-    };
-    let block = Dim3 {
-        x: d.u32()?,
-        y: d.u32()?,
-        z: d.u32()?,
-    };
-    let n_streams = d.u64()?;
-    let n_streams =
-        usize::try_from(n_streams).map_err(|_| TraceError::Malformed("stream count"))?;
-    // Each stream takes at least 5 bytes (count varint + four length
-    // prefixes... the prefixes alone are 32), so bound before allocating.
-    if n_streams > payload.len() {
-        return Err(TraceError::Malformed("stream count exceeds payload"));
-    }
-    let mut out = Vec::with_capacity(n_streams);
-    for _ in 0..n_streams {
-        let n = d.varint()?;
-        let pc_col = d.bytes()?;
-        let mask_col = d.bytes()?;
-        let tag_col = d.bytes()?;
-        let payload_col = d.bytes()?;
-        out.push(Arc::from(decode_stream(
-            n,
-            pc_col,
-            mask_col,
-            tag_col,
-            payload_col,
-        )?));
-    }
-    if !d.is_done() {
-        return Err(TraceError::Malformed("trailing bytes in launch payload"));
-    }
-    Ok(TraceLaunch {
-        kernel_name,
-        replay: LaunchReplay {
-            kernel_fp,
-            grid,
-            block,
-            streams: out,
-        },
     })
 }

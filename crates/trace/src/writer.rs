@@ -3,10 +3,9 @@
 //! section on disk, and atomically publishes the final container on
 //! [`TraceWriter::finish`].
 
-use crate::codec::{encode_record, ColBufs, ColState};
 use crate::{TraceError, TRACE_MAGIC, TRACE_VERSION};
 use gcl_mem::{fnv_fold_bytes, write_section, Enc, FNV_OFFSET};
-use gcl_sim::{LaunchInfo, ReplayKind, TraceEvent, TraceSink};
+use gcl_sim::{write_launch, ColBufs, LaunchInfo, ReplayKind, TraceEvent, TraceSink};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -28,14 +27,6 @@ pub struct TraceSummary {
     pub file_fp: u64,
 }
 
-/// One launch being captured.
-#[derive(Debug)]
-struct CurLaunch {
-    info: LaunchInfo,
-    bufs: Vec<ColBufs>,
-    states: Vec<ColState>,
-}
-
 /// A [`TraceSink`] writing the `GCLTRACE1` container.
 ///
 /// Memory is bounded by one launch: the open launch's columns live in
@@ -54,7 +45,8 @@ pub struct TraceWriter {
     config_fp: u64,
     launches: u64,
     records: u64,
-    cur: Option<CurLaunch>,
+    /// The launch being captured and its streams' columns.
+    cur: Option<(LaunchInfo, Vec<ColBufs>)>,
     err: Option<std::io::Error>,
 }
 
@@ -86,34 +78,9 @@ impl TraceWriter {
     /// Seal the open launch into one checksummed section on the sections
     /// scratch file.
     fn seal_launch(&mut self) -> std::io::Result<()> {
-        let cur = self.cur.take().expect("seal without open launch");
+        let (info, streams) = self.cur.take().expect("seal without open launch");
         let mut e = Enc::new();
-        e.u64(cur.info.kernel_fp);
-        e.str(&cur.info.kernel_name);
-        for v in [
-            cur.info.grid.x,
-            cur.info.grid.y,
-            cur.info.grid.z,
-            cur.info.block.x,
-            cur.info.block.y,
-            cur.info.block.z,
-        ] {
-            e.u32(v);
-        }
-        e.u64(cur.info.n_streams);
-        let mut records = 0;
-        for bufs in cur.bufs {
-            e.varint(bufs.n);
-            records += bufs.n;
-            for col in [
-                bufs.pc.into_bytes(),
-                bufs.mask.into_bytes(),
-                bufs.tag.into_bytes(),
-                bufs.payload.into_bytes(),
-            ] {
-                e.bytes(&col);
-            }
-        }
+        let records = write_launch(&info, streams, &mut e);
         let sections = self.sections.as_mut().expect("sections live until finish");
         write_section(sections, &e.into_bytes())?;
         self.launches += 1;
@@ -195,20 +162,16 @@ impl TraceSink for TraceWriter {
     fn begin_launch(&mut self, info: &LaunchInfo) {
         assert!(self.cur.is_none(), "begin_launch with a launch open");
         let n = usize::try_from(info.n_streams).expect("stream count");
-        self.cur = Some(CurLaunch {
-            info: info.clone(),
-            bufs: (0..n).map(|_| ColBufs::default()).collect(),
-            states: vec![ColState::default(); n],
-        });
+        self.cur = Some((info.clone(), (0..n).map(|_| ColBufs::default()).collect()));
     }
 
     fn issue(&mut self, stream: u64, ev: &TraceEvent, kind: &ReplayKind) {
         if self.err.is_some() {
             return;
         }
-        let cur = self.cur.as_mut().expect("issue without a launch");
+        let (_, streams) = self.cur.as_mut().expect("issue without a launch");
         let s = usize::try_from(stream).expect("stream index");
-        encode_record(&mut cur.bufs[s], &mut cur.states[s], ev.pc, ev.active, kind);
+        streams[s].encode_record(ev.pc, ev.active, kind);
     }
 
     fn end_launch(&mut self) {

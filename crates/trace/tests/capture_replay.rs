@@ -172,6 +172,31 @@ fn corruption_matrix_fails_structured() {
         }
     }
 
+    // A stream count the launch payload cannot hold — every stream block
+    // takes at least 33 bytes — in a container whose checksums all verify
+    // is malformed, caught before anything is allocated for it. One
+    // minimal block parses; the same bytes claiming two do not.
+    for (n_streams, verdict) in [(1u64, true), (2, false)] {
+        let mut payload = gcl_mem::Enc::new();
+        payload.u64(0x1234);
+        payload.str("k");
+        for v in [1u32, 1, 1, 32, 1, 1] {
+            payload.u32(v);
+        }
+        payload.u64(n_streams);
+        payload.raw(&[0u8; 33]);
+        let mut crafted = bytes[..20].to_vec();
+        crafted.extend_from_slice(&1u64.to_le_bytes());
+        gcl_mem::write_section(&mut crafted, &payload.into_bytes()).unwrap();
+        let fp = gcl_sim::fnv_fold_bytes(gcl_sim::FNV_OFFSET, &crafted);
+        crafted.extend_from_slice(&fp.to_le_bytes());
+        match (parse_trace(&crafted), verdict) {
+            (Ok(t), true) => assert_eq!(t.launches[0].replay.streams.len(), 1),
+            (Err(TraceError::Malformed(_)), false) => {}
+            (other, _) => panic!("{n_streams} streams in 33 bytes gave {other:?}"),
+        }
+    }
+
     // Geometry mismatch: replaying against the wrong kernel set (a kernel
     // whose fingerprint matches nothing) or dropping a stream is rejected
     // by the replay driver, not silently absorbed.
