@@ -25,9 +25,8 @@
 use super::coordinator::{CoordinatorOptions, WORKER_DEAD};
 use super::journal::{JCounter, Journal, Record, Recovered};
 use super::Summary;
-use crate::job::JobSpec;
+use crate::job::{scale_config, JobSpec};
 use crate::proto::{error_response, shed_response, write_frame, QUEUE_FULL};
-use gcl_sim::GpuConfig;
 use gcl_stats::{Accumulator, Json};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -329,15 +328,6 @@ pub(super) struct Payload {
     pub(super) worker_wall_ms: f64,
     /// The worker served the job from its own result cache.
     pub(super) cached: bool,
-}
-
-/// The default configuration of a job's scale.
-fn scale_config(tiny: bool) -> GpuConfig {
-    if tiny {
-        GpuConfig::small()
-    } else {
-        GpuConfig::fermi()
-    }
 }
 
 /// The spec's cycle budget when it is not its scale's default (loadgen's
@@ -966,7 +956,7 @@ mod tests {
     use super::*;
     use crate::fleet::{encode_stats_payload, verify_stats_payload};
     use gcl_rng::{cases, Rng};
-    use gcl_sim::LaunchStats;
+    use gcl_sim::{GpuConfig, LaunchStats};
     use std::net::TcpListener;
 
     /// Register a worker over a real loopback socket; the test keeps the

@@ -95,6 +95,16 @@ impl From<SimError> for ExecError {
     }
 }
 
+/// The default configuration of a job's scale: [`GpuConfig::small`] for the
+/// tiny inputs, [`GpuConfig::fermi`] for the benchmark scale.
+pub fn scale_config(tiny: bool) -> GpuConfig {
+    if tiny {
+        GpuConfig::small()
+    } else {
+        GpuConfig::fermi()
+    }
+}
+
 /// One simulation to run: workload name, input scale, configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {

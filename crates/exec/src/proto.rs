@@ -29,8 +29,7 @@
 //! submit parser every daemon and client shares live here too, so no peer
 //! has to import another peer's module to speak the protocol.
 
-use crate::job::JobSpec;
-use gcl_sim::GpuConfig;
+use crate::job::{scale_config, JobSpec};
 use gcl_stats::Json;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -373,11 +372,7 @@ pub fn parse_submit(request: &Json) -> Result<JobSpec, String> {
     };
     let tiny = matches!(request.get("tiny"), Some(Json::Bool(true)));
     let sanitize = matches!(request.get("sanitize"), Some(Json::Bool(true)));
-    let mut cfg = if tiny {
-        GpuConfig::small()
-    } else {
-        GpuConfig::fermi()
-    };
+    let mut cfg = scale_config(tiny);
     cfg.sanitize = sanitize;
     // Optional cycle-budget override; loadgen uses distinct budgets as
     // cache-busting workload variants with distinct fingerprints.

@@ -10,8 +10,8 @@ use gcl_exec::{run_job, JobSpec, ResultCache, SpecFingerprint};
 use gcl_mem::{ClassTag, Dec, Enc, L2Partition, MemRequest, PartitionConfig, PartitionEvent};
 use gcl_ptx::{Reg, Space};
 use gcl_sim::{
-    fnv_fold_bytes, Dim3, GpuConfig, LaunchInfo, LaunchStats, ReplayKind, Snapshot, TraceEvent,
-    TraceSink, FNV_OFFSET, SNAPSHOT_VERSION,
+    fnv_fold_bytes, Dim3, GpuConfig, LaunchInfo, LaunchStats, MemAccess, ReplayKind, Snapshot,
+    TraceEvent, TraceSink, FNV_OFFSET, SNAPSHOT_VERSION,
 };
 use gcl_trace::{parse_trace, TraceWriter};
 use std::path::PathBuf;
@@ -204,7 +204,7 @@ fn trace_container_bytes_are_pinned() {
             w.issue(
                 stream,
                 &ev(1, 0x0000_ffff),
-                &ReplayKind::Mem {
+                &ReplayKind::Mem(MemAccess {
                     space: Space::Global,
                     is_store: false,
                     dst: Some(Reg(4)),
@@ -212,7 +212,7 @@ fn trace_container_bytes_are_pinned() {
                     lane_addrs: (0..16)
                         .map(|l| (l, 0x8000_0000 + 128 * stream + 4 * u64::from(l)))
                         .collect(),
-                },
+                }),
             );
             w.issue(
                 stream,

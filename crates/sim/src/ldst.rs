@@ -14,9 +14,9 @@
 
 use crate::coalesce::coalesce_into;
 use crate::loadtrack::LoadTracker;
+use crate::replay::MemAccess;
 use crate::san::{SanRun, SanitizerReport, SmSan, TickError};
 use crate::sm::TickCtx;
-use crate::warp::MemAccess;
 use crate::{GpuConfig, SmStats};
 use gcl_core::LoadClass;
 use gcl_mem::{
@@ -255,12 +255,13 @@ impl LdstUnit {
         (self.l1, self.loadtrack)
     }
 
-    /// Queue the memory instruction of warp `slot`. The caller reserves
-    /// its destination register and counts the pending operation.
+    /// Queue the memory instruction at `pc` of warp `slot`. The caller
+    /// reserves its destination register and counts the pending operation.
     pub(crate) fn dispatch(
         &mut self,
         slot: usize,
         linear_cta: u64,
+        pc: usize,
         access: &MemAccess,
         ctx: &mut TickCtx<'_>,
         stats: &mut SmStats,
@@ -287,7 +288,7 @@ impl LdstUnit {
                 }
             }
             Space::Global | Space::Local | Space::Tex => {
-                self.coalesce(slot, linear_cta, access, ctx, stats)
+                self.coalesce(slot, linear_cta, pc, access, ctx, stats)
             }
         };
         self.queue.push_back(entry);
@@ -298,11 +299,12 @@ impl LdstUnit {
         &mut self,
         slot: usize,
         linear_cta: u64,
+        pc: usize,
         access: &MemAccess,
         ctx: &mut TickCtx<'_>,
         stats: &mut SmStats,
     ) -> LdstEntry {
-        let (cycle, pc, is_store) = (ctx.cycle, access.pc, access.is_store);
+        let (cycle, is_store) = (ctx.cycle, access.is_store);
         let mut blocks = mem::take(&mut self.block_buf);
         coalesce_into(
             &access.lane_addrs,

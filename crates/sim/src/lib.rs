@@ -109,8 +109,8 @@ pub use grid::Dim3;
 pub use ldst::bank_conflict_degree;
 pub use loadtrack::{ClassAgg, PcReqAgg};
 pub use replay::{
-    warps_per_cta, write_launch, ColBufs, LaunchInfo, LaunchReplay, MemorySink, ReplayError,
-    ReplayKind, ReplayRecord, ReplayStream, TraceSink,
+    warps_per_cta, write_launch, ColBufs, LaunchInfo, LaunchReplay, MemAccess, MemorySink,
+    ReplayError, ReplayKind, ReplayRecord, ReplayStream, TraceSink,
 };
 pub use san::{
     check_digests, DeterminismReport, RaceAccess, RaceReport, SanInject, SanitizerReport,

@@ -6,15 +6,15 @@
 //! ## Capture / replay contract
 //!
 //! Execution-driven simulation and replay share one issue path
-//! (`Sm::issue_warp`): the only difference is where the
-//! [`StepResult`] comes from. At capture time a [`TraceSink`] observes, per
-//! issued warp instruction, exactly the payload the timing model consumes —
-//! pc, active mask, and the step outcome (ALU destination, resolved
-//! per-lane addresses, branch divergence, barrier id). At replay time the
-//! same payloads are fed back as [`ReplayRecord`]s, so the scheduler,
-//! scoreboard, coalescer, caches, interconnect, DRAM, sanitizer ledger, and
-//! event digest all see byte-identical inputs and therefore produce
-//! identical timing, statistics, and digests.
+//! (`Sm::issue_warp`) and one step outcome: the warp's step, the sink and
+//! the replay cursor all produce a [`ReplayKind`]. At capture time a
+//! [`TraceSink`] observes, per issued warp instruction, exactly the payload
+//! the timing model consumes — pc, active mask, and the step outcome (ALU
+//! destination, resolved per-lane addresses, branch divergence, barrier
+//! id). At replay time the cursor decodes the same outcome, so the
+//! scheduler, scoreboard, coalescer, caches, interconnect, DRAM, sanitizer
+//! ledger, and event digest all see byte-identical inputs and therefore
+//! produce identical timing, statistics, and digests.
 //!
 //! Streams are per *warp*: stream `linear_cta * warps_per_cta + warp_in_cta`
 //! holds that warp's issued instructions in issue order, where
@@ -25,7 +25,6 @@
 //! [`ColBufs`], and a replaying warp decodes one record per issue from a
 //! [`ReplayStream`], so no decoded record outlives its step.
 
-use crate::warp::StepResult;
 use crate::{Dim3, TraceEvent};
 use gcl_mem::{fnv_fold, Dec, Enc, Wire, WireError, FNV_OFFSET};
 use gcl_ptx::{Reg, Space};
@@ -33,9 +32,9 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The step outcome of one issued warp instruction, as recorded at capture
-/// and re-injected at replay. Mirrors the executing warp's step result
-/// minus anything the timing model does not consume.
+/// The outcome of one issued warp instruction: what the warp's step
+/// produces, what a [`TraceSink`] records, and what replay decodes. It
+/// carries only what the timing model consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayKind {
     /// Arithmetic/move: schedule a writeback for `dst` on the unit latency.
@@ -43,65 +42,47 @@ pub enum ReplayKind {
         /// Register awaiting writeback, if any.
         dst: Option<Reg>,
     },
-    /// A memory access with its resolved per-lane addresses.
-    Mem {
-        /// Space accessed.
-        space: Space,
-        /// True for stores.
-        is_store: bool,
-        /// Destination register for loads/atomics.
-        dst: Option<Reg>,
-        /// Bytes accessed per lane.
-        bytes: u32,
-        /// Per-lane effective byte addresses `(lane, addr)`, ascending lanes.
-        lane_addrs: Vec<(u32, u64)>,
-    },
+    /// A memory access for the LD/ST unit.
+    Mem(MemAccess),
     /// A branch; `diverged` is true when the warp split.
     Branch {
         /// Whether this branch split the warp.
         diverged: bool,
     },
-    /// The warp reached named barrier `id`.
+    /// The warp reached named barrier `id`; the SM holds it until release.
     Barrier {
         /// Barrier id.
         id: u32,
     },
-    /// Lanes exited.
+    /// Lanes exited (possibly retiring the warp).
     Exit,
     /// All lanes predicated off.
     Predicated,
 }
 
-impl ReplayKind {
-    /// Build the record payload from a successful [`StepResult`].
-    /// `at_barrier` is the warp's barrier id after the step (set by a
-    /// barrier instruction; the `StepResult` itself does not carry it).
-    pub(crate) fn of_step(result: &StepResult, at_barrier: Option<u32>) -> ReplayKind {
-        match result {
-            StepResult::Alu { dst } => ReplayKind::Alu { dst: *dst },
-            StepResult::Mem(a) => ReplayKind::Mem {
-                space: a.space,
-                is_store: a.is_store,
-                dst: a.dst,
-                bytes: a.bytes,
-                lane_addrs: a.lane_addrs.clone(),
-            },
-            StepResult::Branch { diverged } => ReplayKind::Branch {
-                diverged: *diverged,
-            },
-            StepResult::Barrier => ReplayKind::Barrier {
-                id: at_barrier.unwrap_or(0),
-            },
-            StepResult::Exit => ReplayKind::Exit,
-            StepResult::Predicated => ReplayKind::Predicated,
-        }
-    }
+/// A memory access of one warp instruction, with its resolved per-lane
+/// addresses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemAccess {
+    /// Space accessed.
+    pub space: Space,
+    /// True for stores.
+    pub is_store: bool,
+    /// Destination register for loads/atomics (already written functionally;
+    /// the LD/ST unit releases its scoreboard entry on completion).
+    pub dst: Option<Reg>,
+    /// Bytes accessed per lane.
+    pub bytes: u32,
+    /// Per-lane effective byte addresses `(lane, addr)`, ascending lanes.
+    pub lane_addrs: Vec<(u32, u64)>,
+}
 
+impl ReplayKind {
     /// The kind's tag, in a stream's tag column and in fingerprints.
     fn tag(&self) -> u8 {
         match self {
             ReplayKind::Alu { .. } => TAG_ALU,
-            ReplayKind::Mem { .. } => TAG_MEM,
+            ReplayKind::Mem(_) => TAG_MEM,
             ReplayKind::Branch { .. } => TAG_BRANCH,
             ReplayKind::Barrier { .. } => TAG_BARRIER,
             ReplayKind::Exit => TAG_EXIT,
@@ -113,13 +94,13 @@ impl ReplayKind {
         let mut h = fnv_fold(h, u64::from(self.tag()));
         match self {
             ReplayKind::Alu { dst } => fnv_fold(h, dst.map_or(0, |d| u64::from(d.0) + 1)),
-            ReplayKind::Mem {
+            ReplayKind::Mem(MemAccess {
                 space,
                 is_store,
                 dst,
                 bytes,
                 lane_addrs,
-            } => {
+            }) => {
                 h = fnv_fold(h, u64::from(space_code(*space)));
                 h = fnv_fold(h, u64::from(*is_store));
                 h = fnv_fold(h, dst.map_or(0, |d| u64::from(d.0) + 1));
@@ -227,13 +208,13 @@ impl ColBufs {
         self.tag.u8(kind.tag());
         match kind {
             ReplayKind::Alu { dst } => enc_reg(&mut self.payload, *dst),
-            ReplayKind::Mem {
+            ReplayKind::Mem(MemAccess {
                 space,
                 is_store,
                 dst,
                 bytes,
                 lane_addrs,
-            } => {
+            }) => {
                 let p = &mut self.payload;
                 p.u8(space_code(*space));
                 p.bool(*is_store);
@@ -303,13 +284,13 @@ fn decode_kind(
                 }
             }
             let lane_addrs = lanes.map(std::mem::take).unwrap_or_default();
-            ReplayKind::Mem {
+            ReplayKind::Mem(MemAccess {
                 space,
                 is_store,
                 dst,
                 bytes,
                 lane_addrs,
-            }
+            })
         }
         TAG_BRANCH => ReplayKind::Branch {
             diverged: d.bool()?,
@@ -758,7 +739,6 @@ impl<S: TraceSink> TraceSink for std::sync::Arc<std::sync::Mutex<S>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::warp::MemAccess;
     use gcl_rng::Rng;
 
     fn rec(pc: u32, kind: ReplayKind) -> ReplayRecord {
@@ -824,13 +804,13 @@ mod tests {
                         st.prev_addr = addr;
                         lane_addrs.push((lane, addr as u64));
                     }
-                    ReplayKind::Mem {
+                    ReplayKind::Mem(MemAccess {
                         space,
                         is_store,
                         dst,
                         bytes,
                         lane_addrs,
-                    }
+                    })
                 }
                 TAG_BRANCH => ReplayKind::Branch {
                     diverged: payloads.bool()?,
@@ -954,13 +934,13 @@ mod tests {
                                 (lane, addr)
                             })
                             .collect();
-                        ReplayKind::Mem {
+                        ReplayKind::Mem(MemAccess {
                             space: *rng.pick(&spaces),
                             is_store: rng.chance(0.5),
                             dst: random_reg(rng),
                             bytes: [1, 4, 8, 16, u32::MAX][rng.usize_below(5)],
                             lane_addrs,
-                        }
+                        })
                     }
                     2 => ReplayKind::Branch {
                         diverged: rng.chance(0.5),
@@ -1007,8 +987,8 @@ mod tests {
                     assert_eq!(r.head(), Some((want.pc, want.mask)));
                     let got = r.next(&mut lanes);
                     assert_eq!(&got, want);
-                    if let ReplayKind::Mem { lane_addrs, .. } = got.kind {
-                        lanes = lane_addrs;
+                    if let ReplayKind::Mem(m) = got.kind {
+                        lanes = m.lane_addrs;
                     }
                 }
                 assert_eq!(r.head(), None);
@@ -1063,26 +1043,26 @@ mod tests {
             ReplayRecord {
                 pc: 1,
                 mask: 0xFFFF_FFFF,
-                kind: ReplayKind::Mem {
+                kind: ReplayKind::Mem(MemAccess {
                     space: Space::Global,
                     is_store: false,
                     dst: Some(Reg(2)),
                     bytes: 4,
                     lane_addrs: vec![(0, 0x1000), (1, 0x1004), (5, 0x0800)],
-                },
+                }),
             },
             rec(2, ReplayKind::Branch { diverged: true }),
             rec(0, ReplayKind::Barrier { id: 9 }),
             rec(3, ReplayKind::Predicated),
             rec(
                 4,
-                ReplayKind::Mem {
+                ReplayKind::Mem(MemAccess {
                     space: Space::Shared,
                     is_store: true,
                     dst: None,
                     bytes: 8,
                     lane_addrs: vec![(31, 0)],
-                },
+                }),
             ),
             rec(5, ReplayKind::Exit),
         ];
@@ -1095,7 +1075,7 @@ mod tests {
             .map(|i| ReplayRecord {
                 pc: 10,
                 mask: 0xFFFF_FFFF,
-                kind: ReplayKind::Mem {
+                kind: ReplayKind::Mem(MemAccess {
                     space: Space::Global,
                     is_store: false,
                     dst: Some(Reg(1)),
@@ -1103,7 +1083,7 @@ mod tests {
                     lane_addrs: (0..32)
                         .map(|l| (l, u64::from(i) * 128 + u64::from(l) * 4))
                         .collect(),
-                },
+                }),
             })
             .collect();
         let (_, cols) = columns(&recs);
@@ -1218,39 +1198,5 @@ mod tests {
             rec(5, ReplayKind::Exit)
         );
         assert_eq!(replays[0].n_records(), 2);
-    }
-
-    #[test]
-    fn of_step_maps_every_variant() {
-        assert_eq!(
-            ReplayKind::of_step(&StepResult::Barrier, Some(3)),
-            ReplayKind::Barrier { id: 3 }
-        );
-        assert_eq!(
-            ReplayKind::of_step(&StepResult::Alu { dst: None }, None),
-            ReplayKind::Alu { dst: None }
-        );
-        assert_eq!(
-            ReplayKind::of_step(&StepResult::Branch { diverged: true }, None),
-            ReplayKind::Branch { diverged: true }
-        );
-        let m = MemAccess {
-            pc: 4,
-            space: Space::Global,
-            is_store: false,
-            dst: Some(Reg(2)),
-            lane_addrs: vec![(0, 128), (1, 132)],
-            bytes: 4,
-        };
-        assert_eq!(
-            ReplayKind::of_step(&StepResult::Mem(m), None),
-            ReplayKind::Mem {
-                space: Space::Global,
-                is_store: false,
-                dst: Some(Reg(2)),
-                bytes: 4,
-                lane_addrs: vec![(0, 128), (1, 132)],
-            }
-        );
     }
 }

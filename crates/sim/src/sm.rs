@@ -12,9 +12,9 @@ use crate::replay::{
 };
 use crate::san::{SanRun, SmSan, TickError};
 use crate::scoreboard::Scoreboard;
-use crate::warp::{ExecCtx, ReplayCursor, StepResult, Warp};
+use crate::warp::{ExecCtx, ReplayCursor, Warp};
 use crate::warp_sched::WarpScheduler;
-use crate::{BlockTracker, Dim3, GlobalMem, GpuConfig, SmStats, Trace};
+use crate::{BlockTracker, Dim3, GlobalMem, GpuConfig, SmStats, TraceEvent};
 use gcl_mem::{Cache, CacheStats, Cycle, Dec, Enc, Wire, WireError};
 use gcl_ptx::{Kernel, Reg, Space, Unit};
 use std::cmp::Reverse;
@@ -504,24 +504,23 @@ impl Sm {
             s.fold(((pc as u64) << 32) | u64::from(active_mask));
         }
         if let Some(sink) = ctx.sink.as_deref_mut() {
-            let ev = Trace::event(
+            let ev = TraceEvent {
                 cycle,
-                self.id,
-                slot as u16,
-                linear_cta,
-                pc as u32,
-                active_mask,
-            );
+                sm: self.id,
+                warp_slot: slot as u16,
+                cta: linear_cta,
+                pc: pc as u32,
+                active: active_mask,
+            };
             let stream =
                 linear_cta * warps_per_cta(ctx.ntid, ctx.cfg.warp_size) + u64::from(warp_in_cta);
-            let kind = ReplayKind::of_step(&result, warp.at_barrier);
-            sink.issue(stream, &ev, &kind);
+            sink.issue(stream, &ev, &result);
         }
 
         // Each arm counts its pending operation; the destination it names
         // is reserved below, and `complete_op` undoes both.
         let dst = match result {
-            StepResult::Alu { dst } => {
+            ReplayKind::Alu { dst } => {
                 if let Some(d) = dst {
                     let latency = match inst_unit {
                         Unit::Sfu => ctx.cfg.sfu_latency,
@@ -533,7 +532,7 @@ impl Sm {
                 }
                 dst
             }
-            StepResult::Mem(access) => {
+            ReplayKind::Mem(access) => {
                 if access.space == Space::Shared {
                     if let Some(s) = &mut self.san {
                         s.check_shared(
@@ -549,18 +548,18 @@ impl Sm {
                     }
                 }
                 self.ldst
-                    .dispatch(slot, linear_cta, &access, ctx, &mut self.stats);
+                    .dispatch(slot, linear_cta, pc, &access, ctx, &mut self.stats);
                 self.pending_ops[slot] += 1;
                 let dst = access.dst;
                 self.lane_buf = access.lane_addrs;
                 dst
             }
-            StepResult::Branch { diverged } => {
+            ReplayKind::Branch { diverged } => {
                 self.stats.branches += 1;
                 self.stats.divergent_branches += u64::from(diverged);
                 None
             }
-            StepResult::Predicated | StepResult::Exit | StepResult::Barrier => None,
+            ReplayKind::Predicated | ReplayKind::Exit | ReplayKind::Barrier { .. } => None,
         };
         if let Some(d) = dst {
             self.scoreboard.reserve(slot, d);

@@ -30,11 +30,12 @@ pub struct TraceEvent {
 /// # Examples
 ///
 /// ```
-/// use gcl_sim::Trace;
+/// use gcl_sim::{Trace, TraceEvent};
+/// let ev = |pc| TraceEvent { cycle: 0, sm: 0, warp_slot: 0, cta: 0, pc, active: 0xF };
 /// let mut t = Trace::new(2);
-/// t.record(0, 0, 0, 0, 0, 0xF);
-/// t.record(1, 0, 0, 0, 1, 0xF);
-/// t.record(2, 0, 0, 0, 2, 0xF); // dropped
+/// t.record_event(ev(0));
+/// t.record_event(ev(1));
+/// t.record_event(ev(2)); // dropped
 /// assert_eq!(t.events().len(), 2);
 /// assert_eq!(t.dropped(), 1);
 /// ```
@@ -55,40 +56,7 @@ impl Trace {
         }
     }
 
-    /// Build one issue event (the schema shared by the bounded debug trace
-    /// and the [`TraceSink`](crate::TraceSink) capture hook).
-    pub fn event(
-        cycle: Cycle,
-        sm: u16,
-        warp_slot: u16,
-        cta: u64,
-        pc: u32,
-        active: u32,
-    ) -> TraceEvent {
-        TraceEvent {
-            cycle,
-            sm,
-            warp_slot,
-            cta,
-            pc,
-            active,
-        }
-    }
-
     /// Record one issue event.
-    pub fn record(
-        &mut self,
-        cycle: Cycle,
-        sm: u16,
-        warp_slot: u16,
-        cta: u64,
-        pc: u32,
-        active: u32,
-    ) {
-        self.record_event(Self::event(cycle, sm, warp_slot, cta, pc, active));
-    }
-
-    /// Record one already-built issue event.
     pub fn record_event(&mut self, ev: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(ev);
@@ -129,11 +97,22 @@ impl TraceSink for Trace {
 mod tests {
     use super::*;
 
+    fn ev(cycle: Cycle, pc: u32) -> TraceEvent {
+        TraceEvent {
+            cycle,
+            sm: 0,
+            warp_slot: 0,
+            cta: 0,
+            pc,
+            active: 1,
+        }
+    }
+
     #[test]
     fn bounded_capacity_counts_drops() {
         let mut t = Trace::new(3);
         for i in 0..5 {
-            t.record(i, 0, 0, 0, i as u32, 1);
+            t.record_event(ev(i, i as u32));
         }
         assert_eq!(t.events().len(), 3);
         assert_eq!(t.dropped(), 2);
@@ -143,7 +122,7 @@ mod tests {
     #[test]
     fn zero_capacity_drops_everything() {
         let mut t = Trace::new(0);
-        t.record(0, 0, 0, 0, 0, 1);
+        t.record_event(ev(0, 0));
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 1);
     }

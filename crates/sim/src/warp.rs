@@ -10,7 +10,7 @@
 
 use crate::decode::{for_lanes, DecodedKernel, Kind, Lanes, Map, Src, MAX_LANES};
 use crate::fault::{AccessKind, MemViolation};
-use crate::replay::{ReplayKind, StreamReader};
+use crate::replay::{MemAccess, ReplayKind, StreamReader};
 use crate::simt::SimtStack;
 use crate::{Dim3, GlobalMem};
 use gcl_mem::WireError;
@@ -40,50 +40,6 @@ pub(crate) struct ExecCtx<'a> {
 /// shared accesses are bounds-checked against their own regions already.
 fn memchecked_space(space: Space) -> bool {
     matches!(space, Space::Global | Space::Local | Space::Tex)
-}
-
-/// A memory access produced by one warp instruction, for the LD/ST unit.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MemAccess {
-    /// Instruction index.
-    pub pc: usize,
-    /// Space accessed.
-    pub space: Space,
-    /// True for stores.
-    pub is_store: bool,
-    /// Destination register for loads/atomics (already written functionally;
-    /// the LD/ST unit releases its scoreboard entry on completion).
-    pub dst: Option<Reg>,
-    /// Per-lane effective byte addresses: `(lane, addr)`.
-    pub lane_addrs: Vec<(u32, u64)>,
-    /// Bytes accessed per lane.
-    pub bytes: u32,
-}
-
-/// Outcome of issuing one instruction for a warp.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum StepResult {
-    /// Arithmetic/move executed; if `dst` is set, a writeback should be
-    /// scheduled on the instruction's unit latency.
-    Alu {
-        /// Register awaiting writeback.
-        dst: Option<Reg>,
-    },
-    /// A memory access for the LD/ST unit (global/shared/param/...).
-    Mem(MemAccess),
-    /// Control transfer handled inside the warp (branch). `diverged` is
-    /// true when the warp split (some active lanes took it, some did not).
-    Branch {
-        /// Whether this branch split the warp.
-        diverged: bool,
-    },
-    /// The warp reached a CTA barrier; the SM must hold it until release.
-    Barrier,
-    /// Lanes exited (possibly retiring the warp — check
-    /// [`Warp::is_finished`]).
-    Exit,
-    /// All lanes were predicated off; nothing happened.
-    Predicated,
 }
 
 /// One warp's architectural state.
@@ -299,13 +255,13 @@ impl Warp {
         srcs: [Src; N],
         f: Map<N>,
         exec: u32,
-    ) -> StepResult {
+    ) -> ReplayKind {
         let mut rows = [[0; MAX_LANES]; N];
         for (row, src) in rows.iter_mut().zip(srcs) {
             self.gather_into(src, row);
         }
         f(self.row_mut(dst), rows.each_ref(), exec);
-        StepResult::Alu { dst: Some(dst) }
+        ReplayKind::Alu { dst: Some(dst) }
     }
 
     /// Every lane's effective address.
@@ -351,7 +307,7 @@ impl Warp {
     ///
     /// Panics if the warp is finished, or on out-of-bounds shared-memory
     /// accesses (a kernel bug worth failing loudly on).
-    pub fn step(&mut self, ctx: &mut ExecCtx<'_>) -> Result<StepResult, MemViolation> {
+    pub fn step(&mut self, ctx: &mut ExecCtx<'_>) -> Result<ReplayKind, MemViolation> {
         assert!(!self.is_finished(), "stepping a finished warp");
         let pc = self.pc();
         let op = ctx.decoded.op(pc);
@@ -363,12 +319,12 @@ impl Warp {
         if let Kind::Bra { target, reconv } = op.kind {
             let diverged = exec != 0 && exec != active;
             self.stack.branch(exec, active, target, pc + 1, reconv);
-            return Ok(StepResult::Branch { diverged });
+            return Ok(ReplayKind::Branch { diverged });
         }
 
         if exec == 0 {
             self.stack.advance();
-            return Ok(StepResult::Predicated);
+            return Ok(ReplayKind::Predicated);
         }
 
         let result = match op.kind {
@@ -376,11 +332,11 @@ impl Warp {
                 self.exited |= exec;
                 self.stack.advance();
                 self.stack.prune_exited(self.exited);
-                return Ok(StepResult::Exit);
+                return Ok(ReplayKind::Exit);
             }
             Kind::Bar { id } => {
                 self.at_barrier = Some(id);
-                StepResult::Barrier
+                ReplayKind::Barrier { id }
             }
             Kind::Map1 { dst, srcs, f } => self.map(dst, srcs, f, exec),
             Kind::Map2 { dst, srcs, f } => self.map(dst, srcs, f, exec),
@@ -415,13 +371,12 @@ impl Warp {
                 if let Some(violation) = fault {
                     return Err(violation);
                 }
-                StepResult::Mem(MemAccess {
-                    pc,
+                ReplayKind::Mem(MemAccess {
                     space,
                     is_store: false,
                     dst: Some(dst),
-                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                     bytes: ty.size_bytes(),
+                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                 })
             }
             Kind::St {
@@ -441,13 +396,12 @@ impl Warp {
                 if let Some(violation) = fault {
                     return Err(violation);
                 }
-                StepResult::Mem(MemAccess {
-                    pc,
+                ReplayKind::Mem(MemAccess {
                     space,
                     is_store: true,
                     dst: None,
-                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                     bytes: ty.size_bytes(),
+                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                 })
             }
             Kind::Atom {
@@ -472,13 +426,12 @@ impl Warp {
                 if let Some(violation) = fault {
                     return Err(violation);
                 }
-                StepResult::Mem(MemAccess {
-                    pc,
+                ReplayKind::Mem(MemAccess {
                     space: Space::Global,
                     is_store: false,
                     dst: Some(dst),
-                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                     bytes: ty.size_bytes(),
+                    lane_addrs: lane_addrs(ctx.lane_buf, exec, &ea),
                 })
             }
             Kind::Bra { .. } => unreachable!("handled above"),
@@ -489,46 +442,25 @@ impl Warp {
     }
 
     /// Issue the next recorded instruction of a replaying warp: decode one
-    /// record from the stream's columns and rebuild the [`StepResult`] the
-    /// SM's issue path expects. No functional execution happens — registers
-    /// and device memory are untouched; only the timing-relevant payload
-    /// (destination register, resolved lane addresses, barrier id) is
-    /// re-injected. A memory record's lane addresses are decoded into
-    /// `lane_buf`'s allocation (see [`ExecCtx::lane_buf`]).
+    /// record from the stream's columns and return its outcome. No
+    /// functional execution happens — registers and device memory are
+    /// untouched; a barrier record parks the warp as executing one does. A
+    /// memory record's lane addresses are decoded into `lane_buf`'s
+    /// allocation (see [`ExecCtx::lane_buf`]).
     ///
     /// # Panics
     ///
     /// Panics if the warp has no replay cursor, the cursor has not been
     /// relinked after a restore, or the stream is exhausted.
-    pub fn step_replay(&mut self, lane_buf: &mut Vec<(u32, u64)>) -> StepResult {
+    pub fn step_replay(&mut self, lane_buf: &mut Vec<(u32, u64)>) -> ReplayKind {
         let c = self.replay.as_mut().expect("step_replay without a cursor");
         let reader = c.reader.as_mut().expect("replay cursor used before relink");
-        let rec = reader.next(lane_buf);
+        let kind = reader.next(lane_buf).kind;
         c.pos += 1;
-        match rec.kind {
-            ReplayKind::Alu { dst } => StepResult::Alu { dst },
-            ReplayKind::Mem {
-                space,
-                is_store,
-                dst,
-                bytes,
-                lane_addrs,
-            } => StepResult::Mem(MemAccess {
-                pc: rec.pc as usize,
-                space,
-                is_store,
-                dst,
-                lane_addrs,
-                bytes,
-            }),
-            ReplayKind::Branch { diverged } => StepResult::Branch { diverged },
-            ReplayKind::Barrier { id } => {
-                self.at_barrier = Some(id);
-                StepResult::Barrier
-            }
-            ReplayKind::Exit => StepResult::Exit,
-            ReplayKind::Predicated => StepResult::Predicated,
+        if let ReplayKind::Barrier { id } = kind {
+            self.at_barrier = Some(id);
         }
+        kind
     }
 }
 
@@ -641,6 +573,8 @@ fn write_smem(smem: &mut [u8], addr: u64, ty: Type, v: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{LaunchInfo, MemorySink, TraceSink};
+    use crate::TraceEvent;
     use gcl_core::classify;
     use gcl_ptx::{CmpOp, Kernel, KernelBuilder, Op, Operand};
 
@@ -685,7 +619,7 @@ mod tests {
         let mut steps = 0;
         while !warp.is_finished() {
             let r = warp.step(&mut ctx).expect("memcheck off");
-            if matches!(r, StepResult::Barrier) {
+            if matches!(r, ReplayKind::Barrier { .. }) {
                 warp.at_barrier = None; // single-warp CTA: barrier is a no-op
             }
             steps += 1;
@@ -923,7 +857,7 @@ mod tests {
         // Step to the global load.
         let mut access = None;
         while !warp.is_finished() {
-            if let StepResult::Mem(m) = warp.step(&mut ctx).unwrap() {
+            if let ReplayKind::Mem(m) = warp.step(&mut ctx).unwrap() {
                 if m.space == Space::Global {
                     access = Some(m);
                 }
@@ -1138,7 +1072,7 @@ mod tests {
         let mut ctx = make_ctx(&decoded, &[], &mut gmem, &mut smem, &mut lane_buf);
         let mut branches = Vec::new();
         while !warp.is_finished() {
-            if let StepResult::Branch { diverged } = warp.step(&mut ctx).unwrap() {
+            if let ReplayKind::Branch { diverged } = warp.step(&mut ctx).unwrap() {
                 branches.push((diverged, warp.active_mask()));
             }
         }
@@ -1147,5 +1081,54 @@ mod tests {
         for l in 0..32 {
             assert_eq!(warp.reg(l, after), if l < 10 { 11 } else { 12 }, "lane {l}");
         }
+    }
+
+    /// Executing `bar.sync 3` and replaying its record both report
+    /// barrier 3 and park the warp there.
+    #[test]
+    fn barrier_id_comes_from_the_step_on_both_paths() {
+        let mut b = KernelBuilder::new("k");
+        b.bar_id(3);
+        b.exit();
+        let k = b.build().unwrap();
+        let ntid = Dim3::x(32);
+        let decoded = decode(&k, ntid);
+        let mut gmem = GlobalMem::new();
+        let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, k.num_regs());
+        let (mut smem, mut lane_buf) = (vec![], Vec::new());
+        let mut ctx = make_ctx(&decoded, &[], &mut gmem, &mut smem, &mut lane_buf);
+        assert_eq!(warp.step(&mut ctx), Ok(ReplayKind::Barrier { id: 3 }));
+        assert_eq!(warp.at_barrier, Some(3));
+
+        let mut sink = MemorySink::new();
+        sink.begin_launch(&LaunchInfo {
+            kernel_fp: 0,
+            kernel_name: "k".into(),
+            grid: Dim3::x(1),
+            block: ntid,
+            n_streams: 1,
+        });
+        let ev = TraceEvent {
+            cycle: 0,
+            sm: 0,
+            warp_slot: 0,
+            cta: 0,
+            pc: 0,
+            active: u32::MAX,
+        };
+        sink.issue(0, &ev, &ReplayKind::Barrier { id: 3 });
+        sink.end_launch();
+        let stream = sink.into_replays().remove(0).streams.remove(0);
+        let mut warp = Warp::new(0, 0, 0, (0, 0, 0), 0, ntid, 32, k.num_regs());
+        warp.replay = Some(ReplayCursor {
+            stream: 0,
+            pos: 0,
+            reader: Some(StreamReader::seek(stream, 0)),
+        });
+        assert_eq!(
+            warp.step_replay(&mut Vec::new()),
+            ReplayKind::Barrier { id: 3 }
+        );
+        assert_eq!(warp.at_barrier, Some(3));
     }
 }

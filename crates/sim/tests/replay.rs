@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use gcl_ptx::{CmpOp, Kernel, KernelBuilder, Special, Type};
 use gcl_sim::{
     pack_params, Dim3, Gpu, GpuConfig, LaunchInfo, LaunchReplay, LaunchStats, MemorySink,
-    ReplayError, ReplayRecord, ReplayStream, SimError, Snapshot, Trace, TraceSink,
+    ReplayError, ReplayRecord, ReplayStream, SimError, Snapshot, Trace, TraceEvent, TraceSink,
 };
 
 const N: u32 = 256;
@@ -115,7 +115,15 @@ fn stream_of(records: &[ReplayRecord]) -> ReplayStream {
         n_streams: 1,
     });
     for r in records {
-        sink.issue(0, &Trace::event(0, 0, 0, 0, r.pc, r.mask), &r.kind);
+        let ev = TraceEvent {
+            cycle: 0,
+            sm: 0,
+            warp_slot: 0,
+            cta: 0,
+            pc: r.pc,
+            active: r.mask,
+        };
+        sink.issue(0, &ev, &r.kind);
     }
     sink.end_launch();
     sink.into_replays().remove(0).streams.remove(0)

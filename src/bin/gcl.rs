@@ -9,6 +9,7 @@ use gcl::prelude::*;
 use gcl::sim::Trace;
 use gcl_core::{Classification, LoadClass};
 use gcl_exec::args::{parse_u64, Args, Command, Flag};
+use gcl_exec::job::scale_config;
 use gcl_stats::Json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -1067,11 +1068,7 @@ fn cmd_suite(args: &[String]) -> Result<(), CliError> {
         if manifest.entries[wi].status == "ok" {
             continue;
         }
-        let mut cfg = if tiny {
-            GpuConfig::small()
-        } else {
-            GpuConfig::fermi()
-        };
+        let mut cfg = scale_config(tiny);
         if force_fail == Some(w.name()) {
             // Starve the cycle budget so this benchmark times out: exercises
             // the fail-soft path without corrupting any input.
@@ -1469,11 +1466,7 @@ fn parse_trace_args(a: &Args, dir_flag: &str) -> Result<(Vec<JobSpec>, TraceStor
     let specs = selected
         .into_iter()
         .map(|name| {
-            let mut cfg = if tiny {
-                GpuConfig::small()
-            } else {
-                GpuConfig::fermi()
-            };
+            let mut cfg = scale_config(tiny);
             cfg.sanitize = sanitize;
             JobSpec::new(name, tiny, cfg)
         })
