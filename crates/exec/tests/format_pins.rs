@@ -1,13 +1,16 @@
 //! Byte-level pins for the four on-disk containers: one checkpoint image,
-//! one result-cache entry, one journal, one trace container — each built
+//! one result-cache entry, two journals (the second holding every record
+//! kind and counter id), one trace container — each built
 //! from fixed inputs and compared by length and FNV of its bytes — and for
 //! the result payload two real runs produce. A
 //! refactor of the framing code must leave every pin untouched; a change
 //! here is a format change and needs a version bump to go with it.
 
-use gcl_exec::fleet::{Journal, Record};
+use gcl_exec::fleet::{JCounter, Journal, Record};
 use gcl_exec::{run_job, JobSpec, ResultCache, SpecFingerprint};
-use gcl_mem::{ClassTag, Dec, Enc, L2Partition, MemRequest, PartitionConfig, PartitionEvent};
+use gcl_mem::{
+    write_section, ClassTag, Dec, Enc, L2Partition, MemRequest, PartitionConfig, PartitionEvent,
+};
 use gcl_ptx::{Reg, Space};
 use gcl_sim::{
     fnv_fold_bytes, Dim3, GpuConfig, LaunchInfo, LaunchStats, MemAccess, ReplayKind, Snapshot,
@@ -171,6 +174,105 @@ fn journal_bytes_are_pinned() {
     let (_, rec) = Journal::open_recover(&path).unwrap();
     assert!(!rec.truncated);
     assert_eq!(rec.records, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One record of each live kind and one `Counter` per counter id, with
+/// distinct field values, so a swapped field, a moved tag or a swapped id
+/// moves the pin.
+fn every_record_kind() -> Vec<Record> {
+    let s = |v: &str| v.to_string();
+    vec![
+        Record::SessionOpen { session: s("s-1") },
+        Record::Submit {
+            id: 3,
+            key: 0x0123_4567_89ab_cdef,
+            workload: s("spmv"),
+            tiny: false,
+            sanitize: true,
+            max_cycles: None,
+            session: None,
+        },
+        Record::Subscribe {
+            id: 3,
+            session: s("s-1"),
+        },
+        Record::Lease {
+            id: 3,
+            worker: s("w1"),
+        },
+        Record::Reclaim {
+            id: 3,
+            reason: s("worker dead"),
+        },
+        Record::Done {
+            id: 3,
+            cached: true,
+            wall_ms: 0.75,
+            worker_wall_ms: 4.0,
+            worker: s("w2"),
+            payload: vec![9, 8, 7],
+        },
+        Record::Failed {
+            id: 4,
+            error: s("boom"),
+        },
+        Record::SessionDetach { session: s("s-1") },
+        Record::Counter {
+            counter: JCounter::DedupHits,
+            delta: 11,
+        },
+        Record::Counter {
+            counter: JCounter::Sheds,
+            delta: 22,
+        },
+        Record::Counter {
+            counter: JCounter::Resumed,
+            delta: 33,
+        },
+        Record::SessionSeq {
+            session: s("s-2"),
+            next_seq: 44,
+        },
+    ]
+}
+
+#[test]
+fn every_journal_record_kind_is_pinned() {
+    let dir = scratch("journal-kinds");
+    let path = dir.join("kinds.journal");
+    let records = every_record_kind();
+    {
+        let mut j = Journal::create(&path).unwrap();
+        for r in &records {
+            j.append(r).unwrap();
+        }
+        j.sync().unwrap();
+    }
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(pin(&bytes[10..]), (434, 0xa9dc_6a9e_0df9_0d51));
+    let (_, rec) = Journal::open_recover(&path).unwrap();
+    assert!(!rec.truncated);
+    assert_eq!(rec.log, records);
+
+    // A retired record tag (8 and 10 from version 1, 11 from version 2)
+    // or counter id (6) is not a record: recovery keeps the prefix before
+    // it and truncates it as a torn tail.
+    let lease_body = [&[3u8; 8][..], &2u64.to_le_bytes(), b"w1"].concat();
+    for retired in [
+        [&[8u8][..], &lease_body].concat(),
+        [&[10u8][..], &lease_body].concat(),
+        [&[11u8][..], &lease_body].concat(),
+        [&[9u8, 6][..], &1u64.to_le_bytes()].concat(),
+    ] {
+        let mut torn = bytes.clone();
+        write_section(&mut torn, &retired).unwrap();
+        std::fs::write(&path, &torn).unwrap();
+        let (_, rec) = Journal::open_recover(&path).unwrap();
+        assert!(rec.truncated, "tag {}", retired[0]);
+        assert_eq!(rec.log, records, "tag {}", retired[0]);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "tag {}", retired[0]);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,7 +5,7 @@
 //! work on it carry on.
 
 use gcl_exec::fleet::encode_stats_payload;
-use gcl_exec::proto::{parse_submit, Conn};
+use gcl_exec::proto::{parse_submit, submit_frame, Conn};
 use gcl_exec::{
     run_job, run_worker, ClientOptions, Coordinator, CoordinatorOptions, ServeClient,
     WorkerOptions, MAX_FRAME,
@@ -129,18 +129,57 @@ fn a_coordinator_skips_the_inventory_keys_and_fetched_frames_of_an_older_worker(
     })
     .expect("connect client");
     let id = client.submit("bfs", true, false).expect("submit");
-    let assign = loop {
+    let assign = next_assign(&mut w);
+    // The raw line an older worker parses: every field, in this order.
+    assert_eq!(
+        assign.render_compact(),
+        format!(r#"{{"op":"assign","job":{id},"workload":"bfs","tiny":true,"sanitize":false}}"#)
+    );
+    let sum = answer(&mut w, id, &assign);
+    let r = client.wait(id, Duration::from_secs(60)).expect("result");
+    assert_eq!(r.get("sum").and_then(Json::as_str), Some(sum.as_str()));
+
+    // A cycle override rides last, after the scale's fields.
+    let submit = submit_frame("bfs", true, true, Some(20_000_001), None);
+    let ack = client.call(&submit).expect("submit with max_cycles");
+    let id = ack.get("id").and_then(Json::as_u64).expect("job id");
+    let assign = next_assign(&mut w);
+    assert_eq!(
+        assign.render_compact(),
+        format!(
+            r#"{{"op":"assign","job":{id},"workload":"bfs","tiny":true,"sanitize":true,"max_cycles":20000001}}"#
+        )
+    );
+    let sum = answer(&mut w, id, &assign);
+    let r = client.wait(id, Duration::from_secs(60)).expect("result");
+    assert_eq!(r.get("sum").and_then(Json::as_str), Some(sum.as_str()));
+    let status = client.status().expect("status");
+    let rows = status.get("workers").and_then(Json::as_arr).expect("rows");
+    assert_eq!(rows.len(), 1, "{status}");
+    assert_eq!(rows[0].get("alive"), Some(&Json::Bool(true)), "{status}");
+
+    client.shutdown().expect("shutdown");
+    coord.join().expect("coordinator thread");
+}
+
+/// The next `assign` a fake worker receives, answering pings on the way.
+fn next_assign(w: &mut Conn) -> Json {
+    loop {
         let f = w.recv_by(soon()).expect("frame from coordinator");
         match op(&f) {
-            Some("assign") => break f,
+            Some("assign") => return f,
             Some("ping") => w
                 .send(&Json::obj(vec![("op", Json::Str("pong".into()))]))
                 .expect("pong"),
             other => panic!("unexpected frame {other:?}: {f}"),
         }
-    };
-    assert_eq!(assign.get("job").and_then(Json::as_u64), Some(id));
-    let spec = parse_submit(&assign).expect("assign parses as a spec");
+    }
+}
+
+/// Answer `assign` as job `id` with an in-process run of the spec it
+/// parses as; returns the payload's `sum`.
+fn answer(w: &mut Conn, id: u64, assign: &Json) -> String {
+    let spec = parse_submit(assign).expect("assign parses as a spec");
     let stats = run_job(&spec, None).outcome.expect("run").stats;
     let (hex, sum) = encode_stats_payload(&stats);
     w.send(&Json::obj(vec![
@@ -153,13 +192,5 @@ fn a_coordinator_skips_the_inventory_keys_and_fetched_frames_of_an_older_worker(
         ("sum", Json::Str(sum.clone())),
     ]))
     .expect("done");
-    let r = client.wait(id, Duration::from_secs(60)).expect("result");
-    assert_eq!(r.get("sum").and_then(Json::as_str), Some(sum.as_str()));
-    let status = client.status().expect("status");
-    let rows = status.get("workers").and_then(Json::as_arr).expect("rows");
-    assert_eq!(rows.len(), 1, "{status}");
-    assert_eq!(rows[0].get("alive"), Some(&Json::Bool(true)), "{status}");
-
-    client.shutdown().expect("shutdown");
-    coord.join().expect("coordinator thread");
+    sum
 }
