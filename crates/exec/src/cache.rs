@@ -22,7 +22,7 @@
 //! for tests and diagnostics.
 
 use crate::job::SpecFingerprint;
-use gcl_mem::{open, seal, Dec, Enc, WireError};
+use gcl_mem::{open, seal, Dec, Enc, Wire, WireError};
 use gcl_sim::LaunchStats;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -150,17 +150,10 @@ impl ResultCache {
             return Err(CacheMiss::KeyMismatch);
         }
         let mut d = Dec::new(env.payload?);
-        let stored_fp = SpecFingerprint {
-            workload: d.str()?,
-            tiny: d.bool()?,
-            config_fp: d.u64()?,
-            kernels_fp: d.u64()?,
-        };
-        if stored_fp != *fp {
+        if SpecFingerprint::get(&mut d)? != *fp {
             return Err(CacheMiss::FingerprintCollision);
         }
-        let wall_ms = d.f64()?;
-        let stats = LaunchStats::ckpt_decode(&mut d)?;
+        let (wall_ms, stats) = Wire::get(&mut d)?;
         if !d.is_done() {
             return Err(CacheMiss::Malformed("trailing bytes"));
         }
@@ -190,12 +183,9 @@ impl ResultCache {
     ) -> Result<(), String> {
         let key = fp.key();
         let mut enc = Enc::new();
-        enc.str(&fp.workload);
-        enc.bool(fp.tiny);
-        enc.u64(fp.config_fp);
-        enc.u64(fp.kernels_fp);
-        enc.f64(wall_ms);
-        stats.ckpt_encode(&mut enc);
+        fp.put(&mut enc);
+        wall_ms.put(&mut enc);
+        stats.put(&mut enc);
         let out = seal(&CACHE_MAGIC, CACHE_VERSION, key, &enc.into_bytes());
 
         let path = self.entry_path(key);

@@ -610,12 +610,11 @@ impl ClosedLoop {
             }
             let v = rng.u64_below(self.distinct);
             let spec = variant(rng.pick(&self.specs), v);
-            let max_cycles = (v > 0).then_some(spec.cfg.max_cycles);
             let request = submit_frame(
                 &spec.workload,
                 spec.tiny,
                 spec.cfg.sanitize,
-                max_cycles,
+                spec.cycle_override(),
                 None,
             );
             let t0 = Instant::now();

@@ -30,10 +30,10 @@
 //! handler here parses its frame, takes the one lock, and calls an edge.
 
 use super::journal::{Journal, JournalError, Record};
-use super::state::{cycle_override, Fleet, FleetJob, FleetJobState, Payload, WorkerEntry};
+use super::state::{Fleet, FleetJob, FleetJobState, Payload, WorkerEntry};
 use crate::proto::{
-    encode_key, error_response, error_text, hex_encode, parse_submit, write_frame, Conn,
-    FrameError, FrameReader, ServeError,
+    assign_frame, encode_key, error_response, error_text, hex_encode, parse_submit, write_frame,
+    Conn, FrameError, FrameReader, ServeError,
 };
 use gcl_mem::fnv_fold;
 use gcl_stats::Json;
@@ -530,18 +530,8 @@ fn dispatch(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
             stuck.push_back(id);
             continue;
         };
-        let spec = &fleet.jobs.map[&id].spec;
-        let mut assign = vec![
-            ("op", Json::Str("assign".into())),
-            ("job", Json::UInt(id)),
-            ("workload", Json::Str(spec.workload.clone())),
-            ("tiny", Json::Bool(spec.tiny)),
-            ("sanitize", Json::Bool(spec.cfg.sanitize)),
-        ];
-        if let Some(max_cycles) = cycle_override(spec) {
-            assign.push(("max_cycles", Json::UInt(max_cycles)));
-        }
-        if fleet.send(widx, &Json::obj(assign)) {
+        let assign = assign_frame(id, &fleet.jobs.map[&id].spec);
+        if fleet.send(widx, &assign) {
             fleet.lease(id, widx, false, now + Duration::from_millis(opts.lease_ms));
         } else {
             // Burying the worker may have requeued other jobs; this one is

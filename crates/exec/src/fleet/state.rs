@@ -25,7 +25,7 @@
 use super::coordinator::{CoordinatorOptions, WORKER_DEAD};
 use super::journal::{JCounter, Journal, Record, Recovered};
 use super::Summary;
-use crate::job::{scale_config, JobSpec};
+use crate::job::JobSpec;
 use crate::proto::{error_response, shed_response, write_frame, QUEUE_FULL};
 use gcl_stats::{Accumulator, Json};
 use std::borrow::Cow;
@@ -130,7 +130,7 @@ impl FleetJob {
             workload: self.spec.workload.clone(),
             tiny: self.spec.tiny,
             sanitize: self.spec.cfg.sanitize,
-            max_cycles: cycle_override(&self.spec),
+            max_cycles: self.spec.cycle_override(),
             session: self.sessions.first().cloned(),
         }
     }
@@ -328,14 +328,6 @@ pub(super) struct Payload {
     pub(super) worker_wall_ms: f64,
     /// The worker served the job from its own result cache.
     pub(super) cached: bool,
-}
-
-/// The spec's cycle budget when it is not its scale's default (loadgen's
-/// cache-busting variants). It must survive the trip to a worker and
-/// through the journal, or the digest would differ.
-pub(super) fn cycle_override(spec: &JobSpec) -> Option<u64> {
-    let default = scale_config(spec.tiny).max_cycles;
-    (spec.cfg.max_cycles != default).then_some(spec.cfg.max_cycles)
 }
 
 /// Fresh simulations, deduplicated submits, structured sheds, and leases
@@ -806,15 +798,13 @@ impl Fleet {
                 max_cycles,
                 session,
             } => {
-                let mut cfg = scale_config(tiny);
-                cfg.sanitize = sanitize;
-                cfg.max_cycles = max_cycles.unwrap_or(cfg.max_cycles);
+                let spec = JobSpec::submitted(workload, tiny, sanitize, max_cycles);
                 let sessions: Vec<String> = session.into_iter().collect();
                 // The submitter saw one "queued" event.
                 self.sessions.advance(&sessions, 1);
                 self.jobs.next_id = self.jobs.next_id.max(id);
                 self.jobs.by_key.insert(key, id);
-                let job = FleetJob::queued(JobSpec::new(workload, tiny, cfg), key, sessions);
+                let job = FleetJob::queued(spec, key, sessions);
                 self.jobs.map.insert(id, job);
             }
             Record::Subscribe { id, session } => {

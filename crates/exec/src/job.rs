@@ -97,7 +97,7 @@ impl From<SimError> for ExecError {
 
 /// The default configuration of a job's scale: [`GpuConfig::small`] for the
 /// tiny inputs, [`GpuConfig::fermi`] for the benchmark scale.
-pub fn scale_config(tiny: bool) -> GpuConfig {
+fn scale_config(tiny: bool) -> GpuConfig {
     if tiny {
         GpuConfig::small()
     } else {
@@ -125,6 +125,33 @@ impl JobSpec {
             tiny,
             cfg,
         }
+    }
+
+    /// The spec a submit names: the scale's configuration with the
+    /// sanitizer switch and, when given, a cycle budget over the scale's
+    /// own. These four values are all of a spec that leaves the process —
+    /// in a `submit` or `assign` frame and in the journal's `Submit`
+    /// record — and [`cycle_override`](Self::cycle_override) reads the
+    /// fourth back.
+    pub fn submitted(
+        workload: impl Into<String>,
+        tiny: bool,
+        sanitize: bool,
+        max_cycles: Option<u64>,
+    ) -> JobSpec {
+        let mut cfg = scale_config(tiny);
+        cfg.sanitize = sanitize;
+        cfg.max_cycles = max_cycles.unwrap_or(cfg.max_cycles);
+        JobSpec::new(workload, tiny, cfg)
+    }
+
+    /// The cycle budget when it is not the scale's default (loadgen's
+    /// cache-busting variants, a starved `--force-fail` run). It must
+    /// survive the trip to a worker and through the journal, or the digest
+    /// would differ.
+    pub fn cycle_override(&self) -> Option<u64> {
+        let default = scale_config(self.tiny).max_cycles;
+        (self.cfg.max_cycles != default).then_some(self.cfg.max_cycles)
     }
 
     /// Instantiate the workload this spec names.
@@ -197,6 +224,9 @@ pub struct SpecFingerprint {
     /// FNV fold of every kernel's fingerprint, in launch-declaration order.
     pub kernels_fp: u64,
 }
+
+// Stored at the head of every cache entry's payload.
+gcl_mem::declare_wire! { SpecFingerprint { workload, tiny, config_fp, kernels_fp } }
 
 impl SpecFingerprint {
     /// The content-addressed cache key: an FNV fold over the config

@@ -21,6 +21,11 @@ use std::sync::mpsc;
 // pool popularized it.
 pub use gcl_rng::backoff::backoff_ms;
 
+/// Seed for the retry-backoff jitter ("gcl"). Each job derives its own
+/// stream from this and its index, so two retrying workers never share a
+/// wake-up schedule.
+const BACKOFF_SEED: u64 = 0x006c_6367;
+
 /// How a pool run executes.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -29,10 +34,6 @@ pub struct PoolConfig {
     pub jobs: usize,
     /// Extra attempts per job after the first failure.
     pub retries: u64,
-    /// Seed for the retry-backoff jitter. Each job derives its own stream
-    /// from this and its index, so two retrying workers never share a
-    /// wake-up schedule.
-    pub backoff_seed: u64,
     /// Consult (and fill) this result cache.
     pub cache: Option<ResultCache>,
     /// Source results by replaying captured traces from this store instead
@@ -47,7 +48,6 @@ impl Default for PoolConfig {
         PoolConfig {
             jobs: 1,
             retries: 0,
-            backoff_seed: 0x006c_6367, // "gcl"
             cache: None,
             traces: None,
         }
@@ -93,7 +93,7 @@ fn run_with_retries(
     cfg: &PoolConfig,
     events: &mpsc::Sender<JobEvent>,
 ) -> JobResult {
-    let mut rng = Rng::new(cfg.backoff_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = Rng::new(BACKOFF_SEED ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut attempts = 0u64;
     loop {
         let mut result = run_job_from(spec, cfg.cache.as_ref(), cfg.traces.as_ref());

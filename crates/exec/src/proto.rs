@@ -29,7 +29,7 @@
 //! submit parser every daemon and client shares live here too, so no peer
 //! has to import another peer's module to speak the protocol.
 
-use crate::job::{scale_config, JobSpec};
+use crate::job::JobSpec;
 use gcl_stats::Json;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -340,6 +340,22 @@ pub fn submit_frame(
     Json::obj(fields)
 }
 
+/// An `assign` frame: lease job `id` to a worker, which rebuilds `spec`
+/// from it with [`parse_submit`].
+pub fn assign_frame(id: u64, spec: &JobSpec) -> Json {
+    let mut fields = vec![
+        ("op", Json::Str("assign".into())),
+        ("job", Json::UInt(id)),
+        ("workload", Json::Str(spec.workload.clone())),
+        ("tiny", Json::Bool(spec.tiny)),
+        ("sanitize", Json::Bool(spec.cfg.sanitize)),
+    ];
+    if let Some(max_cycles) = spec.cycle_override() {
+        fields.push(("max_cycles", Json::UInt(max_cycles)));
+    }
+    Json::obj(fields)
+}
+
 /// A `session` frame: open a fresh coordinator session, or re-attach to
 /// `resume = (id, cursor)` and replay its events from `cursor`.
 pub fn session_frame(resume: Option<(&str, u64)>) -> Json {
@@ -372,20 +388,14 @@ pub fn parse_submit(request: &Json) -> Result<JobSpec, String> {
     };
     let tiny = matches!(request.get("tiny"), Some(Json::Bool(true)));
     let sanitize = matches!(request.get("sanitize"), Some(Json::Bool(true)));
-    let mut cfg = scale_config(tiny);
-    cfg.sanitize = sanitize;
     // Optional cycle-budget override; loadgen uses distinct budgets as
     // cache-busting workload variants with distinct fingerprints.
-    if let Some(max_cycles) = request.get("max_cycles") {
-        let Some(v) = max_cycles.as_u64() else {
-            return Err("`max_cycles` must be a positive integer".to_string());
-        };
-        if v == 0 {
-            return Err("`max_cycles` must be a positive integer".to_string());
-        }
-        cfg.max_cycles = v;
-    }
-    let spec = JobSpec::new(workload, tiny, cfg);
+    let max_cycles = match request.get("max_cycles").map(Json::as_u64) {
+        None => None,
+        Some(Some(v)) if v > 0 => Some(v),
+        Some(_) => return Err("`max_cycles` must be a positive integer".to_string()),
+    };
+    let spec = JobSpec::submitted(workload, tiny, sanitize, max_cycles);
     // Validate the name up front so a typo is a submit error, not a
     // queued-then-failed job.
     spec.find_workload().map_err(|e| e.to_string())?;

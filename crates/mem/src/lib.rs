@@ -47,5 +47,5 @@ pub use request::{ClassTag, Cycle, MemRequest};
 pub use san::{ConservationKind, ConservationReport, ReqInfo, RequestLedger, SanStage};
 pub use wire::{
     fnv_fold, fnv_fold_bytes, open, publish, seal, unzigzag, write_section, zigzag, Codec, Dec,
-    Enc, Envelope, Wire, WireError, FNV_OFFSET,
+    Enc, Envelope, Wire, WireError, BYTES, FNV_OFFSET,
 };

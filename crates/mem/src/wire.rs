@@ -629,6 +629,13 @@ pub struct Codec<T> {
     pub get: fn(&mut Dec<'_>) -> Result<T, WireError>,
 }
 
+/// A byte vector as one [`Enc::bytes`] / [`Dec::bytes`] slice: what
+/// `Vec<u8>`'s sequence encoding writes, copied whole, not per `u8`.
+pub const BYTES: Codec<Vec<u8>> = Codec {
+    put: |v, e| e.bytes(v),
+    get: |d| Ok(d.bytes()?.to_vec()),
+};
+
 /// Write a hash map as a `u64` count and its `(key, value)` pairs in
 /// ascending key order, so equal maps always produce identical bytes.
 pub fn put_sorted<K: Wire + Ord, V: Wire>(map: &HashMap<K, V>, e: &mut Enc) {
@@ -678,14 +685,21 @@ pub fn get_map<K: Wire + Eq + Hash, V: Wire>(
 /// enum Side { Left, Right }
 /// gcl_mem::declare_wire!(enum Side "side tag" { Left = 0, Right = 1 });
 ///
+/// #[derive(Debug, PartialEq)]
+/// enum Op { Put { key: u64, blob: Vec<u8> }, Drop { key: u64 } }
+/// gcl_mem::declare_wire!(enum Op "op tag" { Put = 0 { key, blob: gcl_mem::BYTES }, Drop = 2 { key } });
+///
 /// let mut e = Enc::new();
 /// Span { lo: 1, hi: 2, seen: 9 }.put(&mut e);
 /// Side::Right.put(&mut e);
+/// Op::Drop { key: 5 }.put(&mut e);
 /// let bytes = e.into_bytes();
 /// let mut d = Dec::new(&bytes);
 /// assert_eq!(Span::get(&mut d), Ok(Span { lo: 1, hi: 2, seen: 0 }));
 /// assert_eq!(Side::get(&mut d), Ok(Side::Right));
+/// assert_eq!(Op::get(&mut d), Ok(Op::Drop { key: 5 }));
 /// assert_eq!(Side::get(&mut Dec::new(&[2])), Err(WireError::Malformed("side tag")));
+/// assert_eq!(Op::get(&mut Dec::new(&[1])), Err(WireError::Malformed("op tag")));
 /// ```
 ///
 /// A struct lists its encoded fields; a field whose type has no `Wire`
@@ -693,8 +707,10 @@ pub fn get_map<K: Wire + Eq + Hash, V: Wire>(
 /// off the wire are filled on decode from `default { field: expr, .. }`,
 /// and `check f` runs `f(&value)` on every decoded value. An `enum` of
 /// unit variants writes each variant's tag byte and rejects any other byte
-/// as `Malformed` with the given message. Editing a declaration changes
-/// the format (DESIGN.md §10).
+/// as `Malformed` with the given message. An `enum` whose variants carry
+/// fields gives each variant its tag and its field list, `Variant = tag {
+/// field, field: CODEC }`: the tag byte, then the fields as a struct's
+/// are written. Editing a declaration changes the format (DESIGN.md §10).
 #[macro_export]
 macro_rules! declare_wire {
     (enum $ty:ident $what:literal { $($v:ident = $n:literal),* $(,)? }) => {
@@ -705,6 +721,26 @@ macro_rules! declare_wire {
             fn get(d: &mut $crate::wire::Dec<'_>) -> Result<$ty, $crate::wire::WireError> {
                 match d.u8()? {
                     $($n => Ok($ty::$v),)*
+                    _ => Err($crate::wire::WireError::Malformed($what)),
+                }
+            }
+        }
+    };
+    (enum $ty:ident $what:literal {
+        $($v:ident = $n:literal { $($f:ident $(: $c:path)?),* $(,)? }),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, e: &mut $crate::wire::Enc) {
+                match self {
+                    $($ty::$v { $($f),* } => {
+                        e.u8($n);
+                        $($crate::declare_wire!(@put e, *$f $(, $c)?);)*
+                    })*
+                }
+            }
+            fn get(d: &mut $crate::wire::Dec<'_>) -> Result<$ty, $crate::wire::WireError> {
+                match d.u8()? {
+                    $($n => Ok($ty::$v { $($f: $crate::declare_wire!(@get d $(, $c)?),)* }),)*
                     _ => Err($crate::wire::WireError::Malformed($what)),
                 }
             }

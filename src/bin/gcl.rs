@@ -9,7 +9,6 @@ use gcl::prelude::*;
 use gcl::sim::Trace;
 use gcl_core::{Classification, LoadClass};
 use gcl_exec::args::{parse_u64, Args, Command, Flag};
-use gcl_exec::job::scale_config;
 use gcl_stats::Json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -1068,15 +1067,11 @@ fn cmd_suite(args: &[String]) -> Result<(), CliError> {
         if manifest.entries[wi].status == "ok" {
             continue;
         }
-        let mut cfg = scale_config(tiny);
-        if force_fail == Some(w.name()) {
-            // Starve the cycle budget so this benchmark times out: exercises
-            // the fail-soft path without corrupting any input.
-            cfg.max_cycles = 50;
-        }
-        cfg.sanitize = sanitize;
+        // --force-fail starves the cycle budget so this benchmark times
+        // out: exercises the fail-soft path without corrupting any input.
+        let starved = (force_fail == Some(w.name())).then_some(50);
         spec_wi.push(wi);
-        specs.push(JobSpec::new(w.name(), tiny, cfg));
+        specs.push(JobSpec::submitted(w.name(), tiny, sanitize, starved));
     }
 
     let results = if let Some(addr) = fleet {
@@ -1099,7 +1094,6 @@ fn cmd_suite(args: &[String]) -> Result<(), CliError> {
             },
             traces: replay
                 .then(|| traces_dir.map_or_else(TraceStore::default_dir, TraceStore::new)),
-            ..PoolConfig::default()
         };
         // The pool delivers every event on this thread, so this closure is
         // the manifest's single writer — workers never touch
@@ -1465,11 +1459,7 @@ fn parse_trace_args(a: &Args, dir_flag: &str) -> Result<(Vec<JobSpec>, TraceStor
     };
     let specs = selected
         .into_iter()
-        .map(|name| {
-            let mut cfg = scale_config(tiny);
-            cfg.sanitize = sanitize;
-            JobSpec::new(name, tiny, cfg)
-        })
+        .map(|name| JobSpec::submitted(name, tiny, sanitize, None))
         .collect();
     let dir = a.value(dir_flag);
     let store = dir.map_or_else(TraceStore::default_dir, TraceStore::new);
