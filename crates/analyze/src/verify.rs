@@ -288,7 +288,7 @@ pub(crate) fn lints(kernel: &Kernel, cfg: &Cfg, reaching: &ReachingDefs) -> Vec<
             if !seen.insert(reg) {
                 continue;
             }
-            let defs = reaching.defs_reaching_use(kernel, pc, reg);
+            let defs = reaching.defs_reaching_use(pc, reg);
             if defs.is_empty() {
                 out.push(diag(
                     kernel,

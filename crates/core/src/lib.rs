@@ -17,9 +17,11 @@
 //!
 //! [`classify`] runs the analysis on a [`gcl_ptx::Kernel`]: it computes
 //! flow-sensitive reaching definitions over the CFG, then traces each load's
-//! address register backwards to its terminal [`AddressSource`]s, with
-//! loop-safe memoization so that induction variables (`i = i + 1`) inherit
-//! the class of their initialization rather than diverging.
+//! address register backwards to its terminal [`AddressSource`]s. The
+//! sources are computed once per strongly connected component of the def
+//! graph — the loop-safe fixpoint — so that induction variables
+//! (`i = i + 1`) inherit the class of their initialization rather than
+//! diverging, and no verdict depends on the order loads are traced in.
 //!
 //! ```
 //! use gcl_core::{classify, LoadClass};
@@ -49,6 +51,8 @@
 
 mod classify;
 mod reaching;
+#[cfg(test)]
+mod test_kernels;
 
 pub use classify::{classify, classify_with, AddressSource, Classification, LoadClass, LoadInfo};
 pub use reaching::{DefSite, ReachingDefs};

@@ -1,106 +1,15 @@
 //! Property-style tests of the load classifier: soundness of the taint
-//! rules on randomly generated dependence chains, driven by the in-tree
-//! seeded generator so failures are bit-reproducible.
+//! rules on randomly generated dependence chains (half of them with one
+//! back edge around an ALU cycle, some steps with a guarded overwrite),
+//! driven by the in-tree seeded generator so failures are bit-reproducible.
 
+#[path = "common/chain.rs"]
+mod chain;
+
+use chain::{build, chain};
 use gcl_core::{classify, LoadClass};
-use gcl_ptx::{Address, AluOp, Instruction, Kernel, Op, Operand, Reg, Space, Type};
-use gcl_rng::{cases, Rng};
-
-/// A random arithmetic chain: each step combines two earlier registers (or
-/// launch-invariant sources). Register 0 starts as a parameter value;
-/// whether register 1 starts from a load is the controlled taint source.
-#[derive(Debug, Clone)]
-struct Chain {
-    taint_origin: bool,
-    /// (lhs, rhs) choices per step, as indices into prior registers.
-    steps: Vec<(u8, u8)>,
-}
-
-fn chain(r: &mut Rng) -> Chain {
-    let taint_origin = r.chance(0.5);
-    let nsteps = 1 + r.usize_below(11);
-    let steps = (0..nsteps)
-        .map(|_| (r.u32_below(256) as u8, r.u32_below(256) as u8))
-        .collect();
-    Chain {
-        taint_origin,
-        steps,
-    }
-}
-
-/// Build the kernel for a chain. Returns (kernel, final load pc, whether any
-/// step can see the tainted register).
-fn build(c: &Chain) -> (Kernel, usize, bool) {
-    let mut insts: Vec<Instruction> = Vec::new();
-    let base = Reg(0); // pointer parameter
-    insts.push(Instruction::new(Op::Ld {
-        space: Space::Param,
-        ty: Type::U64,
-        dst: base,
-        addr: Address::abs(0),
-    }));
-    // r1: the controlled origin — parameter-derived or load-derived.
-    let origin = Reg(1);
-    if c.taint_origin {
-        insts.push(Instruction::new(Op::Ld {
-            space: Space::Global,
-            ty: Type::U32,
-            dst: origin,
-            addr: Address::reg(base),
-        }));
-    } else {
-        insts.push(Instruction::new(Op::Mov {
-            ty: Type::U32,
-            dst: origin,
-            src: Operand::Special(gcl_ptx::Special::TidX),
-        }));
-    }
-    // Arithmetic chain over registers 2..: each step picks two earlier regs.
-    let mut tainted = vec![false, c.taint_origin];
-    let mut next = 2u32;
-    for &(a_pick, b_pick) in &c.steps {
-        let a = Reg(u32::from(a_pick) % next);
-        let b = Reg(u32::from(b_pick) % next);
-        insts.push(Instruction::new(Op::Alu {
-            op: AluOp::Add,
-            ty: Type::U32,
-            dst: Reg(next),
-            a: Operand::Reg(a),
-            b: Operand::Reg(b),
-        }));
-        let t = tainted[a.index()] || tainted[b.index()];
-        tainted.push(t);
-        next += 1;
-    }
-    // Final: a load whose address mixes the base pointer and the last chain
-    // register.
-    let last = Reg(next - 1);
-    let addr_reg = Reg(next);
-    insts.push(Instruction::new(Op::Alu {
-        op: AluOp::Add,
-        ty: Type::U64,
-        dst: addr_reg,
-        a: Operand::Reg(base),
-        b: Operand::Reg(last),
-    }));
-    let load_pc = insts.len();
-    insts.push(Instruction::new(Op::Ld {
-        space: Space::Global,
-        ty: Type::U32,
-        dst: Reg(next + 1),
-        addr: Address::reg(addr_reg),
-    }));
-    insts.push(Instruction::new(Op::Exit));
-    let expect_taint = *tainted.last().unwrap();
-    let kernel = Kernel::new(
-        "chain",
-        vec![gcl_ptx::ParamDecl::new("p", Type::U64)],
-        0,
-        insts,
-    )
-    .unwrap();
-    (kernel, load_pc, expect_taint)
-}
+use gcl_ptx::Op;
+use gcl_rng::cases;
 
 /// The classifier's verdict on the final load matches exact taint
 /// propagation through the chain.

@@ -142,12 +142,13 @@ impl Kernel {
         shared_bytes: u32,
         insts: Vec<Instruction>,
     ) -> Result<Kernel, ValidateError> {
-        let num_regs = insts
-            .iter()
-            .flat_map(|i| i.src_regs().into_iter().chain(i.dst_reg()))
-            .map(|r| r.0 + 1)
-            .max()
-            .unwrap_or(0);
+        let mut num_regs = 0;
+        for inst in &insts {
+            inst.for_each_src_reg(|r| num_regs = num_regs.max(r.0 + 1));
+            if let Some(r) = inst.dst_reg() {
+                num_regs = num_regs.max(r.0 + 1);
+            }
+        }
         let k = Kernel {
             name: name.into(),
             params,

@@ -89,14 +89,15 @@ impl From<ValidateError> for ParseError {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
+/// One token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'src> {
     /// Bare identifier, possibly with interior dots: `ld.global.u32`, `L3`.
-    Word(String),
+    Word(&'src str),
     /// `.entry`, `.param`, `.u64`, ...
-    DotWord(String),
+    DotWord(&'src str),
     /// `%r1`, `%tid.x`, `%p2`, ...
-    Percent(String),
+    Percent(&'src str),
     Int(i64),
     /// f64 bits
     Float(u64),
@@ -114,7 +115,7 @@ enum Tok {
     Plus,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Word(w) => write!(f, "`{w}`"),
@@ -139,119 +140,117 @@ impl fmt::Display for Tok {
 }
 
 /// One lexed token with its 1-based source line and column.
-type Spanned = (Tok, usize, usize);
+type Spanned<'src> = (Tok<'src>, usize, usize);
 
-fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
+/// A cursor over the source: a byte offset for slicing, and a character
+/// count for columns (which count characters, not bytes).
+struct Cursor<'src> {
+    src: &'src str,
+    /// Byte offset of the next character.
+    i: usize,
+    /// Characters before `i`.
+    chars: usize,
+}
+
+impl<'src> Cursor<'src> {
+    fn peek(&self) -> Option<char> {
+        match *self.src.as_bytes().get(self.i)? {
+            b if b.is_ascii() => Some(b as char),
+            _ => self.src[self.i..].chars().next(),
+        }
+    }
+
+    /// The byte `k` bytes past the cursor (lookahead is only ever ASCII).
+    fn byte_at(&self, k: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.i + k).copied()
+    }
+
+    fn bump(&mut self) {
+        if let Some(c) = self.peek() {
+            self.i += c.len_utf8();
+            self.chars += 1;
+        }
+    }
+
+    /// Advance over characters satisfying `f`; return the text passed.
+    fn eat_while(&mut self, f: impl Fn(char) -> bool) -> &'src str {
+        let start = self.i;
+        while self.peek().is_some_and(&f) {
+            self.bump();
+        }
+        &self.src[start..self.i]
+    }
+}
+
+fn lex(src: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
     let mut toks = Vec::new();
     let mut line = 1usize;
     let mut line_start = 0usize;
-    let bytes: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    let n = bytes.len();
+    let mut cur = Cursor {
+        src,
+        i: 0,
+        chars: 0,
+    };
     let is_word_char = |c: char| c.is_alphanumeric() || c == '_' || c == '.';
-    while i < n {
-        let c = bytes[i];
-        let col = i - line_start + 1;
+    while let Some(c) = cur.peek() {
+        let col = cur.chars - line_start + 1;
+        let punct = match c {
+            '(' => Some(Tok::LParen),
+            ')' => Some(Tok::RParen),
+            '{' => Some(Tok::LBrace),
+            '}' => Some(Tok::RBrace),
+            '[' => Some(Tok::LBracket),
+            ']' => Some(Tok::RBracket),
+            ',' => Some(Tok::Comma),
+            ';' => Some(Tok::Semi),
+            ':' => Some(Tok::Colon),
+            '@' => Some(Tok::At),
+            '!' => Some(Tok::Bang),
+            '+' => Some(Tok::Plus),
+            _ => None,
+        };
+        if let Some(t) = punct {
+            toks.push((t, line, col));
+            cur.bump();
+            continue;
+        }
         match c {
             '\n' => {
                 line += 1;
-                i += 1;
-                line_start = i;
+                cur.bump();
+                line_start = cur.chars;
             }
-            c if c.is_whitespace() => i += 1,
-            '/' if i + 1 < n && bytes[i + 1] == '/' => {
-                while i < n && bytes[i] != '\n' {
-                    i += 1;
+            c if c.is_whitespace() => cur.bump(),
+            '/' if cur.byte_at(1) == Some(b'/') => {
+                cur.eat_while(|c| c != '\n');
+            }
+            '%' | '.' => {
+                cur.bump();
+                let word = cur.eat_while(is_word_char);
+                if word.is_empty() {
+                    return Err(ParseError::at(line, col, format!("dangling `{c}`")));
                 }
-            }
-            '(' => {
-                toks.push((Tok::LParen, line, col));
-                i += 1;
-            }
-            ')' => {
-                toks.push((Tok::RParen, line, col));
-                i += 1;
-            }
-            '{' => {
-                toks.push((Tok::LBrace, line, col));
-                i += 1;
-            }
-            '}' => {
-                toks.push((Tok::RBrace, line, col));
-                i += 1;
-            }
-            '[' => {
-                toks.push((Tok::LBracket, line, col));
-                i += 1;
-            }
-            ']' => {
-                toks.push((Tok::RBracket, line, col));
-                i += 1;
-            }
-            ',' => {
-                toks.push((Tok::Comma, line, col));
-                i += 1;
-            }
-            ';' => {
-                toks.push((Tok::Semi, line, col));
-                i += 1;
-            }
-            ':' => {
-                toks.push((Tok::Colon, line, col));
-                i += 1;
-            }
-            '@' => {
-                toks.push((Tok::At, line, col));
-                i += 1;
-            }
-            '!' => {
-                toks.push((Tok::Bang, line, col));
-                i += 1;
-            }
-            '+' => {
-                toks.push((Tok::Plus, line, col));
-                i += 1;
-            }
-            '%' => {
-                i += 1;
-                let start = i;
-                while i < n && is_word_char(bytes[i]) {
-                    i += 1;
-                }
-                if i == start {
-                    return Err(ParseError::at(line, col, "dangling `%`"));
-                }
-                toks.push((Tok::Percent(bytes[start..i].iter().collect()), line, col));
-            }
-            '.' => {
-                i += 1;
-                let start = i;
-                while i < n && is_word_char(bytes[i]) {
-                    i += 1;
-                }
-                if i == start {
-                    return Err(ParseError::at(line, col, "dangling `.`"));
-                }
-                toks.push((Tok::DotWord(bytes[start..i].iter().collect()), line, col));
+                let t = if c == '%' {
+                    Tok::Percent(word)
+                } else {
+                    Tok::DotWord(word)
+                };
+                toks.push((t, line, col));
             }
             '-' | '0'..='9' => {
                 let neg = c == '-';
                 if neg {
-                    i += 1;
-                    if i >= n || !bytes[i].is_ascii_digit() {
+                    cur.bump();
+                    if !cur.peek().is_some_and(|c| c.is_ascii_digit()) {
                         return Err(ParseError::at(line, col, "dangling `-`"));
                     }
                 }
-                let start = i;
                 // 0F<hex> float-bits literal.
-                if bytes[i] == '0' && i + 1 < n && bytes[i + 1] == 'F' {
-                    i += 2;
-                    let hstart = i;
-                    while i < n && bytes[i].is_ascii_hexdigit() {
-                        i += 1;
-                    }
-                    let hex: String = bytes[hstart..i].iter().collect();
-                    let bits = u64::from_str_radix(&hex, 16)
+                if cur.byte_at(0) == Some(b'0') && cur.byte_at(1) == Some(b'F') {
+                    cur.bump();
+                    cur.bump();
+                    let hex = cur.eat_while(|c| c.is_ascii_hexdigit());
+                    let bits = u64::from_str_radix(hex, 16)
                         .map_err(|e| ParseError::at(line, col, format!("bad float bits: {e}")))?;
                     let bits = if neg {
                         (-f64::from_bits(bits)).to_bits()
@@ -262,33 +261,27 @@ fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     continue;
                 }
                 // 0x<hex> integer.
-                if bytes[i] == '0' && i + 1 < n && (bytes[i + 1] == 'x' || bytes[i + 1] == 'X') {
-                    i += 2;
-                    let hstart = i;
-                    while i < n && bytes[i].is_ascii_hexdigit() {
-                        i += 1;
-                    }
-                    let hex: String = bytes[hstart..i].iter().collect();
-                    let v = i64::from_str_radix(&hex, 16)
+                if cur.byte_at(0) == Some(b'0') && matches!(cur.byte_at(1), Some(b'x' | b'X')) {
+                    cur.bump();
+                    cur.bump();
+                    let hex = cur.eat_while(|c| c.is_ascii_hexdigit());
+                    let v = i64::from_str_radix(hex, 16)
                         .map_err(|e| ParseError::at(line, col, format!("bad hex literal: {e}")))?;
                     toks.push((Tok::Int(if neg { -v } else { v }), line, col));
                     continue;
                 }
+                let start = cur.i;
                 let mut is_float = false;
-                while i < n
-                    && (bytes[i].is_ascii_digit()
-                        || bytes[i] == '.'
-                        || bytes[i] == 'e'
-                        || bytes[i] == 'E'
-                        || ((bytes[i] == '-' || bytes[i] == '+')
-                            && (bytes[i - 1] == 'e' || bytes[i - 1] == 'E')))
-                {
-                    if bytes[i] == '.' || bytes[i] == 'e' || bytes[i] == 'E' {
-                        is_float = true;
+                while let Some(c) = cur.peek() {
+                    let exp_sign =
+                        (c == '-' || c == '+') && matches!(src.as_bytes()[cur.i - 1], b'e' | b'E');
+                    if !(c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E') || exp_sign) {
+                        break;
                     }
-                    i += 1;
+                    is_float |= matches!(c, '.' | 'e' | 'E');
+                    cur.bump();
                 }
-                let text: String = bytes[start..i].iter().collect();
+                let text = &src[start..cur.i];
                 if is_float {
                     let v: f64 = text
                         .parse()
@@ -302,11 +295,8 @@ fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < n && is_word_char(bytes[i]) {
-                    i += 1;
-                }
-                toks.push((Tok::Word(bytes[start..i].iter().collect()), line, col));
+                let word = cur.eat_while(is_word_char);
+                toks.push((Tok::Word(word), line, col));
             }
             other => {
                 return Err(ParseError::at(
@@ -320,17 +310,27 @@ fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
     Ok(toks)
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+/// The special register spelled `%name`, looked up without building the
+/// spelling.
+fn special_named(name: &str) -> Option<Special> {
+    Special::ALL
+        .iter()
+        .copied()
+        .find(|sp| sp.name().strip_prefix('%') == Some(name))
+}
+
+struct Parser<'t, 'src> {
+    /// The tokens from this kernel's `.entry` to the end of the module.
+    toks: &'t [Spanned<'src>],
     pos: usize,
-    regs: HashMap<String, u32>,
+    regs: HashMap<&'src str, u32>,
     next_reg: u32,
     params: Vec<ParamDecl>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _, _)| t)
+impl<'src> Parser<'_, 'src> {
+    fn peek(&self) -> Option<Tok<'src>> {
+        self.toks.get(self.pos).map(|&(t, _, _)| t)
     }
 
     /// Line and column of the token at the current position (clamped to the
@@ -347,17 +347,15 @@ impl Parser {
         ParseError::at(line, col, msg)
     }
 
-    fn next(&mut self) -> Result<Tok, ParseError> {
+    fn next(&mut self) -> Result<Tok<'src>, ParseError> {
         let t = self
-            .toks
-            .get(self.pos)
-            .map(|(t, _, _)| t.clone())
+            .peek()
             .ok_or_else(|| self.err("unexpected end of input"))?;
         self.pos += 1;
         Ok(t)
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
         let got = self.next()?;
         if got == want {
             Ok(())
@@ -367,7 +365,7 @@ impl Parser {
         }
     }
 
-    fn expect_word(&mut self) -> Result<String, ParseError> {
+    fn expect_word(&mut self) -> Result<&'src str, ParseError> {
         match self.next()? {
             Tok::Word(w) => Ok(w),
             other => {
@@ -377,7 +375,7 @@ impl Parser {
         }
     }
 
-    fn intern_reg(&mut self, name: &str) -> Reg {
+    fn intern_reg(&mut self, name: &'src str) -> Reg {
         if let Some(&id) = self.regs.get(name) {
             return Reg(id);
         }
@@ -390,18 +388,18 @@ impl Parser {
             id
         };
         self.next_reg = self.next_reg.max(id + 1);
-        self.regs.insert(name.to_string(), id);
+        self.regs.insert(name, id);
         Reg(id)
     }
 
     fn parse_reg(&mut self) -> Result<Reg, ParseError> {
         match self.next()? {
             Tok::Percent(name) => {
-                if Special::from_name(&format!("%{name}")).is_some() {
+                if special_named(name).is_some() {
                     self.pos -= 1;
                     Err(self.err(format!("special register %{name} cannot be a destination")))
                 } else {
-                    Ok(self.intern_reg(&name))
+                    Ok(self.intern_reg(name))
                 }
             }
             other => {
@@ -414,10 +412,10 @@ impl Parser {
     fn parse_operand(&mut self) -> Result<Operand, ParseError> {
         match self.next()? {
             Tok::Percent(name) => {
-                if let Some(sp) = Special::from_name(&format!("%{name}")) {
+                if let Some(sp) = special_named(name) {
                     Ok(Operand::Special(sp))
                 } else {
-                    Ok(Operand::Reg(self.intern_reg(&name)))
+                    Ok(Operand::Reg(self.intern_reg(name)))
                 }
             }
             Tok::Int(v) => Ok(Operand::Imm(v)),
@@ -435,7 +433,7 @@ impl Parser {
         self.expect(Tok::LBracket)?;
         let addr = match self.next()? {
             Tok::Percent(name) => {
-                let base = self.intern_reg(&name);
+                let base = self.intern_reg(name);
                 let offset = match self.peek() {
                     Some(Tok::Plus) => {
                         self.next()?;
@@ -447,8 +445,7 @@ impl Parser {
                             }
                         }
                     }
-                    Some(Tok::Int(v)) if *v < 0 => {
-                        let v = *v;
+                    Some(Tok::Int(v)) if v < 0 => {
                         self.next()?;
                         v
                     }
@@ -587,7 +584,7 @@ fn parse_module_inner(src: &str) -> Result<Vec<Kernel>, ParseError> {
 }
 
 fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize), ParseError> {
-    let toks = all_toks[start..].to_vec();
+    let toks = &all_toks[start..];
     // Numeric registers (`%rN`) claim their own ids; pre-scan them so that
     // named registers (`%p1`, `%rd3`, ...) are interned above every numeric
     // id and can never collide.
@@ -608,13 +605,11 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
     };
 
     // Header: optional `.visible`, then `.entry`.
-    if let Some(Tok::DotWord(w)) = p.peek() {
-        if w == "visible" {
-            p.next()?;
-        }
+    if p.peek() == Some(Tok::DotWord("visible")) {
+        p.next()?;
     }
     match p.next()? {
-        Tok::DotWord(w) if w == "entry" => {}
+        Tok::DotWord("entry") => {}
         other => {
             p.pos -= 1;
             return Err(p.err(format!("expected `.entry`, found {other}")));
@@ -622,17 +617,17 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
     }
     let name = p.expect_word()?;
     p.expect(Tok::LParen)?;
-    if p.peek() != Some(&Tok::RParen) {
+    if p.peek() != Some(Tok::RParen) {
         loop {
             match p.next()? {
-                Tok::DotWord(w) if w == "param" => {}
+                Tok::DotWord("param") => {}
                 other => {
                     p.pos -= 1;
                     return Err(p.err(format!("expected `.param`, found {other}")));
                 }
             }
             let ty = match p.next()? {
-                Tok::DotWord(t) => Type::from_suffix(&t)
+                Tok::DotWord(t) => Type::from_suffix(t)
                     .ok_or_else(|| p.err(format!("unknown param type `.{t}`")))?,
                 other => {
                     p.pos -= 1;
@@ -655,15 +650,13 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
     }
 
     let mut shared_bytes = 0u32;
-    if let Some(Tok::DotWord(w)) = p.peek() {
-        if w == "shared" {
-            p.next()?;
-            match p.next()? {
-                Tok::Int(v) if v >= 0 => shared_bytes = v as u32,
-                other => {
-                    p.pos -= 1;
-                    return Err(p.err(format!("expected shared size, found {other}")));
-                }
+    if p.peek() == Some(Tok::DotWord("shared")) {
+        p.next()?;
+        match p.next()? {
+            Tok::Int(v) if v >= 0 => shared_bytes = v as u32,
+            other => {
+                p.pos -= 1;
+                return Err(p.err(format!("expected shared size, found {other}")));
             }
         }
     }
@@ -672,9 +665,9 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
 
     // Body: instructions with symbolic labels, resolved afterwards.
     let mut insts: Vec<Instruction> = Vec::new();
-    let mut labels: HashMap<String, usize> = HashMap::new();
+    let mut labels: HashMap<&str, usize> = HashMap::new();
     // (pc, label, line, col) of every `bra` awaiting label resolution.
-    let mut branch_fixups: Vec<(usize, String, usize, usize)> = Vec::new();
+    let mut branch_fixups: Vec<(usize, &str, usize, usize)> = Vec::new();
 
     loop {
         match p.peek() {
@@ -688,11 +681,10 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
 
         // Label? `IDENT :`
         if let Some(Tok::Word(w)) = p.peek() {
-            if p.toks.get(p.pos + 1).map(|(t, _, _)| t) == Some(&Tok::Colon) {
-                let w = w.clone();
+            if p.toks.get(p.pos + 1).map(|&(t, _, _)| t) == Some(Tok::Colon) {
                 p.next()?;
                 p.next()?;
-                if labels.insert(w.clone(), insts.len()).is_some() {
+                if labels.insert(w, insts.len()).is_some() {
                     return Err(p.err(format!("label `{w}` defined twice")));
                 }
                 continue;
@@ -701,9 +693,9 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
 
         // Optional guard.
         let mut guard = None;
-        if p.peek() == Some(&Tok::At) {
+        if p.peek() == Some(Tok::At) {
             p.next()?;
-            let negate = if p.peek() == Some(&Tok::Bang) {
+            let negate = if p.peek() == Some(Tok::Bang) {
                 p.next()?;
                 true
             } else {
@@ -724,7 +716,7 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
     // Resolve labels.
     for (pc, label, line, col) in branch_fixups {
         let target = *labels
-            .get(&label)
+            .get(label)
             .ok_or_else(|| ParseError::at(line, col, format!("undefined label `{label}`")))?;
         if let Op::Bra { target: t } = &mut insts[pc].op {
             *t = target;
@@ -737,11 +729,11 @@ fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize
         .map_err(ParseError::from)
 }
 
-fn parse_op(
-    p: &mut Parser,
+fn parse_op<'src>(
+    p: &mut Parser<'_, 'src>,
     parts: &[&str],
     (line, col): (usize, usize),
-    branch_fixups: &mut Vec<(usize, String, usize, usize)>,
+    branch_fixups: &mut Vec<(usize, &'src str, usize, usize)>,
     pc: usize,
 ) -> Result<Op, ParseError> {
     let head = parts[0];
@@ -922,7 +914,7 @@ fn parse_op(
             // `bar.sync id` (the id defaults to 0 when omitted)
             let mut id = 0u32;
             if let Some(Tok::Int(v)) = p.peek() {
-                id = *v as u32;
+                id = v as u32;
                 p.next()?;
             }
             Ok(Op::Bar { id })
@@ -967,7 +959,7 @@ fn parse_op(
     }
 }
 
-fn alu(p: &mut Parser, op: AluOp, ty: Type) -> Result<Op, ParseError> {
+fn alu(p: &mut Parser<'_, '_>, op: AluOp, ty: Type) -> Result<Op, ParseError> {
     let dst = p.parse_reg()?;
     p.expect(Tok::Comma)?;
     let a = p.parse_operand()?;
@@ -977,7 +969,7 @@ fn alu(p: &mut Parser, op: AluOp, ty: Type) -> Result<Op, ParseError> {
 }
 
 /// The last dot-part that parses as a type (skips `.rn`, `.approx`, ...).
-fn last_type(p: &Parser, parts: &[&str]) -> Result<Type, ParseError> {
+fn last_type(p: &Parser<'_, '_>, parts: &[&str]) -> Result<Type, ParseError> {
     parts
         .iter()
         .rev()
@@ -1240,5 +1232,14 @@ mod tests {
         assert_eq!(err.line, 3);
         assert_eq!(err.col, 16, "column of the `]`: {err}");
         assert!(err.snippet.contains("mov.u32"), "{err}");
+    }
+
+    /// Columns count characters, not bytes: a multi-byte character before
+    /// the offending one moves the caret by one.
+    #[test]
+    fn error_columns_count_characters() {
+        let err = parse_kernel(".entry k () { é $ }").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 17), "{err}");
+        assert_eq!(err.msg, "unexpected character `$`");
     }
 }
