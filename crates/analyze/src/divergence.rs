@@ -55,21 +55,6 @@ fn special_divergent(s: Special) -> bool {
     )
 }
 
-/// The non-address operands an instruction reads (registers are already
-/// handled through `src_regs`; this exists to see `Special` sources).
-fn operands(op: &Op) -> Vec<Operand> {
-    match op {
-        Op::St { src, .. } => vec![*src],
-        Op::Mov { src, .. } | Op::Cvt { src, .. } => vec![*src],
-        Op::Unary { a, .. } | Op::Sfu { a, .. } => vec![*a],
-        Op::Alu { a, b, .. } | Op::Setp { a, b, .. } => vec![*a, *b],
-        Op::Mad { a, b, c, .. } => vec![*a, *b, *c],
-        Op::Selp { a, b, .. } => vec![*a, *b],
-        Op::Atom { src, .. } => vec![*src],
-        Op::Ld { .. } | Op::Bra { .. } | Op::Bar { .. } | Op::Exit => vec![],
-    }
-}
-
 /// Forward taint analysis: the fact is the set of divergent registers.
 struct Uniformity<'a> {
     num_regs: u32,
@@ -96,13 +81,16 @@ impl Analysis for Uniformity<'_> {
 
     fn transfer(&self, pc: usize, inst: &Instruction, fact: &mut RegSet) {
         let Some(dst) = inst.dst_reg() else { return };
-        let data_div = inst.src_regs().iter().any(|r| fact.contains(*r))
-            || operands(&inst.op).iter().any(|o| match o {
-                Operand::Special(s) => special_divergent(*s),
-                _ => false,
-            })
-            // Atomics return the pre-op memory value, which differs per lane.
-            || matches!(inst.op, Op::Atom { .. });
+        // Atomics return the pre-op memory value, which differs per lane.
+        let mut data_div =
+            matches!(inst.op, Op::Atom { .. }) || inst.guard.is_some_and(|g| fact.contains(g.pred));
+        inst.op.for_each_operand(|o| {
+            data_div |= match o {
+                Operand::Reg(r) => fact.contains(r),
+                Operand::Special(s) => special_divergent(s),
+                Operand::Imm(_) | Operand::FImm(_) => false,
+            }
+        });
         if data_div || self.tainted.contains(&pc) {
             fact.insert(dst);
         } else if inst.guard.is_none() {

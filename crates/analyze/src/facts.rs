@@ -7,7 +7,7 @@
 //! the public one-kernel entry points build their own.
 
 use gcl_core::{classify_with, Classification, LoadClass, ReachingDefs};
-use gcl_ptx::{BlockId, Cfg, Kernel, LoopForest};
+use gcl_ptx::{Cfg, Dominators, Kernel, LoopForest};
 
 /// One kernel and the analyses over it that the passes share.
 pub(crate) struct Facts<'k> {
@@ -16,24 +16,24 @@ pub(crate) struct Facts<'k> {
     pub reaching: ReachingDefs,
     /// The paper's D/N classification, with every load's terminal sources.
     pub classes: Classification,
+    /// The dominator tree the loop forest was built from.
+    pub dom: Dominators,
     /// Natural loops, for induction-variable and trip-count recovery.
     pub forest: LoopForest,
-    /// Immediate dominator of each block (the entry is its own).
-    pub idom: Vec<Option<BlockId>>,
 }
 
 impl<'k> Facts<'k> {
     pub fn new(kernel: &'k Kernel) -> Facts<'k> {
         let reaching = ReachingDefs::compute(kernel);
         let classes = classify_with(kernel, &reaching);
-        let forest = reaching.cfg().loop_forest();
-        let idom = reaching.cfg().immediate_dominators();
+        let dom = reaching.cfg().immediate_dominators();
+        let forest = dom.loop_forest(reaching.cfg());
         Facts {
             kernel,
             reaching,
             classes,
+            dom,
             forest,
-            idom,
         }
     }
 
@@ -48,19 +48,5 @@ impl<'k> Facts<'k> {
         self.classes
             .class_of(pc)
             .expect("every data load is a classification subject")
-    }
-
-    /// Whether block `a` dominates block `b`.
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur] {
-                Some(d) if d != cur => cur = d,
-                _ => return false,
-            }
-        }
     }
 }

@@ -298,7 +298,7 @@ fn always_executed(facts: &Facts<'_>) -> Vec<bool> {
         .filter(|&b| blocks[b].succs.is_empty())
         .collect();
     (0..blocks.len())
-        .map(|b| !exits.is_empty() && exits.iter().all(|&e| facts.dominates(b, e)))
+        .map(|b| !exits.is_empty() && exits.iter().all(|&e| facts.dom.dominates(b, e)))
         .collect()
 }
 
@@ -320,7 +320,7 @@ fn runs_unconditionally(eval: &mut SymEval<'_>, unconditional: &[bool], pc: usiz
         let lp = &facts.forest.loops()[l];
         // Must run on every iteration, not under a conditional in the body
         // (the header trivially dominates its latches).
-        if !lp.latches.iter().all(|&lt| facts.dominates(b, lt)) {
+        if !lp.latches.iter().all(|&lt| facts.dom.dominates(b, lt)) {
             return false;
         }
         if !matches!(eval.loop_trips(l), Some(t) if t >= 1) {
@@ -329,7 +329,7 @@ fn runs_unconditionally(eval: &mut SymEval<'_>, unconditional: &[bool], pc: usiz
         // The loop body runs iff the loop is entered: continue from the
         // header's immediate dominator, which sits outside the loop (the
         // entry block is its own idom — stop if the header is the entry).
-        let Some(pre) = facts.idom[lp.header].filter(|&d| d != lp.header) else {
+        let Some(pre) = facts.dom.idom(lp.header).filter(|&d| d != lp.header) else {
             return false;
         };
         b = pre;

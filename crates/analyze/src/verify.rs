@@ -204,9 +204,7 @@ impl Analysis for Liveness {
                 fact.remove(d);
             }
         }
-        for r in inst.src_regs() {
-            fact.insert(r);
-        }
+        inst.for_each_src_reg(|r| fact.insert(r));
     }
 }
 

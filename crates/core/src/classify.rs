@@ -356,7 +356,7 @@ impl<'k> SourceSets<'k> {
         let pc = reaching.defs()[id].pc;
         let (l0, s0) = (self.local.len(), self.succ.len());
         let (local, succ) = (&mut self.local, &mut self.succ);
-        let mut operand = |o: Operand| match o {
+        let operand = |o: Operand| match o {
             Operand::Reg(reg) => {
                 let defs = reaching.defs_reaching_use(pc, reg);
                 if defs.is_empty() {
@@ -378,28 +378,14 @@ impl<'k> SourceSets<'k> {
                 });
             }
             Op::Atom { .. } => self.local.push(AddressSource::AtomicResult { pc }),
-            Op::Mov { src, .. }
-            | Op::Cvt { src, .. }
-            | Op::Sfu { a: src, .. }
-            | Op::Unary { a: src, .. } => operand(*src),
-            Op::Alu { a, b, .. } | Op::Setp { a, b, .. } => {
-                operand(*a);
-                operand(*b);
-            }
-            Op::Mad { a, b, c, .. } => {
-                operand(*a);
-                operand(*b);
-                operand(*c);
-            }
-            Op::Selp { a, b, pred, .. } => {
-                operand(*a);
-                operand(*b);
-                // The predicate is a data dependence of the selected value.
-                operand(Operand::Reg(*pred));
-            }
-            Op::St { .. } | Op::Bra { .. } | Op::Bar { .. } | Op::Exit => {
-                // These never define registers; unreachable for a def.
-                debug_assert!(false, "definition site at non-defining instruction");
+            // Every other def's value flows from its operands; for `selp`
+            // the predicate too, a data dependence of the selected value.
+            op => {
+                debug_assert!(
+                    op.dst_reg().is_some(),
+                    "definition site at {pc} defines nothing"
+                );
+                op.for_each_operand(operand);
             }
         }
         self.local_span[id] = (l0, self.local.len());

@@ -518,39 +518,47 @@ impl Op {
         }
     }
 
-    /// Visit every register this instruction reads, in operand order
-    /// (excluding the guard predicate, which lives on [`Instruction`]),
-    /// without allocating — the form per-cycle simulator code uses.
-    pub fn for_each_src_reg(&self, mut f: impl FnMut(Reg)) {
-        let mut reg = |r: Option<Reg>| {
-            if let Some(r) = r {
-                f(r);
-            }
-        };
-        match self {
-            Op::Ld { addr, .. } => reg(addr.base),
-            Op::St { addr, src, .. } | Op::Atom { addr, src, .. } => {
-                reg(addr.base);
-                reg(src.reg());
-            }
-            Op::Mov { src, .. } | Op::Cvt { src, .. } => reg(src.reg()),
-            Op::Unary { a, .. } | Op::Sfu { a, .. } => reg(a.reg()),
+    /// Visit every operand this instruction reads, in operand order and
+    /// without allocating: the address base first, then the value
+    /// operands; `selp`'s predicate comes last, as an [`Operand::Reg`]. The
+    /// guard predicate lives on [`Instruction`] and is not visited.
+    pub fn for_each_operand(&self, mut f: impl FnMut(Operand)) {
+        if let Some(base) = self.addr().and_then(|a| a.base) {
+            f(Operand::Reg(base));
+        }
+        match *self {
+            Op::St { src, .. }
+            | Op::Atom { src, .. }
+            | Op::Mov { src, .. }
+            | Op::Cvt { src, .. }
+            | Op::Unary { a: src, .. }
+            | Op::Sfu { a: src, .. } => f(src),
             Op::Alu { a, b, .. } | Op::Setp { a, b, .. } => {
-                reg(a.reg());
-                reg(b.reg());
+                f(a);
+                f(b);
             }
             Op::Mad { a, b, c, .. } => {
-                reg(a.reg());
-                reg(b.reg());
-                reg(c.reg());
+                f(a);
+                f(b);
+                f(c);
             }
             Op::Selp { a, b, pred, .. } => {
-                reg(a.reg());
-                reg(b.reg());
-                reg(Some(*pred));
+                f(a);
+                f(b);
+                f(Operand::Reg(pred));
             }
-            Op::Bra { .. } | Op::Bar { .. } | Op::Exit => {}
+            Op::Ld { .. } | Op::Bra { .. } | Op::Bar { .. } | Op::Exit => {}
         }
+    }
+
+    /// Visit every register this instruction reads: the registers of
+    /// [`Op::for_each_operand`], in its order.
+    pub fn for_each_src_reg(&self, mut f: impl FnMut(Reg)) {
+        self.for_each_operand(|o| {
+            if let Operand::Reg(r) = o {
+                f(r);
+            }
+        });
     }
 
     /// All registers read by this instruction (excluding the guard predicate,
@@ -719,6 +727,13 @@ mod tests {
         }
     }
 
+    /// Every operand of `op`, in visiting order.
+    fn operands(op: &Op) -> Vec<Operand> {
+        let mut out = Vec::new();
+        op.for_each_operand(|o| out.push(o));
+        out
+    }
+
     #[test]
     fn dst_and_src_regs() {
         let op = Op::Mad {
@@ -740,6 +755,70 @@ mod tests {
         };
         assert_eq!(st.dst_reg(), None);
         assert_eq!(st.src_regs(), vec![Reg(3), Reg(4)]);
+        assert_eq!(
+            operands(&st),
+            vec![Operand::Reg(Reg(3)), Operand::Reg(Reg(4))]
+        );
+
+        // A special register and an immediate are operands, not registers.
+        let mad = Op::Mad {
+            ty: Type::U32,
+            dst: Reg(6),
+            a: Operand::Special(Special::TidX),
+            b: Operand::Reg(Reg(7)),
+            c: Operand::Imm(3),
+            wide: false,
+        };
+        assert_eq!(
+            operands(&mad),
+            vec![
+                Operand::Special(Special::TidX),
+                Operand::Reg(Reg(7)),
+                Operand::Imm(3)
+            ]
+        );
+        assert_eq!(mad.src_regs(), vec![Reg(7)]);
+
+        // `selp`'s predicate comes after both values.
+        let selp = Op::Selp {
+            ty: Type::U32,
+            dst: Reg(8),
+            a: Operand::Imm(1),
+            b: Operand::Reg(Reg(9)),
+            pred: Reg(10),
+        };
+        assert_eq!(
+            operands(&selp),
+            vec![Operand::Imm(1), Operand::Reg(Reg(9)), Operand::Reg(Reg(10))]
+        );
+        assert_eq!(selp.src_regs(), vec![Reg(9), Reg(10)]);
+
+        // The address base comes before the value operand.
+        let atom = Op::Atom {
+            op: AtomOp::Add,
+            ty: Type::U32,
+            dst: Reg(11),
+            addr: Address::reg_offset(Reg(12), 4),
+            src: Operand::Reg(Reg(13)),
+        };
+        assert_eq!(
+            operands(&atom),
+            vec![Operand::Reg(Reg(12)), Operand::Reg(Reg(13))]
+        );
+        assert_eq!(atom.src_regs(), vec![Reg(12), Reg(13)]);
+        let ld = ld_global(0, 14);
+        assert_eq!(operands(&ld), vec![Operand::Reg(Reg(14))]);
+        assert!(operands(&Op::Ld {
+            space: Space::Param,
+            ty: Type::U64,
+            dst: Reg(0),
+            addr: Address::abs(8),
+        })
+        .is_empty());
+
+        // At the instruction level the guard comes last.
+        let guarded = Instruction::guarded(Guard::unless(Reg(15)), selp);
+        assert_eq!(guarded.src_regs(), vec![Reg(9), Reg(10), Reg(15)]);
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod reg;
 mod types;
 
 pub use builder::{KernelBuilder, Label, ParamRef};
-pub use cfg::{BasicBlock, BlockId, Cfg, RECONV_EXIT};
+pub use cfg::{BasicBlock, BlockId, Cfg, Dominators, RECONV_EXIT};
 pub use inst::{
     Address, AluOp, AtomOp, CmpOp, Guard, Instruction, Op, Operand, SfuOp, UnaryOp, Unit,
 };

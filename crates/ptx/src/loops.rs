@@ -1,13 +1,11 @@
-//! Natural-loop analysis: forward dominators, back edges, and the loop
-//! nesting forest.
+//! Natural-loop analysis: back edges and the loop nesting forest.
 //!
 //! The footprint analysis of `gcl-analyze` needs to know, for every load,
 //! which loops enclose it, where each loop's induction variables are
 //! initialized and stepped, and through which edges the loop exits (the
 //! guard comparisons there bound the trip count). All of that starts from
-//! the classical construction implemented here: immediate dominators via
-//! the Cooper–Harvey–Kennedy iteration (the forward twin of
-//! [`Cfg::immediate_post_dominators`]), back edges `t -> h` where `h`
+//! the classical construction implemented here over the dominator tree
+//! ([`Cfg::immediate_dominators`]): back edges `t -> h` where `h`
 //! dominates `t`, and the natural loop of each back edge (reverse flood
 //! from the latch that stops at the header). Loops sharing a header are
 //! merged; nesting is containment of the merged bodies.
@@ -15,7 +13,7 @@
 //! Only blocks reachable from the entry participate: unreachable code has
 //! no dominator and therefore belongs to no loop.
 
-use crate::cfg::{BlockId, Cfg};
+use crate::cfg::{BlockId, Cfg, Dominators};
 use std::collections::BTreeSet;
 
 /// One natural loop (after merging all back edges that share a header).
@@ -75,79 +73,27 @@ impl LoopForest {
     }
 }
 
-/// Whether `a` dominates `b` under the immediate-dominator map `idom`
-/// (entry maps to itself; unreachable blocks map to `None`).
-fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
-    let mut cur = b;
-    loop {
-        if cur == a {
-            return true;
-        }
-        match idom[cur] {
-            Some(d) if d != cur => cur = d,
-            _ => return false,
-        }
+impl Cfg {
+    /// The natural-loop nesting forest of this CFG.
+    pub fn loop_forest(&self) -> LoopForest {
+        self.immediate_dominators().loop_forest(self)
     }
 }
 
-impl Cfg {
-    /// Immediate dominator of each block: the entry dominates itself;
-    /// blocks unreachable from the entry have no dominator.
-    ///
-    /// Cooper–Harvey–Kennedy iteration over the forward CFG — the mirror of
-    /// [`Cfg::immediate_post_dominators`].
-    pub fn immediate_dominators(&self) -> Vec<Option<BlockId>> {
-        let n = self.blocks().len();
-        let rpo = self.reverse_post_order();
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b] = i;
-        }
-
-        let mut idom = vec![usize::MAX; n];
-        if n > 0 {
-            idom[0] = 0;
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom = usize::MAX;
-                for &p in &self.blocks()[b].preds {
-                    if idom[p] == usize::MAX {
-                        continue;
-                    }
-                    new_idom = if new_idom == usize::MAX {
-                        p
-                    } else {
-                        intersect_fwd(&idom, &rpo_index, new_idom, p)
-                    };
-                }
-                if new_idom != usize::MAX && idom[b] != new_idom {
-                    idom[b] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-
-        idom.into_iter()
-            .map(|d| if d == usize::MAX { None } else { Some(d) })
-            .collect()
-    }
-
-    /// The natural-loop nesting forest of this CFG.
-    pub fn loop_forest(&self) -> LoopForest {
-        let n = self.blocks().len();
-        let idom = self.immediate_dominators();
+impl Dominators {
+    /// The natural-loop nesting forest of `cfg`, whose dominator tree this
+    /// is.
+    pub fn loop_forest(&self, cfg: &Cfg) -> LoopForest {
+        let n = cfg.blocks().len();
 
         // Back edges t -> h (h dominates t), grouped by header.
         let mut by_header: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         for t in 0..n {
-            if idom[t].is_none() {
+            if self.idom(t).is_none() {
                 continue; // unreachable
             }
-            for &h in &self.blocks()[t].succs {
-                if dominates(&idom, h, t) {
+            for &h in &cfg.blocks()[t].succs {
+                if self.dominates(h, t) {
                     match by_header.iter_mut().find(|(hh, _)| *hh == h) {
                         Some((_, latches)) => latches.push(t),
                         None => by_header.push((h, vec![t])),
@@ -172,15 +118,15 @@ impl Cfg {
                 }
             }
             while let Some(b) = stack.pop() {
-                for &p in &self.blocks()[b].preds {
-                    if idom[p].is_some() && blocks.insert(p) {
+                for &p in &cfg.blocks()[b].preds {
+                    if self.idom(p).is_some() && blocks.insert(p) {
                         stack.push(p);
                     }
                 }
             }
             let mut exit_edges: Vec<(BlockId, BlockId)> = Vec::new();
             for &b in &blocks {
-                for &s in &self.blocks()[b].succs {
+                for &s in &cfg.blocks()[b].succs {
                     if !blocks.contains(&s) {
                         exit_edges.push((b, s));
                     }
@@ -235,21 +181,6 @@ impl Cfg {
     }
 }
 
-/// CHK intersection walk on the forward dominator tree.
-fn intersect_fwd(idom: &[usize], rpo_index: &[usize], a: usize, b: usize) -> usize {
-    let mut f1 = a;
-    let mut f2 = b;
-    while f1 != f2 {
-        while rpo_index[f1] > rpo_index[f2] {
-            f1 = idom[f1];
-        }
-        while rpo_index[f2] > rpo_index[f1] {
-            f2 = idom[f2];
-        }
-    }
-    f1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,11 +218,11 @@ mod tests {
     fn dominators_of_counted_loop() {
         let k = counted_loop();
         let cfg = Cfg::build(&k);
-        let idom = cfg.immediate_dominators();
-        assert_eq!(idom[0], Some(0));
+        let dom = cfg.immediate_dominators();
+        assert_eq!(dom.idom(0), Some(0));
         // Every reachable block is dominated by the entry.
         for b in 1..cfg.blocks().len() {
-            assert!(dominates(&idom, 0, b), "entry must dominate block {b}");
+            assert!(dom.dominates(0, b), "entry must dominate block {b}");
         }
     }
 
@@ -453,9 +384,9 @@ mod tests {
         b.exit();
         let k = b.build().unwrap();
         let cfg = Cfg::build(&k);
-        let idom = cfg.immediate_dominators();
+        let dom = cfg.immediate_dominators();
         let dead_block = cfg.block_of(1);
-        assert_eq!(idom[dead_block], None);
+        assert_eq!(dom.idom(dead_block), None);
         let forest = cfg.loop_forest();
         assert!(forest.loops().is_empty());
         assert_eq!(forest.innermost_of(dead_block), None);

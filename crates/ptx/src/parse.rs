@@ -585,11 +585,12 @@ fn parse_module_inner(src: &str) -> Result<Vec<Kernel>, ParseError> {
 
 fn parse_one_kernel(all_toks: &[Spanned], start: usize) -> Result<(Kernel, usize), ParseError> {
     let toks = &all_toks[start..];
-    // Numeric registers (`%rN`) claim their own ids; pre-scan them so that
-    // named registers (`%p1`, `%rd3`, ...) are interned above every numeric
-    // id and can never collide.
+    // Numeric registers (`%rN`) claim their own ids; pre-scan this kernel's
+    // (up to its closing brace) so that named registers (`%p1`, `%rd3`, ...)
+    // are interned above every numeric id and can never collide.
     let max_numeric = toks
         .iter()
+        .take_while(|(t, _, _)| *t != Tok::RBrace)
         .filter_map(|(t, _, _)| match t {
             Tok::Percent(name) => name.strip_prefix('r').and_then(|s| s.parse::<u32>().ok()),
             _ => None,
@@ -1194,6 +1195,16 @@ mod tests {
         assert_eq!(kernels[0].name(), "first");
         assert_eq!(kernels[1].name(), "second");
         assert_eq!(kernels[0].params().len(), 1);
+        // Each kernel numbers its registers alone: `second`'s `%r1` does
+        // not push `first`'s named `%rd1` above it.
+        assert_eq!(
+            kernels[0].insts()[0].dst_reg(),
+            Some(Reg(0)),
+            "{}",
+            kernels[0]
+        );
+        assert_eq!(kernels[0].num_regs(), 1);
+        assert_eq!(kernels[1].insts()[0].dst_reg(), Some(Reg(1)));
         // parse_kernel rejects multi-kernel sources.
         let err = parse_kernel(src).unwrap_err();
         assert!(err.msg.contains("expected one kernel"), "{err}");
