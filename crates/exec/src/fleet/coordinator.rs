@@ -25,19 +25,19 @@
 //! submits, so duplicated work never changes an answer (see the
 //! [`crate::fleet`] module docs for the determinism argument).
 //!
-//! This file is the sockets, the threads and the verbs. The tables and
-//! every transition between their states live in [`super::state`]; a
-//! handler here parses its frame, takes the one lock, and calls an edge.
+//! This file is the shell: the sockets, the threads, the journal and the
+//! verbs. The tables and every decision live in [`super::state`], which
+//! does no I/O; a handler here parses its frame, takes the one lock, and
+//! calls an edge, whose effects the [`Shell`] performs before release.
 
 use super::journal::{Journal, JournalError, Record};
-use super::state::{Fleet, FleetJob, FleetJobState, Payload, WorkerEntry};
+use super::state::{Effect, Fleet, FleetJobState, FleetResult, Stats, WorkerEntry};
 use crate::proto::{
-    assign_frame, encode_key, error_response, error_text, hex_encode, parse_submit, write_frame,
-    Conn, FrameError, FrameReader, ServeError,
+    encode_key, error_response, error_text, hex_encode, parse_submit, write_frame, Conn,
+    FrameError, FrameReader, ServeError,
 };
-use gcl_mem::fnv_fold;
 use gcl_stats::Json;
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
@@ -125,20 +125,119 @@ impl Default for CoordinatorOptions {
     }
 }
 
+/// What the one mutex guards: the [`Fleet`], and the worker writers (by
+/// index, `None` once closed) and journal that perform its effects.
+struct Shell {
+    fleet: Fleet,
+    writers: Vec<Option<TcpStream>>,
+    journal: Option<Journal>,
+    /// A `Wake` was performed since the lock was last released.
+    woken: bool,
+}
+
+impl Shell {
+    /// Perform the fleet's outbox in order; what a failed write buries is
+    /// performed at once, before the rest.
+    fn perform(&mut self) {
+        for effect in std::mem::take(&mut self.fleet.out) {
+            match effect {
+                Effect::Send { worker, frame } => {
+                    let writer = self.writers[worker].as_mut();
+                    if writer.is_none_or(|w| write_frame(w, &frame).is_err()) {
+                        self.fleet.mark_dead(worker, WORKER_DEAD);
+                        self.perform();
+                    }
+                }
+                Effect::Close(worker) => {
+                    _ = self.writers[worker]
+                        .take()
+                        .map(|w| w.shutdown(Shutdown::Both));
+                }
+                Effect::Append(rec) => {
+                    match self.journal.as_mut().map(|j| (j.bytes(), j.append(&rec))) {
+                        Some((at, Ok(()))) => {
+                            if let Record::Done { id, .. } = rec {
+                                self.fleet.journaled(id, at);
+                            }
+                        }
+                        Some((_, Err(e))) => eprintln!("warning: {e}"),
+                        None => {}
+                    }
+                }
+                Effect::Sync => {
+                    if let Some(Err(e)) = self.journal.as_mut().map(Journal::sync) {
+                        eprintln!("warning: {e}");
+                    }
+                }
+                Effect::Log(line) => eprintln!("{line}"),
+                Effect::Wake => self.woken = true,
+            }
+        }
+    }
+
+    /// The wire bytes of a finished job's statistics, read back from the
+    /// journal when [`Fleet::complete`] left them there.
+    fn payload<'a>(&self, stats: &'a Stats) -> Result<Cow<'a, [u8]>, String> {
+        let at = match stats {
+            Stats::Held(bytes) => return Ok(Cow::Borrowed(bytes)),
+            Stats::Journaled(at) => *at,
+        };
+        let journal = self.journal.as_ref().ok_or("the journal is gone")?;
+        match journal.read_at(at).map_err(|e| e.to_string())? {
+            Record::Done { payload, .. } => Ok(Cow::Owned(payload)),
+            _ => Err(format!("journal byte {at} holds no result")),
+        }
+    }
+
+    /// One batched fsync per 20 ms supervisor upkeep, and compaction once
+    /// the file outgrows `compact_bytes` and has doubled since the last
+    /// one. Both run under the lock, so this keeps its cadence and never
+    /// runs once per wake-up.
+    fn journal_upkeep(&mut self, compact_bytes: u64) {
+        if let Some(before) = (self.journal.as_ref())
+            .filter(|j| j.due(compact_bytes))
+            .map(Journal::bytes)
+        {
+            match self.compact() {
+                Ok(after) => eprintln!("fleet: journal compacted ({before} -> {after} bytes)"),
+                Err(e) => eprintln!("warning: journal compaction failed: {e}"),
+            }
+        }
+        self.fleet.out.push(Effect::Sync);
+        self.perform();
+    }
+
+    /// Replace the journal with [`Fleet::compaction_records`], and point
+    /// every finished job at its `Done` record's place in the replacement
+    /// (a recovered result held in memory moves there too). Returns the
+    /// new size.
+    fn compact(&mut self) -> Result<u64, String> {
+        let records = (self.fleet).compaction_records(|s| self.payload(s).map(Cow::into_owned))?;
+        let journal = self.journal.as_mut().expect("compaction needs a journal");
+        let placed = journal.compact(&records).map_err(|e| e.to_string())?;
+        let after = journal.bytes();
+        for (rec, at) in records.iter().zip(placed) {
+            if let Record::Done { id, .. } = rec {
+                self.fleet.journaled(*id, at);
+            }
+        }
+        Ok(after)
+    }
+}
+
 /// Everything the accept loop, session handlers, and supervisor share:
-/// the whole [`Fleet`] behind one mutex, the condvar its waiters sleep on,
-/// and two flags the read loops check without the lock. Both flags are
-/// set under the lock, so a waiter cannot miss them.
+/// the [`Shell`] behind one mutex, the condvar its waiters sleep on, and
+/// the flag the read loops check without the lock. The flag is set under
+/// the lock, so a waiter cannot miss it.
 struct CoordShared {
     opts: CoordinatorOptions,
-    state: Mutex<Fleet>,
+    state: Mutex<Shell>,
     /// Paired with `state`. The supervisor and every session stream wait
-    /// on it; [`Locked`] notifies it when an edge sets [`Fleet::wake`].
+    /// on it; [`Locked`] notifies it when a `Wake` was performed.
     wake: Condvar,
     /// The listener's address, which [`CoordShared::finish`] dials to wake
     /// the blocking accept.
     addr: SocketAddr,
-    draining: AtomicBool,
     /// Set once the drain completes; accept and supervisor loops exit.
     finished: AtomicBool,
 }
@@ -158,7 +257,7 @@ impl CoordShared {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        fleet.wake = true;
+        fleet.fleet.wake();
         drop(fleet);
         if let Err(e) = TcpStream::connect_timeout(&self.addr, WRITE_TIMEOUT) {
             eprintln!("warning: cannot wake the accept loop: {e}");
@@ -166,20 +265,21 @@ impl CoordShared {
     }
 }
 
-/// The fleet lock. Releasing it — dropping the guard, or waiting — wakes
-/// every thread waiting on the fleet if an edge taken under it set
-/// [`Fleet::wake`]; a read, a pong or a dedup join without a session
-/// wakes nobody.
+/// The fleet lock. Releasing it — dropping the guard, or waiting —
+/// performs the outbox, then wakes every thread waiting on the fleet if an
+/// edge taken under it queued a `Wake`; a read, a pong or a dedup join
+/// without a session wakes nobody.
 struct Locked<'a> {
     /// `None` only inside [`Locked::wait`].
-    guard: Option<MutexGuard<'a, Fleet>>,
+    guard: Option<MutexGuard<'a, Shell>>,
     condvar: &'a Condvar,
 }
 
 impl Locked<'_> {
     fn notify(&mut self) {
-        if let Some(fleet) = &mut self.guard {
-            if std::mem::take(&mut fleet.wake) {
+        if let Some(shell) = &mut self.guard {
+            shell.perform();
+            if std::mem::take(&mut shell.woken) {
                 self.condvar.notify_all();
             }
         }
@@ -195,14 +295,14 @@ impl Locked<'_> {
 }
 
 impl Deref for Locked<'_> {
-    type Target = Fleet;
-    fn deref(&self) -> &Fleet {
+    type Target = Shell;
+    fn deref(&self) -> &Shell {
         self.guard.as_ref().expect("fleet lock held")
     }
 }
 
 impl DerefMut for Locked<'_> {
-    fn deref_mut(&mut self) -> &mut Fleet {
+    fn deref_mut(&mut self) -> &mut Shell {
         self.guard.as_mut().expect("fleet lock held")
     }
 }
@@ -257,35 +357,36 @@ impl Coordinator {
         }
         // Open the journal before binding: an unusable journal is a
         // config error the operator must fix, not something to retry.
-        let mut fleet = Fleet::default();
-        let mut recovered = None;
-        match (&opts.journal, opts.recover) {
+        let (journal, recovered) = match (&opts.journal, opts.recover) {
             (Some(path), true) => {
                 let (j, rec) = Journal::open_recover(path).map_err(journal_error)?;
-                fleet.journal = Some(j);
-                recovered = Some(rec);
+                (Some(j), Some(rec))
             }
-            (Some(path), false) => {
-                fleet.journal = Some(Journal::create(path).map_err(journal_error)?);
-            }
+            (Some(path), false) => (Some(Journal::create(path).map_err(journal_error)?), None),
             (None, true) => {
                 return Err(ServeError::Config(
                     "--recover needs --journal PATH".to_string(),
                 ))
             }
-            (None, false) => {}
-        }
+            (None, false) => (None, None),
+        };
         let listener = TcpListener::bind(&opts.addr)
             .map_err(|e| ServeError::Bind(format!("cannot bind {}: {e}", opts.addr)))?;
         let addr = bound_addr(&listener)?;
+        let mut shell = Shell {
+            fleet: Fleet::default(),
+            writers: Vec::new(),
+            journal,
+            woken: false,
+        };
         if let Some(rec) = recovered {
-            fleet.recover(rec, Instant::now() + RECOVER_GRACE);
+            shell.fleet.recover(rec, Instant::now() + RECOVER_GRACE);
+            shell.perform();
         }
         let shared = Arc::new(CoordShared {
-            state: Mutex::new(fleet),
+            state: Mutex::new(shell),
             wake: Condvar::new(),
             addr: dialable(addr),
-            draining: AtomicBool::new(false),
             finished: AtomicBool::new(false),
             opts,
         });
@@ -331,11 +432,12 @@ impl Coordinator {
                 }
             }
         });
-        let fleet = self.shared.fleet();
+        let shell = self.shared.fleet();
+        let fleet = &shell.fleet;
         if self.shared.opts.print_outcomes {
-            print_outcome_table(&fleet);
+            print_outcome_table(fleet);
         }
-        if self.shared.draining.load(Ordering::SeqCst) && fleet.jobs.all_terminal() {
+        if fleet.draining && fleet.jobs.all_terminal() {
             Ok(())
         } else {
             Err(ServeError::Net(
@@ -412,136 +514,40 @@ fn print_outcome_table(fleet: &Fleet) {
 /// drain. Every [`UPKEEP`] it also pings and buries workers, reclaims
 /// expired leases (which picks up a lapsed recovery hold too), samples the
 /// queue depth and fsyncs the journal: `expire` scans the whole job table
-/// and the fsync holds the lock, so neither may run once per event.
+/// and the fsync holds the lock, so neither may run once per event. A
+/// write that fails buries its worker before the next edge is taken.
 fn supervisor_loop(shared: &CoordShared) {
     let opts = &shared.opts;
-    let mut fleet = shared.fleet();
+    let lease = Duration::from_millis(opts.lease_ms);
+    let mut shell = shared.fleet();
     let mut next_upkeep = Instant::now();
     while !shared.finished.load(Ordering::SeqCst) {
         let now = Instant::now();
         let upkeep = now >= next_upkeep;
         if upkeep {
-            heartbeat(&mut fleet, opts, now);
-            expire(&mut fleet, now);
+            shell.fleet.heartbeat(now, opts);
+            shell.perform();
+            shell.fleet.expire(now);
         }
-        dispatch(&mut fleet, opts, now);
+        shell.perform();
+        while let Some((id, worker)) = shell.fleet.dispatch(now) {
+            shell.perform();
+            shell.fleet.assigned(id, worker, now + lease);
+        }
         if upkeep {
-            let depth = fleet.jobs.queue.len() as f64;
-            fleet.depth.add(depth);
+            let depth = shell.fleet.jobs.queue.len() as f64;
+            shell.fleet.depth.add(depth);
         }
-
         // Drain: once every job is terminal, dismiss the fleet.
-        if shared.draining.load(Ordering::SeqCst) && fleet.jobs.all_terminal() {
-            let close = Json::obj(vec![("op", Json::Str("close".into()))]);
-            for w in &mut fleet.workers {
-                if let Some(mut writer) = w.writer.take() {
-                    let _ = write_frame(&mut writer, &close);
-                    let _ = writer.shutdown(Shutdown::Both);
-                }
-            }
-            fleet.journal_upkeep(opts.journal_compact_bytes);
-            return shared.finish(fleet);
+        if shell.fleet.drain() {
+            shell.journal_upkeep(opts.journal_compact_bytes);
+            return shared.finish(shell);
         }
         if upkeep {
-            fleet.journal_upkeep(opts.journal_compact_bytes);
+            shell.journal_upkeep(opts.journal_compact_bytes);
             next_upkeep = now + UPKEEP;
         }
-        fleet.wait(next_upkeep.saturating_duration_since(Instant::now()));
-    }
-}
-
-/// Heartbeats: ping on schedule, bury on deadline.
-fn heartbeat(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
-    let hb = Duration::from_millis(opts.heartbeat_ms);
-    let hb_timeout = Duration::from_millis(opts.heartbeat_timeout_ms);
-    for idx in 0..fleet.workers.len() {
-        let w = &mut fleet.workers[idx];
-        if !w.alive {
-            continue;
-        }
-        if now.duration_since(w.last_pong) > hb_timeout {
-            fleet.mark_dead(idx, WORKER_DEAD);
-        } else if now.duration_since(w.last_ping) >= hb {
-            w.ping_seq += 1;
-            w.last_ping = now;
-            let ping = Json::obj(vec![
-                ("op", Json::Str("ping".into())),
-                ("seq", Json::UInt(w.ping_seq)),
-            ]);
-            fleet.send(idx, &ping);
-        }
-    }
-}
-
-/// Deadlines: reclaim expired leases even from live workers — a straggler
-/// keeps its connection but loses the job.
-fn expire(fleet: &mut Fleet, now: Instant) {
-    let mut leases = Vec::new();
-    for (id, job) in &fleet.jobs.map {
-        match job.state {
-            FleetJobState::Leased { worker, deadline } if now >= deadline => {
-                leases.push((*id, worker));
-            }
-            _ => {}
-        }
-    }
-    for (id, widx) in leases {
-        eprintln!(
-            "fleet: {LEASE_EXPIRED}: job {id} reclaimed from `{}`",
-            fleet.workers[widx].name
-        );
-        fleet.reclaim(id, widx, LEASE_EXPIRED);
-    }
-}
-
-/// Dispatch: pop the queue and shard it across live workers with free
-/// slots, rendezvous-hashing on the content-addressed key so placement is
-/// deterministic for a fixed fleet.
-fn dispatch(fleet: &mut Fleet, opts: &CoordinatorOptions, now: Instant) {
-    let mut stuck = VecDeque::new();
-    while let Some(id) = fleet.jobs.queue.pop_front() {
-        let Some(job) = fleet.jobs.map.get(&id) else {
-            continue;
-        };
-        if !matches!(job.state, FleetJobState::Queued { .. }) {
-            continue;
-        }
-        // Recovery grace: leave held jobs alone until the deadline so a
-        // re-joining worker's inventory can resume them.
-        if job.hold_until.is_some_and(|t| now < t) {
-            stuck.push_back(id);
-            continue;
-        }
-        let (key, avoid) = (job.key, job.last_worker);
-        let free = |w: &WorkerEntry| w.alive && w.writer.is_some() && w.leased.len() < w.slots;
-        let candidates: Vec<usize> = (0..fleet.workers.len())
-            .filter(|widx| free(&fleet.workers[*widx]))
-            .collect();
-        let chosen = candidates
-            .iter()
-            .copied()
-            // Anti-affinity: never hand a reclaimed job straight back to
-            // the worker it was just taken from, unless it is the only one
-            // left.
-            .filter(|widx| candidates.len() == 1 || Some(*widx) != avoid)
-            .max_by_key(|widx| fnv_fold(key, *widx as u64));
-        let Some(widx) = chosen else {
-            // No capacity (or no fleet yet): hold the job.
-            stuck.push_back(id);
-            continue;
-        };
-        let assign = assign_frame(id, &fleet.jobs.map[&id].spec);
-        if fleet.send(widx, &assign) {
-            fleet.lease(id, widx, false, now + Duration::from_millis(opts.lease_ms));
-        } else {
-            // Burying the worker may have requeued other jobs; this one is
-            // still ours to put back.
-            fleet.jobs.queue.push_front(id);
-        }
-    }
-    // Jobs with nowhere to go wait at the front, in order.
-    for id in stuck.into_iter().rev() {
-        fleet.jobs.queue.push_front(id);
+        shell.wait(next_upkeep.saturating_duration_since(Instant::now()));
     }
 }
 
@@ -626,13 +632,6 @@ fn worker_session(
         .unwrap_or("worker")
         .to_string();
     let slots = join.get("slots").and_then(Json::as_u64).unwrap_or(1).max(1) as usize;
-    let entry_writer = match writer.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("warning: worker stream clone failed: {e}");
-            return;
-        }
-    };
     // Joins are welcome during a drain: queued work needs someone to run
     // it. The ack goes out before the worker is registered, so it is the
     // first frame the worker reads — once registered, the supervisor may
@@ -640,10 +639,11 @@ fn worker_session(
     if write_frame(&mut writer, &Json::obj(vec![("ok", Json::Bool(true))])).is_err() {
         return;
     }
-    let idx = shared
-        .fleet()
-        .join(WorkerEntry::new(name.clone(), slots, entry_writer));
-    eprintln!("fleet: worker `{name}` joined with {slots} slot(s)");
+    let idx = {
+        let mut shell = shared.fleet();
+        shell.writers.push(Some(writer));
+        shell.fleet.join(name, slots, Instant::now())
+    };
     loop {
         let line = match reader.next_frame() {
             Ok(line) => line,
@@ -655,84 +655,53 @@ fn worker_session(
             }
             // EOF or transport error: the worker is gone. (TooLarge from a
             // worker means a result overflow — same recovery: bury it.)
-            Err(_) => return shared.fleet().mark_dead(idx, WORKER_DEAD),
+            Err(_) => return shared.fleet().fleet.mark_dead(idx, WORKER_DEAD),
         };
         let Ok(frame) = Json::parse(&line) else {
             continue;
         };
-        match frame.get("op").and_then(Json::as_str) {
-            Some("pong") => shared.fleet().workers[idx].last_pong = Instant::now(),
-            Some("done") => handle_done(&frame, idx, shared),
-            Some("fail") => handle_fail(&frame, idx, shared),
-            Some("inventory") => handle_inventory(&frame, idx, shared),
+        let job = frame.get("job").and_then(Json::as_u64);
+        match (frame.get("op").and_then(Json::as_str), job) {
+            (Some("pong"), _) => shared.fleet().fleet.workers[idx].last_pong = Instant::now(),
+            // Verified outside the lock; a bad checksum or an undecodable
+            // payload is the `corrupt` edge.
+            (Some("done"), Some(id)) => {
+                let verified = verified_payload(&frame);
+                let fleet = &mut shared.fleet().fleet;
+                match verified {
+                    Ok(result) => fleet.complete(id, idx, result),
+                    Err(why) => fleet.corrupt(id, idx, &why),
+                }
+            }
+            (Some("fail"), Some(id)) => shared.fleet().fleet.fail(id, idx, error_text(&frame)),
+            (Some("inventory"), _) => {
+                let running = frame.get("running").and_then(Json::as_arr).unwrap_or(&[]);
+                let running: Vec<u64> = running.iter().filter_map(Json::as_u64).collect();
+                let deadline = Instant::now() + Duration::from_millis(shared.opts.lease_ms);
+                shared.fleet().fleet.inventory(idx, &running, deadline);
+            }
             _ => {}
         }
-    }
-}
-
-/// Reconcile a (re-)joining worker's `inventory` frame: any job it reports
-/// still running has its lease resumed — a recovered coordinator then
-/// waits for the in-flight result instead of re-running the simulation.
-fn handle_inventory(frame: &Json, idx: usize, shared: &CoordShared) {
-    let running = frame.get("running").and_then(Json::as_arr).unwrap_or(&[]);
-    let mut fleet = shared.fleet();
-    let deadline = Instant::now() + Duration::from_millis(shared.opts.lease_ms);
-    let mut resumed = 0u64;
-    for id in running.iter().filter_map(Json::as_u64) {
-        let queued = |j: &FleetJob| matches!(j.state, FleetJobState::Queued { .. });
-        if fleet.jobs.map.get(&id).is_some_and(queued) {
-            fleet.lease(id, idx, true, deadline);
-            resumed += 1;
-        }
-    }
-    if resumed > 0 {
-        let name = &fleet.workers[idx].name;
-        eprintln!("fleet: resumed {resumed} in-flight lease(s) from `{name}`'s inventory");
     }
 }
 
 /// Decode and checksum-verify the `stats` payload a `done` frame carries —
 /// outside the lock, and exactly once: the bytes that were checksummed are
 /// the bytes the journal and every later `result` frame will carry.
-fn verified_payload(frame: &Json) -> Result<Payload, String> {
+fn verified_payload(frame: &Json) -> Result<FleetResult, String> {
     let text = |field| frame.get(field).and_then(Json::as_str);
     let hex = text("stats").ok_or("missing stats payload")?;
     let sum = text("sum").ok_or("missing checksum")?;
     let (bytes, summary) = super::verify_stats_payload(hex, sum)?;
     let ms = |field| frame.get(field).and_then(Json::as_f64).unwrap_or(0.0);
-    Ok(Payload {
-        bytes,
+    Ok(FleetResult {
+        stats: Stats::Held(bytes.into_boxed_slice()),
         summary,
         wall_ms: ms("wall_ms"),
         worker_wall_ms: ms("worker_wall_ms"),
         cached: frame.get("cached").and_then(Json::as_bool).unwrap_or(false),
+        worker: String::new(),
     })
-}
-
-/// Verify and record a worker's `done` frame. A bad checksum or an
-/// undecodable payload is treated exactly like a lost worker's job: the
-/// corruption is counted and the job reassigned.
-fn handle_done(frame: &Json, idx: usize, shared: &CoordShared) {
-    let Some(id) = frame.get("job").and_then(Json::as_u64) else {
-        return;
-    };
-    let verified = verified_payload(frame);
-    let mut fleet = shared.fleet();
-    match verified {
-        Ok(payload) => fleet.complete(id, idx, payload),
-        Err(why) => {
-            eprintln!("fleet: corrupt result for job {id}: {why}; reassigning");
-            fleet.workers[idx].corrupt += 1;
-            fleet.reclaim(id, idx, "corrupt result");
-        }
-    }
-}
-
-/// Record a worker's structured `fail` frame.
-fn handle_fail(frame: &Json, idx: usize, shared: &CoordShared) {
-    if let Some(id) = frame.get("job").and_then(Json::as_u64) {
-        shared.fleet().fail(id, idx, error_text(frame));
-    }
 }
 
 /// Serve client verbs on this connection until EOF or drain. A `session`
@@ -744,60 +713,41 @@ fn client_session(
     mut writer: TcpStream,
     shared: &CoordShared,
 ) {
-    let mut request = first.clone();
+    let mut request = Ok(first.clone());
     loop {
-        if request.get("op").and_then(Json::as_str) == Some("session") {
-            match session_attach(&request, shared) {
-                Ok((sid, start, truncated)) => {
-                    let ack = Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("session", Json::Str(sid.clone())),
-                        ("from", Json::UInt(start)),
-                        ("truncated", Json::Bool(truncated)),
-                    ]);
-                    if write_frame(&mut writer, &ack).is_err() {
-                        return;
+        let response = match request {
+            Err(e) => error_response(format!("bad request: {e}")),
+            Ok(r) if r.get("op").and_then(Json::as_str) != Some("session") => {
+                handle_client_request(&r, shared)
+            }
+            Ok(r) => match session_attach(&r, shared) {
+                Ok((sid, start, ack)) => {
+                    if write_frame(&mut writer, &ack).is_ok() {
+                        session_stream(&sid, start, &mut reader, &mut writer, shared);
+                        shared.fleet().fleet.detach(sid);
                     }
-                    session_stream(&sid, start, &mut reader, &mut writer, shared);
-                    shared.fleet().log(&Record::SessionDetach { session: sid });
                     return;
                 }
-                Err(resp) => {
-                    if write_frame(&mut writer, &resp).is_err() {
-                        return;
-                    }
-                }
-            }
-        } else {
-            let response = handle_client_request(&request, shared);
-            if write_frame(&mut writer, &response).is_err() {
-                return;
-            }
-        }
-        request = loop {
-            let Some(line) = next_request(&mut reader, &mut writer, shared) else {
-                return;
-            };
-            match Json::parse(&line) {
-                Ok(j) => break j,
-                Err(e) => {
-                    let bad = error_response(format!("bad request: {e}"));
-                    if write_frame(&mut writer, &bad).is_err() {
-                        return;
-                    }
-                }
-            }
+                Err(refusal) => refusal,
+            },
         };
+        if write_frame(&mut writer, &response).is_err() {
+            return;
+        }
+        let Some(line) = next_request(&mut reader, &mut writer, shared) else {
+            return;
+        };
+        request = Json::parse(&line);
     }
 }
 
 /// Resolve a `session` request: create a fresh session, or re-attach to an
 /// existing one at the requested replay position. Returns
-/// `(id, start_seq, truncated)`, or the error response to send.
-fn session_attach(request: &Json, shared: &CoordShared) -> Result<(String, u64, bool), Json> {
-    let mut fleet = shared.fleet();
-    match request.get("id").and_then(Json::as_str) {
-        None => Ok((fleet.open_session(), 0, false)),
+/// `(id, start_seq, ack)`, or the error response to send.
+fn session_attach(request: &Json, shared: &CoordShared) -> Result<(String, u64, Json), Json> {
+    let fleet = &mut shared.fleet().fleet;
+    let (sid, start, truncated) = match request.get("id").and_then(Json::as_str) {
+        None => (fleet.open_session(), 0, false),
         Some(sid) => {
             let Some(s) = fleet.sessions.map.get(sid) else {
                 return Err(error_response(format!("unknown session `{sid}`")));
@@ -805,25 +755,28 @@ fn session_attach(request: &Json, shared: &CoordShared) -> Result<(String, u64, 
             let from = request.get("from").and_then(Json::as_u64).unwrap_or(0);
             // Events older than base_seq were truncated by the log cap;
             // the client learns it missed some and starts at the cut.
-            let truncated = from < s.base_seq;
-            Ok((
-                sid.to_string(),
-                from.max(s.base_seq).min(s.next_seq),
-                truncated,
-            ))
+            let start = from.max(s.base_seq).min(s.next_seq);
+            (sid.to_string(), start, from < s.base_seq)
         }
-    }
+    };
+    let ack = Json::obj(vec![
+        ("ok", Json::Bool(true)),
+        ("session", Json::Str(sid.clone())),
+        ("from", Json::UInt(start)),
+        ("truncated", Json::Bool(truncated)),
+    ]);
+    Ok((sid, start, ack))
 }
 
 /// A live-only (never logged, no sequence number) queue heartbeat event.
-fn depth_event(fleet: &Fleet, draining: bool) -> Json {
+fn depth_event(fleet: &Fleet) -> Json {
     let (queued, running, _, _) = fleet.jobs.count_states();
     Json::obj(vec![
         ("event", Json::Str("depth".to_string())),
         ("queue", Json::UInt(fleet.jobs.queue.len() as u64)),
         ("queued", Json::UInt(queued)),
         ("running", Json::UInt(running)),
-        ("draining", Json::Bool(draining)),
+        ("draining", Json::Bool(fleet.draining)),
     ])
 }
 
@@ -848,9 +801,9 @@ fn session_stream(
         if answer_requests(reader, &writer, shared) {
             // The pusher sleeps on the fleet: set the flag under the lock
             // and wake it.
-            let mut fleet = shared.fleet();
+            let mut shell = shared.fleet();
             gone.store(true, Ordering::SeqCst);
-            fleet.wake = true;
+            shell.fleet.wake();
         }
     });
 }
@@ -905,7 +858,7 @@ fn push_events(
         // Every frame due, newline-terminated, for one write.
         let mut frames = String::new();
         let finished = {
-            let mut fleet = shared.fleet();
+            let mut shell = shared.fleet();
             loop {
                 if gone.load(Ordering::SeqCst) {
                     return;
@@ -914,6 +867,7 @@ fn push_events(
                 // happen under the lock: finished + this drain is the
                 // whole stream.
                 let finished = shared.finished.load(Ordering::SeqCst);
+                let fleet = &shell.fleet;
                 let Some(s) = fleet.sessions.map.get(sid) else {
                     return;
                 };
@@ -928,14 +882,13 @@ fn push_events(
                     }
                     cursor = s.next_seq;
                     if beat {
-                        let draining = shared.draining.load(Ordering::SeqCst);
-                        frames.push_str(&depth_event(&fleet, draining).render_compact());
+                        frames.push_str(&depth_event(fleet).render_compact());
                         frames.push('\n');
                         next_beat = now + hb;
                     }
                     break finished;
                 }
-                fleet.wait(next_beat - now);
+                shell.wait(next_beat - now);
             }
         };
         let mut w = writer.lock().expect("session writer poisoned");
@@ -950,24 +903,20 @@ fn push_events(
 }
 
 fn handle_client_request(request: &Json, shared: &CoordShared) -> Json {
-    let draining = || shared.draining.load(Ordering::SeqCst);
     match request.get("op").and_then(Json::as_str) {
         Some("submit") => handle_submit(request, shared),
-        Some("status") => handle_status(&shared.fleet(), draining()),
+        Some("status") => handle_status(&shared.fleet().fleet),
         Some("result") => handle_result(request, &shared.fleet()),
         // The destructive chaos-test verb is opt-in: a production
         // coordinator refuses it with a structured error.
         Some("decommission") if !shared.opts.chaos_verbs => error_response("chaos verbs disabled"),
-        Some("decommission") => handle_decommission(request, &mut shared.fleet()),
+        Some("decommission") => handle_decommission(request, &mut shared.fleet().fleet),
         // A `session` frame inside an already-streaming connection (the
         // stream loop dispatches here) cannot re-upgrade.
         Some("session") => error_response("session already active on this connection"),
         Some("shutdown") => {
-            let mut fleet = shared.fleet();
-            shared.draining.store(true, Ordering::SeqCst);
             // The supervisor checks the drain on its next wake-up.
-            fleet.wake = true;
-            let pending = fleet.jobs.queue.len();
+            let pending = shared.fleet().fleet.shutdown();
             Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("draining", Json::Bool(true)),
@@ -1001,9 +950,6 @@ fn handle_decommission(request: &Json, fleet: &mut Fleet) -> Json {
 }
 
 fn handle_submit(request: &Json, shared: &CoordShared) -> Json {
-    if shared.draining.load(Ordering::SeqCst) {
-        return error_response("coordinator is draining (shutdown requested)");
-    }
     let spec = match parse_submit(request) {
         Ok(spec) => spec,
         Err(e) => return error_response(e),
@@ -1013,7 +959,7 @@ fn handle_submit(request: &Json, shared: &CoordShared) -> Json {
         Err(e) => return error_response(e.to_string()),
     };
     let sid = request.get("session").and_then(Json::as_str);
-    let admitted = shared.fleet().submit(&shared.opts, spec, key, sid);
+    let admitted = shared.fleet().fleet.submit(&shared.opts, spec, key, sid);
     match admitted {
         Ok((id, deduped)) => {
             let mut ack = vec![("ok", Json::Bool(true)), ("id", Json::UInt(id))];
@@ -1026,7 +972,7 @@ fn handle_submit(request: &Json, shared: &CoordShared) -> Json {
     }
 }
 
-fn handle_status(fleet: &Fleet, draining: bool) -> Json {
+fn handle_status(fleet: &Fleet) -> Json {
     let (jobs, workers) = (&fleet.jobs, &fleet.workers);
     let (queued, running, done, failed) = jobs.count_states();
     let worker_rows = workers
@@ -1055,7 +1001,7 @@ fn handle_status(fleet: &Fleet, draining: bool) -> Json {
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("queue_depth", Json::UInt(jobs.queue.len() as u64)),
-        ("draining", Json::Bool(draining)),
+        ("draining", Json::Bool(fleet.draining)),
         (
             "jobs",
             Json::obj(vec![
@@ -1081,7 +1027,8 @@ fn handle_status(fleet: &Fleet, draining: bool) -> Json {
     ])
 }
 
-fn handle_result(request: &Json, fleet: &Fleet) -> Json {
+fn handle_result(request: &Json, shell: &Shell) -> Json {
+    let fleet = &shell.fleet;
     let Some(id) = request.get("id").and_then(Json::as_u64) else {
         return error_response("result needs a numeric `id` field");
     };
@@ -1097,7 +1044,7 @@ fn handle_result(request: &Json, fleet: &Fleet) -> Json {
             fields.push(("error", Json::Str(msg.clone())));
         }
         FleetJobState::Done(result) => {
-            let bytes = match fleet.payload(result) {
+            let bytes = match shell.payload(&result.stats) {
                 Ok(bytes) => bytes,
                 Err(e) => return error_response(format!("job {id}: cannot read its result: {e}")),
             };
@@ -1124,6 +1071,101 @@ fn handle_result(request: &Json, fleet: &Fleet) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::encode_stats_payload;
+    use crate::job::JobSpec;
+    use gcl_sim::{GpuConfig, LaunchStats};
+
+    /// A shell journaling to a fresh file named for `test`, with no
+    /// workers' sockets.
+    fn shell(test: &str) -> (Shell, PathBuf) {
+        let file = format!("gcl-fleet-{test}-{}.journal", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        let shell = Shell {
+            fleet: Fleet::default(),
+            writers: Vec::new(),
+            journal: Some(Journal::create(&path).unwrap()),
+            woken: false,
+        };
+        (shell, path)
+    }
+
+    /// A compacted state that is still over the threshold is not rewritten
+    /// again on the next supervisor upkeep: with no new records, the second
+    /// upkeep leaves the file (its inode) alone.
+    #[test]
+    fn journal_upkeep_does_not_rewrite_an_unchanged_journal() {
+        use std::os::unix::fs::MetadataExt;
+        let (mut shell, path) = shell("upkeep");
+        shell.fleet.open_session();
+        shell.perform();
+        let inode = || std::fs::metadata(&path).unwrap().ino();
+        let created = inode();
+        shell.journal_upkeep(1);
+        let compacted = inode();
+        assert_ne!(compacted, created, "the first upkeep compacts");
+        shell.journal_upkeep(1);
+        assert_eq!(
+            inode(),
+            compacted,
+            "the second finds nothing new to compact"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// With a journal, a finished job's payload bytes live only in its
+    /// `Done` record. They read back whole, and still do after a compaction
+    /// has moved that record; the summary stays in the job table.
+    #[test]
+    fn a_journaled_result_reads_back_across_a_compaction() {
+        let (mut shell, path) = shell("journaled");
+        let now = Instant::now();
+        shell.writers.push(None);
+        shell.fleet.join("w0".into(), 2, now);
+        let stats = LaunchStats {
+            cycles: 4242,
+            digest: Some(7),
+            ..LaunchStats::default()
+        };
+        let (hex, sum) = encode_stats_payload(&stats);
+        let frame = Json::obj(vec![
+            ("stats", Json::Str(hex)),
+            ("sum", Json::Str(sum.clone())),
+            ("wall_ms", Json::Float(1.5)),
+        ]);
+        let result = verified_payload(&frame).unwrap();
+        let (Stats::Held(bytes), summary) = (result.stats.clone(), result.summary) else {
+            panic!("a verified result holds its bytes");
+        };
+        assert_eq!(format!("0x{:016x}", summary.sum), sum);
+        assert_eq!((summary.cycles, summary.digest), (4242, Some(7)));
+        let spec = JobSpec::new("bfs", true, GpuConfig::small());
+        let opts = CoordinatorOptions::default();
+        let (id, _) = shell.fleet.submit(&opts, spec, 1, None).unwrap();
+        shell.fleet.jobs.queue.clear();
+        shell.fleet.lease(id, 0, false, now);
+        shell.fleet.complete(id, 0, result);
+        shell.perform();
+        let read = |shell: &Shell| {
+            let FleetJobState::Done(result) = &shell.fleet.jobs.map[&id].state else {
+                panic!("job {id} is done");
+            };
+            let Stats::Journaled(at) = result.stats else {
+                panic!("a journaling fleet holds no payload");
+            };
+            assert_eq!(result.summary, summary);
+            (at, shell.payload(&result.stats).unwrap().into_owned())
+        };
+        let (before, read_back) = read(&shell);
+        assert_eq!(*read_back, *bytes);
+        shell.journal_upkeep(1);
+        let (after, read_back) = read(&shell);
+        assert_ne!(
+            after, before,
+            "compaction drops the lease: the record moves"
+        );
+        assert_eq!(*read_back, *bytes);
+        std::fs::remove_file(&path).ok();
+    }
 
     #[test]
     fn idle_deadline_expires_at_the_timeout_not_before() {

@@ -228,6 +228,27 @@ fn dec_record(bytes: &[u8]) -> Result<Record, WireError> {
     Ok(rec)
 }
 
+/// `rec` as one journal section: `length | payload | FNV`.
+pub(super) fn framed(rec: &Record) -> Vec<u8> {
+    let payload = enc_record(rec);
+    let mut framed = Vec::with_capacity(payload.len() + 16);
+    write_section(&mut framed, &payload).expect("writing to a Vec cannot fail");
+    framed
+}
+
+/// The records of a journal body (the bytes after the header) up to its
+/// first torn or corrupt record, which ends the valid prefix just as clean
+/// EOF does, and that prefix's length.
+pub(super) fn valid_prefix(body: &[u8]) -> (Vec<Record>, usize) {
+    let (mut log, mut valid) = (Vec::new(), 0);
+    let mut tail = Dec::new(body);
+    while let Ok(rec) = tail.section().and_then(dec_record) {
+        log.push(rec);
+        valid = body.len() - tail.remaining();
+    }
+    (log, valid)
+}
+
 /// An open write-ahead journal.
 #[derive(Debug)]
 pub struct Journal {
@@ -272,11 +293,16 @@ impl Journal {
             .and_then(|()| file.write_all(&JOURNAL_VERSION.to_le_bytes()))
             .and_then(|()| file.sync_data())
             .map_err(|e| Journal::io(path, e))?;
+        Journal::appending(path, file, HEADER_LEN)
+    }
+
+    /// The journal at `path`, appending through `file` at byte `len`.
+    fn appending(path: &Path, file: File, len: u64) -> Result<Journal, JournalError> {
         Ok(Journal {
             path: path.to_path_buf(),
             file,
             reader: File::open(path).map_err(|e| Journal::io(path, e))?,
-            len: HEADER_LEN,
+            len,
             dirty: false,
             compacted: 0,
         })
@@ -326,18 +352,8 @@ impl Journal {
                 reason: format!("format version {version} (this build reads {JOURNAL_VERSION})"),
             });
         }
-        let mut log = Vec::new();
-        let mut valid = HEADER_LEN as usize;
-        // A torn or corrupt record ends the valid prefix just as clean
-        // EOF does; everything past it is truncated below.
-        let mut tail = Dec::new(&bytes[valid..]);
-        while !tail.is_done() {
-            let Ok(rec) = tail.section().and_then(dec_record) else {
-                break;
-            };
-            log.push(rec);
-            valid = bytes.len() - tail.remaining();
-        }
+        let (log, body) = valid_prefix(&bytes[HEADER_LEN as usize..]);
+        let valid = HEADER_LEN as usize + body;
         let truncated = valid as u64 != bytes.len() as u64;
         let mut file = OpenOptions::new()
             .read(true)
@@ -352,14 +368,7 @@ impl Journal {
         file.seek(SeekFrom::End(0))
             .map_err(|e| Journal::io(path, e))?;
         Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-                reader: File::open(path).map_err(|e| Journal::io(path, e))?,
-                len: valid as u64,
-                dirty: false,
-                compacted: 0,
-            },
+            Journal::appending(path, file, valid as u64)?,
             Recovered {
                 records: log.len() as u64,
                 log,
@@ -378,9 +387,7 @@ impl Journal {
     /// [`JournalError::Io`] when the write fails.
     pub fn append(&mut self, rec: &Record) -> Result<(), JournalError> {
         // Framed in memory so the record reaches the kernel in one write.
-        let payload = enc_record(rec);
-        let mut framed = Vec::with_capacity(payload.len() + 16);
-        write_section(&mut framed, &payload).expect("writing to a Vec cannot fail");
+        let framed = framed(rec);
         self.file
             .write_all(&framed)
             .map_err(|e| Journal::io(&self.path, e))?;

@@ -32,12 +32,12 @@
 //! stream with resumable cursors, and the coordinator sheds structured
 //! errors under overload instead of stalling.
 //!
-//! Inside the coordinator the split is tables versus threads versus
-//! bytes: `state` holds one `Fleet` (job table, workers, sessions,
-//! counters, journal) with one method per job-table edge and the one fold
-//! that replays a journal record into those tables; `coordinator` holds
-//! the sockets, the supervisor and the verbs, which take the one mutex
-//! around the `Fleet` and call those edges; and `journal` is a plain
+//! Inside the coordinator the split is decisions versus I/O versus bytes:
+//! `state` holds one `Fleet` (job table, workers, sessions, counters) with
+//! one method per edge, each returning its I/O as effects, and the one
+//! fold that replays a journal record; `coordinator` is the shell — the
+//! sockets, the journal, the threads and the verbs — which takes the one
+//! mutex, calls edges and performs their effects; and `journal` is a plain
 //! record log — framing, torn-tail truncation, fsync batching, and
 //! compaction as "replace the file with these records".
 
