@@ -127,11 +127,13 @@ impl Default for CoordinatorOptions {
 
 /// What the one mutex guards: the [`Fleet`], and the worker writers (by
 /// index, `None` once closed) and journal that perform its effects.
+#[derive(Default)]
 struct Shell {
     fleet: Fleet,
     writers: Vec<Option<TcpStream>>,
     journal: Option<Journal>,
-    /// A `Wake` was performed since the lock was last released.
+    /// Wake the threads sleeping on the fleet when the lock is released:
+    /// set by a performed `Wake`, or by the shell itself.
     woken: bool,
 }
 
@@ -153,17 +155,11 @@ impl Shell {
                         .take()
                         .map(|w| w.shutdown(Shutdown::Both));
                 }
-                Effect::Append(rec) => {
-                    match self.journal.as_mut().map(|j| (j.bytes(), j.append(&rec))) {
-                        Some((at, Ok(()))) => {
-                            if let Record::Done { id, .. } = rec {
-                                self.fleet.journaled(id, at);
-                            }
-                        }
-                        Some((_, Err(e))) => eprintln!("warning: {e}"),
-                        None => {}
-                    }
-                }
+                Effect::Append(rec) => match self.journal.as_mut().map(|j| j.append(&rec)) {
+                    Some(Ok(at)) => self.fleet.journaled(&rec, at),
+                    Some(Err(e)) => eprintln!("warning: {e}"),
+                    None => {}
+                },
                 Effect::Sync => {
                     if let Some(Err(e)) = self.journal.as_mut().map(Journal::sync) {
                         eprintln!("warning: {e}");
@@ -217,9 +213,7 @@ impl Shell {
         let placed = journal.compact(&records).map_err(|e| e.to_string())?;
         let after = journal.bytes();
         for (rec, at) in records.iter().zip(placed) {
-            if let Record::Done { id, .. } = rec {
-                self.fleet.journaled(*id, at);
-            }
+            self.fleet.journaled(rec, at);
         }
         Ok(after)
     }
@@ -257,7 +251,7 @@ impl CoordShared {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        fleet.fleet.wake();
+        fleet.woken = true;
         drop(fleet);
         if let Err(e) = TcpStream::connect_timeout(&self.addr, WRITE_TIMEOUT) {
             eprintln!("warning: cannot wake the accept loop: {e}");
@@ -374,10 +368,8 @@ impl Coordinator {
             .map_err(|e| ServeError::Bind(format!("cannot bind {}: {e}", opts.addr)))?;
         let addr = bound_addr(&listener)?;
         let mut shell = Shell {
-            fleet: Fleet::default(),
-            writers: Vec::new(),
             journal,
-            woken: false,
+            ..Shell::default()
         };
         if let Some(rec) = recovered {
             shell.fleet.recover(rec, Instant::now() + RECOVER_GRACE);
@@ -411,30 +403,26 @@ impl Coordinator {
     /// [`ServeError::Net`] on listener failure, or when a
     /// [`Coordinator::stopper`] ended the run before the drain did.
     pub fn run(self) -> Result<(), ServeError> {
+        let shared = &*self.shared;
         std::thread::scope(|scope| {
-            {
-                let shared = Arc::clone(&self.shared);
-                scope.spawn(move || supervisor_loop(&shared));
-            }
+            scope.spawn(|| supervisor_loop(shared));
             loop {
                 let accepted = self.listener.accept();
                 // `finish` sets the flag before it dials: whatever woke
                 // the accept, a finished coordinator takes nothing more.
-                if self.shared.finished.load(Ordering::SeqCst) {
+                if shared.finished.load(Ordering::SeqCst) {
                     break;
                 }
                 match accepted {
                     Ok((stream, _peer)) => {
-                        let shared = Arc::clone(&self.shared);
-                        scope.spawn(move || handle_session(stream, &shared));
+                        scope.spawn(move || handle_session(stream, shared));
                     }
                     Err(e) => eprintln!("warning: accept failed: {e}"),
                 }
             }
         });
-        let shell = self.shared.fleet();
-        let fleet = &shell.fleet;
-        if self.shared.opts.print_outcomes {
+        let fleet = &shared.fleet().fleet;
+        if shared.opts.print_outcomes {
             print_outcome_table(fleet);
         }
         if fleet.draining && fleet.jobs.all_terminal() {
@@ -626,11 +614,7 @@ fn worker_session(
     mut writer: TcpStream,
     shared: &CoordShared,
 ) {
-    let name = join
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or("worker")
-        .to_string();
+    let name = join.get("name").and_then(Json::as_str).unwrap_or("worker");
     let slots = join.get("slots").and_then(Json::as_u64).unwrap_or(1).max(1) as usize;
     // Joins are welcome during a drain: queued work needs someone to run
     // it. The ack goes out before the worker is registered, so it is the
@@ -803,7 +787,7 @@ fn session_stream(
             // and wake it.
             let mut shell = shared.fleet();
             gone.store(true, Ordering::SeqCst);
-            shell.fleet.wake();
+            shell.woken = true;
         }
     });
 }
@@ -959,17 +943,15 @@ fn handle_submit(request: &Json, shared: &CoordShared) -> Json {
         Err(e) => return error_response(e.to_string()),
     };
     let sid = request.get("session").and_then(Json::as_str);
-    let admitted = shared.fleet().fleet.submit(&shared.opts, spec, key, sid);
-    match admitted {
-        Ok((id, deduped)) => {
-            let mut ack = vec![("ok", Json::Bool(true)), ("id", Json::UInt(id))];
-            if deduped {
-                ack.push(("deduped", Json::Bool(true)));
-            }
-            Json::obj(ack)
-        }
-        Err(refusal) => refusal,
+    let (id, deduped) = match shared.fleet().fleet.submit(&shared.opts, spec, key, sid) {
+        Ok(admitted) => admitted,
+        Err(refusal) => return refusal,
+    };
+    let mut ack = vec![("ok", Json::Bool(true)), ("id", Json::UInt(id))];
+    if deduped {
+        ack.push(("deduped", Json::Bool(true)));
     }
+    Json::obj(ack)
 }
 
 fn handle_status(fleet: &Fleet) -> Json {
@@ -1081,10 +1063,8 @@ mod tests {
         let file = format!("gcl-fleet-{test}-{}.journal", std::process::id());
         let path = std::env::temp_dir().join(file);
         let shell = Shell {
-            fleet: Fleet::default(),
-            writers: Vec::new(),
             journal: Some(Journal::create(&path).unwrap()),
-            woken: false,
+            ..Shell::default()
         };
         (shell, path)
     }
@@ -1120,7 +1100,7 @@ mod tests {
         let (mut shell, path) = shell("journaled");
         let now = Instant::now();
         shell.writers.push(None);
-        shell.fleet.join("w0".into(), 2, now);
+        shell.fleet.join("w0", 2, now);
         let stats = LaunchStats {
             cycles: 4242,
             digest: Some(7),

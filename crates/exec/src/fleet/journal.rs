@@ -377,23 +377,23 @@ impl Journal {
         ))
     }
 
-    /// Append one record. The bytes reach the kernel immediately (so a
-    /// `kill -9` of the coordinator loses nothing already appended);
-    /// [`Journal::sync`] batches the fsync that defends against an OS
-    /// crash.
+    /// Append one record and return the byte offset it starts at. The
+    /// bytes reach the kernel immediately (so a `kill -9` of the
+    /// coordinator loses nothing already appended); [`Journal::sync`]
+    /// batches the fsync that defends against an OS crash.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] when the write fails.
-    pub fn append(&mut self, rec: &Record) -> Result<(), JournalError> {
+    pub fn append(&mut self, rec: &Record) -> Result<u64, JournalError> {
         // Framed in memory so the record reaches the kernel in one write.
-        let framed = framed(rec);
+        let (at, framed) = (self.len, framed(rec));
         self.file
             .write_all(&framed)
             .map_err(|e| Journal::io(&self.path, e))?;
         self.len += framed.len() as u64;
         self.dirty = true;
-        Ok(())
+        Ok(at)
     }
 
     /// Flush batched appends to stable storage (no-op when clean).
@@ -424,11 +424,9 @@ impl Journal {
     pub fn compact(&mut self, records: &[Record]) -> Result<Vec<u64>, JournalError> {
         let tmp = self.path.with_extension("journal.tmp");
         let mut replacement = Journal::create(&tmp)?;
-        let mut placed = Vec::with_capacity(records.len());
-        for rec in records {
-            placed.push(replacement.len);
-            replacement.append(rec)?;
-        }
+        let placed = (records.iter())
+            .map(|rec| replacement.append(rec))
+            .collect::<Result<_, _>>()?;
         replacement.sync()?;
         std::fs::rename(&tmp, &self.path).map_err(|e| Journal::io(&self.path, e))?;
         self.file = replacement.file;

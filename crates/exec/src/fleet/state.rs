@@ -359,10 +359,6 @@ impl Fleet {
         self.out.push(Effect::Append(rec));
     }
 
-    pub(super) fn wake(&mut self) {
-        self.out.push(Effect::Wake);
-    }
-
     fn say(&mut self, line: String) {
         self.out.push(Effect::Log(line));
     }
@@ -454,7 +450,7 @@ impl Fleet {
         self.jobs.map.insert(id, job);
         self.jobs.queue.push_back(id);
         self.jobs.by_key.insert(key, id);
-        self.wake();
+        self.out.push(Effect::Wake);
         // The ack promises durability: flush the Submit record before the
         // client can observe the job id.
         self.out.push(Effect::Sync);
@@ -471,7 +467,7 @@ impl Fleet {
             id,
             session: sid.to_string(),
         });
-        self.wake();
+        self.out.push(Effect::Wake);
         let job = self.jobs.map.get_mut(&id).expect("job exists");
         let workload = &job.spec.workload;
         let queued = queued_fields(id, workload, true);
@@ -514,7 +510,7 @@ impl Fleet {
         job.hold_until = None;
         job.state = FleetJobState::Leased { worker, deadline };
         self.sessions.log_event(&job.sessions, "leased", &fields);
-        self.wake();
+        self.out.push(Effect::Wake);
     }
 
     /// Edge `reclaim`: `worker` loses job `id` for `reason` (its death,
@@ -528,7 +524,7 @@ impl Fleet {
             id,
             reason: reason.to_string(),
         });
-        self.wake();
+        self.out.push(Effect::Wake);
         let Some(job) = self.jobs.map.get_mut(&id) else {
             return;
         };
@@ -570,14 +566,17 @@ impl Fleet {
         self.sessions.log_event(&job.sessions, "done", &done);
         self.sessions.settle(&job.sessions);
         job.state = FleetJobState::Done(Box::new(result));
-        self.wake();
+        self.out.push(Effect::Wake);
     }
 
-    /// Job `id`'s `Done` record was appended, or placed by a compaction, at
-    /// journal byte `at`: its result drops the bytes it held.
-    pub(super) fn journaled(&mut self, id: u64, at: u64) {
-        if let Some(FleetJobState::Done(result)) = self.jobs.map.get_mut(&id).map(|j| &mut j.state)
-        {
+    /// Record `rec` was appended, or placed by a compaction, at journal
+    /// byte `at`: if it is a job's `Done` record, the result drops the bytes
+    /// it held.
+    pub(super) fn journaled(&mut self, rec: &Record, at: u64) {
+        let Record::Done { id, .. } = rec else {
+            return;
+        };
+        if let Some(FleetJobState::Done(result)) = self.jobs.map.get_mut(id).map(|j| &mut j.state) {
             result.stats = Stats::Journaled(at);
         }
     }
@@ -601,7 +600,7 @@ impl Fleet {
         let failed = failed_fields(id, error);
         self.sessions.log_event(&job.sessions, "failed", &failed);
         self.sessions.settle(&job.sessions);
-        self.wake();
+        self.out.push(Effect::Wake);
     }
 
     /// Edge `corrupt`: `worker`'s `done` for job `id` failed its checksum
@@ -609,27 +608,25 @@ impl Fleet {
     /// lease holder's bad frame reclaims the job.
     pub(super) fn corrupt(&mut self, id: u64, worker: usize, why: &str) {
         self.workers[worker].corrupt += 1;
+        self.workers[worker].leased.remove(&id);
         let holds = |j: &FleetJob| matches!(j.state, FleetJobState::Leased { worker: w, .. } if w == worker);
-        let holds = self.jobs.map.get(&id).is_some_and(holds);
-        let then = if holds {
-            "reassigning"
-        } else {
-            "a stale lease, ignored"
-        };
-        self.say(format!("fleet: corrupt result for job {id}: {why}; {then}"));
-        match holds {
-            true => self.reclaim(id, worker, "corrupt result"),
-            false => _ = self.workers[worker].leased.remove(&id),
+        if !self.jobs.map.get(&id).is_some_and(holds) {
+            let line = format!("fleet: corrupt result for job {id}: {why}; a stale lease, ignored");
+            return self.say(line);
         }
+        self.say(format!(
+            "fleet: corrupt result for job {id}: {why}; reassigning"
+        ));
+        self.reclaim(id, worker, "corrupt result");
     }
 
     /// Edge `join`: a worker with `slots` slots; returns its index.
-    pub(super) fn join(&mut self, name: String, slots: usize, now: Instant) -> usize {
+    pub(super) fn join(&mut self, name: &str, slots: usize, now: Instant) -> usize {
         self.say(format!(
             "fleet: worker `{name}` joined with {slots} slot(s)"
         ));
         self.workers.push(WorkerEntry {
-            name,
+            name: name.to_string(),
             slots,
             alive: true,
             last_pong: now,
@@ -641,12 +638,12 @@ impl Fleet {
             corrupt: 0,
             reassigned: 0,
         });
-        self.wake();
+        self.out.push(Effect::Wake);
         self.workers.len() - 1
     }
 
-    /// Declare worker `idx` dead for `reason`: tear down its socket and
-    /// reclaim every lease it held.
+    /// Declare worker `idx` dead for `reason`: have its connection closed
+    /// and reclaim every lease it held.
     pub(super) fn mark_dead(&mut self, idx: usize, reason: &str) {
         let w = &mut self.workers[idx];
         if !w.alive {
@@ -654,12 +651,10 @@ impl Fleet {
         }
         w.alive = false;
         let leases: Vec<u64> = w.leased.drain().collect();
+        let name = &w.name;
         let line = match leases.len() {
-            0 => format!("fleet: {reason}: `{}`", w.name),
-            n => format!(
-                "fleet: {reason}: `{}` loses {n} lease(s), reassigning",
-                w.name
-            ),
+            0 => format!("fleet: {reason}: `{name}`"),
+            n => format!("fleet: {reason}: `{name}` loses {n} lease(s), reassigning"),
         };
         self.out.push(Effect::Close(idx));
         self.say(line);
@@ -672,10 +667,9 @@ impl Fleet {
     pub(super) fn heartbeat(&mut self, now: Instant, opts: &CoordinatorOptions) {
         let ms = Duration::from_millis;
         for idx in 0..self.workers.len() {
-            let w = &mut self.workers[idx];
-            if !w.alive {
+            let Some(w) = self.workers.get_mut(idx).filter(|w| w.alive) else {
                 continue;
-            }
+            };
             if now.duration_since(w.last_pong) > ms(opts.heartbeat_timeout_ms) {
                 self.mark_dead(idx, WORKER_DEAD);
             } else if now.duration_since(w.last_ping) >= ms(opts.heartbeat_ms) {
@@ -721,17 +715,11 @@ impl Fleet {
         let jobs = &self.jobs.map;
         let queued = |id: &u64| matches!(jobs.get(id), Some(j) if matches!(j.state, FleetJobState::Queued { .. }));
         let runnable = |id: &u64| queued(id) && jobs[id].hold_until.is_none_or(|t| now >= t);
-        let Some(at) = self
-            .jobs
-            .queue
-            .iter()
-            .position(runnable)
-            .filter(|_| !free.is_empty())
-        else {
+        let at = (self.jobs.queue.iter().position(runnable)).filter(|_| !free.is_empty());
+        let Some(id) = at.and_then(|at| self.jobs.queue.remove(at)) else {
             self.jobs.queue.retain(queued);
             return None;
         };
-        let id = self.jobs.queue.remove(at).expect("a queue position");
         let job = &self.jobs.map[&id];
         let worker = (free.iter().copied())
             // Anti-affinity: never hand a reclaimed job straight back to
@@ -781,7 +769,7 @@ impl Fleet {
     /// length.
     pub(super) fn shutdown(&mut self) -> usize {
         self.draining = true;
-        self.wake();
+        self.out.push(Effect::Wake);
         self.jobs.queue.len()
     }
 
@@ -792,9 +780,8 @@ impl Fleet {
         if !self.draining || !self.jobs.all_terminal() {
             return false;
         }
-        let close = Json::obj(vec![("op", Json::Str("close".into()))]);
         for worker in (0..self.workers.len()).filter(|w| self.workers[*w].alive) {
-            let frame = close.clone();
+            let frame = Json::obj(vec![("op", Json::Str("close".into()))]);
             self.out
                 .extend([Effect::Send { worker, frame }, Effect::Close(worker)]);
         }
@@ -1000,9 +987,8 @@ impl Fleet {
             }
             job.assigns = u64::from(terminal.is_some() || held);
         }
-        for seq in self.session_seqs() {
-            self.log(seq);
-        }
+        self.out
+            .extend(self.session_seqs().into_iter().map(Effect::Append));
         self.out.push(Effect::Sync);
         let (jobs, pending) = (self.jobs.map.len(), self.jobs.queue.len());
         let torn = if rec.truncated {
@@ -1118,9 +1104,7 @@ mod tests {
                         let at = self.0.len() as u64;
                         self.0.extend(framed(&rec));
                         out.cuts.push(self.0.len());
-                        if let Record::Done { id, .. } = rec {
-                            fleet.journaled(id, at);
-                        }
+                        fleet.journaled(&rec, at);
                     }
                     Effect::Close(_) | Effect::Sync | Effect::Log(_) | Effect::Wake => {}
                 }
@@ -1147,8 +1131,8 @@ mod tests {
             (fleet, image, truncated)
         }
 
-        fn compaction_records(&self, fleet: &Fleet) -> Vec<Record> {
-            (fleet.compaction_records(|s| read(&self.0, s))).expect("results read back")
+        fn compaction_records(&self, fleet: &Fleet) -> Result<Vec<Record>, String> {
+            fleet.compaction_records(|s| read(&self.0, s))
         }
     }
 
@@ -1258,8 +1242,8 @@ mod tests {
         got_image: &Image,
     ) -> Result<(), String> {
         let not_seq = |r: &&Record| !matches!(r, Record::SessionSeq { .. });
-        let want = image.compaction_records(live);
-        let have = got_image.compaction_records(got);
+        let want = image.compaction_records(live)?;
+        let have = got_image.compaction_records(got)?;
         let want: Vec<_> = want.iter().filter(not_seq).collect();
         let have: Vec<_> = have.iter().filter(not_seq).collect();
         if want != have {
@@ -1294,8 +1278,8 @@ mod tests {
     impl World {
         fn new(base: Instant) -> World {
             let mut fleet = Fleet::default();
-            fleet.join("w0".into(), 1, base);
-            fleet.join("w1".into(), 1, base);
+            fleet.join("w0", 1, base);
+            fleet.join("w1", 1, base);
             fleet.open_session();
             fleet.open_session();
             let mut world = World {
@@ -1413,7 +1397,7 @@ mod tests {
                 }
                 Edge::Join => {
                     let name = format!("w{}", self.fleet.workers.len());
-                    self.fleet.join(name, 1, now);
+                    self.fleet.join(&name, 1, now);
                 }
                 Edge::Inventory { worker } => {
                     let name = self.name(worker);
@@ -1424,14 +1408,12 @@ mod tests {
                     self.fleet.inventory(worker, &running, now + LEASE);
                 }
                 Edge::Compact => {
-                    let records = self.image.compaction_records(&self.fleet);
+                    let records = self.image.compaction_records(&self.fleet)?;
                     let mut image = Image(empty_image());
                     for rec in &records {
                         let at = image.0.len() as u64;
                         image.0.extend(framed(rec));
-                        if let Record::Done { id, .. } = rec {
-                            self.fleet.journaled(*id, at);
-                        }
+                        self.fleet.journaled(rec, at);
                     }
                     let (compacted, compacted_image, _) = image.recover(image.0.len(), now);
                     let (replayed, replayed_image, _) = self.image.recover(self.image.0.len(), now);
@@ -1743,10 +1725,7 @@ mod tests {
     fn a_stale_holders_corrupt_result_leaves_the_new_lease() {
         let now = Instant::now();
         let mut fleet = Fleet::default();
-        let (a, b) = (
-            fleet.join("a".into(), 1, now),
-            fleet.join("b".into(), 1, now),
-        );
+        let (a, b) = (fleet.join("a", 1, now), fleet.join("b", 1, now));
         let (id, _) = fleet.submit(&opts(), spec(0), 0, None).unwrap();
         fleet.jobs.queue.clear();
         fleet.lease(id, a, false, now);
